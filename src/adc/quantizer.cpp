@@ -37,15 +37,6 @@ double UniformQuantizer::level_of(int code) const noexcept {
   return -full_scale_ + (static_cast<double>(c) + 0.5) * lsb_;
 }
 
-CplxVec digitize_iq(const CplxVec& x, Adc& adc_i, Adc& adc_q) {
-  CplxVec out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i] = {adc_i.level_of(adc_i.convert(x[i].real())),
-              adc_q.level_of(adc_q.convert(x[i].imag()))};
-  }
-  return out;
-}
-
 double ideal_sqnr_db(int bits) { return 6.02 * bits + 1.76; }
 
 }  // namespace uwb::adc

@@ -58,11 +58,6 @@ class UniformQuantizer final : public Adc {
   double lsb_;
 };
 
-/// Quantizes a complex waveform through a pair of converters (the gen-2
-/// "two 5-bit SAR ADCs" on I and Q). The converters may be the same object
-/// when lane mismatch is not modeled.
-CplxVec digitize_iq(const CplxVec& x, Adc& adc_i, Adc& adc_q);
-
 /// Theoretical SQNR of an n-bit quantizer with a full-scale sine [dB].
 double ideal_sqnr_db(int bits);
 

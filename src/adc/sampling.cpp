@@ -44,9 +44,28 @@ RealWaveform SampleAndHold::sample(const RealWaveform& analog, Rng& rng) const {
                       params_.adc_rate_hz);
 }
 
-CplxWaveform SampleAndHold::sample(const CplxWaveform& analog, Rng& rng) const {
-  return CplxWaveform(sample_impl(analog.samples(), analog.sample_rate(), nullptr, rng),
-                      params_.adc_rate_hz);
+std::size_t SampleAndHold::sample_iq_to(const double* x_i, const double* x_q,
+                                        std::size_t x_len, double fs_in, Rng& rng,
+                                        double* out_i, double* out_q) const {
+  const double ratio = fs_in / params_.adc_rate_hz;
+  detail::require(ratio >= 1.0 - 1e-9, "SampleAndHold: input rate below ADC rate");
+  const std::size_t n_out = output_size(x_len, fs_in);
+  std::fill(out_i, out_i + n_out, 0.0);
+  std::fill(out_q, out_q + n_out, 0.0);
+  for (std::size_t k = 0; k < n_out; ++k) {
+    double t_s = static_cast<double>(k) / params_.adc_rate_hz + params_.phase_offset_s;
+    if (params_.aperture_jitter_rms_s > 0.0) {
+      t_s += rng.gaussian(0.0, params_.aperture_jitter_rms_s);
+    }
+    const double pos = t_s * fs_in;
+    if (pos < 0.0) continue;
+    const auto i0 = static_cast<std::size_t>(pos);
+    if (i0 + 1 >= x_len) break;
+    const double frac = pos - static_cast<double>(i0);
+    out_i[k] = x_i[i0] * (1.0 - frac) + x_i[i0 + 1] * frac;
+    out_q[k] = x_q[i0] * (1.0 - frac) + x_q[i0 + 1] * frac;
+  }
+  return n_out;
 }
 
 RealWaveform SampleAndHold::sample_interleaved(const RealWaveform& analog,
@@ -209,7 +228,5 @@ std::size_t SampleAndHold::sample_interleaved_to(const float* x, std::size_t x_l
 template std::vector<double> SampleAndHold::sample_impl<double>(const std::vector<double>&,
                                                                 double, const RealVec*,
                                                                 Rng&) const;
-template std::vector<cplx> SampleAndHold::sample_impl<cplx>(const std::vector<cplx>&, double,
-                                                            const RealVec*, Rng&) const;
 
 }  // namespace uwb::adc

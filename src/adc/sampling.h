@@ -28,7 +28,14 @@ class SampleAndHold {
   [[nodiscard]] const SamplingParams& params() const noexcept { return params_; }
 
   [[nodiscard]] RealWaveform sample(const RealWaveform& analog, Rng& rng) const;
-  [[nodiscard]] CplxWaveform sample(const CplxWaveform& analog, Rng& rng) const;
+
+  /// Complex sampling on split I/Q rails of \p x_len samples at \p fs_in:
+  /// both rails share each sampling instant (one jitter draw per output
+  /// sample) and interpolate with the same weights. Writes
+  /// output_size(x_len, fs_in) samples to \p out_i / \p out_q (zeros where
+  /// an instant falls outside the input) and returns that count.
+  std::size_t sample_iq_to(const double* x_i, const double* x_q, std::size_t x_len,
+                           double fs_in, Rng& rng, double* out_i, double* out_q) const;
 
   /// Per-lane skewed sampling (time-interleaved converters): lane k of
   /// \p num_lanes has an extra static skew \p lane_skews_s[k].

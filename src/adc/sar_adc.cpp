@@ -1,5 +1,6 @@
 #include "adc/sar_adc.h"
 
+#include <bit>
 #include <cmath>
 
 #include "common/error.h"
@@ -51,6 +52,47 @@ double SarAdc::level_of(int code) const noexcept {
   }
   // Center of the LSB bin.
   return v + weights_.back() / 2.0;
+}
+
+void SarAdc::build_tables() {
+  // Node 1 is the MSB decision at the bottom of the range; node m's
+  // children are 2m (comparator said below: DAC unchanged) and 2m + 1
+  // (above: DAC takes the trial level), exactly convert()'s updates.
+  const std::size_t codes = std::size_t{1} << params_.bits;
+  RealVec dac(codes, 0.0);
+  tree_.assign(codes, 0.0);
+  dac[1] = -params_.full_scale;
+  for (std::size_t node = 1; node < codes; ++node) {
+    const auto depth = static_cast<std::size_t>(std::bit_width(node) - 1);
+    tree_[node] = dac[node] + weights_[depth];
+    if (2 * node < codes) {
+      dac[2 * node] = dac[node];
+      dac[2 * node + 1] = tree_[node];
+    }
+  }
+  levels_.resize(codes);
+  for (std::size_t code = 0; code < codes; ++code) {
+    levels_[code] = level_of(static_cast<int>(code));
+  }
+}
+
+void SarAdc::digitize_to(const double* x, std::size_t n, double* levels) {
+  if (levels_.empty()) build_tables();
+  const std::size_t codes = levels_.size();
+  const double* tree = tree_.data();
+  const double sigma = params_.comparator_noise;
+  for (std::size_t k = 0; k < n; ++k) {
+    std::size_t node = 1;
+    if (sigma > 0.0) {
+      while (node < codes) {
+        const double decision_input = x[k] + noise_rng_.gaussian(0.0, sigma);
+        node = 2 * node + (decision_input >= tree[node] ? 1 : 0);
+      }
+    } else {
+      while (node < codes) node = 2 * node + (x[k] >= tree[node] ? 1 : 0);
+    }
+    levels[k] = levels_[node - codes];
+  }
 }
 
 }  // namespace uwb::adc

@@ -37,10 +37,22 @@ class SarAdc final : public Adc {
   /// The mismatched bit weights, MSB first [V].
   [[nodiscard]] const RealVec& weights() const noexcept { return weights_; }
 
+  /// Block conversion straight to reconstruction levels:
+  /// levels[k] = level_of(convert(x[k])), with the same decisions and the
+  /// same comparator-noise draws in the same order. Each sample walks a
+  /// precomputed decision tree (every node's trial level summed exactly as
+  /// convert() sums it along that path) and reads a level table, both built
+  /// on first use.
+  void digitize_to(const double* x, std::size_t n, double* levels);
+
  private:
+  void build_tables();
+
   SarParams params_;
   RealVec weights_;        ///< weight of each bit decision, MSB first
   mutable Rng noise_rng_;  ///< comparator noise stream
+  RealVec tree_;           ///< trial level per tree node, heap order from 1
+  RealVec levels_;         ///< level_of(code) per code
 };
 
 }  // namespace uwb::adc

@@ -58,16 +58,16 @@ inline double uniform01(std::mt19937_64& eng) {
   return static_cast<double>(eng() >> 11) * 0x1.0p-53;
 }
 
-/// One standard-normal draw. Hot path: single engine call, layer index from
-/// the low 8 bits, sign from bit 8, a 52-bit mantissa as the in-layer
-/// uniform, and one compare against the next layer's edge.
-double zig_normal(std::mt19937_64& eng, const ZigguratTables& t) {
+/// Rejection continuation of zig_normal for a draw \p u that missed the
+/// in-layer accept (~1.2% of draws): the base-layer tail or the wedge test,
+/// then fresh engine words until one is accepted. Out of line so the hot
+/// loop carries only the one-compare fast path.
+[[gnu::noinline]] double zig_normal_slow(std::uint64_t u, std::mt19937_64& eng,
+                                         const ZigguratTables& t) {
   while (true) {
-    const std::uint64_t u = eng();
     const int i = static_cast<int>(u & 255u);
     const double sign = (u & 256u) != 0 ? -1.0 : 1.0;
-    const double ux = static_cast<double>(u >> 12) * 0x1.0p-52;
-    const double cand = ux * t.x[i];
+    const double cand = static_cast<double>(u >> 12) * 0x1.0p-52 * t.x[i];
     if (cand < t.x[i + 1]) return sign * cand;
     if (i == 0) {
       // Tail beyond r (Marsaglia's exponential-majorant method).
@@ -82,6 +82,39 @@ double zig_normal(std::mt19937_64& eng, const ZigguratTables& t) {
     // Wedge between layer edges: accept iff the point lands under the pdf.
     const double yr = t.y[i] + uniform01(eng) * (t.y[i + 1] - t.y[i]);
     if (yr < std::exp(-0.5 * cand * cand)) return sign * cand;
+    u = eng();
+  }
+}
+
+/// One standard-normal draw. Hot path: single engine call, layer index from
+/// the low 8 bits, a 52-bit mantissa as the in-layer uniform, and one
+/// compare against the next layer's edge. The sign (bit 8) is OR-ed into
+/// the result's sign bit, so the accepted path has no data-dependent branch
+/// beyond the compare -- same value as sign * cand, same engine stream.
+inline double zig_normal(std::mt19937_64& eng, const ZigguratTables& t) {
+  const std::uint64_t u = eng();
+  const int i = static_cast<int>(u & 255u);
+  const double cand = static_cast<double>(u >> 12) * 0x1.0p-52 * t.x[i];
+  if (cand < t.x[i + 1]) [[likely]] {
+    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(cand) | ((u & 256u) << 55));
+  }
+  return zig_normal_slow(u, eng, t);
+}
+
+/// Complex AWGN over rails addressed as re[k * kStride] / im[k * kStride]:
+/// the real draw first, then the imaginary one, sample by sample -- the
+/// draw order every complex overload shares.
+template <std::size_t kStride>
+void add_complex_noise(double* re, double* im, std::size_t n, double n0, Rng& rng) {
+  const obs::StageTimer timer(obs::Stage::kChannelNoise, n);
+  const double sigma = std::sqrt(n0 / 2.0);
+  const ZigguratTables& t = zig_tables();
+  std::mt19937_64& eng = rng.engine();
+  for (std::size_t k = 0; k < n; ++k) {
+    const double zr = zig_normal(eng, t);
+    const double zi = zig_normal(eng, t);
+    re[k * kStride] += sigma * zr;
+    im[k * kStride] += sigma * zi;
   }
 }
 
@@ -216,15 +249,15 @@ void add_awgn(float* x, std::size_t n, double n0, Rng& rng) {
 void add_awgn(CplxVec& x, double n0, Rng& rng) {
   detail::require(n0 >= 0.0, "add_awgn: N0 must be non-negative");
   if (n0 == 0.0) return;
-  const obs::StageTimer timer(obs::Stage::kChannelNoise, x.size());
-  const double sigma = std::sqrt(n0 / 2.0);
-  const ZigguratTables& t = zig_tables();
-  std::mt19937_64& eng = rng.engine();
-  for (auto& v : x) {
-    const double re = sigma * zig_normal(eng, t);
-    const double im = sigma * zig_normal(eng, t);
-    v += cplx{re, im};
-  }
+  // std::complex<double> is layout-compatible with double[2].
+  auto* rails = reinterpret_cast<double*>(x.data());
+  add_complex_noise<2>(rails, rails + 1, x.size(), n0, rng);
+}
+
+void add_awgn(double* re, double* im, std::size_t n, double n0, Rng& rng) {
+  detail::require(n0 >= 0.0, "add_awgn: N0 must be non-negative");
+  if (n0 == 0.0) return;
+  add_complex_noise<1>(re, im, n, n0, rng);
 }
 
 void add_awgn(RealVec& x, double n0, Rng& rng) {

@@ -19,6 +19,11 @@ namespace uwb::channel {
 /// Adds complex AWGN with total per-sample variance \p n0 in place.
 void add_awgn(CplxVec& x, double n0, Rng& rng);
 
+/// Adds complex AWGN with total per-sample variance \p n0 to split I/Q
+/// rails of \p n samples in place: the same draws, in the same order, as
+/// the CplxVec overload on the interleaved samples.
+void add_awgn(double* re, double* im, std::size_t n, double n0, Rng& rng);
+
 /// Adds real AWGN with per-sample variance n0/2 in place.
 void add_awgn(RealVec& x, double n0, Rng& rng);
 

@@ -79,4 +79,14 @@ void add_cw_interferer(CplxWaveform& x, double freq_offset_hz, double signal_pow
   intf.add_to(x, signal_power, sir_db, rng);
 }
 
+void add_cw_interferer(double* re, double* im, std::size_t n, double fs,
+                       double freq_offset_hz, double signal_power, double sir_db, Rng& rng) {
+  CplxWaveform tone(n, fs);
+  add_cw_interferer(tone, freq_offset_hz, signal_power, sir_db, rng);
+  for (std::size_t k = 0; k < n; ++k) {
+    re[k] += tone[k].real();
+    im[k] += tone[k].imag();
+  }
+}
+
 }  // namespace uwb::channel

@@ -53,4 +53,9 @@ class Interferer {
 void add_cw_interferer(CplxWaveform& x, double freq_offset_hz, double signal_power,
                        double sir_db, Rng& rng);
 
+/// The same tone (same draws) added to split I/Q rails of \p n samples at
+/// sample rate \p fs.
+void add_cw_interferer(double* re, double* im, std::size_t n, double fs,
+                       double freq_offset_hz, double signal_power, double sir_db, Rng& rng);
+
 }  // namespace uwb::channel

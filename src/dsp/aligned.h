@@ -14,6 +14,8 @@
 #include <new>
 #include <utility>
 
+#include "common/types.h"
+
 namespace uwb::dsp {
 
 inline constexpr std::size_t kCacheLineBytes = 64;
@@ -78,7 +80,7 @@ class AlignedVec {
   /// resize() followed by zero-fill.
   void assign_zero(std::size_t n) {
     resize(n);
-    std::memset(static_cast<void*>(data_), 0, n * sizeof(T));
+    if (n > 0) std::memset(static_cast<void*>(data_), 0, n * sizeof(T));
   }
 
  private:
@@ -92,6 +94,43 @@ class AlignedVec {
   T* data_ = nullptr;
   std::size_t size_ = 0;
   std::size_t capacity_ = 0;
+};
+
+/// Complex baseband as two grow-only real rails (structure of arrays): the
+/// gen-2 sample pipeline runs every per-sample stage on i and q separately,
+/// so each rail streams through the real vectorized kernels.
+struct IqArena {
+  AlignedVec<double> i;
+  AlignedVec<double> q;
+
+  [[nodiscard]] std::size_t size() const noexcept { return i.size(); }
+
+  /// Grow-only resize of both rails (contents unspecified after growth).
+  void resize(std::size_t n) {
+    i.resize(n);
+    q.resize(n);
+  }
+
+  /// resize() followed by zero-fill of both rails.
+  void assign_zero(std::size_t n) {
+    i.assign_zero(n);
+    q.assign_zero(n);
+  }
+
+  /// Splits \p n interleaved complex samples into the rails.
+  void load(const cplx* x, std::size_t n) {
+    resize(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      i[k] = x[k].real();
+      q[k] = x[k].imag();
+    }
+  }
+
+  /// Interleaves the rails into \p out (resized to size()).
+  void store(CplxVec& out) const {
+    out.resize(size());
+    for (std::size_t k = 0; k < out.size(); ++k) out[k] = {i[k], q[k]};
+  }
 };
 
 }  // namespace uwb::dsp

@@ -56,7 +56,7 @@ std::size_t correlate_to(const float* x, std::size_t x_len, const RealVec& tmpl,
   // The float arena only matched-filters short pulse templates; stay on the
   // direct kernel unconditionally (no float overlap-save path exists).
   constexpr std::size_t kMaxStackTaps = 256;
-  float stack_taps[kMaxStackTaps];
+  float stack_taps[kMaxStackTaps] = {};
   std::vector<float> heap_taps;
   float* t = stack_taps;
   if (tmpl.size() > kMaxStackTaps) {

@@ -139,6 +139,42 @@ void convolve_same_to(const float* x, std::size_t x_len, const RealVec& h, float
   convolve_same_direct(x, x_len, h, y);
 }
 
+void convolve_same_inplace(double* x, std::size_t x_len, const RealVec& h) {
+  const std::size_t h_len = h.size();
+  if (x_len == 0 || h_len == 0) return;
+  // Output j reads x[j - lead .. j + start]. A staging window carries the
+  // original samples of the current block plus its h_len - 1 neighbours
+  // (zeros past either end) while the outputs overwrite x behind it.
+  const std::size_t start = (h_len - 1) / 2;
+  constexpr std::size_t kBlock = 1024;
+  constexpr std::size_t kMaxStackTaps = 256;
+  double stack_taps[kMaxStackTaps];
+  double stack_stage[kBlock + kMaxStackTaps];
+  std::vector<double> heap;
+  double* r = stack_taps;
+  double* stage = stack_stage;
+  if (h_len > kMaxStackTaps) {
+    heap.resize(h_len + kBlock + h_len);
+    r = heap.data();
+    stage = heap.data() + h_len;
+  }
+  for (std::size_t m = 0; m < h_len; ++m) r[m] = h[h_len - 1 - m];
+  const std::size_t lead = h_len - 1 - start;
+  std::fill(stage, stage + lead, 0.0);
+  for (std::size_t k = 0; k < start; ++k) stage[lead + k] = k < x_len ? x[k] : 0.0;
+  for (std::size_t j0 = 0; j0 < x_len; j0 += kBlock) {
+    const std::size_t count = std::min(kBlock, x_len - j0);
+    for (std::size_t t = 0; t < count; ++t) {
+      const std::size_t k = j0 + start + t;
+      stage[h_len - 1 + t] = k < x_len ? x[k] : 0.0;
+    }
+    // Zero-padded taps add signed zeros to an accumulator that is never
+    // -0, so edge outputs match the direct kernel's trimmed sums exactly.
+    dot_bank(stage, count, r, h_len, x + j0);
+    std::copy(stage + count, stage + count + h_len - 1, stage);
+  }
+}
+
 CplxVec convolve_same(const CplxVec& x, const RealVec& h) {
   if (x.empty() || h.empty()) return {};
   return take_same(convolve(x, h), x.size(), h.size());
@@ -146,10 +182,6 @@ CplxVec convolve_same(const CplxVec& x, const RealVec& h) {
 
 RealWaveform filter_same(const RealWaveform& x, const RealVec& taps) {
   return RealWaveform(convolve_same(x.samples(), taps), x.sample_rate());
-}
-
-CplxWaveform filter_same(const CplxWaveform& x, const RealVec& taps) {
-  return CplxWaveform(convolve_same(x.samples(), taps), x.sample_rate());
 }
 
 }  // namespace uwb::dsp

@@ -94,10 +94,16 @@ void convolve_same_to(const float* x, std::size_t x_len, const RealVec& h, float
 /// "Same"-mode convolution for complex input with real kernel.
 CplxVec convolve_same(const CplxVec& x, const RealVec& h);
 
+/// "Same"-mode real convolution in place over \p x_len samples: the blocked
+/// direct gather kernel (whatever the fast-convolve policy) streaming
+/// through a small staging window, so no output buffer is needed. Every
+/// output is bit-identical to convolve_same_to()'s direct path -- and, run
+/// on the I and Q rails of a complex signal, to convolve_same(CplxVec, h)
+/// wherever that is direct (a complex sample times a real tap is two
+/// independent real products; every kernel below kFftMinKernelCplxReal).
+void convolve_same_inplace(double* x, std::size_t x_len, const RealVec& h);
+
 /// Filters a waveform with a FIR in "same" mode, preserving the sample rate.
 RealWaveform filter_same(const RealWaveform& x, const RealVec& taps);
-
-/// Filters a complex waveform with a FIR in "same" mode.
-CplxWaveform filter_same(const CplxWaveform& x, const RealVec& taps);
 
 }  // namespace uwb::dsp

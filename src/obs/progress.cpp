@@ -72,7 +72,11 @@ void ProgressMeter::begin_run(std::size_t total_points) {
 
 void ProgressMeter::begin_point(std::size_t index, const std::string& label) {
   std::lock_guard<std::mutex> lock(mutex_);
-  label_ = "#" + std::to_string(index) + " " + label;
+  std::string next = std::to_string(index);
+  next.insert(next.begin(), '#');
+  next += ' ';
+  next += label;
+  label_ = std::move(next);
 }
 
 void ProgressMeter::end_run() {

@@ -3,8 +3,8 @@
 /// \brief Pulse modulation schemes the discrete prototype compares (paper
 ///        Section 3 / Fig. 4): antipodal BPSK, OOK, binary PPM and 4-PAM.
 ///
-/// A Modulator maps bits to per-bit pulse weights/time-offsets consumed by
-/// uwb::pulse::slots_from_weights; a matching demapper converts correlator
+/// A Modulator maps bits to per-bit pulse weights/time-offsets (the gen-2
+/// transmitter's pulse slots); a matching demapper converts correlator
 /// soft outputs back to bits. Unit average energy per bit across schemes so
 /// Eb/N0 comparisons are fair.
 

@@ -37,35 +37,4 @@ RealWaveform build_train(const RealWaveform& prototype, const std::vector<PulseS
   return out;
 }
 
-CplxWaveform build_train_cplx(const RealWaveform& prototype, const std::vector<PulseSlot>& slots,
-                              const PulseTrainSpec& spec) {
-  const RealWaveform real_train = build_train(prototype, slots, spec);
-  CplxVec samples(real_train.size());
-  for (std::size_t i = 0; i < real_train.size(); ++i) samples[i] = cplx(real_train[i], 0.0);
-  return CplxWaveform(std::move(samples), spec.sample_rate_hz);
-}
-
-std::vector<PulseSlot> slots_from_weights(const std::vector<double>& bit_weights,
-                                          const std::vector<double>& bit_time_offsets,
-                                          int pulses_per_bit,
-                                          const std::vector<double>& spread) {
-  detail::require(pulses_per_bit >= 1, "slots_from_weights: pulses_per_bit must be >= 1");
-  detail::require(bit_time_offsets.empty() || bit_time_offsets.size() == bit_weights.size(),
-                  "slots_from_weights: offsets size mismatch");
-  std::vector<PulseSlot> slots;
-  slots.reserve(bit_weights.size() * static_cast<std::size_t>(pulses_per_bit));
-  for (std::size_t b = 0; b < bit_weights.size(); ++b) {
-    for (int k = 0; k < pulses_per_bit; ++k) {
-      PulseSlot slot;
-      slot.amplitude = bit_weights[b];
-      if (!spread.empty()) {
-        slot.amplitude *= spread[static_cast<std::size_t>(k) % spread.size()];
-      }
-      slot.time_offset_s = bit_time_offsets.empty() ? 0.0 : bit_time_offsets[b];
-      slots.push_back(slot);
-    }
-  }
-  return slots;
-}
-
 }  // namespace uwb::pulse

@@ -35,19 +35,6 @@ struct PulseTrainSpec {
 RealWaveform build_train(const RealWaveform& prototype, const std::vector<PulseSlot>& slots,
                          const PulseTrainSpec& spec);
 
-/// Complex-baseband version (prototype real, weights applied as real gains;
-/// output complex so downstream I/Q processing is uniform).
-CplxWaveform build_train_cplx(const RealWaveform& prototype, const std::vector<PulseSlot>& slots,
-                              const PulseTrainSpec& spec);
-
-/// Expands per-bit weights into per-pulse slots with pulses_per_bit
-/// repetition and an optional spreading (polarity scrambling) sequence: the
-/// k-th pulse of every bit is multiplied by spread[k % spread.size()].
-std::vector<PulseSlot> slots_from_weights(const std::vector<double>& bit_weights,
-                                          const std::vector<double>& bit_time_offsets,
-                                          int pulses_per_bit,
-                                          const std::vector<double>& spread = {});
-
 /// Samples per PRF period at the spec's rate (must divide evenly; throws
 /// otherwise so configurations stay sample-aligned).
 std::size_t samples_per_frame(const PulseTrainSpec& spec);

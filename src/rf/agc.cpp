@@ -32,22 +32,33 @@ double rms_of(const std::vector<T>& x) {
 
 }  // namespace
 
-CplxWaveform Agc::one_shot(const CplxWaveform& x) {
-  const double r = rms_of(x.samples());
+double Agc::set_gain_for_rms(double r) {
   const double wanted_db = (r > 0.0) ? amp_to_db(params_.target_rms / r) : params_.max_gain_db;
   gain_db_ = std::clamp(wanted_db, params_.min_gain_db, params_.max_gain_db);
+  return db_to_amp(gain_db_);
+}
+
+CplxWaveform Agc::one_shot(const CplxWaveform& x) {
   CplxWaveform out = x;
-  out.scale(db_to_amp(gain_db_));
+  out.scale(set_gain_for_rms(rms_of(x.samples())));
   return out;
 }
 
 RealWaveform Agc::one_shot(const RealWaveform& x) {
-  const double r = rms_of(x.samples());
-  const double wanted_db = (r > 0.0) ? amp_to_db(params_.target_rms / r) : params_.max_gain_db;
-  gain_db_ = std::clamp(wanted_db, params_.min_gain_db, params_.max_gain_db);
   RealWaveform out = x;
-  out.scale(db_to_amp(gain_db_));
+  out.scale(set_gain_for_rms(rms_of(x.samples())));
   return out;
+}
+
+void Agc::one_shot(double* i, double* q, std::size_t n) {
+  double acc = 0.0;
+  for (std::size_t k = 0; k < n; ++k) acc += i[k] * i[k] + q[k] * q[k];
+  const double gain =
+      set_gain_for_rms(n > 0 ? std::sqrt(acc / static_cast<double>(n)) : 0.0);
+  for (std::size_t k = 0; k < n; ++k) {
+    i[k] *= gain;
+    q[k] *= gain;
+  }
 }
 
 CplxWaveform Agc::track(const CplxWaveform& x) {

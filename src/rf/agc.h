@@ -35,12 +35,19 @@ class Agc {
   CplxWaveform one_shot(const CplxWaveform& x);
   RealWaveform one_shot(const RealWaveform& x);
 
+  /// Split-I/Q one_shot: measures the rms of the \p n-sample rails and
+  /// applies the same gain to both in place.
+  void one_shot(double* i, double* q, std::size_t n);
+
   /// Windowed tracking loop; gain_db() holds the final gain afterwards.
   CplxWaveform track(const CplxWaveform& x);
 
   void reset() noexcept { gain_db_ = 0.0; }
 
  private:
+  /// Sets gain_db_ for a measured rms (clamped); returns the linear gain.
+  double set_gain_for_rms(double r);
+
   AgcParams params_;
   double gain_db_ = 0.0;
 };

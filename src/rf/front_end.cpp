@@ -4,11 +4,29 @@
 
 #include "common/error.h"
 #include "common/math_utils.h"
+#include "dsp/aligned.h"
 #include "dsp/filter_design.h"
 #include "dsp/fir_filter.h"
 #include "dsp/resampler.h"
 
 namespace uwb::rf {
+
+namespace {
+
+CplxVec to_complex(const double* x_i, const double* x_q, std::size_t n) {
+  CplxVec out(n);
+  for (std::size_t k = 0; k < n; ++k) out[k] = {x_i[k], x_q[k]};
+  return out;
+}
+
+void from_complex(const CplxVec& x, double* x_i, double* x_q) {
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    x_i[k] = x[k].real();
+    x_q[k] = x[k].imag();
+  }
+}
+
+}  // namespace
 
 double cascade_noise_figure_db(const std::vector<CascadeStage>& stages) {
   detail::require(!stages.empty(), "cascade_noise_figure_db: empty chain");
@@ -51,29 +69,40 @@ CplxWaveform FrontEnd::process_baseband(const CplxWaveform& x, double input_nois
                                         Rng& rng) {
   detail::require(x.sample_rate() == params_.analog_fs,
                   "FrontEnd::process_baseband: configure analog_fs to match the input");
-  CplxWaveform y = x;
+  dsp::IqArena rails;
+  rails.load(x.samples().data(), x.size());
+  process_baseband(rails.i.data(), rails.q.data(), x.size(), input_noise_variance, rng);
+  CplxWaveform y(0, x.sample_rate());
+  rails.store(y.samples());
+  return y;
+}
+
+void FrontEnd::process_baseband(double* x_i, double* x_q, std::size_t n,
+                                double input_noise_variance, Rng& rng) {
+  const double fs = params_.analog_fs;
   // LNA: excess noise + envelope compression + gain.
-  lna_.process(y, input_noise_variance, rng);
-  // LO phase noise (multiplicative).
-  synth_.apply_phase_noise(y.samples(), y.sample_rate(), rng);
-  // Direct-conversion I/Q impairments.
-  if (!params_.iq.ideal()) {
-    y = apply_iq_impairments(y, params_.iq);
+  lna_.process_iq(x_i, x_q, n, input_noise_variance, rng);
+  // LO phase noise (multiplicative) and direct-conversion I/Q impairments:
+  // off in every default configuration, so they run on complex samples.
+  if (synth_.params().phase_noise_rms_rad > 0.0 || !params_.iq.ideal()) {
+    CplxWaveform y(to_complex(x_i, x_q, n), fs);
+    synth_.apply_phase_noise(y.samples(), fs, rng);
+    if (!params_.iq.ideal()) y = apply_iq_impairments(y, params_.iq);
+    from_complex(y.samples(), x_i, x_q);
   }
   // Anti-alias lowpass ahead of the converters (the baseband filter of the
   // direct-conversion chain). Without it, wideband noise folds into the
   // ADC's Nyquist band and costs several dB of effective Eb/N0.
-  y = dsp::filter_same(y, anti_alias_taps_);
+  dsp::convolve_same_inplace(x_i, n, anti_alias_taps_);
+  dsp::convolve_same_inplace(x_q, n, anti_alias_taps_);
   // Optional interferer notch.
   if (notch_.has_value()) {
     notch_->reset();
-    y = notch_->process(y);
+    const CplxWaveform y = notch_->process(CplxWaveform(to_complex(x_i, x_q, n), fs));
+    from_complex(y.samples(), x_i, x_q);
   }
   // AGC loads the ADC.
-  if (params_.enable_agc) {
-    y = agc_.one_shot(y);
-  }
-  return y;
+  if (params_.enable_agc) agc_.one_shot(x_i, x_q, n);
 }
 
 CplxWaveform FrontEnd::process_passband(const RealWaveform& rf, double input_noise_variance,

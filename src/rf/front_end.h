@@ -78,6 +78,12 @@ class FrontEnd {
   [[nodiscard]] CplxWaveform process_baseband(const CplxWaveform& x,
                                               double input_noise_variance, Rng& rng);
 
+  /// The same processing in place on split I/Q rails of \p n samples at
+  /// analog_fs: the LNA, the anti-alias FIR and the AGC all overwrite the
+  /// rails, so a warm caller-owned capture costs no allocation.
+  void process_baseband(double* x_i, double* x_q, std::size_t n,
+                        double input_noise_variance, Rng& rng);
+
   /// Full passband path: LNA, downconversion at the tuned channel,
   /// decimation by \p decim down to the ADC rate.
   [[nodiscard]] CplxWaveform process_passband(const RealWaveform& rf,

@@ -25,6 +25,12 @@ struct LnaParams {
   double headroom_db = 20.0;  ///< compression knee above input rms
 };
 
+/// The envelope limiter's gain sat * tanh(|x| / sat) / |x| on the sample
+/// x = re + j*im (1 for |x| ~ 0). In the small-signal region
+/// |x|^2 / sat^2 < 1/9 it is a polynomial in |x|^2 / sat^2 -- no hypot,
+/// no tanh -- accurate to ~1 ulp; larger samples take the closed form.
+[[nodiscard]] double soft_clip_gain(double re, double im, double sat) noexcept;
+
 /// Gain + additive noise + tanh soft limiter.
 ///
 /// Noise injection needs a reference: \p input_noise_variance is the total
@@ -45,14 +51,16 @@ class Lna {
   /// Amplifies a complex baseband waveform in place (envelope compression).
   void process(CplxWaveform& x, double input_noise_variance, Rng& rng) const;
 
+  /// Split-I/Q form of the complex overload: amplifies the \p n-sample
+  /// rails in place. The limiter gain is soft_clip_gain().
+  void process_iq(double* x_i, double* x_q, std::size_t n, double input_noise_variance,
+                  Rng& rng) const;
+
   /// The saturation amplitude the limiter would use for an input of the
   /// given rms level.
   [[nodiscard]] double saturation_amplitude(double input_rms) const noexcept;
 
  private:
-  template <typename T>
-  void process_impl(std::vector<T>& x, double input_noise_variance, Rng& rng) const;
-
   LnaParams params_;
   double gain_amp_;
   double excess_noise_factor_;  ///< F - 1, linear

@@ -1,5 +1,6 @@
 #include "txrx/link.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "channel/awgn.h"
@@ -143,15 +144,16 @@ TiltDirection<T> make_tilt_direction(std::vector<T> shape, std::size_t offset,
 /// Adds the extra directional noise on top of the nominal AWGN draw and
 /// returns the trial's log-likelihood ratio. \p clean is the pre-AWGN
 /// snapshot of the direction's span, so wave - clean along the direction is
-/// exactly the noise the weight must account for. The weight is the
+/// exactly the noise the weight must account for; \p get(n) reads and
+/// \p add(n, v) accumulates into received sample n. The weight is the
 /// balance heuristic over the policy's whole ladder (see
 /// stats::mixture_log_weight): every rung -- including the untilted 1.0
 /// rung -- reports the same weight function of z, which keeps weights
 /// bounded by the rung count and keeps error mechanisms outside the tilt
 /// direction measurable. Always consumes one Gaussian draw so the trial's
 /// draw count does not depend on the scale or on channel luck.
-template <typename T>
-double apply_noise_tilt(Waveform<T>& wave, const std::vector<T>& clean,
+template <typename T, typename Get, typename Add>
+double apply_noise_tilt(Get&& get, Add&& add, const std::vector<T>& clean,
                         const TiltDirection<T>& dir, double sigma2,
                         const stats::SamplingPolicy& policy, double scale, Rng& rng) {
   if (!dir.usable) {
@@ -160,12 +162,12 @@ double apply_noise_tilt(Waveform<T>& wave, const std::vector<T>& clean,
   }
   double z = 0.0;
   for (std::size_t i = 0; i < dir.unit.size(); ++i) {
-    z += real_dot(wave[dir.offset + i] - clean[i], dir.unit[i]);
+    z += real_dot(get(dir.offset + i) - clean[i], dir.unit[i]);
   }
   const double extra = rng.gaussian(0.0, stats::tilt_extra_stddev(sigma2, scale));
   if (extra != 0.0) {
     for (std::size_t i = 0; i < dir.unit.size(); ++i) {
-      wave[dir.offset + i] += extra * dir.unit[i];
+      add(dir.offset + i, extra * dir.unit[i]);
     }
   }
   return stats::mixture_log_weight(z + extra, sigma2, stats::sampling_ladder(policy));
@@ -302,9 +304,57 @@ TrialResult Gen2Link::run_packet(const TrialOptions& options, Rng& rng,
   return out;
 }
 
+void gen2_composite_kernel(const RealVec& prototype, const channel::Cir& cir, double fs,
+                           dsp::IqArena& g) {
+  const CplxVec h = cir.sampled(fs);
+  g.assign_zero(h.empty() ? 0 : prototype.size() + h.size() - 1);
+  // Prototype-major, the accumulation order of the direct complex
+  // convolution (a real prototype sample times a complex tap is one real
+  // product per rail).
+  for (std::size_t i = 0; i < prototype.size() && !h.empty(); ++i) {
+    const double p = prototype[i];
+    double* gi = g.i.data() + i;
+    double* gq = g.q.data() + i;
+    for (std::size_t k = 0; k < h.size(); ++k) {
+      gi[k] += p * h[k].real();
+      gq[k] += p * h[k].imag();
+    }
+  }
+}
+
+void gen2_synthesize_capture(const Gen2Train& train, std::size_t delay, std::size_t proto_len,
+                             const dsp::IqArena& g, std::size_t pad, dsp::IqArena& rx) {
+  const std::size_t g_len = g.size();
+  rx.assign_zero(delay + train.length - proto_len + g_len + pad);
+  for (std::size_t m = 0; m < train.amplitudes.size(); ++m) {
+    const double a = train.amplitudes[m];
+    double* yi = rx.i.data() + delay + train.offsets[m];
+    double* yq = rx.q.data() + delay + train.offsets[m];
+    for (std::size_t k = 0; k < g_len; ++k) {
+      yi[k] += a * g.i[k];
+      yq[k] += a * g.q[k];
+    }
+  }
+}
+
+namespace {
+
+/// A gen-2 trial's received capture (channel, interference, noise; the
+/// receiver then conditions it in place). Per thread, not per link: each
+/// trial rewrites it completely, so sharing it across the links a worker
+/// builds point after point cannot couple results, and the buffer is
+/// allocated once per worker instead of once per link.
+dsp::IqArena& gen2_capture_arena() {
+  thread_local dsp::IqArena arena;
+  return arena;
+}
+
+}  // namespace
+
 Gen2TrialResult Gen2Link::run_packet_full(const TrialOptions& options, Rng& rng,
                                           const TrialContext& context) {
   Gen2TrialResult trial;
+  dsp::IqArena& capture = gen2_capture_arena();
 
   // Transmit. With an outer code the on-air payload is the codeword.
   const BitVec info = rng.bits(options.payload_bits);
@@ -315,8 +365,9 @@ Gen2TrialResult Gen2Link::run_packet_full(const TrialOptions& options, Rng& rng,
     payload = fec::ConvEncoder(*options.fec).encode(info);
   }
   obs::StageTimer tx_timer(obs::Stage::kTxModulate);
-  auto [wave, frame] = tx_.transmit(payload);
-  tx_timer.add_samples(wave.size());
+  const Gen2Train train = tx_.transmit_train(payload);
+  const TxFrame& frame = train.frame;
+  tx_timer.add_samples(train.length);
   tx_timer.finish();
 
   // Random start delay (what acquisition must find).
@@ -324,12 +375,12 @@ Gen2TrialResult Gen2Link::run_packet_full(const TrialOptions& options, Rng& rng,
   if (options.start_delay_max_samples > 0) {
     delay = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<int>(options.start_delay_max_samples)));
-    wave.delay_samples(delay);
   }
 
-  // Multipath: the context's resolved ensemble realization when one was
-  // provided, a fresh per-trial draw otherwise.
-  CplxWaveform rx_wave = std::move(wave);
+  // Channel: the context's resolved ensemble realization when one was
+  // provided, a fresh per-trial draw otherwise, the identity on AWGN. The
+  // received waveform is synthesized from the slots straight into the
+  // split I/Q arena, with a tail pad so late fingers stay in range.
   if (options.cm >= 1) {
     if (const channel::Cir* fixed = ensemble_channel_or_throw(options, context)) {
       trial.true_channel = *fixed;
@@ -337,21 +388,28 @@ Gen2TrialResult Gen2Link::run_packet_full(const TrialOptions& options, Rng& rng,
       const channel::SalehValenzuela sv(channel::cm_by_index(options.cm));
       trial.true_channel = sv.realize(rng);
     }
-    obs::StageTimer ch_timer(obs::Stage::kChannelConvolve);
-    rx_wave = trial.true_channel.apply(rx_wave);
-    ch_timer.add_samples(rx_wave.size());
-    ch_timer.finish();
   } else {
     trial.true_channel = channel::identity_cir();
   }
-  // Tail pad so late fingers stay in range.
-  rx_wave.pad(static_cast<std::size_t>(64e-9 * config_.analog_fs));
+  {
+    const obs::StageTimer ch_timer(obs::Stage::kChannelConvolve, train.length);
+    if (g_.size() == 0 || trial.true_channel.taps() != g_key_taps_) {
+      gen2_composite_kernel(tx_.prototype().samples(), trial.true_channel, config_.analog_fs,
+                            g_);
+      g_key_taps_ = trial.true_channel.taps();
+    }
+    gen2_synthesize_capture(train, delay, tx_.prototype().size(), g_,
+                            static_cast<std::size_t>(64e-9 * config_.analog_fs), capture);
+  }
+  const std::size_t rx_len = capture.size();
+  double* rx_i = capture.i.data();
+  double* rx_q = capture.q.data();
 
   // Importance sampling: isolate the target payload bit's received-signal
-  // direction (the prototype pulse through the same channel realization,
-  // landed where the bit's symbol starts) before any noise is drawn. The
-  // target bit is stratified by the global trial index, so the choice is
-  // independent of worker count and shard layout.
+  // direction (the prototype pulse through the same channel realization --
+  // the composite kernel -- landed where the bit's symbol starts) before any
+  // noise is drawn. The target bit is stratified by the global trial
+  // index, so the choice is independent of worker count and shard layout.
   const bool tilt_active = options.sampling.active();
   std::size_t target_bit = 0;
   TiltDirection<cplx> tilt;
@@ -362,23 +420,20 @@ Gen2TrialResult Gen2Link::run_packet_full(const TrialOptions& options, Rng& rng,
                     "Gen2Link: sampling policy is incompatible with an outer FEC");
     (void)sampling_scale_or_throw(options, context);
     target_bit = context.sampling_trial % frame.payload.size();
-    const RealWaveform& proto = tx_.prototype();
-    CplxVec shape(proto.size());
-    for (std::size_t i = 0; i < proto.size(); ++i) shape[i] = cplx(proto[i], 0.0);
-    if (options.cm >= 1) {
-      const CplxWaveform filtered =
-          trial.true_channel.apply(CplxWaveform(std::move(shape), config_.analog_fs));
-      shape = filtered.samples();
-    }
+    CplxVec shape;
+    g_.store(shape);
     const std::size_t bit_offset =
         delay + (frame.overhead_symbols + target_bit) * frame.samples_per_bit;
-    tilt = make_tilt_direction<cplx>(std::move(shape), bit_offset, rx_wave.size());
+    tilt = make_tilt_direction<cplx>(std::move(shape), bit_offset, rx_len);
   }
 
   // Interference.
-  const double signal_power = rx_wave.power();
   if (options.interferer) {
-    channel::add_cw_interferer(rx_wave, options.interferer_freq_hz, signal_power,
+    double acc = 0.0;
+    for (std::size_t k = 0; k < rx_len; ++k) acc += rx_i[k] * rx_i[k] + rx_q[k] * rx_q[k];
+    const double signal_power = rx_len > 0 ? acc / static_cast<double>(rx_len) : 0.0;
+    channel::add_cw_interferer(rx_i, rx_q, rx_len, config_.analog_fs,
+                               options.interferer_freq_hz, signal_power,
                                options.interferer_sir_db, rng);
   }
 
@@ -390,15 +445,20 @@ Gen2TrialResult Gen2Link::run_packet_full(const TrialOptions& options, Rng& rng,
   {
     CplxVec clean;
     if (tilt_active && tilt.usable) {
-      const auto first = static_cast<std::ptrdiff_t>(tilt.offset);
-      clean.assign(rx_wave.samples().begin() + first,
-                   rx_wave.samples().begin() + first +
-                       static_cast<std::ptrdiff_t>(tilt.unit.size()));
+      clean.resize(tilt.unit.size());
+      for (std::size_t k = 0; k < clean.size(); ++k) {
+        clean[k] = {rx_i[tilt.offset + k], rx_q[tilt.offset + k]};
+      }
     }
-    channel::add_awgn(rx_wave, n0, rng);
+    channel::add_awgn(rx_i, rx_q, rx_len, n0, rng);
     if (tilt_active) {
-      log_weight = apply_noise_tilt(rx_wave, clean, tilt, 0.5 * n0, options.sampling,
-                                    context.noise_scale, rng);
+      log_weight = apply_noise_tilt(
+          [&](std::size_t n) { return cplx(rx_i[n], rx_q[n]); },
+          [&](std::size_t n, const cplx& v) {
+            rx_i[n] += v.real();
+            rx_q[n] += v.imag();
+          },
+          clean, tilt, 0.5 * n0, options.sampling, context.noise_scale, rng);
     }
   }
 
@@ -410,14 +470,8 @@ Gen2TrialResult Gen2Link::run_packet_full(const TrialOptions& options, Rng& rng,
   rx_opts.run_spectral_monitor = options.run_spectral_monitor;
   rx_opts.auto_notch = options.auto_notch;
   rx_opts.noise_variance = n0;
-  if (options.fec.has_value()) {
-    const bool saved_mlse = config_.use_mlse;
-    rx_.mutable_config().use_mlse = false;
-    trial.rx = rx_.receive(rx_wave, tx_, frame, rx_opts, rng);
-    rx_.mutable_config().use_mlse = saved_mlse;
-  } else {
-    trial.rx = rx_.receive(rx_wave, tx_, frame, rx_opts, rng);
-  }
+  rx_opts.bypass_mlse = options.fec.has_value();
+  trial.rx = rx_.receive({rx_i, rx_len}, {rx_q, rx_len}, tx_, frame, rx_opts, rng);
 
   trial.bits = trial.rx.bits_compared;
   trial.errors = trial.rx.bit_errors;
@@ -729,8 +783,10 @@ Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
       }
       channel::add_awgn(rx_wave, n0, rng);
       if (tilt_active) {
-        log_weight = apply_noise_tilt(rx_wave, clean, tilt, 0.5 * n0, options.sampling,
-                                      context.noise_scale, rng);
+        log_weight = apply_noise_tilt(
+            [&](std::size_t n) { return rx_wave[n]; },
+            [&](std::size_t n, double v) { rx_wave[n] += v; }, clean, tilt, 0.5 * n0,
+            options.sampling, context.noise_scale, rng);
       }
     }
 

@@ -318,6 +318,23 @@ void validate_spec(const LinkSpec& spec);
 ///         construction, not mid-sweep.
 [[nodiscard]] std::unique_ptr<Link> make_link(const LinkSpec& spec, uint64_t seed);
 
+/// The gen-2 composite kernel on split I/Q rails: g = \p prototype
+/// convolved with cir.sampled(\p fs), by direct convolution (independent of
+/// the fast-convolve policy) in the direct complex kernel's accumulation
+/// order. It is both the channel's per-slot response and the
+/// importance-sampling tilt shape.
+void gen2_composite_kernel(const RealVec& prototype, const channel::Cir& cir, double fs,
+                           dsp::IqArena& g);
+
+/// The gen-2 received capture before interference and noise, written to
+/// \p rx: the train delayed by \p delay samples through the channel whose
+/// composite kernel is \p g (prototype of \p proto_len samples),
+/// y[n] = sum_m a_m * g[n - delay - offset_m], then \p pad zeros. This is
+/// the delayed dense train convolved with the CIR, regrouped by slot: same
+/// length, equal to rounding -- and bit-identical for the identity channel.
+void gen2_synthesize_capture(const Gen2Train& train, std::size_t delay, std::size_t proto_len,
+                             const dsp::IqArena& g, std::size_t pad, dsp::IqArena& rx);
+
 /// One gen-2 packet's detailed outcome. Importance-sampled trials set
 /// \p weighted: bits/errors then cover the one target bit and is_llr
 /// carries the trial's log-likelihood ratio.
@@ -360,6 +377,13 @@ class Gen2Link final : public Link {
   LinkCaps caps_;
   Gen2Transmitter tx_;
   Gen2Receiver rx_;
+  // The composite kernel of the last channel realization, cached against
+  // its exact tap list: ensemble-mode packets of a sweep point share one
+  // realization (AWGN packets the identity), so g_ is built once per
+  // point. It is a pure function of (taps, config), so caching cannot
+  // change results for any worker count or trial order.
+  std::vector<channel::CirTap> g_key_taps_;  ///< taps g_ was built from
+  dsp::IqArena g_;                           ///< composite kernel rails
 };
 
 /// One gen-1 packet's detailed outcome. See Gen2TrialResult for the

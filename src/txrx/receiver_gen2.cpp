@@ -6,6 +6,7 @@
 #include "adc/quantizer.h"
 #include "common/error.h"
 #include "common/math_utils.h"
+#include "dsp/aligned.h"
 #include "dsp/correlator.h"
 #include "equalizer/demodulator.h"
 #include "equalizer/mlse.h"
@@ -44,33 +45,83 @@ const phy::Modulator& Gen2Receiver::payload_modulator() {
   return *payload_mod_;
 }
 
-CplxWaveform Gen2Receiver::analog_chain(const CplxWaveform& rx, double noise_variance,
-                                        Rng& rng) {
-  return front_end_.process_baseband(rx, noise_variance, rng);
+namespace {
+
+/// The gen-2 receive chain's sample arenas. Per thread, not per receiver:
+/// a thread runs one packet at a time and every pass rewrites all it reads,
+/// so sharing them across the links a worker builds point after point
+/// cannot couple results -- while the buffers are allocated once per worker
+/// and then grow only to the largest capture seen, instead of being
+/// reallocated with every link.
+struct RxArenas {
+  dsp::IqArena replay;   ///< untouched capture for the auto-notch re-run
+  dsp::IqArena levels;   ///< sampled rails, quantized in place to ADC levels
+  CplxWaveform adc_out;  ///< levels interleaved for the digital back end
+  CplxWaveform mf_out;   ///< matched-filter output for the RAKE
+};
+
+RxArenas& rx_arenas() {
+  thread_local RxArenas arenas;
+  return arenas;
+}
+
+/// Re-labels \p wave with sample rate \p fs, keeping its buffer.
+void set_rate(CplxWaveform& wave, double fs) {
+  wave = CplxWaveform(std::move(wave.samples()), fs);
+}
+
+}  // namespace
+
+void Gen2Receiver::run_analog_digital(std::span<double> rx_i, std::span<double> rx_q,
+                                      double noise_variance, Rng& rng) {
+  RxArenas& a = rx_arenas();
+  obs::StageTimer fe_timer(obs::Stage::kRxFrontend, rx_i.size());
+  const double fs = front_end_.params().analog_fs;
+  front_end_.process_baseband(rx_i.data(), rx_q.data(), rx_i.size(), noise_variance, rng);
+  a.levels.resize(sampler_.output_size(rx_i.size(), fs));
+  const std::size_t n = sampler_.sample_iq_to(rx_i.data(), rx_q.data(), rx_i.size(), fs, rng,
+                                              a.levels.i.data(), a.levels.q.data());
+  fe_timer.finish();
+  const obs::StageTimer adc_timer(obs::Stage::kAdcQuantize, n);
+  adc_i_.digitize_to(a.levels.i.data(), n, a.levels.i.data());
+  adc_q_.digitize_to(a.levels.q.data(), n, a.levels.q.data());
+  a.levels.store(a.adc_out.samples());
+  set_rate(a.adc_out, config_.adc_rate);
 }
 
 Gen2RxResult Gen2Receiver::receive(const CplxWaveform& rx, const Gen2Transmitter& tx,
                                    const TxFrame& tx_reference, const Gen2RxOptions& options,
                                    Rng& rng, const BitVec* expected_payload) {
+  detail::require(rx.sample_rate() == front_end_.params().analog_fs,
+                  "FrontEnd::process_baseband: configure analog_fs to match the input");
+  dsp::IqArena split;
+  split.load(rx.samples().data(), rx.size());
+  return receive({split.i.data(), rx.size()}, {split.q.data(), rx.size()}, tx, tx_reference,
+                 options, rng, expected_payload);
+}
+
+Gen2RxResult Gen2Receiver::receive(std::span<double> rx_i, std::span<double> rx_q,
+                                   const Gen2Transmitter& tx, const TxFrame& tx_reference,
+                                   const Gen2RxOptions& options, Rng& rng,
+                                   const BitVec* expected_payload) {
+  detail::require(rx_i.size() == rx_q.size(), "Gen2Receiver: I/Q rail length mismatch");
   Gen2RxResult result;
   front_end_.clear_notch();
+  RxArenas& arenas = rx_arenas();
 
   // ---- Analog front end + sampling + conversion --------------------------
-  auto run_analog_digital = [&](Rng& r) {
-    obs::StageTimer fe_timer(obs::Stage::kRxFrontend, rx.size());
-    CplxWaveform fe = analog_chain(rx, options.noise_variance, r);
-    CplxWaveform sampled = sampler_.sample(fe, r);
-    fe_timer.finish();
-    obs::StageTimer adc_timer(obs::Stage::kAdcQuantize, sampled.size());
-    adc_i_.reset();
-    adc_q_.reset();
-    CplxVec codes = adc::digitize_iq(sampled.samples(), adc_i_, adc_q_);
-    adc_timer.finish();
-    return CplxWaveform(std::move(codes), config_.adc_rate);
-  };
+  // The chain overwrites the capture, so a packet that may be reprocessed
+  // with the notch keeps an untouched copy.
+  const bool may_replay = options.run_spectral_monitor && options.auto_notch;
+  if (may_replay) {
+    arenas.replay.resize(rx_i.size());
+    std::copy(rx_i.begin(), rx_i.end(), arenas.replay.i.data());
+    std::copy(rx_q.begin(), rx_q.end(), arenas.replay.q.data());
+  }
   Rng analog_rng = rng.fork(0xA11A);
   Rng analog_rng_replay = analog_rng;  // identical stream for the notch re-run
-  CplxWaveform adc_out = run_analog_digital(analog_rng);
+  run_analog_digital(rx_i, rx_q, options.noise_variance, analog_rng);
+  const CplxWaveform& adc_out = arenas.adc_out;
 
   // ---- Spectral monitoring (digital back end) ----------------------------
   if (options.run_spectral_monitor && adc_out.size() >= monitor_.config().fft_size) {
@@ -79,7 +130,9 @@ Gen2RxResult Gen2Receiver::receive(const CplxWaveform& rx, const Gen2Transmitter
       // The monitor's estimate drives the front-end notch; the packet is
       // reprocessed through the (analog) chain with the notch engaged.
       front_end_.set_notch(result.interferer.frequency_hz, config_.analog_fs);
-      adc_out = run_analog_digital(analog_rng_replay);
+      run_analog_digital({arenas.replay.i.data(), rx_i.size()},
+                         {arenas.replay.q.data(), rx_q.size()}, options.noise_variance,
+                         analog_rng_replay);
       result.notch_applied = true;
     }
   }
@@ -101,23 +154,26 @@ Gen2RxResult Gen2Receiver::receive(const CplxWaveform& rx, const Gen2Transmitter
   result.acquired = true;
 
   // ---- Matched filter ------------------------------------------------------
-  // Template from the transmitter actually passed in (same contract as
-  // before the cache); promotion to complex happens only when the tap
-  // values changed. The value compare is O(|pulse|) -- tens of samples --
-  // against a correlation that is O(|capture| log), so it is free.
-  const RealVec& pulse_taps = tx.pulse_taps_adc();
-  const bool tmpl_stale =
-      pulse_tmpl_adc_.size() != pulse_taps.size() ||
-      !std::equal(pulse_taps.begin(), pulse_taps.end(), pulse_tmpl_adc_.begin(),
-                  [](double t, const cplx& c) { return c.real() == t && c.imag() == 0.0; });
-  if (tmpl_stale) {
-    pulse_tmpl_adc_.resize(pulse_taps.size());
-    for (std::size_t i = 0; i < pulse_taps.size(); ++i) {
-      pulse_tmpl_adc_[i] = cplx(pulse_taps[i], 0.0);
-    }
-  }
+  // One real correlation per rail against the real pulse taps: with a real
+  // template, x * conj(t) is two independent real products, so each rail
+  // is exactly the direct complex correlation's.
   obs::StageTimer mf_timer(obs::Stage::kCorrelateRake, adc_out.size());
-  CplxWaveform y(dsp::correlate(adc_out.samples(), pulse_tmpl_adc_), config_.adc_rate);
+  const RealVec& taps = tx.pulse_taps_adc();
+  const std::size_t lags =
+      taps.empty() || adc_out.size() < taps.size() ? 0 : adc_out.size() - taps.size() + 1;
+  CplxVec& mf = arenas.mf_out.samples();
+  mf.resize(lags);
+  constexpr std::size_t kBlock = 256;
+  double mf_i[kBlock];
+  double mf_q[kBlock];
+  for (std::size_t j0 = 0; j0 < lags; j0 += kBlock) {
+    const std::size_t count = std::min(kBlock, lags - j0);
+    dsp::dot_bank(arenas.levels.i.data() + j0, count, taps.data(), taps.size(), mf_i);
+    dsp::dot_bank(arenas.levels.q.data() + j0, count, taps.data(), taps.size(), mf_q);
+    for (std::size_t t = 0; t < count; ++t) mf[j0 + t] = {mf_i[t], mf_q[t]};
+  }
+  set_rate(arenas.mf_out, config_.adc_rate);
+  const CplxWaveform& y = arenas.mf_out;
   mf_timer.finish();
 
   // ---- Symbol bookkeeping --------------------------------------------------
@@ -177,8 +233,8 @@ Gen2RxResult Gen2Receiver::receive(const CplxWaveform& rx, const Gen2Transmitter
   BitVec decoded_body;
   const equalizer::SymbolTiming pay_timing{t0 + overhead_symbols * sps, sps, payload_symbols};
 
-  const bool mlse_possible =
-      config_.use_mlse && config_.modulation == phy::Modulation::kBpsk;
+  const bool mlse_possible = config_.use_mlse && !options.bypass_mlse &&
+                             config_.modulation == phy::Modulation::kBpsk;
   bool mlse_done = false;
   if (mlse_possible) {
     // Viterbi demodulation runs on the RAKE combiner's symbol stream: the

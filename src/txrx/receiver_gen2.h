@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "adc/sampling.h"
 #include "adc/sar_adc.h"
@@ -46,6 +47,9 @@ struct Gen2RxOptions {
   bool run_spectral_monitor = true;
   bool auto_notch = false;          ///< monitor drives the RF notch + re-run
   double noise_variance = 0.0;      ///< channel N0 (front-end excess noise ref)
+  /// Skip the MLSE hard path for this packet and demodulate from the RAKE's
+  /// soft stream (outer-FEC trials feed it to the soft Viterbi decoder).
+  bool bypass_mlse = false;
 };
 
 /// The gen-2 receiver.
@@ -70,11 +74,21 @@ class Gen2Receiver {
                                      const Gen2RxOptions& options, Rng& rng,
                                      const BitVec* expected_payload = nullptr);
 
+  /// The same receiver on a capture held as split I/Q rails at analog_fs
+  /// (equal lengths). The analog chain conditions the rails in place, so
+  /// they hold no meaningful samples afterwards.
+  [[nodiscard]] Gen2RxResult receive(std::span<double> rx_i, std::span<double> rx_q,
+                                     const Gen2Transmitter& tx, const TxFrame& tx_reference,
+                                     const Gen2RxOptions& options, Rng& rng,
+                                     const BitVec* expected_payload = nullptr);
+
  private:
-  /// One pass of the analog + digital chain (factored out so auto-notch can
-  /// re-run it after tuning the notch).
-  [[nodiscard]] CplxWaveform analog_chain(const CplxWaveform& rx, double noise_variance,
-                                          Rng& rng);
+  /// One pass of the analog + digital chain -- front end (in place on the
+  /// rails), sample-and-hold, the two SARs -- leaving the ADC levels in the
+  /// calling thread's arenas (factored out so auto-notch can re-run it
+  /// after tuning the notch).
+  void run_analog_digital(std::span<double> rx_i, std::span<double> rx_q,
+                          double noise_variance, Rng& rng);
 
   /// The payload demapper for the *current* config_.modulation. Cached; the
   /// instance is rebuilt only when mutable_config() changed the scheme
@@ -89,11 +103,6 @@ class Gen2Receiver {
   adc::SarAdc adc_q_;
   estimation::ChannelEstimator estimator_;
   estimation::SpectralMonitor monitor_;
-  // Pulse matched-filter template, promoted to complex from the taps of the
-  // transmitter passed to receive(). Rebuilt only when the tap values
-  // change; the staleness check is a value compare against the (short)
-  // cached taps, so it is safe across transmitter lifetimes.
-  CplxVec pulse_tmpl_adc_;
   std::unique_ptr<phy::Modulator> payload_mod_;  ///< see payload_modulator()
   double payload_mod_prf_hz_ = 0.0;              ///< PRF payload_mod_ was built for
 };

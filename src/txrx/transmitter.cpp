@@ -1,5 +1,6 @@
 #include "txrx/transmitter.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -113,44 +114,60 @@ Gen2Transmitter::Gen2Transmitter(const Gen2Config& config)
   payload_mod_ = phy::make_modulator(config_.modulation, config_.prf_hz);
 }
 
-std::pair<CplxWaveform, TxFrame> Gen2Transmitter::transmit(const BitVec& payload) const {
+Gen2Train Gen2Transmitter::transmit_train(const BitVec& payload) const {
   const phy::FramedPacket pkt = framer_.frame(payload);
 
   // Preamble + SFD + header always ride BPSK (acquisition needs antipodal
   // correlation); the payload uses the configured modulation.
   const std::size_t overhead_bits =
       pkt.preamble.size() + pkt.sfd.size() + pkt.header.size();
-  const phy::Modulator* bpsk = bpsk_mod_.get();
-  const phy::Modulator* payload_mod = payload_mod_.get();
-
   BitVec overhead(pkt.all.begin(), pkt.all.begin() + static_cast<std::ptrdiff_t>(overhead_bits));
   BitVec body(pkt.all.begin() + static_cast<std::ptrdiff_t>(overhead_bits), pkt.all.end());
   // Pad the body to a whole number of symbols if needed (4-PAM).
-  while (body.size() % static_cast<std::size_t>(payload_mod->bits_per_symbol()) != 0) {
+  while (body.size() % static_cast<std::size_t>(payload_mod_->bits_per_symbol()) != 0) {
     body.push_back(0);
   }
+  const phy::SymbolMapping head_map = bpsk_mod_->map(overhead);
+  const phy::SymbolMapping body_map = payload_mod_->map(body);
 
-  const phy::SymbolMapping head_map = bpsk->map(overhead);
-  const phy::SymbolMapping body_map = payload_mod->map(body);
-
-  std::vector<double> weights = head_map.weights;
-  weights.insert(weights.end(), body_map.weights.begin(), body_map.weights.end());
-  std::vector<double> offsets(head_map.weights.size(), 0.0);
-  if (!body_map.time_offsets_s.empty()) {
-    offsets.insert(offsets.end(), body_map.time_offsets_s.begin(),
-                   body_map.time_offsets_s.end());
-  } else {
-    offsets.insert(offsets.end(), body_map.weights.size(), 0.0);
-  }
-
-  const auto slots = pulse::slots_from_weights(weights, offsets, 1);
+  // One pulse slot per symbol on the PRF grid, shifted by the symbol's
+  // time offset (PPM) rounded to the nearest analog sample.
+  Gen2Train train;
   pulse::PulseTrainSpec spec;
   spec.prf_hz = config_.prf_hz;
-  spec.pulses_per_bit = 1;
   spec.sample_rate_hz = config_.analog_fs;
-  CplxWaveform wave = pulse::build_train_cplx(pulse_, slots, spec);
+  const std::size_t frame_samples = pulse::samples_per_frame(spec);
+  const std::size_t head = head_map.weights.size();
+  const std::size_t symbols = head + body_map.weights.size();
+  train.amplitudes = head_map.weights;
+  train.amplitudes.insert(train.amplitudes.end(), body_map.weights.begin(),
+                          body_map.weights.end());
+  train.length = frame_samples * symbols + pulse_.size();
+  train.offsets.resize(symbols);
+  for (std::size_t m = 0; m < symbols; ++m) {
+    double offset_s = 0.0;
+    if (m >= head && !body_map.time_offsets_s.empty()) {
+      offset_s = body_map.time_offsets_s[m - head];
+    }
+    const std::ptrdiff_t base =
+        static_cast<std::ptrdiff_t>(m * frame_samples) +
+        static_cast<std::ptrdiff_t>(std::llround(offset_s * config_.analog_fs));
+    detail::require(base >= 0 && static_cast<std::size_t>(base) + pulse_.size() <= train.length,
+                    "Gen2Transmitter: symbol time offset pushes its pulse off the train");
+    train.offsets[m] = static_cast<std::size_t>(base);
+  }
 
-  TxFrame frame;
+  // The dense train's energy, summed block by block in sample order.
+  constexpr std::size_t kBlock = 1024;
+  double block[kBlock];
+  double energy = 0.0;
+  for (std::size_t first = 0; first < train.length; first += kBlock) {
+    const std::size_t count = std::min(kBlock, train.length - first);
+    synthesize(train, first, count, block);
+    for (std::size_t k = 0; k < count; ++k) energy += block[k] * block[k];
+  }
+
+  TxFrame& frame = train.frame;
   frame.payload = payload;
   frame.frame_bits = pkt.all;
   frame.preamble_bits = pkt.preamble.size();
@@ -158,12 +175,35 @@ std::pair<CplxWaveform, TxFrame> Gen2Transmitter::transmit(const BitVec& payload
   frame.samples_per_bit = config_.samples_per_bit_analog();
   // Eb over info-carrying symbols: total energy / on-air bits (overhead
   // counted -- it is transmitted energy).
-  frame.energy_per_bit =
-      wave.total_energy() / static_cast<double>(overhead_bits + body.size());
-  frame.overhead_symbols = head_map.weights.size();
+  frame.energy_per_bit = energy / static_cast<double>(overhead_bits + body.size());
+  frame.overhead_symbols = head;
   frame.payload_symbols = body_map.weights.size();
   frame.body_bits = pkt.payload.size();
-  return {std::move(wave), std::move(frame)};
+  return train;
+}
+
+void Gen2Transmitter::synthesize(const Gen2Train& train, std::size_t first, std::size_t count,
+                                 double* out) const {
+  std::fill(out, out + count, 0.0);
+  const std::size_t end = first + count;
+  const std::size_t p_len = pulse_.size();
+  for (std::size_t m = 0; m < train.amplitudes.size(); ++m) {
+    const std::size_t base = train.offsets[m];
+    if (base >= end || base + p_len <= first) continue;
+    const double a = train.amplitudes[m];
+    const std::size_t lo = std::max(base, first);
+    const std::size_t hi = std::min(base + p_len, end);
+    for (std::size_t n = lo; n < hi; ++n) out[n - first] += a * pulse_[n - base];
+  }
+}
+
+std::pair<CplxWaveform, TxFrame> Gen2Transmitter::transmit(const BitVec& payload) const {
+  Gen2Train train = transmit_train(payload);
+  RealVec dense(train.length);
+  synthesize(train, 0, train.length, dense.data());
+  CplxVec samples(dense.size());
+  for (std::size_t i = 0; i < dense.size(); ++i) samples[i] = cplx(dense[i], 0.0);
+  return {CplxWaveform(std::move(samples), config_.analog_fs), std::move(train.frame)};
 }
 
 RealWaveform Gen2Transmitter::transmit_passband(const CplxWaveform& baseband,

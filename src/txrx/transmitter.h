@@ -43,6 +43,19 @@ struct Gen1Train {
   TxFrame frame;
 };
 
+/// A gen-2 packet as pulse slots: slot m places amplitudes[m] times the
+/// prototype starting at analog sample offsets[m] (m * samples_per_bit,
+/// shifted by the symbol's PPM offset), and the dense baseband waveform is
+/// the slot sum over length samples. The link's channel synthesizes
+/// sum_m a_m * g[n - offsets[m]] from this form with g = prototype
+/// convolved with the CIR. Built by Gen2Transmitter::transmit_train.
+struct Gen2Train {
+  std::vector<double> amplitudes;    ///< symbol weights, one per slot
+  std::vector<std::size_t> offsets;  ///< each slot's first analog sample
+  std::size_t length = 0;            ///< dense length: slots * frame + |prototype|
+  TxFrame frame;
+};
+
 /// Generation-1 baseband transmitter: pulse-level PN preamble followed by a
 /// PN-spread data section (see Gen1Config's preamble note).
 class Gen1Transmitter {
@@ -96,8 +109,19 @@ class Gen2Transmitter {
 
   [[nodiscard]] const Gen2Config& config() const noexcept { return config_; }
 
-  /// Frames \p payload and synthesizes complex baseband at analog_fs.
+  /// Frames \p payload and synthesizes complex baseband at analog_fs (the
+  /// dense train of transmit_train, promoted to complex).
   [[nodiscard]] std::pair<CplxWaveform, TxFrame> transmit(const BitVec& payload) const;
+
+  /// Frames \p payload into slot form. frame.energy_per_bit is measured on
+  /// the dense train (synthesized block by block, never stored whole), so
+  /// both views carry the same Eb to the last bit.
+  [[nodiscard]] Gen2Train transmit_train(const BitVec& payload) const;
+
+  /// Writes samples [first, first + count) of \p train's dense waveform to
+  /// \p out: each sample sums its slots' pulses in slot order.
+  void synthesize(const Gen2Train& train, std::size_t first, std::size_t count,
+                  double* out) const;
 
   /// Real passband synthesis at \p rf_fs (>= 2x the channel's top edge)
   /// through the quadrature upconverter -- used by passband demos/benches.

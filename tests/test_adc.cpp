@@ -62,14 +62,6 @@ TEST(UniformQuantizer, RejectsBadConfig) {
   EXPECT_THROW(UniformQuantizer(4, -1.0), InvalidArgument);
 }
 
-TEST(UniformQuantizer, DigitizeIq) {
-  UniformQuantizer qi(8, 1.0), qq(8, 1.0);
-  const CplxVec x = {{0.5, -0.25}};
-  const CplxVec y = digitize_iq(x, qi, qq);
-  EXPECT_NEAR(y[0].real(), 0.5, qi.lsb());
-  EXPECT_NEAR(y[0].imag(), -0.25, qi.lsb());
-}
-
 // ---------------------------------------------------------------- flash ----
 
 TEST(FlashAdc, IdealMatchesUniform) {
@@ -226,6 +218,70 @@ TEST(SarAdc, ComparatorNoiseFlipsLsbs) {
     }
   }
   EXPECT_TRUE(varied);
+}
+
+/// Every trial level convert() can compare against: for each code path and
+/// bit k, the DAC value summed in convert()'s order plus weight k.
+RealVec sar_trial_levels(const SarAdc& sar) {
+  const RealVec& w = sar.weights();
+  RealVec levels;
+  for (int code = 0; code < (1 << sar.bits()); ++code) {
+    double dac = -sar.full_scale();
+    for (int k = 0; k < sar.bits(); ++k) {
+      const double trial = dac + w[static_cast<std::size_t>(k)];
+      levels.push_back(trial);
+      if (code & (1 << (sar.bits() - 1 - k))) dac = trial;
+    }
+  }
+  return levels;
+}
+
+TEST(SarAdc, BlockDigitizeMatchesConvertAtEveryThreshold) {
+  // The decision-tree + level-table block path must reproduce
+  // level_of(convert(x)) exactly, including at each trial level and one
+  // ulp either side of it, under capacitor mismatch.
+  for (const int bits : {1, 3, 5, 8}) {
+    SarParams params;
+    params.bits = bits;
+    params.cap_mismatch_sigma = 0.03;
+    Rng rng(40 + bits);
+    SarAdc sar(params, rng);
+    RealVec x;
+    for (const double t : sar_trial_levels(sar)) {
+      x.push_back(std::nextafter(t, -INFINITY));
+      x.push_back(t);
+      x.push_back(std::nextafter(t, INFINITY));
+    }
+    for (double v = -1.3; v <= 1.3; v += 0.0037) x.push_back(v);
+    RealVec got(x.size());
+    sar.digitize_to(x.data(), x.size(), got.data());
+    for (std::size_t k = 0; k < x.size(); ++k) {
+      ASSERT_EQ(got[k], sar.level_of(sar.convert(x[k])))
+          << bits << " bits, x=" << x[k];
+    }
+  }
+}
+
+TEST(SarAdc, BlockDigitizeDrawsComparatorNoiseLikeConvert) {
+  // With comparator noise the block path must consume the noise stream
+  // exactly as per-sample convert() does: same levels, same stream after.
+  SarParams params;
+  params.bits = 5;
+  params.cap_mismatch_sigma = 0.01;
+  params.comparator_noise = 0.01;
+  Rng rng_a(12);
+  Rng rng_b(12);
+  SarAdc per_sample(params, rng_a);
+  SarAdc block(params, rng_b);
+  Rng data(13);
+  RealVec x(5000);
+  for (double& v : x) v = data.uniform(-1.1, 1.1);
+  RealVec got(x.size());
+  block.digitize_to(x.data(), x.size(), got.data());
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    ASSERT_EQ(got[k], per_sample.level_of(per_sample.convert(x[k]))) << "sample " << k;
+  }
+  for (int i = 0; i < 50; ++i) EXPECT_EQ(block.convert(0.01), per_sample.convert(0.01));
 }
 
 // --------------------------------------------------------------- sampling ----

@@ -531,6 +531,44 @@ TEST(FirFilter, ConvolveSameCompensatesGroupDelay) {
   EXPECT_NEAR(y[6], 0.25, 1e-12);
 }
 
+TEST(FirFilter, InPlaceRailsMatchComplexConvolveSameBitForBit) {
+  // The gen-2 anti-alias FIR runs in place on the I and Q rails. Each rail
+  // must reproduce the direct complex "same"-mode convolution exactly --
+  // odd and even tap counts, inputs shorter than the taps, and captures
+  // spanning several staging blocks. Exact wherever multiply-adds are not
+  // fused; an FMA-capable -march=native build may fuse the two forms
+  // differently, so there they agree to rounding.
+#ifdef __FMA__
+  constexpr double kTol = 1e-14;
+#else
+  constexpr double kTol = 0.0;
+#endif
+  const FastConvolveGuard direct(false);  // the complex reference stays direct
+  Rng rng(0x51DE);
+  for (const std::size_t taps : {1u, 2u, 8u, 31u, 62u, 63u}) {
+    RealVec h(taps);
+    for (double& v : h) v = rng.gaussian();
+    for (const std::size_t n : {1u, 3u, 7u, 62u, 63u, 64u, 1023u, 1024u, 2600u}) {
+      CplxVec x(n);
+      for (cplx& v : x) v = rng.cgaussian();
+      const CplxVec want = convolve_same(x, h);
+      RealVec xi(n);
+      RealVec xq(n);
+      for (std::size_t k = 0; k < n; ++k) {
+        xi[k] = x[k].real();
+        xq[k] = x[k].imag();
+      }
+      convolve_same_inplace(xi.data(), n, h);
+      convolve_same_inplace(xq.data(), n, h);
+      for (std::size_t k = 0; k < n; ++k) {
+        const double scale = kTol * (1.0 + std::abs(want[k]));
+        ASSERT_NEAR(xi[k], want[k].real(), scale) << taps << " taps, n=" << n << ", sample " << k;
+        ASSERT_NEAR(xq[k], want[k].imag(), scale) << taps << " taps, n=" << n << ", sample " << k;
+      }
+    }
+  }
+}
+
 // --------------------------------------------------------------- biquad ----
 
 TEST(Biquad, NotchKillsCenterKeepsFar) {

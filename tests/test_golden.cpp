@@ -34,7 +34,7 @@ const std::map<std::string, std::uint64_t>& pinned_digests() {
       {"gen2_backend_ladder", 0xbed3ba9865c46b5ULL},
       {"gen2_chanest_precision", 0x13a3e1287a9f2286ULL},
       {"gen2_cm_grid", 0xc288267e8d2a3140ULL},
-      {"gen2_cm_grid_deep", 0xfe3b8474ae8cf997ULL},
+      {"gen2_cm_grid_deep", 0x4ed465a06d4fd569ULL},
       {"gen2_interferer_notch", 0x623d20dcc08fb2f6ULL},
       {"gen2_mlse_isi", 0xbfa3f7f65343e9f6ULL},
       {"gen2_mlse_memory", 0x2a7027faed740270ULL},

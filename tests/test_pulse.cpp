@@ -166,19 +166,6 @@ TEST(PulseTrain, PpmOffsetsShiftPulses) {
   EXPECT_DOUBLE_EQ(train[0], 0.0);
 }
 
-TEST(PulseTrain, SpreadingRepeatsPerBit) {
-  const std::vector<double> spread = {1.0, -1.0, -1.0};
-  const auto slots = slots_from_weights({1.0, -1.0}, {}, 3, spread);
-  ASSERT_EQ(slots.size(), 6u);
-  // Bit 0: +1 * chips; bit 1: -1 * chips.
-  EXPECT_DOUBLE_EQ(slots[0].amplitude, 1.0);
-  EXPECT_DOUBLE_EQ(slots[1].amplitude, -1.0);
-  EXPECT_DOUBLE_EQ(slots[2].amplitude, -1.0);
-  EXPECT_DOUBLE_EQ(slots[3].amplitude, -1.0);
-  EXPECT_DOUBLE_EQ(slots[4].amplitude, 1.0);
-  EXPECT_DOUBLE_EQ(slots[5].amplitude, 1.0);
-}
-
 // ------------------------------------------------------------- FCC mask ----
 
 TEST(SpectralMask, SegmentsAndLookup) {

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.h"
 #include "common/math_utils.h"
@@ -65,6 +68,73 @@ TEST(Lna, ExcessNoiseMatchesNoiseFigure) {
   const double n_in = 1e-6;
   lna.process(x, n_in, rng);
   EXPECT_NEAR(x.power(), n_in, 0.05 * n_in);
+}
+
+/// Units in the last place between two positive finite doubles.
+std::int64_t ulp_distance(double a, double b) {
+  return std::abs(std::bit_cast<std::int64_t>(a) - std::bit_cast<std::int64_t>(b));
+}
+
+TEST(Lna, SoftClipGainWithinTwoUlp) {
+  // The limiter gain sat * tanh(|x| / sat) / |x| for |x| / sat in [0, 20]
+  // at any phase. Below |x| = sat / 3 the polynomial must sit within 2 ulp
+  // of the exact value (taken in extended precision -- the double closed
+  // form itself strays up to ~4 ulp there); above it the gain is that
+  // closed form, unchanged.
+  const double sat = 1.7;
+  Rng rng(21);
+  std::int64_t worst = 0;
+  std::size_t small = 0;
+  for (int k = 0; k <= 400'000; ++k) {
+    const double r = 20.0 * k / 400'000.0;
+    const double phase = rng.uniform(0.0, two_pi);
+    const double re = r * sat * std::cos(phase);
+    const double im = r * sat * std::sin(phase);
+    const double got = soft_clip_gain(re, im, sat);
+    if ((re * re + im * im) * (1.0 / (sat * sat)) < 1.0 / 9.0) {
+      const long double mag = std::sqrt(static_cast<long double>(re) * re +
+                                        static_cast<long double>(im) * im);
+      const long double exact =
+          mag == 0.0L ? 1.0L : std::tanh(mag / sat) * static_cast<long double>(sat) / mag;
+      worst = std::max(worst, ulp_distance(got, static_cast<double>(exact)));
+      ++small;
+    } else {
+      const double mag = std::abs(cplx(re, im));
+      ASSERT_EQ(got, sat * std::tanh(mag / sat) / mag) << "r=" << r;
+    }
+  }
+  EXPECT_GT(small, 1000u);
+  EXPECT_LE(worst, 2);
+}
+
+TEST(Lna, ComplexLimiterAppliesSoftClipGainPerSample) {
+  // The in-place rail kernel (polynomial pass plus exact fix-up of large
+  // samples) must equal x * soft_clip_gain(x) * gain sample by sample,
+  // with samples on both sides of the small-signal boundary.
+  LnaParams params;
+  params.gain_db = 15.0;
+  params.noise_figure_db = 0.0;
+  params.headroom_db = 6.0;  // low headroom: many samples past |x| = sat/3
+  const Lna lna(params);
+  Rng rng(22);
+  CplxVec samples(3000);
+  for (cplx& v : samples) v = rng.cgaussian();
+  double acc = 0.0;
+  for (const cplx& v : samples) acc += std::norm(v);
+  const double sat = lna.saturation_amplitude(std::sqrt(acc / samples.size()));
+  CplxWaveform x(samples, 1e9);
+  lna.process(x, 0.0, rng);
+  std::size_t large = 0;
+  for (std::size_t k = 0; k < samples.size(); ++k) {
+    const double re = samples[k].real();
+    const double im = samples[k].imag();
+    if (std::norm(samples[k]) / (sat * sat) >= 1.0 / 9.0) ++large;
+    const double g = soft_clip_gain(re, im, sat);
+    ASSERT_EQ(x[k].real(), re * g * lna.gain_linear()) << "sample " << k;
+    ASSERT_EQ(x[k].imag(), im * g * lna.gain_linear()) << "sample " << k;
+  }
+  EXPECT_GT(large, 100u);
+  EXPECT_LT(large, samples.size() - 100);
 }
 
 // ---------------------------------------------------------------- mixer ----

@@ -295,6 +295,86 @@ TEST(Gen2Receiver, MultipathPacketDecodes) {
   EXPECT_LT(static_cast<double>(total_errors) / static_cast<double>(total_bits), 0.02);
 }
 
+TEST(Gen2Link, CompositeKernelCaptureMatchesDenseChannelConvolution) {
+  // The channel leg synthesizes y[n] = sum_m a_m * g[n - delay - offset_m]
+  // with the composite kernel g = prototype (x) CIR. For every modulation
+  // and CM profile it must equal the delayed dense train through
+  // Cir::apply to 1e-12 of the peak -- bit for bit through the identity
+  // (AWGN) channel -- followed by the zero tail pad.
+  const std::size_t delay = 17;
+  const std::size_t pad = 256;
+  for (const phy::Modulation mod : {phy::Modulation::kBpsk, phy::Modulation::kOok,
+                                    phy::Modulation::kPpm, phy::Modulation::kPam4}) {
+    Gen2Config config = sim::gen2_fast();
+    config.modulation = mod;
+    const Gen2Transmitter tx(config);
+    Rng rng(0xC0DE + static_cast<uint64_t>(mod));
+    const BitVec payload = rng.bits(120);
+    auto [wave, frame] = tx.transmit(payload);
+    wave.delay_samples(delay);
+    const Gen2Train train = tx.transmit_train(payload);
+    EXPECT_EQ(train.frame.energy_per_bit, frame.energy_per_bit);
+    for (int cm = 0; cm <= 4; ++cm) {
+      const channel::Cir cir =
+          cm == 0 ? channel::identity_cir()
+                  : channel::SalehValenzuela(channel::cm_by_index(cm)).realize(rng);
+      const CplxWaveform want = cir.apply(wave);
+      dsp::IqArena g;
+      dsp::IqArena rx;
+      gen2_composite_kernel(tx.prototype().samples(), cir, config.analog_fs, g);
+      gen2_synthesize_capture(train, delay, tx.prototype().size(), g, pad, rx);
+      ASSERT_EQ(rx.size(), want.size() + pad) << phy::to_string(mod) << " CM" << cm;
+      double peak = 0.0;
+      for (const cplx& v : want) peak = std::max(peak, std::abs(v));
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        if (cm == 0) {
+          ASSERT_EQ(rx.i[k], want[k].real()) << phy::to_string(mod) << " sample " << k;
+          ASSERT_EQ(rx.q[k], want[k].imag()) << phy::to_string(mod) << " sample " << k;
+        } else {
+          ASSERT_NEAR(rx.i[k], want[k].real(), 1e-12 * peak)
+              << phy::to_string(mod) << " CM" << cm << " sample " << k;
+          ASSERT_NEAR(rx.q[k], want[k].imag(), 1e-12 * peak)
+              << phy::to_string(mod) << " CM" << cm << " sample " << k;
+        }
+      }
+      for (std::size_t k = want.size(); k < rx.size(); ++k) {
+        ASSERT_EQ(rx.i[k], 0.0);
+        ASSERT_EQ(rx.q[k], 0.0);
+      }
+    }
+  }
+}
+
+TEST(Gen2Link, CodedTrialLeavesTheReceiverConfigAlone) {
+  // Coded trials bypass the MLSE per packet through Gen2RxOptions, so the
+  // link's receiver config is never touched: an uncoded trial after a
+  // coded one matches the same trial on a fresh link.
+  const Gen2Config config = sim::gen2_fast();
+  TrialOptions coded;
+  coded.cm = 1;
+  coded.ebn0_db = 8.0;
+  coded.payload_bits = 64;
+  coded.fec = fec::k7_rate_half();
+  TrialOptions uncoded = coded;
+  uncoded.fec.reset();
+
+  Gen2Link used(config, 5);
+  Rng coded_rng(91);
+  (void)used.run_packet(coded, coded_rng);
+  EXPECT_TRUE(used.receiver().config().use_mlse);
+
+  Gen2Link fresh(config, 5);
+  Rng rng_used(92);
+  Rng rng_fresh(92);
+  const Gen2TrialResult after = used.run_packet_full(uncoded, rng_used);
+  const Gen2TrialResult clean = fresh.run_packet_full(uncoded, rng_fresh);
+  EXPECT_EQ(after.bits, clean.bits);
+  EXPECT_EQ(after.errors, clean.errors);
+  EXPECT_EQ(after.rx.payload, clean.rx.payload);
+  EXPECT_EQ(after.rx.payload_soft, clean.rx.payload_soft);
+  EXPECT_EQ(after.rx.snr_estimate_db, clean.rx.snr_estimate_db);
+}
+
 TEST(Gen1Receiver, CleanPacketZeroErrors) {
   const Gen1Config config = sim::gen1_fast();
   Gen1Link link(config, 0xF00D);
