@@ -75,8 +75,7 @@ int main() {
     Rng probe_rng(seed ^ record.index);
     double capture_acc = 0.0;
     for (int p = 0; p < probe_packets; ++p) {
-      const txrx::TrialResult trial =
-          link->run_packet(record.spec.link.options, probe_rng);
+      const sim::TrialOutcome trial = link->run_packet(record.spec.link.options, probe_rng);
       capture_acc += trial.metric(txrx::metric_names::kRakeEnergyCapture).value_or(0.0);
     }
     ber_table.add_row({record.spec.tag("fingers"), sim::Table::sci(record.ber.ber),

@@ -38,15 +38,7 @@ inline sim::BerStop stop_rule(std::size_t min_errors = 40, std::size_t max_bits 
 /// RNG -- the sequential helper for benches not yet on the sweep engine.
 inline sim::BerPoint link_ber(txrx::Link& link, const txrx::TrialOptions& options,
                               const sim::BerStop& stop) {
-  return sim::measure_ber(
-      [&]() {
-        const txrx::TrialResult trial = link.run_packet(options);
-        sim::TrialOutcome out;
-        out.bits = trial.bits;
-        out.errors = trial.errors;
-        return out;
-      },
-      stop);
+  return sim::measure_ber([&] { return link.run_packet(options); }, stop);
 }
 
 /// Mean of a recorded metric on a sweep point, or \p fallback when the

@@ -65,8 +65,8 @@ int main() {
       options.ebn0_db = phase.ebn0_db;
 
       const auto trial = link.run_packet_full(options);
-      bits += trial.bits;
-      errors += trial.errors;
+      bits += trial.outcome.bits;
+      errors += trial.outcome.errors;
 
       // Observe, decide, reconfigure the receiver for the next packet.
       const auto decision = adapter.update(sim::observe(trial.rx));

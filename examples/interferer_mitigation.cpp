@@ -17,12 +17,7 @@ uwb::sim::BerPoint measure(uwb::txrx::Gen2Link& link, const uwb::txrx::TrialOpti
   uwb::sim::BerStop stop;
   stop.min_errors = 25;
   stop.max_bits = 50000;
-  return uwb::sim::measure_ber(
-      [&]() {
-        const auto trial = link.run_packet(options);
-        return uwb::sim::TrialOutcome{trial.bits, trial.errors, {}};
-      },
-      stop);
+  return uwb::sim::measure_ber([&] { return link.run_packet(options); }, stop);
 }
 
 }  // namespace

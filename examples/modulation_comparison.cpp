@@ -45,12 +45,7 @@ int main() {
     sim::BerStop stop;
     stop.min_errors = 40;
     stop.max_bits = 150000;
-    const sim::BerPoint point = sim::measure_ber(
-        [&]() {
-          const auto trial = link.run_packet(options);
-          return sim::TrialOutcome{trial.bits, trial.errors, {}};
-        },
-        stop);
+    const sim::BerPoint point = sim::measure_ber([&] { return link.run_packet(options); }, stop);
 
     const auto mod = phy::make_modulator(row.scheme, config.prf_hz);
     table.add_row({to_string(row.scheme), sim::Table::integer(mod->bits_per_symbol()),

@@ -41,6 +41,7 @@ int main() {
               trial.rx.channel_estimate.num_taps());
   std::printf("RAKE energy capture  : %.0f%%\n", 100.0 * trial.rx.rake_energy_capture);
   std::printf("SNR estimate         : %.1f dB\n", trial.rx.snr_estimate_db);
-  std::printf("bit errors           : %zu / %zu\n", trial.errors, trial.bits);
+  std::printf("bit errors           : %zu / %zu\n", trial.outcome.errors,
+              trial.outcome.bits);
   return trial.rx.acquired ? 0 : 1;
 }

@@ -260,19 +260,7 @@ void add_awgn(double* re, double* im, std::size_t n, double n0, Rng& rng) {
   add_complex_noise<1>(re, im, n, n0, rng);
 }
 
-void add_awgn(RealVec& x, double n0, Rng& rng) {
-  detail::require(n0 >= 0.0, "add_awgn: N0 must be non-negative");
-  if (n0 == 0.0) return;
-  const obs::StageTimer timer(obs::Stage::kChannelNoise, x.size());
-  const double sigma = std::sqrt(n0 / 2.0);
-  const ZigguratTables& t = zig_tables();
-  std::mt19937_64& eng = rng.engine();
-  for (auto& v : x) v += sigma * zig_normal(eng, t);
-}
-
 void add_awgn(CplxWaveform& x, double n0, Rng& rng) { add_awgn(x.samples(), n0, rng); }
-
-void add_awgn(RealWaveform& x, double n0, Rng& rng) { add_awgn(x.samples(), n0, rng); }
 
 double n0_for_ebn0(double eb, double ebn0_db) {
   detail::require(eb > 0.0, "n0_for_ebn0: Eb must be positive");

@@ -24,19 +24,15 @@ void add_awgn(CplxVec& x, double n0, Rng& rng);
 /// the CplxVec overload on the interleaved samples.
 void add_awgn(double* re, double* im, std::size_t n, double n0, Rng& rng);
 
-/// Adds real AWGN with per-sample variance n0/2 in place.
-void add_awgn(RealVec& x, double n0, Rng& rng);
-
-/// Single-precision AWGN over a raw buffer -- the gen-1 float sample arena's
-/// noise path. Runs a float ziggurat on a xoshiro256++ stream seeded by one
-/// draw from \p rng's engine, so each trial's noise stays a pure function of
-/// its forked seed (the determinism contract); realizations differ from the
-/// double overload's at the sampler level, not just in rounding.
+/// Adds real AWGN with per-sample variance n0/2 to \p n samples in place,
+/// in single precision -- the gen-1 float sample arena's noise path. Runs a
+/// float ziggurat on a xoshiro256++ stream seeded by one draw from \p rng's
+/// engine, so each trial's noise stays a pure function of its forked seed
+/// (the determinism contract).
 void add_awgn(float* x, std::size_t n, double n0, Rng& rng);
 
-/// Waveform overloads.
+/// Waveform overload.
 void add_awgn(CplxWaveform& x, double n0, Rng& rng);
-void add_awgn(RealWaveform& x, double n0, Rng& rng);
 
 /// N0 that realizes \p ebn0_db for a signal with discrete energy-per-bit
 /// \p eb (sum |x|^2 per bit).

@@ -94,12 +94,6 @@ class Waveform {
     return *this;
   }
 
-  /// Appends \p n zero samples.
-  Waveform& pad(std::size_t n) {
-    samples_.resize(samples_.size() + n, T{});
-    return *this;
-  }
-
   /// Delays the signal by an integer number of samples (prepends zeros).
   Waveform& delay_samples(std::size_t n) {
     samples_.insert(samples_.begin(), n, T{});

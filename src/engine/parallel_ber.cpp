@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <mutex>
 #include <optional>
 
@@ -34,32 +35,6 @@ const char* stop_reason(const MetricAccumulator& acc, const sim::BerStop& stop,
 
 }  // namespace
 
-sim::MeasuredPoint measure_point_serial(const TrialFn& trial, const sim::BerStop& stop,
-                                        const Rng& root, stats::CiMethod ci_method) {
-  // One worker, ordered commits: exactly the sequential loop's semantics,
-  // produced by the one trial engine in the tree.
-  ThreadPool pool(1);
-  return measure_point_parallel([&trial]() -> TrialFn { return trial; }, stop, root, pool,
-                                {}, ci_method);
-}
-
-sim::MeasuredPoint measure_point_parallel(const TrialFactory& factory,
-                                          const sim::BerStop& stop, const Rng& root,
-                                          ThreadPool& pool, const PointHooks& hooks,
-                                          stats::CiMethod ci_method) {
-  return measure_point_batched(
-      [&factory]() -> BatchFn {
-        return [trial = factory()](std::size_t first, std::size_t count, const Rng& root,
-                                   sim::TrialOutcome* out) {
-          for (std::size_t k = 0; k < count; ++k) {
-            Rng trial_rng = root.fork(first + k);
-            out[k] = trial(first + k, trial_rng);
-          }
-        };
-      },
-      1, stop, root, pool, hooks, ci_method);
-}
-
 sim::MeasuredPoint measure_point_batched(const BatchFactory& factory,
                                          std::size_t batch_size, const sim::BerStop& stop,
                                          const Rng& root, ThreadPool& pool,
@@ -79,6 +54,7 @@ sim::MeasuredPoint measure_point_batched(const BatchFactory& factory,
     MetricAccumulator acc;
     bool stopped = false;
     std::size_t active_workers = 0;
+    std::exception_ptr error;  // first exception a worker threw
   } shared(stop, ci_method);
 
   // Degenerate budgets: nothing to run (matches the serial loop).
@@ -98,106 +74,115 @@ sim::MeasuredPoint measure_point_batched(const BatchFactory& factory,
       // Stage profiling covers the whole task -- factory setup included --
       // via the thread-local activation (see obs/profile.h).
       const obs::ScopedStageProfile profile_scope(hooks.profile);
-      const BatchFn run_batch = factory();
-      std::vector<sim::TrialOutcome> outs;
-      // Trace chunking: consecutive executed trials fold into one span
-      // (see kTraceChunkTrials). Telemetry only -- never touches Rng or
-      // commit state, so results are identical with hooks on or off.
-      std::uint64_t chunk_start_us = 0;
-      std::size_t chunk_first = 0;
-      std::size_t chunk_count = 0;
-      const auto flush_chunk = [&hooks, &chunk_start_us, &chunk_first, &chunk_count] {
-        if (hooks.trace == nullptr || chunk_count == 0) return;
-        obs::TraceEvent event;
-        event.kind = obs::TraceEvent::Kind::kSpan;
-        event.category = "engine";
-        event.name = "trials";
-        event.ts_us = chunk_start_us;
-        event.dur_us = hooks.trace->now_us() - chunk_start_us;
-        event.args.push_back(obs::trace_arg("first", static_cast<std::uint64_t>(chunk_first)));
-        event.args.push_back(obs::trace_arg("count", static_cast<std::uint64_t>(chunk_count)));
-        hooks.trace->record(std::move(event));
-        chunk_count = 0;
-      };
+      // A trial that throws must not take the process down from a pool
+      // thread: the first exception stops the point like the stopping rule
+      // does, and the caller's thread rethrows it once every worker exited.
+      try {
+        const BatchFn run_batch = factory();
+        std::vector<sim::TrialOutcome> outs;
+        // Trace chunking: consecutive executed trials fold into one span
+        // (see kTraceChunkTrials). Telemetry only -- never touches Rng or
+        // commit state, so results are identical with hooks on or off.
+        std::uint64_t chunk_start_us = 0;
+        std::size_t chunk_first = 0;
+        std::size_t chunk_count = 0;
+        const auto flush_chunk = [&hooks, &chunk_start_us, &chunk_first, &chunk_count] {
+          if (hooks.trace == nullptr || chunk_count == 0) return;
+          obs::TraceEvent event;
+          event.kind = obs::TraceEvent::Kind::kSpan;
+          event.category = "engine";
+          event.name = "trials";
+          event.ts_us = chunk_start_us;
+          event.dur_us = hooks.trace->now_us() - chunk_start_us;
+          event.args.push_back(obs::trace_arg("first", static_cast<std::uint64_t>(chunk_first)));
+          event.args.push_back(obs::trace_arg("count", static_cast<std::uint64_t>(chunk_count)));
+          hooks.trace->record(std::move(event));
+          chunk_count = 0;
+        };
 
-      for (;;) {
-        std::size_t first;
-        std::size_t count;
-        {
-          std::unique_lock<std::mutex> lock(shared.mutex);
-          if (hooks.cancelled() && !shared.stopped) {
-            // Cancellation rides the normal stop path so peers waiting on
-            // the speculation window wake up and exit too. (A signal
-            // handler can only set the flag, never notify; the first
-            // worker to reach this check does the notifying.)
-            shared.stopped = true;
-            shared.window_open.notify_all();
+        for (;;) {
+          std::size_t first;
+          std::size_t count;
+          {
+            std::unique_lock<std::mutex> lock(shared.mutex);
+            if (hooks.cancelled() && !shared.stopped) {
+              // Cancellation rides the normal stop path so peers waiting on
+              // the speculation window wake up and exit too. (A signal
+              // handler can only set the flag, never notify; the first
+              // worker to reach this check does the notifying.)
+              shared.stopped = true;
+              shared.window_open.notify_all();
+            }
+            if (shared.stopped || shared.next_claim >= stop.max_trials) break;
+            first = shared.next_claim;
+            count = std::min(batch, stop.max_trials - first);
+            shared.next_claim += count;
+            // Speculation bound: wait until the claim starts near the
+            // frontier (a batch may extend past the cap by at most one
+            // batch length; the cap accounts for that).
+            shared.window_open.wait(lock, [&] {
+              return shared.stopped || first < shared.committed + window_cap;
+            });
+            if (shared.stopped) break;
           }
-          if (shared.stopped || shared.next_claim >= stop.max_trials) break;
-          first = shared.next_claim;
-          count = std::min(batch, stop.max_trials - first);
-          shared.next_claim += count;
-          // Speculation bound: wait until the claim starts near the
-          // frontier (a batch may extend past the cap by at most one
-          // batch length; the cap accounts for that).
-          shared.window_open.wait(lock, [&] {
-            return shared.stopped || first < shared.committed + window_cap;
-          });
+
+          if (hooks.trace != nullptr && chunk_count == 0) {
+            chunk_start_us = hooks.trace->now_us();
+            chunk_first = first;
+          }
+
+          outs.resize(count);
+          run_batch(first, count, root, outs.data());
+
+          chunk_count += count;
+          if (chunk_count >= kTraceChunkTrials) flush_chunk();
+          if (hooks.progress != nullptr) {
+            std::size_t batch_bits = 0;
+            std::size_t batch_errors = 0;
+            for (const sim::TrialOutcome& out : outs) {
+              batch_bits += out.bits;
+              batch_errors += out.errors;
+            }
+            hooks.progress->add_trials(count);
+            hooks.progress->add_bits(batch_bits);
+            hooks.progress->add_errors(batch_errors);
+          }
+
+          std::lock_guard<std::mutex> lock(shared.mutex);
           if (shared.stopped) break;
-        }
-
-        if (hooks.trace != nullptr && chunk_count == 0) {
-          chunk_start_us = hooks.trace->now_us();
-          chunk_first = first;
-        }
-
-        outs.resize(count);
-        run_batch(first, count, root, outs.data());
-
-        chunk_count += count;
-        if (chunk_count >= kTraceChunkTrials) flush_chunk();
-        if (hooks.progress != nullptr) {
-          std::size_t batch_bits = 0;
-          std::size_t batch_errors = 0;
-          for (const sim::TrialOutcome& out : outs) {
-            batch_bits += out.bits;
-            batch_errors += out.errors;
+          const std::size_t base = first - shared.committed;
+          if (shared.window.size() < base + count) shared.window.resize(base + count);
+          for (std::size_t k = 0; k < count; ++k) {
+            shared.window[base + k] = std::move(outs[k]);
           }
-          hooks.progress->add_trials(count);
-          hooks.progress->add_bits(batch_bits);
-          hooks.progress->add_errors(batch_errors);
+          // Advance the frontier: commit in index order under the rule.
+          while (!shared.window.empty() && shared.window.front().has_value()) {
+            if (!shared.acc.keep_going(shared.committed)) break;
+            shared.acc.commit(*shared.window.front());
+            ++shared.committed;
+            shared.window.pop_front();
+          }
+          if (!shared.acc.keep_going(shared.committed)) {
+            if (!shared.stopped && hooks.trace != nullptr) {
+              hooks.trace->instant(
+                  "engine", "stop",
+                  {obs::trace_arg("reason",
+                                  std::string(stop_reason(shared.acc, stop, shared.committed))),
+                   obs::trace_arg("trials", static_cast<std::uint64_t>(shared.committed)),
+                   obs::trace_arg("bits", static_cast<std::uint64_t>(shared.acc.committed_bits())),
+                   obs::trace_arg("errors",
+                                  static_cast<std::uint64_t>(shared.acc.committed_errors()))});
+            }
+            shared.stopped = true;
+          }
+          shared.window_open.notify_all();
         }
-
+        flush_chunk();
+      } catch (...) {
         std::lock_guard<std::mutex> lock(shared.mutex);
-        if (shared.stopped) break;
-        const std::size_t base = first - shared.committed;
-        if (shared.window.size() < base + count) shared.window.resize(base + count);
-        for (std::size_t k = 0; k < count; ++k) {
-          shared.window[base + k] = std::move(outs[k]);
-        }
-        // Advance the frontier: commit in index order under the rule.
-        while (!shared.window.empty() && shared.window.front().has_value()) {
-          if (!shared.acc.keep_going(shared.committed)) break;
-          shared.acc.commit(*shared.window.front());
-          ++shared.committed;
-          shared.window.pop_front();
-        }
-        if (!shared.acc.keep_going(shared.committed)) {
-          if (!shared.stopped && hooks.trace != nullptr) {
-            hooks.trace->instant(
-                "engine", "stop",
-                {obs::trace_arg("reason",
-                                std::string(stop_reason(shared.acc, stop, shared.committed))),
-                 obs::trace_arg("trials", static_cast<std::uint64_t>(shared.committed)),
-                 obs::trace_arg("bits", static_cast<std::uint64_t>(shared.acc.committed_bits())),
-                 obs::trace_arg("errors",
-                                static_cast<std::uint64_t>(shared.acc.committed_errors()))});
-          }
-          shared.stopped = true;
-        }
-        shared.window_open.notify_all();
+        if (!shared.error) shared.error = std::current_exception();
+        shared.stopped = true;
       }
-      flush_chunk();
 
       std::lock_guard<std::mutex> lock(shared.mutex);
       if (--shared.active_workers == 0) shared.workers_done.notify_all();
@@ -207,6 +192,7 @@ sim::MeasuredPoint measure_point_batched(const BatchFactory& factory,
 
   std::unique_lock<std::mutex> lock(shared.mutex);
   shared.workers_done.wait(lock, [&] { return shared.active_workers == 0; });
+  if (shared.error) std::rethrow_exception(shared.error);
   // All workers exited. Either the rule tripped (stopped) or every index up
   // to max_trials was claimed; drain any committed-prefix stragglers.
   while (!shared.window.empty() && shared.window.front().has_value() &&
@@ -216,16 +202,6 @@ sim::MeasuredPoint measure_point_batched(const BatchFactory& factory,
     shared.window.pop_front();
   }
   return shared.acc.finish(shared.committed);
-}
-
-sim::BerPoint measure_ber_serial(const TrialFn& trial, const sim::BerStop& stop,
-                                 const Rng& root) {
-  return measure_point_serial(trial, stop, root).ber;
-}
-
-sim::BerPoint measure_ber_parallel(const TrialFactory& factory, const sim::BerStop& stop,
-                                   const Rng& root, ThreadPool& pool) {
-  return measure_point_parallel(factory, stop, root, pool).ber;
 }
 
 }  // namespace uwb::engine

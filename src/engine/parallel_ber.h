@@ -2,15 +2,15 @@
 /// \file parallel_ber.h
 /// \brief Deterministic parallel Monte-Carlo point measurement.
 ///
-/// The sequential loop in sim::measure_ber runs trials one after another and
-/// stops on an error/bit/trial budget. This module parallelizes that loop
-/// WITHOUT changing its answer: trial i draws every random number from
-/// `root.fork(i)`, workers execute trials speculatively, and outcomes are
-/// committed strictly in trial-index order under the sequential stopping
-/// rule. The set of counted trials is therefore exactly the prefix the
-/// sequential loop would have counted, so the resulting MeasuredPoint --
-/// BER counters and every named-metric reduction -- is byte-identical for
-/// any worker count or scheduling order (see engine/metric_accumulator.h).
+/// A Monte-Carlo point runs trials until an error/bit/trial budget is met.
+/// This module runs that loop in parallel WITHOUT changing its answer:
+/// trial i draws every random number from `root.fork(i)`, workers execute
+/// trials speculatively, and outcomes are committed strictly in trial-index
+/// order under the sequential stopping rule. The set of counted trials is
+/// therefore exactly the prefix the sequential loop would have counted, so
+/// the resulting MeasuredPoint -- BER counters and every named-metric
+/// reduction -- is byte-identical for any worker count or scheduling order
+/// (see engine/metric_accumulator.h).
 
 #include <atomic>
 #include <functional>
@@ -27,20 +27,6 @@ class StageProfiler;
 
 namespace uwb::engine {
 
-/// One Monte-Carlo trial: a pure function of its trial index and per-trial
-/// Rng (plus worker-local state captured by the closure, e.g. a txrx
-/// link). The index carries no extra randomness -- rng is already
-/// root.fork(index) -- but lets index-keyed shared state (an ensemble's
-/// realization `index % count`, see engine/channel_cache.h) stay
-/// deterministic for any worker count.
-using TrialFn = std::function<sim::TrialOutcome(std::size_t index, Rng& rng)>;
-
-/// Called once per worker to build worker-local state and return the trial
-/// closure. The factory MUST produce closures whose outcome depends only on
-/// the per-trial Rng -- never on which worker runs the trial or in what
-/// order (that is what makes the parallel result deterministic).
-using TrialFactory = std::function<TrialFn()>;
-
 /// Batched execution: one call runs the contiguous trials
 /// [first, first+count) and writes trial first+k's outcome to out[k]. Each
 /// trial must still be a pure function of root.fork(index) -- batching only
@@ -51,23 +37,11 @@ using TrialFactory = std::function<TrialFn()>;
 using BatchFn = std::function<void(std::size_t first, std::size_t count, const Rng& root,
                                    sim::TrialOutcome* out)>;
 
-/// Per-worker factory for BatchFn, same contract as TrialFactory.
+/// Called once per worker to build worker-local state (e.g. a txrx link)
+/// and return its BatchFn. The factory MUST produce functions whose
+/// outcomes depend only on the per-trial Rng -- never on which worker runs
+/// a trial or in what order (that is what makes the result deterministic).
 using BatchFactory = std::function<BatchFn()>;
-
-/// Sequential semantics: trial i runs with root.fork(i); stops once the
-/// error budget (bit errors, or failed trials of stop.metric when set),
-/// max_bits bits, or max_trials trials are reached (max_trials is a hard
-/// stop even when no errors accumulate). \p ci_method selects the two-sided
-/// interval the finished point reports (weighted points always report the
-/// normal interval regardless).
-///
-/// This is a thin adapter over measure_point_parallel on a single-worker
-/// pool -- the ordered-commit engine is the only trial loop in the tree, and
-/// its single-worker execution IS the sequential semantics (committed
-/// prefix, stopping rule, result bytes).
-sim::MeasuredPoint measure_point_serial(
-    const TrialFn& trial, const sim::BerStop& stop, const Rng& root,
-    stats::CiMethod ci_method = stats::CiMethod::kClopperPearson);
 
 /// Optional telemetry hooks for one point measurement. Both observers may
 /// be null; neither can change the measured result (they never touch Rng
@@ -97,20 +71,18 @@ struct PointHooks {
   }
 };
 
-/// Parallel version of measure_point_serial with identical results:
-/// workers claim trial indices, run them speculatively within a bounded
-/// window ahead of the commit frontier, and commit in index order.
-/// Outcomes past the stopping point are discarded, exactly as if they had
-/// never run. (Adapter over measure_point_batched at batch size 1.)
-sim::MeasuredPoint measure_point_parallel(
-    const TrialFactory& factory, const sim::BerStop& stop, const Rng& root,
-    ThreadPool& pool, const PointHooks& hooks = {},
-    stats::CiMethod ci_method = stats::CiMethod::kClopperPearson);
-
-/// The ordered-commit core with batched claims: workers claim contiguous
-/// ranges of \p batch_size trial indices (clamped at the trial cap) and run
-/// each range through one BatchFn call, still bounded by the speculation
-/// window and still committing per trial in global index order. The set of
+/// The one trial core. Sequential semantics: trial i runs with
+/// root.fork(i); the point stops once the error budget (bit errors, or
+/// failed trials of stop.metric when set), max_bits bits, or max_trials
+/// trials are reached (max_trials is a hard stop even when no errors
+/// accumulate). \p ci_method selects the two-sided interval the finished
+/// point reports (weighted points always report the normal interval).
+///
+/// Execution: workers claim contiguous ranges of \p batch_size trial
+/// indices (clamped at the trial cap), run each range through one BatchFn
+/// call speculatively within a bounded window ahead of the commit frontier,
+/// and commit per trial in global index order. Outcomes past the stopping
+/// point are discarded, exactly as if they had never run. The set of
 /// committed trials is therefore exactly the sequential loop's prefix, and
 /// the measured point -- counters, metric reductions, result-document bytes
 /// -- is identical for ANY (batch_size, worker count) combination (tested
@@ -119,11 +91,5 @@ sim::MeasuredPoint measure_point_batched(
     const BatchFactory& factory, std::size_t batch_size, const sim::BerStop& stop,
     const Rng& root, ThreadPool& pool, const PointHooks& hooks = {},
     stats::CiMethod ci_method = stats::CiMethod::kClopperPearson);
-
-/// BER-only convenience wrappers (drop the metric reductions).
-sim::BerPoint measure_ber_serial(const TrialFn& trial, const sim::BerStop& stop,
-                                 const Rng& root);
-sim::BerPoint measure_ber_parallel(const TrialFactory& factory, const sim::BerStop& stop,
-                                   const Rng& root, ThreadPool& pool);
 
 }  // namespace uwb::engine

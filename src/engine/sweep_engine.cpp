@@ -70,6 +70,211 @@ void validate_stop_metric(const ScenarioSpec& scenario, const std::string& metri
   }
 }
 
+/// What one point's measurement needs, derived from the seeding contract
+/// (see sweep_engine.h): the point's trial stream and the per-worker batch
+/// factory whose links all share the point's link seed.
+struct PointPlan {
+  Rng trial_root;
+  BatchFactory factory;
+};
+
+/// The one per-point setup run() and run_adaptive() share. Ensemble-mode
+/// multipath points share one realization set per channel-axis group: the
+/// cache key is pure spec content (SvParams fingerprint, ensemble seed,
+/// count), so every SNR/backend point of a group -- in this process or any
+/// shard -- resolves the same ensemble.
+PointPlan plan_point(const Rng& sweep_root, std::size_t index, const PointSpec& spec,
+                     ChannelCache& cache, obs::TraceRecorder* trace) {
+  const Rng point_root = sweep_root.fork(index);
+  std::shared_ptr<const ChannelEnsemble> ensemble;
+  const txrx::ChannelSource& source = spec.link.options.channel_source;
+  if (source.is_ensemble() && spec.link.options.cm >= 1) {
+    const channel::SvParams params =
+        txrx::ensemble_sv_params(spec.link.options.cm, spec.link.generation());
+    obs::Span cache_span(trace, "channel_cache", "resolve " + params.name);
+    cache_span.arg("count", static_cast<std::uint64_t>(source.ensemble_count));
+    cache_span.arg("seed", source.ensemble_seed);
+    ensemble = cache.get(params, source.ensemble_seed, source.ensemble_count);
+  }
+  return {point_root.fork(kTrialStreamSalt),
+          make_batch_factory(spec, point_root.fork(kLinkSeedSalt).seed(), std::move(ensemble))};
+}
+
+/// Run-level counter baselines. The caches are long-lived (possibly
+/// process-global), so a run's counters are deltas from construction to
+/// finish() -- whatever passes and top-ups ran in between.
+class RunMeter {
+ public:
+  explicit RunMeter(const ChannelCache& cache)
+      : cache_(cache),
+        cache_before_(cache.stats()),
+        fft_before_(dsp::fft_plan_cache_stats()),
+        start_(std::chrono::steady_clock::now()) {}
+
+  /// The run's counters; \p pool ran every task of the run.
+  [[nodiscard]] obs::RunCounters finish(ThreadPool& pool) const {
+    pool.wait_idle();  // task counts are exact once the pool is quiesced
+    obs::RunCounters counters;
+    counters.pool = pool.worker_stats();
+    const ChannelCache::Stats cache_after = cache_.stats();
+    counters.cache_hits = cache_after.hits - cache_before_.hits;
+    counters.cache_disk_loads = cache_after.disk_loads - cache_before_.disk_loads;
+    counters.cache_generated = cache_after.generated - cache_before_.generated;
+    counters.cache_sv_draws = cache_after.sv_draws - cache_before_.sv_draws;
+    const dsp::FftPlanCacheStats fft_after = dsp::fft_plan_cache_stats();
+    counters.fft_plan_hits = fft_after.hits - fft_before_.hits;
+    counters.fft_plan_misses = fft_after.misses - fft_before_.misses;
+    counters.wall_s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
+    return counters;
+  }
+
+ private:
+  const ChannelCache& cache_;
+  ChannelCache::Stats cache_before_;
+  dsp::FftPlanCacheStats fft_before_;
+  std::chrono::steady_clock::time_point start_;
+};
+
+ChannelCache& cache_of(const SweepConfig& config) {
+  return config.channel_cache != nullptr ? *config.channel_cache : ChannelCache::global();
+}
+
+/// One pass over every point of \p scenario in \p config's shard, trials on
+/// \p pool, records streamed to \p sinks in plan order. The caller owns the
+/// pool and the run counters, so run_adaptive's top-ups can share both.
+SweepResult run_points(const SweepConfig& config, const ScenarioSpec& scenario,
+                       const std::vector<ResultSink*>& sinks, ThreadPool& pool,
+                       ChannelCache& cache) {
+  // Fail fast on a bad plan (e.g. a hand-written spec asking gen-1 for an
+  // interferer): every point is validated before any trial runs, so an
+  // invalid late point cannot discard hours of completed work mid-sweep.
+  for (std::size_t p = 0; p < scenario.points.size(); ++p) {
+    try {
+      txrx::validate_spec(scenario.points[p].link);
+    } catch (const Error& e) {
+      throw InvalidArgument("scenario '" + scenario.name + "' point " +
+                            std::to_string(p) + " ('" + scenario.points[p].label +
+                            "'): " + e.what());
+    }
+  }
+  if (!config.stop.metric.empty()) validate_stop_metric(scenario, config.stop.metric);
+
+  SweepResult result;
+  result.info.scenario = scenario.name;
+  result.info.seed = config.seed;
+  result.info.stop = config.stop;
+  result.info.num_points = scenario.points.size();
+
+  for (ResultSink* sink : sinks) sink->begin(result.info);
+
+  const ChannelCache::Stats cache_before = cache.stats();  // sv_draws counter track
+  if (config.trace != nullptr) config.trace->name_thread("engine");
+  obs::Span run_span(config.trace, "engine", "run " + scenario.name);
+  run_span.arg("seed", config.seed);
+
+  if (config.progress != nullptr) {
+    std::size_t shard_points = 0;
+    for (std::size_t p = 0; p < scenario.points.size(); ++p) {
+      if (p % config.shard_count == config.shard_index) ++shard_points;
+    }
+    config.progress->begin_run(shard_points);
+  }
+
+  const Rng sweep_root(config.seed);
+  const PointHooks hooks{config.trace, config.progress, config.profile, config.cancel};
+  std::uint64_t traced_trials = 0;
+  std::uint64_t traced_errors = 0;
+  obs::StageTable traced_stage_totals;  // cumulative, for the counter track
+
+  // Points run one after another; the pool parallelizes the trials inside
+  // each point. That keeps sink delivery in plan order and makes every
+  // point's result an independent pure function of (seed, point_index) --
+  // including under sharding, which only skips points and never re-indexes.
+  for (std::size_t p = 0; p < scenario.points.size(); ++p) {
+    if (p % config.shard_count != config.shard_index) continue;
+    if (hooks.cancelled()) {
+      result.interrupted = true;
+      break;
+    }
+    const PointSpec& spec = scenario.points[p];
+    if (config.progress != nullptr) config.progress->begin_point(p, spec.label);
+    obs::Span point_span(config.trace, "engine", "point " + spec.label);
+    point_span.arg("index", static_cast<std::uint64_t>(p));
+
+    const PointPlan plan = plan_point(sweep_root, p, spec, cache, config.trace);
+
+    // Per-point stage attribution: the workers' accumulators are zeroed
+    // here and merged after the measure returns (all workers quiesced), so
+    // each record carries this point's table alone.
+    if (config.profile != nullptr) config.profile->reset();
+
+    const auto start = std::chrono::steady_clock::now();
+    sim::MeasuredPoint measured =
+        measure_point_batched(plan.factory, config.batch_size, config.stop, plan.trial_root,
+                              pool, hooks, config.ci_method);
+    const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
+
+    if (hooks.cancelled()) {
+      // A cancelled measurement is truncated, not deterministic: discard
+      // it (even if the cancel raced the point's natural completion -- the
+      // cheap uniform policy keeps the flushed document an exact prefix of
+      // completed points either way).
+      if (config.progress != nullptr) config.progress->end_point();
+      point_span.finish();
+      result.interrupted = true;
+      break;
+    }
+
+    point_span.arg("trials", static_cast<std::uint64_t>(measured.ber.trials));
+    point_span.arg("bits", static_cast<std::uint64_t>(measured.ber.bits));
+    point_span.arg("errors", static_cast<std::uint64_t>(measured.ber.errors));
+    point_span.finish();
+    if (config.trace != nullptr) {
+      // Cumulative committed totals as counter tracks across the sweep.
+      traced_trials += measured.ber.trials;
+      traced_errors += measured.ber.errors;
+      config.trace->counter("engine", "committed_trials",
+                             static_cast<double>(traced_trials));
+      config.trace->counter("engine", "bit_errors", static_cast<double>(traced_errors));
+      const ChannelCache::Stats cs = cache.stats();
+      config.trace->counter("channel_cache", "sv_draws",
+                             static_cast<double>(cs.sv_draws - cache_before.sv_draws));
+    }
+    if (config.progress != nullptr) config.progress->end_point();
+
+    PointRecord record;
+    record.index = p;
+    record.spec = spec;
+    record.ber = measured.ber;
+    record.metrics = std::move(measured.metrics);
+    record.elapsed_s = elapsed.count();
+    if (config.profile != nullptr) {
+      record.stages = config.profile->merged();
+      result.stages.merge(record.stages);
+      if (config.trace != nullptr) {
+        // Cumulative per-stage totals as a Chrome counter track: the
+        // profile's time budget drawn across the sweep's timeline.
+        traced_stage_totals.merge(record.stages);
+        for (std::size_t s = 0; s < obs::kStageCount; ++s) {
+          const obs::StageStats& stage = traced_stage_totals.stages[s];
+          if (stage.calls == 0) continue;
+          config.trace->counter("profile", obs::stage_name(static_cast<obs::Stage>(s)),
+                                 static_cast<double>(stage.total_ns) / 1e6);
+        }
+      }
+    }
+    for (ResultSink* sink : sinks) sink->point(record);
+    result.records.push_back(std::move(record));
+  }
+
+  run_span.finish();
+
+  if (config.progress != nullptr) config.progress->end_run();
+  for (ResultSink* sink : sinks) sink->end(result.info);
+  return result;
+}
+
 }  // namespace
 
 const PointRecord* SweepResult::find(
@@ -95,171 +300,11 @@ SweepEngine::SweepEngine(SweepConfig config) : config_(config) {
 
 SweepResult SweepEngine::run(const ScenarioSpec& scenario,
                              const std::vector<ResultSink*>& sinks) {
-  // Fail fast on a bad plan (e.g. a hand-written spec asking gen-1 for an
-  // interferer): every point is validated before any trial runs, so an
-  // invalid late point cannot discard hours of completed work mid-sweep.
-  for (std::size_t p = 0; p < scenario.points.size(); ++p) {
-    try {
-      txrx::validate_spec(scenario.points[p].link);
-    } catch (const Error& e) {
-      throw InvalidArgument("scenario '" + scenario.name + "' point " +
-                            std::to_string(p) + " ('" + scenario.points[p].label +
-                            "'): " + e.what());
-    }
-  }
-  if (!config_.stop.metric.empty()) validate_stop_metric(scenario, config_.stop.metric);
-
-  SweepResult result;
-  result.info.scenario = scenario.name;
-  result.info.seed = config_.seed;
-  result.info.stop = config_.stop;
-  result.info.num_points = scenario.points.size();
-
-  for (ResultSink* sink : sinks) sink->begin(result.info);
-
-  // Telemetry baselines: caches are long-lived (possibly process-global),
-  // so the run's counters are deltas over this run alone.
-  ChannelCache& cache =
-      config_.channel_cache != nullptr ? *config_.channel_cache : ChannelCache::global();
-  const ChannelCache::Stats cache_before = cache.stats();
-  const dsp::FftPlanCacheStats fft_before = dsp::fft_plan_cache_stats();
-  const auto run_start = std::chrono::steady_clock::now();
-
-  if (config_.trace != nullptr) config_.trace->name_thread("engine");
-  obs::Span run_span(config_.trace, "engine", "run " + scenario.name);
-  run_span.arg("seed", config_.seed);
-
+  ChannelCache& cache = cache_of(config_);
+  const RunMeter meter(cache);
   ThreadPool pool(config_.workers, config_.trace);
-
-  if (config_.progress != nullptr) {
-    std::size_t shard_points = 0;
-    for (std::size_t p = 0; p < scenario.points.size(); ++p) {
-      if (p % config_.shard_count == config_.shard_index) ++shard_points;
-    }
-    config_.progress->begin_run(shard_points);
-  }
-
-  const Rng sweep_root(config_.seed);
-  const PointHooks hooks{config_.trace, config_.progress, config_.profile, config_.cancel};
-  std::uint64_t traced_trials = 0;
-  std::uint64_t traced_errors = 0;
-  obs::StageTable traced_stage_totals;  // cumulative, for the counter track
-
-  // Points run one after another; the pool parallelizes the trials inside
-  // each point. That keeps sink delivery in plan order and makes every
-  // point's result an independent pure function of (seed, point_index) --
-  // including under sharding, which only skips points and never re-indexes.
-  for (std::size_t p = 0; p < scenario.points.size(); ++p) {
-    if (p % config_.shard_count != config_.shard_index) continue;
-    if (hooks.cancelled()) {
-      result.interrupted = true;
-      break;
-    }
-    const PointSpec& spec = scenario.points[p];
-    const Rng point_root = sweep_root.fork(p);
-    const Rng trial_root = point_root.fork(kTrialStreamSalt);
-    const uint64_t link_seed = point_root.fork(kLinkSeedSalt).seed();
-
-    if (config_.progress != nullptr) config_.progress->begin_point(p, spec.label);
-    obs::Span point_span(config_.trace, "engine", "point " + spec.label);
-    point_span.arg("index", static_cast<std::uint64_t>(p));
-
-    // Ensemble-mode multipath points share one realization set per
-    // channel-axis group: the cache key is pure spec content (SvParams
-    // fingerprint, ensemble seed, count), so every SNR/backend point of a
-    // group -- in this process or any shard -- resolves the same ensemble.
-    std::shared_ptr<const ChannelEnsemble> ensemble;
-    const txrx::ChannelSource& source = spec.link.options.channel_source;
-    if (source.is_ensemble() && spec.link.options.cm >= 1) {
-      channel::SvParams params =
-          txrx::ensemble_sv_params(spec.link.options.cm, spec.link.generation());
-      obs::Span cache_span(config_.trace, "channel_cache", "resolve " + params.name);
-      cache_span.arg("count", static_cast<std::uint64_t>(source.ensemble_count));
-      cache_span.arg("seed", source.ensemble_seed);
-      ensemble = cache.get(params, source.ensemble_seed, source.ensemble_count);
-    }
-
-    // Per-point stage attribution: the workers' accumulators are zeroed
-    // here and merged after the measure returns (all workers quiesced), so
-    // each record carries this point's table alone.
-    if (config_.profile != nullptr) config_.profile->reset();
-
-    const auto start = std::chrono::steady_clock::now();
-    sim::MeasuredPoint measured = measure_point_batched(
-        make_batch_factory(spec, link_seed, std::move(ensemble)), config_.batch_size,
-        config_.stop, trial_root, pool, hooks, config_.ci_method);
-    const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
-
-    if (hooks.cancelled()) {
-      // A cancelled measurement is truncated, not deterministic: discard
-      // it (even if the cancel raced the point's natural completion -- the
-      // cheap uniform policy keeps the flushed document an exact prefix of
-      // completed points either way).
-      if (config_.progress != nullptr) config_.progress->end_point();
-      point_span.finish();
-      result.interrupted = true;
-      break;
-    }
-
-    point_span.arg("trials", static_cast<std::uint64_t>(measured.ber.trials));
-    point_span.arg("bits", static_cast<std::uint64_t>(measured.ber.bits));
-    point_span.arg("errors", static_cast<std::uint64_t>(measured.ber.errors));
-    point_span.finish();
-    if (config_.trace != nullptr) {
-      // Cumulative committed totals as counter tracks across the sweep.
-      traced_trials += measured.ber.trials;
-      traced_errors += measured.ber.errors;
-      config_.trace->counter("engine", "committed_trials",
-                             static_cast<double>(traced_trials));
-      config_.trace->counter("engine", "bit_errors", static_cast<double>(traced_errors));
-      const ChannelCache::Stats cs = cache.stats();
-      config_.trace->counter("channel_cache", "sv_draws",
-                             static_cast<double>(cs.sv_draws - cache_before.sv_draws));
-    }
-    if (config_.progress != nullptr) config_.progress->end_point();
-
-    PointRecord record;
-    record.index = p;
-    record.spec = spec;
-    record.ber = measured.ber;
-    record.metrics = std::move(measured.metrics);
-    record.elapsed_s = elapsed.count();
-    if (config_.profile != nullptr) {
-      record.stages = config_.profile->merged();
-      result.stages.merge(record.stages);
-      if (config_.trace != nullptr) {
-        // Cumulative per-stage totals as a Chrome counter track: the
-        // profile's time budget drawn across the sweep's timeline.
-        traced_stage_totals.merge(record.stages);
-        for (std::size_t s = 0; s < obs::kStageCount; ++s) {
-          const obs::StageStats& stage = traced_stage_totals.stages[s];
-          if (stage.calls == 0) continue;
-          config_.trace->counter("profile", obs::stage_name(static_cast<obs::Stage>(s)),
-                                 static_cast<double>(stage.total_ns) / 1e6);
-        }
-      }
-    }
-    for (ResultSink* sink : sinks) sink->point(record);
-    result.records.push_back(std::move(record));
-  }
-
-  // Counter totals: pool stats are quiesced (every task finished before
-  // the last point's measure returned), cache counters are run deltas.
-  result.counters.pool = pool.worker_stats();
-  const ChannelCache::Stats cache_after = cache.stats();
-  result.counters.cache_hits = cache_after.hits - cache_before.hits;
-  result.counters.cache_disk_loads = cache_after.disk_loads - cache_before.disk_loads;
-  result.counters.cache_generated = cache_after.generated - cache_before.generated;
-  result.counters.cache_sv_draws = cache_after.sv_draws - cache_before.sv_draws;
-  const dsp::FftPlanCacheStats fft_after = dsp::fft_plan_cache_stats();
-  result.counters.fft_plan_hits = fft_after.hits - fft_before.hits;
-  result.counters.fft_plan_misses = fft_after.misses - fft_before.misses;
-  result.counters.wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - run_start).count();
-  run_span.finish();
-
-  if (config_.progress != nullptr) config_.progress->end_run();
-  for (ResultSink* sink : sinks) sink->end(result.info);
+  SweepResult result = run_points(config_, scenario, sinks, pool, cache);
+  result.counters = meter.finish(pool);
   return result;
 }
 
@@ -275,14 +320,17 @@ SweepResult SweepEngine::run_adaptive(const ScenarioSpec& scenario,
                   "run_adaptive: adaptive allocation is incompatible with sharding "
                   "(the allocator must see every point's CI to pick the widest)");
 
+  // One pool and one counter baseline for the base pass and every top-up,
+  // so the run's counters cover all of its work.
+  ChannelCache& cache = cache_of(config_);
+  const RunMeter meter(cache);
+  ThreadPool pool(config_.workers, config_.trace);
+
   // Base pass without sinks: the document is written once, after the whole
   // budget is spent, so a reader never sees half-topped-up points.
-  SweepResult result = run(scenario, {});
+  SweepResult result = run_points(config_, scenario, {}, pool, cache);
 
   if (!result.interrupted && extra_trials > 0 && !result.records.empty()) {
-    ChannelCache& cache =
-        config_.channel_cache != nullptr ? *config_.channel_cache : ChannelCache::global();
-    ThreadPool pool(config_.workers, config_.trace);
     const Rng sweep_root(config_.seed);
     // Top-ups run without the progress meter (its point counts were sized
     // for the base pass); the trace recorder still sees them.
@@ -301,7 +349,6 @@ SweepResult SweepEngine::run_adaptive(const ScenarioSpec& scenario,
       if (pick < 0) break;  // every point saturated
       stats::AllocPoint& ap = alloc[static_cast<std::size_t>(pick)];
       PointRecord& rec = result.records[static_cast<std::size_t>(pick)];
-      const std::size_t p = rec.index;
 
       // Trial-budgeted extension: the error/bit budgets already fired on
       // the base pass, so only the raised trial cap (and a CI target, when
@@ -313,23 +360,13 @@ SweepResult SweepEngine::run_adaptive(const ScenarioSpec& scenario,
       stop.max_bits = std::numeric_limits<std::size_t>::max();
       stop.max_trials = ap.trials + stats::next_chunk(ap.trials, remaining);
 
-      const Rng point_root = sweep_root.fork(p);
-      const Rng trial_root = point_root.fork(kTrialStreamSalt);
-      const uint64_t link_seed = point_root.fork(kLinkSeedSalt).seed();
-      std::shared_ptr<const ChannelEnsemble> ensemble;
-      const txrx::ChannelSource& source = rec.spec.link.options.channel_source;
-      if (source.is_ensemble() && rec.spec.link.options.cm >= 1) {
-        const channel::SvParams params =
-            txrx::ensemble_sv_params(rec.spec.link.options.cm, rec.spec.link.generation());
-        ensemble = cache.get(params, source.ensemble_seed, source.ensemble_count);
-      }
-
       obs::Span span(config_.trace, "engine", "topup " + rec.spec.label);
       if (config_.profile != nullptr) config_.profile->reset();
       const auto start = std::chrono::steady_clock::now();
-      sim::MeasuredPoint measured = measure_point_batched(
-          make_batch_factory(rec.spec, link_seed, std::move(ensemble)), config_.batch_size,
-          stop, trial_root, pool, hooks, config_.ci_method);
+      const PointPlan plan = plan_point(sweep_root, rec.index, rec.spec, cache, config_.trace);
+      sim::MeasuredPoint measured =
+          measure_point_batched(plan.factory, config_.batch_size, stop, plan.trial_root, pool,
+                                hooks, config_.ci_method);
       span.finish();
       if (config_.profile != nullptr) {
         // A top-up replays the committed prefix then extends it; its stage
@@ -361,8 +398,8 @@ SweepResult SweepEngine::run_adaptive(const ScenarioSpec& scenario,
       ap.ci_halfwidth = 0.5 * (rec.ber.ci_hi - rec.ber.ci_lo);
       ap.trials = rec.ber.trials;
     }
-    result.counters.pool = pool.worker_stats();
   }
+  result.counters = meter.finish(pool);
 
   for (ResultSink* sink : sinks) sink->begin(result.info);
   for (const PointRecord& rec : result.records) {

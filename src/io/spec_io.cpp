@@ -118,6 +118,10 @@ txrx::ChannelSource channel_source_from_json(const JsonValue& v) {
     else if (key == "ensemble_count") source.ensemble_count = as_size(val);
     else unknown_key("channel_source", key);
   }
+  detail::require(source.ensemble_count <= txrx::ChannelSource::kMaxEnsembleCount,
+                  "spec: channel_source: ensemble_count " +
+                      std::to_string(source.ensemble_count) + " exceeds the maximum " +
+                      std::to_string(txrx::ChannelSource::kMaxEnsembleCount));
   return source;
 }
 

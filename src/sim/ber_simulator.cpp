@@ -15,10 +15,17 @@ BerStop scale_stop(BerStop stop, std::size_t error_divisor, std::size_t bits_div
 }
 
 BerPoint measure_ber(const std::function<TrialOutcome()>& trial, const BerStop& stop) {
-  // Thin adapter over the engine's serial core: the closure owns its
-  // randomness, so the per-trial Rng the engine supplies is unused here.
-  return engine::measure_ber_serial([&trial](std::size_t, Rng&) { return trial(); }, stop,
-                                    Rng(0));
+  // One worker commits the trials in call order; the closure owns its
+  // randomness, so the per-trial Rng root the core supplies goes unused.
+  engine::ThreadPool pool(1);
+  return engine::measure_point_batched(
+             [&trial]() -> engine::BatchFn {
+               return [&trial](std::size_t, std::size_t count, const Rng&, TrialOutcome* out) {
+                 for (std::size_t k = 0; k < count; ++k) out[k] = trial();
+               };
+             },
+             1, stop, Rng(0), pool)
+      .ber;
 }
 
 }  // namespace uwb::sim

@@ -5,6 +5,7 @@
 ///        measured-point results every link bench shares.
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,22 +15,51 @@
 
 namespace uwb::sim {
 
-/// One trial's contribution: the bit/error pair every BER loop consumes
-/// plus the trial's named scalar metrics (acquisition flags, sync time,
-/// RAKE capture, SNR estimate, ...). A metric absent from a trial simply
-/// contributes no observation -- e.g. a sync-time metric emitted only on
-/// detected trials averages over the detected subset.
+/// Name of the metric that carries an importance-sampled trial's
+/// log-likelihood ratio (see TrialOutcome::set_weight).
+inline constexpr const char* kIsLlrMetric = "is_llr";
+
+/// One trial's contribution -- the one trial record every link, batch
+/// executor and BER loop shares: the bit/error pair (first-class, never a
+/// metric) plus the trial's named scalar metrics (acquisition flags, sync
+/// time, RAKE capture, SNR estimate, ...). A metric absent from a trial
+/// simply contributes no observation -- e.g. a sync-time metric emitted
+/// only on detected trials averages over the detected subset.
 ///
-/// Importance-sampled trials (stats::SamplingPolicy) set \p weighted and
+/// Importance-sampled trials (stats::SamplingPolicy) are \p weighted and
 /// carry the trial's log-likelihood ratio: the errors then enter the BER
 /// estimate scaled by exp(log_weight) while bits stay the unweighted
 /// denominator.
 struct TrialOutcome {
   std::size_t bits = 0;
   std::size_t errors = 0;
+
+  /// (name, value) in emission order; names unique per trial.
   std::vector<std::pair<std::string, double>> metrics;
   double log_weight = 0.0;
   bool weighted = false;
+
+  void set_metric(std::string name, double value) {
+    metrics.emplace_back(std::move(name), value);
+  }
+
+  /// The named metric's value, or nullopt when this trial did not emit it.
+  [[nodiscard]] std::optional<double> metric(const std::string& name) const {
+    for (const auto& [key, value] : metrics) {
+      if (key == name) return value;
+    }
+    return std::nullopt;
+  }
+
+  /// Marks the trial importance-sampled with log-likelihood ratio \p llr
+  /// and emits it as the kIsLlrMetric observable. The weight itself is
+  /// estimator state: it applies whether or not a record_metrics filter
+  /// later keeps the metric.
+  void set_weight(double llr) {
+    log_weight = llr;
+    weighted = true;
+    set_metric(kIsLlrMetric, llr);
+  }
 };
 
 /// Stopping rule. max_trials is a hard stop even when a trial stream
@@ -82,17 +112,17 @@ struct BerPoint {
 
 /// A fully measured grid point: the BER counters plus the reductions of
 /// every named metric the trials emitted (count / mean / variance per
-/// metric, see MetricStats). What engine::measure_point_* returns and the
-/// result sinks serialize.
+/// metric, see MetricStats). What engine::measure_point_batched returns and
+/// the result sinks serialize.
 struct MeasuredPoint {
   BerPoint ber;
   MetricSet metrics;
 };
 
-/// Runs \p trial repeatedly under the stopping rule. (Sequential; this is
-/// a thin adapter over engine::measure_point_serial -- parallel sweeps use
-/// engine::SweepEngine / engine::measure_point_parallel, which produce
-/// identical results for seed-parameterized trials.)
+/// Runs \p trial repeatedly under the stopping rule: the sequential
+/// convenience helper, one worker through engine::measure_point_batched.
+/// The closure owns its randomness; parallel, seed-per-trial sweeps go
+/// through engine::SweepEngine.
 BerPoint measure_ber(const std::function<TrialOutcome()>& trial, const BerStop& stop = {});
 
 }  // namespace uwb::sim

@@ -6,7 +6,6 @@
 #include "channel/awgn.h"
 #include "channel/interferer.h"
 #include "common/error.h"
-#include "dsp/fast_convolve.h"
 #include "dsp/fir_filter.h"
 #include "fec/viterbi_decoder.h"
 #include "obs/profile.h"
@@ -51,6 +50,11 @@ void require_supported(const LinkCaps& caps, const TrialOptions& options) {
   if (options.channel_source.is_ensemble()) {
     detail::require(options.channel_source.ensemble_count >= 1,
                     "ensemble channel source needs ensemble_count >= 1");
+    detail::require(options.channel_source.ensemble_count <= ChannelSource::kMaxEnsembleCount,
+                    "ensemble channel source: ensemble_count " +
+                        std::to_string(options.channel_source.ensemble_count) +
+                        " exceeds the maximum " +
+                        std::to_string(ChannelSource::kMaxEnsembleCount));
   }
   if (options.sampling.active()) {
     stats::validate(options.sampling);
@@ -276,32 +280,10 @@ Gen2Link::Gen2Link(const Gen2Config& config, uint64_t seed)
   caps_.bit_rate_hz = config_.bit_rate_hz();
 }
 
-TrialResult Gen2Link::run_packet(const TrialOptions& options, Rng& rng,
-                                 const TrialContext& context) {
+sim::TrialOutcome Gen2Link::run_packet(const TrialOptions& options, Rng& rng,
+                                       const TrialContext& context) {
   require_supported(caps_, options);  // gen-2 rejects acquisition trials here
-  const Gen2TrialResult trial = run_packet_full(options, rng, context);
-  TrialResult out;
-  out.bits = trial.bits;
-  out.errors = trial.errors;
-  out.set_metric(metric_names::kAcquired, trial.rx.acquired ? 1.0 : 0.0);
-  out.set_metric(metric_names::kRakeEnergyCapture, trial.rx.rake_energy_capture);
-  out.set_metric(metric_names::kSnrEstimate, trial.rx.snr_estimate_db);
-  if (options.run_spectral_monitor) {
-    out.set_metric(metric_names::kInterfererDetected,
-                   trial.rx.interferer.detected ? 1.0 : 0.0);
-    out.set_metric(metric_names::kInterfererPom,
-                   trial.rx.interferer.peak_over_median_db);
-    // A frequency error only means something when there was a tone to find
-    // and the monitor claimed to find it (mean over the detected subset,
-    // same convention as sync_time_s).
-    if (options.interferer && trial.rx.interferer.detected) {
-      out.set_metric(metric_names::kInterfererFreqErr,
-                     std::abs(trial.rx.interferer.frequency_hz -
-                              options.interferer_freq_hz));
-    }
-  }
-  if (trial.weighted) out.set_metric(metric_names::kIsLlr, trial.is_llr);
-  return out;
+  return run_packet_full(options, rng, context).outcome;
 }
 
 void gen2_composite_kernel(const RealVec& prototype, const channel::Cir& cir, double fs,
@@ -473,8 +455,9 @@ Gen2TrialResult Gen2Link::run_packet_full(const TrialOptions& options, Rng& rng,
   rx_opts.bypass_mlse = options.fec.has_value();
   trial.rx = rx_.receive({rx_i, rx_len}, {rx_q, rx_len}, tx_, frame, rx_opts, rng);
 
-  trial.bits = trial.rx.bits_compared;
-  trial.errors = trial.rx.bit_errors;
+  sim::TrialOutcome& out = trial.outcome;
+  out.bits = trial.rx.bits_compared;
+  out.errors = trial.rx.bit_errors;
 
   if (options.fec.has_value() && trial.rx.acquired) {
     // Soft-decision Viterbi decoding of the codeword (payload section of
@@ -491,15 +474,15 @@ Gen2TrialResult Gen2Link::run_packet_full(const TrialOptions& options, Rng& rng,
       for (std::size_t i = 0; i < n; ++i) {
         if ((decoded[i] != 0) != (info[i] != 0)) ++errors;
       }
-      trial.bits = info.size();
-      trial.errors = errors + (info.size() - n);
+      out.bits = info.size();
+      out.errors = errors + (info.size() - n);
     }
   }
 
   if (!trial.rx.acquired) {
     // A lost packet counts every bit as errored (PER-style accounting).
-    trial.bits = options.fec.has_value() ? info.size() : frame.body_bits;
-    trial.errors = trial.bits;
+    out.bits = options.fec.has_value() ? info.size() : frame.body_bits;
+    out.errors = out.bits;
   }
 
   if (tilt_active) {
@@ -507,17 +490,31 @@ Gen2TrialResult Gen2Link::run_packet_full(const TrialOptions& options, Rng& rng,
     // others saw a biased-but-unweighted draw only through the tilt's
     // leakage into their matched filters, which the 1-D construction keeps
     // exactly zero-mean). A lost packet errors the target bit too.
-    trial.weighted = true;
-    trial.is_llr = log_weight;
     std::size_t err = 1;
     if (trial.rx.acquired && target_bit < trial.rx.payload.size()) {
       const std::size_t body_start = frame.frame_bits.size() - frame.body_bits;
       const bool tx_bit = frame.frame_bits[body_start + target_bit] != 0;
       err = ((trial.rx.payload[target_bit] != 0) != tx_bit) ? 1 : 0;
     }
-    trial.bits = 1;
-    trial.errors = err;
+    out.bits = 1;
+    out.errors = err;
   }
+
+  out.set_metric(metric_names::kAcquired, trial.rx.acquired ? 1.0 : 0.0);
+  out.set_metric(metric_names::kRakeEnergyCapture, trial.rx.rake_energy_capture);
+  out.set_metric(metric_names::kSnrEstimate, trial.rx.snr_estimate_db);
+  if (options.run_spectral_monitor) {
+    out.set_metric(metric_names::kInterfererDetected, trial.rx.interferer.detected ? 1.0 : 0.0);
+    out.set_metric(metric_names::kInterfererPom, trial.rx.interferer.peak_over_median_db);
+    // A frequency error only means something when there was a tone to find
+    // and the monitor claimed to find it (mean over the detected subset,
+    // same convention as sync_time_s).
+    if (options.interferer && trial.rx.interferer.detected) {
+      out.set_metric(metric_names::kInterfererFreqErr,
+                     std::abs(trial.rx.interferer.frequency_hz - options.interferer_freq_hz));
+    }
+  }
+  if (tilt_active) out.set_weight(log_weight);
   return trial;
 }
 
@@ -556,31 +553,6 @@ const dsp::AlignedVec<float>& Gen1Link::prototype_f() {
   return proto_f_;
 }
 
-std::span<const float> Gen1Link::scatter_and_noise(const std::vector<double>& amplitudes,
-                                                   std::size_t delay_frames,
-                                                   const dsp::AlignedVec<float>& kernel,
-                                                   double n0, Rng& rng) {
-  const std::size_t frame_samples = config_.frame_samples_analog();
-  const std::size_t delay_samples = delay_frames * frame_samples;
-  const std::size_t out_len =
-      delay_samples + frame_samples * amplitudes.size() + kernel.size();
-  // Tail pad so late fingers stay in range (the dense path's rx_wave.pad).
-  const auto pad = static_cast<std::size_t>(64e-9 * config_.analog_fs);
-  {
-    const obs::StageTimer timer(obs::Stage::kChannelConvolve, out_len);
-    rx_arena_.assign_zero(out_len + pad);
-    const float* src = kernel.data();
-    const std::size_t g_len = kernel.size();
-    for (std::size_t s = 0; s < amplitudes.size(); ++s) {
-      const auto a = static_cast<float>(amplitudes[s]);
-      float* dst = rx_arena_.data() + delay_samples + s * frame_samples;
-      for (std::size_t i = 0; i < g_len; ++i) dst[i] += a * src[i];
-    }
-  }
-  channel::add_awgn(rx_arena_.data(), rx_arena_.size(), n0, rng);
-  return {rx_arena_.data(), rx_arena_.size()};
-}
-
 namespace {
 
 /// The multipath realization a gen-1 trial must use (cm >= 1 only): the
@@ -595,56 +567,98 @@ channel::Cir resolve_gen1_cir(const TrialOptions& options, const TrialContext& c
   return channel::SalehValenzuela(params).realize(rng);
 }
 
-RealWaveform apply_gen1_channel(RealWaveform wave, const TrialOptions& options,
-                                const TrialContext& context, channel::Cir* out_cir,
-                                Rng& rng) {
-  if (options.cm >= 1) {
-    const channel::Cir cir = resolve_gen1_cir(options, context, rng);
-    if (out_cir != nullptr) *out_cir = cir;
-    obs::StageTimer ch_timer(obs::Stage::kChannelConvolve);
-    RealWaveform out = cir.apply_real(wave);
-    ch_timer.add_samples(out.size());
-    ch_timer.finish();
-    return out;
-  }
-  if (out_cir != nullptr) *out_cir = channel::identity_cir();
-  return wave;
-}
-
-/// Sparse-train channel apply: y[n] = sum_k a_k * g[n - delay - k*frame].
-/// Mathematically identical to convolving the dense train with the CIR
-/// (convolution distributes over the slot sum); the output length matches
-/// the dense path exactly: delay + frame*slots + |prototype| + |h| - 1
-/// == delay + frame*slots + |g|.
-RealWaveform apply_gen1_channel_sparse(const std::vector<double>& amplitudes,
-                                       std::size_t frame_samples,
-                                       std::size_t delay_samples, const RealVec& g,
-                                       double fs) {
-  const std::size_t out_len =
-      delay_samples + frame_samples * amplitudes.size() + g.size();
-  const obs::StageTimer timer(obs::Stage::kChannelConvolve, out_len);
-  RealVec y(out_len, 0.0);
-  const std::size_t g_len = g.size();
-  const double* src = g.data();
-  for (std::size_t s = 0; s < amplitudes.size(); ++s) {
-    const double a = amplitudes[s];
-    double* dst = y.data() + delay_samples + s * frame_samples;
-    for (std::size_t i = 0; i < g_len; ++i) dst[i] += a * src[i];
-  }
-  return {std::move(y), fs};
-}
-
 }  // namespace
 
-TrialResult Gen1Link::run_packet(const TrialOptions& options, Rng& rng,
-                                 const TrialContext& context) {
+Gen1Link::Capture Gen1Link::synthesize_capture(const TrialOptions& options,
+                                               const TrialContext& context, Rng& rng) {
+  Capture cap;
+  const BitVec payload = rng.bits(options.payload_bits);
+  Gen1Train train;
+  {
+    obs::StageTimer tx_timer(obs::Stage::kTxModulate);
+    train = tx_.transmit_train(payload);
+    tx_timer.add_samples(train.amplitudes.size());
+  }
+
+  std::size_t delay_frames = 0;
+  if (options.start_delay_max_frames > 0) {
+    delay_frames = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(options.start_delay_max_frames)));
+  }
+  cap.true_offset_adc = delay_frames * config_.frame_samples_adc;
+
+  // The dense ~98%-zeros waveform is never synthesized: the channel
+  // (identity for AWGN-only trials) lands as shift-adds of the composite
+  // kernel straight into the arena, where noise synthesis and the receiver
+  // also run.
+  const RealVec* g = &tx_.prototype().samples();
+  const dsp::AlignedVec<float>* g_f = &prototype_f();
+  if (options.cm >= 1) {
+    g = &composite_kernel(resolve_gen1_cir(options, context, rng));
+    g_f = &g_kernel_f_;
+  }
+  const std::size_t frame_samples = config_.frame_samples_analog();
+  const std::size_t delay_samples = delay_frames * frame_samples;
+  const std::size_t out_len =
+      delay_samples + frame_samples * train.amplitudes.size() + g_f->size();
+  {
+    const obs::StageTimer timer(obs::Stage::kChannelConvolve, out_len);
+    // Tail pad so late fingers stay in range.
+    rx_arena_.assign_zero(out_len + static_cast<std::size_t>(64e-9 * config_.analog_fs));
+    const float* src = g_f->data();
+    const std::size_t g_len = g_f->size();
+    for (std::size_t s = 0; s < train.amplitudes.size(); ++s) {
+      const auto a = static_cast<float>(train.amplitudes[s]);
+      float* dst = rx_arena_.data() + delay_samples + s * frame_samples;
+      for (std::size_t i = 0; i < g_len; ++i) dst[i] += a * src[i];
+    }
+  }
+  float* rx = rx_arena_.data();
+  const std::size_t rx_len = rx_arena_.size();
+  const double n0 = channel::n0_for_ebn0(train.frame.energy_per_bit, options.ebn0_db);
+
+  if (options.sampling.active()) {
+    // Importance sampling: the target data bit's received contribution is
+    // its pulses_per_bit spread-scrambled pulses through the channel,
+    // sum_k chip_k * g[n - k*frame], landed after the preamble and the
+    // start delay.
+    (void)sampling_scale_or_throw(options, context);
+    cap.target_bit = context.sampling_trial % train.frame.frame_bits.size();
+    const std::vector<double>& spread = tx_.spread_chips();
+    const auto ppb = static_cast<std::size_t>(config_.pulses_per_bit);
+    std::vector<double> shape((ppb - 1) * frame_samples + g->size(), 0.0);
+    for (std::size_t k = 0; k < ppb; ++k) {
+      const double chip = spread[k % spread.size()];
+      for (std::size_t i = 0; i < g->size(); ++i) shape[k * frame_samples + i] += chip * (*g)[i];
+    }
+    const std::size_t bit_offset =
+        (delay_frames + tx_.preamble_frames() + cap.target_bit * ppb) * frame_samples;
+    const TiltDirection<double> tilt =
+        make_tilt_direction<double>(std::move(shape), bit_offset, rx_len);
+    std::vector<double> clean;
+    if (tilt.usable) clean.assign(rx + tilt.offset, rx + tilt.offset + tilt.unit.size());
+    channel::add_awgn(rx, rx_len, n0, rng);
+    cap.log_weight = apply_noise_tilt(
+        [rx](std::size_t n) { return static_cast<double>(rx[n]); },
+        [rx](std::size_t n, double v) { rx[n] += static_cast<float>(v); }, clean, tilt,
+        0.5 * n0, options.sampling, context.noise_scale, rng);
+  } else {
+    channel::add_awgn(rx, rx_len, n0, rng);
+  }
+  cap.frame = std::move(train.frame);
+  cap.samples = {rx, rx_len};
+  return cap;
+}
+
+sim::TrialOutcome Gen1Link::run_packet(const TrialOptions& options, Rng& rng,
+                                       const TrialContext& context) {
   if (options.kind == TrialKind::kAcquisition) {
     // Acquisition trials through the generic interface: one attempt per
     // trial, a timing failure is the trial's one "error". Stop rules and
     // the BER column therefore read as attempt count / timing-failure
     // rate, and the named metrics carry the acquisition statistics.
     const AcqTrial trial = run_acquisition(options, rng, options.acq_tol_samples, context);
-    TrialResult out;
+    sim::TrialOutcome out;
     out.bits = 1;
     out.errors = trial.timing_correct ? 0 : 1;
     out.set_metric(metric_names::kAcquired, trial.acq.acquired ? 1.0 : 0.0);
@@ -654,162 +668,39 @@ TrialResult Gen1Link::run_packet(const TrialOptions& options, Rng& rng,
     if (trial.acq.acquired) out.set_metric(metric_names::kSyncTime, trial.acq.sync_time_s);
     return out;
   }
-  const Gen1TrialResult trial = run_packet_full(options, rng, context);
-  TrialResult out;
-  out.bits = trial.bits;
-  out.errors = trial.errors;
-  out.set_metric(metric_names::kAcquired,
-                 (options.genie_timing || trial.rx.acq.acquired) ? 1.0 : 0.0);
-  if (trial.weighted) out.set_metric(metric_names::kIsLlr, trial.is_llr);
-  return out;
+  return run_packet_full(options, rng, context).outcome;
 }
 
 Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
                                           const TrialContext& context) {
   require_supported(caps_, options);
+  const Capture cap = synthesize_capture(options, context, rng);
   Gen1TrialResult trial;
-
-  const BitVec payload = rng.bits(options.payload_bits);
-
-  // With the fast-convolve policy on, the dense ~98%-zeros waveform is
-  // never synthesized: the transmitter emits per-frame amplitudes and the
-  // channel (identity for AWGN-only trials) lands as shift-adds of the
-  // composite kernel straight into the single-precision sample arena,
-  // where noise synthesis and the receiver also run. Importance-sampled
-  // trials stay on the double-waveform path: the tilt machinery snapshots
-  // and re-projects the waveform around the noise draw. The Rng draw order
-  // (payload bits, delay, fresh-realization draws, then noise) is shared
-  // by every path, so the pre-noise signal is the same experiment under
-  // any policy; the float path's noise realization differs by design (it
-  // runs the dedicated single-precision sampler, see channel/awgn.h).
-  const bool tilt_active = options.sampling.active();
-  const bool float_path = dsp::fast_convolve_enabled() && !tilt_active;
-  const bool sparse_channel =
-      !float_path && options.cm >= 1 && dsp::fast_convolve_enabled();
-
-  TxFrame frame;
-  RealWaveform wave;  // dense path only
-  Gen1Train train;    // float / sparse path only
-  {
-    obs::StageTimer tx_timer(obs::Stage::kTxModulate);
-    if (float_path || sparse_channel) {
-      train = tx_.transmit_train(payload);
-      frame = std::move(train.frame);
-      tx_timer.add_samples(train.amplitudes.size());
-    } else {
-      auto wf = tx_.transmit(payload);
-      wave = std::move(wf.first);
-      frame = std::move(wf.second);
-      tx_timer.add_samples(wave.size());
-    }
-  }
-
-  std::size_t delay_frames = 0;
-  if (options.start_delay_max_frames > 0) {
-    delay_frames = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<int>(options.start_delay_max_frames)));
-    if (!float_path && !sparse_channel) {
-      wave.delay_samples(delay_frames * config_.frame_samples_analog());
-    }
-  }
-  trial.true_offset_adc = delay_frames * config_.frame_samples_adc;
-
-  const double n0 = channel::n0_for_ebn0(frame.energy_per_bit, options.ebn0_db);
+  trial.true_offset_adc = cap.true_offset_adc;
   Gen1RxOptions rx_opts;
   rx_opts.genie_timing = options.genie_timing;
-  rx_opts.genie_offset = trial.true_offset_adc;
+  rx_opts.genie_offset = cap.true_offset_adc;
+  trial.rx = rx_.receive(cap.samples, config_.analog_fs, tx_, cap.frame, rx_opts, rng);
 
-  double log_weight = 0.0;
-  std::size_t target_bit = 0;
-  if (float_path) {
-    const dsp::AlignedVec<float>* g = &prototype_f();
-    if (options.cm >= 1) {
-      const channel::Cir cir = resolve_gen1_cir(options, context, rng);
-      composite_kernel(cir);  // refreshes the float mirror on a new realization
-      g = &g_kernel_f_;
-    }
-    const std::span<const float> rx_span =
-        scatter_and_noise(train.amplitudes, delay_frames, *g, n0, rng);
-    trial.rx = rx_.receive(rx_span, config_.analog_fs, tx_, frame, rx_opts, rng);
-  } else {
-    channel::Cir cir = channel::identity_cir();
-    RealWaveform rx_wave;
-    if (sparse_channel) {
-      cir = resolve_gen1_cir(options, context, rng);
-      rx_wave = apply_gen1_channel_sparse(
-          train.amplitudes, config_.frame_samples_analog(),
-          delay_frames * config_.frame_samples_analog(), composite_kernel(cir),
-          config_.analog_fs);
-    } else {
-      rx_wave = apply_gen1_channel(std::move(wave), options, context, &cir, rng);
-    }
-    rx_wave.pad(static_cast<std::size_t>(64e-9 * config_.analog_fs));
-
-    // Importance sampling: the target data bit's received contribution is
-    // its pulses_per_bit spread-scrambled pulses through the same channel
-    // realization, landed after the preamble and the start delay.
-    TiltDirection<double> tilt;
-    if (tilt_active) {
-      (void)sampling_scale_or_throw(options, context);
-      target_bit = context.sampling_trial % frame.frame_bits.size();
-      const RealWaveform& proto = tx_.prototype();
-      const std::vector<double>& spread = tx_.spread_chips();
-      const std::size_t frame_samples = config_.frame_samples_analog();
-      const auto ppb = static_cast<std::size_t>(config_.pulses_per_bit);
-      std::vector<double> shape((ppb - 1) * frame_samples + proto.size(), 0.0);
-      for (std::size_t k = 0; k < ppb; ++k) {
-        const double chip = spread[k % spread.size()];
-        for (std::size_t i = 0; i < proto.size(); ++i) {
-          shape[k * frame_samples + i] += chip * proto[i];
-        }
-      }
-      if (options.cm >= 1) {
-        const RealWaveform filtered =
-            cir.apply_real(RealWaveform(std::move(shape), config_.analog_fs));
-        shape = filtered.samples();
-      }
-      const std::size_t bit_offset =
-          (delay_frames + tx_.preamble_frames() + target_bit * ppb) * frame_samples;
-      tilt = make_tilt_direction<double>(std::move(shape), bit_offset, rx_wave.size());
-    }
-
-    {
-      std::vector<double> clean;
-      if (tilt_active && tilt.usable) {
-        const auto first = static_cast<std::ptrdiff_t>(tilt.offset);
-        clean.assign(rx_wave.samples().begin() + first,
-                     rx_wave.samples().begin() + first +
-                         static_cast<std::ptrdiff_t>(tilt.unit.size()));
-      }
-      channel::add_awgn(rx_wave, n0, rng);
-      if (tilt_active) {
-        log_weight = apply_noise_tilt(
-            [&](std::size_t n) { return rx_wave[n]; },
-            [&](std::size_t n, double v) { rx_wave[n] += v; }, clean, tilt, 0.5 * n0,
-            options.sampling, context.noise_scale, rng);
-      }
-    }
-
-    trial.rx = rx_.receive(rx_wave, tx_, frame, rx_opts, rng);
+  const bool locked = options.genie_timing || trial.rx.acq.acquired;
+  sim::TrialOutcome& out = trial.outcome;
+  out.bits = trial.rx.bits_compared;
+  out.errors = trial.rx.bit_errors;
+  if (!locked) {
+    out.bits = cap.frame.frame_bits.size();
+    out.errors = cap.frame.frame_bits.size();
   }
-  trial.bits = trial.rx.bits_compared;
-  trial.errors = trial.rx.bit_errors;
-  if (!options.genie_timing && !trial.rx.acq.acquired) {
-    trial.bits = frame.frame_bits.size();
-    trial.errors = frame.frame_bits.size();
-  }
+  out.set_metric(metric_names::kAcquired, locked ? 1.0 : 0.0);
 
-  if (tilt_active) {
-    trial.weighted = true;
-    trial.is_llr = log_weight;
+  if (options.sampling.active()) {
     std::size_t err = 1;  // lost packet: the target bit errored with the rest
-    if ((options.genie_timing || trial.rx.acq.acquired) &&
-        target_bit < trial.rx.data_bits.size()) {
-      const bool tx_bit = frame.frame_bits[target_bit] != 0;
-      err = ((trial.rx.data_bits[target_bit] != 0) != tx_bit) ? 1 : 0;
+    if (locked && cap.target_bit < trial.rx.data_bits.size()) {
+      const bool tx_bit = cap.frame.frame_bits[cap.target_bit] != 0;
+      err = ((trial.rx.data_bits[cap.target_bit] != 0) != tx_bit) ? 1 : 0;
     }
-    trial.bits = 1;
-    trial.errors = err;
+    out.bits = 1;
+    out.errors = err;
+    out.set_weight(cap.log_weight);
   }
   return trial;
 }
@@ -823,62 +714,17 @@ Gen1Link::AcqTrial Gen1Link::run_acquisition(const TrialOptions& options, Rng& r
                                              std::size_t tol_samples,
                                              const TrialContext& context) {
   require_supported(caps_, options);
+  const Capture cap = synthesize_capture(options, context, rng);
   AcqTrial out;
-
-  const BitVec payload = rng.bits(options.payload_bits);
-  // Same path split as run_packet_full (acquisition trials never tilt).
-  const bool float_path = dsp::fast_convolve_enabled();
-
-  TxFrame frame;
-  RealWaveform wave;  // dense path only
-  Gen1Train train;    // float path only
-  {
-    obs::StageTimer tx_timer(obs::Stage::kTxModulate);
-    if (float_path) {
-      train = tx_.transmit_train(payload);
-      frame = std::move(train.frame);
-      tx_timer.add_samples(train.amplitudes.size());
-    } else {
-      auto wf = tx_.transmit(payload);
-      wave = std::move(wf.first);
-      frame = std::move(wf.second);
-      tx_timer.add_samples(wave.size());
-    }
-  }
-
-  std::size_t delay_frames = 0;
-  if (options.start_delay_max_frames > 0) {
-    delay_frames = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<int>(options.start_delay_max_frames)));
-    if (!float_path) wave.delay_samples(delay_frames * config_.frame_samples_analog());
-  }
-  const std::size_t true_offset = delay_frames * config_.frame_samples_adc;
-
-  const double n0 = channel::n0_for_ebn0(frame.energy_per_bit, options.ebn0_db);
-  if (float_path) {
-    const dsp::AlignedVec<float>* g = &prototype_f();
-    if (options.cm >= 1) {
-      const channel::Cir cir = resolve_gen1_cir(options, context, rng);
-      composite_kernel(cir);
-      g = &g_kernel_f_;
-    }
-    const std::span<const float> rx_span =
-        scatter_and_noise(train.amplitudes, delay_frames, *g, n0, rng);
-    out.acq = rx_.acquire(rx_span, config_.analog_fs, tx_, rng);
-  } else {
-    RealWaveform rx_wave = apply_gen1_channel(std::move(wave), options, context, nullptr, rng);
-    rx_wave.pad(static_cast<std::size_t>(64e-9 * config_.analog_fs));
-    channel::add_awgn(rx_wave, n0, rng);
-    out.acq = rx_.acquire(rx_wave, tx_, rng);
-  }
-  out.true_offset_adc = true_offset;
+  out.acq = rx_.acquire(cap.samples, config_.analog_fs, tx_, rng);
+  out.true_offset_adc = cap.true_offset_adc;
 
   // Compare timing modulo one PN period (the residual ambiguity the SFD
   // search resolves at frame level).
   const std::size_t period_samples =
       tx_.preamble_chips().size() * config_.frame_samples_adc;
   const auto diff = static_cast<std::ptrdiff_t>(out.acq.timing_offset % period_samples) -
-                    static_cast<std::ptrdiff_t>(true_offset % period_samples);
+                    static_cast<std::ptrdiff_t>(out.true_offset_adc % period_samples);
   const std::size_t abs_diff =
       static_cast<std::size_t>(diff < 0 ? -diff : diff) % period_samples;
   const std::size_t wrapped = std::min(abs_diff, period_samples - abs_diff);

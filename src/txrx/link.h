@@ -24,6 +24,7 @@
 #include "common/rng.h"
 #include "dsp/aligned.h"
 #include "fec/convolutional.h"
+#include "sim/ber_simulator.h"
 #include "stats/sampling.h"
 #include "txrx/receiver_gen1.h"
 #include "txrx/receiver_gen2.h"
@@ -55,6 +56,11 @@ struct ChannelSource {
   /// Default base seed for ensembles (any fixed value works; what matters
   /// is that it is spec content, identical across shards and hosts).
   static constexpr uint64_t kDefaultEnsembleSeed = 0xC1A0'5eed'0000'0001ULL;
+
+  /// Largest accepted ensemble_count. An ensemble lives in memory whole (a
+  /// CM4 realization averages ~7k taps, ~170 kB), so this caps one
+  /// ensemble near 0.7 GB; specs and the CLI reject anything larger.
+  static constexpr std::size_t kMaxEnsembleCount = 4096;
 
   Mode mode = Mode::kFresh;
   uint64_t ensemble_seed = kDefaultEnsembleSeed;
@@ -96,7 +102,7 @@ struct TrialContext {
 /// supports_acquisition_trials accept kAcquisition.
 enum class TrialKind { kPacket, kAcquisition };
 
-/// Canonical names of the scalar metrics the links emit on TrialResult.
+/// Canonical names of the scalar metrics the links emit on sim::TrialOutcome.
 /// One shared vocabulary: specs name these in record_metrics, stop rules
 /// target them, result docs key their per-metric statistics on them.
 namespace metric_names {
@@ -105,10 +111,9 @@ inline constexpr const char* kTimingCorrect = "timing_correct";          ///< 0/
 inline constexpr const char* kSyncTime = "sync_time_s";                  ///< detected trials only
 inline constexpr const char* kRakeEnergyCapture = "rake_energy_capture"; ///< gen-2
 inline constexpr const char* kSnrEstimate = "snr_estimate_db";           ///< gen-2
-/// Importance sampling: the trial's log-likelihood ratio (emitted only
-/// when the spec's SamplingPolicy is active; the engine folds it into the
-/// weighted BER estimate).
-inline constexpr const char* kIsLlr = "is_llr";
+/// Importance sampling: the trial's log-likelihood ratio (emitted by
+/// TrialOutcome::set_weight, only when the spec's SamplingPolicy is active).
+inline constexpr const char* kIsLlr = sim::kIsLlrMetric;
 /// Spectral monitor verdict, 0/1 (gen-2 packet trials that ran the monitor).
 inline constexpr const char* kInterfererDetected = "interferer_detected";
 /// Monitor peak-over-median (dB); emitted whenever the monitor ran.
@@ -175,34 +180,6 @@ struct TrialOptions {
 /// returns the short-payload genie-timed BER-run defaults.
 [[nodiscard]] TrialOptions default_options(Generation gen);
 
-/// Generation-agnostic outcome of one trial: the bit/error pair every
-/// Monte-Carlo loop consumes (first-class, never a metric) plus an
-/// extensible record of named scalar metrics -- acquisition flags, sync
-/// time, RAKE capture, SNR estimate (see metric_names). A metric absent
-/// from a trial contributes no observation to its reduction (sync_time_s
-/// is emitted only on detected trials, so its mean averages the detected
-/// subset). Generation-specific detail (CIR estimates, soft streams,
-/// acquisition internals) lives in Gen1TrialResult / Gen2TrialResult.
-struct TrialResult {
-  std::size_t bits = 0;
-  std::size_t errors = 0;
-
-  /// (name, value) in emission order; names unique per trial.
-  std::vector<std::pair<std::string, double>> metrics;
-
-  void set_metric(std::string name, double value) {
-    metrics.emplace_back(std::move(name), value);
-  }
-
-  /// The named metric's value, or nullopt when this trial did not emit it.
-  [[nodiscard]] std::optional<double> metric(const std::string& name) const {
-    for (const auto& [key, value] : metrics) {
-      if (key == name) return value;
-    }
-    return std::nullopt;
-  }
-};
-
 /// What a link implementation supports; make_link validates a spec's
 /// options against these, and run_packet fails loudly on unsupported
 /// options rather than silently ignoring them.
@@ -215,13 +192,13 @@ struct LinkCaps {
   bool supports_fec = false;
   bool supports_acquisition_trials = false;  ///< accepts TrialKind::kAcquisition
 
-  /// Every metric name this link can emit on TrialResult, across all trial
+  /// Every metric name this link can emit on a trial outcome, across all trial
   /// kinds (trial_metric_names narrows this to one kind's emission set).
   std::vector<std::string> metric_names;
 };
 
-/// Exactly the metric names a (generation, kind) trial emits on
-/// TrialResult -- the vocabulary record_metrics and stop-rule metrics must
+/// Exactly the metric names a (generation, kind) trial emits on its
+/// sim::TrialOutcome -- the vocabulary record_metrics and stop-rule metrics must
 /// come from. \throws InvalidArgument when the generation does not support
 /// the kind.
 [[nodiscard]] std::vector<std::string> trial_metric_names(Generation gen, TrialKind kind);
@@ -257,16 +234,16 @@ class Link {
   /// the trial index).
   /// \throws InvalidArgument when \p options uses a feature caps() lacks,
   ///         or asks for an ensemble channel without a resolved realization.
-  [[nodiscard]] virtual TrialResult run_packet(const TrialOptions& options, Rng& rng,
-                                               const TrialContext& context) = 0;
+  [[nodiscard]] virtual sim::TrialOutcome run_packet(const TrialOptions& options, Rng& rng,
+                                                     const TrialContext& context) = 0;
 
   /// Fresh-channel overload (default TrialContext).
-  [[nodiscard]] TrialResult run_packet(const TrialOptions& options, Rng& rng) {
+  [[nodiscard]] sim::TrialOutcome run_packet(const TrialOptions& options, Rng& rng) {
     return run_packet(options, rng, TrialContext{});
   }
 
   /// Convenience overload on the link's own RNG (state advances).
-  [[nodiscard]] TrialResult run_packet(const TrialOptions& options) {
+  [[nodiscard]] sim::TrialOutcome run_packet(const TrialOptions& options) {
     return run_packet(options, rng_, TrialContext{});
   }
 
@@ -335,16 +312,13 @@ void gen2_composite_kernel(const RealVec& prototype, const channel::Cir& cir, do
 void gen2_synthesize_capture(const Gen2Train& train, std::size_t delay, std::size_t proto_len,
                              const dsp::IqArena& g, std::size_t pad, dsp::IqArena& rx);
 
-/// One gen-2 packet's detailed outcome. Importance-sampled trials set
-/// \p weighted: bits/errors then cover the one target bit and is_llr
-/// carries the trial's log-likelihood ratio.
+/// One gen-2 packet's detailed outcome: the trial record run_packet
+/// returns (importance-sampled trials are weighted and score the one
+/// target bit) plus the receiver diagnostics and the true channel.
 struct Gen2TrialResult {
-  std::size_t bits = 0;
-  std::size_t errors = 0;
+  sim::TrialOutcome outcome;
   Gen2RxResult rx;
   channel::Cir true_channel;
-  double is_llr = 0.0;
-  bool weighted = false;
 };
 
 /// The Section-3 direct-conversion 100 Mbps link (receiver mismatch drawn
@@ -358,8 +332,8 @@ class Gen2Link final : public Link {
   [[nodiscard]] Gen2Transmitter& transmitter() noexcept { return tx_; }
   [[nodiscard]] Gen2Receiver& receiver() noexcept { return rx_; }
 
-  [[nodiscard]] TrialResult run_packet(const TrialOptions& options, Rng& rng,
-                                       const TrialContext& context) override;
+  [[nodiscard]] sim::TrialOutcome run_packet(const TrialOptions& options, Rng& rng,
+                                             const TrialContext& context) override;
   using Link::run_packet;
 
   /// Full-diagnostics variant: receiver state, soft streams, true CIR.
@@ -386,15 +360,12 @@ class Gen2Link final : public Link {
   dsp::IqArena g_;                           ///< composite kernel rails
 };
 
-/// One gen-1 packet's detailed outcome. See Gen2TrialResult for the
-/// weighted (importance-sampled) trial accounting.
+/// One gen-1 packet's detailed outcome: the trial record run_packet
+/// returns plus the receiver diagnostics (see Gen2TrialResult).
 struct Gen1TrialResult {
-  std::size_t bits = 0;
-  std::size_t errors = 0;
+  sim::TrialOutcome outcome;
   Gen1RxResult rx;
   std::size_t true_offset_adc = 0;  ///< actual preamble start at ADC rate
-  double is_llr = 0.0;
-  bool weighted = false;
 };
 
 /// The Section-2 baseband 193 kbps link. Same thread-safety contract as
@@ -409,8 +380,8 @@ class Gen1Link final : public Link {
   [[nodiscard]] Gen1Transmitter& transmitter() noexcept { return tx_; }
   [[nodiscard]] Gen1Receiver& receiver() noexcept { return rx_; }
 
-  [[nodiscard]] TrialResult run_packet(const TrialOptions& options, Rng& rng,
-                                       const TrialContext& context) override;
+  [[nodiscard]] sim::TrialOutcome run_packet(const TrialOptions& options, Rng& rng,
+                                             const TrialContext& context) override;
   using Link::run_packet;
 
   /// Full-diagnostics variant: acquisition result, decoded bits, offsets.
@@ -454,21 +425,32 @@ class Gen1Link final : public Link {
   /// sweep point shares one realization, so g is computed once per point.
   /// g is a pure function of (taps, config) -- caching cannot change
   /// results for any worker count or trial order. Rebuilds also refresh the
-  /// float mirror g_kernel_f_ that the single-precision scatter path reads.
+  /// float mirror g_kernel_f_ that the single-precision scatter reads; the
+  /// double kernel shapes the importance-sampling tilt.
   const RealVec& composite_kernel(const channel::Cir& cir);
 
   /// Float mirror of the prototype pulse (the AWGN-only scatter kernel),
   /// built on first use.
   const dsp::AlignedVec<float>& prototype_f();
 
-  /// Sparse pulse-train synthesis + channel + AWGN straight into the
-  /// single-precision sample arena: y[n] += a_s * g[n - delay - s*frame]
-  /// over \p kernel, then float noise at \p n0. Returns the arena span the
-  /// receiver's float overloads consume.
-  std::span<const float> scatter_and_noise(const std::vector<double>& amplitudes,
-                                           std::size_t delay_frames,
-                                           const dsp::AlignedVec<float>& kernel, double n0,
-                                           Rng& rng);
+  /// One trial's received capture in the single-precision sample arena.
+  struct Capture {
+    TxFrame frame;
+    std::size_t true_offset_adc = 0;  ///< preamble start at the ADC rate
+    std::span<const float> samples;   ///< views rx_arena_
+    std::size_t target_bit = 0;       ///< importance-sampled trials only
+    double log_weight = 0.0;          ///< importance-sampled trials only
+  };
+
+  /// The trial setup packet and acquisition trials share: draws the
+  /// payload and start delay, lands the sparse pulse train through the
+  /// channel as y[n] = sum_s a_s * g[n - delay - s*frame] (g = the
+  /// composite kernel, the prototype on AWGN) straight into the float
+  /// arena, then adds AWGN -- tilted along the target data bit's
+  /// direction when options.sampling is active. Rng draw order: payload
+  /// bits, delay, fresh-realization draws, noise seed, tilt draw.
+  Capture synthesize_capture(const TrialOptions& options, const TrialContext& context,
+                             Rng& rng);
 
   Gen1Config config_;
   LinkCaps caps_;

@@ -63,29 +63,19 @@ sim::TrialOutcome PacketBatch::run_one(std::size_t index, const channel::Cir* ci
     context.sampling_trial = index;
     context.sampling_resolved = true;
   }
-  TrialResult trial = link_->run_packet(options_, rng, context);
-
-  sim::TrialOutcome out;
-  out.bits = trial.bits;
-  out.errors = trial.errors;
-  // The importance weight bypasses the record_metrics filter: it is
-  // estimator state, not an optional observable.
-  if (const std::optional<double> llr = trial.metric(metric_names::kIsLlr)) {
-    out.log_weight = *llr;
-    out.weighted = true;
-  }
+  sim::TrialOutcome out = link_->run_packet(options_, rng, context);
   // record_metrics filters AND orders the recorded reductions; empty means
-  // record everything the trial emitted, in emission order.
+  // record everything the trial emitted, in emission order. The importance
+  // weight is estimator state, not an optional observable: it stays on the
+  // outcome whatever the filter keeps.
   const std::vector<std::string>& wanted = options_.record_metrics;
-  if (wanted.empty()) {
-    out.metrics = std::move(trial.metrics);
-  } else {
-    out.metrics.reserve(wanted.size());
+  if (!wanted.empty()) {
+    std::vector<std::pair<std::string, double>> kept;
+    kept.reserve(wanted.size());
     for (const std::string& name : wanted) {
-      if (const std::optional<double> value = trial.metric(name)) {
-        out.metrics.emplace_back(name, *value);
-      }
+      if (const std::optional<double> value = out.metric(name)) kept.emplace_back(name, *value);
     }
+    out.metrics = std::move(kept);
   }
   return out;
 }

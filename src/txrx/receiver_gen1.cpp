@@ -220,36 +220,10 @@ Gen1AcqResult Gen1Receiver::acquire_on_mf(std::span<const float> mf,
   return result;
 }
 
-namespace {
-
-/// Double-waveform entry points stage through the receiver's float arena:
-/// one converting pass, then the single-precision pipeline.
-void to_float_arena(const RealWaveform& rx, dsp::AlignedVec<float>& arena) {
-  arena.resize(rx.size());
-  const RealVec& s = rx.samples();
-  for (std::size_t i = 0; i < s.size(); ++i) arena[i] = static_cast<float>(s[i]);
-}
-
-}  // namespace
-
-Gen1AcqResult Gen1Receiver::acquire(const RealWaveform& rx, const Gen1Transmitter& tx,
-                                    Rng& rng) {
-  to_float_arena(rx, ws_rx_);
-  return acquire({ws_rx_.data(), ws_rx_.size()}, rx.sample_rate(), tx, rng);
-}
-
 Gen1AcqResult Gen1Receiver::acquire(std::span<const float> rx, double fs,
                                     const Gen1Transmitter& tx, Rng& rng) {
   const std::span<const float> mf = digitize_and_filter(rx.data(), rx.size(), fs, tx, rng);
   return acquire_on_mf(mf, tx);
-}
-
-Gen1RxResult Gen1Receiver::receive(const RealWaveform& rx, const Gen1Transmitter& tx,
-                                   const TxFrame& tx_reference, const Gen1RxOptions& options,
-                                   Rng& rng) {
-  to_float_arena(rx, ws_rx_);
-  return receive({ws_rx_.data(), ws_rx_.size()}, rx.sample_rate(), tx, tx_reference,
-                 options, rng);
 }
 
 Gen1RxResult Gen1Receiver::receive(std::span<const float> rx, double fs,

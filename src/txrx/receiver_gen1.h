@@ -21,7 +21,6 @@
 #include "adc/sampling.h"
 #include "common/rng.h"
 #include "common/types.h"
-#include "common/waveform.h"
 #include "dsp/aligned.h"
 #include "txrx/transceiver_config.h"
 #include "txrx/transmitter.h"
@@ -61,16 +60,9 @@ class Gen1Receiver {
 
   [[nodiscard]] const Gen1Config& config() const noexcept { return config_; }
 
-  /// Full receive: sample, convert, matched-filter, acquire, despread.
-  /// Converts into the float sample arena once, then runs the
-  /// single-precision pipeline below.
-  [[nodiscard]] Gen1RxResult receive(const RealWaveform& rx, const Gen1Transmitter& tx,
-                                     const TxFrame& tx_reference,
-                                     const Gen1RxOptions& options, Rng& rng);
-
-  /// Hot-path receive over the caller's float sample arena at rate \p fs
-  /// (the sparse-channel link path lands here without ever building a
-  /// double waveform).
+  /// Full receive over the caller's float sample arena at rate \p fs:
+  /// sample, convert, matched-filter, acquire, despread -- the whole chain
+  /// in single precision.
   [[nodiscard]] Gen1RxResult receive(std::span<const float> rx, double fs,
                                      const Gen1Transmitter& tx,
                                      const TxFrame& tx_reference,
@@ -78,10 +70,6 @@ class Gen1Receiver {
 
   /// Acquisition only (bench E2/E11): processes a capture containing at
   /// least one PN period past the search uncertainty.
-  [[nodiscard]] Gen1AcqResult acquire(const RealWaveform& rx, const Gen1Transmitter& tx,
-                                      Rng& rng);
-
-  /// Float-arena acquisition (see the receive overload above).
   [[nodiscard]] Gen1AcqResult acquire(std::span<const float> rx, double fs,
                                       const Gen1Transmitter& tx, Rng& rng);
 
@@ -108,7 +96,6 @@ class Gen1Receiver {
   // the modeled front end is a 4-bit converter behind an AGC, so float's
   // 24-bit mantissa is ~20 bits beyond the physics while doubling SIMD
   // width through the filter/sampler/converter/matched-filter chain.
-  dsp::AlignedVec<float> ws_rx_;        ///< double->float staging for waveform callers
   dsp::AlignedVec<float> ws_filtered_;
   dsp::AlignedVec<float> ws_sampled_;
   dsp::AlignedVec<float> ws_levels_;

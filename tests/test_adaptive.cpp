@@ -114,23 +114,13 @@ TEST(CodedLink, SoftViterbiBeatsUncodedAtEqualInfoEnergy) {
   coded.payload_bits = 200;
   coded.ebn0_db = 4.0;  // info-bit Eb/N0 = 7 dB
   coded.fec = fec::k7_rate_half();
-  const auto p_coded = sim::measure_ber(
-      [&]() {
-        const auto trial = coded_link.run_packet(coded);
-        return sim::TrialOutcome{trial.bits, trial.errors};
-      },
-      stop);
+  const auto p_coded = sim::measure_ber([&] { return coded_link.run_packet(coded); }, stop);
 
   txrx::Gen2Link plain_link(config, 0xC0DE);
   txrx::TrialOptions plain;
   plain.payload_bits = 200;
   plain.ebn0_db = 7.0;  // same info-bit energy
-  const auto p_plain = sim::measure_ber(
-      [&]() {
-        const auto trial = plain_link.run_packet(plain);
-        return sim::TrialOutcome{trial.bits, trial.errors};
-      },
-      stop);
+  const auto p_plain = sim::measure_ber([&] { return plain_link.run_packet(plain); }, stop);
 
   EXPECT_LT(p_coded.ber, p_plain.ber)
       << "coded=" << p_coded.ber << " uncoded=" << p_plain.ber;

@@ -253,7 +253,7 @@ TEST(EnsembleTrials, LinkDemandsResolvedRealization) {
       channel::cm2(), spec.options.channel_source.ensemble_seed, 4);
   txrx::TrialContext context;
   context.channel = &ensemble.realization_for_trial(0);
-  const txrx::TrialResult trial = link->run_packet(spec.options, rng, context);
+  const sim::TrialOutcome trial = link->run_packet(spec.options, rng, context);
   EXPECT_GT(trial.bits, 0u);
 
   // The inverse mismatch is equally loud: a resolved realization alongside
@@ -267,6 +267,18 @@ TEST(EnsembleTrials, ZeroCountEnsembleSpecIsRejected) {
   txrx::LinkSpec spec = txrx::LinkSpec::for_gen2(sim::gen2_fast());
   spec.options.channel_source.mode = txrx::ChannelSource::Mode::kEnsemble;
   spec.options.channel_source.ensemble_count = 0;
+  EXPECT_THROW(txrx::validate_spec(spec), InvalidArgument);
+}
+
+TEST(EnsembleTrials, OversizedEnsembleSpecIsRejected) {
+  // An ensemble is held in memory whole: a count past the documented
+  // maximum must fail validation, not the allocator mid-run.
+  txrx::LinkSpec spec = txrx::LinkSpec::for_gen2(sim::gen2_fast());
+  spec.options.cm = 1;
+  spec.options.channel_source.mode = txrx::ChannelSource::Mode::kEnsemble;
+  spec.options.channel_source.ensemble_count = txrx::ChannelSource::kMaxEnsembleCount;
+  EXPECT_NO_THROW(txrx::validate_spec(spec));
+  spec.options.channel_source.ensemble_count = txrx::ChannelSource::kMaxEnsembleCount + 1;
   EXPECT_THROW(txrx::validate_spec(spec), InvalidArgument);
 }
 

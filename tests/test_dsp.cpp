@@ -1,5 +1,5 @@
 // Tests for the DSP substrate: FFT, windows, filter design, FIR/IIR,
-// NCO, correlators, resampling, PSD, delays.
+// correlators, resampling, PSD.
 
 #include <gtest/gtest.h>
 
@@ -10,12 +10,10 @@
 #include "common/rng.h"
 #include "dsp/biquad.h"
 #include "dsp/correlator.h"
-#include "dsp/delay_line.h"
 #include "dsp/fast_convolve.h"
 #include "dsp/fft.h"
 #include "dsp/filter_design.h"
 #include "dsp/fir_filter.h"
-#include "dsp/nco.h"
 #include "dsp/power_spectrum.h"
 #include "dsp/resampler.h"
 #include "dsp/window.h"
@@ -590,12 +588,12 @@ TEST(Biquad, LowpassShape) {
 TEST(Biquad, StreamingNotchSuppressesTone) {
   const double fs = 1e9;
   Biquad<double> notch(design_notch(80e6, 5.0, fs));
-  Nco tone(80e6, fs);
+  const auto tone = [fs](int i) { return std::cos(two_pi * 80e6 * i / fs); };
   double in_power = 0.0, out_power = 0.0;
   // Skip the transient, then measure.
-  for (int i = 0; i < 2000; ++i) (void)notch.step(tone.step().real());
-  for (int i = 0; i < 8000; ++i) {
-    const double x = tone.step().real();
+  for (int i = 0; i < 2000; ++i) (void)notch.step(tone(i));
+  for (int i = 2000; i < 10000; ++i) {
+    const double x = tone(i);
     const double y = notch.step(x);
     in_power += x * x;
     out_power += y * y;
@@ -612,38 +610,6 @@ TEST(Biquad, CascadeDeepensNotch) {
   const double h2_db = 2.0 * amp_to_db(std::abs(h1));
   EXPECT_NEAR(h2_db, amp_to_db(std::abs(h1 * h1)), 1e-9);
   EXPECT_EQ(two.num_sections(), 2u);
-}
-
-// ------------------------------------------------------------------ nco ----
-
-TEST(Nco, FrequencyAccuracy) {
-  const double fs = 1e9;
-  Nco nco(25e6, fs);
-  // After fs/f samples the phase must return to the start (one full cycle).
-  const std::size_t period = 40;  // 1e9 / 25e6
-  const CplxVec cycle = nco.generate(period + 1);
-  EXPECT_NEAR(std::abs(cycle[0] - cycle[period]), 0.0, 1e-9);
-}
-
-TEST(Nco, QuadratureRelation) {
-  Nco nco(10e6, 1e9, 0.3);
-  for (int i = 0; i < 100; ++i) {
-    const cplx v = nco.step();
-    EXPECT_NEAR(std::abs(v), 1.0, 1e-12);  // unit magnitude always
-  }
-}
-
-TEST(Nco, NegativeFrequencyConjugates) {
-  Nco pos(10e6, 1e9), neg(-10e6, 1e9);
-  for (int i = 0; i < 50; ++i) {
-    const cplx a = pos.step();
-    const cplx b = neg.step();
-    EXPECT_NEAR(std::abs(a - std::conj(b)), 0.0, 1e-12);
-  }
-}
-
-TEST(Nco, RejectsAboveNyquist) {
-  EXPECT_THROW(Nco(600e6, 1e9), InvalidArgument);
 }
 
 // ----------------------------------------------------------- correlator ----
@@ -780,31 +746,6 @@ TEST(PowerSpectrum, BandwidthMeasures) {
   const Psd psd = welch_psd(CplxWaveform(x, fs), 2048);
   EXPECT_NEAR(occupied_bandwidth(psd, 0.99), 500e6, 100e6);
   EXPECT_NEAR(bandwidth_at_level(psd, -10.0), 500e6, 120e6);
-}
-
-// ---------------------------------------------------------------- delay ----
-
-TEST(DelayLine, IntegerDelay) {
-  DelayLine<double> dl(3);
-  EXPECT_DOUBLE_EQ(dl.step(1.0), 0.0);
-  EXPECT_DOUBLE_EQ(dl.step(2.0), 0.0);
-  EXPECT_DOUBLE_EQ(dl.step(3.0), 0.0);
-  EXPECT_DOUBLE_EQ(dl.step(4.0), 1.0);
-  EXPECT_DOUBLE_EQ(dl.step(5.0), 2.0);
-}
-
-TEST(FractionalDelay, HalfSampleInterpolates) {
-  RealVec x = {0.0, 1.0, 0.0, 0.0};
-  const RealVec y = fractional_delay(x, 1.5);
-  // Sample at index i picks (1-frac)*x[i-1] + frac*x[i-2].
-  EXPECT_NEAR(y[2], 0.5, 1e-12);
-  EXPECT_NEAR(y[3], 0.5, 1e-12);
-}
-
-TEST(FractionalDelay, ZeroDelayIdentity) {
-  RealVec x = {1.0, 2.0, 3.0};
-  const RealVec y = fractional_delay(x, 0.0);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_DOUBLE_EQ(y[i], x[i]);
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 #include <atomic>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/error.h"
 #include "dsp/fast_convolve.h"
@@ -17,6 +19,7 @@
 #include "engine/sinks.h"
 #include "engine/sweep_engine.h"
 #include "engine/thread_pool.h"
+#include "measure_trials.h"
 #include "sim/scenario.h"
 
 namespace uwb::engine {
@@ -90,12 +93,10 @@ TEST(ParallelBer, MatchesSerialExactly) {
   stop.max_trials = 100000;
   const Rng root(0xDECAF);
 
-  const sim::BerPoint serial = measure_ber_serial(synthetic_trial, stop, root);
+  const sim::BerPoint serial = test::measure_trials(synthetic_trial, stop, root).ber;
   ASSERT_GT(serial.trials, 0u);
 
-  ThreadPool pool(4);
-  const sim::BerPoint parallel =
-      measure_ber_parallel([] { return TrialFn(synthetic_trial); }, stop, root, pool);
+  const sim::BerPoint parallel = test::measure_trials(synthetic_trial, stop, root, 4).ber;
   expect_points_equal(serial, parallel);
 }
 
@@ -109,9 +110,7 @@ TEST(ParallelBer, WorkerCountDoesNotChangeTheAnswer) {
   sim::BerPoint results[3];
   const std::size_t worker_counts[] = {1, 2, 7};
   for (int i = 0; i < 3; ++i) {
-    ThreadPool pool(worker_counts[i]);
-    results[i] =
-        measure_ber_parallel([] { return TrialFn(synthetic_trial); }, stop, root, pool);
+    results[i] = test::measure_trials(synthetic_trial, stop, root, worker_counts[i]).ber;
   }
   expect_points_equal(results[0], results[1]);
   expect_points_equal(results[0], results[2]);
@@ -122,10 +121,8 @@ TEST(ParallelBer, MaxTrialsHardStopWithZeroBitTrials) {
   stop.min_errors = 10;
   stop.max_bits = 1000;
   stop.max_trials = 9;
-  ThreadPool pool(3);
-  const sim::BerPoint point = measure_ber_parallel(
-      [] { return TrialFn([](std::size_t, Rng&) { return sim::TrialOutcome{0, 0, {}}; }); },
-      stop, Rng(2), pool);
+  const auto empty_trial = [](std::size_t, Rng&) { return sim::TrialOutcome{}; };
+  const sim::BerPoint point = test::measure_trials(empty_trial, stop, Rng(2), 3).ber;
   EXPECT_EQ(point.trials, 9u);
   EXPECT_EQ(point.bits, 0u);
   EXPECT_DOUBLE_EQ(point.ber, 0.0);
@@ -133,20 +130,32 @@ TEST(ParallelBer, MaxTrialsHardStopWithZeroBitTrials) {
 }
 
 TEST(ParallelBer, DegenerateBudgetsRunNothing) {
-  ThreadPool pool(2);
   sim::BerStop stop;
   stop.max_trials = 0;
   std::atomic<int> calls{0};
-  const sim::BerPoint point = measure_ber_parallel(
-      [&calls] {
-        return TrialFn([&calls](std::size_t, Rng&) {
-          ++calls;
-          return sim::TrialOutcome{1, 0, {}};
-        });
-      },
-      stop, Rng(1), pool);
+  const auto counted_trial = [&calls](std::size_t, Rng&) {
+    ++calls;
+    return sim::TrialOutcome{1, 0, {}};
+  };
+  const sim::BerPoint point = test::measure_trials(counted_trial, stop, Rng(1), 2).ber;
   EXPECT_EQ(point.trials, 0u);
   EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(ParallelBer, TrialExceptionPropagatesToTheCaller) {
+  // A throwing trial must not terminate the process from a pool thread:
+  // the point stops and the first exception resurfaces on the caller.
+  sim::BerStop stop;
+  stop.min_errors = 1000;
+  stop.max_trials = 1000;
+  const auto trial = [](std::size_t index, Rng& rng) {
+    if (index == 37) throw std::runtime_error("trial 37 failed");
+    return synthetic_trial(index, rng);
+  };
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    EXPECT_THROW((void)test::measure_trials(trial, stop, Rng(3), workers), std::runtime_error);
+  }
 }
 
 // ---------------------------------------------------------------- registry ----
@@ -513,6 +522,41 @@ TEST(SweepEngine, FastPathDigestIndependentOfWorkerCount) {
   EXPECT_EQ(digests[0], digests[2]);
 }
 
+TEST(SweepEngine, AdaptiveCountersCoverBasePassAndTopUps) {
+  // run_adaptive's counters describe the whole run: the base pass and every
+  // top-up run on one pool, and wall time spans both.
+  const ScenarioSpec slice = cm_grid_slice();
+  SweepConfig config;
+  config.seed = 0xADA7;
+  config.workers = 2;
+  config.stop.min_errors = std::numeric_limits<std::size_t>::max();
+  config.stop.max_bits = std::numeric_limits<std::size_t>::max();
+  config.stop.max_trials = 4;
+
+  const SweepResult base = SweepEngine(config).run(slice, {});
+  const SweepResult adaptive = SweepEngine(config).run_adaptive(slice, 12, {});
+  ASSERT_EQ(adaptive.records.size(), slice.points.size());
+
+  std::size_t base_trials = 0;
+  for (const PointRecord& rec : base.records) base_trials += rec.ber.trials;
+  std::size_t adaptive_trials = 0;
+  double elapsed_s = 0.0;
+  for (const PointRecord& rec : adaptive.records) {
+    adaptive_trials += rec.ber.trials;
+    elapsed_s += rec.elapsed_s;
+  }
+  ASSERT_GT(adaptive_trials, base_trials) << "no top-up ran";
+  EXPECT_GE(adaptive.counters.wall_s, elapsed_s);
+
+  // Every point measurement submits one task per worker: the base pass
+  // alone executes workers x points, each top-up adds another workers.
+  ASSERT_EQ(adaptive.counters.pool.size(), config.workers);
+  EXPECT_EQ(base.counters.pool_executed(), config.workers * slice.points.size());
+  EXPECT_GE(adaptive.counters.pool_executed(),
+            base.counters.pool_executed() + config.workers);
+  EXPECT_EQ(adaptive.counters.pool_executed() % config.workers, 0u);
+}
+
 TEST(SweepEngine, ShardsPartitionThePlanAndMatchTheUnshardedRun) {
   // shard 0/2 and 1/2 must cover exactly the unsharded point set, once
   // each, and every shard point must be byte-identical to its unsharded
@@ -637,7 +681,7 @@ TEST(MetricAccumulator, SerialReductionMatchesDirectComputation) {
     }
   }
 
-  const sim::MeasuredPoint point = measure_point_serial(metric_trial, stop, root);
+  const sim::MeasuredPoint point = test::measure_trials(metric_trial, stop, root);
   EXPECT_EQ(point.ber.trials, 20u);
   const sim::MetricStats* flag = point.metrics.find("flag");
   const sim::MetricStats* latency = point.metrics.find("latency");
@@ -665,14 +709,12 @@ TEST(MetricAccumulator, ParallelMetricsMatchSerialExactly) {
   stop.min_errors = 40;
   stop.max_bits = 5000;
   const Rng root(0xFACE);
-  const sim::MeasuredPoint serial = measure_point_serial(metric_trial, stop, root);
+  const sim::MeasuredPoint serial = test::measure_trials(metric_trial, stop, root);
   ASSERT_FALSE(serial.metrics.empty());
 
   for (std::size_t workers : {1u, 4u, 8u}) {
     SCOPED_TRACE(workers);
-    ThreadPool pool(workers);
-    const sim::MeasuredPoint parallel =
-        measure_point_parallel([] { return TrialFn(metric_trial); }, stop, root, pool);
+    const sim::MeasuredPoint parallel = test::measure_trials(metric_trial, stop, root, workers);
     expect_points_equal(serial.ber, parallel.ber);
     ASSERT_EQ(parallel.metrics.entries().size(), serial.metrics.entries().size());
     for (std::size_t m = 0; m < serial.metrics.entries().size(); ++m) {
@@ -697,7 +739,7 @@ TEST(MetricAccumulator, MetricStopRuleCountsFailedTrials) {
   stop.metric = "flag";
   const Rng root(0x57D0);
 
-  const sim::MeasuredPoint point = measure_point_serial(metric_trial, stop, root);
+  const sim::MeasuredPoint point = test::measure_trials(metric_trial, stop, root);
   const sim::MetricStats* flag = point.metrics.find("flag");
   ASSERT_NE(flag, nullptr);
   // Exactly min_errors failed trials committed (the last commit trips it).
@@ -705,16 +747,14 @@ TEST(MetricAccumulator, MetricStopRuleCountsFailedTrials) {
   EXPECT_LT(point.ber.trials, 100000u);
 
   // Parallel agrees for any worker count.
-  ThreadPool pool(4);
-  const sim::MeasuredPoint parallel =
-      measure_point_parallel([] { return TrialFn(metric_trial); }, stop, root, pool);
+  const sim::MeasuredPoint parallel = test::measure_trials(metric_trial, stop, root, 4);
   expect_points_equal(point.ber, parallel.ber);
 
   // A metric no trial emits never succeeds: every trial is an error, so
   // the loop stops after exactly min_errors trials.
   sim::BerStop missing = stop;
   missing.metric = "not_emitted";
-  const sim::MeasuredPoint degenerate = measure_point_serial(metric_trial, missing, root);
+  const sim::MeasuredPoint degenerate = test::measure_trials(metric_trial, missing, root);
   EXPECT_EQ(degenerate.ber.trials, 5u);
 }
 

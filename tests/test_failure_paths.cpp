@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "channel/awgn.h"
 #include "common/error.h"
 #include "common/rng.h"
@@ -65,8 +67,8 @@ TEST(FailurePaths, Gen1TooShortCaptureReportsNoLock) {
   const txrx::Gen1Transmitter tx(config);
 
   // A capture shorter than one stage-2 window cannot be searched.
-  RealWaveform stub(RealVec(50000, 0.0), config.analog_fs);
-  const auto acq = receiver.acquire(stub, tx, rng);
+  const std::vector<float> stub(50000, 0.0f);
+  const auto acq = receiver.acquire(stub, config.analog_fs, tx, rng);
   EXPECT_FALSE(acq.acquired);
 }
 

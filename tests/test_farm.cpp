@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -25,6 +26,7 @@
 #include "farm/verify.h"
 #include "io/json.h"
 #include "io/result_io.h"
+#include "io/spec_io.h"
 
 namespace uwb::farm {
 namespace {
@@ -530,6 +532,42 @@ TEST_F(FarmTest, WorkerExitCodeContract) {
   EXPECT_EQ(run_cli(sweep + " --file " + path("broken.json") + " --out " +
                     path("out.json")),
             kExitSpecLoad);
+}
+
+TEST_F(FarmTest, HostileInputsEndInTheExitCodeContract) {
+  const std::string sweep(UWB_SWEEP_BINARY);
+  // An ensemble too large to hold in memory: a bad flag (2) or a bad spec
+  // (3), never an allocation failure mid-run.
+  EXPECT_EQ(run_cli(sweep + " gen2_cm_grid --channel-ensemble 100000000000000 --fast"),
+            kExitBadArgs);
+  engine::ScenarioSpec oversized = tiny_scenario();
+  for (engine::PointSpec& point : oversized.points) {
+    point.link.options.channel_source.mode = txrx::ChannelSource::Mode::kEnsemble;
+    point.link.options.channel_source.ensemble_count = 100'000'000'000'000;
+  }
+  io::save_scenario_file(oversized, path("oversized.json"));
+  EXPECT_EQ(run_cli(sweep + " --file " + path("oversized.json") + " --out " +
+                    path("out.json")),
+            kExitSpecLoad);
+
+  // An exception no validator anticipates -- here a payload too large for
+  // any vector, thrown on a pool thread mid-trial -- is a runtime failure
+  // (1), not an abort.
+  engine::ScenarioSpec huge_payload = tiny_scenario();
+  for (engine::PointSpec& point : huge_payload.points) {
+    point.link.options.payload_bits = std::numeric_limits<std::size_t>::max();
+  }
+  io::save_scenario_file(huge_payload, path("huge_payload.json"));
+  EXPECT_EQ(run_cli(sweep + " --file " + path("huge_payload.json") + " --out " +
+                    path("out.json")),
+            kExitRuntime);
+
+  // uwb_farm maps the same class of failure to 1: a run directory whose
+  // name the filesystem rejects (ENAMETOOLONG) surfaces as a
+  // std::filesystem error.
+  EXPECT_EQ(run_cli(std::string(UWB_FARM_BINARY) + " run gen2_cm_grid --shards 2 --run-dir " +
+                    path(std::string(300, 'd'))),
+            kExitRuntime);
 }
 
 TEST_F(FarmTest, SigtermFlushesValidPartialDocAndInterruptedManifest) {

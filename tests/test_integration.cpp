@@ -27,12 +27,7 @@ BerPoint run_gen2(Gen2Link& link, const txrx::TrialOptions& options, std::size_t
   stop.min_errors = min_errors;
   stop.max_bits = max_bits;
   stop.max_trials = 2000;
-  return sim::measure_ber(
-      [&]() {
-        const auto trial = link.run_packet(options);
-        return TrialOutcome{trial.bits, trial.errors};
-      },
-      stop);
+  return sim::measure_ber([&] { return link.run_packet(options); }, stop);
 }
 
 TEST(Integration, Gen2AwgnBerTracksTheoryWithin2dB) {

@@ -149,6 +149,10 @@ TEST(SpecIo, ChannelSourceRoundTripAndStrictKeys) {
   EXPECT_THROW((void)trial_options_from_json(
                    parse_json(R"({"channel_source": {"mode": "ensembel"}})")),
                InvalidArgument);
+  // ...and so does an ensemble too large to hold in memory.
+  EXPECT_THROW((void)trial_options_from_json(parse_json(
+                   R"({"channel_source": {"ensemble_count": 100000000000000}})")),
+               InvalidArgument);
 }
 
 TEST(SpecIo, LinkSpecRoundTripIsTextStable) {

@@ -13,7 +13,6 @@
 #include "common/error.h"
 #include "common/math_utils.h"
 #include "common/rng.h"
-#include "dsp/delay_line.h"
 #include "dsp/fft.h"
 #include "dsp/filter_design.h"
 #include "dsp/fir_filter.h"
@@ -347,32 +346,6 @@ TEST_P(ModulatorNoiseProperty, DemapsCorrectlyWithSmallPerturbation) {
 INSTANTIATE_TEST_SUITE_P(Schemes, ModulatorNoiseProperty,
                          ::testing::Values(phy::Modulation::kBpsk, phy::Modulation::kOok,
                                            phy::Modulation::kPpm, phy::Modulation::kPam4));
-
-// ------------------------------------------------------ fractional delay ----
-
-class FractionalDelayProperty : public ::testing::TestWithParam<double> {};
-
-TEST_P(FractionalDelayProperty, SlowSignalShiftsWithoutDistortion) {
-  // For a signal far below Nyquist, linear-interpolation delay must match
-  // the analytically shifted signal closely.
-  const double d = GetParam();
-  const double fs = 1e9;
-  const double f0 = 20e6;  // 2% of fs
-  RealVec x(512);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = std::sin(two_pi * f0 * static_cast<double>(i) / fs);
-  }
-  const RealVec y = dsp::fractional_delay(x, d);
-  double max_err = 0.0;
-  for (std::size_t i = 64; i < x.size(); ++i) {
-    const double expected = std::sin(two_pi * f0 * (static_cast<double>(i) - d) / fs);
-    max_err = std::max(max_err, std::abs(y[i] - expected));
-  }
-  EXPECT_LT(max_err, 0.01) << "delay=" << d;
-}
-
-INSTANTIATE_TEST_SUITE_P(Delays, FractionalDelayProperty,
-                         ::testing::Values(0.0, 0.25, 0.5, 1.75, 7.5));
 
 }  // namespace
 }  // namespace uwb

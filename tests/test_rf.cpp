@@ -11,7 +11,6 @@
 #include "common/error.h"
 #include "common/math_utils.h"
 #include "common/rng.h"
-#include "dsp/nco.h"
 #include "dsp/power_spectrum.h"
 #include "rf/agc.h"
 #include "rf/front_end.h"
@@ -22,6 +21,15 @@
 
 namespace uwb::rf {
 namespace {
+
+/// \p n samples of the unit complex tone exp(j 2 pi freq n / fs).
+CplxVec tone(double freq_hz, double fs, std::size_t n) {
+  CplxVec out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = std::polar(1.0, two_pi * freq_hz * static_cast<double>(i) / fs);
+  }
+  return out;
+}
 
 // ------------------------------------------------------------------ lna ----
 
@@ -241,10 +249,10 @@ TEST(ComplexNotch, KillsTargetToneOnly) {
   const double fs = 1e9;
   ComplexNotch notch(120e6, fs, 0.98);
   // Tone at the notch frequency.
-  dsp::Nco jam(120e6, fs);
-  dsp::Nco want(-200e6, fs);
+  const CplxVec jam = tone(120e6, fs, 20000);
+  const CplxVec want = tone(-200e6, fs, 20000);
   CplxVec mixed(20000);
-  for (auto& v : mixed) v = jam.step() + want.step();
+  for (std::size_t i = 0; i < mixed.size(); ++i) mixed[i] = jam[i] + want[i];
   const CplxWaveform out = notch.process(CplxWaveform(mixed, fs));
   const dsp::Psd psd = dsp::welch_psd(out, 1024);
   const double jam_level = psd.density_w_per_hz[psd.bin_of(120e6)];
@@ -347,8 +355,7 @@ TEST(FrontEnd, BasebandPathPreservesSignalShape) {
   FrontEnd fe(params, plan);
   Rng rng(8);
   // A clean tone should come through (scaled by AGC) without distortion.
-  dsp::Nco tone(30e6, 1e9);
-  CplxVec x = tone.generate(4096);
+  CplxVec x = tone(30e6, 1e9, 4096);
   for (auto& v : x) v *= 1e-3;
   const CplxWaveform y = fe.process_baseband(CplxWaveform(x, 1e9), 0.0, rng);
   EXPECT_NEAR(std::sqrt(y.power()), params.agc.target_rms, 0.02);
@@ -363,8 +370,7 @@ TEST(FrontEnd, NotchIntegration) {
   fe.set_notch(100e6, 1e9);
   EXPECT_TRUE(fe.notch_enabled());
   Rng rng(9);
-  dsp::Nco jam(100e6, 1e9);
-  CplxVec x = jam.generate(20000);
+  CplxVec x = tone(100e6, 1e9, 20000);
   const CplxWaveform y = fe.process_baseband(CplxWaveform(x, 1e9), 0.0, rng);
   // Steady-state jam power crushed.
   double tail = 0.0;

@@ -13,10 +13,9 @@
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "engine/parallel_ber.h"
 #include "engine/scenario_registry.h"
 #include "engine/sweep_engine.h"
-#include "engine/thread_pool.h"
+#include "measure_trials.h"
 #include "sim/ber_simulator.h"
 #include "stats/adaptive.h"
 #include "stats/binomial_ci.h"
@@ -243,7 +242,7 @@ TEST_P(AwgnBpskErfcProperty, SimulatedBerWithinClopperPearsonOfClosedForm) {
   const double d = std::sqrt(2.0 * ebn0);
   const double analytic = q_function(d);
 
-  const engine::TrialFn trial = [d](std::size_t, Rng& rng) {
+  const auto trial = [d](std::size_t, Rng& rng) {
     sim::TrialOutcome out;
     out.bits = 256;
     for (std::size_t b = 0; b < out.bits; ++b) {
@@ -257,8 +256,7 @@ TEST_P(AwgnBpskErfcProperty, SimulatedBerWithinClopperPearsonOfClosedForm) {
   stop.min_errors = 60;
   stop.max_bits = 40'000'000;
   stop.max_trials = 200'000;
-  const sim::BerPoint point =
-      engine::measure_ber_serial(trial, stop, Rng(0xBE11 + GetParam()));
+  const sim::BerPoint point = test::measure_trials(trial, stop, Rng(0xBE11 + GetParam())).ber;
   ASSERT_GE(point.errors, 10u) << "budget too small at " << ebn0_db << " dB";
   const stats::Interval ci =
       stats::clopper_pearson(point.errors, point.bits, 0.999);
@@ -275,7 +273,7 @@ INSTANTIATE_TEST_SUITE_P(Ebn0Ladder, AwgnBpskErfcProperty,
 // the closed form is exact: index-cycled rungs, balance-heuristic weights,
 // weighted accumulation. The estimate must agree with Q(d) at a BER plain
 // Monte-Carlo could not touch with this trial count.
-engine::TrialFn make_tilted_bpsk_trial(const stats::SamplingPolicy& policy, double d) {
+auto make_tilted_bpsk_trial(const stats::SamplingPolicy& policy, double d) {
   const std::vector<double> ladder = stats::sampling_ladder(policy);
   return [policy, ladder, d](std::size_t index, Rng& rng) {
     const double scale = stats::trial_noise_scale(policy, index);
@@ -301,8 +299,8 @@ TEST(WeightedEstimator, MatchesClosedFormDeepInTheTail) {
   stop.min_errors = std::numeric_limits<std::size_t>::max();
   stop.max_bits = std::numeric_limits<std::size_t>::max();
   stop.max_trials = 20'000;
-  const sim::BerPoint point = engine::measure_ber_serial(
-      make_tilted_bpsk_trial(policy, d), stop, Rng(0x15BE));
+  const sim::BerPoint point =
+      test::measure_trials(make_tilted_bpsk_trial(policy, d), stop, Rng(0x15BE)).ber;
 
   EXPECT_TRUE(point.weighted);
   EXPECT_EQ(point.ci_method, stats::CiMethod::kNormalWeighted);
@@ -327,8 +325,8 @@ TEST(WeightedEstimator, CiWidthStopRuleFires) {
   stop.max_bits = std::numeric_limits<std::size_t>::max();
   stop.max_trials = 200'000;
   stop.target_rel_ci_width = 0.25;
-  const sim::BerPoint point = engine::measure_ber_serial(
-      make_tilted_bpsk_trial(policy, d), stop, Rng(0x15BF));
+  const sim::BerPoint point =
+      test::measure_trials(make_tilted_bpsk_trial(policy, d), stop, Rng(0x15BF)).ber;
   ASSERT_GT(point.ber, 0.0);
   EXPECT_LT(point.trials, stop.max_trials) << "CI stop never fired";
   EXPECT_LE(0.5 * (point.ci_hi - point.ci_lo) / point.ber,
@@ -347,13 +345,11 @@ TEST(WeightedEstimator, ParallelCommitIsByteIdenticalAcrossWorkerCounts) {
   stop.max_bits = std::numeric_limits<std::size_t>::max();
   stop.max_trials = 50'000;
   const Rng root(0x15C0);
-  const engine::TrialFactory factory = [&] { return make_tilted_bpsk_trial(policy, d); };
+  const auto trial = make_tilted_bpsk_trial(policy, d);
 
-  const sim::BerPoint serial =
-      engine::measure_ber_serial(make_tilted_bpsk_trial(policy, d), stop, root);
+  const sim::BerPoint serial = test::measure_trials(trial, stop, root).ber;
   for (const std::size_t workers : {1u, 3u, 8u}) {
-    engine::ThreadPool pool(workers);
-    const sim::BerPoint par = engine::measure_ber_parallel(factory, stop, root, pool);
+    const sim::BerPoint par = test::measure_trials(trial, stop, root, workers).ber;
     EXPECT_EQ(par.trials, serial.trials) << workers << " workers";
     EXPECT_EQ(par.errors, serial.errors) << workers << " workers";
     // Bit-exact, not approximately equal: commit order is the contract.
@@ -402,6 +398,45 @@ TEST(RealLinkSampling, PlainAndImportanceSampledIntervalsOverlap) {
   // Two-sided intervals overlap.
   EXPECT_LE(is->ci_lo, plain->ci_hi);
   EXPECT_LE(plain->ci_lo, is->ci_hi);
+}
+
+// The same cross-check on the gen-1 link, whose noise tilt rides its
+// single-precision sample arena: at 6 dB on AWGN (BER ~3e-3) plain
+// Monte-Carlo sees errors within a hundred packets, so a biased tilt shape,
+// weight or target-bit mapping shows up as disjoint intervals. Each arm
+// gets its own budget: plain stops on errors, the importance-sampled arm
+// (one scored bit per trial) runs a fixed trial count.
+TEST(RealLinkSampling, Gen1PlainAndImportanceSampledIntervalsOverlap) {
+  engine::ScenarioSpec plain_plan = engine::ScenarioRegistry::global().make("gen1_waterfall");
+  engine::restrict_scenario(plain_plan, "ebn0_db", "6");
+  ASSERT_EQ(plain_plan.points.size(), 1u);
+  engine::ScenarioSpec is_plan = plain_plan;
+  stats::SamplingPolicy& policy = is_plan.points.front().link.options.sampling;
+  policy.mode = stats::SamplingMode::kAutoLadder;
+  policy.max_scale = 6.0;
+  policy.levels = 4;
+
+  const auto measure = [](const engine::ScenarioSpec& plan, std::size_t min_errors,
+                          std::size_t max_trials) {
+    engine::SweepConfig config;
+    config.seed = 0x6E1;
+    config.workers = 4;
+    config.batch_size = 4;
+    config.stop.min_errors = min_errors;
+    config.stop.max_bits = std::numeric_limits<std::size_t>::max();
+    config.stop.max_trials = max_trials;
+    return engine::SweepEngine(config).run(plan, {}).records.at(0).ber;
+  };
+  const sim::BerPoint plain = measure(plain_plan, 30, 1000);
+  const sim::BerPoint is = measure(is_plan, std::numeric_limits<std::size_t>::max(), 240);
+
+  EXPECT_FALSE(plain.weighted);
+  EXPECT_TRUE(is.weighted);
+  EXPECT_EQ(plain.errors, 30u);
+  EXPECT_EQ(is.trials, 240u);
+  EXPECT_GT(is.ci_lo, 0.0);  // an informative interval, not the vacuous one
+  EXPECT_LE(is.ci_lo, plain.ci_hi) << "IS " << is.ber << " vs plain " << plain.ber;
+  EXPECT_LE(plain.ci_lo, is.ci_hi) << "IS " << is.ber << " vs plain " << plain.ber;
 }
 
 }  // namespace

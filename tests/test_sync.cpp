@@ -1,5 +1,4 @@
-// Tests for acquisition and tracking: correlator bank, coarse acquisition
-// state machine, early-late DLL.
+// Tests for the parallel correlator bank behind the gen-1 acquisition search.
 
 #include <gtest/gtest.h>
 
@@ -9,9 +8,7 @@
 #include "channel/awgn.h"
 #include "common/rng.h"
 #include "phy/scrambler.h"
-#include "sync/acquisition.h"
 #include "sync/correlator_bank.h"
-#include "sync/tracking.h"
 
 namespace uwb::sync {
 namespace {
@@ -96,127 +93,6 @@ TEST(CorrelatorBank, ExhaustiveFindsGlobalBest) {
 TEST(CorrelatorBank, RejectsBadConfig) {
   EXPECT_THROW(CorrelatorBank({0, 0.5}), InvalidArgument);
   EXPECT_THROW(CorrelatorBank({4, 1.5}), InvalidArgument);
-}
-
-// ------------------------------------------------------------ acquisition ----
-
-TEST(CoarseAcquisition, LocksOnCleanSignal) {
-  const CplxVec tmpl = pn_template(4);
-  // Build preamble with 3 periods so verification passes have material.
-  CplxVec x(tmpl.size() * 4 + 100, cplx{});
-  for (int rep = 0; rep < 3; ++rep) {
-    for (std::size_t i = 0; i < tmpl.size(); ++i) {
-      x[37 + rep * tmpl.size() + i] += tmpl[i];
-    }
-  }
-  AcquisitionConfig config;
-  config.bank.parallelism = 16;
-  config.bank.threshold = 0.5;
-  config.verify_passes = 2;
-  const CoarseAcquisition acq(config);
-  const AcquisitionResult result = acq.acquire(x, tmpl, 120, 2e9);
-  EXPECT_TRUE(result.acquired);
-  EXPECT_EQ(result.timing_offset, 37u);
-  EXPECT_GT(result.sync_time_s, 0.0);
-}
-
-TEST(CoarseAcquisition, SurvivesModerateNoise) {
-  Rng rng(2);
-  const CplxVec tmpl = pn_template(4);
-  CplxVec x(tmpl.size() * 4 + 100, cplx{});
-  for (int rep = 0; rep < 3; ++rep) {
-    for (std::size_t i = 0; i < tmpl.size(); ++i) {
-      x[50 + rep * tmpl.size() + i] += tmpl[i];
-    }
-  }
-  channel::add_awgn(x, 1.0, rng);  // 0 dB per-sample SNR; PN gain ~ 24 dB
-  AcquisitionConfig config;
-  config.bank.parallelism = 16;
-  config.bank.threshold = 0.3;
-  config.verify_threshold = 0.25;
-  const CoarseAcquisition acq(config);
-  const AcquisitionResult result = acq.acquire(x, tmpl, 120, 2e9);
-  EXPECT_TRUE(result.acquired);
-  EXPECT_NEAR(static_cast<double>(result.timing_offset), 50.0, 2.0);
-}
-
-TEST(CoarseAcquisition, NoSignalNoLock) {
-  Rng rng(3);
-  const CplxVec tmpl = pn_template(4);
-  CplxVec x(2000);
-  for (auto& v : x) v = rng.cgaussian(1.0);
-  AcquisitionConfig config;
-  config.bank.threshold = 0.6;
-  const CoarseAcquisition acq(config);
-  const AcquisitionResult result = acq.acquire(x, tmpl, 1500, 2e9);
-  EXPECT_FALSE(result.acquired);
-}
-
-TEST(CoarseAcquisition, SyncTimeScalesWithParallelism) {
-  Rng rng(4);
-  const CplxVec tmpl = pn_template(2);
-  CplxVec x(3000);
-  for (auto& v : x) v = rng.cgaussian(0.01);
-  double prev_time = 1e9;
-  for (std::size_t p : {1u, 8u, 64u}) {
-    AcquisitionConfig config;
-    config.bank.parallelism = p;
-    config.bank.threshold = 0.95;
-    const CoarseAcquisition acq(config);
-    const AcquisitionResult r = acq.acquire(x, tmpl, 2000, 2e9);
-    EXPECT_LT(r.sync_time_s, prev_time) << "P=" << p;
-    prev_time = r.sync_time_s;
-  }
-}
-
-// -------------------------------------------------------------------- dll ----
-
-TEST(Dll, DetectsLateTiming) {
-  // Signal actually at phase 52, punctual guess 50 -> loop must move +.
-  const CplxVec tmpl = pn_template(4);
-  CplxVec x(tmpl.size() + 200, cplx{});
-  for (std::size_t i = 0; i < tmpl.size(); ++i) x[52 + i] = tmpl[i];
-  DllConfig config;
-  config.gain = 0.5;
-  config.early_late_gap = 2;
-  DelayLockedLoop dll(config);
-  double correction = 0.0;
-  for (int iter = 0; iter < 10; ++iter) {
-    correction = dll.update(x, tmpl, 50).correction;
-  }
-  EXPECT_GT(correction, 0.8);
-  EXPECT_EQ(dll.corrected_phase(50), 52u);
-}
-
-TEST(Dll, StaysPutWhenAligned) {
-  const CplxVec tmpl = pn_template(4);
-  CplxVec x(tmpl.size() + 100, cplx{});
-  for (std::size_t i = 0; i < tmpl.size(); ++i) x[50 + i] = tmpl[i];
-  DelayLockedLoop dll(DllConfig{});
-  for (int iter = 0; iter < 5; ++iter) (void)dll.update(x, tmpl, 50);
-  EXPECT_NEAR(dll.correction(), 0.0, 0.3);
-}
-
-TEST(Dll, CorrectionIsClamped) {
-  const CplxVec tmpl = pn_template(4);
-  CplxVec x(tmpl.size() + 300, cplx{});
-  for (std::size_t i = 0; i < tmpl.size(); ++i) x[80 + i] = tmpl[i];
-  DllConfig config;
-  config.gain = 10.0;  // absurd gain to force the clamp
-  config.max_correction = 3.0;
-  DelayLockedLoop dll(config);
-  for (int iter = 0; iter < 20; ++iter) (void)dll.update(x, tmpl, 50);
-  EXPECT_LE(std::abs(dll.correction()), 3.0);
-}
-
-TEST(Dll, ResetClears) {
-  const CplxVec tmpl = pn_template(2);
-  CplxVec x(tmpl.size() + 100, cplx{});
-  for (std::size_t i = 0; i < tmpl.size(); ++i) x[55 + i] = tmpl[i];
-  DelayLockedLoop dll(DllConfig{});
-  (void)dll.update(x, tmpl, 50);
-  dll.reset();
-  EXPECT_DOUBLE_EQ(dll.correction(), 0.0);
 }
 
 }  // namespace

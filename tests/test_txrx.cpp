@@ -137,39 +137,34 @@ TEST(Gen1Link, SparseChannelPathMatchesDenseConvolution) {
   }
 }
 
-TEST(Gen1Link, PacketOutcomeAgreesAcrossChannelPolicy) {
-  // End to end across the channel policy: the fast path runs the sparse
-  // scatter + single-precision arena, the direct path the dense double
-  // waveform. Their noise realizations differ by design (the float arena
-  // runs a dedicated single-precision sampler), so per-trial agreement at
-  // operating Eb/N0 is no longer defined. At 40 dB the noise is decades
-  // below every decision margin on both paths, so the bit decisions are a
-  // function of the pre-noise waveform alone -- which the two paths build
-  // equivalently (same trial Rng, same channel realization, float vs
-  // double rounding) -- and the error counts, channel-induced errors
-  // included, must match exactly. The waveform-level equivalence of the
-  // sparse channel math is pinned by SparseChannelPathMatchesDenseConvolution.
+TEST(Gen1Link, PacketOutcomeAgreesAcrossKernelPolicy) {
+  // The fast-convolve policy picks DSP kernels only, never the link's
+  // sample path: gen-1 always runs the sparse scatter + single-precision
+  // arena. The policy still reaches the composite kernel's double
+  // convolution (direct vs FFT, equal to rounding), so at 40 dB -- noise
+  // decades below every decision margin -- the error counts, channel-
+  // induced errors included, must match exactly under either policy.
   const Gen1Config config = sim::gen1_fast();
   TrialOptions options = default_options(Generation::kGen1);
   options.cm = 3;
   options.ebn0_db = 40.0;
   for (uint64_t trial = 0; trial < 3; ++trial) {
     Gen1Link fast_link(config, 99);
-    Gen1Link slow_link(config, 99);
+    Gen1Link direct_link(config, 99);
     Rng root(1234);
     Rng rng_fast = root.fork(trial);
-    Rng rng_slow = root.fork(trial);
-    TrialResult fast, slow;
+    Rng rng_direct = root.fork(trial);
+    sim::TrialOutcome fast, direct;
     {
       const dsp::FastConvolveGuard guard(true);
       fast = fast_link.run_packet(options, rng_fast);
     }
     {
       const dsp::FastConvolveGuard guard(false);
-      slow = slow_link.run_packet(options, rng_slow);
+      direct = direct_link.run_packet(options, rng_direct);
     }
-    EXPECT_EQ(fast.bits, slow.bits) << "trial " << trial;
-    EXPECT_EQ(fast.errors, slow.errors) << "trial " << trial;
+    EXPECT_EQ(fast.bits, direct.bits) << "trial " << trial;
+    EXPECT_EQ(fast.errors, direct.errors) << "trial " << trial;
   }
 }
 
@@ -275,7 +270,8 @@ TEST(Gen2Receiver, CleanPacketZeroErrors) {
   options.cm = 0;
   const Gen2TrialResult trial = link.run_packet_full(options);
   EXPECT_TRUE(trial.rx.acquired);
-  EXPECT_EQ(trial.errors, 0u) << "ber=" << static_cast<double>(trial.errors) / trial.bits;
+  EXPECT_EQ(trial.outcome.errors, 0u)
+      << "ber=" << static_cast<double>(trial.outcome.errors) / trial.outcome.bits;
   EXPECT_GT(trial.rx.rake_energy_capture, 0.5);
 }
 
@@ -289,8 +285,8 @@ TEST(Gen2Receiver, MultipathPacketDecodes) {
   std::size_t total_bits = 0, total_errors = 0;
   for (int p = 0; p < 5; ++p) {
     const Gen2TrialResult trial = link.run_packet_full(options);
-    total_bits += trial.bits;
-    total_errors += trial.errors;
+    total_bits += trial.outcome.bits;
+    total_errors += trial.outcome.errors;
   }
   EXPECT_LT(static_cast<double>(total_errors) / static_cast<double>(total_bits), 0.02);
 }
@@ -368,8 +364,8 @@ TEST(Gen2Link, CodedTrialLeavesTheReceiverConfigAlone) {
   Rng rng_fresh(92);
   const Gen2TrialResult after = used.run_packet_full(uncoded, rng_used);
   const Gen2TrialResult clean = fresh.run_packet_full(uncoded, rng_fresh);
-  EXPECT_EQ(after.bits, clean.bits);
-  EXPECT_EQ(after.errors, clean.errors);
+  EXPECT_EQ(after.outcome.bits, clean.outcome.bits);
+  EXPECT_EQ(after.outcome.errors, clean.outcome.errors);
   EXPECT_EQ(after.rx.payload, clean.rx.payload);
   EXPECT_EQ(after.rx.payload_soft, clean.rx.payload_soft);
   EXPECT_EQ(after.rx.snr_estimate_db, clean.rx.snr_estimate_db);
@@ -383,8 +379,8 @@ TEST(Gen1Receiver, CleanPacketZeroErrors) {
   options.payload_bits = 16;
   options.genie_timing = true;
   const Gen1TrialResult trial = link.run_packet_full(options);
-  EXPECT_EQ(trial.errors, 0u);
-  EXPECT_GT(trial.bits, 0u);
+  EXPECT_EQ(trial.outcome.errors, 0u);
+  EXPECT_GT(trial.outcome.bits, 0u);
 }
 
 TEST(Gen1Receiver, AcquisitionFindsTiming) {
@@ -453,10 +449,11 @@ TEST(UnifiedLink, SamePacketThroughBaseAndConcreteInterfaces) {
 
   const auto link = make_link(LinkSpec::for_gen2(config, options), 77);
   Rng rng_b(123);
-  const TrialResult slim = link->run_packet(options, rng_b);
+  const sim::TrialOutcome slim = link->run_packet(options, rng_b);
 
-  EXPECT_EQ(slim.bits, full.bits);
-  EXPECT_EQ(slim.errors, full.errors);
+  EXPECT_EQ(slim.bits, full.outcome.bits);
+  EXPECT_EQ(slim.errors, full.outcome.errors);
+  EXPECT_EQ(slim.metrics, full.outcome.metrics);
   ASSERT_TRUE(slim.metric(metric_names::kAcquired).has_value());
   EXPECT_EQ(*slim.metric(metric_names::kAcquired), full.rx.acquired ? 1.0 : 0.0);
   EXPECT_EQ(slim.metric(metric_names::kRakeEnergyCapture), full.rx.rake_energy_capture);
@@ -499,7 +496,7 @@ TEST(UnifiedLink, AcquisitionTrialsRunThroughRunPacket) {
 
   const auto link = make_link(LinkSpec::for_gen1(config, options), 0xACE);
   Rng rng_b(42);
-  const TrialResult trial = link->run_packet(options, rng_b);
+  const sim::TrialOutcome trial = link->run_packet(options, rng_b);
 
   EXPECT_EQ(trial.bits, 1u);  // one acquisition attempt
   EXPECT_EQ(trial.errors, reference.timing_correct ? 0u : 1u);

@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -402,6 +403,11 @@ int main(int argc, char** argv) {
     return run_verify(args);
   } catch (const uwb::Error& e) {
     std::fprintf(stderr, "uwb_farm: %s\n", e.what());
+    return farm::kExitRuntime;
+  } catch (const std::exception& e) {
+    // Anything the validators did not anticipate (an allocation failure,
+    // a filesystem error) is still a runtime failure, never an abort.
+    std::fprintf(stderr, "uwb_farm: internal error: %s\n", e.what());
     return farm::kExitRuntime;
   }
 }

@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -258,7 +259,10 @@ Args parse_args(int argc, char** argv) {
     else if (arg == "--profile") args.profile = true;
     else if (arg == "--channel-ensemble") {
       args.channel_ensemble = parse_u64(next(i, "--channel-ensemble"), "--channel-ensemble");
-      detail::require(args.channel_ensemble >= 1, "--channel-ensemble needs N >= 1");
+      detail::require(args.channel_ensemble >= 1 &&
+                          args.channel_ensemble <= txrx::ChannelSource::kMaxEnsembleCount,
+                      "--channel-ensemble needs 1 <= N <= " +
+                          std::to_string(txrx::ChannelSource::kMaxEnsembleCount));
     }
     else if (arg == "--channel-seed")
       args.channel_seed = parse_u64(next(i, "--channel-seed"), "--channel-seed");
@@ -567,6 +571,11 @@ int main(int argc, char** argv) {
     return run_sweep(args, scenario);
   } catch (const uwb::Error& e) {
     std::fprintf(stderr, "uwb_sweep: %s\n", e.what());
+    return farm::kExitRuntime;
+  } catch (const std::exception& e) {
+    // Anything the validators did not anticipate (an allocation failure,
+    // a filesystem error) is still a runtime failure, never an abort.
+    std::fprintf(stderr, "uwb_sweep: internal error: %s\n", e.what());
     return farm::kExitRuntime;
   }
 }
