@@ -80,6 +80,11 @@ class TimeInterleavedAdc final : public Adc {
 
   void reset() noexcept override { lane_ = 0; }
 
+  /// Points the lane counter at absolute sample \p index of a stream that
+  /// began on lane 0 (reset() is seek(0)), so a window of the stream
+  /// converts exactly as it would inside the whole.
+  void seek(std::size_t index) noexcept { lane_ = index % lanes_.size(); }
+
   [[nodiscard]] int num_lanes() const noexcept { return static_cast<int>(lanes_.size()); }
   [[nodiscard]] double lane_gain(int lane) const { return gains_.at(static_cast<std::size_t>(lane)); }
   [[nodiscard]] double lane_offset(int lane) const { return offsets_.at(static_cast<std::size_t>(lane)); }

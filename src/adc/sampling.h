@@ -4,6 +4,9 @@
 ///        (oversampled) waveform to the ADC clock, with aperture jitter and
 ///        per-lane timing skew via fractional-delay interpolation.
 
+#include <optional>
+#include <utility>
+
 #include "common/rng.h"
 #include "common/types.h"
 #include "common/waveform.h"
@@ -62,6 +65,42 @@ class SampleAndHold {
   std::size_t sample_interleaved_to(const float* x, std::size_t x_len, double fs_in,
                                     const RealVec& lane_skews_s, Rng& rng,
                                     float* out) const;
+
+  /// The lane geometry of a float stream whose every output is a pure
+  /// function of its index and the input: jitter-free, an integer
+  /// oversampling ratio and at most 64 lanes (the gen-1 chip's 4 GS/s over
+  /// 2 GS/s). Output k reads input samples k*stride + off[l] and the next,
+  /// with constant per-lane weights, l = k mod num_lanes; so any window of
+  /// the stream can be sampled on its own.
+  struct LanePlan {
+    std::size_t num_lanes = 0;
+    std::size_t stride = 1;
+    std::ptrdiff_t off[64] = {};
+    float w0[64] = {};
+    float w1[64] = {};
+    std::ptrdiff_t min_off = 0;  ///< min(0, off[l])
+    std::ptrdiff_t max_off = 0;  ///< max(0, off[l])
+
+    /// The input samples [first, last) that outputs [k_begin, k_end) read,
+    /// clamped to [0, x_len).
+    [[nodiscard]] std::pair<std::size_t, std::size_t> input_span(
+        std::size_t k_begin, std::size_t k_end, std::size_t x_len) const noexcept;
+
+    /// Outputs [k_begin, k_end) of the float sample_interleaved_to() over
+    /// an \p x_len-sample input, into out[0, k_end - k_begin) and
+    /// bit-identical to the whole-stream call. Reads the input only through
+    /// \p x_first, which holds input samples from
+    /// input_span(k_begin, k_end, x_len).first on; zeros where an instant
+    /// falls outside the input.
+    void sample_to(const float* x_first, std::size_t x_len, std::size_t k_begin,
+                   std::size_t k_end, float* out) const noexcept;
+  };
+
+  /// The float stream's lane plan at input rate \p fs_in, or nullopt when
+  /// it has none (aperture jitter draws the Rng in stream order; a
+  /// fractional ratio moves each lane's phase).
+  [[nodiscard]] std::optional<LanePlan> lane_plan(double fs_in,
+                                                  const RealVec& lane_skews_s) const;
 
  private:
   template <typename T>

@@ -34,49 +34,16 @@ RealVec correlate(const RealVec& x, const RealVec& tmpl) {
   return out;
 }
 
-std::size_t correlate_to(const double* x, std::size_t x_len, const RealVec& tmpl,
-                         double* out) {
-  const std::size_t num_lags = x_len - tmpl.size() + 1;
-  if (use_fft_convolve(x_len, tmpl.size(), ConvKind::kRealReal)) {
-    // Overlap-save wants vector in/out; stage through temporaries (rare:
-    // the workspace callers all use short matched-filter templates).
-    RealVec xin(x, x + x_len);
-    RealVec tmp;
-    ols_correlate(xin, tmpl, tmp, thread_fft_workspace());
-    std::copy(tmp.begin(), tmp.end(), out);
-    return num_lags;
-  }
-  dot_bank(x, num_lags, tmpl.data(), tmpl.size(), out);
-  return num_lags;
-}
-
-std::size_t correlate_to(const float* x, std::size_t x_len, const RealVec& tmpl,
-                         float* out) {
-  const std::size_t num_lags = x_len - tmpl.size() + 1;
-  // The float arena only matched-filters short pulse templates; stay on the
-  // direct kernel unconditionally (no float overlap-save path exists).
-  constexpr std::size_t kMaxStackTaps = 256;
-  float stack_taps[kMaxStackTaps] = {};
-  std::vector<float> heap_taps;
-  float* t = stack_taps;
-  if (tmpl.size() > kMaxStackTaps) {
-    heap_taps.resize(tmpl.size());
-    t = heap_taps.data();
-  }
-  for (std::size_t m = 0; m < tmpl.size(); ++m) t[m] = static_cast<float>(tmpl[m]);
-  dot_bank(x, num_lags, t, tmpl.size(), out);
-  return num_lags;
-}
-
 namespace {
 
 /// Shared blocked kernel: kBlock lags advance together, taps ascending, one
 /// independent accumulator per lag. The same lag count fills the same vector
 /// registers with twice the lanes in float, which is the whole point of the
-/// gen-1 single-precision arena.
+/// gen-1 single-precision arena. Always inlined, so each target clone of
+/// dot_bank below compiles its own copy at its own vector width.
 template <typename T, std::size_t kBlock>
-void dot_bank_impl(const T* x, std::size_t num_lags, const T* h, std::size_t h_len,
-                   T* out) noexcept {
+[[gnu::always_inline]] inline void dot_bank_impl(const T* x, std::size_t num_lags, const T* h,
+                                                 std::size_t h_len, T* out) noexcept {
   std::size_t j = 0;
   for (; j + kBlock <= num_lags; j += kBlock) {
     T acc[kBlock] = {};
@@ -98,8 +65,21 @@ void dot_bank_impl(const T* x, std::size_t num_lags, const T* h, std::size_t h_l
 
 }  // namespace
 
-void dot_bank(const double* x, std::size_t num_lags, const double* h, std::size_t h_len,
-              double* out) noexcept {
+// Portable x86-64 builds give both banks a runtime-dispatched AVX2 clone
+// next to the default. The clone enables AVX2 only, not FMA: every lag
+// keeps its separately rounded multiply then add in ascending-tap order, so
+// either clone returns the same bits on any x86-64 host. Builds that already
+// target AVX2 (UWB_NATIVE_ARCH on such a host) need no clone, and TSan
+// builds cannot have one: the clone's ifunc resolver runs at load time,
+// before the TSan runtime it is instrumented against has started.
+#if defined(__x86_64__) && !defined(__AVX2__) && !defined(__SANITIZE_THREAD__)
+#define UWB_DOT_BANK_CLONES [[gnu::target_clones("avx2", "default")]]
+#else
+#define UWB_DOT_BANK_CLONES
+#endif
+
+UWB_DOT_BANK_CLONES void dot_bank(const double* x, std::size_t num_lags, const double* h,
+                                  std::size_t h_len, double* out) noexcept {
   // 32 lags per block: enough independent accumulator vectors to hide the
   // FP-add latency chain (measured >2x over an 8-lag block on SSE2). Each
   // lag still accumulates alone in ascending-tap order, so the block width
@@ -107,8 +87,8 @@ void dot_bank(const double* x, std::size_t num_lags, const double* h, std::size_
   dot_bank_impl<double, 32>(x, num_lags, h, h_len, out);
 }
 
-void dot_bank(const float* x, std::size_t num_lags, const float* h, std::size_t h_len,
-              float* out) noexcept {
+UWB_DOT_BANK_CLONES void dot_bank(const float* x, std::size_t num_lags, const float* h,
+                                  std::size_t h_len, float* out) noexcept {
   dot_bank_impl<float, 32>(x, num_lags, h, h_len, out);
 }
 

@@ -19,18 +19,6 @@ CplxVec correlate(const CplxVec& x, const CplxVec& tmpl);
 /// Real-valued version.
 RealVec correlate(const RealVec& x, const RealVec& tmpl);
 
-/// Real correlation into a caller-owned buffer \p out of length
-/// |x| - |tmpl| + 1 (requires |x| >= |tmpl| >= 1). Bit-identical to
-/// correlate(x, tmpl); exists so per-packet workspaces can reuse their
-/// output buffers. Returns the number of lags written.
-std::size_t correlate_to(const double* x, std::size_t x_len, const RealVec& tmpl, double* out);
-
-/// Single-precision correlation into a caller-owned buffer (the gen-1 float
-/// sample arena). Always runs the direct blocked kernel -- the float pipeline
-/// only matched-filters short templates, far below the FFT crossover -- with
-/// the template converted to float once per call.
-std::size_t correlate_to(const float* x, std::size_t x_len, const RealVec& tmpl, float* out);
-
 /// Bank of sliding dot products: out[j] = sum_m x[j+m] * h[m] for
 /// j in [0, num_lags). Blocked over lags with per-lag ascending-tap
 /// accumulation -- bit-identical to calling dot() per lag, but the fixed

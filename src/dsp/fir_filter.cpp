@@ -74,26 +74,19 @@ RealVec convolve_same(const RealVec& x, const RealVec& h) {
 
 namespace {
 
-/// Direct "same"-mode kernel shared by the double and float entry points.
-/// Gather form over reversed taps: the scatter full convolution adds
-/// x[i]*h[k] in ascending-i order, which for a fixed output is descending-k
-/// -- i.e. ascending over the reversed kernel. Accumulating that way keeps
-/// every double output bit-identical to convolve_same() while the interior
-/// runs contiguous-stride through dot_bank's vectorized lag blocks.
+/// Outputs [j_begin, j_end) of the direct "same"-mode kernel over reversed
+/// taps \p r, into y[0, j_end - j_begin). Gather form: the scatter full
+/// convolution adds x[i]*h[k] in ascending-i order, which for a fixed
+/// output is descending-k -- i.e. ascending over the reversed kernel.
+/// Accumulating that way keeps every double output bit-identical to
+/// convolve_same() while the interior runs contiguous-stride through
+/// dot_bank's vectorized lag blocks. Each output is its own dot product, so
+/// it comes out the same whatever range it is computed in.
 template <typename T>
-void convolve_same_direct(const T* x, std::size_t x_len, const RealVec& h, T* y) {
-  const std::size_t h_len = h.size();
+void convolve_same_range_impl(const T* x, std::size_t x_len, const T* r, std::size_t h_len,
+                              std::size_t j_begin, std::size_t j_end, T* y) {
   const std::size_t start = (h_len - 1) / 2;
-  constexpr std::size_t kMaxStackTaps = 256;
-  T stack_taps[kMaxStackTaps];
-  std::vector<T> heap_taps;
-  T* r = stack_taps;
-  if (h_len > kMaxStackTaps) {
-    heap_taps.resize(h_len);
-    r = heap_taps.data();
-  }
-  for (std::size_t m = 0; m < h_len; ++m) r[m] = static_cast<T>(h[h_len - 1 - m]);
-
+  const std::size_t lead = h_len - 1 - start;
   const auto n = static_cast<std::ptrdiff_t>(x_len);
   const auto edge_out = [&](std::size_t j) {
     const std::ptrdiff_t off =
@@ -104,17 +97,38 @@ void convolve_same_direct(const T* x, std::size_t x_len, const RealVec& h, T* y)
     for (std::size_t m = m_lo; static_cast<std::ptrdiff_t>(m) < m_hi; ++m) {
       acc += x[off + static_cast<std::ptrdiff_t>(m)] * r[m];
     }
-    y[j] = acc;
+    y[j - j_begin] = acc;
   };
 
-  const std::size_t head_end = std::min(h_len - 1 - start, x_len);
-  for (std::size_t j = 0; j < head_end; ++j) edge_out(j);
+  // Interior outputs [lead, x_len - start) see the whole kernel; the rest
+  // sum only the taps that overlap the signal.
+  std::size_t mid_lo = j_end;
+  std::size_t mid_hi = j_end;
   if (x_len >= h_len) {
-    dot_bank(x, x_len - h_len + 1, r, h_len, y + head_end);
-    for (std::size_t j = x_len - start; j < x_len; ++j) edge_out(j);
-  } else {
-    for (std::size_t j = head_end; j < x_len; ++j) edge_out(j);
+    mid_lo = std::clamp(lead, j_begin, j_end);
+    mid_hi = std::clamp(x_len - start, mid_lo, j_end);
   }
+  for (std::size_t j = j_begin; j < mid_lo; ++j) edge_out(j);
+  if (mid_hi > mid_lo) {
+    dot_bank(x + (mid_lo - lead), mid_hi - mid_lo, r, h_len, y + (mid_lo - j_begin));
+  }
+  for (std::size_t j = mid_hi; j < j_end; ++j) edge_out(j);
+}
+
+/// The whole "same"-mode output through the range kernel, with the taps
+/// reversed once.
+void convolve_same_direct(const double* x, std::size_t x_len, const RealVec& h, double* y) {
+  const std::size_t h_len = h.size();
+  constexpr std::size_t kMaxStackTaps = 256;
+  double stack_taps[kMaxStackTaps] = {};
+  std::vector<double> heap_taps;
+  double* r = stack_taps;
+  if (h_len > kMaxStackTaps) {
+    heap_taps.resize(h_len);
+    r = heap_taps.data();
+  }
+  for (std::size_t m = 0; m < h_len; ++m) r[m] = h[h_len - 1 - m];
+  convolve_same_range_impl(x, x_len, r, h_len, 0, x_len, y);
 }
 
 }  // namespace
@@ -134,9 +148,10 @@ void convolve_same_to(const double* x, std::size_t x_len, const RealVec& h, doub
   convolve_same_direct(x, x_len, h, y);
 }
 
-void convolve_same_to(const float* x, std::size_t x_len, const RealVec& h, float* y) {
-  if (x_len == 0 || h.empty()) return;
-  convolve_same_direct(x, x_len, h, y);
+void convolve_same_range(const float* x, std::size_t x_len, const float* r,
+                         std::size_t h_len, std::size_t j_begin, std::size_t j_end, float* y) {
+  if (h_len == 0 || j_begin >= j_end) return;
+  convolve_same_range_impl(x, x_len, r, h_len, j_begin, j_end, y);
 }
 
 void convolve_same_inplace(double* x, std::size_t x_len, const RealVec& h) {

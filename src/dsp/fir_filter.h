@@ -85,11 +85,16 @@ RealVec convolve_same(const RealVec& x, const RealVec& h);
 /// the same overlap-save engine.
 void convolve_same_to(const double* x, std::size_t x_len, const RealVec& h, double* y);
 
-/// Single-precision "same"-mode convolution into a caller-owned buffer (the
-/// gen-1 float sample arena). Same blocked gather kernel at twice the SIMD
-/// width; always direct -- the float pipeline's anti-alias filter sits far
-/// below the FFT crossover. Taps are converted to float once per call.
-void convolve_same_to(const float* x, std::size_t x_len, const RealVec& h, float* y);
+/// Single-precision "same"-mode convolution (the gen-1 float sample arena),
+/// outputs [j_begin, j_end) only, into y[0, j_end - j_begin). The kernel
+/// comes reversed and in float (r[m] = float(h[h_len - 1 - m])). Same
+/// blocked gather kernel as convolve_same_to(), always direct -- the float
+/// pipeline's anti-alias filter sits far below the FFT crossover. Each
+/// output is its own dot product, so it is the same whatever range it is
+/// computed in: a long filter can run block by block into a cache-sized
+/// buffer.
+void convolve_same_range(const float* x, std::size_t x_len, const float* r,
+                         std::size_t h_len, std::size_t j_begin, std::size_t j_end, float* y);
 
 /// "Same"-mode convolution for complex input with real kernel.
 CplxVec convolve_same(const CplxVec& x, const RealVec& h);

@@ -391,7 +391,14 @@ txrx::TrialOptions trial_options_from_json(const JsonValue& v, txrx::TrialOption
     else if (key == "cm") options.cm = val.as_int();
     else if (key == "channel_source") options.channel_source = channel_source_from_json(val);
     else if (key == "ebn0_db") options.ebn0_db = val.as_double();
-    else if (key == "payload_bits") options.payload_bits = as_size(val);
+    else if (key == "payload_bits") {
+      options.payload_bits = as_size(val);
+      if (options.payload_bits > txrx::TrialOptions::kMaxPayloadBits) {
+        throw InvalidArgument("spec: options: payload_bits " +
+                              std::to_string(options.payload_bits) + " exceeds the maximum " +
+                              std::to_string(txrx::TrialOptions::kMaxPayloadBits));
+      }
+    }
     else if (key == "genie_timing") options.genie_timing = val.as_bool();
     else if (key == "start_delay_max_samples") options.start_delay_max_samples = as_size(val);
     else if (key == "start_delay_max_frames") options.start_delay_max_frames = as_size(val);
@@ -610,6 +617,7 @@ sim::BerStop ber_stop_from_json(const JsonValue& v) {
     else if (key == "target_rel_ci_width") stop.target_rel_ci_width = val.as_double();
     else unknown_key("stop", key);
   }
+  sim::validate_budgets(stop);
   return stop;
 }
 

@@ -82,8 +82,19 @@ struct BerStop {
   std::string metric;                ///< "" = bit errors; else a success-flag metric
   double target_rel_ci_width = 0.0;  ///< > 0: stop on relative CI width instead
 
+  /// Largest min_errors / max_bits / max_trials a spec or a CLI flag may
+  /// set: 2^53, the largest count a JSON number carries exactly in every
+  /// reader (result documents, manifests and farm specs hold budgets as
+  /// JSON numbers), and far past any run that can finish. Code that means
+  /// "no cap" sets SIZE_MAX directly.
+  static constexpr std::size_t kMaxBudget = std::size_t{1} << 53;
+
   [[nodiscard]] bool operator==(const BerStop&) const = default;
 };
+
+/// Throws InvalidArgument naming the first budget of \p stop above
+/// BerStop::kMaxBudget: the check spec readers and CLI flags share.
+void validate_budgets(const BerStop& stop);
 
 /// Divides a stopping rule's error/bit budgets for a quick pass, clamped
 /// so a small budget can never degenerate to min_errors == 0 (stop

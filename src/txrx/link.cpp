@@ -47,6 +47,11 @@ void require_supported(const LinkCaps& caps, const TrialOptions& options) {
                     to_string(caps.generation) +
                         " link does not support acquisition trials");
   }
+  if (options.payload_bits > TrialOptions::kMaxPayloadBits) {
+    throw InvalidArgument("payload_bits " + std::to_string(options.payload_bits) +
+                          " exceeds the maximum " +
+                          std::to_string(TrialOptions::kMaxPayloadBits));
+  }
   if (options.channel_source.is_ensemble()) {
     detail::require(options.channel_source.ensemble_count >= 1,
                     "ensemble channel source needs ensemble_count >= 1");
@@ -671,16 +676,36 @@ sim::TrialOutcome Gen1Link::run_packet(const TrialOptions& options, Rng& rng,
   return run_packet_full(options, rng, context).outcome;
 }
 
+namespace {
+
+Gen1RxOptions gen1_rx_options(const Gen1Link::Capture& cap, const TrialOptions& options) {
+  Gen1RxOptions rx_opts;
+  rx_opts.genie_timing = options.genie_timing;
+  rx_opts.genie_offset = cap.true_offset_adc;
+  return rx_opts;
+}
+
+}  // namespace
+
 Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
                                           const TrialContext& context) {
   require_supported(caps_, options);
   const Capture cap = synthesize_capture(options, context, rng);
+  return receive_capture(cap, options, decision_windows(cap, options), rng);
+}
+
+std::span<const AdcWindow> Gen1Link::decision_windows(const Capture& cap,
+                                                      const TrialOptions& options) {
+  return rx_.decision_windows(cap.samples.size(), config_.analog_fs, tx_,
+                              cap.frame.frame_bits.size(), gen1_rx_options(cap, options));
+}
+
+Gen1TrialResult Gen1Link::receive_capture(const Capture& cap, const TrialOptions& options,
+                                          std::span<const AdcWindow> windows, Rng& rng) {
   Gen1TrialResult trial;
   trial.true_offset_adc = cap.true_offset_adc;
-  Gen1RxOptions rx_opts;
-  rx_opts.genie_timing = options.genie_timing;
-  rx_opts.genie_offset = cap.true_offset_adc;
-  trial.rx = rx_.receive(cap.samples, config_.analog_fs, tx_, cap.frame, rx_opts, rng);
+  trial.rx = rx_.receive(cap.samples, config_.analog_fs, tx_, cap.frame,
+                         gen1_rx_options(cap, options), windows, rng);
 
   const bool locked = options.genie_timing || trial.rx.acq.acquired;
   sim::TrialOutcome& out = trial.outcome;

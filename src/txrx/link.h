@@ -136,6 +136,12 @@ struct TrialOptions {
   std::size_t payload_bits = 200;
   bool genie_timing = false;     ///< BER-only runs skip acquisition
 
+  /// Largest accepted payload_bits: 4x the 1016-bit (127-byte) 802.15.4a
+  /// PSDU. Gen-1 spreads each bit over 16 PRF frames of 1296 analog
+  /// samples, so a packet this long already fills a ~0.35 GB float
+  /// capture per link; specs and validate_spec reject anything longer.
+  static constexpr std::size_t kMaxPayloadBits = 4096;
+
   /// kAcquisition: found timing counts as correct within +/- this many ADC
   /// samples of the true offset (modulo one PN period).
   std::size_t acq_tol_samples = 2;
@@ -416,23 +422,6 @@ class Gen1Link final : public Link {
                                          std::size_t tol_samples,
                                          const TrialContext& context = TrialContext{});
 
- private:
-  /// The composite kernel g = pulse prototype convolved with the sampled
-  /// CIR, driving the sparse pulse-train channel path: the tx waveform is
-  /// a few monocycle samples per PRF frame, so the channel output is
-  /// sum_k a_k * g[n - k*frame] at ~2% of the dense convolution's cost.
-  /// Cached against the exact tap list: in ensemble mode every packet of a
-  /// sweep point shares one realization, so g is computed once per point.
-  /// g is a pure function of (taps, config) -- caching cannot change
-  /// results for any worker count or trial order. Rebuilds also refresh the
-  /// float mirror g_kernel_f_ that the single-precision scatter reads; the
-  /// double kernel shapes the importance-sampling tilt.
-  const RealVec& composite_kernel(const channel::Cir& cir);
-
-  /// Float mirror of the prototype pulse (the AWGN-only scatter kernel),
-  /// built on first use.
-  const dsp::AlignedVec<float>& prototype_f();
-
   /// One trial's received capture in the single-precision sample arena.
   struct Capture {
     TxFrame frame;
@@ -451,6 +440,35 @@ class Gen1Link final : public Link {
   /// bits, delay, fresh-realization draws, noise seed, tilt draw.
   Capture synthesize_capture(const TrialOptions& options, const TrialContext& context,
                              Rng& rng);
+
+  /// The ADC windows the receiver's decision reads in \p cap (see
+  /// Gen1Receiver::decision_windows; valid until the next call).
+  [[nodiscard]] std::span<const AdcWindow> decision_windows(const Capture& cap,
+                                                            const TrialOptions& options);
+
+  /// Receives \p cap, digitizing only \p windows, and scores the trial:
+  /// run_packet_full is synthesize_capture then this over
+  /// decision_windows(). Any window set covering those -- the single
+  /// window [0, SIZE_MAX) is the whole capture -- gives the same bits.
+  [[nodiscard]] Gen1TrialResult receive_capture(const Capture& cap, const TrialOptions& options,
+                                                std::span<const AdcWindow> windows, Rng& rng);
+
+ private:
+  /// The composite kernel g = pulse prototype convolved with the sampled
+  /// CIR, driving the sparse pulse-train channel path: the tx waveform is
+  /// a few monocycle samples per PRF frame, so the channel output is
+  /// sum_k a_k * g[n - k*frame] at ~2% of the dense convolution's cost.
+  /// Cached against the exact tap list: in ensemble mode every packet of a
+  /// sweep point shares one realization, so g is computed once per point.
+  /// g is a pure function of (taps, config) -- caching cannot change
+  /// results for any worker count or trial order. Rebuilds also refresh the
+  /// float mirror g_kernel_f_ that the single-precision scatter reads; the
+  /// double kernel shapes the importance-sampling tilt.
+  const RealVec& composite_kernel(const channel::Cir& cir);
+
+  /// Float mirror of the prototype pulse (the AWGN-only scatter kernel),
+  /// built on first use.
+  const dsp::AlignedVec<float>& prototype_f();
 
   Gen1Config config_;
   LinkCaps caps_;

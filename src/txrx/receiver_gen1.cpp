@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "common/error.h"
 #include "common/math_utils.h"
@@ -12,6 +13,20 @@
 
 namespace uwb::txrx {
 
+const float* Gen1MfView::find(std::size_t idx) const noexcept {
+  // The last run starting at or before idx.
+  const auto it = std::upper_bound(runs.begin(), runs.end(), idx,
+                                   [](std::size_t i, const Run& r) { return i < r.begin; });
+  if (it == runs.begin()) return nullptr;
+  const Run& run = *(it - 1);
+  return idx < run.end ? values.data() + run.offset + (idx - run.begin) : nullptr;
+}
+
+std::span<const float> Gen1MfView::dense() const noexcept {
+  if (runs.size() != 1 || runs.front().begin != 0) return {};
+  return values.subspan(runs.front().offset, runs.front().end);
+}
+
 Gen1Receiver::Gen1Receiver(const Gen1Config& config, Rng& rng)
     : config_(config),
       sampler_(adc::SamplingParams{config.adc_rate, config.aperture_jitter_rms_s, 0.0}),
@@ -20,8 +35,8 @@ Gen1Receiver::Gen1Receiver(const Gen1Config& config, Rng& rng)
            config.interleave, rng) {
   detail::require(config.analog_fs >= config.adc_rate,
                   "Gen1Receiver: analog rate must be >= ADC rate");
-  anti_alias_taps_ =
-      dsp::design_lowpass(0.45 * config.adc_rate, config.analog_fs, 63);
+  const RealVec taps = dsp::design_lowpass(0.45 * config.adc_rate, config.analog_fs, 63);
+  anti_alias_rev_f_.assign(taps.rbegin(), taps.rend());  // float, as the FIR runs
   // Per-lane timing skew happens at the sample-and-hold; the skews are
   // static converter mismatch, so build the table once.
   lane_skews_s_.resize(static_cast<std::size_t>(adc_.num_lanes()));
@@ -30,67 +45,192 @@ Gen1Receiver::Gen1Receiver(const Gen1Config& config, Rng& rng)
   }
 }
 
-std::span<const float> Gen1Receiver::digitize_and_filter(const float* rx, std::size_t n,
-                                                         double fs, const Gen1Transmitter& tx,
-                                                         Rng& rng) {
-  // Anti-alias lowpass at the converter's Nyquist edge: the analog front
-  // end band-limits before the 2 GSps sampler. Runs the blocked gather FIR
-  // into the packet arena, no allocation.
-  obs::StageTimer fe_timer(obs::Stage::kRxFrontend, n);
-  ws_filtered_.resize(n);
-  dsp::convolve_same_to(rx, n, anti_alias_taps_, ws_filtered_.data());
-
-  // AGC measurement on the filtered signal: a converged AGC loads the flash
-  // at ~1/4 full scale rms (see rf::AgcParams). The scale itself commutes
-  // with linear-interpolation sampling, so it is applied to the (2x
-  // shorter) sampled stream below rather than here.
-  // Four independent accumulators break the FP-add dependency chain (the
-  // power estimate is an AGC model input, not a bit-exact contract).
-  double p0 = 0.0, p1 = 0.0, p2 = 0.0, p3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const auto v0 = static_cast<double>(ws_filtered_[i]);
-    const auto v1 = static_cast<double>(ws_filtered_[i + 1]);
-    const auto v2 = static_cast<double>(ws_filtered_[i + 2]);
-    const auto v3 = static_cast<double>(ws_filtered_[i + 3]);
-    p0 += v0 * v0;
-    p1 += v1 * v1;
-    p2 += v2 * v2;
-    p3 += v3 * v3;
+std::span<const AdcWindow> Gen1Receiver::decision_windows(std::size_t n, double fs,
+                                                          const Gen1Transmitter& tx,
+                                                          std::size_t num_bits,
+                                                          const Gen1RxOptions& options) {
+  const std::size_t n_adc = sampler_.output_size(n, fs);
+  const std::size_t taps = tx.pulse_taps_adc().size();
+  ws_decision_.clear();
+  if (!options.genie_timing || !sampler_.lane_plan(fs, lane_skews_s_) || taps == 0 ||
+      n_adc < taps) {
+    ws_decision_.push_back(AdcWindow{0, n_adc});
+    return ws_decision_;
   }
-  for (; i < n; ++i) {
-    const auto v = static_cast<double>(ws_filtered_[i]);
-    p0 += v * v;
+  // The despread loop of receive() reads exactly these outputs.
+  const std::size_t F = config_.frame_samples_adc;
+  const auto ppb = static_cast<std::size_t>(config_.pulses_per_bit);
+  const std::size_t data_start = options.genie_offset / F + tx.preamble_frames();
+  const std::size_t pulse_phase = options.genie_offset % F;
+  const std::size_t mf_size = n_adc - taps + 1;
+  for (std::size_t p = 0; p < num_bits * ppb; ++p) {
+    const std::size_t idx = pulse_phase + (data_start + p) * F;
+    if (idx >= mf_size) break;
+    ws_decision_.push_back(AdcWindow{idx, idx + taps});
+  }
+  return ws_decision_;
+}
+
+std::size_t Gen1Receiver::plan_windows(std::span<const AdcWindow> windows, std::size_t n,
+                                       std::size_t n_adc, const LanePlan* plan) {
+  // Windows start on lane 0 and span whole lane patterns, so the converter
+  // runs its pattern-blocked path; lanes are absolute index mod num_lanes.
+  const auto lanes = static_cast<std::size_t>(adc_.num_lanes());
+  ws_windows_.clear();
+  std::size_t prev_begin = 0;
+  for (const AdcWindow& w : windows) {
+    detail::require(w.begin >= prev_begin, "Gen1Receiver: windows must ascend");
+    prev_begin = w.begin;
+    const std::size_t begin = std::min(w.begin, n_adc) / lanes * lanes;
+    const std::size_t end = std::min(ceil_div(std::min(w.end, n_adc), lanes) * lanes, n_adc);
+    if (begin >= end) continue;
+    if (!ws_windows_.empty() && begin <= ws_windows_.back().adc_end) {
+      ws_windows_.back().adc_end = std::max(ws_windows_.back().adc_end, end);
+      continue;
+    }
+    Window win;
+    win.adc_begin = begin;
+    win.adc_end = end;
+    ws_windows_.push_back(win);
+  }
+  // Without a lane plan the sampler draws its Rng in stream order, so it
+  // can only sample the whole stream.
+  detail::require(plan != nullptr || ws_windows_.empty() ||
+                      (ws_windows_.size() == 1 && ws_windows_.front().adc_begin == 0 &&
+                       ws_windows_.front().adc_end == n_adc),
+                  "Gen1Receiver: a jittered sampler digitizes only the whole capture");
+  std::size_t adc_total = 0;
+  std::size_t kept_total = 0;
+  for (Window& w : ws_windows_) {
+    std::tie(w.in_begin, w.in_end) = plan != nullptr
+                                         ? plan->input_span(w.adc_begin, w.adc_end, n)
+                                         : std::pair<std::size_t, std::size_t>{0, n};
+    w.adc_offset = adc_total;
+    w.kept_offset = kept_total;
+    adc_total += w.adc_end - w.adc_begin;
+    kept_total += w.in_end - w.in_begin;
+  }
+  ws_kept_.resize(kept_total);
+  ws_sampled_.resize(adc_total);
+  ws_levels_.resize(adc_total);
+  ws_mf_.resize(adc_total);
+  return adc_total;
+}
+
+double Gen1Receiver::filter_and_measure(const float* rx, std::size_t n) {
+  // 2048 outputs: the block and the input it reads stay in L1 between the
+  // FIR, the power sum and the copy-out. A multiple of 4, so every block
+  // but the last starts the power sum's accumulator rotation afresh.
+  constexpr std::size_t kBlock = 2048;
+  ws_block_.resize(kBlock);
+  const std::size_t h_len = anti_alias_rev_f_.size();
+  // The power sum is an AGC input that sets the float gain, so it keeps its
+  // exact order: four double accumulators by absolute index mod 4, then
+  // the n % 4 tail into p0.
+  double p0 = 0.0, p1 = 0.0, p2 = 0.0, p3 = 0.0;
+  std::size_t first = 0;  // first window whose FIR span has not ended
+  for (std::size_t j0 = 0; j0 < n; j0 += kBlock) {
+    const std::size_t count = std::min(kBlock, n - j0);
+    const std::size_t j1 = j0 + count;
+    while (first < ws_windows_.size() && ws_windows_[first].in_end <= j0) ++first;
+    // A block wholly inside one window's span (every block of a dense
+    // pass) is filtered straight into that window's kept outputs.
+    float* y = ws_block_.data();
+    const bool direct = first < ws_windows_.size() && ws_windows_[first].in_begin <= j0 &&
+                        j1 <= ws_windows_[first].in_end;
+    if (direct) {
+      const Window& w = ws_windows_[first];
+      y = ws_kept_.data() + w.kept_offset + (j0 - w.in_begin);
+    }
+    dsp::convolve_same_range(rx, n, anti_alias_rev_f_.data(), h_len, j0, j1, y);
+
+    std::size_t t = 0;
+    for (; t + 4 <= count; t += 4) {
+      const auto v0 = static_cast<double>(y[t]);
+      const auto v1 = static_cast<double>(y[t + 1]);
+      const auto v2 = static_cast<double>(y[t + 2]);
+      const auto v3 = static_cast<double>(y[t + 3]);
+      p0 += v0 * v0;
+      p1 += v1 * v1;
+      p2 += v2 * v2;
+      p3 += v3 * v3;
+    }
+    for (; t < count; ++t) {
+      const auto v = static_cast<double>(y[t]);
+      p0 += v * v;
+    }
+
+    for (std::size_t k = first; k < ws_windows_.size() && ws_windows_[k].in_begin < j1; ++k) {
+      if (direct && k == first) continue;
+      const Window& w = ws_windows_[k];
+      const std::size_t lo = std::max(j0, w.in_begin);
+      const std::size_t hi = std::min(j1, w.in_end);
+      if (lo < hi) {
+        std::copy(y + (lo - j0), y + (hi - j0),
+                  ws_kept_.data() + w.kept_offset + (lo - w.in_begin));
+      }
+    }
   }
   const double power_acc = (p0 + p1) + (p2 + p3);
-  const double r = n > 0 ? std::sqrt(power_acc / static_cast<double>(n)) : 0.0;
+  return n > 0 ? std::sqrt(power_acc / static_cast<double>(n)) : 0.0;
+}
 
+Gen1MfView Gen1Receiver::digitize_and_filter(std::span<const float> rx, double fs,
+                                             const Gen1Transmitter& tx,
+                                             std::span<const AdcWindow> windows, Rng& rng) {
+  const std::size_t n = rx.size();
   const std::size_t n_adc = sampler_.output_size(n, fs);
-  ws_sampled_.resize(n_adc);
-  sampler_.sample_interleaved_to(ws_filtered_.data(), n, fs, lane_skews_s_, rng,
-                                 ws_sampled_.data());
+  const std::optional<LanePlan> plan = sampler_.lane_plan(fs, lane_skews_s_);
+  const std::size_t adc_total = plan_windows(windows, n, n_adc, plan ? &*plan : nullptr);
+
+  // Anti-alias lowpass at the converter's Nyquist edge: the analog front
+  // end band-limits before the 2 GSps sampler. AGC measurement on the
+  // filtered signal: a converged AGC loads the flash at ~1/4 full scale
+  // rms (see rf::AgcParams). Both read every analog sample; the scale
+  // commutes with linear-interpolation sampling, so it is applied to the
+  // (2x shorter) sampled windows below.
+  obs::StageTimer fe_timer(obs::Stage::kRxFrontend, n);
+  const double r = filter_and_measure(rx.data(), n);
+  for (const Window& w : ws_windows_) {
+    float* out = ws_sampled_.data() + w.adc_offset;
+    if (plan) {
+      plan->sample_to(ws_kept_.data() + w.kept_offset, n, w.adc_begin, w.adc_end, out);
+    } else {
+      sampler_.sample_interleaved_to(ws_kept_.data(), n, fs, lane_skews_s_, rng, out);
+    }
+  }
   if (r > 0.0) {
     const auto gain = static_cast<float>(0.25 / r);
-    for (std::size_t i = 0; i < n_adc; ++i) ws_sampled_[i] *= gain;
+    for (std::size_t i = 0; i < adc_total; ++i) ws_sampled_[i] *= gain;
   }
   fe_timer.finish();
 
-  obs::StageTimer adc_timer(obs::Stage::kAdcQuantize, n_adc);
-  adc_.reset();
-  ws_levels_.resize(n_adc);
-  adc_.convert_block(ws_sampled_.data(), n_adc, ws_levels_.data());
+  obs::StageTimer adc_timer(obs::Stage::kAdcQuantize, adc_total);
+  for (const Window& w : ws_windows_) {
+    adc_.seek(w.adc_begin);
+    adc_.convert_block(ws_sampled_.data() + w.adc_offset, w.adc_end - w.adc_begin,
+                       ws_levels_.data() + w.adc_offset);
+  }
   adc_timer.finish();
 
-  // Matched filter with the monocycle.
-  const obs::StageTimer mf_timer(obs::Stage::kCorrelateRake, n_adc);
+  // Matched filter with the monocycle: output j reads levels [j, j + taps).
+  const obs::StageTimer mf_timer(obs::Stage::kCorrelateRake, adc_total);
+  ws_runs_.clear();
   const RealVec& taps = tx.pulse_taps_adc();
-  if (taps.empty() || n_adc < taps.size()) {
-    ws_mf_.resize(0);
-    return {};
+  if (taps.empty() || n_adc < taps.size()) return {};
+  const std::size_t h_len = taps.size();
+  ws_taps_f_.assign(taps.begin(), taps.end());
+  std::size_t mf_total = 0;
+  for (const Window& w : ws_windows_) {
+    const std::size_t len = w.adc_end - w.adc_begin;
+    if (len < h_len) continue;
+    const std::size_t lags = len - h_len + 1;
+    dsp::dot_bank(ws_levels_.data() + w.adc_offset, lags, ws_taps_f_.data(), h_len,
+                  ws_mf_.data() + mf_total);
+    ws_runs_.push_back(Gen1MfView::Run{w.adc_begin, w.adc_begin + lags, mf_total});
+    mf_total += lags;
   }
-  ws_mf_.resize(n_adc - taps.size() + 1);
-  dsp::correlate_to(ws_levels_.data(), n_adc, taps, ws_mf_.data());
-  return {ws_mf_.data(), ws_mf_.size()};
+  return Gen1MfView{ws_runs_, {ws_mf_.data(), mf_total}};
 }
 
 Gen1AcqResult Gen1Receiver::acquire_on_mf(std::span<const float> mf,
@@ -222,15 +362,24 @@ Gen1AcqResult Gen1Receiver::acquire_on_mf(std::span<const float> mf,
 
 Gen1AcqResult Gen1Receiver::acquire(std::span<const float> rx, double fs,
                                     const Gen1Transmitter& tx, Rng& rng) {
-  const std::span<const float> mf = digitize_and_filter(rx.data(), rx.size(), fs, tx, rng);
-  return acquire_on_mf(mf, tx);
+  const AdcWindow whole{0, sampler_.output_size(rx.size(), fs)};
+  return acquire_on_mf(digitize_and_filter(rx, fs, tx, {&whole, 1}, rng).dense(), tx);
 }
 
 Gen1RxResult Gen1Receiver::receive(std::span<const float> rx, double fs,
                                    const Gen1Transmitter& tx, const TxFrame& tx_reference,
                                    const Gen1RxOptions& options, Rng& rng) {
+  const std::span<const AdcWindow> windows =
+      decision_windows(rx.size(), fs, tx, tx_reference.frame_bits.size(), options);
+  return receive(rx, fs, tx, tx_reference, options, windows, rng);
+}
+
+Gen1RxResult Gen1Receiver::receive(std::span<const float> rx, double fs,
+                                   const Gen1Transmitter& tx, const TxFrame& tx_reference,
+                                   const Gen1RxOptions& options,
+                                   std::span<const AdcWindow> windows, Rng& rng) {
   Gen1RxResult result;
-  const std::span<const float> mf = digitize_and_filter(rx.data(), rx.size(), fs, tx, rng);
+  const Gen1MfView mf = digitize_and_filter(rx, fs, tx, windows, rng);
   const std::size_t F = config_.frame_samples_adc;
 
   std::size_t preamble_start = 0;
@@ -239,7 +388,7 @@ Gen1RxResult Gen1Receiver::receive(std::span<const float> rx, double fs,
     result.acq.acquired = true;
     result.acq.timing_offset = preamble_start;
   } else {
-    result.acq = acquire_on_mf(mf, tx);
+    result.acq = acquire_on_mf(mf.dense(), tx);
     if (!result.acq.acquired) return result;
     // The acquisition pins timing modulo one PN period; the packet's
     // preamble starts an integer number of periods earlier, which does not
@@ -277,7 +426,7 @@ Gen1RxResult Gen1Receiver::receive(std::span<const float> rx, double fs,
         double soft = 0.0;
         for (std::size_t k = 0; k < ppb; ++k) {
           const std::size_t idx = pulse_phase + (cand + b * ppb + k) * F;
-          if (idx < mf.size()) soft += spread[k % spread.size()] * mf[idx];
+          if (const float* v = mf.find(idx)) soft += spread[k % spread.size()] * *v;
         }
         corr += (sfd[b] ? -1.0 : 1.0) * soft;
       }
@@ -295,7 +444,7 @@ Gen1RxResult Gen1Receiver::receive(std::span<const float> rx, double fs,
     double soft = 0.0;
     for (std::size_t k = 0; k < ppb; ++k) {
       const std::size_t idx = pulse_phase + (best_start + b * ppb + k) * F;
-      if (idx < mf.size()) soft += spread[k % spread.size()] * mf[idx];
+      if (const float* v = mf.find(idx)) soft += spread[k % spread.size()] * *v;
     }
     result.data_bits[b] = soft < 0.0 ? 1 : 0;
     if ((result.data_bits[b] != 0) != (tx_reference.frame_bits[b] != 0)) ++errors;

@@ -16,6 +16,7 @@
 /// cost of a streaming architecture with that much correlator hardware.
 
 #include <span>
+#include <vector>
 
 #include "adc/flash_adc.h"
 #include "adc/sampling.h"
@@ -51,6 +52,33 @@ struct Gen1RxOptions {
   std::size_t genie_offset = 0; ///< known preamble start at the ADC rate
 };
 
+/// A half-open range [begin, end) of ADC sample indices.
+struct AdcWindow {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// The matched-filter outputs one digitize pass computed: runs of
+/// consecutive output indices, ascending, with their values packed in
+/// \p values. Views the receiver's arena, valid until its next pass.
+struct Gen1MfView {
+  struct Run {
+    std::size_t begin = 0;   ///< first output index
+    std::size_t end = 0;     ///< one past the last
+    std::size_t offset = 0;  ///< position of output `begin` in values
+  };
+  std::span<const Run> runs;
+  std::span<const float> values;
+
+  /// The output at ADC index \p idx, or nullptr when the pass did not
+  /// compute it.
+  [[nodiscard]] const float* find(std::size_t idx) const noexcept;
+
+  /// Outputs [0, n) when the pass covered the whole capture (one run from
+  /// index 0), else empty.
+  [[nodiscard]] std::span<const float> dense() const noexcept;
+};
+
 /// The gen-1 receiver.
 class Gen1Receiver {
  public:
@@ -62,24 +90,70 @@ class Gen1Receiver {
 
   /// Full receive over the caller's float sample arena at rate \p fs:
   /// sample, convert, matched-filter, acquire, despread -- the whole chain
-  /// in single precision.
+  /// in single precision, digitizing only decision_windows().
   [[nodiscard]] Gen1RxResult receive(std::span<const float> rx, double fs,
                                      const Gen1Transmitter& tx,
                                      const TxFrame& tx_reference,
                                      const Gen1RxOptions& options, Rng& rng);
+
+  /// The same receive digitizing \p windows. Any window set that covers
+  /// decision_windows() gives the same bits; the single window [0, n) is
+  /// the whole capture.
+  [[nodiscard]] Gen1RxResult receive(std::span<const float> rx, double fs,
+                                     const Gen1Transmitter& tx,
+                                     const TxFrame& tx_reference,
+                                     const Gen1RxOptions& options,
+                                     std::span<const AdcWindow> windows, Rng& rng);
+
+  /// The ADC windows a receive of an \p n-sample capture reads. With genie
+  /// timing the decision reads one matched-filter output per data pulse,
+  /// so each window is that output's index widened by the pulse template;
+  /// acquisition, non-genie timing, and a sampler whose instants are not a
+  /// pure function of the index (aperture jitter) read the whole capture,
+  /// the single window [0, n_adc). The span views the receiver's arena,
+  /// valid until the next call.
+  [[nodiscard]] std::span<const AdcWindow> decision_windows(std::size_t n, double fs,
+                                                            const Gen1Transmitter& tx,
+                                                            std::size_t num_bits,
+                                                            const Gen1RxOptions& options);
 
   /// Acquisition only (bench E2/E11): processes a capture containing at
   /// least one PN period past the search uncertainty.
   [[nodiscard]] Gen1AcqResult acquire(std::span<const float> rx, double fs,
                                       const Gen1Transmitter& tx, Rng& rng);
 
- private:
   /// Analog band-limiting + sampling + interleaved conversion + matched
-  /// filtering, entirely in single precision. The returned span views
-  /// ws_mf_, valid until the next call on this receiver.
-  [[nodiscard]] std::span<const float> digitize_and_filter(const float* rx, std::size_t n,
-                                                           double fs, const Gen1Transmitter& tx,
-                                                           Rng& rng);
+  /// filtering, entirely in single precision, over the ADC index
+  /// \p windows (ascending by begin). The anti-alias FIR and the AGC power
+  /// run over the whole capture; the sampler, converter and matched filter
+  /// only inside the windows, each output bit-identical to a pass over the
+  /// whole capture. The view is valid until the next call on this receiver.
+  [[nodiscard]] Gen1MfView digitize_and_filter(std::span<const float> rx, double fs,
+                                               const Gen1Transmitter& tx,
+                                               std::span<const AdcWindow> windows, Rng& rng);
+
+ private:
+  /// One digitized window: ADC samples [adc_begin, adc_end) at adc_offset
+  /// of the sampled/level arenas, read from the FIR outputs
+  /// [in_begin, in_end) kept at kept_offset.
+  struct Window {
+    std::size_t adc_begin = 0, adc_end = 0, adc_offset = 0;
+    std::size_t in_begin = 0, in_end = 0, kept_offset = 0;
+  };
+
+  using LanePlan = adc::SampleAndHold::LanePlan;
+
+  /// Clamps \p windows to the n_adc-sample stream, widens each to whole
+  /// lane patterns, merges overlaps into ws_windows_ and sizes the arenas;
+  /// \p plan (null for a jittered sampler) maps each window to the FIR
+  /// outputs it reads. Returns the number of ADC samples the windows hold.
+  std::size_t plan_windows(std::span<const AdcWindow> windows, std::size_t n,
+                           std::size_t n_adc, const LanePlan* plan);
+
+  /// The anti-alias FIR over the whole capture in cache-sized blocks, each
+  /// block feeding the AGC power sum and handing the windows their FIR
+  /// outputs. Returns the rms of the filtered capture.
+  double filter_and_measure(const float* rx, std::size_t n);
 
   [[nodiscard]] Gen1AcqResult acquire_on_mf(std::span<const float> mf,
                                             const Gen1Transmitter& tx) const;
@@ -87,7 +161,8 @@ class Gen1Receiver {
   Gen1Config config_;
   adc::SampleAndHold sampler_;
   adc::TimeInterleavedAdc adc_;
-  RealVec anti_alias_taps_;
+  std::vector<float> anti_alias_rev_f_;  ///< anti-alias taps, reversed, in float
+  std::vector<float> ws_taps_f_;         ///< the pulse template in float
   RealVec lane_skews_s_;  ///< static per-lane skews, built once at construction
 
   // Per-receiver sample arena: every stage of digitize_and_filter writes
@@ -95,8 +170,14 @@ class Gen1Receiver {
   // packet processing performs zero heap allocations. Single precision:
   // the modeled front end is a 4-bit converter behind an AGC, so float's
   // 24-bit mantissa is ~20 bits beyond the physics while doubling SIMD
-  // width through the filter/sampler/converter/matched-filter chain.
-  dsp::AlignedVec<float> ws_filtered_;
+  // width through the filter/sampler/converter/matched-filter chain. Each
+  // holds only what the windows need: a genie-timed packet keeps a few
+  // dozen samples per data pulse, the whole capture only a dense pass.
+  std::vector<AdcWindow> ws_decision_;
+  std::vector<Window> ws_windows_;
+  std::vector<Gen1MfView::Run> ws_runs_;
+  dsp::AlignedVec<float> ws_block_;  ///< one FIR block
+  dsp::AlignedVec<float> ws_kept_;   ///< FIR outputs the windows sample
   dsp::AlignedVec<float> ws_sampled_;
   dsp::AlignedVec<float> ws_levels_;
   dsp::AlignedVec<float> ws_mf_;

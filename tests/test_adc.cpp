@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "adc/flash_adc.h"
@@ -155,6 +158,31 @@ TEST(TimeInterleaved, ResetRestartsLaneZero) {
   (void)adc.convert(0.3);
   adc.reset();
   EXPECT_EQ(adc.convert(0.3), first);
+}
+
+TEST(TimeInterleaved, SeekConvertsAWindowAsInsideTheStream) {
+  // Lane = absolute index mod lanes: a window converted after seek(begin)
+  // equals the same samples of a whole-stream pass, aligned or not.
+  Rng rng(8);
+  FlashParams lane;
+  lane.bits = 4;
+  lane.comparator_offset_sigma = 0.3;
+  InterleaveMismatch mm{0.02, 0.01, 0.0};
+  TimeInterleavedAdc adc(4, lane, mm, rng);
+  std::vector<float> x(203);
+  for (float& v : x) v = static_cast<float>(rng.uniform(-1.1, 1.1));
+  std::vector<float> whole(x.size());
+  adc.reset();
+  adc.convert_block(x.data(), x.size(), whole.data());
+  for (const auto& [begin, end] : {std::pair<std::size_t, std::size_t>{0, 203}, {8, 24},
+                                   {13, 14}, {5, 200}, {196, 203}}) {
+    std::vector<float> part(end - begin);
+    adc.seek(begin);
+    adc.convert_block(x.data() + begin, part.size(), part.data());
+    for (std::size_t i = 0; i < part.size(); ++i) {
+      ASSERT_EQ(part[i], whole[begin + i]) << "window [" << begin << ", " << end << ")";
+    }
+  }
 }
 
 // ------------------------------------------------------------------ sar ----
@@ -331,6 +359,39 @@ TEST(SampleAndHold, JitterAddsNoiseOnFastSignal) {
   // Jitter * 2 pi f * A: sigma ~ 2pi*400e6*20e-12 = 0.05 -> var ~ 2.5e-3 ... 1e-2.
   EXPECT_GT(err / n, 5e-4);
   EXPECT_LT(err / n, 5e-2);
+}
+
+TEST(SampleAndHold, LanePlanWindowsMatchTheWholeStreamBitForBit) {
+  // A jitter-free integer-ratio sampler produces any window of its float
+  // stream from just the input span that window reads: skews that reach
+  // before the first and past the last input sample, windows at both ends.
+  Rng rng(16);
+  for (const double fs_in : {4e9, 6e9}) {
+    SampleAndHold sh(SamplingParams{2e9, 0.0, 0.0});
+    const RealVec skews{-0.7e-9, 0.2e-9, 0.0, 1.3e-9};
+    const std::optional<SampleAndHold::LanePlan> plan = sh.lane_plan(fs_in, skews);
+    ASSERT_TRUE(plan.has_value());
+    std::vector<float> x(401);
+    for (float& v : x) v = static_cast<float>(rng.gaussian());
+    const std::size_t n_out = sh.output_size(x.size(), fs_in);
+    std::vector<float> whole(n_out);
+    sh.sample_interleaved_to(x.data(), x.size(), fs_in, skews, rng, whole.data());
+    for (const auto& [k0, k1] : {std::pair<std::size_t, std::size_t>{0, n_out}, {0, 3},
+                                 {4, 18}, {37, 38}, {n_out - 5, n_out}}) {
+      const auto [first, last] = plan->input_span(k0, k1, x.size());
+      const std::vector<float> slice(x.begin() + static_cast<std::ptrdiff_t>(first),
+                                     x.begin() + static_cast<std::ptrdiff_t>(last));
+      std::vector<float> part(k1 - k0);
+      plan->sample_to(slice.data(), x.size(), k0, k1, part.data());
+      for (std::size_t k = k0; k < k1; ++k) {
+        ASSERT_EQ(part[k - k0], whole[k]) << fs_in << " Hz, window [" << k0 << ", " << k1
+                                          << "), sample " << k;
+      }
+    }
+  }
+  // Jittered instants draw the Rng in stream order: no lane plan.
+  const SampleAndHold jittered(SamplingParams{2e9, 1e-12, 0.0});
+  EXPECT_FALSE(jittered.lane_plan(4e9, RealVec{0.0, 0.0}).has_value());
 }
 
 TEST(SampleAndHold, RejectsUpsampling) {

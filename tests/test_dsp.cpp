@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
+#include <vector>
 
 #include "common/error.h"
 #include "common/math_utils.h"
@@ -567,6 +569,49 @@ TEST(FirFilter, InPlaceRailsMatchComplexConvolveSameBitForBit) {
   }
 }
 
+TEST(FirFilter, RangeBlocksMatchSequentialSameModeSum) {
+  // The float "same"-mode FIR, run block by block -- blocks that straddle
+  // the edge outputs, inputs shorter than the kernel -- gives every output
+  // as the textbook sum over the overlapping taps, ascending over the
+  // reversed kernel. Exact wherever multiply-adds are not fused.
+#ifdef __FMA__
+  constexpr float kTol = 1e-5f;
+#else
+  constexpr float kTol = 0.0f;
+#endif
+  Rng rng(0xB10C);
+  for (const std::size_t taps : {1u, 4u, 11u, 63u}) {
+    std::vector<float> r(taps);
+    for (float& v : r) v = static_cast<float>(rng.gaussian());
+    const auto lead = static_cast<std::ptrdiff_t>(taps / 2);  // taps - 1 - (taps - 1) / 2
+    for (const std::size_t n : {1u, 10u, 62u, 63u, 64u, 700u}) {
+      std::vector<float> x(n);
+      for (float& v : x) v = static_cast<float>(rng.gaussian());
+      std::vector<float> want(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        float acc = 0.0f;
+        for (std::size_t m = 0; m < taps; ++m) {
+          const std::ptrdiff_t i = static_cast<std::ptrdiff_t>(j + m) - lead;
+          if (i < 0 || i >= static_cast<std::ptrdiff_t>(n)) continue;
+          acc += x[static_cast<std::size_t>(i)] * r[m];
+        }
+        want[j] = acc;
+      }
+      for (const std::size_t block : {1u, 7u, 64u, 2048u}) {
+        std::vector<float> got(n);
+        for (std::size_t j0 = 0; j0 < n; j0 += block) {
+          const std::size_t j1 = std::min(n, j0 + block);
+          convolve_same_range(x.data(), n, r.data(), taps, j0, j1, got.data() + j0);
+        }
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_NEAR(got[j], want[j], kTol * (1.0f + std::abs(want[j])))
+              << taps << " taps, n=" << n << ", block " << block << ", output " << j;
+        }
+      }
+    }
+  }
+}
+
 // --------------------------------------------------------------- biquad ----
 
 TEST(Biquad, NotchKillsCenterKeepsFar) {
@@ -625,6 +670,53 @@ TEST(Correlator, FindsEmbeddedTemplate) {
   const RealVec nc = normalized_correlation(x, tmpl);
   EXPECT_EQ(argmax_abs(nc), where);
   EXPECT_NEAR(nc[where], 1.0, 1e-9);
+}
+
+/// dot_bank against the textbook per-lag sum acc += x[j+m] * h[m], over
+/// random lag counts 0..100 (32-lag blocks plus a tail) and 1..63 taps.
+template <typename T>
+void expect_dot_bank_matches_sequential(Rng& rng, std::size_t num_lags, std::size_t h_len) {
+  // Exact wherever multiply-adds are not fused (both clones of a portable
+  // build); an FMA-capable -march=native build may fuse the bank and this
+  // reference differently, so there they agree to rounding.
+#ifdef __FMA__
+  constexpr double kTol = std::is_same_v<T, float> ? 1e-5 : 1e-13;
+#else
+  constexpr double kTol = 0.0;
+#endif
+  std::vector<T> x(num_lags + h_len - 1);
+  std::vector<T> h(h_len);
+  for (T& v : x) v = static_cast<T>(rng.gaussian());
+  for (T& v : h) v = static_cast<T>(rng.gaussian());
+  std::vector<T> got(num_lags + 1, T{-7});  // one guard slot past the end
+  dot_bank(x.data(), num_lags, h.data(), h_len, got.data());
+  for (std::size_t j = 0; j < num_lags; ++j) {
+    T acc{};
+    for (std::size_t m = 0; m < h_len; ++m) acc += x[j + m] * h[m];
+    if constexpr (kTol == 0.0) {
+      ASSERT_EQ(got[j], acc) << num_lags << " lags, " << h_len << " taps, lag " << j;
+    } else {
+      ASSERT_NEAR(got[j], acc, kTol * (1.0 + std::abs(acc)));
+    }
+  }
+  EXPECT_EQ(got[num_lags], T{-7}) << "wrote past num_lags";
+}
+
+TEST(Correlator, DotBankMatchesSequentialSumBitForBit) {
+  // dot_bank picks its AVX2 clone or the portable default at run time; the
+  // clone leaves FMA off, so on any x86-64 host each lag is the sequential
+  // ascending-tap sum exactly, in float and in double.
+  Rng rng(0xD07B);
+  for (const std::size_t lags : {0u, 1u, 31u, 32u, 33u, 64u, 95u, 100u}) {
+    expect_dot_bank_matches_sequential<double>(rng, lags, 63);
+    expect_dot_bank_matches_sequential<float>(rng, lags, 11);
+  }
+  for (int round = 0; round < 200; ++round) {
+    const auto lags = static_cast<std::size_t>(rng.uniform_int(0, 100));
+    const auto taps = static_cast<std::size_t>(rng.uniform_int(1, 63));
+    expect_dot_bank_matches_sequential<double>(rng, lags, taps);
+    expect_dot_bank_matches_sequential<float>(rng, lags, taps);
+  }
 }
 
 TEST(Correlator, NormalizedIsScaleInvariant) {

@@ -550,15 +550,30 @@ TEST_F(FarmTest, HostileInputsEndInTheExitCodeContract) {
                     path("out.json")),
             kExitSpecLoad);
 
-  // An exception no validator anticipates -- here a payload too large for
-  // any vector, thrown on a pool thread mid-trial -- is a runtime failure
-  // (1), not an abort.
+  // A payload too large for any vector is a bad spec (3); a stop budget
+  // past what a JSON number carries exactly is a bad flag (2).
   engine::ScenarioSpec huge_payload = tiny_scenario();
   for (engine::PointSpec& point : huge_payload.points) {
     point.link.options.payload_bits = std::numeric_limits<std::size_t>::max();
   }
   io::save_scenario_file(huge_payload, path("huge_payload.json"));
   EXPECT_EQ(run_cli(sweep + " --file " + path("huge_payload.json") + " --out " +
+                    path("out.json")),
+            kExitSpecLoad);
+  EXPECT_EQ(run_cli(sweep + " gen2_cm_grid --max-trials 18446744073709551615 --fast"),
+            kExitBadArgs);
+  EXPECT_EQ(run_cli(sweep + " gen2_cm_grid --adaptive-budget 9007199254740993 --fast"),
+            kExitBadArgs);
+
+  // An exception no validator anticipates -- here an anti-alias filter too
+  // long for any vector, thrown while building the point's link -- is a
+  // runtime failure (1), not an abort.
+  engine::ScenarioSpec huge_filter = tiny_scenario();
+  for (engine::PointSpec& point : huge_filter.points) {
+    point.link.gen2().front_end.anti_alias_taps = std::numeric_limits<std::size_t>::max();
+  }
+  io::save_scenario_file(huge_filter, path("huge_filter.json"));
+  EXPECT_EQ(run_cli(sweep + " --file " + path("huge_filter.json") + " --out " +
                     path("out.json")),
             kExitRuntime);
 
@@ -571,15 +586,20 @@ TEST_F(FarmTest, HostileInputsEndInTheExitCodeContract) {
 }
 
 TEST_F(FarmTest, SigtermFlushesValidPartialDocAndInterruptedManifest) {
-  // Full-budget sweep (minutes of work) killed almost immediately: the
-  // worker must exit kExitInterrupted with a parseable result document
-  // holding a completed-point prefix, and its manifest must say so.
+  // A sweep with a stop budget far past what it can finish (hours of
+  // work) killed almost immediately: the worker must exit kExitInterrupted
+  // with a parseable result document holding a completed-point prefix, and
+  // its manifest must say so. The budget is explicit because the default
+  // one finishes this scenario in well under the half second before the
+  // kill on a fast host.
   const RunPaths paths{path("run")};
   FarmSpec spec = tiny_spec(1);
   init_run(tiny_scenario(), spec, paths);
   const std::string out = path("partial.json");
   const std::string cmd = std::string(UWB_SWEEP_BINARY) + " --file " +
-                          paths.scenario_json() + " --quiet --out " + out +
+                          paths.scenario_json() +
+                          " --min-errors 1000000 --max-bits 1000000000000"
+                          " --max-trials 1000000000 --quiet --out " + out +
                           " >/dev/null 2>&1 & pid=$!; sleep 0.5;"
                           " kill -TERM $pid; wait $pid";
   const int status = std::system(("sh -c '" + cmd + "'").c_str());

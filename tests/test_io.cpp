@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/error.h"
@@ -222,6 +223,32 @@ TEST(SpecIo, BerStopRoundTrip) {
   stop.metric = "timing_correct";
   EXPECT_EQ(ber_stop_from_json(parse_json(dump_json(to_json(stop)))).metric,
             "timing_correct");
+
+  // Budgets are bounded at 2^53, the largest count a JSON number holds
+  // exactly everywhere.
+  stop.max_trials = sim::BerStop::kMaxBudget;
+  EXPECT_EQ(ber_stop_from_json(parse_json(dump_json(to_json(stop)))).max_trials,
+            sim::BerStop::kMaxBudget);
+  for (const char* key : {"min_errors", "max_bits", "max_trials"}) {
+    EXPECT_THROW((void)ber_stop_from_json(parse_json(std::string(R"({")") + key +
+                                                     R"(": 9007199254740993})")),
+                 InvalidArgument)
+        << key;
+  }
+}
+
+TEST(SpecIo, PayloadBitsAreBounded) {
+  // A payload too long for any capture is a bad spec, rejected by the
+  // reader and by validate_spec alike -- not an allocation failure mid-run.
+  EXPECT_EQ(trial_options_from_json(parse_json(R"({"payload_bits": 4096})")).payload_bits,
+            txrx::TrialOptions::kMaxPayloadBits);
+  EXPECT_THROW((void)trial_options_from_json(parse_json(R"({"payload_bits": 4097})")),
+               InvalidArgument);
+  txrx::LinkSpec spec = txrx::LinkSpec::for_gen1(sim::gen1_fast());
+  spec.options.payload_bits = txrx::TrialOptions::kMaxPayloadBits;
+  EXPECT_NO_THROW(txrx::validate_spec(spec));
+  spec.options.payload_bits = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(txrx::validate_spec(spec), InvalidArgument);
 }
 
 TEST(SpecIo, SamplingPolicyRoundTripAndStrictKeys) {

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "channel/awgn.h"
@@ -14,6 +19,7 @@
 #include "dsp/fir_filter.h"
 #include "dsp/power_spectrum.h"
 #include "sim/scenario.h"
+#include "stats/sampling.h"
 #include "txrx/link.h"
 #include "txrx/power_model.h"
 #include "txrx/receiver_gen1.h"
@@ -381,6 +387,119 @@ TEST(Gen1Receiver, CleanPacketZeroErrors) {
   const Gen1TrialResult trial = link.run_packet_full(options);
   EXPECT_EQ(trial.outcome.errors, 0u);
   EXPECT_GT(trial.outcome.bits, 0u);
+}
+
+/// Bitwise equality of two trial records: counts, metric names and value
+/// bits, weight bits.
+void expect_same_outcome(const sim::TrialOutcome& a, const sim::TrialOutcome& b,
+                         const std::string& where) {
+  EXPECT_EQ(a.bits, b.bits) << where;
+  EXPECT_EQ(a.errors, b.errors) << where;
+  EXPECT_EQ(a.weighted, b.weighted) << where;
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.log_weight), std::bit_cast<uint64_t>(b.log_weight))
+      << where;
+  ASSERT_EQ(a.metrics.size(), b.metrics.size()) << where;
+  for (std::size_t i = 0; i < a.metrics.size(); ++i) {
+    EXPECT_EQ(a.metrics[i].first, b.metrics[i].first) << where;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.metrics[i].second),
+              std::bit_cast<uint64_t>(b.metrics[i].second))
+        << where << " metric " << a.metrics[i].first;
+  }
+}
+
+TEST(Gen1Receiver, DecisionWindowsReceiveLikeTheWholeCapture) {
+  // A genie-timed receive digitizes only the ADC windows its despreader
+  // reads. Through the same entry point, those windows, the same windows
+  // widened to start off the 4-lane converter pattern, and the single
+  // window [0, n) must give the same trial record and the same matched-
+  // filter value at every read index: AWGN, CM1 through the composite
+  // kernel, an importance-sampled trial, and several start delays. Low
+  // Eb/N0, so bit errors (and their exact positions) are in play.
+  const Gen1Config config = sim::gen1_fast();
+  struct Case {
+    const char* name;
+    int cm;
+    bool sampled;
+    std::size_t delay_max_frames;
+  };
+  const Case cases[] = {{"awgn", 0, false, 0},
+                        {"awgn-delayed", 0, false, 40},
+                        {"cm1", 1, false, 12},
+                        {"awgn-is", 0, true, 25}};
+  const AdcWindow whole{0, std::numeric_limits<std::size_t>::max()};
+  for (const Case& c : cases) {
+    Gen1Link link(config, 0x51DE);
+    TrialOptions options = default_options(Generation::kGen1);
+    options.payload_bits = 24;
+    options.ebn0_db = 3.0;
+    options.cm = c.cm;
+    options.start_delay_max_frames = c.delay_max_frames;
+    TrialContext context;
+    if (c.sampled) {
+      options.sampling.mode = stats::SamplingMode::kNoiseScale;
+      options.sampling.scale = 3.0;
+      context.noise_scale = 3.0;
+      context.sampling_resolved = true;
+    }
+    const Rng root(0xD1CE);
+    for (uint64_t trial = 0; trial < 3; ++trial) {
+      const std::string where = std::string(c.name) + " trial " + std::to_string(trial);
+      context.sampling_trial = trial;
+      Rng rng = root.fork(trial);
+      const Gen1Link::Capture cap = link.synthesize_capture(options, context, rng);
+      const std::span<const AdcWindow> decision = link.decision_windows(cap, options);
+      const std::vector<AdcWindow> windows(decision.begin(), decision.end());
+      ASSERT_GT(windows.size(), 1u) << where;  // genie timing: per-pulse windows
+      std::vector<AdcWindow> shifted = windows;
+      for (std::size_t i = 0; i < shifted.size(); ++i) shifted[i].begin -= 1 + i % 3;
+
+      Rng rng_windowed = rng;
+      Rng rng_shifted = rng;
+      Rng rng_whole = rng;
+      const Gen1TrialResult windowed = link.receive_capture(cap, options, windows, rng_windowed);
+      const Gen1TrialResult off_lane = link.receive_capture(cap, options, shifted, rng_shifted);
+      const Gen1TrialResult dense = link.receive_capture(cap, options, {&whole, 1}, rng_whole);
+      expect_same_outcome(windowed.outcome, dense.outcome, where);
+      expect_same_outcome(off_lane.outcome, dense.outcome, where + " shifted");
+      EXPECT_EQ(windowed.rx.data_bits, dense.rx.data_bits) << where;
+
+      // Each decision window begins at the matched-filter index it serves.
+      Gen1Receiver& rx = link.receiver();
+      const auto read_values = [&](std::span<const AdcWindow> digitized) {
+        Rng rng_mf = rng;
+        const Gen1MfView mf = rx.digitize_and_filter(cap.samples, config.analog_fs,
+                                                     link.transmitter(), digitized, rng_mf);
+        std::vector<uint32_t> bits;
+        for (const AdcWindow& w : windows) {
+          const float* v = mf.find(w.begin);
+          EXPECT_NE(v, nullptr) << where << " index " << w.begin;
+          bits.push_back(v != nullptr ? std::bit_cast<uint32_t>(*v) : 0u);
+        }
+        return bits;
+      };
+      const std::vector<uint32_t> dense_mf = read_values({&whole, 1});
+      EXPECT_EQ(read_values(windows), dense_mf) << where;
+      EXPECT_EQ(read_values(shifted), dense_mf) << where << " shifted";
+    }
+  }
+}
+
+TEST(Gen1Receiver, JitteredSamplerDigitizesTheWholeCapture) {
+  // Aperture jitter draws the Rng once per ADC sample in stream order, so
+  // even a genie-timed receive must digitize the single window [0, n).
+  Gen1Config config = sim::gen1_fast();
+  config.aperture_jitter_rms_s = 2e-12;
+  Gen1Link link(config, 0x717);
+  TrialOptions options = default_options(Generation::kGen1);
+  options.payload_bits = 8;
+  Rng rng(3);
+  const Gen1Link::Capture cap = link.synthesize_capture(options, TrialContext{}, rng);
+  const std::span<const AdcWindow> windows = link.decision_windows(cap, options);
+  ASSERT_EQ(windows.size(), 1u);
+  EXPECT_EQ(windows.front().begin, 0u);
+  EXPECT_EQ(windows.front().end, cap.samples.size() / 2);  // 4 GS/s analog, 2 GS/s ADC
+  const AdcWindow part{windows.front().end / 2, windows.front().end};
+  EXPECT_THROW((void)link.receive_capture(cap, options, {&part, 1}, rng), InvalidArgument);
 }
 
 TEST(Gen1Receiver, AcquisitionFindsTiming) {

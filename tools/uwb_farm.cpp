@@ -197,6 +197,7 @@ Args parse_args(int argc, char** argv) {
     }
   }
   if (args.fast) args.spec.stop = sim::scale_stop(args.spec.stop, 4, 8);
+  sim::validate_budgets(args.spec.stop);
   return args;
 }
 

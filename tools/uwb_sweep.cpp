@@ -292,6 +292,10 @@ Args parse_args(int argc, char** argv) {
                   "--channel-seed needs --channel-ensemble");
   detail::require(!args.allow_partial || merging,
                   "--allow-partial only applies to --merge");
+  sim::validate_budgets(args.sweep.stop);
+  detail::require(args.adaptive_budget <= sim::BerStop::kMaxBudget,
+                  "--adaptive-budget exceeds the maximum " +
+                      std::to_string(sim::BerStop::kMaxBudget));
   detail::require(args.adaptive_budget == 0 || args.sweep.shard_count == 1,
                   "--adaptive-budget is incompatible with --shard (the allocator "
                   "must see every point's CI)");
