@@ -2,7 +2,25 @@
 
 #include <cmath>
 
+#include "common/error.h"
+
 namespace uwb::engine {
+
+void MetricAccumulator::set_rule(const sim::BerStop& stop, stats::CiMethod ci_method,
+                                 std::size_t committed_trials) {
+  if (committed_trials > 0) {
+    detail::require(stop.metric == stop_.metric &&
+                        stop.target_rel_ci_width == stop_.target_rel_ci_width,
+                    "resume: the stop metric and CI target must match the rule that "
+                    "measured the committed prefix");
+    detail::require(stop.min_errors >= stop_.min_errors && stop.max_bits >= stop_.max_bits &&
+                        stop.max_trials >= committed_trials,
+                    "resume: a smaller error or bit budget, or a trial cap below the "
+                    "committed count, could have stopped inside the committed prefix");
+  }
+  stop_ = stop;
+  ci_method_ = ci_method;
+}
 
 void MetricAccumulator::commit(const sim::TrialOutcome& outcome) {
   ber_.add(outcome.errors, outcome.bits);

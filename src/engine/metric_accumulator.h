@@ -23,9 +23,24 @@ namespace uwb::engine {
 
 class MetricAccumulator {
  public:
+  /// An empty accumulator under the default rule; a resumable point state
+  /// starts here and its first measurement sets the rule (set_rule).
+  MetricAccumulator() = default;
   explicit MetricAccumulator(const sim::BerStop& stop,
                              stats::CiMethod ci_method = stats::CiMethod::kClopperPearson)
       : stop_(stop), ci_method_(ci_method) {}
+
+  /// Swaps in the rule (and reported interval) the next commits run under,
+  /// keeping every committed sum. Extending a committed prefix under a new
+  /// rule matches a from-scratch run under it only when the new rule could
+  /// not have stopped inside the prefix, so once anything is committed the
+  /// new rule must be no stricter than the current one: the same metric and
+  /// CI target, no smaller error or bit budget, and a trial cap of at least
+  /// \p committed_trials (a cap above the prefix cannot stop inside it, so
+  /// a top-up may lower the cap of a point whose error budget fired).
+  /// \throws InvalidArgument otherwise.
+  void set_rule(const sim::BerStop& stop, stats::CiMethod ci_method,
+                std::size_t committed_trials);
 
   /// True while the stopping rule allows committing another trial. The
   /// error budget counts bit errors by default; when stop.metric is set it
@@ -59,7 +74,7 @@ class MetricAccumulator {
   }
 
   sim::BerStop stop_;
-  stats::CiMethod ci_method_;
+  stats::CiMethod ci_method_ = stats::CiMethod::kClopperPearson;
   sim::BerCounter ber_;
   stats::WeightedBer weighted_;  ///< parallel weighted sums (importance sampling)
   bool any_weighted_ = false;

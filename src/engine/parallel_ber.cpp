@@ -37,28 +37,37 @@ const char* stop_reason(const MetricAccumulator& acc, const sim::BerStop& stop,
 
 sim::MeasuredPoint measure_point_batched(const BatchFactory& factory,
                                          std::size_t batch_size, const sim::BerStop& stop,
-                                         const Rng& root, ThreadPool& pool,
+                                         const Rng& root, ThreadPool& pool, PointState& state,
                                          const PointHooks& hooks,
                                          stats::CiMethod ci_method) {
   // Shared ordered-commit state. Workers race ahead claiming trial indices
   // but outcomes only count once every lower-indexed trial has counted and
   // the stopping rule was still live -- the sequential semantics exactly.
+  // It starts from a copy of the caller's state, which is written back only
+  // when the measurement finishes.
   struct Shared {
-    Shared(const sim::BerStop& stop, stats::CiMethod method) : acc(stop, method) {}
+    explicit Shared(const PointState& state)
+        : next_claim(state.committed), committed(state.committed), acc(state.acc) {}
     std::mutex mutex;
     std::condition_variable window_open;   // speculation window advanced / stop
     std::condition_variable workers_done;
     std::deque<std::optional<sim::TrialOutcome>> window;  // slot k = trial committed+k
-    std::size_t next_claim = 0;
-    std::size_t committed = 0;
+    std::size_t next_claim;
+    std::size_t committed;
     MetricAccumulator acc;
+    std::size_t executed = 0;  // trials run by this call, discarded ones included
     bool stopped = false;
     std::size_t active_workers = 0;
     std::exception_ptr error;  // first exception a worker threw
-  } shared(stop, ci_method);
+  } shared(state);
+  shared.acc.set_rule(stop, ci_method, shared.committed);  // throws on a stricter rule
 
-  // Degenerate budgets: nothing to run (matches the serial loop).
-  if (!shared.acc.keep_going(0)) return shared.acc.finish(0);
+  // Degenerate budgets, or a prefix the rule already stops: nothing to run
+  // (matches the serial loop).
+  if (!shared.acc.keep_going(shared.committed)) {
+    state.acc = shared.acc;
+    return shared.acc.finish(shared.committed);
+  }
 
   const std::size_t num_workers = std::max<std::size_t>(1, pool.size());
   const std::size_t batch = std::max<std::size_t>(1, batch_size);
@@ -149,6 +158,7 @@ sim::MeasuredPoint measure_point_batched(const BatchFactory& factory,
           }
 
           std::lock_guard<std::mutex> lock(shared.mutex);
+          shared.executed += count;
           if (shared.stopped) break;
           const std::size_t base = first - shared.committed;
           if (shared.window.size() < base + count) shared.window.resize(base + count);
@@ -201,7 +211,11 @@ sim::MeasuredPoint measure_point_batched(const BatchFactory& factory,
     ++shared.committed;
     shared.window.pop_front();
   }
-  return shared.acc.finish(shared.committed);
+  if (hooks.cancelled()) return shared.acc.finish(shared.committed);  // truncated
+  state.acc = std::move(shared.acc);
+  state.committed = shared.committed;
+  state.executed += shared.executed;
+  return state.acc.finish(state.committed);
 }
 
 }  // namespace uwb::engine

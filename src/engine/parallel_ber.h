@@ -16,6 +16,7 @@
 #include <functional>
 
 #include "common/rng.h"
+#include "engine/metric_accumulator.h"
 #include "engine/thread_pool.h"
 #include "sim/ber_simulator.h"
 
@@ -71,12 +72,32 @@ struct PointHooks {
   }
 };
 
+/// A point's resumable measurement: the committed prefix's reductions (and
+/// the stop rule that produced them) plus how much work it took. A
+/// default-constructed state is fresh. measure_point_batched extends it in
+/// place, so a point measured to k trials and then resumed to N commits
+/// exactly the trials a from-scratch N run commits -- the same prefix in the
+/// same order, every floating-point sum included -- while running only the
+/// trials past k.
+struct PointState {
+  MetricAccumulator acc;       ///< committed reductions + the rule behind them
+  std::size_t committed = 0;   ///< trials [0, committed) are committed
+  std::size_t executed = 0;    ///< trials run so far, speculative ones included
+};
+
 /// The one trial core. Sequential semantics: trial i runs with
 /// root.fork(i); the point stops once the error budget (bit errors, or
 /// failed trials of stop.metric when set), max_bits bits, or max_trials
 /// trials are reached (max_trials is a hard stop even when no errors
 /// accumulate). \p ci_method selects the two-sided interval the finished
 /// point reports (weighted points always report the normal interval).
+///
+/// Resume: claiming starts at state.committed, on top of the state's sums,
+/// and \p stop replaces the state's rule. A non-empty state requires \p stop
+/// to be no stricter than that rule -- the same metric and CI target, no
+/// smaller error or bit budget, a trial cap of at least state.committed
+/// (MetricAccumulator::set_rule) -- and throws InvalidArgument otherwise. On return the state holds the finished
+/// prefix; a measurement that throws or is cancelled leaves it unchanged.
 ///
 /// Execution: workers claim contiguous ranges of \p batch_size trial
 /// indices (clamped at the trial cap), run each range through one BatchFn
@@ -86,10 +107,10 @@ struct PointHooks {
 /// committed trials is therefore exactly the sequential loop's prefix, and
 /// the measured point -- counters, metric reductions, result-document bytes
 /// -- is identical for ANY (batch_size, worker count) combination (tested
-/// at B in {1,4,16} x workers in {1,8}).
+/// at B in {1,4,16} x workers in {1,8}) and for any prefix it resumed from.
 sim::MeasuredPoint measure_point_batched(
     const BatchFactory& factory, std::size_t batch_size, const sim::BerStop& stop,
-    const Rng& root, ThreadPool& pool, const PointHooks& hooks = {},
+    const Rng& root, ThreadPool& pool, PointState& state, const PointHooks& hooks = {},
     stats::CiMethod ci_method = stats::CiMethod::kClopperPearson);
 
 }  // namespace uwb::engine

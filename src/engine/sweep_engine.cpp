@@ -111,11 +111,17 @@ class RunMeter {
         fft_before_(dsp::fft_plan_cache_stats()),
         start_(std::chrono::steady_clock::now()) {}
 
-  /// The run's counters; \p pool ran every task of the run.
-  [[nodiscard]] obs::RunCounters finish(ThreadPool& pool) const {
+  /// The run's counters; \p pool ran every task of the run and \p states
+  /// are its points' final measurement states.
+  [[nodiscard]] obs::RunCounters finish(ThreadPool& pool,
+                                        const std::vector<PointState>& states) const {
     pool.wait_idle();  // task counts are exact once the pool is quiesced
     obs::RunCounters counters;
     counters.pool = pool.worker_stats();
+    for (const PointState& state : states) {
+      counters.trials_executed += state.executed;
+      counters.trials_committed += state.committed;
+    }
     const ChannelCache::Stats cache_after = cache_.stats();
     counters.cache_hits = cache_after.hits - cache_before_.hits;
     counters.cache_disk_loads = cache_after.disk_loads - cache_before_.disk_loads;
@@ -141,11 +147,13 @@ ChannelCache& cache_of(const SweepConfig& config) {
 }
 
 /// One pass over every point of \p scenario in \p config's shard, trials on
-/// \p pool, records streamed to \p sinks in plan order. The caller owns the
-/// pool and the run counters, so run_adaptive's top-ups can share both.
+/// \p pool, records streamed to \p sinks in plan order. Each record's
+/// measurement state lands at the same position of \p states. The caller
+/// owns the pool, the states and the run counters, so run_adaptive's
+/// top-ups can resume the points and share the rest.
 SweepResult run_points(const SweepConfig& config, const ScenarioSpec& scenario,
                        const std::vector<ResultSink*>& sinks, ThreadPool& pool,
-                       ChannelCache& cache) {
+                       ChannelCache& cache, std::vector<PointState>& states) {
   // Fail fast on a bad plan (e.g. a hand-written spec asking gen-1 for an
   // interferer): every point is validated before any trial runs, so an
   // invalid late point cannot discard hours of completed work mid-sweep.
@@ -210,9 +218,10 @@ SweepResult run_points(const SweepConfig& config, const ScenarioSpec& scenario,
     if (config.profile != nullptr) config.profile->reset();
 
     const auto start = std::chrono::steady_clock::now();
+    PointState state;
     sim::MeasuredPoint measured =
         measure_point_batched(plan.factory, config.batch_size, config.stop, plan.trial_root,
-                              pool, hooks, config.ci_method);
+                              pool, state, hooks, config.ci_method);
     const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
 
     if (hooks.cancelled()) {
@@ -266,6 +275,7 @@ SweepResult run_points(const SweepConfig& config, const ScenarioSpec& scenario,
     }
     for (ResultSink* sink : sinks) sink->point(record);
     result.records.push_back(std::move(record));
+    states.push_back(std::move(state));
   }
 
   run_span.finish();
@@ -303,8 +313,9 @@ SweepResult SweepEngine::run(const ScenarioSpec& scenario,
   ChannelCache& cache = cache_of(config_);
   const RunMeter meter(cache);
   ThreadPool pool(config_.workers, config_.trace);
-  SweepResult result = run_points(config_, scenario, sinks, pool, cache);
-  result.counters = meter.finish(pool);
+  std::vector<PointState> states;
+  SweepResult result = run_points(config_, scenario, sinks, pool, cache, states);
+  result.counters = meter.finish(pool, states);
   return result;
 }
 
@@ -327,8 +338,10 @@ SweepResult SweepEngine::run_adaptive(const ScenarioSpec& scenario,
   ThreadPool pool(config_.workers, config_.trace);
 
   // Base pass without sinks: the document is written once, after the whole
-  // budget is spent, so a reader never sees half-topped-up points.
-  SweepResult result = run_points(config_, scenario, {}, pool, cache);
+  // budget is spent, so a reader never sees half-topped-up points. The
+  // points' states stay, and every top-up resumes one.
+  std::vector<PointState> states;
+  SweepResult result = run_points(config_, scenario, {}, pool, cache, states);
 
   if (!result.interrupted && extra_trials > 0 && !result.records.empty()) {
     const Rng sweep_root(config_.seed);
@@ -349,12 +362,13 @@ SweepResult SweepEngine::run_adaptive(const ScenarioSpec& scenario,
       if (pick < 0) break;  // every point saturated
       stats::AllocPoint& ap = alloc[static_cast<std::size_t>(pick)];
       PointRecord& rec = result.records[static_cast<std::size_t>(pick)];
+      PointState& state = states[static_cast<std::size_t>(pick)];
 
       // Trial-budgeted extension: the error/bit budgets already fired on
       // the base pass, so only the raised trial cap (and a CI target, when
-      // one is set) bounds the top-up. Rerunning with a larger cap commits
-      // a superset prefix of the same trial stream -- the base trials are
-      // reproduced bit for bit, then extended.
+      // one is set) bounds the top-up. The point's state resumes at its
+      // committed count and runs only the new trials; the result is what
+      // a from-scratch run under the raised cap would commit.
       sim::BerStop stop = config_.stop;
       stop.min_errors = std::numeric_limits<std::size_t>::max();
       stop.max_bits = std::numeric_limits<std::size_t>::max();
@@ -364,14 +378,17 @@ SweepResult SweepEngine::run_adaptive(const ScenarioSpec& scenario,
       if (config_.profile != nullptr) config_.profile->reset();
       const auto start = std::chrono::steady_clock::now();
       const PointPlan plan = plan_point(sweep_root, rec.index, rec.spec, cache, config_.trace);
+      const std::size_t resumed_at = state.committed;
       sim::MeasuredPoint measured =
           measure_point_batched(plan.factory, config_.batch_size, stop, plan.trial_root, pool,
-                                hooks, config_.ci_method);
+                                state, hooks, config_.ci_method);
+      const std::size_t grown = state.committed - resumed_at;
+      span.arg("resumed_at", static_cast<std::uint64_t>(resumed_at));
+      span.arg("grown", static_cast<std::uint64_t>(grown));
       span.finish();
       if (config_.profile != nullptr) {
-        // A top-up replays the committed prefix then extends it; its stage
-        // work is real work this run did, so it accumulates on top of the
-        // base pass's table.
+        // A top-up runs only the trials past the committed prefix; that
+        // stage work accumulates on top of the base pass's table.
         const obs::StageTable topup = config_.profile->merged();
         rec.stages.merge(topup);
         result.stages.merge(topup);
@@ -383,8 +400,6 @@ SweepResult SweepEngine::run_adaptive(const ScenarioSpec& scenario,
       rec.elapsed_s += std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
                            .count();
 
-      const std::size_t grown =
-          measured.ber.trials > ap.trials ? measured.ber.trials - ap.trials : 0;
       if (grown == 0) {
         // A CI target (or a degenerate plan) kept the point from growing:
         // never pick it again, the budget moves to the next-widest point.
@@ -399,7 +414,7 @@ SweepResult SweepEngine::run_adaptive(const ScenarioSpec& scenario,
       ap.trials = rec.ber.trials;
     }
   }
-  result.counters = meter.finish(pool);
+  result.counters = meter.finish(pool, states);
 
   for (ResultSink* sink : sinks) sink->begin(result.info);
   for (const PointRecord& rec : result.records) {

@@ -113,8 +113,8 @@ struct SweepResult {
 
   /// Operational counters for this run (always filled; never serialized
   /// into the result document -- see obs/manifest.h for the sidecar):
-  /// per-worker pool stats, channel-cache and FFT-plan-cache deltas, wall
-  /// time.
+  /// per-worker pool stats, channel-cache and FFT-plan-cache deltas,
+  /// executed and committed trials, wall time.
   obs::RunCounters counters;
 
   /// Run-total stage profile: the sum of every record's stage table (plus
@@ -143,10 +143,11 @@ class SweepEngine {
   /// Adaptive allocation: a base pass at the configured stop rule, then up
   /// to \p extra_trials additional trials poured into whichever point has
   /// the widest CI half-width relative to its BER (a zero-error point
-  /// counts as infinitely wide). Each top-up re-measures the point with a
-  /// larger trial cap, which -- by the ordered-commit determinism contract
-  /// -- extends the point's committed prefix rather than re-rolling it, so
-  /// the final document is still a pure function of (scenario, seed, stop,
+  /// counts as infinitely wide). Each top-up resumes the point's measurement
+  /// state (engine::PointState) under a larger trial cap: it runs only the
+  /// new trials, and -- by the ordered-commit determinism contract -- commits
+  /// exactly what a from-scratch run under that cap would, so the final
+  /// document is still a pure function of (scenario, seed, stop,
   /// extra_trials). Sinks receive the finished records once, at the end.
   /// Incompatible with sharding (the allocator must see every point).
   SweepResult run_adaptive(const ScenarioSpec& scenario, std::size_t extra_trials,

@@ -35,6 +35,12 @@ struct RunCounters {
   std::uint64_t fft_plan_hits = 0;    ///< FFT plan-cache lookups served
   std::uint64_t fft_plan_misses = 0;  ///< ... that had to build a plan
 
+  /// Trials the engine ran and trials it committed, over the base pass and
+  /// every adaptive top-up (summed from each point's engine::PointState).
+  /// The difference is speculative work discarded past a stop rule.
+  std::uint64_t trials_executed = 0;
+  std::uint64_t trials_committed = 0;
+
   double wall_s = 0.0;  ///< wall-clock for the whole run
 
   [[nodiscard]] std::uint64_t pool_executed() const {

@@ -67,6 +67,12 @@ io::JsonValue manifest_to_json(const RunManifest& m) {
     counters.set("fft_plan_cache", std::move(fft));
   }
   {
+    io::JsonValue trials = io::JsonValue::object();
+    trials.set("executed", io::JsonValue::number(m.counters.trials_executed));
+    trials.set("committed", io::JsonValue::number(m.counters.trials_committed));
+    counters.set("trials", std::move(trials));
+  }
+  {
     io::JsonValue pool = io::JsonValue::object();
     pool.set("workers", io::JsonValue::number(static_cast<std::uint64_t>(m.counters.pool.size())));
     pool.set("tasks_executed", io::JsonValue::number(m.counters.pool_executed()));
@@ -140,6 +146,11 @@ RunManifest manifest_from_json(const io::JsonValue& doc) {
   const io::JsonValue& fft = counters.at("fft_plan_cache");
   m.counters.fft_plan_hits = fft.at("hits").as_uint64();
   m.counters.fft_plan_misses = fft.at("misses").as_uint64();
+  // Optional for manifests written before the engine counted trials.
+  if (const io::JsonValue* trials = counters.find("trials")) {
+    m.counters.trials_executed = trials->at("executed").as_uint64();
+    m.counters.trials_committed = trials->at("committed").as_uint64();
+  }
   const io::JsonValue& pool = counters.at("pool");
   for (const io::JsonValue& entry : pool.at("per_worker").items()) {
     PoolWorkerStats w;

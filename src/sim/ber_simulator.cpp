@@ -32,13 +32,14 @@ BerPoint measure_ber(const std::function<TrialOutcome()>& trial, const BerStop& 
   // One worker commits the trials in call order; the closure owns its
   // randomness, so the per-trial Rng root the core supplies goes unused.
   engine::ThreadPool pool(1);
+  engine::PointState state;
   return engine::measure_point_batched(
              [&trial]() -> engine::BatchFn {
                return [&trial](std::size_t, std::size_t count, const Rng&, TrialOutcome* out) {
                  for (std::size_t k = 0; k < count; ++k) out[k] = trial();
                };
              },
-             1, stop, Rng(0), pool)
+             1, stop, Rng(0), pool, state)
       .ber;
 }
 

@@ -119,6 +119,8 @@ struct BerPoint {
   stats::CiMethod ci_method = stats::CiMethod::kClopperPearson;
   bool weighted = false;
   double ess = 0.0;  ///< effective sample size (trials when unweighted)
+
+  [[nodiscard]] bool operator==(const BerPoint&) const = default;
 };
 
 /// A fully measured grid point: the BER counters plus the reductions of
@@ -128,6 +130,8 @@ struct BerPoint {
 struct MeasuredPoint {
   BerPoint ber;
   MetricSet metrics;
+
+  [[nodiscard]] bool operator==(const MeasuredPoint&) const = default;
 };
 
 /// Runs \p trial repeatedly under the stopping rule: the sequential

@@ -98,6 +98,8 @@ struct MetricStats {
   /// Unbiased sample variance (n-1 denominator; 0 when count < 2). Clamped
   /// at 0 against the cancellation the sum-of-squares form can produce.
   [[nodiscard]] double variance() const noexcept;
+
+  [[nodiscard]] bool operator==(const MetricStats&) const = default;
 };
 
 /// An ordered set of named metric reductions. Order is first-appearance
@@ -119,6 +121,8 @@ class MetricSet {
 
   /// Stats for \p name, or nullptr when the metric was never observed.
   [[nodiscard]] const MetricStats* find(const std::string& name) const noexcept;
+
+  [[nodiscard]] bool operator==(const MetricSet&) const = default;
 
  private:
   MetricStats& entry(const std::string& name);

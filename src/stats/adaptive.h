@@ -3,9 +3,9 @@
 /// \brief Stratified adaptive trial allocation: pure decision logic for
 ///        spending a remaining trial budget on the sweep points whose BER
 ///        estimate has the widest *relative* confidence interval. The
-///        engine drives the loop (deterministic re-measurement = extension,
-///        thanks to per-trial seeding); the policy here is engine-free and
-///        unit-testable.
+///        engine drives the loop (each top-up resumes the point's committed
+///        prefix and runs only the new trials, see engine::PointState); the
+///        policy here is engine-free and unit-testable.
 
 #include <cstddef>
 #include <vector>

@@ -19,6 +19,7 @@ template <typename Trial>
 sim::MeasuredPoint measure_trials(const Trial& trial, const sim::BerStop& stop,
                                   const Rng& root, std::size_t workers = 1) {
   engine::ThreadPool pool(workers);
+  engine::PointState state;
   return engine::measure_point_batched(
       [&trial]() -> engine::BatchFn {
         return [&trial](std::size_t first, std::size_t count, const Rng& root,
@@ -29,7 +30,7 @@ sim::MeasuredPoint measure_trials(const Trial& trial, const sim::BerStop& stop,
           }
         };
       },
-      1, stop, root, pool);
+      1, stop, root, pool, state);
 }
 
 }  // namespace uwb::test

@@ -20,7 +20,9 @@
 #include "engine/sweep_engine.h"
 #include "engine/thread_pool.h"
 #include "measure_trials.h"
+#include "obs/trace.h"
 #include "sim/scenario.h"
+#include "txrx/packet_batch.h"
 
 namespace uwb::engine {
 namespace {
@@ -156,6 +158,114 @@ TEST(ParallelBer, TrialExceptionPropagatesToTheCaller) {
     SCOPED_TRACE(workers);
     EXPECT_THROW((void)test::measure_trials(trial, stop, Rng(3), workers), std::runtime_error);
   }
+}
+
+// ------------------------------------------------------- resumable points ----
+
+/// synthetic_trial as a BatchFactory; trial \p throw_at (if any) throws.
+BatchFactory synthetic_factory(std::size_t throw_at = std::numeric_limits<std::size_t>::max()) {
+  return [throw_at]() -> BatchFn {
+    return [throw_at](std::size_t first, std::size_t count, const Rng& root,
+                      sim::TrialOutcome* out) {
+      for (std::size_t k = 0; k < count; ++k) {
+        if (first + k == throw_at) throw std::runtime_error("trial failed");
+        Rng rng = root.fork(first + k);
+        out[k] = synthetic_trial(first + k, rng);
+      }
+    };
+  };
+}
+
+/// A trial-budgeted rule: the error and bit budgets never fire first.
+sim::BerStop trial_budget(std::size_t max_trials) {
+  sim::BerStop stop;
+  stop.min_errors = 1'000'000;
+  stop.max_bits = 1'000'000'000;
+  stop.max_trials = max_trials;
+  return stop;
+}
+
+void expect_state_unchanged(const PointState& state, const PointState& before) {
+  EXPECT_EQ(state.committed, before.committed);
+  EXPECT_EQ(state.executed, before.executed);
+  EXPECT_EQ(state.acc.finish(state.committed), before.acc.finish(before.committed));
+}
+
+TEST(PointState, StricterResumeRuleThrowsAndKeepsTheState) {
+  // A stricter rule could have stopped inside the committed prefix, so a
+  // resume under it cannot equal a from-scratch run: it must throw.
+  ThreadPool pool(2);
+  const sim::BerStop rule = trial_budget(20);
+  PointState state;
+  (void)measure_point_batched(synthetic_factory(), 1, rule, Rng(7), pool, state);
+  ASSERT_EQ(state.committed, 20u);
+  const PointState before = state;
+
+  std::vector<sim::BerStop> stricter(5, rule);
+  stricter[0].max_trials = 19;
+  stricter[1].min_errors = rule.min_errors - 1;
+  stricter[2].max_bits = rule.max_bits - 1;
+  stricter[3].metric = "acquired";
+  stricter[4].target_rel_ci_width = 0.5;
+  for (std::size_t i = 0; i < stricter.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_THROW((void)measure_point_batched(synthetic_factory(), 1, stricter[i], Rng(7), pool,
+                                             state),
+                 InvalidArgument);
+    expect_state_unchanged(state, before);
+  }
+
+  // The same rule resumes as a no-op; an empty state takes any rule.
+  EXPECT_EQ(measure_point_batched(synthetic_factory(), 1, rule, Rng(7), pool, state).ber.trials,
+            20u);
+  expect_state_unchanged(state, before);
+  PointState fresh;
+  EXPECT_EQ(measure_point_batched(synthetic_factory(), 1, stricter[0], Rng(7), pool, fresh)
+                .ber.trials,
+            19u);
+
+  // A trial cap below the old one but above the committed prefix cannot
+  // stop inside it: a point whose error budget fired resumes under it.
+  sim::BerStop errors_first = trial_budget(1000);
+  errors_first.min_errors = 5;
+  PointState stopped;
+  const std::size_t at =
+      measure_point_batched(synthetic_factory(), 1, errors_first, Rng(7), pool, stopped)
+          .ber.trials;
+  ASSERT_LT(at + 10, errors_first.max_trials);
+  const sim::BerStop extend = trial_budget(at + 10);
+  PointState scratch;
+  EXPECT_EQ(measure_point_batched(synthetic_factory(), 1, extend, Rng(7), pool, stopped),
+            measure_point_batched(synthetic_factory(), 1, extend, Rng(7), pool, scratch));
+}
+
+TEST(PointState, FailedOrCancelledResumeKeepsTheState) {
+  ThreadPool pool(4);
+  const Rng root(0x5A7E);
+  PointState state;
+  (void)measure_point_batched(synthetic_factory(), 4, trial_budget(10), root, pool, state);
+  const PointState before = state;
+
+  EXPECT_THROW((void)measure_point_batched(synthetic_factory(15), 4, trial_budget(50), root,
+                                           pool, state),
+               std::runtime_error);
+  expect_state_unchanged(state, before);
+
+  const std::atomic<bool> cancel{true};
+  PointHooks hooks;
+  hooks.cancel = &cancel;
+  (void)measure_point_batched(synthetic_factory(), 4, trial_budget(50), root, pool, state,
+                              hooks);
+  expect_state_unchanged(state, before);
+
+  // The kept state still resumes to the from-scratch answer.
+  PointState scratch;
+  const sim::MeasuredPoint full =
+      measure_point_batched(synthetic_factory(), 4, trial_budget(50), root, pool, scratch);
+  EXPECT_EQ(measure_point_batched(synthetic_factory(), 4, trial_budget(50), root, pool, state),
+            full);
+  EXPECT_EQ(state.committed, 50u);
+  EXPECT_GE(state.executed, 50u);
 }
 
 // ---------------------------------------------------------------- registry ----
@@ -555,6 +665,212 @@ TEST(SweepEngine, AdaptiveCountersCoverBasePassAndTopUps) {
   EXPECT_GE(adaptive.counters.pool_executed(),
             base.counters.pool_executed() + config.workers);
   EXPECT_EQ(adaptive.counters.pool_executed() % config.workers, 0u);
+}
+
+/// The adaptive pin's slice: gen2_cm_grid_deep's plain CM1 points at 6, 10
+/// and 12 dB over the shared 32-realization ensemble, base pass under a
+/// 0.5 relative CI-width stop capped at 8 trials, then a 200-trial budget.
+/// The 12 dB point is topped up twice (to 72, then to 140 trials, where its
+/// CI target fires) and then saturates; the 10 dB point grows once, to its
+/// CI stop, and then saturates; the 6 dB point met its target in the base
+/// pass and saturates when picked.
+ScenarioSpec adaptive_pin_slice() {
+  ScenarioSpec slice = ScenarioRegistry::global().make("gen2_cm_grid_deep");
+  restrict_scenario(slice, "channel", "CM1");
+  restrict_scenario(slice, "ebn0_db", "6,10,12");
+  restrict_scenario(slice, "sampling", "plain");
+  return slice;
+}
+
+SweepConfig adaptive_pin_config(std::size_t workers) {
+  SweepConfig config;  // the engine's default sweep seed
+  config.workers = workers;
+  config.stop.min_errors = 40;
+  config.stop.max_bits = 120000;
+  config.stop.max_trials = 8;
+  config.stop.target_rel_ci_width = 0.5;
+  return config;
+}
+
+TEST(SweepEngine, AdaptiveDocumentBytesArePinned) {
+  // run_adaptive's result document is a pure function of (scenario, seed,
+  // stop, budget), identical at any worker count. The digest was recorded
+  // on the engine that re-measured every top-up from trial 0; resuming a
+  // point's state must commit exactly the same trials.
+  constexpr uint64_t kPinned = 0x79e6b8257f46b2d0ULL;
+  const ScenarioSpec slice = adaptive_pin_slice();
+  ASSERT_EQ(slice.points.size(), 3u);
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const std::string path = "test_results/adaptive_pin_w" + std::to_string(workers) + ".json";
+    JsonSink json(path);
+    const SweepResult result =
+        SweepEngine(adaptive_pin_config(workers)).run_adaptive(slice, 200, {&json});
+    ASSERT_EQ(result.records.size(), 3u);
+    EXPECT_EQ(result.records[0].ber.trials, 5u);
+    EXPECT_EQ(result.records[1].ber.trials, 12u);
+    EXPECT_EQ(result.records[2].ber.trials, 140u);
+    EXPECT_EQ(fnv1a(slurp(path)), kPinned) << std::hex << fnv1a(slurp(path));
+  }
+}
+
+TEST(SweepEngine, TrialCountersAndTopUpSpansAccountForEveryTrial) {
+  // A fixed trial budget claims nothing past the cap, so every executed
+  // trial commits.
+  SweepConfig fixed;
+  fixed.workers = 4;
+  fixed.stop = trial_budget(6);
+  const SweepResult run = SweepEngine(fixed).run(tiny_scenario(), {});
+  std::size_t run_trials = 0;
+  for (const PointRecord& rec : run.records) run_trials += rec.ber.trials;
+  EXPECT_EQ(run.counters.trials_committed, run_trials);
+  EXPECT_EQ(run.counters.trials_executed, run_trials);
+
+  // Adaptive: every top-up span says where it resumed and how far it grew,
+  // and one worker claiming one trial at a time runs each trial once, base
+  // pass and top-ups together.
+  obs::TraceRecorder trace;
+  SweepConfig config = adaptive_pin_config(1);
+  config.trace = &trace;
+  const SweepResult adaptive = SweepEngine(config).run_adaptive(adaptive_pin_slice(), 200, {});
+  std::size_t adaptive_trials = 0;
+  for (const PointRecord& rec : adaptive.records) adaptive_trials += rec.ber.trials;
+  EXPECT_EQ(adaptive.counters.trials_committed, adaptive_trials);
+  EXPECT_EQ(adaptive.counters.trials_executed, adaptive_trials);
+
+  std::vector<std::pair<std::string, std::string>> topups;  // resumed_at, grown
+  for (const auto& log : trace.merged()) {
+    for (const obs::TraceEvent& event : log.events) {
+      if (event.name != "topup CM1 | 12 | plain") continue;
+      ASSERT_EQ(event.args.size(), 2u);
+      EXPECT_EQ(event.args[0].key, "resumed_at");
+      EXPECT_EQ(event.args[1].key, "grown");
+      topups.emplace_back(event.args[0].value, event.args[1].value);
+    }
+  }
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"8", "64"}, {"72", "68"}, {"140", "0"}};
+  EXPECT_EQ(topups, expected);
+}
+
+TEST(SweepEngine, AdaptiveTopUpsExtendPointsStoppedBelowTheirTrialCap) {
+  // tiny_stop's error and bit budgets fire well before its trial cap, so
+  // every top-up lowers the cap. Each topped-up point must equal a
+  // from-scratch run under the top-up rule (error and bit budgets lifted,
+  // the cap at the point's final count).
+  const ScenarioSpec scenario = tiny_scenario();
+  SweepConfig config;
+  config.seed = 0x70B;
+  config.workers = 2;
+  config.stop = tiny_stop();
+  config.stop.max_trials = 1000;
+  const SweepResult base = SweepEngine(config).run(scenario, {});
+  const SweepResult adaptive = SweepEngine(config).run_adaptive(scenario, 100, {});
+  ASSERT_EQ(adaptive.records.size(), base.records.size());
+  std::size_t topped_up = 0;
+  for (std::size_t p = 0; p < adaptive.records.size(); ++p) {
+    SCOPED_TRACE(adaptive.records[p].spec.label);
+    ASSERT_LT(base.records[p].ber.trials, config.stop.max_trials);
+    if (adaptive.records[p].ber.trials == base.records[p].ber.trials) continue;
+    ++topped_up;
+    SweepConfig scratch = config;
+    scratch.stop = trial_budget(adaptive.records[p].ber.trials);
+    const SweepResult replay = SweepEngine(scratch).run(scenario, {});
+    EXPECT_EQ(adaptive.records[p].ber, replay.records[p].ber);
+    EXPECT_EQ(adaptive.records[p].metrics, replay.records[p].metrics);
+  }
+  EXPECT_GT(topped_up, 0u);
+}
+
+/// A fresh-draw gen-2 point's BatchFactory, as SweepEngine builds it: each
+/// worker runs its own link, built from \p link_seed, through a PacketBatch.
+BatchFactory packet_factory(const PointSpec& spec, uint64_t link_seed) {
+  return [&spec, link_seed]() -> BatchFn {
+    auto batch = std::make_shared<txrx::PacketBatch>(txrx::make_link(spec.link, link_seed),
+                                                     spec.link.options);
+    return [batch](std::size_t first, std::size_t count, const Rng& root,
+                   sim::TrialOutcome* out) { batch->run(first, count, root, out); };
+  };
+}
+
+/// One measured point serialized as a result-document record.
+std::string record_bytes(const PointSpec& spec, const sim::MeasuredPoint& point) {
+  PointRecord record;
+  record.spec = spec;
+  record.ber = point.ber;
+  record.metrics = point.metrics;
+  const std::string path = "test_results/resume_record.json";
+  JsonSink json(path);
+  json.point(record);
+  json.end(SweepInfo{});
+  return slurp(path);
+}
+
+TEST(PointState, ResumedPointMatchesTheFromScratchRun) {
+  // A point measured to k trials and resumed under the full rule commits
+  // the from-scratch run's trials: the same MeasuredPoint and record bytes
+  // for k = 0, 1, a batch boundary and the trial where the rule fires, at
+  // any worker count and batch size. Three rules: a plain CI-width stop,
+  // the same on an importance-sampled (weighted) point, and an error budget
+  // counted on a success-flag metric.
+  ScenarioSpec deep = ScenarioRegistry::global().make("gen2_cm_grid_deep");
+  restrict_scenario(deep, "channel", "AWGN");
+  restrict_scenario(deep, "ebn0_db", "6");
+  ASSERT_EQ(deep.points.size(), 2u);
+  struct Case {
+    const char* name;
+    PointSpec spec;
+    sim::BerStop stop;
+  };
+  std::vector<Case> cases(3);
+  cases[0] = {"plain", deep.points[0], trial_budget(24)};
+  cases[0].stop.target_rel_ci_width = 0.35;  // fires at trial 19
+  cases[1] = {"importance-sampled", deep.points[1], trial_budget(40)};
+  cases[1].stop.target_rel_ci_width = 1.2;  // fires at trial 36
+  cases[2] = {"stop metric", deep.points[0], trial_budget(24)};
+  cases[2].stop.metric = txrx::metric_names::kInterfererDetected;
+  cases[2].stop.min_errors = 20;  // fires at trial 20
+
+  const Rng root(6);
+  constexpr std::size_t kBatchBoundary = 16;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const BatchFactory factory = packet_factory(c.spec, 0x11C);
+    ThreadPool one(1);
+    PointState reference_state;
+    const sim::MeasuredPoint reference =
+        measure_point_batched(factory, 1, c.stop, root, one, reference_state);
+    const std::string reference_bytes = record_bytes(c.spec, reference);
+    const std::size_t fired_at = reference.ber.trials;
+    ASSERT_GT(fired_at, kBatchBoundary);
+    ASSERT_LT(fired_at, c.stop.max_trials) << "the rule must fire before the trial cap";
+    EXPECT_EQ(reference.ber.weighted, c.spec.link.options.sampling.active());
+
+    for (const std::size_t workers : {1u, 4u}) {
+      ThreadPool pool(workers);
+      for (const std::size_t batch : {1u, 4u, 16u}) {
+        for (const std::size_t k : {std::size_t{0}, std::size_t{1}, kBatchBoundary, fired_at}) {
+          SCOPED_TRACE("workers=" + std::to_string(workers) + " batch=" +
+                       std::to_string(batch) + " k=" + std::to_string(k));
+          sim::BerStop prefix_rule = c.stop;
+          prefix_rule.max_trials = k;
+          PointState state;
+          (void)measure_point_batched(factory, batch, prefix_rule, root, pool, state);
+          ASSERT_EQ(state.committed, k);
+          const sim::MeasuredPoint resumed =
+              measure_point_batched(factory, batch, c.stop, root, pool, state);
+          EXPECT_EQ(resumed, reference);
+          EXPECT_EQ(record_bytes(c.spec, resumed), reference_bytes);
+          EXPECT_EQ(state.committed, fired_at);
+          // One worker claiming one trial at a time runs each trial once:
+          // the resume ran only the trials past the prefix.
+          if (workers == 1 && batch == 1) {
+            EXPECT_EQ(state.executed, fired_at);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SweepEngine, ShardsPartitionThePlanAndMatchTheUnshardedRun) {

@@ -212,6 +212,8 @@ RunManifest sample_manifest() {
   manifest.counters.cache_sv_draws = 128;
   manifest.counters.fft_plan_hits = 400;
   manifest.counters.fft_plan_misses = 3;
+  manifest.counters.trials_executed = 70;
+  manifest.counters.trials_committed = 56;
   manifest.counters.wall_s = 12.25;
   manifest.stages[Stage::kRxFrontend] = {56, 210'000'000, 1'500'000, 11'000'000, 860'160};
   manifest.stages[Stage::kFftExec] = {392, 21'000'000, 11'000, 4'300'000, 1'720'320};
@@ -250,6 +252,28 @@ TEST(RunManifest, EmptyStageTablesAreOmittedAndParseBackEmpty) {
   const RunManifest reloaded = manifest_from_json(doc);
   EXPECT_TRUE(reloaded.stages.empty());
   EXPECT_TRUE(reloaded.points[0].stages.empty());
+}
+
+TEST(RunManifest, TrialCountersAreOptionalOnRead) {
+  // Manifests written before the engine counted trials still load.
+  const io::JsonValue doc = manifest_to_json(sample_manifest());
+  EXPECT_EQ(doc.at("counters").at("trials").at("executed").as_uint64(), 70u);
+  EXPECT_EQ(doc.at("counters").at("trials").at("committed").as_uint64(), 56u);
+  io::JsonValue old_doc = io::JsonValue::object();
+  for (const auto& [key, value] : doc.members()) {
+    if (key != "counters") {
+      old_doc.set(key, value);
+      continue;
+    }
+    io::JsonValue counters = io::JsonValue::object();
+    for (const auto& [name, table] : value.members()) {
+      if (name != "trials") counters.set(name, table);
+    }
+    old_doc.set(key, std::move(counters));
+  }
+  const RunManifest reloaded = manifest_from_json(old_doc);
+  EXPECT_EQ(reloaded.counters.trials_executed, 0u);
+  EXPECT_EQ(reloaded.counters.trials_committed, 0u);
 }
 
 TEST(RunManifest, ParsingIsStrict) {

@@ -311,6 +311,7 @@ void print_counter_summary(const obs::RunCounters& counters) {
   std::fprintf(stderr,
                "channel cache: %llu hits, %llu disk loads, %llu generated "
                "(%llu S-V draws) | fft plans: %llu hits, %llu built | "
+               "trials: %llu executed, %llu committed | "
                "pool: %zu workers, %llu tasks (%llu stolen), idle %.2fs | wall %.2fs\n",
                static_cast<unsigned long long>(counters.cache_hits),
                static_cast<unsigned long long>(counters.cache_disk_loads),
@@ -318,6 +319,8 @@ void print_counter_summary(const obs::RunCounters& counters) {
                static_cast<unsigned long long>(counters.cache_sv_draws),
                static_cast<unsigned long long>(counters.fft_plan_hits),
                static_cast<unsigned long long>(counters.fft_plan_misses),
+               static_cast<unsigned long long>(counters.trials_executed),
+               static_cast<unsigned long long>(counters.trials_committed),
                counters.pool.size(),
                static_cast<unsigned long long>(counters.pool_executed()),
                static_cast<unsigned long long>(counters.pool_stolen()),
