@@ -46,7 +46,7 @@ void BM_FirFilter64Tap(benchmark::State& state) {
 }
 BENCHMARK(BM_FirFilter64Tap);
 
-void BM_CorrelatorBank127(benchmark::State& state) {
+void BM_NormalizedCorrelation127(benchmark::State& state) {
   Rng rng(3);
   const auto chips = phy::to_chips(phy::msequence(7));
   CplxVec tmpl;
@@ -60,7 +60,7 @@ void BM_CorrelatorBank127(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(x.size() - tmpl.size() + 1));
 }
-BENCHMARK(BM_CorrelatorBank127);
+BENCHMARK(BM_NormalizedCorrelation127);
 
 void BM_ViterbiDecodeK7(benchmark::State& state) {
   Rng rng(4);
@@ -124,9 +124,8 @@ void BM_ConvolveRealDirect(benchmark::State& state) {
   RealVec x(16384), h(h_len);
   for (auto& v : x) v = rng.gaussian();
   for (auto& v : h) v = rng.gaussian();
-  const dsp::FastConvolveGuard guard(false);
   for (auto _ : state) {
-    auto y = dsp::convolve(x, h);
+    auto y = dsp::convolve_direct(x, h);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -158,9 +157,8 @@ void BM_ConvolveCplxRealDirect(benchmark::State& state) {
   RealVec h(h_len);
   for (auto& v : x) v = rng.cgaussian();
   for (auto& v : h) v = rng.gaussian();
-  const dsp::FastConvolveGuard guard(false);
   for (auto _ : state) {
-    auto y = dsp::convolve(x, h);
+    auto y = dsp::convolve_direct(x, h);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -192,9 +190,8 @@ void BM_CorrelateCplxDirect(benchmark::State& state) {
   CplxVec x(16384), tmpl(m);
   for (auto& v : x) v = rng.cgaussian();
   for (auto& v : tmpl) v = rng.cgaussian();
-  const dsp::FastConvolveGuard guard(false);
   for (auto _ : state) {
-    auto y = dsp::correlate(x, tmpl);
+    auto y = dsp::correlate_direct(x, tmpl);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

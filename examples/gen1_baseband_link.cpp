@@ -24,6 +24,7 @@ int main() {
   // --- Acquisition: pulse-level PN preamble, massively parallel search ----
   txrx::Gen1Link link(config, /*seed=*/7);
   txrx::TrialOptions options;
+  options.kind = txrx::TrialKind::kAcquisition;
   options.ebn0_db = 18.0;
   options.payload_bits = 16;
   options.genie_timing = false;
@@ -31,10 +32,10 @@ int main() {
   std::printf("\nAcquisition (P1 = %zu sample-phase correlators, P2 = %zu code-phase):\n",
               config.acq_parallelism_stage1, config.acq_parallelism_stage2);
   for (int t = 0; t < 3; ++t) {
-    const auto trial = link.run_acquisition(options);
+    const auto trial = link.run_packet_full(options);
     std::printf("  trial %d: %s, metric %.2f, sync time %.1f us (budget: < 70 us)\n", t,
-                trial.timing_correct ? "locked on the true timing" : "missed",
-                trial.acq.stage2_metric, trial.acq.sync_time_s * 1e6);
+                trial.outcome.errors == 0 ? "locked on the true timing" : "missed",
+                trial.rx.acq.stage2_metric, trial.rx.acq.sync_time_s * 1e6);
   }
 
   // --- Data transfer at 193 kbps ------------------------------------------

@@ -267,14 +267,4 @@ double n0_for_ebn0(double eb, double ebn0_db) {
   return eb / from_db(ebn0_db);
 }
 
-double energy_per_bit(const CplxWaveform& x, std::size_t num_bits) {
-  detail::require(num_bits > 0, "energy_per_bit: num_bits must be positive");
-  return x.total_energy() / static_cast<double>(num_bits);
-}
-
-double energy_per_bit(const RealWaveform& x, std::size_t num_bits) {
-  detail::require(num_bits > 0, "energy_per_bit: num_bits must be positive");
-  return x.total_energy() / static_cast<double>(num_bits);
-}
-
 }  // namespace uwb::channel

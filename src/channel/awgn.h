@@ -38,8 +38,4 @@ void add_awgn(CplxWaveform& x, double n0, Rng& rng);
 /// \p eb (sum |x|^2 per bit).
 double n0_for_ebn0(double eb, double ebn0_db);
 
-/// Discrete energy per bit of a waveform carrying \p num_bits bits.
-double energy_per_bit(const CplxWaveform& x, std::size_t num_bits);
-double energy_per_bit(const RealWaveform& x, std::size_t num_bits);
-
 }  // namespace uwb::channel

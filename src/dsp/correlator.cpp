@@ -7,6 +7,23 @@
 
 namespace uwb::dsp {
 
+CplxVec correlate_direct(const CplxVec& x, const CplxVec& tmpl) {
+  if (tmpl.empty() || x.size() < tmpl.size()) return {};
+  const std::size_t num_lags = x.size() - tmpl.size() + 1;
+  CplxVec out(num_lags);
+  for (std::size_t k = 0; k < num_lags; ++k) {
+    out[k] = dot_conj(x.data() + k, tmpl.data(), tmpl.size());
+  }
+  return out;
+}
+
+RealVec correlate_direct(const RealVec& x, const RealVec& tmpl) {
+  if (tmpl.empty() || x.size() < tmpl.size()) return {};
+  RealVec out(x.size() - tmpl.size() + 1);
+  dot_bank(x.data(), out.size(), tmpl.data(), tmpl.size(), out.data());
+  return out;
+}
+
 CplxVec correlate(const CplxVec& x, const CplxVec& tmpl) {
   if (tmpl.empty() || x.size() < tmpl.size()) return {};
   if (use_fft_convolve(x.size(), tmpl.size(), ConvKind::kCplxCplx)) {
@@ -14,12 +31,7 @@ CplxVec correlate(const CplxVec& x, const CplxVec& tmpl) {
     ols_correlate(x, tmpl, out, thread_fft_workspace());
     return out;
   }
-  const std::size_t num_lags = x.size() - tmpl.size() + 1;
-  CplxVec out(num_lags);
-  for (std::size_t k = 0; k < num_lags; ++k) {
-    out[k] = dot_conj(x.data() + k, tmpl.data(), tmpl.size());
-  }
-  return out;
+  return correlate_direct(x, tmpl);
 }
 
 RealVec correlate(const RealVec& x, const RealVec& tmpl) {
@@ -29,9 +41,7 @@ RealVec correlate(const RealVec& x, const RealVec& tmpl) {
     ols_correlate(x, tmpl, out, thread_fft_workspace());
     return out;
   }
-  RealVec out(x.size() - tmpl.size() + 1);
-  dot_bank(x.data(), out.size(), tmpl.data(), tmpl.size(), out.data());
-  return out;
+  return correlate_direct(x, tmpl);
 }
 
 namespace {

@@ -12,8 +12,8 @@ namespace uwb::dsp {
 /// Cross-correlation of \p x against template \p tmpl at every lag where the
 /// template fully overlaps: out[k] = sum_i x[k+i] * conj(tmpl[i]),
 /// k in [0, |x| - |tmpl|]. Empty if the template is longer than the signal.
-/// Large x*tmpl products auto-dispatch to overlap-save FFT correlation
-/// (see dsp/fast_convolve.h); short templates stay on the direct kernel.
+/// Large x*tmpl products dispatch by size to overlap-save FFT correlation
+/// (see dsp/fast_convolve.h); short templates stay on correlate_direct.
 CplxVec correlate(const CplxVec& x, const CplxVec& tmpl);
 
 /// Real-valued version.
@@ -22,13 +22,13 @@ RealVec correlate(const RealVec& x, const RealVec& tmpl);
 /// Bank of sliding dot products: out[j] = sum_m x[j+m] * h[m] for
 /// j in [0, num_lags). Blocked over lags with per-lag ascending-tap
 /// accumulation -- bit-identical to calling dot() per lag, but the fixed
-/// 8-wide lag block auto-vectorizes. The hot kernel under correlate() and
+/// 32-lag block auto-vectorizes. The hot kernel under correlate() and
 /// the direct path of convolve_same_to().
 void dot_bank(const double* x, std::size_t num_lags, const double* h, std::size_t h_len,
               double* out) noexcept;
 
-/// Single-precision bank: same blocked kernel at twice the SIMD width (the
-/// 16-wide lag block fills the same vector registers with float lanes).
+/// Single-precision bank: the same 32-lag blocked kernel, with twice the
+/// lanes per vector register in float.
 void dot_bank(const float* x, std::size_t num_lags, const float* h, std::size_t h_len,
               float* out) noexcept;
 

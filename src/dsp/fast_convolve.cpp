@@ -1,7 +1,6 @@
 #include "dsp/fast_convolve.h"
 
 #include <algorithm>
-#include <atomic>
 #include <type_traits>
 
 #include "common/math_utils.h"
@@ -10,8 +9,6 @@
 namespace uwb::dsp {
 
 namespace {
-
-std::atomic<bool> g_fast_enabled{true};
 
 inline cplx to_cplx(double v) noexcept { return {v, 0.0}; }
 inline cplx to_cplx(const cplx& v) noexcept { return v; }
@@ -161,16 +158,7 @@ FftWorkspace& thread_fft_workspace() {
   return ws;
 }
 
-void set_fast_convolve_enabled(bool enabled) noexcept {
-  g_fast_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool fast_convolve_enabled() noexcept {
-  return g_fast_enabled.load(std::memory_order_relaxed);
-}
-
 bool use_fft_convolve(std::size_t x_len, std::size_t h_len, ConvKind kind) noexcept {
-  if (!fast_convolve_enabled()) return false;
   if (x_len == 0 || h_len == 0) return false;
   std::size_t min_kernel = kFftMinKernelCplxCplx;
   switch (kind) {

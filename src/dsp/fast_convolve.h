@@ -1,20 +1,22 @@
 #pragma once
 /// \file fast_convolve.h
 /// \brief Overlap-save FFT convolution behind the library's convolve /
-///        correlate entry points, with a runtime policy switch and reusable
-///        per-thread scratch workspaces.
+///        correlate entry points, the size-only dispatch rule that picks it,
+///        and reusable per-thread scratch workspaces.
 ///
 /// Dispatch contract: dsp::convolve, dsp::convolve_same and dsp::correlate
-/// route through use_fft_convolve(). Below the crossover the direct O(N*M)
-/// kernels run (they win on short kernels); above it the work goes through
-/// overlap-save block convolution on cached FftPlans. The crossover
-/// constants were measured with bench_dsp_micro (see docs/performance.md).
+/// route through use_fft_convolve(), a pure function of the sizes and the
+/// sample types. Below the crossover the direct O(N*M) kernels run (they
+/// win on short kernels, and convolve_direct / correlate_direct expose them
+/// by name); above it the work goes through overlap-save block convolution
+/// on cached FftPlans. The crossover constants were measured with
+/// bench_dsp_micro (see docs/performance.md).
 ///
-/// Determinism: for a fixed policy setting the output is a pure function of
-/// the inputs -- block decomposition depends only on sizes, and the scratch
+/// Determinism: the output is a pure function of the inputs -- the kernel
+/// choice and the block decomposition depend only on sizes, and the scratch
 /// workspace is thread-local, so parallel sweep workers never share state.
-/// Flipping the policy changes results only at the ~1e-12 rounding level
-/// (FFT and direct accumulation orders differ).
+/// The FFT and direct kernels agree to ~1e-12 (their accumulation orders
+/// differ); which one a call runs never changes between calls.
 
 #include <cstddef>
 
@@ -40,28 +42,7 @@ struct FftWorkspace {
 /// trial with zero reallocation once warmed up.
 FftWorkspace& thread_fft_workspace();
 
-/// Globally enables/disables the FFT fast path (default: enabled).
-/// Tests and benches flip this to compare against the direct kernels;
-/// production code leaves it on.
-void set_fast_convolve_enabled(bool enabled) noexcept;
-[[nodiscard]] bool fast_convolve_enabled() noexcept;
-
-/// RAII guard for scoped policy changes in tests/benches.
-class FastConvolveGuard {
- public:
-  explicit FastConvolveGuard(bool enabled) noexcept
-      : saved_(fast_convolve_enabled()) {
-    set_fast_convolve_enabled(enabled);
-  }
-  ~FastConvolveGuard() { set_fast_convolve_enabled(saved_); }
-  FastConvolveGuard(const FastConvolveGuard&) = delete;
-  FastConvolveGuard& operator=(const FastConvolveGuard&) = delete;
-
- private:
-  bool saved_;
-};
-
-/// Sample-type combination of a convolution, used by the dispatch policy:
+/// Sample-type combination of a convolution, used by the dispatch rule:
 /// a direct real MAC costs ~2 flops, complex*real ~4, complex*complex ~8,
 /// while the FFT path always pays complex transforms -- so the crossover
 /// kernel length shrinks as the direct arithmetic gets heavier.
@@ -78,10 +59,21 @@ inline constexpr std::size_t kFftMinKernelCplxReal = 64;
 inline constexpr std::size_t kFftMinKernelCplxCplx = 32;
 inline constexpr std::size_t kFftMinProduct = 1u << 15;
 
-/// True when (x_len, h_len) should take the overlap-save path under the
-/// current policy.
+/// True when (x_len, h_len) takes the overlap-save path: a pure function
+/// of the sizes and the sample types.
 [[nodiscard]] bool use_fft_convolve(std::size_t x_len, std::size_t h_len,
                                     ConvKind kind) noexcept;
+
+/// The direct O(|x| * |h|) kernels the dispatch runs below the crossover,
+/// by name: the exact reference the overlap-save path is tested against.
+/// convolve_direct is the scatter full convolution (result length x+h-1);
+/// correlate_direct computes each valid lag as its own dot product (same
+/// definition as dsp::correlate). Empty inputs give an empty result.
+[[nodiscard]] RealVec convolve_direct(const RealVec& x, const RealVec& h);
+[[nodiscard]] CplxVec convolve_direct(const CplxVec& x, const RealVec& h);
+[[nodiscard]] CplxVec convolve_direct(const CplxVec& x, const CplxVec& h);
+[[nodiscard]] RealVec correlate_direct(const RealVec& x, const RealVec& tmpl);
+[[nodiscard]] CplxVec correlate_direct(const CplxVec& x, const CplxVec& tmpl);
 
 /// Overlap-save full linear convolution, result length x+h-1, written into
 /// \p out (resized; reuses capacity). No allocation once \p ws is warm.

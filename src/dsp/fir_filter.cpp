@@ -9,10 +9,10 @@ namespace uwb::dsp {
 
 namespace {
 
-template <typename TX, typename TH, typename TY>
-std::vector<TY> convolve_direct(const std::vector<TX>& x, const std::vector<TH>& h) {
+template <typename TX, typename TH>
+std::vector<TX> convolve_scatter(const std::vector<TX>& x, const std::vector<TH>& h) {
   if (x.empty() || h.empty()) return {};
-  std::vector<TY> y(x.size() + h.size() - 1, TY{});
+  std::vector<TX> y(x.size() + h.size() - 1, TX{});
   for (std::size_t i = 0; i < x.size(); ++i) {
     for (std::size_t k = 0; k < h.size(); ++k) {
       y[i + k] += x[i] * h[k];
@@ -35,13 +35,19 @@ std::vector<TY> take_same(std::vector<TY> full, std::size_t x_len, std::size_t h
 
 }  // namespace
 
+RealVec convolve_direct(const RealVec& x, const RealVec& h) { return convolve_scatter(x, h); }
+
+CplxVec convolve_direct(const CplxVec& x, const RealVec& h) { return convolve_scatter(x, h); }
+
+CplxVec convolve_direct(const CplxVec& x, const CplxVec& h) { return convolve_scatter(x, h); }
+
 RealVec convolve(const RealVec& x, const RealVec& h) {
   if (use_fft_convolve(x.size(), h.size(), ConvKind::kRealReal)) {
     RealVec out;
     ols_convolve(x, h, out, thread_fft_workspace());
     return out;
   }
-  return convolve_direct<double, double, double>(x, h);
+  return convolve_direct(x, h);
 }
 
 CplxVec convolve(const CplxVec& x, const RealVec& h) {
@@ -50,7 +56,7 @@ CplxVec convolve(const CplxVec& x, const RealVec& h) {
     ols_convolve(x, h, out, thread_fft_workspace());
     return out;
   }
-  return convolve_direct<cplx, double, cplx>(x, h);
+  return convolve_direct(x, h);
 }
 
 CplxVec convolve(const CplxVec& x, const CplxVec& h) {
@@ -59,7 +65,7 @@ CplxVec convolve(const CplxVec& x, const CplxVec& h) {
     ols_convolve(x, h, out, thread_fft_workspace());
     return out;
   }
-  return convolve_direct<cplx, cplx, cplx>(x, h);
+  return convolve_direct(x, h);
 }
 
 RealVec convolve_same(const RealVec& x, const RealVec& h) {

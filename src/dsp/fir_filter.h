@@ -62,9 +62,9 @@ class FirFilter {
   std::size_t pos_ = 0;
 };
 
-/// Full linear convolution y = x * h (length |x|+|h|-1). Auto-dispatches:
-/// short kernels run the direct form, large x*h products go through
-/// overlap-save FFT convolution (see dsp/fast_convolve.h for the policy).
+/// Full linear convolution y = x * h (length |x|+|h|-1). Dispatches by size:
+/// short kernels run convolve_direct, large x*h products go through
+/// overlap-save FFT convolution (see dsp/fast_convolve.h for the rule).
 RealVec convolve(const RealVec& x, const RealVec& h);
 
 /// Full linear convolution for complex signal with real kernel.
@@ -100,7 +100,7 @@ void convolve_same_range(const float* x, std::size_t x_len, const float* r,
 CplxVec convolve_same(const CplxVec& x, const RealVec& h);
 
 /// "Same"-mode real convolution in place over \p x_len samples: the blocked
-/// direct gather kernel (whatever the fast-convolve policy) streaming
+/// direct gather kernel (whatever the sizes) streaming
 /// through a small staging window, so no output buffer is needed. Every
 /// output is bit-identical to convolve_same_to()'s direct path -- and, run
 /// on the I and Q rails of a complex signal, to convolve_same(CplxVec, h)

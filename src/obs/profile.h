@@ -65,7 +65,8 @@ enum class Stage : std::uint8_t {
 inline constexpr std::size_t kStageCount = static_cast<std::size_t>(Stage::kCount);
 
 /// Stable snake_case stage name ("tx_modulate", ...), used by the
-/// manifest stage table, the stderr table, and BENCH_stage_profile.json.
+/// manifest stage table, the stderr table, and perfbench's stage.<name>_ms
+/// rows.
 [[nodiscard]] const char* stage_name(Stage stage);
 
 /// Parses a stage_name back. \throws InvalidArgument on unknown names.

@@ -657,22 +657,6 @@ Gen1Link::Capture Gen1Link::synthesize_capture(const TrialOptions& options,
 
 sim::TrialOutcome Gen1Link::run_packet(const TrialOptions& options, Rng& rng,
                                        const TrialContext& context) {
-  if (options.kind == TrialKind::kAcquisition) {
-    // Acquisition trials through the generic interface: one attempt per
-    // trial, a timing failure is the trial's one "error". Stop rules and
-    // the BER column therefore read as attempt count / timing-failure
-    // rate, and the named metrics carry the acquisition statistics.
-    const AcqTrial trial = run_acquisition(options, rng, options.acq_tol_samples, context);
-    sim::TrialOutcome out;
-    out.bits = 1;
-    out.errors = trial.timing_correct ? 0 : 1;
-    out.set_metric(metric_names::kAcquired, trial.acq.acquired ? 1.0 : 0.0);
-    out.set_metric(metric_names::kTimingCorrect, trial.timing_correct ? 1.0 : 0.0);
-    // Only detected trials have a meaningful lock time: the metric's mean
-    // is the mean over the detected subset, not diluted by misses.
-    if (trial.acq.acquired) out.set_metric(metric_names::kSyncTime, trial.acq.sync_time_s);
-    return out;
-  }
   return run_packet_full(options, rng, context).outcome;
 }
 
@@ -691,7 +675,38 @@ Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
                                           const TrialContext& context) {
   require_supported(caps_, options);
   const Capture cap = synthesize_capture(options, context, rng);
-  return receive_capture(cap, options, decision_windows(cap, options), rng);
+  if (options.kind != TrialKind::kAcquisition) {
+    return receive_capture(cap, options, decision_windows(cap, options), rng);
+  }
+
+  // Acquisition trial: one attempt, a timing failure is its one "error".
+  // Stop rules and the BER column therefore read as attempt count /
+  // timing-failure rate, and the named metrics carry the acquisition
+  // statistics.
+  Gen1TrialResult trial;
+  trial.true_offset_adc = cap.true_offset_adc;
+  const Gen1AcqResult& acq = trial.rx.acq =
+      rx_.acquire(cap.samples, config_.analog_fs, tx_, rng);
+  // Compare timing modulo one PN period (the residual ambiguity the SFD
+  // search resolves at frame level).
+  const std::size_t period_samples =
+      tx_.preamble_chips().size() * config_.frame_samples_adc;
+  const auto diff = static_cast<std::ptrdiff_t>(acq.timing_offset % period_samples) -
+                    static_cast<std::ptrdiff_t>(cap.true_offset_adc % period_samples);
+  const std::size_t abs_diff =
+      static_cast<std::size_t>(diff < 0 ? -diff : diff) % period_samples;
+  const std::size_t wrapped = std::min(abs_diff, period_samples - abs_diff);
+  const bool timing_correct = acq.acquired && wrapped <= options.acq_tol_samples;
+
+  sim::TrialOutcome& out = trial.outcome;
+  out.bits = 1;
+  out.errors = timing_correct ? 0 : 1;
+  out.set_metric(metric_names::kAcquired, acq.acquired ? 1.0 : 0.0);
+  out.set_metric(metric_names::kTimingCorrect, timing_correct ? 1.0 : 0.0);
+  // Only detected trials have a meaningful lock time: the metric's mean
+  // is the mean over the detected subset, not diluted by misses.
+  if (acq.acquired) out.set_metric(metric_names::kSyncTime, acq.sync_time_s);
+  return trial;
 }
 
 std::span<const AdcWindow> Gen1Link::decision_windows(const Capture& cap,
@@ -728,33 +743,6 @@ Gen1TrialResult Gen1Link::receive_capture(const Capture& cap, const TrialOptions
     out.set_weight(cap.log_weight);
   }
   return trial;
-}
-
-Gen1Link::AcqTrial Gen1Link::run_acquisition(const TrialOptions& options,
-                                             std::size_t tol_samples) {
-  return run_acquisition(options, rng_, tol_samples, TrialContext{});
-}
-
-Gen1Link::AcqTrial Gen1Link::run_acquisition(const TrialOptions& options, Rng& rng,
-                                             std::size_t tol_samples,
-                                             const TrialContext& context) {
-  require_supported(caps_, options);
-  const Capture cap = synthesize_capture(options, context, rng);
-  AcqTrial out;
-  out.acq = rx_.acquire(cap.samples, config_.analog_fs, tx_, rng);
-  out.true_offset_adc = cap.true_offset_adc;
-
-  // Compare timing modulo one PN period (the residual ambiguity the SFD
-  // search resolves at frame level).
-  const std::size_t period_samples =
-      tx_.preamble_chips().size() * config_.frame_samples_adc;
-  const auto diff = static_cast<std::ptrdiff_t>(out.acq.timing_offset % period_samples) -
-                    static_cast<std::ptrdiff_t>(out.true_offset_adc % period_samples);
-  const std::size_t abs_diff =
-      static_cast<std::size_t>(diff < 0 ? -diff : diff) % period_samples;
-  const std::size_t wrapped = std::min(abs_diff, period_samples - abs_diff);
-  out.timing_correct = out.acq.acquired && wrapped <= tol_samples;
-  return out;
 }
 
 }  // namespace uwb::txrx

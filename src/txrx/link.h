@@ -9,7 +9,7 @@
 /// plus capability queries. Callers that only need "run a packet, count the
 /// errors" (the sweep engine, the CLI, generic benches) work against Link
 /// and a declarative LinkSpec; callers that inspect generation-specific
-/// diagnostics use the concrete classes' run_packet_full / run_acquisition.
+/// diagnostics use the concrete classes' run_packet_full.
 
 #include <cstdint>
 #include <memory>
@@ -302,9 +302,8 @@ void validate_spec(const LinkSpec& spec);
 [[nodiscard]] std::unique_ptr<Link> make_link(const LinkSpec& spec, uint64_t seed);
 
 /// The gen-2 composite kernel on split I/Q rails: g = \p prototype
-/// convolved with cir.sampled(\p fs), by direct convolution (independent of
-/// the fast-convolve policy) in the direct complex kernel's accumulation
-/// order. It is both the channel's per-slot response and the
+/// convolved with cir.sampled(\p fs), by direct convolution (whatever the
+/// sizes) in dsp::convolve_direct's complex accumulation order. It is both the channel's per-slot response and the
 /// importance-sampling tilt shape.
 void gen2_composite_kernel(const RealVec& prototype, const channel::Cir& cir, double fs,
                            dsp::IqArena& g);
@@ -366,8 +365,9 @@ class Gen2Link final : public Link {
   dsp::IqArena g_;                           ///< composite kernel rails
 };
 
-/// One gen-1 packet's detailed outcome: the trial record run_packet
-/// returns plus the receiver diagnostics (see Gen2TrialResult).
+/// One gen-1 trial's detailed outcome: the trial record run_packet returns
+/// plus the receiver diagnostics (see Gen2TrialResult). Acquisition trials
+/// fill rx.acq only.
 struct Gen1TrialResult {
   sim::TrialOutcome outcome;
   Gen1RxResult rx;
@@ -391,6 +391,11 @@ class Gen1Link final : public Link {
   using Link::run_packet;
 
   /// Full-diagnostics variant: acquisition result, decoded bits, offsets.
+  /// With TrialOptions::kind == kAcquisition the trial runs the acquisition
+  /// search only; the outcome counts one attempt (bits = 1) and errors a
+  /// timing failure -- found timing more than options.acq_tol_samples from
+  /// the true one, modulo one PN period -- and its metrics carry acquired /
+  /// timing_correct / sync_time_s.
   [[nodiscard]] Gen1TrialResult run_packet_full(const TrialOptions& options, Rng& rng,
                                                 const TrialContext& context);
   [[nodiscard]] Gen1TrialResult run_packet_full(const TrialOptions& options, Rng& rng) {
@@ -399,28 +404,6 @@ class Gen1Link final : public Link {
   [[nodiscard]] Gen1TrialResult run_packet_full(const TrialOptions& options) {
     return run_packet_full(options, rng_, TrialContext{});
   }
-
-  /// Acquisition-only trial diagnostics: the acquisition result plus
-  /// whether the found timing matches the true one (within +/- tol
-  /// samples, modulo one PN period). run_packet with
-  /// TrialOptions::kind == kAcquisition runs this same trial through the
-  /// generic Link interface -- bits/errors count attempts and timing
-  /// failures, metrics carry acquired / timing_correct / sync_time_s --
-  /// so acquisition scenarios flow through the sweep engine like any
-  /// other; these overloads stay for callers that inspect Gen1AcqResult.
-  struct AcqTrial {
-    Gen1AcqResult acq;
-    bool timing_correct = false;
-    std::size_t true_offset_adc = 0;
-  };
-  [[nodiscard]] AcqTrial run_acquisition(const TrialOptions& options,
-                                         std::size_t tol_samples = 2);
-
-  /// Seed-parameterized acquisition trial; ensemble-mode options take
-  /// their multipath realization from \p context like run_packet does.
-  [[nodiscard]] AcqTrial run_acquisition(const TrialOptions& options, Rng& rng,
-                                         std::size_t tol_samples,
-                                         const TrialContext& context = TrialContext{});
 
   /// One trial's received capture in the single-precision sample arena.
   struct Capture {

@@ -90,7 +90,9 @@ TEST(FlashAdc, OffsetsPerturbThresholds) {
   bool any_moved = false;
   const double lsb = 2.0 / 16.0;
   for (std::size_t k = 0; k < th.size(); ++k) {
-    if (k > 0) EXPECT_GE(th[k], th[k - 1]);
+    if (k > 0) {
+      EXPECT_GE(th[k], th[k - 1]);
+    }
     const double nominal = -1.0 + static_cast<double>(k + 1) * lsb;
     if (std::abs(th[k] - nominal) > 1e-6) any_moved = true;
   }

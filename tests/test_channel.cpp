@@ -304,12 +304,6 @@ TEST(Awgn, BranchFreeZigguratMatchesReferenceStream) {
   EXPECT_TRUE(cplx_rng.engine() == ref_rng.engine());
 }
 
-TEST(Awgn, EnergyPerBit) {
-  const CplxWaveform w(CplxVec(100, cplx{2.0, 0.0}), 1e9);
-  EXPECT_NEAR(energy_per_bit(w, 10), 40.0, 1e-9);
-  EXPECT_THROW(energy_per_bit(w, 0), InvalidArgument);
-}
-
 // ------------------------------------------------------------ interferer ----
 
 TEST(Interferer, CwPowerAndFrequency) {

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -251,16 +254,28 @@ const std::pair<std::size_t, std::size_t> kConvSizes[] = {
     {257, 513}, {129, 4096}, {2048, 2048}, {1, 1},
 };
 
+/// The "same"-mode window of a full convolution (group delay compensated
+/// for a kernel of \p h_len taps), as convolve_same defines it.
+template <typename T>
+std::vector<T> same_window(const std::vector<T>& full, std::size_t x_len, std::size_t h_len) {
+  const auto start = static_cast<std::ptrdiff_t>((h_len - 1) / 2);
+  return std::vector<T>(full.begin() + start,
+                        full.begin() + start + static_cast<std::ptrdiff_t>(x_len));
+}
+
+/// Exact equality of two sample vectors, byte for byte.
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
 TEST(FastConvolve, RealConvolutionMatchesDirect) {
   Rng rng(40);
   for (const auto& [nx, nh] : kConvSizes) {
     const RealVec x = random_real(rng, nx);
     const RealVec h = random_real(rng, nh);
-    RealVec direct;
-    {
-      const FastConvolveGuard guard(false);
-      direct = convolve(x, h);
-    }
+    const RealVec direct = convolve_direct(x, h);
     // Force the FFT kernel regardless of the threshold.
     RealVec viafft;
     FftWorkspace ws;
@@ -277,11 +292,7 @@ TEST(FastConvolve, CplxRealConvolutionMatchesDirect) {
   for (const auto& [nx, nh] : kConvSizes) {
     const CplxVec x = random_cplx(rng, nx);
     const RealVec h = random_real(rng, nh);
-    CplxVec direct;
-    {
-      const FastConvolveGuard guard(false);
-      direct = convolve(x, h);
-    }
+    const CplxVec direct = convolve_direct(x, h);
     CplxVec viafft;
     FftWorkspace ws;
     ols_convolve(x, h, viafft, ws);
@@ -297,11 +308,7 @@ TEST(FastConvolve, CplxConvolutionMatchesDirect) {
   for (const auto& [nx, nh] : kConvSizes) {
     const CplxVec x = random_cplx(rng, nx);
     const CplxVec h = random_cplx(rng, nh);
-    CplxVec direct;
-    {
-      const FastConvolveGuard guard(false);
-      direct = convolve(x, h);
-    }
+    const CplxVec direct = convolve_direct(x, h);
     CplxVec viafft;
     FftWorkspace ws;
     ols_convolve(x, h, viafft, ws);
@@ -312,20 +319,14 @@ TEST(FastConvolve, CplxConvolutionMatchesDirect) {
   }
 }
 
-TEST(FastConvolve, ConvolveSameAgreesAcrossPolicy) {
-  // Above-threshold sizes so the enabled policy actually takes the FFT path.
+TEST(FastConvolve, ConvolveSameFftMatchesDirect) {
+  // Above-threshold sizes, so convolve_same actually takes the FFT path.
   Rng rng(43);
   const CplxVec x = random_cplx(rng, 4096);
   const RealVec h = random_real(rng, 201);
-  CplxVec direct, fast;
-  {
-    const FastConvolveGuard guard(false);
-    direct = convolve_same(x, h);
-  }
-  {
-    const FastConvolveGuard guard(true);
-    fast = convolve_same(x, h);
-  }
+  ASSERT_TRUE(use_fft_convolve(x.size(), h.size(), ConvKind::kCplxReal));
+  const CplxVec direct = same_window(convolve_direct(x, h), x.size(), h.size());
+  const CplxVec fast = convolve_same(x, h);
   ASSERT_EQ(direct.size(), x.size());
   ASSERT_EQ(fast.size(), x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
@@ -341,11 +342,7 @@ TEST(FastConvolve, CorrelationMatchesDirect) {
   for (const auto& [nx, nm] : sizes) {
     const CplxVec x = random_cplx(rng, nx);
     const CplxVec tmpl = random_cplx(rng, nm);
-    CplxVec direct;
-    {
-      const FastConvolveGuard guard(false);
-      direct = correlate(x, tmpl);
-    }
+    const CplxVec direct = correlate_direct(x, tmpl);
     CplxVec viafft;
     FftWorkspace ws;
     ols_correlate(x, tmpl, viafft, ws);
@@ -356,11 +353,7 @@ TEST(FastConvolve, CorrelationMatchesDirect) {
 
     const RealVec xr = random_real(rng, nx);
     const RealVec tr = random_real(rng, nm);
-    RealVec direct_r;
-    {
-      const FastConvolveGuard guard(false);
-      direct_r = correlate(xr, tr);
-    }
+    const RealVec direct_r = correlate_direct(xr, tr);
     RealVec viafft_r;
     ols_correlate(xr, tr, viafft_r, ws);
     ASSERT_EQ(direct_r.size(), viafft_r.size());
@@ -378,28 +371,112 @@ TEST(FastConvolve, EdgeCasesMatchDirectSemantics) {
   CplxVec out_c{cplx{1.0, 0.0}};
   ols_convolve(CplxVec{}, RealVec{1.0}, out_c, ws);
   EXPECT_TRUE(out_c.empty());
+  EXPECT_TRUE(convolve_direct(RealVec{}, RealVec{1.0}).empty());
   // Template longer than the signal: correlate defines this as empty.
   CplxVec out_corr{cplx{1.0, 0.0}};
   ols_correlate(CplxVec(4, cplx{1.0, 0.0}), CplxVec(9, cplx{1.0, 0.0}), out_corr, ws);
   EXPECT_TRUE(out_corr.empty());
   EXPECT_TRUE(correlate(CplxVec(4, cplx{}), CplxVec(9, cplx{})).empty());
+  EXPECT_TRUE(correlate_direct(RealVec(4), RealVec(9)).empty());
 }
 
-TEST(FastConvolve, PolicyTogglesAndRestores) {
-  EXPECT_TRUE(fast_convolve_enabled());  // library default
-  {
-    const FastConvolveGuard guard(false);
-    EXPECT_FALSE(fast_convolve_enabled());
-    EXPECT_FALSE(use_fft_convolve(1u << 20, 1u << 10, ConvKind::kCplxCplx));
-  }
-  EXPECT_TRUE(fast_convolve_enabled());
+TEST(FastConvolve, DispatchDependsOnlyOnSizes) {
   // Below either the kernel or the product floor stays direct.
   EXPECT_FALSE(use_fft_convolve(1u << 20, 8, ConvKind::kCplxCplx));
   EXPECT_FALSE(use_fft_convolve(64, 64, ConvKind::kCplxCplx));
   EXPECT_TRUE(use_fft_convolve(1u << 12, 1u << 10, ConvKind::kCplxCplx));
+  EXPECT_TRUE(use_fft_convolve(1u << 20, 1u << 10, ConvKind::kCplxCplx));
   // Real kernels need more taps before the FFT wins than complex ones.
   EXPECT_FALSE(use_fft_convolve(1u << 12, 64, ConvKind::kRealReal));
   EXPECT_TRUE(use_fft_convolve(1u << 12, 64, ConvKind::kCplxReal));
+  // Empty operands never take the FFT path.
+  EXPECT_FALSE(use_fft_convolve(0, 1u << 10, ConvKind::kCplxCplx));
+  EXPECT_FALSE(use_fft_convolve(1u << 12, 0, ConvKind::kRealReal));
+}
+
+TEST(FastConvolve, DispatchIsBitExactAndStateless) {
+  // convolve, correlate and convolve_same_to return exactly the kernel
+  // use_fft_convolve names for their sizes -- the overlap-save result above
+  // the crossover, the direct one below it -- and the same bytes again on
+  // a second call. The sizes straddle each kind's tap threshold and the
+  // kFftMinProduct floor. The "same"-mode direct path is a gather kernel:
+  // exact against the scatter convolve_direct wherever multiply-adds are
+  // not fused; an FMA-capable -march=native build may fuse the two forms
+  // differently, so there they agree to rounding.
+#ifdef __FMA__
+  constexpr double kSameDirectTol = 1e-14;
+#else
+  constexpr double kSameDirectTol = 0.0;
+#endif
+  const std::pair<ConvKind, std::size_t> kinds[] = {
+      {ConvKind::kRealReal, kFftMinKernelRealReal},
+      {ConvKind::kCplxReal, kFftMinKernelCplxReal},
+      {ConvKind::kCplxCplx, kFftMinKernelCplxCplx},
+  };
+  Rng rng(45);
+  FftWorkspace ws;  // a second workspace: results must not depend on which
+  const auto expect_exact = [](const auto& first, const auto& second, const auto& want,
+                               const std::string& what) {
+    EXPECT_TRUE(same_bytes(first, want)) << what;
+    EXPECT_TRUE(same_bytes(second, first)) << what << ", second call";
+  };
+  for (const auto& [kind, taps] : kinds) {
+    const std::size_t floor_len = (kFftMinProduct + taps - 1) / taps;
+    const std::tuple<std::size_t, std::size_t, bool> sizes[] = {
+        {4096, taps - 1, false},
+        {4096, taps, true},
+        {floor_len - 1, taps, false},
+        {floor_len, taps, true},
+    };
+    for (const auto& [nx, nh, fft] : sizes) {
+      const std::string at = std::to_string(nx) + "x" + std::to_string(nh);
+      ASSERT_EQ(use_fft_convolve(nx, nh, kind), fft) << at;
+      if (kind == ConvKind::kRealReal) {
+        const RealVec x = random_real(rng, nx);
+        const RealVec h = random_real(rng, nh);
+        RealVec conv = convolve_direct(x, h);
+        RealVec corr = correlate_direct(x, h);
+        if (fft) {
+          ols_convolve(x, h, conv, ws);
+          ols_correlate(x, h, corr, ws);
+        }
+        expect_exact(convolve(x, h), convolve(x, h), conv, "convolve " + at);
+        expect_exact(correlate(x, h), correlate(x, h), corr, "correlate " + at);
+
+        const RealVec want = same_window(conv, nx, nh);
+        RealVec first(nx);
+        RealVec second(nx);
+        convolve_same_to(x.data(), nx, h, first.data());
+        convolve_same_to(x.data(), nx, h, second.data());
+        EXPECT_TRUE(same_bytes(second, first)) << "convolve_same_to " << at << ", second call";
+        if (fft || kSameDirectTol == 0.0) {
+          EXPECT_TRUE(same_bytes(first, want)) << "convolve_same_to " << at;
+        } else {
+          for (std::size_t i = 0; i < nx; ++i) {
+            ASSERT_NEAR(first[i], want[i], kSameDirectTol * (1.0 + std::abs(want[i])))
+                << "convolve_same_to " << at << " @" << i;
+          }
+        }
+      } else if (kind == ConvKind::kCplxReal) {
+        const CplxVec x = random_cplx(rng, nx);
+        const RealVec h = random_real(rng, nh);
+        CplxVec conv = convolve_direct(x, h);
+        if (fft) ols_convolve(x, h, conv, ws);
+        expect_exact(convolve(x, h), convolve(x, h), conv, "convolve " + at);
+      } else {
+        const CplxVec x = random_cplx(rng, nx);
+        const CplxVec h = random_cplx(rng, nh);
+        CplxVec conv = convolve_direct(x, h);
+        CplxVec corr = correlate_direct(x, h);
+        if (fft) {
+          ols_convolve(x, h, conv, ws);
+          ols_correlate(x, h, corr, ws);
+        }
+        expect_exact(convolve(x, h), convolve(x, h), conv, "convolve " + at);
+        expect_exact(correlate(x, h), correlate(x, h), corr, "correlate " + at);
+      }
+    }
+  }
 }
 
 // -------------------------------------------------------------- windows ----
@@ -543,7 +620,6 @@ TEST(FirFilter, InPlaceRailsMatchComplexConvolveSameBitForBit) {
 #else
   constexpr double kTol = 0.0;
 #endif
-  const FastConvolveGuard direct(false);  // the complex reference stays direct
   Rng rng(0x51DE);
   for (const std::size_t taps : {1u, 2u, 8u, 31u, 62u, 63u}) {
     RealVec h(taps);
@@ -551,7 +627,7 @@ TEST(FirFilter, InPlaceRailsMatchComplexConvolveSameBitForBit) {
     for (const std::size_t n : {1u, 3u, 7u, 62u, 63u, 64u, 1023u, 1024u, 2600u}) {
       CplxVec x(n);
       for (cplx& v : x) v = rng.cgaussian();
-      const CplxVec want = convolve_same(x, h);
+      const CplxVec want = same_window(convolve_direct(x, h), n, h.size());
       RealVec xi(n);
       RealVec xq(n);
       for (std::size_t k = 0; k < n; ++k) {

@@ -76,7 +76,6 @@ TEST(FailurePaths, Gen2MistunedNotchOnlyCostsMargin) {
   // A notch placed far from the signal band must not break the link.
   txrx::Gen2Config config = sim::gen2_fast();
   txrx::Gen2Link link(config, 6);
-  link.receiver().mutable_config();  // (no-op touch: knobs stay valid)
 
   txrx::TrialOptions options;
   options.payload_bits = 200;

@@ -188,6 +188,7 @@ TEST(Integration, Gen1SyncUnder70us) {
   txrx::Gen1Config config = sim::gen1_nominal();
   txrx::Gen1Link link(config, 0x8001);
   txrx::TrialOptions options;
+  options.kind = txrx::TrialKind::kAcquisition;
   options.payload_bits = 8;
   options.ebn0_db = 18.0;
   options.genie_timing = false;
@@ -196,9 +197,9 @@ TEST(Integration, Gen1SyncUnder70us) {
   double worst_time = 0.0;
   const int trials = 6;
   for (int t = 0; t < trials; ++t) {
-    const auto trial = link.run_acquisition(options);
-    if (trial.timing_correct) ++correct;
-    worst_time = std::max(worst_time, trial.acq.sync_time_s);
+    const auto trial = link.run_packet_full(options);
+    if (trial.outcome.errors == 0) ++correct;  // timing within tolerance
+    worst_time = std::max(worst_time, trial.rx.acq.sync_time_s);
   }
   EXPECT_GE(correct, trials - 1);  // allow one miss at moderate SNR
   EXPECT_LT(worst_time, 70e-6);    // the paper's headline claim
@@ -213,13 +214,14 @@ TEST(Integration, AcquisitionParallelismControlsSyncTime) {
   txrx::Gen1Link link_fast(fast, 0x9001);
   txrx::Gen1Link link_slow(slow, 0x9001);
   txrx::TrialOptions options;
+  options.kind = txrx::TrialKind::kAcquisition;
   options.payload_bits = 8;
   options.ebn0_db = 18.0;
   options.genie_timing = false;
 
-  const auto fast_trial = link_fast.run_acquisition(options);
-  const auto slow_trial = link_slow.run_acquisition(options);
-  EXPECT_LT(fast_trial.acq.sync_time_s, slow_trial.acq.sync_time_s);
+  const auto fast_trial = link_fast.run_packet_full(options);
+  const auto slow_trial = link_slow.run_packet_full(options);
+  EXPECT_LT(fast_trial.rx.acq.sync_time_s, slow_trial.rx.acq.sync_time_s);
 }
 
 TEST(Integration, ModulationSchemesRankCorrectlyOnAwgn) {

@@ -526,7 +526,8 @@ TEST(ResultIo, MergeRestoresUnshardedDocument) {
   auto make_point = [](uint64_t index) {
     ResultPoint p;
     p.index = index;
-    p.label = "p" + std::to_string(index);
+    p.label = "p";
+    p.label += std::to_string(index);
     p.ber = "0.5";
     p.ci95 = "0.1";
     p.bits = 100 + index;

@@ -217,8 +217,8 @@ RunManifest sample_manifest() {
   manifest.counters.wall_s = 12.25;
   manifest.stages[Stage::kRxFrontend] = {56, 210'000'000, 1'500'000, 11'000'000, 860'160};
   manifest.stages[Stage::kFftExec] = {392, 21'000'000, 11'000, 4'300'000, 1'720'320};
-  manifest.points.push_back({0, "CM1 | 8 | full", 0.5, 46, 15272, 41});
-  manifest.points.push_back({4, "CM1 | 8 | mf_only", 0.125, 10, 3320, 57});
+  manifest.points.push_back({0, "CM1 | 8 | full", 0.5, 46, 15272, 41, {}});
+  manifest.points.push_back({4, "CM1 | 8 | mf_only", 0.125, 10, 3320, 57, {}});
   manifest.points[0].stages[Stage::kRxFrontend] = {46, 180'000'000, 1'500'000, 11'000'000, 706'560};
   return manifest;
 }

@@ -124,8 +124,8 @@ TEST(BandPlan, FrequencyLookup) {
   const BandPlan plan;
   EXPECT_EQ(plan.channel_of_frequency(plan.channel(7).center_hz), 7);
   EXPECT_EQ(plan.channel_of_frequency(1e9), -1);
-  EXPECT_THROW(plan.channel(14), InvalidArgument);
-  EXPECT_THROW(plan.channel(-1), InvalidArgument);
+  EXPECT_THROW((void)plan.channel(14), InvalidArgument);
+  EXPECT_THROW((void)plan.channel(-1), InvalidArgument);
 }
 
 // ----------------------------------------------------------- pulse train ----

@@ -72,7 +72,7 @@ TEST(MeasureBer, StopsOnErrorBudget) {
   BerStop stop;
   stop.min_errors = 50;
   stop.max_bits = 1000000;
-  const BerPoint point = measure_ber([]() { return TrialOutcome{100, 10}; }, stop);
+  const BerPoint point = measure_ber([]() { return TrialOutcome{100, 10, {}}; }, stop);
   EXPECT_EQ(point.trials, 5u);
   EXPECT_EQ(point.errors, 50u);
   EXPECT_DOUBLE_EQ(point.ber, 0.1);
@@ -82,7 +82,7 @@ TEST(MeasureBer, StopsOnBitBudgetWhenErrorFree) {
   BerStop stop;
   stop.min_errors = 50;
   stop.max_bits = 5000;
-  const BerPoint point = measure_ber([]() { return TrialOutcome{1000, 0}; }, stop);
+  const BerPoint point = measure_ber([]() { return TrialOutcome{1000, 0, {}}; }, stop);
   EXPECT_EQ(point.trials, 5u);
   EXPECT_DOUBLE_EQ(point.ber, 0.0);
 }
@@ -95,7 +95,7 @@ TEST(MeasureBer, ZeroBitTrialsStopAtMaxTrials) {
   stop.min_errors = 10;
   stop.max_bits = 1000;
   stop.max_trials = 7;
-  const BerPoint point = measure_ber([]() { return TrialOutcome{0, 0}; }, stop);
+  const BerPoint point = measure_ber([]() { return TrialOutcome{0, 0, {}}; }, stop);
   EXPECT_EQ(point.trials, 7u);
   EXPECT_EQ(point.bits, 0u);
   EXPECT_EQ(point.errors, 0u);
@@ -112,7 +112,7 @@ TEST(MeasureBer, MaxTrialsIsHardStopWithoutErrors) {
   stop.min_errors = 50;
   stop.max_bits = 1'000'000'000;
   stop.max_trials = 5;
-  const BerPoint point = measure_ber([]() { return TrialOutcome{10, 0}; }, stop);
+  const BerPoint point = measure_ber([]() { return TrialOutcome{10, 0, {}}; }, stop);
   EXPECT_EQ(point.trials, 5u);
   EXPECT_EQ(point.bits, 50u);
   EXPECT_DOUBLE_EQ(point.ber, 0.0);
@@ -130,7 +130,7 @@ TEST(MeasureBer, MatchesBernoulliStatistics) {
         for (int i = 0; i < 500; ++i) {
           if (rng.uniform() < p) ++errors;
         }
-        return TrialOutcome{500, errors};
+        return TrialOutcome{500, errors, {}};
       },
       stop);
   EXPECT_NEAR(point.ber, p, 3.0 * point.ci95 / 1.96);  // within ~3 sigma

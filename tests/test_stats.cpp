@@ -50,10 +50,10 @@ TEST(BinomialCi, ClopperPearsonAllErrors) {
 }
 
 TEST(BinomialCi, IntervalsContainPointEstimate) {
-  for (const auto [k, n] : {std::pair<std::size_t, std::size_t>{1, 50},
-                            {7, 100},
-                            {499, 1000},
-                            {3, 7}}) {
+  for (const auto& [k, n] : {std::pair<std::size_t, std::size_t>{1, 50},
+                             {7, 100},
+                             {499, 1000},
+                             {3, 7}}) {
     const double p = static_cast<double>(k) / static_cast<double>(n);
     for (const auto method :
          {stats::CiMethod::kWilson, stats::CiMethod::kClopperPearson}) {
@@ -69,7 +69,7 @@ TEST(BinomialCi, IntervalsContainPointEstimate) {
 TEST(BinomialCi, ClopperPearsonIsConservativeVsWilson) {
   // The exact interval is wider than the score interval on small counts --
   // the regime the stop rules and result docs care about.
-  for (const auto [k, n] :
+  for (const auto& [k, n] :
        {std::pair<std::size_t, std::size_t>{0, 20}, {1, 30}, {2, 100}, {5, 200}}) {
     const stats::Interval cp = stats::clopper_pearson(k, n);
     const stats::Interval wi = stats::wilson(k, n);

@@ -120,13 +120,12 @@ TEST(Gen1Link, SparseChannelPathMatchesDenseConvolution) {
   params.complex_phases = false;
   const channel::Cir cir = channel::SalehValenzuela(params).realize(rng);
 
-  const dsp::FastConvolveGuard guard(false);  // exact direct reference
-  const RealWaveform dense = cir.apply_real(wave);
-
+  // The direct kernels are the exact reference.
   const CplxVec hc = cir.sampled(config.analog_fs);
   RealVec hr(hc.size());
   for (std::size_t i = 0; i < hc.size(); ++i) hr[i] = hc[i].real();
-  const RealVec g = dsp::convolve(tx.prototype().samples(), hr);
+  const RealVec dense = dsp::convolve_direct(wave.samples(), hr);
+  const RealVec g = dsp::convolve_direct(tx.prototype().samples(), hr);
 
   const std::size_t frame_samples = config.frame_samples_analog();
   RealVec sparse(frame_samples * train.amplitudes.size() + g.size(), 0.0);
@@ -140,37 +139,6 @@ TEST(Gen1Link, SparseChannelPathMatchesDenseConvolution) {
   for (double v : sparse) peak = std::max(peak, std::abs(v));
   for (std::size_t i = 0; i < sparse.size(); ++i) {
     ASSERT_NEAR(sparse[i], dense[i], 1e-9 * std::max(1.0, peak)) << "sample " << i;
-  }
-}
-
-TEST(Gen1Link, PacketOutcomeAgreesAcrossKernelPolicy) {
-  // The fast-convolve policy picks DSP kernels only, never the link's
-  // sample path: gen-1 always runs the sparse scatter + single-precision
-  // arena. The policy still reaches the composite kernel's double
-  // convolution (direct vs FFT, equal to rounding), so at 40 dB -- noise
-  // decades below every decision margin -- the error counts, channel-
-  // induced errors included, must match exactly under either policy.
-  const Gen1Config config = sim::gen1_fast();
-  TrialOptions options = default_options(Generation::kGen1);
-  options.cm = 3;
-  options.ebn0_db = 40.0;
-  for (uint64_t trial = 0; trial < 3; ++trial) {
-    Gen1Link fast_link(config, 99);
-    Gen1Link direct_link(config, 99);
-    Rng root(1234);
-    Rng rng_fast = root.fork(trial);
-    Rng rng_direct = root.fork(trial);
-    sim::TrialOutcome fast, direct;
-    {
-      const dsp::FastConvolveGuard guard(true);
-      fast = fast_link.run_packet(options, rng_fast);
-    }
-    {
-      const dsp::FastConvolveGuard guard(false);
-      direct = direct_link.run_packet(options, rng_direct);
-    }
-    EXPECT_EQ(fast.bits, direct.bits) << "trial " << trial;
-    EXPECT_EQ(fast.errors, direct.errors) << "trial " << trial;
   }
 }
 
@@ -506,15 +474,16 @@ TEST(Gen1Receiver, AcquisitionFindsTiming) {
   const Gen1Config config = sim::gen1_nominal();
   Gen1Link link(config, 0xACE);
   txrx::TrialOptions options;
+  options.kind = TrialKind::kAcquisition;
   options.ebn0_db = 18.0;  // gen-1's short-range link budget leaves ample margin
   options.payload_bits = 8;
   options.genie_timing = false;
-  const auto trial = link.run_acquisition(options);
-  EXPECT_TRUE(trial.acq.acquired);
-  EXPECT_TRUE(trial.timing_correct);
+  const auto trial = link.run_packet_full(options);
+  EXPECT_TRUE(trial.rx.acq.acquired);
+  EXPECT_EQ(trial.outcome.errors, 0u);  // timing within tolerance
   // Modeled sync time must satisfy the paper's < 70 us budget with the
   // default parallelism.
-  EXPECT_LT(trial.acq.sync_time_s, 70e-6);
+  EXPECT_LT(trial.rx.acq.sync_time_s, 70e-6);
 }
 
 
@@ -598,9 +567,10 @@ TEST(UnifiedLink, Gen1RejectsGen2OnlyOptionsLoudly) {
 }
 
 TEST(UnifiedLink, AcquisitionTrialsRunThroughRunPacket) {
-  // The gen-1 acquisition side door folded into the generic interface:
-  // run_packet(kind = kAcquisition) must report exactly what
-  // run_acquisition reports, as attempt/failure accounting plus metrics.
+  // Acquisition trials through the generic interface: run_packet(kind =
+  // kAcquisition) must report exactly the outcome run_packet_full scores
+  // from its acquisition result, as attempt/failure accounting plus
+  // metrics.
   const Gen1Config config = sim::gen1_nominal();
   TrialOptions options = default_options(Generation::kGen1);
   options.kind = TrialKind::kAcquisition;
@@ -610,20 +580,30 @@ TEST(UnifiedLink, AcquisitionTrialsRunThroughRunPacket) {
 
   Gen1Link detailed(config, 0xACE);
   Rng rng_a(42);
-  const Gen1Link::AcqTrial reference =
-      detailed.run_acquisition(options, rng_a, options.acq_tol_samples);
+  const Gen1TrialResult reference = detailed.run_packet_full(options, rng_a);
+  const Gen1AcqResult& acq = reference.rx.acq;
 
   const auto link = make_link(LinkSpec::for_gen1(config, options), 0xACE);
   Rng rng_b(42);
   const sim::TrialOutcome trial = link->run_packet(options, rng_b);
 
   EXPECT_EQ(trial.bits, 1u);  // one acquisition attempt
-  EXPECT_EQ(trial.errors, reference.timing_correct ? 0u : 1u);
-  EXPECT_EQ(trial.metric(metric_names::kAcquired), reference.acq.acquired ? 1.0 : 0.0);
-  EXPECT_EQ(trial.metric(metric_names::kTimingCorrect),
-            reference.timing_correct ? 1.0 : 0.0);
-  if (reference.acq.acquired) {
-    EXPECT_EQ(trial.metric(metric_names::kSyncTime), reference.acq.sync_time_s);
+  EXPECT_EQ(reference.outcome.bits, 1u);
+  EXPECT_EQ(trial.errors, reference.outcome.errors);
+  EXPECT_EQ(trial.metrics, reference.outcome.metrics);
+  // A trial's timing is correct when acquisition detected and the found
+  // offset lies within acq_tol_samples of the true one, modulo one PN period.
+  const bool timing_correct = reference.outcome.errors == 0;
+  const std::size_t period =
+      detailed.transmitter().preamble_chips().size() * config.frame_samples_adc;
+  const std::size_t gap =
+      (acq.timing_offset % period + period - reference.true_offset_adc % period) % period;
+  EXPECT_EQ(timing_correct,
+            acq.acquired && std::min(gap, period - gap) <= options.acq_tol_samples);
+  EXPECT_EQ(trial.metric(metric_names::kAcquired), acq.acquired ? 1.0 : 0.0);
+  EXPECT_EQ(trial.metric(metric_names::kTimingCorrect), timing_correct ? 1.0 : 0.0);
+  if (acq.acquired) {
+    EXPECT_EQ(trial.metric(metric_names::kSyncTime), acq.sync_time_s);
   } else {
     EXPECT_FALSE(trial.metric(metric_names::kSyncTime).has_value());
   }
