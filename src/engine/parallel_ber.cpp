@@ -35,11 +35,9 @@ const char* stop_reason(const MetricAccumulator& acc, const sim::BerStop& stop,
 
 }  // namespace
 
-sim::MeasuredPoint measure_point_batched(const BatchFactory& factory,
-                                         std::size_t batch_size, const sim::BerStop& stop,
-                                         const Rng& root, ThreadPool& pool, PointState& state,
-                                         const PointHooks& hooks,
-                                         stats::CiMethod ci_method) {
+sim::MeasuredPoint measure_point(const TrialFactory& factory, const sim::BerStop& stop,
+                                 const Rng& root, ThreadPool& pool, PointState& state,
+                                 const PointHooks& hooks, stats::CiMethod ci_method) {
   // Shared ordered-commit state. Workers race ahead claiming trial indices
   // but outcomes only count once every lower-indexed trial has counted and
   // the stopping rule was still live -- the sequential semantics exactly.
@@ -70,16 +68,13 @@ sim::MeasuredPoint measure_point_batched(const BatchFactory& factory,
   }
 
   const std::size_t num_workers = std::max<std::size_t>(1, pool.size());
-  const std::size_t batch = std::max<std::size_t>(1, batch_size);
   // How far past the commit frontier workers may speculate. Large enough to
-  // keep every worker busy (whole batches included), small enough to bound
-  // discarded work and memory.
-  const std::size_t window_cap =
-      std::max<std::size_t>({64, 8 * num_workers, 2 * batch * num_workers});
+  // keep every worker busy, small enough to bound discarded work and memory.
+  const std::size_t window_cap = std::max<std::size_t>(64, 8 * num_workers);
 
   shared.active_workers = num_workers;
   for (std::size_t w = 0; w < num_workers; ++w) {
-    pool.submit([&factory, &stop, &root, &shared, window_cap, batch, hooks] {
+    pool.submit([&factory, &stop, &root, &shared, window_cap, hooks] {
       // Stage profiling covers the whole task -- factory setup included --
       // via the thread-local activation (see obs/profile.h).
       const obs::ScopedStageProfile profile_scope(hooks.profile);
@@ -87,8 +82,7 @@ sim::MeasuredPoint measure_point_batched(const BatchFactory& factory,
       // thread: the first exception stops the point like the stopping rule
       // does, and the caller's thread rethrows it once every worker exited.
       try {
-        const BatchFn run_batch = factory();
-        std::vector<sim::TrialOutcome> outs;
+        const TrialFn run_trial = factory();
         // Trace chunking: consecutive executed trials fold into one span
         // (see kTraceChunkTrials). Telemetry only -- never touches Rng or
         // commit state, so results are identical with hooks on or off.
@@ -110,8 +104,7 @@ sim::MeasuredPoint measure_point_batched(const BatchFactory& factory,
         };
 
         for (;;) {
-          std::size_t first;
-          std::size_t count;
+          std::size_t index;
           {
             std::unique_lock<std::mutex> lock(shared.mutex);
             if (hooks.cancelled() && !shared.stopped) {
@@ -123,48 +116,35 @@ sim::MeasuredPoint measure_point_batched(const BatchFactory& factory,
               shared.window_open.notify_all();
             }
             if (shared.stopped || shared.next_claim >= stop.max_trials) break;
-            first = shared.next_claim;
-            count = std::min(batch, stop.max_trials - first);
-            shared.next_claim += count;
-            // Speculation bound: wait until the claim starts near the
-            // frontier (a batch may extend past the cap by at most one
-            // batch length; the cap accounts for that).
+            index = shared.next_claim++;
+            // Speculation bound: wait until the claim is near the frontier.
             shared.window_open.wait(lock, [&] {
-              return shared.stopped || first < shared.committed + window_cap;
+              return shared.stopped || index < shared.committed + window_cap;
             });
             if (shared.stopped) break;
           }
 
           if (hooks.trace != nullptr && chunk_count == 0) {
             chunk_start_us = hooks.trace->now_us();
-            chunk_first = first;
+            chunk_first = index;
           }
 
-          outs.resize(count);
-          run_batch(first, count, root, outs.data());
+          Rng rng = root.fork(index);
+          sim::TrialOutcome out = run_trial(index, rng);
 
-          chunk_count += count;
-          if (chunk_count >= kTraceChunkTrials) flush_chunk();
+          if (++chunk_count >= kTraceChunkTrials) flush_chunk();
           if (hooks.progress != nullptr) {
-            std::size_t batch_bits = 0;
-            std::size_t batch_errors = 0;
-            for (const sim::TrialOutcome& out : outs) {
-              batch_bits += out.bits;
-              batch_errors += out.errors;
-            }
-            hooks.progress->add_trials(count);
-            hooks.progress->add_bits(batch_bits);
-            hooks.progress->add_errors(batch_errors);
+            hooks.progress->add_trials(1);
+            hooks.progress->add_bits(out.bits);
+            hooks.progress->add_errors(out.errors);
           }
 
           std::lock_guard<std::mutex> lock(shared.mutex);
-          shared.executed += count;
+          ++shared.executed;
           if (shared.stopped) break;
-          const std::size_t base = first - shared.committed;
-          if (shared.window.size() < base + count) shared.window.resize(base + count);
-          for (std::size_t k = 0; k < count; ++k) {
-            shared.window[base + k] = std::move(outs[k]);
-          }
+          const std::size_t slot = index - shared.committed;
+          if (shared.window.size() <= slot) shared.window.resize(slot + 1);
+          shared.window[slot] = std::move(out);
           // Advance the frontier: commit in index order under the rule.
           while (!shared.window.empty() && shared.window.front().has_value()) {
             if (!shared.acc.keep_going(shared.committed)) break;

@@ -28,21 +28,15 @@ class StageProfiler;
 
 namespace uwb::engine {
 
-/// Batched execution: one call runs the contiguous trials
-/// [first, first+count) and writes trial first+k's outcome to out[k]. Each
-/// trial must still be a pure function of root.fork(index) -- batching only
-/// lets a worker share per-batch state across its claim (e.g. the grouped
-/// channel-realization pass in txrx::PacketBatch). The engine commits the
-/// outcomes one trial at a time in global index order, so the measured
-/// point is byte-identical for any batch size.
-using BatchFn = std::function<void(std::size_t first, std::size_t count, const Rng& root,
-                                   sim::TrialOutcome* out)>;
+/// One trial: runs trial \p index, drawing all of its randomness from \p rng
+/// (the core passes root.fork(index)), and returns its outcome.
+using TrialFn = std::function<sim::TrialOutcome(std::size_t index, Rng& rng)>;
 
 /// Called once per worker to build worker-local state (e.g. a txrx link)
-/// and return its BatchFn. The factory MUST produce functions whose
-/// outcomes depend only on the per-trial Rng -- never on which worker runs
-/// a trial or in what order (that is what makes the result deterministic).
-using BatchFactory = std::function<BatchFn()>;
+/// and return its TrialFn. The factory MUST produce functions whose
+/// outcomes depend only on (index, rng) -- never on which worker runs a
+/// trial or in what order (that is what makes the result deterministic).
+using TrialFactory = std::function<TrialFn()>;
 
 /// Optional telemetry hooks for one point measurement. Both observers may
 /// be null; neither can change the measured result (they never touch Rng
@@ -74,7 +68,7 @@ struct PointHooks {
 
 /// A point's resumable measurement: the committed prefix's reductions (and
 /// the stop rule that produced them) plus how much work it took. A
-/// default-constructed state is fresh. measure_point_batched extends it in
+/// default-constructed state is fresh. measure_point extends it in
 /// place, so a point measured to k trials and then resumed to N commits
 /// exactly the trials a from-scratch N run commits -- the same prefix in the
 /// same order, every floating-point sum included -- while running only the
@@ -96,21 +90,20 @@ struct PointState {
 /// and \p stop replaces the state's rule. A non-empty state requires \p stop
 /// to be no stricter than that rule -- the same metric and CI target, no
 /// smaller error or bit budget, a trial cap of at least state.committed
-/// (MetricAccumulator::set_rule) -- and throws InvalidArgument otherwise. On return the state holds the finished
-/// prefix; a measurement that throws or is cancelled leaves it unchanged.
+/// (MetricAccumulator::set_rule) -- and throws InvalidArgument otherwise. On
+/// return the state holds the finished prefix; a measurement that throws or
+/// is cancelled leaves it unchanged.
 ///
-/// Execution: workers claim contiguous ranges of \p batch_size trial
-/// indices (clamped at the trial cap), run each range through one BatchFn
-/// call speculatively within a bounded window ahead of the commit frontier,
-/// and commit per trial in global index order. Outcomes past the stopping
-/// point are discarded, exactly as if they had never run. The set of
-/// committed trials is therefore exactly the sequential loop's prefix, and
-/// the measured point -- counters, metric reductions, result-document bytes
-/// -- is identical for ANY (batch_size, worker count) combination (tested
-/// at B in {1,4,16} x workers in {1,8}) and for any prefix it resumed from.
-sim::MeasuredPoint measure_point_batched(
-    const BatchFactory& factory, std::size_t batch_size, const sim::BerStop& stop,
-    const Rng& root, ThreadPool& pool, PointState& state, const PointHooks& hooks = {},
-    stats::CiMethod ci_method = stats::CiMethod::kClopperPearson);
+/// Execution: workers claim one trial index at a time, run it
+/// speculatively within a bounded window ahead of the commit frontier, and
+/// commit in global index order. Outcomes past the stopping point are
+/// discarded, exactly as if they had never run. The set of committed trials
+/// is therefore exactly the sequential loop's prefix, and the measured
+/// point -- counters, metric reductions, result-document bytes -- is
+/// identical for any worker count and for any prefix it resumed from.
+sim::MeasuredPoint measure_point(const TrialFactory& factory, const sim::BerStop& stop,
+                                 const Rng& root, ThreadPool& pool, PointState& state,
+                                 const PointHooks& hooks = {},
+                                 stats::CiMethod ci_method = stats::CiMethod::kClopperPearson);
 
 }  // namespace uwb::engine

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <filesystem>
-#include <fstream>
+#include <sstream>
 
-#include "common/error.h"
+#include "io/file.h"
 #include "io/json.h"
 #include "io/result_io.h"
 #include "sim/table.h"
@@ -39,17 +38,6 @@ std::vector<std::string> metric_name_union(const std::vector<PointRecord>& recor
     }
   }
   return names;
-}
-
-std::ofstream open_for_write(const std::string& path) {
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(p.parent_path(), ec);
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  detail::require(out.good(), "sink: cannot open '" + path + "' for writing");
-  return out;
 }
 
 }  // namespace
@@ -146,9 +134,7 @@ void JsonSink::end(const SweepInfo& info) {
     }
     doc.points.push_back(std::move(point));
   }
-  std::ofstream out = open_for_write(path_);
-  out << io::write_result_json(doc);
-  detail::require(out.good(), "JsonSink: write to '" + path_ + "' failed");
+  io::write_file(path_, io::write_result_json(doc), "JsonSink");
 }
 
 // -------------------------------------------------------------- CsvSink ----
@@ -159,7 +145,7 @@ void CsvSink::point(const PointRecord& record) { records_.push_back(record); }
 
 void CsvSink::end(const SweepInfo& info) {
   (void)info;
-  std::ofstream out = open_for_write(path_);
+  std::ostringstream out;
   // Per-metric columns (<name>_count/_mean/_var); a point that never saw
   // a metric leaves the cells empty.
   const std::vector<std::string> metric_names = metric_name_union(records_);
@@ -200,7 +186,7 @@ void CsvSink::end(const SweepInfo& info) {
     }
     out << "\n";
   }
-  detail::require(out.good(), "CsvSink: write to '" + path_ + "' failed");
+  io::write_file(path_, out.str(), "CsvSink");
 }
 
 }  // namespace uwb::engine

@@ -12,7 +12,6 @@
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "txrx/link.h"
-#include "txrx/packet_batch.h"
 
 namespace uwb::engine {
 
@@ -23,29 +22,21 @@ constexpr uint64_t kTrialStreamSalt = 0;
 constexpr uint64_t kLinkSeedSalt = 1;
 
 /// Worker-local trial state for one grid point: the factory hands every
-/// worker its own link (links are not safe for concurrent trials) wrapped
-/// in a txrx::PacketBatch, all built from the same seed so the simulated
-/// hardware is identical. For ensemble-mode points the shared realizations
-/// ride along and trial i resolves to realization i % count -- index-keyed,
-/// so any worker gets the same channel for the same trial, and the batch
-/// executor groups same-realization trials to reuse per-realization link
-/// state. The per-trial outcome conversion (sampling context, metric
-/// filtering) lives in PacketBatch::run_one.
-BatchFactory make_batch_factory(const PointSpec& spec, uint64_t link_seed,
+/// worker its own link (links are not safe for concurrent trials), all
+/// built from the same seed so the simulated hardware is identical. For
+/// ensemble-mode points the shared realizations ride along and trial i
+/// resolves to realization i % count -- index-keyed, so any worker gets the
+/// same channel for the same trial. The per-trial context and metric
+/// filtering live in txrx::run_trial.
+TrialFactory make_trial_factory(const PointSpec& spec, uint64_t link_seed,
                                 std::shared_ptr<const ChannelEnsemble> ensemble) {
-  return [&spec, link_seed, ensemble]() -> BatchFn {
+  return [&spec, link_seed, ensemble]() -> TrialFn {
     std::shared_ptr<txrx::Link> link = txrx::make_link(spec.link, link_seed);
-    txrx::ChannelResolver resolver;
-    if (ensemble != nullptr) {
-      resolver = [ensemble](std::size_t index) -> const channel::Cir* {
-        return &ensemble->realization_for_trial(index);
-      };
-    }
-    auto executor = std::make_shared<txrx::PacketBatch>(std::move(link),
-                                                        spec.link.options,
-                                                        std::move(resolver));
-    return [executor](std::size_t first, std::size_t count, const Rng& root,
-                      sim::TrialOutcome* out) { executor->run(first, count, root, out); };
+    return [&spec, link, ensemble](std::size_t index, Rng& rng) {
+      const channel::Cir* cir =
+          ensemble != nullptr ? &ensemble->realization_for_trial(index) : nullptr;
+      return txrx::run_trial(*link, spec.link.options, index, cir, rng);
+    };
   };
 }
 
@@ -71,11 +62,11 @@ void validate_stop_metric(const ScenarioSpec& scenario, const std::string& metri
 }
 
 /// What one point's measurement needs, derived from the seeding contract
-/// (see sweep_engine.h): the point's trial stream and the per-worker batch
+/// (see sweep_engine.h): the point's trial stream and the per-worker trial
 /// factory whose links all share the point's link seed.
 struct PointPlan {
   Rng trial_root;
-  BatchFactory factory;
+  TrialFactory factory;
 };
 
 /// The one per-point setup run() and run_adaptive() share. Ensemble-mode
@@ -97,7 +88,7 @@ PointPlan plan_point(const Rng& sweep_root, std::size_t index, const PointSpec& 
     ensemble = cache.get(params, source.ensemble_seed, source.ensemble_count);
   }
   return {point_root.fork(kTrialStreamSalt),
-          make_batch_factory(spec, point_root.fork(kLinkSeedSalt).seed(), std::move(ensemble))};
+          make_trial_factory(spec, point_root.fork(kLinkSeedSalt).seed(), std::move(ensemble))};
 }
 
 /// Run-level counter baselines. The caches are long-lived (possibly
@@ -220,8 +211,8 @@ SweepResult run_points(const SweepConfig& config, const ScenarioSpec& scenario,
     const auto start = std::chrono::steady_clock::now();
     PointState state;
     sim::MeasuredPoint measured =
-        measure_point_batched(plan.factory, config.batch_size, config.stop, plan.trial_root,
-                              pool, state, hooks, config.ci_method);
+        measure_point(plan.factory, config.stop, plan.trial_root, pool, state, hooks,
+                      config.ci_method);
     const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
 
     if (hooks.cancelled()) {
@@ -306,6 +297,8 @@ SweepEngine::SweepEngine(SweepConfig config) : config_(config) {
   detail::require(config_.shard_count >= 1, "SweepEngine: shard_count must be >= 1");
   detail::require(config_.shard_index < config_.shard_count,
                   "SweepEngine: shard_index must be < shard_count");
+  detail::require(config_.workers <= kMaxWorkers,
+                  "SweepEngine: workers must be <= " + std::to_string(kMaxWorkers));
 }
 
 SweepResult SweepEngine::run(const ScenarioSpec& scenario,
@@ -380,8 +373,8 @@ SweepResult SweepEngine::run_adaptive(const ScenarioSpec& scenario,
       const PointPlan plan = plan_point(sweep_root, rec.index, rec.spec, cache, config_.trace);
       const std::size_t resumed_at = state.committed;
       sim::MeasuredPoint measured =
-          measure_point_batched(plan.factory, config_.batch_size, stop, plan.trial_root, pool,
-                                state, hooks, config_.ci_method);
+          measure_point(plan.factory, stop, plan.trial_root, pool, state, hooks,
+                        config_.ci_method);
       const std::size_t grown = state.committed - resumed_at;
       span.arg("resumed_at", static_cast<std::uint64_t>(resumed_at));
       span.arg("grown", static_cast<std::uint64_t>(grown));

@@ -46,16 +46,8 @@ namespace uwb::engine {
 
 struct SweepConfig {
   uint64_t seed = 0x5eed'0000'cafe'f00dULL;
-  std::size_t workers = 0;  ///< 0 = hardware concurrency
+  std::size_t workers = 0;  ///< 0 = hardware concurrency; at most kMaxWorkers
   sim::BerStop stop;
-
-  /// Trials per worker claim (see engine::measure_point_batched and
-  /// txrx::PacketBatch): each worker runs contiguous index ranges of this
-  /// size through one batched executor, amortizing per-realization link
-  /// state across the batch. Execution granularity ONLY -- outcomes still
-  /// commit per trial in global index order, so the result document is
-  /// byte-identical for any batch size (tested at 1/4/16 x 1/8 workers).
-  std::size_t batch_size = 1;
 
   /// Two-sided interval reported for unweighted points (weighted points
   /// always use the normal interval on the weight sums). Exact

@@ -33,6 +33,11 @@ class TraceRecorder;
 
 namespace uwb::engine {
 
+/// The largest worker count a sweep accepts (SweepEngine, both CLIs and
+/// farm specs enforce it): far past any core count, yet small enough that a
+/// mistyped count cannot ask the system for millions of threads.
+inline constexpr std::size_t kMaxWorkers = 1024;
+
 class ThreadPool {
  public:
   /// \p num_threads 0 picks std::thread::hardware_concurrency() (min 1).

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "common/error.h"
+#include "io/file.h"
 #include "io/result_io.h"
 #include "io/spec_io.h"
 
@@ -31,7 +32,7 @@ void init_run(const engine::ScenarioSpec& scenario, FarmSpec& spec,
   save_farm_spec(spec, paths.farm_json());
 
   FarmState state;
-  state.plan_digest = fnv1a_digest(read_file(paths.scenario_json()));
+  state.plan_digest = fnv1a_digest(io::read_file(paths.scenario_json(), "farm"));
   state.shards.resize(spec.shard_count);
   for (std::size_t i = 0; i < spec.shard_count; ++i) state.shards[i].index = i;
   save_farm_state(state, paths.state_json());
@@ -45,7 +46,7 @@ void validate_shard_result(const FarmSpec& spec, std::size_t shard,
   };
   io::ResultDoc doc;
   try {
-    doc = io::parse_result_json(read_file(path));
+    doc = io::parse_result_json(io::read_file(path, "farm"));
   } catch (const Error& e) {
     fail(std::string("is unreadable or corrupt: ") + e.what());
   }
@@ -78,7 +79,7 @@ LoadedRun load_run(const RunPaths& paths) {
                       std::to_string(run.state.shards.size()) +
                       " shards but farm.json declares " +
                       std::to_string(run.spec.shard_count));
-  const std::uint64_t digest = fnv1a_digest(read_file(paths.scenario_json()));
+  const std::uint64_t digest = fnv1a_digest(io::read_file(paths.scenario_json(), "farm"));
   detail::require(
       digest == run.state.plan_digest,
       "farm: '" + paths.scenario_json() +
@@ -88,7 +89,7 @@ LoadedRun load_run(const RunPaths& paths) {
     if (shard.status != ShardStatus::kDone) continue;
     const std::string result_path = paths.shard_result(shard.index);
     validate_shard_result(run.spec, shard.index, result_path);
-    detail::require(fnv1a_digest(read_file(result_path)) == shard.digest,
+    detail::require(fnv1a_digest(io::read_file(result_path, "farm")) == shard.digest,
                     "farm: shard " + std::to_string(shard.index) + " result '" +
                         result_path +
                         "' does not match the digest it was journaled done with -- "
@@ -207,7 +208,7 @@ FarmRunReport run_shards(const FarmSpec& spec, FarmState& state,
             continue;  // a corrupt claim of success is transient: retry
           }
           std::uint64_t trials = 0;
-          const std::string result_bytes = read_file(paths.shard_result(shard));
+          const std::string result_bytes = io::read_file(paths.shard_result(shard), "farm");
           const io::ResultDoc doc = io::parse_result_json(result_bytes);
           for (const io::ResultPoint& point : doc.points) trials += point.trials;
           journal(shard, [&](ShardState& s) {
@@ -258,7 +259,8 @@ void merge_run(const FarmSpec& spec, const FarmState& state, const RunPaths& pat
   std::size_t missing = 0;
   for (const ShardState& shard : state.shards) {
     if (shard.status == ShardStatus::kDone) {
-      docs.push_back(io::parse_result_json(read_file(paths.shard_result(shard.index))));
+      docs.push_back(io::parse_result_json(
+          io::read_file(paths.shard_result(shard.index), "farm")));
     } else {
       ++missing;
     }

@@ -2,11 +2,11 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "engine/thread_pool.h"
+#include "io/file.h"
 #include "io/spec_io.h"
 
 namespace uwb::farm {
@@ -145,6 +145,9 @@ FarmSpec farm_spec_from_json(const io::JsonValue& v) {
     else unknown_key("spec", key);
   }
   detail::require(spec.shard_count >= 1, "farm spec: shard_count must be >= 1");
+  detail::require(spec.workers_per_shard <= engine::kMaxWorkers,
+                  "farm spec: workers_per_shard must be <= " +
+                      std::to_string(engine::kMaxWorkers));
   return spec;
 }
 
@@ -213,29 +216,9 @@ FarmState farm_state_from_json(const io::JsonValue& v) {
 
 // ------------------------------------------------------------------ files ----
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  detail::require(in.good(), "farm: cannot read '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  detail::require(!in.bad(), "farm: read from '" + path + "' failed");
-  return buffer.str();
-}
-
 void write_file_atomic(const std::string& path, const std::string& content) {
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(p.parent_path(), ec);
-  }
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    detail::require(out.good(), "farm: cannot open '" + tmp + "' for writing");
-    out << content;
-    out.flush();
-    detail::require(out.good(), "farm: write to '" + tmp + "' failed");
-  }
+  io::write_file(tmp, content, "farm");
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   detail::require(!ec, "farm: rename '" + tmp + "' -> '" + path + "' failed: " +
@@ -248,7 +231,7 @@ void save_farm_spec(const FarmSpec& spec, const std::string& path) {
 
 FarmSpec load_farm_spec(const std::string& path) {
   try {
-    return farm_spec_from_json(io::parse_json(read_file(path)));
+    return farm_spec_from_json(io::parse_json(io::read_file(path, "farm")));
   } catch (const Error& e) {
     throw InvalidArgument("farm: loading '" + path + "': " + e.what());
   }
@@ -260,7 +243,7 @@ void save_farm_state(const FarmState& state, const std::string& path) {
 
 FarmState load_farm_state(const std::string& path) {
   try {
-    return farm_state_from_json(io::parse_json(read_file(path)));
+    return farm_state_from_json(io::parse_json(io::read_file(path, "farm")));
   } catch (const Error& e) {
     throw InvalidArgument("farm: loading '" + path + "': " + e.what());
   }

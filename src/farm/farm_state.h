@@ -148,9 +148,6 @@ struct RunPaths {
 
 // ----------------------------------------------------------------- files ----
 
-/// Reads a whole file. \throws InvalidArgument when unreadable.
-[[nodiscard]] std::string read_file(const std::string& path);
-
 /// Writes \p content to \p path via a temp file + atomic rename, creating
 /// parent directories -- a crash mid-write can never leave a truncated
 /// journal behind.

@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "farm/farm_state.h"
+#include "io/file.h"
 
 namespace uwb::farm {
 
@@ -280,8 +281,8 @@ VerifyReport verify_result(const io::ResultDoc& doc,
 
 VerifyReport verify_result_files(const std::string& result_path,
                                  const std::string& expectations_path) {
-  const io::ResultDoc doc = io::parse_result_json(read_file(result_path));
-  const io::JsonValue expectations = io::parse_json(read_file(expectations_path));
+  const io::ResultDoc doc = io::parse_result_json(io::read_file(result_path, "farm"));
+  const io::JsonValue expectations = io::parse_json(io::read_file(expectations_path, "farm"));
   return verify_result(doc, expectations);
 }
 

@@ -5,10 +5,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "common/error.h"
+#include "io/file.h"
 
 namespace uwb::io {
 
@@ -42,21 +41,6 @@ struct Reader {
   }
   double f64() { return std::bit_cast<double>(u64()); }
 };
-
-std::string slurp_file(const std::string& path, const char* what) {
-  std::ifstream in(path, std::ios::binary);
-  detail::require(in.good(), std::string(what) + ": cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-void write_file(const std::string& path, const std::string& bytes, const char* what) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  detail::require(out.good(), std::string(what) + ": cannot open '" + path + "' for writing");
-  out << bytes;
-  detail::require(out.good(), std::string(what) + ": write to '" + path + "' failed");
-}
 
 std::string stem_path(const std::string& dir, const channel::SvParams& params,
                       const engine::ChannelKey& key) {
@@ -103,8 +87,6 @@ std::string save_ensemble(const engine::ChannelEnsemble& ensemble, const std::st
   detail::require(!ensemble.realizations.empty(), "cir store: empty ensemble");
   detail::require(ensemble.realizations.size() == ensemble.key.count,
                   "cir store: ensemble count does not match its key");
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
 
   std::string bytes;
   bytes.append(kMagic, sizeof kMagic);
@@ -134,7 +116,7 @@ engine::ChannelEnsemble load_ensemble(const std::string& dir, const channel::SvP
   // Sidecar first: it names the parameter set the binary was generated
   // from, and a fingerprint mismatch (edited sidecar, stale store after a
   // scheme change) must fail before any realization is trusted.
-  const JsonValue sidecar = parse_json(slurp_file(stem + ".json", "cir store"));
+  const JsonValue sidecar = parse_json(read_file(stem + ".json", "cir store"));
   channel::SvParams stored_params;
   uint64_t stored_fingerprint = 0, stored_seed = 0, stored_count = 0;
   for (const auto& [k, v] : sidecar.members()) {
@@ -172,7 +154,7 @@ engine::ChannelEnsemble load_ensemble(const std::string& dir, const channel::SvP
                   "cir store: sidecar sv_params do not match the requested fingerprint ('" +
                       stem + ".json')");
 
-  const std::string bytes = slurp_file(stem + ".cir", "cir store");
+  const std::string bytes = read_file(stem + ".cir", "cir store");
   detail::require(bytes.size() >= sizeof kMagic &&
                       bytes.compare(0, sizeof kMagic, kMagic, sizeof kMagic) == 0,
                   "cir store: bad magic/version in '" + stem + ".cir'");

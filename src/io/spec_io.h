@@ -7,9 +7,11 @@
 /// Every configuration field is serialized (doubles in shortest
 /// round-trip form), so a spec written to a file and loaded back drives a
 /// byte-identical sweep under the same seed -- the contract behind
-/// `uwb_sweep --dump-scenario` / `uwb_sweep --file`. Readers are strict:
-/// an unknown key throws InvalidArgument (typos fail loudly), a missing
-/// key keeps the field's C++ default (hand-written files stay terse).
+/// `uwb_sweep --dump-scenario` / `uwb_sweep --file`. Each config struct
+/// names its keys once, in one field list that drives both the writer (keys
+/// in list order) and the reader. Readers are strict: an unknown key throws
+/// InvalidArgument (typos fail loudly), a missing key keeps the field's C++
+/// default (hand-written files stay terse).
 
 #include <string>
 

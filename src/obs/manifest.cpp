@@ -1,10 +1,7 @@
 #include "obs/manifest.h"
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
 #include "common/error.h"
+#include "io/file.h"
 
 namespace uwb::obs {
 
@@ -185,23 +182,12 @@ RunManifest manifest_from_json(const io::JsonValue& doc) {
 }
 
 void write_run_manifest(const RunManifest& manifest, const std::string& path) {
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(p.parent_path(), ec);
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  detail::require(out.good(), "write_run_manifest: cannot open '" + path + "' for writing");
-  out << io::dump_json_pretty(manifest_to_json(manifest)) << "\n";
-  detail::require(out.good(), "write_run_manifest: write to '" + path + "' failed");
+  io::write_file(path, io::dump_json_pretty(manifest_to_json(manifest)) + "\n",
+                 "write_run_manifest");
 }
 
 RunManifest load_run_manifest(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  detail::require(in.good(), "load_run_manifest: cannot read '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return manifest_from_json(io::parse_json(buffer.str()));
+  return manifest_from_json(io::parse_json(io::read_file(path, "load_run_manifest")));
 }
 
 std::string manifest_path_for(const std::string& result_path) {

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
-#include <fstream>
 
-#include "common/error.h"
+#include "io/file.h"
 #include "io/json.h"
 
 namespace uwb::obs {
@@ -209,15 +207,7 @@ std::string write_chrome_trace_json(const TraceRecorder& recorder) {
 }
 
 void write_chrome_trace(const TraceRecorder& recorder, const std::string& path) {
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(p.parent_path(), ec);
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  detail::require(out.good(), "write_chrome_trace: cannot open '" + path + "' for writing");
-  out << write_chrome_trace_json(recorder);
-  detail::require(out.good(), "write_chrome_trace: write to '" + path + "' failed");
+  io::write_file(path, write_chrome_trace_json(recorder), "write_chrome_trace");
 }
 
 }  // namespace uwb::obs

@@ -30,16 +30,14 @@ void validate_budgets(const BerStop& stop) {
 
 BerPoint measure_ber(const std::function<TrialOutcome()>& trial, const BerStop& stop) {
   // One worker commits the trials in call order; the closure owns its
-  // randomness, so the per-trial Rng root the core supplies goes unused.
+  // randomness, so the per-trial Rng the core supplies goes unused.
   engine::ThreadPool pool(1);
   engine::PointState state;
-  return engine::measure_point_batched(
-             [&trial]() -> engine::BatchFn {
-               return [&trial](std::size_t, std::size_t count, const Rng&, TrialOutcome* out) {
-                 for (std::size_t k = 0; k < count; ++k) out[k] = trial();
-               };
+  return engine::measure_point(
+             [&trial]() -> engine::TrialFn {
+               return [&trial](std::size_t, Rng&) { return trial(); };
              },
-             1, stop, Rng(0), pool, state)
+             stop, Rng(0), pool, state)
       .ber;
 }
 

@@ -19,8 +19,8 @@ namespace uwb::sim {
 /// log-likelihood ratio (see TrialOutcome::set_weight).
 inline constexpr const char* kIsLlrMetric = "is_llr";
 
-/// One trial's contribution -- the one trial record every link, batch
-/// executor and BER loop shares: the bit/error pair (first-class, never a
+/// One trial's contribution -- the one trial record every link, the trial
+/// core and every BER loop share: the bit/error pair (first-class, never a
 /// metric) plus the trial's named scalar metrics (acquisition flags, sync
 /// time, RAKE capture, SNR estimate, ...). A metric absent from a trial
 /// simply contributes no observation -- e.g. a sync-time metric emitted
@@ -125,7 +125,7 @@ struct BerPoint {
 
 /// A fully measured grid point: the BER counters plus the reductions of
 /// every named metric the trials emitted (count / mean / variance per
-/// metric, see MetricStats). What engine::measure_point_batched returns and
+/// metric, see MetricStats). What engine::measure_point returns and
 /// the result sinks serialize.
 struct MeasuredPoint {
   BerPoint ber;
@@ -135,7 +135,7 @@ struct MeasuredPoint {
 };
 
 /// Runs \p trial repeatedly under the stopping rule: the sequential
-/// convenience helper, one worker through engine::measure_point_batched.
+/// convenience helper, one worker through engine::measure_point.
 /// The closure owns its randomness; parallel, seed-per-trial sweeps go
 /// through engine::SweepEngine.
 BerPoint measure_ber(const std::function<TrialOutcome()>& trial, const BerStop& stop = {});

@@ -8,23 +8,6 @@
 
 namespace uwb::stats {
 
-std::string to_string(SamplingMode mode) {
-  switch (mode) {
-    case SamplingMode::kNone: return "none";
-    case SamplingMode::kNoiseScale: return "noise_scale";
-    case SamplingMode::kAutoLadder: return "auto_ladder";
-  }
-  return "?";
-}
-
-SamplingMode sampling_mode_from_name(const std::string& name) {
-  if (name == "none") return SamplingMode::kNone;
-  if (name == "noise_scale") return SamplingMode::kNoiseScale;
-  if (name == "auto_ladder") return SamplingMode::kAutoLadder;
-  throw InvalidArgument("unknown sampling policy '" + name +
-                        "' (expected none | noise_scale | auto_ladder)");
-}
-
 void validate(const SamplingPolicy& policy) {
   if (!policy.active()) return;
   if (policy.mode == SamplingMode::kNoiseScale) {

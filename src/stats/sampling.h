@@ -33,7 +33,6 @@
 /// densities cancel in f/g -- so MLSE/ISI coupling needs no special case.
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace uwb::stats {
@@ -41,9 +40,6 @@ namespace uwb::stats {
 /// Serialized as the spec's "sampling" block; `none` is the default and is
 /// not written (plain Monte-Carlo).
 enum class SamplingMode { kNone, kNoiseScale, kAutoLadder };
-
-[[nodiscard]] std::string to_string(SamplingMode mode);
-[[nodiscard]] SamplingMode sampling_mode_from_name(const std::string& name);
 
 /// The engine-level importance-sampling policy carried on TrialOptions.
 struct SamplingPolicy {

@@ -277,6 +277,33 @@ std::unique_ptr<Link> make_link(const LinkSpec& spec, uint64_t seed) {
   return std::make_unique<Gen2Link>(spec.gen2(), seed);
 }
 
+sim::TrialOutcome run_trial(Link& link, const TrialOptions& options, std::size_t index,
+                            const channel::Cir* cir, Rng& rng) {
+  TrialContext context;
+  context.channel = cir;
+  if (options.sampling.active()) {
+    // Index-keyed bias resolution, like the ensemble realization: trial i's
+    // scale and target-bit stratum depend only on i, so weighted sweeps
+    // stay deterministic for any worker count.
+    context.noise_scale = stats::trial_noise_scale(options.sampling, index);
+    context.sampling_trial = index;
+    context.sampling_resolved = true;
+  }
+  sim::TrialOutcome out = link.run_packet(options, rng, context);
+  // The importance weight is estimator state, not an optional observable:
+  // it stays on the outcome whatever the filter keeps.
+  const std::vector<std::string>& wanted = options.record_metrics;
+  if (!wanted.empty()) {
+    std::vector<std::pair<std::string, double>> kept;
+    kept.reserve(wanted.size());
+    for (const std::string& name : wanted) {
+      if (const std::optional<double> value = out.metric(name)) kept.emplace_back(name, *value);
+    }
+    out.metrics = std::move(kept);
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------- Gen-2 ----
 
 Gen2Link::Gen2Link(const Gen2Config& config, uint64_t seed)

@@ -301,6 +301,16 @@ void validate_spec(const LinkSpec& spec);
 ///         construction, not mid-sweep.
 [[nodiscard]] std::unique_ptr<Link> make_link(const LinkSpec& spec, uint64_t seed);
 
+/// One sweep trial on \p link: fills the TrialContext -- the ensemble
+/// realization \p cir (null = a fresh draw) and, when options.sampling is
+/// active, the importance-sampling bias resolved from \p index -- runs the
+/// packet on \p rng, and keeps only the metrics options.record_metrics
+/// names, in its order (empty keeps all). Both the context and the filter
+/// are pure functions of (options, index), so the outcome is the same
+/// whichever worker runs the trial.
+[[nodiscard]] sim::TrialOutcome run_trial(Link& link, const TrialOptions& options,
+                                          std::size_t index, const channel::Cir* cir, Rng& rng);
+
 /// The gen-2 composite kernel on split I/Q rails: g = \p prototype
 /// convolved with cir.sampled(\p fs), by direct convolution (whatever the
 /// sizes) in dsp::convolve_direct's complex accumulation order. It is both the channel's per-slot response and the

@@ -1,6 +1,6 @@
 #pragma once
 // Test helper: runs a per-index trial closure through the one ordered-commit
-// trial core (engine::measure_point_batched) on a pool of \p workers.
+// trial core (engine::measure_point) on a pool of \p workers.
 
 #include <cstddef>
 
@@ -20,17 +20,11 @@ sim::MeasuredPoint measure_trials(const Trial& trial, const sim::BerStop& stop,
                                   const Rng& root, std::size_t workers = 1) {
   engine::ThreadPool pool(workers);
   engine::PointState state;
-  return engine::measure_point_batched(
-      [&trial]() -> engine::BatchFn {
-        return [&trial](std::size_t first, std::size_t count, const Rng& root,
-                        sim::TrialOutcome* out) {
-          for (std::size_t k = 0; k < count; ++k) {
-            Rng rng = root.fork(first + k);
-            out[k] = trial(first + k, rng);
-          }
-        };
+  return engine::measure_point(
+      [&trial]() -> engine::TrialFn {
+        return [&trial](std::size_t index, Rng& rng) { return trial(index, rng); };
       },
-      1, stop, root, pool, state);
+      stop, root, pool, state);
 }
 
 }  // namespace uwb::test

@@ -21,7 +21,6 @@
 #include "measure_trials.h"
 #include "obs/trace.h"
 #include "sim/scenario.h"
-#include "txrx/packet_batch.h"
 
 namespace uwb::engine {
 namespace {
@@ -161,16 +160,12 @@ TEST(ParallelBer, TrialExceptionPropagatesToTheCaller) {
 
 // ------------------------------------------------------- resumable points ----
 
-/// synthetic_trial as a BatchFactory; trial \p throw_at (if any) throws.
-BatchFactory synthetic_factory(std::size_t throw_at = std::numeric_limits<std::size_t>::max()) {
-  return [throw_at]() -> BatchFn {
-    return [throw_at](std::size_t first, std::size_t count, const Rng& root,
-                      sim::TrialOutcome* out) {
-      for (std::size_t k = 0; k < count; ++k) {
-        if (first + k == throw_at) throw std::runtime_error("trial failed");
-        Rng rng = root.fork(first + k);
-        out[k] = synthetic_trial(first + k, rng);
-      }
+/// synthetic_trial as a TrialFactory; trial \p throw_at (if any) throws.
+TrialFactory synthetic_factory(std::size_t throw_at = std::numeric_limits<std::size_t>::max()) {
+  return [throw_at]() -> TrialFn {
+    return [throw_at](std::size_t index, Rng& rng) {
+      if (index == throw_at) throw std::runtime_error("trial failed");
+      return synthetic_trial(index, rng);
     };
   };
 }
@@ -196,7 +191,7 @@ TEST(PointState, StricterResumeRuleThrowsAndKeepsTheState) {
   ThreadPool pool(2);
   const sim::BerStop rule = trial_budget(20);
   PointState state;
-  (void)measure_point_batched(synthetic_factory(), 1, rule, Rng(7), pool, state);
+  (void)measure_point(synthetic_factory(), rule, Rng(7), pool, state);
   ASSERT_EQ(state.committed, 20u);
   const PointState before = state;
 
@@ -208,19 +203,16 @@ TEST(PointState, StricterResumeRuleThrowsAndKeepsTheState) {
   stricter[4].target_rel_ci_width = 0.5;
   for (std::size_t i = 0; i < stricter.size(); ++i) {
     SCOPED_TRACE(i);
-    EXPECT_THROW((void)measure_point_batched(synthetic_factory(), 1, stricter[i], Rng(7), pool,
-                                             state),
+    EXPECT_THROW((void)measure_point(synthetic_factory(), stricter[i], Rng(7), pool, state),
                  InvalidArgument);
     expect_state_unchanged(state, before);
   }
 
   // The same rule resumes as a no-op; an empty state takes any rule.
-  EXPECT_EQ(measure_point_batched(synthetic_factory(), 1, rule, Rng(7), pool, state).ber.trials,
-            20u);
+  EXPECT_EQ(measure_point(synthetic_factory(), rule, Rng(7), pool, state).ber.trials, 20u);
   expect_state_unchanged(state, before);
   PointState fresh;
-  EXPECT_EQ(measure_point_batched(synthetic_factory(), 1, stricter[0], Rng(7), pool, fresh)
-                .ber.trials,
+  EXPECT_EQ(measure_point(synthetic_factory(), stricter[0], Rng(7), pool, fresh).ber.trials,
             19u);
 
   // A trial cap below the old one but above the committed prefix cannot
@@ -229,40 +221,36 @@ TEST(PointState, StricterResumeRuleThrowsAndKeepsTheState) {
   errors_first.min_errors = 5;
   PointState stopped;
   const std::size_t at =
-      measure_point_batched(synthetic_factory(), 1, errors_first, Rng(7), pool, stopped)
-          .ber.trials;
+      measure_point(synthetic_factory(), errors_first, Rng(7), pool, stopped).ber.trials;
   ASSERT_LT(at + 10, errors_first.max_trials);
   const sim::BerStop extend = trial_budget(at + 10);
   PointState scratch;
-  EXPECT_EQ(measure_point_batched(synthetic_factory(), 1, extend, Rng(7), pool, stopped),
-            measure_point_batched(synthetic_factory(), 1, extend, Rng(7), pool, scratch));
+  EXPECT_EQ(measure_point(synthetic_factory(), extend, Rng(7), pool, stopped),
+            measure_point(synthetic_factory(), extend, Rng(7), pool, scratch));
 }
 
 TEST(PointState, FailedOrCancelledResumeKeepsTheState) {
   ThreadPool pool(4);
   const Rng root(0x5A7E);
   PointState state;
-  (void)measure_point_batched(synthetic_factory(), 4, trial_budget(10), root, pool, state);
+  (void)measure_point(synthetic_factory(), trial_budget(10), root, pool, state);
   const PointState before = state;
 
-  EXPECT_THROW((void)measure_point_batched(synthetic_factory(15), 4, trial_budget(50), root,
-                                           pool, state),
+  EXPECT_THROW((void)measure_point(synthetic_factory(15), trial_budget(50), root, pool, state),
                std::runtime_error);
   expect_state_unchanged(state, before);
 
   const std::atomic<bool> cancel{true};
   PointHooks hooks;
   hooks.cancel = &cancel;
-  (void)measure_point_batched(synthetic_factory(), 4, trial_budget(50), root, pool, state,
-                              hooks);
+  (void)measure_point(synthetic_factory(), trial_budget(50), root, pool, state, hooks);
   expect_state_unchanged(state, before);
 
   // The kept state still resumes to the from-scratch answer.
   PointState scratch;
   const sim::MeasuredPoint full =
-      measure_point_batched(synthetic_factory(), 4, trial_budget(50), root, pool, scratch);
-  EXPECT_EQ(measure_point_batched(synthetic_factory(), 4, trial_budget(50), root, pool, state),
-            full);
+      measure_point(synthetic_factory(), trial_budget(50), root, pool, scratch);
+  EXPECT_EQ(measure_point(synthetic_factory(), trial_budget(50), root, pool, state), full);
   EXPECT_EQ(state.committed, 50u);
   EXPECT_GE(state.executed, 50u);
 }
@@ -448,79 +436,6 @@ TEST(SweepEngine, OneWorkerAndManyWorkersAreByteIdentical) {
   EXPECT_NE(j1.find("\"scenario\": \"tiny\""), std::string::npos);
   EXPECT_NE(j1.find("\"tags\""), std::string::npos);
   EXPECT_NE(j1.find("\"ber\""), std::string::npos);
-}
-
-TEST(SweepEngine, BatchedSweepIsByteIdenticalAcrossBatchSizesAndWorkers) {
-  // The batched-pipeline determinism contract (engine/parallel_ber.h):
-  // batch size and worker count are execution granularity only, so every
-  // (B, workers) combination must serialize the reference document byte
-  // for byte. Fresh-draw scenario here; the ensemble-mode (grouped
-  // realization) variant is covered below.
-  const ScenarioSpec scenario = tiny_scenario();
-
-  std::string reference;
-  for (const std::size_t batch : {1u, 4u, 16u}) {
-    for (const std::size_t workers : {1u, 8u}) {
-      SweepConfig config;
-      config.seed = 0x5EED;
-      config.workers = workers;
-      config.batch_size = batch;
-      config.stop = tiny_stop();
-      const std::string path = "test_results/sweep_b" + std::to_string(batch) + "_w" +
-                               std::to_string(workers) + ".json";
-      JsonSink json(path);
-      const SweepResult result = SweepEngine(config).run(scenario, {&json});
-      ASSERT_EQ(result.records.size(), scenario.points.size());
-      const std::string bytes = slurp(path);
-      ASSERT_FALSE(bytes.empty());
-      if (reference.empty()) {
-        reference = bytes;
-      } else {
-        SCOPED_TRACE("batch=" + std::to_string(batch) +
-                     " workers=" + std::to_string(workers));
-        EXPECT_EQ(bytes, reference);
-      }
-    }
-  }
-}
-
-TEST(SweepEngine, BatchedEnsembleSweepIsByteIdentical) {
-  // Ensemble mode exercises PacketBatch's realization grouping: trials of
-  // one claim that share a cached CIR run back-to-back, which must not
-  // change a byte of the document either.
-  txrx::TrialOptions options;
-  options.payload_bits = 64;
-  options.genie_timing = true;
-  options.cm = 1;
-  options.channel_source.mode = txrx::ChannelSource::Mode::kEnsemble;
-  options.channel_source.ensemble_count = 3;  // < batch, so batches group
-  Gen2ScenarioBuilder builder("batched_ensemble", sim::gen2_fast(), options);
-  builder.ebn0_grid({6.0});
-  const ScenarioSpec scenario = builder.build();
-
-  std::string reference;
-  for (const std::size_t batch : {1u, 8u}) {
-    for (const std::size_t workers : {1u, 4u}) {
-      SweepConfig config;
-      config.seed = 0xE45;
-      config.workers = workers;
-      config.batch_size = batch;
-      config.stop = tiny_stop();
-      const std::string path = "test_results/ens_b" + std::to_string(batch) + "_w" +
-                               std::to_string(workers) + ".json";
-      JsonSink json(path);
-      (void)SweepEngine(config).run(scenario, {&json});
-      const std::string bytes = slurp(path);
-      ASSERT_FALSE(bytes.empty());
-      if (reference.empty()) {
-        reference = bytes;
-      } else {
-        SCOPED_TRACE("batch=" + std::to_string(batch) +
-                     " workers=" + std::to_string(workers));
-        EXPECT_EQ(bytes, reference);
-      }
-    }
-  }
 }
 
 /// FNV-1a digest of a sweep's serialized bytes -- the pinned-seed
@@ -733,14 +648,14 @@ TEST(SweepEngine, AdaptiveTopUpsExtendPointsStoppedBelowTheirTrialCap) {
   EXPECT_GT(topped_up, 0u);
 }
 
-/// A fresh-draw gen-2 point's BatchFactory, as SweepEngine builds it: each
-/// worker runs its own link, built from \p link_seed, through a PacketBatch.
-BatchFactory packet_factory(const PointSpec& spec, uint64_t link_seed) {
-  return [&spec, link_seed]() -> BatchFn {
-    auto batch = std::make_shared<txrx::PacketBatch>(txrx::make_link(spec.link, link_seed),
-                                                     spec.link.options);
-    return [batch](std::size_t first, std::size_t count, const Rng& root,
-                   sim::TrialOutcome* out) { batch->run(first, count, root, out); };
+/// A fresh-draw gen-2 point's TrialFactory, as SweepEngine builds it: each
+/// worker runs its own link, built from \p link_seed, through txrx::run_trial.
+TrialFactory packet_factory(const PointSpec& spec, uint64_t link_seed) {
+  return [&spec, link_seed]() -> TrialFn {
+    std::shared_ptr<txrx::Link> link = txrx::make_link(spec.link, link_seed);
+    return [&spec, link](std::size_t index, Rng& rng) {
+      return txrx::run_trial(*link, spec.link.options, index, nullptr, rng);
+    };
   };
 }
 
@@ -760,9 +675,9 @@ std::string record_bytes(const PointSpec& spec, const sim::MeasuredPoint& point)
 TEST(PointState, ResumedPointMatchesTheFromScratchRun) {
   // A point measured to k trials and resumed under the full rule commits
   // the from-scratch run's trials: the same MeasuredPoint and record bytes
-  // for k = 0, 1, a batch boundary and the trial where the rule fires, at
-  // any worker count and batch size. Three rules: a plain CI-width stop,
-  // the same on an importance-sampled (weighted) point, and an error budget
+  // for k = 0, 1, a mid prefix and the trial where the rule fires, at any
+  // worker count. Three rules: a plain CI-width stop, the same on an
+  // importance-sampled (weighted) point, and an error budget
   // counted on a success-flag metric.
   ScenarioSpec deep = ScenarioRegistry::global().make("gen2_cm_grid_deep");
   restrict_scenario(deep, "channel", "AWGN");
@@ -783,41 +698,37 @@ TEST(PointState, ResumedPointMatchesTheFromScratchRun) {
   cases[2].stop.min_errors = 20;  // fires at trial 20
 
   const Rng root(6);
-  constexpr std::size_t kBatchBoundary = 16;
+  constexpr std::size_t kMidPrefix = 16;
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    const BatchFactory factory = packet_factory(c.spec, 0x11C);
+    const TrialFactory factory = packet_factory(c.spec, 0x11C);
     ThreadPool one(1);
     PointState reference_state;
     const sim::MeasuredPoint reference =
-        measure_point_batched(factory, 1, c.stop, root, one, reference_state);
+        measure_point(factory, c.stop, root, one, reference_state);
     const std::string reference_bytes = record_bytes(c.spec, reference);
     const std::size_t fired_at = reference.ber.trials;
-    ASSERT_GT(fired_at, kBatchBoundary);
+    ASSERT_GT(fired_at, kMidPrefix);
     ASSERT_LT(fired_at, c.stop.max_trials) << "the rule must fire before the trial cap";
     EXPECT_EQ(reference.ber.weighted, c.spec.link.options.sampling.active());
 
     for (const std::size_t workers : {1u, 4u}) {
       ThreadPool pool(workers);
-      for (const std::size_t batch : {1u, 4u, 16u}) {
-        for (const std::size_t k : {std::size_t{0}, std::size_t{1}, kBatchBoundary, fired_at}) {
-          SCOPED_TRACE("workers=" + std::to_string(workers) + " batch=" +
-                       std::to_string(batch) + " k=" + std::to_string(k));
-          sim::BerStop prefix_rule = c.stop;
-          prefix_rule.max_trials = k;
-          PointState state;
-          (void)measure_point_batched(factory, batch, prefix_rule, root, pool, state);
-          ASSERT_EQ(state.committed, k);
-          const sim::MeasuredPoint resumed =
-              measure_point_batched(factory, batch, c.stop, root, pool, state);
-          EXPECT_EQ(resumed, reference);
-          EXPECT_EQ(record_bytes(c.spec, resumed), reference_bytes);
-          EXPECT_EQ(state.committed, fired_at);
-          // One worker claiming one trial at a time runs each trial once:
-          // the resume ran only the trials past the prefix.
-          if (workers == 1 && batch == 1) {
-            EXPECT_EQ(state.executed, fired_at);
-          }
+      for (const std::size_t k : {std::size_t{0}, std::size_t{1}, kMidPrefix, fired_at}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers) + " k=" + std::to_string(k));
+        sim::BerStop prefix_rule = c.stop;
+        prefix_rule.max_trials = k;
+        PointState state;
+        (void)measure_point(factory, prefix_rule, root, pool, state);
+        ASSERT_EQ(state.committed, k);
+        const sim::MeasuredPoint resumed = measure_point(factory, c.stop, root, pool, state);
+        EXPECT_EQ(resumed, reference);
+        EXPECT_EQ(record_bytes(c.spec, resumed), reference_bytes);
+        EXPECT_EQ(state.committed, fired_at);
+        // One worker runs each trial once: the resume ran only the trials
+        // past the prefix.
+        if (workers == 1) {
+          EXPECT_EQ(state.executed, fired_at);
         }
       }
     }
@@ -881,6 +792,13 @@ TEST(SweepEngine, RejectsBadShardConfig) {
   EXPECT_THROW(SweepEngine{config}, InvalidArgument);
   config.shard_count = 2;
   config.shard_index = 2;
+  EXPECT_THROW(SweepEngine{config}, InvalidArgument);
+}
+
+TEST(SweepEngine, RejectsWorkerCountsPastTheBound) {
+  // Rejected in the constructor, before any pool thread starts.
+  SweepConfig config;
+  config.workers = kMaxWorkers + 1;
   EXPECT_THROW(SweepEngine{config}, InvalidArgument);
 }
 

@@ -565,6 +565,22 @@ TEST_F(FarmTest, HostileInputsEndInTheExitCodeContract) {
   EXPECT_EQ(run_cli(sweep + " gen2_cm_grid --adaptive-budget 9007199254740993 --fast"),
             kExitBadArgs);
 
+  // strtoull skips leading whitespace and wraps a negative: both CLIs
+  // require a leading digit. A worker count past engine::kMaxWorkers is a
+  // bad flag (or a bad farm spec), never a thread-creation failure.
+  const std::string farm_run = std::string(UWB_FARM_BINARY) + " run gen2_cm_grid";
+  EXPECT_EQ(run_cli(farm_run + " --shards ' -1' --run-dir " + path("neg_shards")), kExitBadArgs);
+  EXPECT_EQ(run_cli(sweep + " gen2_cm_grid --seed ' -1' --fast"), kExitBadArgs);
+  EXPECT_EQ(run_cli(sweep + " gen2_cm_grid --workers 18446744073709551615 --fast"),
+            kExitBadArgs);
+  EXPECT_EQ(run_cli(farm_run + " --workers-per-shard 18446744073709551615 --run-dir " +
+                    path("many_workers")),
+            kExitBadArgs);
+  FarmSpec many_workers = tiny_spec(1);
+  many_workers.workers_per_shard = std::numeric_limits<std::size_t>::max();
+  save_farm_spec(many_workers, path("many_workers.json"));
+  EXPECT_THROW((void)load_farm_spec(path("many_workers.json")), InvalidArgument);
+
   // An exception no validator anticipates -- here an anti-alias filter too
   // long for any vector, thrown while building the point's link -- is a
   // runtime failure (1), not an abort.

@@ -14,12 +14,14 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 
 #include "common/error.h"
 #include "engine/scenario_registry.h"
 #include "engine/sinks.h"
 #include "engine/sweep_engine.h"
+#include "farm/farm_state.h"
 #include "io/json.h"
 #include "io/result_io.h"
 #include "io/spec_io.h"
@@ -267,6 +269,8 @@ TEST(SpecIo, SamplingPolicyRoundTripAndStrictKeys) {
 
   // Plain Monte-Carlo is the terse default and is not serialized.
   EXPECT_FALSE(trial_options_from_json(parse_json("{}")).sampling.active());
+  EXPECT_FALSE(trial_options_from_json(parse_json(R"({"sampling": {"mode": "none"}})"))
+                   .sampling.active());
   EXPECT_EQ(dump_json(to_json(txrx::TrialOptions{})).find("sampling"),
             std::string::npos);
 
@@ -357,6 +361,97 @@ TEST(SpecIo, ScenarioFileRoundTripPreservesTagsAndLabels) {
     EXPECT_EQ(back.points[i].tags, scenario.points[i].tags);
     EXPECT_EQ(back.points[i].tag("channel"), scenario.points[i].tag("channel"));
   }
+}
+
+TEST(SpecIo, RegistryScenarioDocumentsAreByteStable) {
+  // FNV-1a digests of every registry scenario's spec document. perfbench's
+  // spec_digest and the farm's plan_digest hash these bytes, so a
+  // serializer change that moves one byte fails here first.
+  const std::map<std::string, uint64_t> pinned = {
+      {"gen1_acquisition", 0x1ed9f5e0b4256d13ULL},
+      {"gen1_sync", 0xdb61b35648ef49feULL},
+      {"gen1_waterfall", 0xc85db2aa5986b9f8ULL},
+      {"gen2_adc_resolution", 0x205eb199e595120dULL},
+      {"gen2_backend_ladder", 0x09f2044c1aa3ac48ULL},
+      {"gen2_chanest_precision", 0x7f8285a3d97c9e84ULL},
+      {"gen2_cm_grid", 0x96db4e88b126414bULL},
+      {"gen2_cm_grid_deep", 0x2a57432e2d820f9eULL},
+      {"gen2_interferer_notch", 0xcccf300b2926df0bULL},
+      {"gen2_mlse_isi", 0xee8da993bb4d3205ULL},
+      {"gen2_mlse_memory", 0x39cef51010bf1958ULL},
+      {"gen2_modulation", 0x3a0ed89d6cf0fe77ULL},
+      {"gen2_pulse_shape", 0x39f74cc05974417aULL},
+      {"gen2_rake_fingers", 0x4a2a637fb6a3d05dULL},
+      {"gen2_spectral_monitor", 0x9ba3b28118b67acbULL},
+  };
+  const engine::ScenarioRegistry& registry = engine::ScenarioRegistry::global();
+  EXPECT_EQ(registry.names().size(), pinned.size());
+  for (const std::string& name : registry.names()) {
+    SCOPED_TRACE(name);
+    const auto it = pinned.find(name);
+    ASSERT_NE(it, pinned.end()) << "unpinned scenario";
+    EXPECT_EQ(farm::fnv1a_digest(scenario_to_json_text(registry.make(name))), it->second);
+  }
+}
+
+/// \p doc with the leaf at \p path replaced by a value no default holds:
+/// 2v+1 for a number, the flipped bool, another name for an enum.
+JsonValue perturbed(const JsonValue& doc, const std::vector<std::string>& path,
+                    std::size_t depth = 0) {
+  if (depth == path.size()) {
+    switch (doc.kind()) {
+      case JsonValue::Kind::kNumber: return JsonValue::number(2.0 * doc.as_double() + 1.0);
+      case JsonValue::Kind::kBool: return JsonValue::boolean(!doc.as_bool());
+      case JsonValue::Kind::kString: {
+        const std::map<std::string, std::string> other = {
+            {"rrc", "rect"}, {"bpsk", "ppm"}, {"selective", "partial"}};
+        const auto it = other.find(doc.as_string());
+        if (it == other.end()) ADD_FAILURE() << "no alternative for '" << doc.as_string() << "'";
+        return JsonValue::string(it == other.end() ? doc.as_string() : it->second);
+      }
+      default: ADD_FAILURE() << "unexpected leaf kind"; return doc;
+    }
+  }
+  JsonValue out = JsonValue::object();
+  for (const auto& [key, value] : doc.members()) {
+    out.set(key, key == path[depth] ? perturbed(value, path, depth + 1) : value);
+  }
+  return out;
+}
+
+/// Every leaf path of \p doc's nested objects.
+void leaf_paths(const JsonValue& doc, std::vector<std::string>& prefix,
+                std::vector<std::vector<std::string>>& out) {
+  for (const auto& [key, value] : doc.members()) {
+    prefix.push_back(key);
+    if (value.is_object()) leaf_paths(value, prefix, out);
+    else out.push_back(prefix);
+    prefix.pop_back();
+  }
+}
+
+template <typename Config, typename Read>
+void expect_every_field_round_trips(const Read& read) {
+  const JsonValue defaults = to_json(Config{});
+  std::vector<std::string> prefix;
+  std::vector<std::vector<std::string>> paths;
+  leaf_paths(defaults, prefix, paths);
+  ASSERT_FALSE(paths.empty());
+  for (const std::vector<std::string>& path : paths) {
+    std::string name;
+    for (const std::string& key : path) name += "/" + key;
+    SCOPED_TRACE(name);
+    const JsonValue changed = perturbed(defaults, path);
+    ASSERT_NE(dump_json(changed), dump_json(defaults));
+    // A key the writer emits but the reader drops would come back as its
+    // default and break the equality.
+    EXPECT_EQ(dump_json(to_json(read(changed))), dump_json(changed));
+  }
+}
+
+TEST(SpecIo, EveryConfigFieldRoundTripsAChangedValue) {
+  expect_every_field_round_trips<txrx::Gen1Config>(gen1_config_from_json);
+  expect_every_field_round_trips<txrx::Gen2Config>(gen2_config_from_json);
 }
 
 // --------------------------------------- reload + rerun == registry run ----

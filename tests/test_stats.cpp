@@ -91,14 +91,6 @@ TEST(BinomialCi, MethodNamesRoundTripAndReject) {
 
 // --------------------------------------------------------- sampling ----
 
-TEST(Sampling, ModeNamesRoundTripAndReject) {
-  for (const auto mode : {stats::SamplingMode::kNone, stats::SamplingMode::kNoiseScale,
-                          stats::SamplingMode::kAutoLadder}) {
-    EXPECT_EQ(stats::sampling_mode_from_name(stats::to_string(mode)), mode);
-  }
-  EXPECT_THROW((void)stats::sampling_mode_from_name("importance"), InvalidArgument);
-}
-
 TEST(Sampling, LadderGeometry) {
   stats::SamplingPolicy policy;
   policy.mode = stats::SamplingMode::kAutoLadder;
@@ -421,7 +413,6 @@ TEST(RealLinkSampling, Gen1PlainAndImportanceSampledIntervalsOverlap) {
     engine::SweepConfig config;
     config.seed = 0x6E1;
     config.workers = 4;
-    config.batch_size = 4;
     config.stop.min_errors = min_errors;
     config.stop.max_bits = std::numeric_limits<std::size_t>::max();
     config.stop.max_trials = max_trials;

@@ -20,7 +20,6 @@
 
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.h"
 #include "common/error.h"
 #include "engine/scenario_registry.h"
 #include "farm/exit_codes.h"
@@ -40,6 +40,7 @@
 namespace {
 
 using namespace uwb;
+using namespace uwb::cli;
 
 int usage(std::FILE* out) {
   std::fprintf(out,
@@ -111,26 +112,6 @@ struct Args {
   farm::FarmSpec spec;  // seed/stop/shards/retry filled from flags
 };
 
-std::uint64_t parse_u64(const std::string& text, const char* what) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
-  detail::require(!text.empty() && text[0] != '-' && end == text.c_str() + text.size() &&
-                      errno != ERANGE,
-                  std::string("bad value for ") + what + ": '" + text + "'");
-  return static_cast<std::uint64_t>(v);
-}
-
-double parse_positive_double(const std::string& text, const char* what) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  detail::require(!text.empty() && end == text.c_str() + text.size() && errno != ERANGE &&
-                      v > 0.0,
-                  std::string("bad value for ") + what + ": '" + text + "'");
-  return v;
-}
-
 Args parse_args(int argc, char** argv) {
   Args args;
   args.spec.stop.min_errors = 40;
@@ -163,7 +144,7 @@ Args parse_args(int argc, char** argv) {
     else if (arg == "--stop-metric") args.spec.stop.metric = next(i, "--stop-metric");
     else if (arg == "--workers-per-shard")
       args.spec.workers_per_shard =
-          parse_u64(next(i, "--workers-per-shard"), "--workers-per-shard");
+          parse_workers(next(i, "--workers-per-shard"), "--workers-per-shard");
     else if (arg == "--channel-cache") args.spec.channel_cache_dir = next(i, "--channel-cache");
     else if (arg == "--progress") args.spec.progress = true;
     else if (arg == "--max-attempts") {

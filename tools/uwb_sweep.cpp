@@ -24,18 +24,16 @@
 // regenerate -- results are byte-identical either way (docs/channel_cache.md).
 
 #include <atomic>
-#include <cctype>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli_args.h"
 #include "common/error.h"
 #include "engine/channel_cache.h"
 #include "farm/exit_codes.h"
@@ -44,6 +42,7 @@
 #include "engine/sinks.h"
 #include "engine/sweep_engine.h"
 #include "io/cir_io.h"
+#include "io/file.h"
 #include "io/result_io.h"
 #include "io/spec_io.h"
 #include "obs/manifest.h"
@@ -54,6 +53,7 @@
 namespace {
 
 using namespace uwb;
+using namespace uwb::cli;
 
 /// SIGINT/SIGTERM land here: the engine checks the flag between points
 /// (and inside the trial loop), finishes winding down, and the normal exit
@@ -174,27 +174,6 @@ struct Args {
   engine::SweepConfig sweep;
 };
 
-std::uint64_t parse_u64(const std::string& text, const char* what) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
-  // strtoull silently wraps "-1" to 2^64-1; an explicit sign is an error.
-  detail::require(!text.empty() && std::isdigit(static_cast<unsigned char>(text[0])) &&
-                      end == text.c_str() + text.size() && errno != ERANGE,
-                  std::string("bad value for ") + what + ": '" + text + "'");
-  return static_cast<std::uint64_t>(v);
-}
-
-double parse_positive_double(const std::string& text, const char* what) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  detail::require(!text.empty() && end == text.c_str() + text.size() && errno != ERANGE &&
-                      v > 0.0,
-                  std::string("bad value for ") + what + ": '" + text + "'");
-  return v;
-}
-
 void parse_shard(const std::string& text, engine::SweepConfig& sweep) {
   const auto slash = text.find('/');
   detail::require(slash != std::string::npos,
@@ -225,7 +204,8 @@ Args parse_args(int argc, char** argv) {
     else if (arg == "--file") args.spec_file = next(i, "--file");
     else if (arg == "--merge") merging = true;
     else if (arg == "--allow-partial") args.allow_partial = true;
-    else if (arg == "--workers") args.sweep.workers = parse_u64(next(i, "--workers"), "--workers");
+    else if (arg == "--workers")
+      args.sweep.workers = parse_workers(next(i, "--workers"), "--workers");
     else if (arg == "--seed") args.sweep.seed = parse_u64(next(i, "--seed"), "--seed");
     else if (arg == "--shard") parse_shard(next(i, "--shard"), args.sweep);
     else if (arg == "--min-errors")
@@ -408,17 +388,10 @@ int run_merge(const Args& args) {
   detail::require(!args.out_path.empty(), "--merge needs --out");
   std::vector<io::ResultDoc> shards;
   for (const std::string& path : args.merge_inputs) {
-    std::ifstream in(path, std::ios::binary);
-    detail::require(in.good(), "cannot open '" + path + "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    shards.push_back(io::parse_result_json(buffer.str()));
+    shards.push_back(io::parse_result_json(io::read_file(path, "--merge")));
   }
   const io::ResultDoc merged = io::merge_results(shards, args.allow_partial);
-  std::ofstream out(args.out_path, std::ios::binary | std::ios::trunc);
-  detail::require(out.good(), "cannot open '" + args.out_path + "' for writing");
-  out << io::write_result_json(merged);
-  detail::require(out.good(), "write to '" + args.out_path + "' failed");
+  io::write_file(args.out_path, io::write_result_json(merged), "--merge");
   std::fprintf(stderr, "merged %zu shards (%zu points) -> %s\n", shards.size(),
                merged.points.size(), args.out_path.c_str());
   return 0;
