@@ -4,6 +4,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/rng.h"
 #include "dsp/correlator.h"
 #include "dsp/fast_convolve.h"
@@ -32,6 +35,36 @@ void BM_Fft1024(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 1024);
 }
 BENCHMARK(BM_Fft1024);
+
+void BM_Fft4096Inverse(benchmark::State& state) {
+  Rng rng(7);
+  CplxVec x(4096);
+  for (auto& v : x) v = rng.cgaussian();
+  const dsp::FftPlan& plan = dsp::fft_plan(4096);
+  CplxVec buf(x.size());
+  for (auto _ : state) {
+    std::copy(x.begin(), x.end(), buf.begin());
+    plan.inverse(buf.data());
+    benchmark::DoNotOptimize(buf.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 4096);
+}
+BENCHMARK(BM_Fft4096Inverse);
+
+// Raw 64-bit words from the engine behind every Rng draw: the uniform
+// source of the gen-2 AWGN ziggurat, S-V channel draws and payload bits.
+void BM_RngEngineWords(benchmark::State& state) {
+  Rng rng(8);
+  auto& eng = rng.engine();
+  constexpr int kWords = 4096;
+  for (auto _ : state) {
+    std::uint64_t acc = 0;
+    for (int i = 0; i < kWords; ++i) acc ^= eng();
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kWords);
+}
+BENCHMARK(BM_RngEngineWords);
 
 void BM_FirFilter64Tap(benchmark::State& state) {
   Rng rng(2);

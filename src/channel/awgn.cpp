@@ -3,7 +3,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <random>
 
 #include "common/error.h"
 #include "common/math_utils.h"
@@ -22,7 +21,7 @@ namespace {
 // 2000) accepts ~98.8% of draws with one engine call, one table lookup and
 // one compare -- same exact N(0,1) law, ~5x faster.
 //
-// Draws here consume the same mt19937_64 engine as Rng::gaussian but with a
+// Draws here consume the same Mt19937_64 engine as Rng::gaussian but with a
 // different consumption pattern, so AWGN realizations differ from the polar
 // sampler's; every draw is still a pure function of the trial's forked seed,
 // which is all the engine's byte-identity guarantees require. Rng::gaussian
@@ -54,7 +53,7 @@ const ZigguratTables& zig_tables() {
   return tables;
 }
 
-inline double uniform01(std::mt19937_64& eng) {
+inline double uniform01(Mt19937_64& eng) {
   return static_cast<double>(eng() >> 11) * 0x1.0p-53;
 }
 
@@ -62,7 +61,7 @@ inline double uniform01(std::mt19937_64& eng) {
 /// in-layer accept (~1.2% of draws): the base-layer tail or the wedge test,
 /// then fresh engine words until one is accepted. Out of line so the hot
 /// loop carries only the one-compare fast path.
-[[gnu::noinline]] double zig_normal_slow(std::uint64_t u, std::mt19937_64& eng,
+[[gnu::noinline]] double zig_normal_slow(std::uint64_t u, Mt19937_64& eng,
                                          const ZigguratTables& t) {
   while (true) {
     const int i = static_cast<int>(u & 255u);
@@ -91,7 +90,7 @@ inline double uniform01(std::mt19937_64& eng) {
 /// compare against the next layer's edge. The sign (bit 8) is OR-ed into
 /// the result's sign bit, so the accepted path has no data-dependent branch
 /// beyond the compare -- same value as sign * cand, same engine stream.
-inline double zig_normal(std::mt19937_64& eng, const ZigguratTables& t) {
+inline double zig_normal(Mt19937_64& eng, const ZigguratTables& t) {
   const std::uint64_t u = eng();
   const int i = static_cast<int>(u & 255u);
   const double cand = static_cast<double>(u >> 12) * 0x1.0p-52 * t.x[i];
@@ -109,7 +108,7 @@ void add_complex_noise(double* re, double* im, std::size_t n, double n0, Rng& rn
   const obs::StageTimer timer(obs::Stage::kChannelNoise, n);
   const double sigma = std::sqrt(n0 / 2.0);
   const ZigguratTables& t = zig_tables();
-  std::mt19937_64& eng = rng.engine();
+  Mt19937_64& eng = rng.engine();
   for (std::size_t k = 0; k < n; ++k) {
     const double zr = zig_normal(eng, t);
     const double zi = zig_normal(eng, t);
@@ -120,12 +119,14 @@ void add_complex_noise(double* re, double* im, std::size_t n, double n0, Rng& rn
 
 // ---- Single-precision ziggurat on a xoshiro256++ stream -------------------
 //
-// The float arena's noise budget is dominated by the uniform generator:
-// mt19937_64 costs ~6 ns per 64-bit draw, which caps even a free normal
-// sampler near the old path's cost. xoshiro256++ generates a 64-bit word in
-// ~1 ns, and each word feeds TWO float ziggurat draws (32 bits each: 8-bit
-// layer index, sign bit, 23-bit in-layer mantissa). Seeded per call from one
-// mt19937_64 draw, the stream is a pure function of the trial seed.
+// The float arena's noise budget is dominated by the uniform generator. A
+// Mersenne Twister word costs ~7 ns from the standard library's engine and
+// ~2 ns from the branch-free Mt19937_64 (BM_RngEngineWords,
+// docs/performance.md), one word per normal draw. xoshiro256++ generates a
+// 64-bit word in ~1 ns, and each word feeds TWO float ziggurat draws (32
+// bits each: 8-bit layer index, sign bit, 23-bit in-layer mantissa). Seeded
+// per call from one Mt19937_64 draw, the stream is a pure function of the
+// trial seed.
 
 struct Xoshiro256pp {
   std::uint64_t s[4];

@@ -7,6 +7,9 @@
 /// a 64-bit seed. There is no global RNG state, so any experiment is exactly
 /// reproducible from its printed seed.
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 
@@ -14,11 +17,80 @@
 
 namespace uwb {
 
+/// The 64-bit Mersenne Twister MT19937-64 (Matsumoto & Nishimura), word for
+/// word the stream the standard library's mt19937_64 yields for the same seed:
+/// same seeding recurrence, same twist, same tempering, same min()/max(), so
+/// every std:: distribution run on it consumes the same words and draws the
+/// same values (to rounding only where -march=native fuses them differently).
+///
+/// The one difference is how the twist applies the matrix word: it ANDs a
+/// mask made from the low bit, (0 - (y & 1)) & a, where libstdc++ branches
+/// on y & 1. That branch is a coin flip the predictor loses half the time;
+/// without it the twist is a straight-line, vectorizable loop and a word
+/// costs ~2 ns instead of ~7 ns (bench_dsp_micro BM_RngEngineWords,
+/// docs/performance.md).
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+
+  static constexpr std::size_t kStateSize = 312;
+
+  explicit Mt19937_64(result_type seed) noexcept {
+    x_[0] = seed;
+    for (std::size_t i = 1; i < kStateSize; ++i) {
+      x_[i] = 6364136223846793005ULL * (x_[i - 1] ^ (x_[i - 1] >> 62)) + i;
+    }
+  }
+
+  static constexpr result_type min() noexcept { return 0; }
+  static constexpr result_type max() noexcept { return ~result_type{0}; }
+
+  result_type operator()() noexcept {
+    if (p_ >= kStateSize) twist();
+    result_type z = x_[p_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    z ^= z >> 43;
+    return z;
+  }
+
+  /// Equal iff both engines will produce the same stream from here on.
+  friend bool operator==(const Mt19937_64& a, const Mt19937_64& b) noexcept {
+    return a.p_ == b.p_ && std::equal(a.x_, a.x_ + kStateSize, b.x_);
+  }
+
+ private:
+  static constexpr std::size_t kShift = 156;
+  static constexpr result_type kMatrixA = 0xb5026f5aa96619e9ULL;
+  static constexpr result_type kUpperMask = ~result_type{0} << 31;
+  static constexpr result_type kLowerMask = ~kUpperMask;
+
+  static constexpr result_type mix(result_type hi, result_type lo, result_type far) noexcept {
+    const result_type y = (hi & kUpperMask) | (lo & kLowerMask);
+    return far ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrixA);
+  }
+
+  /// Regenerates all kStateSize words in place, in libstdc++'s order.
+  void twist() noexcept {
+    constexpr std::size_t n = kStateSize;
+    constexpr std::size_t m = kShift;
+    std::size_t k = 0;
+    for (; k < n - m; ++k) x_[k] = mix(x_[k], x_[k + 1], x_[k + m]);
+    for (; k < n - 1; ++k) x_[k] = mix(x_[k], x_[k + 1], x_[k + m - n]);
+    x_[n - 1] = mix(x_[n - 1], x_[0], x_[m - 1]);
+    p_ = 0;
+  }
+
+  result_type x_[kStateSize];
+  std::size_t p_ = kStateSize;
+};
+
 /// Seeded pseudo-random generator with the distributions the library needs.
 ///
-/// Wraps std::mt19937_64. Distinct subsystems should derive their own child
-/// generators via fork() so that adding draws in one block never perturbs
-/// another block's stream.
+/// Holds one Mt19937_64 engine. Distinct subsystems should derive their own
+/// child generators via fork() so that adding draws in one block never
+/// perturbs another block's stream.
 class Rng {
  public:
   /// Constructs from a 64-bit seed. Identical seeds yield identical streams.
@@ -81,10 +153,10 @@ class Rng {
   }
 
   /// Access to the underlying engine for std:: distributions.
-  std::mt19937_64& engine() noexcept { return engine_; }
+  Mt19937_64& engine() noexcept { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
   uint64_t seed_;
   std::uniform_real_distribution<double> unif_{0.0, 1.0};
   std::normal_distribution<double> norm_{0.0, 1.0};

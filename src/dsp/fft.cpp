@@ -35,6 +35,9 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
       twiddle_.emplace_back(std::cos(a), std::sin(a));
     }
   }
+  // Conjugation only flips a sign bit, so the inverse table is exact.
+  twiddle_inv_.reserve(twiddle_.size());
+  for (const cplx& w : twiddle_) twiddle_inv_.push_back(std::conj(w));
 }
 
 void FftPlan::run(cplx* x, bool inverse) const noexcept {
@@ -44,20 +47,47 @@ void FftPlan::run(cplx* x, bool inverse) const noexcept {
     const std::size_t j = rev_[i];
     if (i < j) std::swap(x[i], x[j]);
   }
-  std::size_t tw = 0;
+  // The butterfly runs on the interleaved doubles. v = b * w is written out
+  // as std::complex's operator* expands it -- the same four products, the
+  // same subtraction and addition -- but without the test-and-branch to its
+  // NaN-recovery call (__muldc3), which changes nothing unless an operand
+  // is infinite.
+  double* d = reinterpret_cast<double*>(x);
+  const double* tw = reinterpret_cast<const double*>(
+      inverse ? twiddle_inv_.data() : twiddle_.data());
+  const auto butterfly = [](double* a, double* b, double wr, double wi) {
+    const double br = b[0];
+    const double bi = b[1];
+    const double vr = br * wr - bi * wi;
+    const double vi = br * wi + bi * wr;
+    const double ur = a[0];
+    const double ui = a[1];
+    a[0] = ur + vr;
+    a[1] = ui + vi;
+    b[0] = ur - vr;
+    b[1] = ui - vi;
+  };
   for (std::size_t len = 2; len <= n; len <<= 1) {
-    const cplx* w = twiddle_.data() + tw;
     const std::size_t half = len / 2;
-    for (std::size_t i = 0; i < n; i += len) {
+    if (half < 4) {
+      // Few butterflies per block: run twiddle-major rather than through
+      // one- and two-iteration inner loops. A stage's butterflies are
+      // independent, so the order changes no result bit.
       for (std::size_t k = 0; k < half; ++k) {
-        const cplx wk = inverse ? std::conj(w[k]) : w[k];
-        const cplx u = x[i + k];
-        const cplx v = x[i + k + half] * wk;
-        x[i + k] = u + v;
-        x[i + k + half] = u - v;
+        const double wr = tw[2 * k];
+        const double wi = tw[2 * k + 1];
+        for (std::size_t i = k; i < n; i += len) butterfly(d + 2 * i, d + 2 * (i + half), wr, wi);
+      }
+    } else {
+      for (std::size_t i = 0; i < n; i += len) {
+        double* a = d + 2 * i;
+        double* b = a + 2 * half;
+        for (std::size_t k = 0; k < half; ++k) {
+          butterfly(a + 2 * k, b + 2 * k, tw[2 * k], tw[2 * k + 1]);
+        }
       }
     }
-    tw += half;
+    tw += 2 * half;
   }
 }
 

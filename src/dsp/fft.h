@@ -50,6 +50,7 @@ class FftPlan {
   std::size_t n_ = 0;
   std::vector<std::uint32_t> rev_;  ///< bit-reversal permutation
   CplxVec twiddle_;                 ///< forward twiddles, stages concatenated
+  CplxVec twiddle_inv_;             ///< their exact conjugates, for inverse()
 };
 
 /// The process-wide plan cache: returns the shared immutable plan for

@@ -46,6 +46,8 @@ class SpectralMonitor {
 
  private:
   SpectralMonitorConfig config_;
+  const RealVec* window_ = nullptr;  ///< shared Hann window of fft_size points
+  double window_power_ = 0.0;        ///< sum of (*window_)[i]^2
 };
 
 }  // namespace uwb::estimation

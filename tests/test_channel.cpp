@@ -221,11 +221,11 @@ struct ReferenceZiggurat {
     for (int i = 0; i <= kLayers; ++i) y[i] = std::exp(-0.5 * x[i] * x[i]);
   }
 
-  static double uniform01(std::mt19937_64& eng) {
+  static double uniform01(Mt19937_64& eng) {
     return static_cast<double>(eng() >> 11) * 0x1.0p-53;
   }
 
-  double normal(std::mt19937_64& eng) {
+  double normal(Mt19937_64& eng) {
     while (true) {
       const std::uint64_t u = eng();
       const int i = static_cast<int>(u & 255u);

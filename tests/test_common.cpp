@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <vector>
 
 #include "common/math_utils.h"
 #include "common/rng.h"
@@ -144,6 +148,68 @@ TEST(Rng, BitsAreBinaryAndBalanced) {
     ones += b;
   }
   EXPECT_NEAR(static_cast<double>(ones) / bits.size(), 0.5, 0.03);
+}
+
+TEST(Rng, EngineMatchesStdMt19937_64) {
+  // Mt19937_64 is std::mt19937_64 word for word: over five twists from
+  // each seed, for copies taken mid-stream, for fork() children, and
+  // through every distribution Rng draws with.
+  constexpr std::size_t kWords = 5 * Mt19937_64::kStateSize;
+  std::vector<std::uint64_t> seeds = {0, 1, 42, std::numeric_limits<std::uint64_t>::max()};
+  for (const std::uint64_t parent : {std::uint64_t{0}, std::uint64_t{42}}) {
+    for (const std::uint64_t salt : {0u, 1u, 7u, 1000u}) {
+      seeds.push_back(Rng(parent).fork(salt).seed());
+    }
+  }
+  for (const std::uint64_t seed : seeds) {
+    Mt19937_64 mine(seed);
+    std::mt19937_64 ref(seed);
+    for (std::size_t i = 0; i < kWords; ++i) {
+      ASSERT_EQ(mine(), ref()) << "seed " << seed << ", word " << i;
+    }
+    // A copy continues in lockstep with its source and with the reference.
+    Mt19937_64 copy = mine;
+    for (std::size_t i = 0; i < kWords; ++i) {
+      const std::uint64_t want = ref();
+      ASSERT_EQ(copy(), want) << "seed " << seed << ", copy word " << i;
+      ASSERT_EQ(mine(), want) << "seed " << seed << ", word " << kWords + i;
+    }
+    EXPECT_TRUE(copy == mine);
+    (void)copy();
+    EXPECT_FALSE(copy == mine);
+  }
+  EXPECT_EQ(Mt19937_64::min(), std::mt19937_64::min());
+  EXPECT_EQ(Mt19937_64::max(), std::mt19937_64::max());
+
+  // The distributions are instantiated once per engine type; an FMA-capable
+  // -march=native build may fuse their arithmetic differently in the two
+  // instantiations, so there the values agree to rounding (the words they
+  // consume must still match exactly).
+#ifdef __FMA__
+  constexpr double kTol = 1e-13;
+#else
+  constexpr double kTol = 0.0;
+#endif
+  for (const std::uint64_t seed : seeds) {
+    Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    std::uniform_real_distribution<double> unif(0.0, 1.0);
+    std::normal_distribution<double> norm(0.0, 1.0);
+    for (int i = 0; i < 500; ++i) {
+      ASSERT_EQ(rng.uniform(), unif(ref)) << "seed " << seed << ", round " << i;
+      const double want_normal = norm(ref);
+      ASSERT_NEAR(rng.gaussian(), want_normal, kTol * (1.0 + std::abs(want_normal)))
+          << "seed " << seed << ", round " << i;
+      ASSERT_EQ(rng.uniform_int(-5, 1000), std::uniform_int_distribution<int>(-5, 1000)(ref));
+      const double want_exp = std::exponential_distribution<double>(1.0 / 2.5)(ref);
+      ASSERT_NEAR(rng.exponential(2.5), want_exp, kTol * (1.0 + want_exp));
+    }
+    for (const std::uint8_t b : rng.bits(700)) ASSERT_EQ(b, ref() & 1u);
+    EXPECT_EQ(rng.engine()(), ref()) << "seed " << seed;
+    // A copied Rng carries the engine and the normal's cached draw along.
+    Rng copy = rng;
+    for (int i = 0; i < 3; ++i) ASSERT_EQ(copy.gaussian(), rng.gaussian());
+  }
 }
 
 // ------------------------------------------------------------- waveform ----

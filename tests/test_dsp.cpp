@@ -3,11 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
 #include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -148,13 +150,223 @@ TEST(FftPlan, RejectsBadSizes) {
   EXPECT_THROW(fft_plan(64).forward(wrong), InvalidArgument);
 }
 
-// ----------------------------------------------------------- real-input fft ----
-
 RealVec random_real(Rng& rng, std::size_t n) {
   RealVec v(n);
   for (auto& x : v) x = rng.gaussian();
   return v;
 }
+
+/// The radix-2 kernel as it stood before its butterfly went to split
+/// doubles: std::complex arithmetic, the forward twiddle conjugated inside
+/// the loop for the inverse. The reference for the bit-for-bit test below.
+class ReferenceFft {
+ public:
+  explicit ReferenceFft(std::size_t n) : n_(n), rev_(n) {
+    for (std::size_t i = 1, j = 0; i < n; ++i) {
+      std::size_t bit = n >> 1;
+      for (; j & bit; bit >>= 1) j ^= bit;
+      j ^= bit;
+      rev_[i] = j;
+    }
+    for (std::size_t len = 2; len <= n; len <<= 1) {
+      const double ang = -two_pi / static_cast<double>(len);
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        const double a = ang * static_cast<double>(k);
+        twiddle_.emplace_back(std::cos(a), std::sin(a));
+      }
+    }
+  }
+
+  void run(cplx* x, bool inverse) const {
+    for (std::size_t i = 1; i < n_; ++i) {
+      if (i < rev_[i]) std::swap(x[i], x[rev_[i]]);
+    }
+    std::size_t tw = 0;
+    for (std::size_t len = 2; len <= n_; len <<= 1) {
+      const cplx* w = twiddle_.data() + tw;
+      const std::size_t half = len / 2;
+      for (std::size_t i = 0; i < n_; i += len) {
+        for (std::size_t k = 0; k < half; ++k) {
+          const cplx wk = inverse ? std::conj(w[k]) : w[k];
+          const cplx u = x[i + k];
+          const cplx v = x[i + k + half] * wk;
+          x[i + k] = u + v;
+          x[i + k + half] = u - v;
+        }
+      }
+      tw += half;
+    }
+    if (inverse) {
+      const double inv_n = 1.0 / static_cast<double>(n_);
+      for (std::size_t i = 0; i < n_; ++i) x[i] *= inv_n;
+    }
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<std::size_t> rev_;
+  CplxVec twiddle_;
+};
+
+/// Bitwise equality, relaxed to rounding (relative to \p scale) only where
+/// an FMA-capable -march=native build may fuse the kernel and the reference
+/// differently.
+void expect_same_bits(const CplxVec& got, const CplxVec& want, [[maybe_unused]] double scale,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+#ifdef __FMA__
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_NEAR(got[i].real(), want[i].real(), 1e-12 * scale) << what << ", index " << i;
+    ASSERT_NEAR(got[i].imag(), want[i].imag(), 1e-12 * scale) << what << ", index " << i;
+  }
+#else
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(cplx)), 0)
+        << what << ", index " << i << ": " << got[i] << " vs " << want[i];
+  }
+#endif
+}
+
+/// Overlap-save full linear convolution exactly as ols_run computes it
+/// (same block size rule, same block loop) on the reference kernel, with
+/// std::complex's operator*= for the spectrum product.
+CplxVec reference_ols_full(const CplxVec& x, const CplxVec& h) {
+  const std::size_t out_len = x.size() + h.size() - 1;
+  const std::size_t n =
+      std::min(next_pow2(out_len), std::max<std::size_t>(1024, next_pow2(4 * h.size())));
+  const std::size_t hop = n - h.size() + 1;
+  const ReferenceFft fft(n);
+  CplxVec kernel(n, cplx{});
+  std::copy(h.begin(), h.end(), kernel.begin());
+  fft.run(kernel.data(), false);
+  CplxVec out(out_len);
+  CplxVec block(n);
+  for (std::size_t s = 0; s < out_len; s += hop) {
+    const auto i0 = static_cast<std::ptrdiff_t>(s) - static_cast<std::ptrdiff_t>(h.size() - 1);
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::ptrdiff_t i = i0 + static_cast<std::ptrdiff_t>(j);
+      block[j] = (i >= 0 && i < static_cast<std::ptrdiff_t>(x.size()))
+                     ? x[static_cast<std::size_t>(i)]
+                     : cplx{};
+    }
+    fft.run(block.data(), false);
+    for (std::size_t k = 0; k < n; ++k) block[k] *= kernel[k];
+    fft.run(block.data(), true);
+    for (std::size_t t = 0; t < std::min(hop, out_len - s); ++t) {
+      out[s + t] = block[h.size() - 1 + t];
+    }
+  }
+  return out;
+}
+
+/// The real x real overlap-save loop of ols_run_real on the library's
+/// RfftPlan (whose complex half-size kernel the test below pins against
+/// the reference), with std::complex's operator*= for the spectrum product.
+RealVec reference_ols_full_real(const RealVec& x, const RealVec& h) {
+  const std::size_t out_len = x.size() + h.size() - 1;
+  const std::size_t n =
+      std::min(next_pow2(out_len), std::max<std::size_t>(1024, next_pow2(4 * h.size())));
+  const std::size_t hop = n - h.size() + 1;
+  const RfftPlan& plan = rfft_plan(n);
+  RealVec block(n, 0.0);
+  std::copy(h.begin(), h.end(), block.begin());
+  CplxVec kernel(plan.bins());
+  plan.forward(block.data(), kernel.data());
+  CplxVec spec(plan.bins());
+  RealVec out(out_len);
+  for (std::size_t s = 0; s < out_len; s += hop) {
+    const auto i0 = static_cast<std::ptrdiff_t>(s) - static_cast<std::ptrdiff_t>(h.size() - 1);
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::ptrdiff_t i = i0 + static_cast<std::ptrdiff_t>(j);
+      block[j] = (i >= 0 && i < static_cast<std::ptrdiff_t>(x.size()))
+                     ? x[static_cast<std::size_t>(i)]
+                     : 0.0;
+    }
+    plan.forward(block.data(), spec.data());
+    for (std::size_t k = 0; k < spec.size(); ++k) spec[k] *= kernel[k];
+    plan.inverse(spec.data(), block.data());
+    for (std::size_t t = 0; t < std::min(hop, out_len - s); ++t) {
+      out[s + t] = block[h.size() - 1 + t];
+    }
+  }
+  return out;
+}
+
+CplxVec as_cplx(const RealVec& v) { return CplxVec(v.begin(), v.end()); }
+
+TEST(FftPlan, ButterflyMatchesStdComplexReferenceBitForBit) {
+  // Every size from 1 to 2^15, forward and inverse, on Gaussian data laced
+  // with signed zeros and subnormals.
+  Rng rng(0xFF7B);
+  const double specials[] = {0.0, -0.0, 4.9e-324, -4.9e-324, 2.2e-310, -1.7e-308};
+  for (std::size_t n = 1; n <= (std::size_t{1} << 15); n <<= 1) {
+    CplxVec x(n);
+    for (cplx& v : x) {
+      v = rng.cgaussian();
+      if (rng.uniform() < 0.1) v.real(specials[rng.uniform_int(0, 5)]);
+      if (rng.uniform() < 0.1) v.imag(specials[rng.uniform_int(0, 5)]);
+    }
+    const ReferenceFft ref(n);
+    const double scale = static_cast<double>(n);
+    for (const bool inverse : {false, true}) {
+      CplxVec got = x;
+      CplxVec want = x;
+      if (inverse) {
+        fft_plan(n).inverse(got.data());
+      } else {
+        fft_plan(n).forward(got.data());
+      }
+      ref.run(want.data(), inverse);
+      expect_same_bits(got, want, scale,
+                       std::string(inverse ? "inverse" : "forward") + " n=" + std::to_string(n));
+    }
+  }
+
+  // The overlap-save convolution and correlation outputs, single-block and
+  // multi-block, complex and real kernels.
+  FftWorkspace ws;
+  for (const auto& [x_len, h_len] : {std::pair<std::size_t, std::size_t>{700, 40},
+                                     {5000, 16}, {5000, 300}, {3000, 1100}}) {
+    const CplxVec xc = [&] {
+      CplxVec v(x_len);
+      for (cplx& c : v) c = rng.cgaussian();
+      return v;
+    }();
+    CplxVec hc(h_len);
+    for (cplx& c : hc) c = rng.cgaussian();
+    const RealVec xr = random_real(rng, x_len);
+    const RealVec hr = random_real(rng, h_len);
+    const double scale = static_cast<double>(h_len);
+    const std::string what = "x_len=" + std::to_string(x_len) + " h_len=" + std::to_string(h_len);
+
+    CplxVec got;
+    ols_convolve(xc, hc, got, ws);
+    expect_same_bits(got, reference_ols_full(xc, hc), scale, "cplx convolve " + what);
+    ols_convolve(xc, hr, got, ws);
+    expect_same_bits(got, reference_ols_full(xc, as_cplx(hr)), scale, "cplx-real convolve " + what);
+    ols_correlate(xc, hc, got, ws);
+    CplxVec flipped(h_len);
+    for (std::size_t i = 0; i < h_len; ++i) flipped[i] = std::conj(hc[h_len - 1 - i]);
+    const CplxVec full = reference_ols_full(xc, flipped);
+    expect_same_bits(got, CplxVec(full.begin() + static_cast<std::ptrdiff_t>(h_len - 1),
+                                  full.begin() + static_cast<std::ptrdiff_t>(x_len)),
+                     scale, "cplx correlate " + what);
+
+    RealVec got_r;
+    ols_convolve(xr, hr, got_r, ws);
+    expect_same_bits(as_cplx(got_r), as_cplx(reference_ols_full_real(xr, hr)), scale,
+                     "real convolve " + what);
+    ols_correlate(xr, hr, got_r, ws);
+    const RealVec hr_flipped(hr.rbegin(), hr.rend());
+    const RealVec full_r = reference_ols_full_real(xr, hr_flipped);
+    expect_same_bits(as_cplx(got_r),
+                     as_cplx(RealVec(full_r.begin() + static_cast<std::ptrdiff_t>(h_len - 1),
+                                     full_r.begin() + static_cast<std::ptrdiff_t>(x_len))),
+                     scale, "real correlate " + what);
+  }
+}
+
+// ----------------------------------------------------------- real-input fft ----
 
 TEST(Rfft, MatchesComplexFftHalfSpectrum) {
   // Power-of-two, odd, prime-factor and tiny sizes: the helpers zero-pad to
