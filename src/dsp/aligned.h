@@ -3,15 +3,24 @@
 /// \brief 64-byte-aligned, grow-only numeric buffers for hot-path kernels.
 ///
 /// The sample kernels (direct FIR, matched filter, block quantizer) stream
-/// megabytes of doubles per packet. std::vector's allocator only guarantees
+/// megabytes of samples per packet. std::vector's allocator only guarantees
 /// alignof(double); AlignedVec guarantees cache-line (64-byte) alignment so
 /// vectorized loads never straddle lines, and its resize() never shrinks
 /// capacity -- a workspace reused across packets reaches zero steady-state
 /// allocations after the first.
+///
+/// Blocks of kMapBytes or more are mapped pages (mmap, page-aligned and so
+/// cache-line aligned), returned to the kernel the moment they are
+/// released. Through malloc they would not be: glibc raises its mmap
+/// threshold to the largest block freed, after which every later capture
+/// arena is carved from the heap and its pages are kept when it is freed
+/// -- a gen-1 sweep, whose float capture is ~11.6 MB per packet, then holds
+/// several times its live data. Smaller blocks use aligned operator new.
+/// AddressSanitizer builds use operator new for every block, so the
+/// sanitizer still tracks each byte.
 
 #include <cstddef>
 #include <cstring>
-#include <new>
 #include <utility>
 
 #include "common/types.h"
@@ -20,10 +29,30 @@ namespace uwb::dsp {
 
 inline constexpr std::size_t kCacheLineBytes = 64;
 
+/// Blocks of at least this many bytes are mapped pages (see the file
+/// comment); smaller ones come from operator new.
+inline constexpr std::size_t kMapBytes = std::size_t{1} << 20;
+
+/// False under AddressSanitizer, which tracks operator new but not mmap.
+#if defined(__SANITIZE_ADDRESS__)
+inline constexpr bool kMapLargeBlocks = false;
+#else
+inline constexpr bool kMapLargeBlocks = true;
+#endif
+
+/// AlignedVec's storage: a 64-byte-aligned block of \p bytes, mapped pages
+/// from kMapBytes up (when kMapLargeBlocks), aligned operator new below.
+/// \throws std::bad_alloc when the system has no memory for it.
+[[nodiscard]] void* allocate_aligned_block(std::size_t bytes);
+
+/// Returns a block that allocate_aligned_block(\p bytes) gave.
+void release_aligned_block(void* block, std::size_t bytes) noexcept;
+
 /// Minimal owning buffer of trivially-copyable T with 64-byte alignment.
 /// Grow-only: resize() reallocates only when the request exceeds capacity,
 /// and never value-initializes on growth within capacity (callers of the
-/// hot kernels always overwrite the full span they asked for).
+/// hot kernels always overwrite the full span they asked for). Whether a
+/// block is mapped is a pure function of its capacity in bytes.
 template <typename T>
 class AlignedVec {
  public:
@@ -68,8 +97,7 @@ class AlignedVec {
   /// callers overwrite everything they read).
   void resize(std::size_t n) {
     if (n > capacity_) {
-      T* fresh = static_cast<T*>(
-          ::operator new(n * sizeof(T), std::align_val_t{kCacheLineBytes}));
+      T* fresh = static_cast<T*>(allocate_aligned_block(n * sizeof(T)));
       release();
       data_ = fresh;
       capacity_ = n;
@@ -86,7 +114,7 @@ class AlignedVec {
  private:
   void release() noexcept {
     if (data_ != nullptr) {
-      ::operator delete(static_cast<void*>(data_), std::align_val_t{kCacheLineBytes});
+      release_aligned_block(data_, capacity_ * sizeof(T));
       data_ = nullptr;
     }
   }

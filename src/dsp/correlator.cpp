@@ -46,8 +46,20 @@ RealVec correlate(const RealVec& x, const RealVec& tmpl) {
 
 namespace {
 
-/// Shared blocked kernel: kBlock lags advance together, taps ascending, one
-/// independent accumulator per lag. The same lag count fills the same vector
+/// kBlock lags advancing together, taps ascending, one independent
+/// accumulator per lag, added onto \p acc. Every lag the bank computes goes
+/// through this one body, so a lag is the same expression -- fused or not,
+/// as the target's codegen chooses -- whatever its position in the bank.
+template <typename T, std::size_t kBlock>
+[[gnu::always_inline]] inline void dot_block(const T* x, const T* h, std::size_t h_len,
+                                             T* acc) noexcept {
+  for (std::size_t m = 0; m < h_len; ++m) {
+    const T hm = h[m];
+    for (std::size_t b = 0; b < kBlock; ++b) acc[b] += x[m + b] * hm;
+  }
+}
+
+/// Shared blocked kernel. The same lag count fills the same vector
 /// registers with twice the lanes in float, which is the whole point of the
 /// gen-1 single-precision arena. Always inlined, so each target clone of
 /// dot_bank below compiles its own copy at its own vector width.
@@ -57,20 +69,28 @@ template <typename T, std::size_t kBlock>
   std::size_t j = 0;
   for (; j + kBlock <= num_lags; j += kBlock) {
     T acc[kBlock] = {};
-    const T* xj = x + j;
-    for (std::size_t m = 0; m < h_len; ++m) {
-      const T hm = h[m];
-      for (std::size_t b = 0; b < kBlock; ++b) {
-        acc[b] += xj[m + b] * hm;
-      }
-    }
+    dot_block<T, kBlock>(x + j, h, h_len, acc);
     for (std::size_t b = 0; b < kBlock; ++b) out[j + b] = acc[b];
   }
-  for (; j < num_lags; ++j) {
-    T acc{};
-    for (std::size_t m = 0; m < h_len; ++m) acc += x[j + m] * h[m];
-    out[j] = acc;
+  if (j == num_lags) return;
+  // The last partial block runs the same body on a zero-padded copy of its
+  // input, kTaps taps at a time so the copy stays on the stack. Each lag
+  // still accumulates alone in ascending-tap order; the padded lags are
+  // dropped.
+  constexpr std::size_t kTaps = 64;
+  const std::size_t lags = num_lags - j;
+  const std::size_t avail = lags + h_len - 1;  // input the real lags read
+  T acc[kBlock] = {};
+  T pad[kTaps + kBlock - 1];
+  for (std::size_t m0 = 0; m0 < h_len; m0 += kTaps) {
+    const std::size_t taps = std::min(kTaps, h_len - m0);
+    const std::size_t width = taps + kBlock - 1;
+    const std::size_t copied = std::min(width, avail - m0);
+    std::copy(x + j + m0, x + j + m0 + copied, pad);
+    std::fill(pad + copied, pad + width, T{});
+    dot_block<T, kBlock>(pad, h + m0, taps, acc);
   }
+  std::copy(acc, acc + lags, out + j);
 }
 
 }  // namespace
@@ -92,8 +112,9 @@ UWB_DOT_BANK_CLONES void dot_bank(const double* x, std::size_t num_lags, const d
                                   std::size_t h_len, double* out) noexcept {
   // 32 lags per block: enough independent accumulator vectors to hide the
   // FP-add latency chain (measured >2x over an 8-lag block on SSE2). Each
-  // lag still accumulates alone in ascending-tap order, so the block width
-  // never affects results.
+  // lag still accumulates alone in ascending-tap order through the one
+  // block body, so neither the block width nor a lag's position in the
+  // bank affects results.
   dot_bank_impl<double, 32>(x, num_lags, h, h_len, out);
 }
 

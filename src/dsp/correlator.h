@@ -21,9 +21,11 @@ RealVec correlate(const RealVec& x, const RealVec& tmpl);
 
 /// Bank of sliding dot products: out[j] = sum_m x[j+m] * h[m] for
 /// j in [0, num_lags). Blocked over lags with per-lag ascending-tap
-/// accumulation -- bit-identical to calling dot() per lag, but the fixed
-/// 32-lag block auto-vectorizes. The hot kernel under correlate() and
-/// the direct path of convolve_same_to().
+/// accumulation, and every lag -- the last partial block's too -- runs
+/// through the one fixed 32-lag block body, which auto-vectorizes: a lag's
+/// bits equal a single-lag call's whatever its position in the bank, on
+/// any build (and dot()'s on a portable one). The hot kernel under
+/// correlate() and the direct path of convolve_same_to().
 void dot_bank(const double* x, std::size_t num_lags, const double* h, std::size_t h_len,
               double* out) noexcept;
 

@@ -5,6 +5,8 @@
 #include <limits>
 #include <memory>
 
+#include <sys/resource.h>
+
 #include "common/error.h"
 #include "stats/adaptive.h"
 #include "dsp/fft.h"
@@ -123,6 +125,9 @@ class RunMeter {
     counters.fft_plan_misses = fft_after.misses - fft_before_.misses;
     counters.wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    counters.peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
     return counters;
   }
 

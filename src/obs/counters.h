@@ -23,7 +23,8 @@ struct PoolWorkerStats {
 
 /// Counter totals for one SweepEngine::run. Cache counters are deltas over
 /// the run (the caches are long-lived and possibly shared), so a run's
-/// counters describe that run alone.
+/// counters describe that run alone; peak_rss_mb is the one process-wide
+/// reading.
 struct RunCounters {
   std::vector<PoolWorkerStats> pool;  ///< one entry per worker thread
 
@@ -42,6 +43,11 @@ struct RunCounters {
   std::uint64_t trials_committed = 0;
 
   double wall_s = 0.0;  ///< wall-clock for the whole run
+
+  /// The process's peak resident set (getrusage ru_maxrss) when the run
+  /// finished, in MB of 2^20 bytes. A process-lifetime high-water mark, so
+  /// it also covers whatever the process ran before this run.
+  double peak_rss_mb = 0.0;
 
   [[nodiscard]] std::uint64_t pool_executed() const {
     std::uint64_t n = 0;

@@ -42,6 +42,7 @@ io::JsonValue manifest_to_json(const RunManifest& m) {
   doc.set("trace", io::JsonValue::string(m.trace_path));
   doc.set("interrupted", io::JsonValue::boolean(m.interrupted));
   doc.set("wall_s", io::JsonValue::number(m.counters.wall_s));
+  doc.set("peak_rss_mb", io::JsonValue::number(m.counters.peak_rss_mb));
 
   io::JsonValue build = io::JsonValue::object();
   build.set("compiler", io::JsonValue::string(m.build.compiler));
@@ -129,6 +130,10 @@ RunManifest manifest_from_json(const io::JsonValue& doc) {
     m.interrupted = interrupted->as_bool();
   }
   m.counters.wall_s = doc.at("wall_s").as_double();
+  // Optional for manifests written before the engine read peak RSS.
+  if (const io::JsonValue* rss = doc.find("peak_rss_mb")) {
+    m.counters.peak_rss_mb = rss->as_double();
+  }
 
   const io::JsonValue& build = doc.at("build");
   m.build.compiler = build.at("compiler").as_string();

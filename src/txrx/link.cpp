@@ -587,6 +587,16 @@ const dsp::AlignedVec<float>& Gen1Link::prototype_f() {
 
 namespace {
 
+/// A gen-1 trial's received capture (channel, noise; the receiver reads it
+/// in place). Per thread, not per link, as on gen-2: each trial rewrites
+/// all of it that the receiver reads, so links sharing it on one thread
+/// cannot couple results, and a worker maps it once per run instead of
+/// once per link.
+dsp::AlignedVec<float>& gen1_capture_arena() {
+  thread_local dsp::AlignedVec<float> arena;
+  return arena;
+}
+
 /// The multipath realization a gen-1 trial must use (cm >= 1 only): the
 /// context's resolved ensemble realization, or a fresh per-trial draw.
 channel::Cir resolve_gen1_cir(const TrialOptions& options, const TrialContext& context,
@@ -631,22 +641,27 @@ Gen1Link::Capture Gen1Link::synthesize_capture(const TrialOptions& options,
   }
   const std::size_t frame_samples = config_.frame_samples_analog();
   const std::size_t delay_samples = delay_frames * frame_samples;
-  const std::size_t out_len =
-      delay_samples + frame_samples * train.amplitudes.size() + g_f->size();
+  const std::size_t train_len = frame_samples * train.amplitudes.size() + g_f->size();
+  const std::size_t out_len = delay_samples + train_len;
+  // Tail pad so late fingers stay in range.
+  const std::size_t pad = static_cast<std::size_t>(64e-9 * config_.analog_fs);
+  dsp::AlignedVec<float>& arena = gen1_capture_arena();
   {
     const obs::StageTimer timer(obs::Stage::kChannelConvolve, out_len);
-    // Tail pad so late fingers stay in range.
-    rx_arena_.assign_zero(out_len + static_cast<std::size_t>(64e-9 * config_.analog_fs));
+    // Grown to the longest delay the options allow, so the arena is mapped
+    // once rather than again at each new largest delay drawn.
+    arena.resize(options.start_delay_max_frames * frame_samples + train_len + pad);
+    arena.assign_zero(out_len + pad);
     const float* src = g_f->data();
     const std::size_t g_len = g_f->size();
     for (std::size_t s = 0; s < train.amplitudes.size(); ++s) {
       const auto a = static_cast<float>(train.amplitudes[s]);
-      float* dst = rx_arena_.data() + delay_samples + s * frame_samples;
+      float* dst = arena.data() + delay_samples + s * frame_samples;
       for (std::size_t i = 0; i < g_len; ++i) dst[i] += a * src[i];
     }
   }
-  float* rx = rx_arena_.data();
-  const std::size_t rx_len = rx_arena_.size();
+  float* rx = arena.data();
+  const std::size_t rx_len = arena.size();
   const double n0 = channel::n0_for_ebn0(train.frame.energy_per_bit, options.ebn0_db);
 
   if (options.sampling.active()) {

@@ -139,7 +139,8 @@ struct TrialOptions {
   /// Largest accepted payload_bits: 4x the 1016-bit (127-byte) 802.15.4a
   /// PSDU. Gen-1 spreads each bit over 16 PRF frames of 1296 analog
   /// samples, so a packet this long already fills a ~0.35 GB float
-  /// capture per link; specs and validate_spec reject anything longer.
+  /// capture per worker thread; specs and validate_spec reject anything
+  /// longer.
   static constexpr std::size_t kMaxPayloadBits = 4096;
 
   /// kAcquisition: found timing counts as correct within +/- this many ADC
@@ -419,7 +420,9 @@ class Gen1Link final : public Link {
   struct Capture {
     TxFrame frame;
     std::size_t true_offset_adc = 0;  ///< preamble start at the ADC rate
-    std::span<const float> samples;   ///< views rx_arena_
+    /// Views the calling thread's capture arena: valid until the next
+    /// synthesize_capture on the same thread, by any gen-1 link.
+    std::span<const float> samples;
     std::size_t target_bit = 0;       ///< importance-sampled trials only
     double log_weight = 0.0;          ///< importance-sampled trials only
   };
@@ -471,7 +474,6 @@ class Gen1Link final : public Link {
   RealVec g_kernel_;
   dsp::AlignedVec<float> g_kernel_f_;  ///< float mirror of g_kernel_
   dsp::AlignedVec<float> proto_f_;     ///< float mirror of the prototype pulse
-  dsp::AlignedVec<float> rx_arena_;    ///< per-packet received-sample arena
 };
 
 }  // namespace uwb::txrx

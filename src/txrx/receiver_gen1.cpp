@@ -6,12 +6,41 @@
 
 #include "common/error.h"
 #include "common/math_utils.h"
+#include "dsp/aligned.h"
 #include "dsp/correlator.h"
 #include "dsp/filter_design.h"
 #include "dsp/fir_filter.h"
 #include "obs/profile.h"
 
 namespace uwb::txrx {
+
+namespace {
+
+/// The gen-1 receive chain's sample buffers, 64-byte-aligned and grow-only.
+/// Per thread, not per receiver, as on gen-2: a thread runs one pass at a
+/// time and every pass rewrites all it reads, so receivers sharing them on
+/// one thread cannot couple results, and a worker maps them once per run
+/// instead of once per link. Single precision: the modeled front end is a
+/// 4-bit converter behind an AGC, so float's 24-bit mantissa is ~20 bits
+/// beyond the physics while doubling SIMD width through the filter,
+/// sampler, converter and matched filter. Each holds only what the windows
+/// need: a genie-timed packet keeps a few dozen samples per data pulse, the
+/// whole capture only a dense pass.
+struct Gen1RxArenas {
+  dsp::AlignedVec<float> block;    ///< one FIR block
+  dsp::AlignedVec<float> kept;     ///< FIR outputs the windows sample
+  dsp::AlignedVec<float> sampled;  ///< sampled windows, then AGC-scaled
+  dsp::AlignedVec<float> levels;   ///< converter output levels
+  dsp::AlignedVec<float> mf;       ///< matched-filter outputs (Gen1MfView)
+  dsp::AlignedVec<float> acq;      ///< stage-1 phase accumulators
+};
+
+Gen1RxArenas& rx_arenas() {
+  thread_local Gen1RxArenas arenas;
+  return arenas;
+}
+
+}  // namespace
 
 const float* Gen1MfView::find(std::size_t idx) const noexcept {
   // The last run starting at or before idx.
@@ -110,10 +139,11 @@ std::size_t Gen1Receiver::plan_windows(std::span<const AdcWindow> windows, std::
     adc_total += w.adc_end - w.adc_begin;
     kept_total += w.in_end - w.in_begin;
   }
-  ws_kept_.resize(kept_total);
-  ws_sampled_.resize(adc_total);
-  ws_levels_.resize(adc_total);
-  ws_mf_.resize(adc_total);
+  Gen1RxArenas& a = rx_arenas();
+  a.kept.resize(kept_total);
+  a.sampled.resize(adc_total);
+  a.levels.resize(adc_total);
+  a.mf.resize(adc_total);
   return adc_total;
 }
 
@@ -122,7 +152,8 @@ double Gen1Receiver::filter_and_measure(const float* rx, std::size_t n) {
   // FIR, the power sum and the copy-out. A multiple of 4, so every block
   // but the last starts the power sum's accumulator rotation afresh.
   constexpr std::size_t kBlock = 2048;
-  ws_block_.resize(kBlock);
+  Gen1RxArenas& a = rx_arenas();
+  a.block.resize(kBlock);
   const std::size_t h_len = anti_alias_rev_f_.size();
   // The power sum is an AGC input that sets the float gain, so it keeps its
   // exact order: four double accumulators by absolute index mod 4, then
@@ -135,12 +166,12 @@ double Gen1Receiver::filter_and_measure(const float* rx, std::size_t n) {
     while (first < ws_windows_.size() && ws_windows_[first].in_end <= j0) ++first;
     // A block wholly inside one window's span (every block of a dense
     // pass) is filtered straight into that window's kept outputs.
-    float* y = ws_block_.data();
+    float* y = a.block.data();
     const bool direct = first < ws_windows_.size() && ws_windows_[first].in_begin <= j0 &&
                         j1 <= ws_windows_[first].in_end;
     if (direct) {
       const Window& w = ws_windows_[first];
-      y = ws_kept_.data() + w.kept_offset + (j0 - w.in_begin);
+      y = a.kept.data() + w.kept_offset + (j0 - w.in_begin);
     }
     dsp::convolve_same_range(rx, n, anti_alias_rev_f_.data(), h_len, j0, j1, y);
 
@@ -167,7 +198,7 @@ double Gen1Receiver::filter_and_measure(const float* rx, std::size_t n) {
       const std::size_t hi = std::min(j1, w.in_end);
       if (lo < hi) {
         std::copy(y + (lo - j0), y + (hi - j0),
-                  ws_kept_.data() + w.kept_offset + (lo - w.in_begin));
+                  a.kept.data() + w.kept_offset + (lo - w.in_begin));
       }
     }
   }
@@ -189,27 +220,28 @@ Gen1MfView Gen1Receiver::digitize_and_filter(std::span<const float> rx, double f
   // rms (see rf::AgcParams). Both read every analog sample; the scale
   // commutes with linear-interpolation sampling, so it is applied to the
   // (2x shorter) sampled windows below.
+  Gen1RxArenas& a = rx_arenas();
   obs::StageTimer fe_timer(obs::Stage::kRxFrontend, n);
   const double r = filter_and_measure(rx.data(), n);
   for (const Window& w : ws_windows_) {
-    float* out = ws_sampled_.data() + w.adc_offset;
+    float* out = a.sampled.data() + w.adc_offset;
     if (plan) {
-      plan->sample_to(ws_kept_.data() + w.kept_offset, n, w.adc_begin, w.adc_end, out);
+      plan->sample_to(a.kept.data() + w.kept_offset, n, w.adc_begin, w.adc_end, out);
     } else {
-      sampler_.sample_interleaved_to(ws_kept_.data(), n, fs, lane_skews_s_, rng, out);
+      sampler_.sample_interleaved_to(a.kept.data(), n, fs, lane_skews_s_, rng, out);
     }
   }
   if (r > 0.0) {
     const auto gain = static_cast<float>(0.25 / r);
-    for (std::size_t i = 0; i < adc_total; ++i) ws_sampled_[i] *= gain;
+    for (std::size_t i = 0; i < adc_total; ++i) a.sampled[i] *= gain;
   }
   fe_timer.finish();
 
   obs::StageTimer adc_timer(obs::Stage::kAdcQuantize, adc_total);
   for (const Window& w : ws_windows_) {
     adc_.seek(w.adc_begin);
-    adc_.convert_block(ws_sampled_.data() + w.adc_offset, w.adc_end - w.adc_begin,
-                       ws_levels_.data() + w.adc_offset);
+    adc_.convert_block(a.sampled.data() + w.adc_offset, w.adc_end - w.adc_begin,
+                       a.levels.data() + w.adc_offset);
   }
   adc_timer.finish();
 
@@ -225,12 +257,12 @@ Gen1MfView Gen1Receiver::digitize_and_filter(std::span<const float> rx, double f
     const std::size_t len = w.adc_end - w.adc_begin;
     if (len < h_len) continue;
     const std::size_t lags = len - h_len + 1;
-    dsp::dot_bank(ws_levels_.data() + w.adc_offset, lags, ws_taps_f_.data(), h_len,
-                  ws_mf_.data() + mf_total);
+    dsp::dot_bank(a.levels.data() + w.adc_offset, lags, ws_taps_f_.data(), h_len,
+                  a.mf.data() + mf_total);
     ws_runs_.push_back(Gen1MfView::Run{w.adc_begin, w.adc_begin + lags, mf_total});
     mf_total += lags;
   }
-  return Gen1MfView{ws_runs_, {ws_mf_.data(), mf_total}};
+  return Gen1MfView{ws_runs_, {a.mf.data(), mf_total}};
 }
 
 Gen1AcqResult Gen1Receiver::acquire_on_mf(std::span<const float> mf,
@@ -265,9 +297,10 @@ Gen1AcqResult Gen1Receiver::acquire_on_mf(std::span<const float> mf,
   // of per-phase accumulators touches the same values in the same per-phase
   // order (k ascending), so the metrics are bit-identical while the inner
   // loop vectorizes.
-  ws_acq_.resize(F);
+  dsp::AlignedVec<float>& acc_buf = rx_arenas().acq;
+  acc_buf.resize(F);
   for (std::size_t j0 = 0; j0 <= last_group; j0 += k1) {
-    float* acc = ws_acq_.data();
+    float* acc = acc_buf.data();
     std::fill(acc, acc + F, 0.0f);
     for (std::size_t k = 0; k < k1; ++k) {
       const float* frame = mf.data() + (j0 + k) * F;

@@ -22,7 +22,6 @@
 #include "adc/sampling.h"
 #include "common/rng.h"
 #include "common/types.h"
-#include "dsp/aligned.h"
 #include "txrx/transceiver_config.h"
 #include "txrx/transmitter.h"
 
@@ -60,7 +59,9 @@ struct AdcWindow {
 
 /// The matched-filter outputs one digitize pass computed: runs of
 /// consecutive output indices, ascending, with their values packed in
-/// \p values. Views the receiver's arena, valid until its next pass.
+/// \p values. Views the receiver's runs and the calling thread's sample
+/// buffers: valid until the next pass on that receiver or, by any gen-1
+/// receiver, on that thread.
 struct Gen1MfView {
   struct Run {
     std::size_t begin = 0;   ///< first output index
@@ -110,8 +111,8 @@ class Gen1Receiver {
   /// so each window is that output's index widened by the pulse template;
   /// acquisition, non-genie timing, and a sampler whose instants are not a
   /// pure function of the index (aperture jitter) read the whole capture,
-  /// the single window [0, n_adc). The span views the receiver's arena,
-  /// valid until the next call.
+  /// the single window [0, n_adc). The span views the receiver's own
+  /// buffer, valid until its next call.
   [[nodiscard]] std::span<const AdcWindow> decision_windows(std::size_t n, double fs,
                                                             const Gen1Transmitter& tx,
                                                             std::size_t num_bits,
@@ -127,7 +128,8 @@ class Gen1Receiver {
   /// \p windows (ascending by begin). The anti-alias FIR and the AGC power
   /// run over the whole capture; the sampler, converter and matched filter
   /// only inside the windows, each output bit-identical to a pass over the
-  /// whole capture. The view is valid until the next call on this receiver.
+  /// whole capture. The view is valid until the next call on this receiver
+  /// or, by any gen-1 receiver, on this thread.
   [[nodiscard]] Gen1MfView digitize_and_filter(std::span<const float> rx, double fs,
                                                const Gen1Transmitter& tx,
                                                std::span<const AdcWindow> windows, Rng& rng);
@@ -144,9 +146,10 @@ class Gen1Receiver {
   using LanePlan = adc::SampleAndHold::LanePlan;
 
   /// Clamps \p windows to the n_adc-sample stream, widens each to whole
-  /// lane patterns, merges overlaps into ws_windows_ and sizes the arenas;
-  /// \p plan (null for a jittered sampler) maps each window to the FIR
-  /// outputs it reads. Returns the number of ADC samples the windows hold.
+  /// lane patterns, merges overlaps into ws_windows_ and sizes the thread's
+  /// sample buffers; \p plan (null for a jittered sampler) maps each window
+  /// to the FIR outputs it reads. Returns the number of ADC samples the
+  /// windows hold.
   std::size_t plan_windows(std::span<const AdcWindow> windows, std::size_t n,
                            std::size_t n_adc, const LanePlan* plan);
 
@@ -165,23 +168,11 @@ class Gen1Receiver {
   std::vector<float> ws_taps_f_;         ///< the pulse template in float
   RealVec lane_skews_s_;  ///< static per-lane skews, built once at construction
 
-  // Per-receiver sample arena: every stage of digitize_and_filter writes
-  // into one of these 64-byte-aligned grow-only buffers, so steady-state
-  // packet processing performs zero heap allocations. Single precision:
-  // the modeled front end is a 4-bit converter behind an AGC, so float's
-  // 24-bit mantissa is ~20 bits beyond the physics while doubling SIMD
-  // width through the filter/sampler/converter/matched-filter chain. Each
-  // holds only what the windows need: a genie-timed packet keeps a few
-  // dozen samples per data pulse, the whole capture only a dense pass.
+  // Bookkeeping for the current pass; the sample buffers every stage of
+  // digitize_and_filter writes are per thread (see receiver_gen1.cpp).
   std::vector<AdcWindow> ws_decision_;
   std::vector<Window> ws_windows_;
   std::vector<Gen1MfView::Run> ws_runs_;
-  dsp::AlignedVec<float> ws_block_;  ///< one FIR block
-  dsp::AlignedVec<float> ws_kept_;   ///< FIR outputs the windows sample
-  dsp::AlignedVec<float> ws_sampled_;
-  dsp::AlignedVec<float> ws_levels_;
-  dsp::AlignedVec<float> ws_mf_;
-  mutable dsp::AlignedVec<float> ws_acq_;  ///< stage-1 phase accumulators
 };
 
 }  // namespace uwb::txrx

@@ -2,10 +2,15 @@
 // correlators, resampling, PSD.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -15,6 +20,7 @@
 #include "common/error.h"
 #include "common/math_utils.h"
 #include "common/rng.h"
+#include "dsp/aligned.h"
 #include "dsp/biquad.h"
 #include "dsp/correlator.h"
 #include "dsp/fast_convolve.h"
@@ -960,6 +966,75 @@ TEST(Correlator, FindsEmbeddedTemplate) {
   EXPECT_NEAR(nc[where], 1.0, 1e-9);
 }
 
+/// Resident set size of this process in bytes (/proc/self/statm).
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t total_pages = 0;
+  std::size_t resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  return resident_pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+bool cache_line_aligned(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % kCacheLineBytes == 0;
+}
+
+TEST(AlignedVec, LargeBlocksStayAlignedThroughGrowthAndMoves) {
+  // Blocks on both sides of kMapBytes: operator new below it, mapped pages
+  // from it up (outside ASan builds).
+  for (const std::size_t n : {std::size_t{1000}, kMapBytes / sizeof(float),
+                              3 * kMapBytes / sizeof(float) + 7}) {
+    AlignedVec<float> v(n);
+    ASSERT_TRUE(cache_line_aligned(v.data())) << n;
+    v.resize(2 * n + 1);  // growth: contents unspecified, storage fresh
+    ASSERT_TRUE(cache_line_aligned(v.data())) << n;
+    EXPECT_EQ(v.size(), 2 * n + 1);
+    std::fill(v.begin(), v.end(), 2.5f);
+    v.resize(n);  // shrinking keeps the block
+    EXPECT_EQ(v.capacity(), 2 * n + 1);
+
+    const float* block = v.data();
+    AlignedVec<float> moved(std::move(v));
+    EXPECT_EQ(moved.data(), block);
+    EXPECT_EQ(moved.size(), n);
+    EXPECT_EQ(v.data(), nullptr);
+    EXPECT_EQ(v.capacity(), 0u);
+
+    AlignedVec<float> target(3 * kMapBytes / sizeof(float));  // released by the assignment
+    target.assign_zero(target.size());
+    target = std::move(moved);
+    EXPECT_EQ(target.data(), block);
+    EXPECT_EQ(target.capacity(), 2 * n + 1);
+    EXPECT_EQ(moved.data(), nullptr);
+    EXPECT_TRUE(std::all_of(target.begin(), target.end(), [](float x) { return x == 2.5f; }));
+  }
+}
+
+TEST(AlignedVec, ReleasedLargeBlockLeavesTheResidentSet) {
+  // A released block of kMapBytes or more goes back to the kernel at once.
+  // Through malloc it would not, once the process has freed a larger
+  // block, as every sweep does: glibc then raises its mmap threshold,
+  // serves later blocks from the heap and keeps their pages when freed.
+  if (!kMapLargeBlocks) GTEST_SKIP() << "AddressSanitizer build: every block is operator new";
+  {
+    char* volatile larger = static_cast<char*>(std::malloc(16 * kMapBytes));
+    ASSERT_NE(larger, nullptr);
+    larger[0] = 1;
+    std::free(larger);
+  }
+  constexpr std::size_t kBytes = 8 * kMapBytes;
+  std::size_t before = 0;
+  {
+    AlignedVec<double> v;
+    v.assign_zero(kBytes / sizeof(double));  // touches every page
+    std::fill(v.begin(), v.end(), 1.0);
+    before = resident_bytes();
+  }
+  const std::size_t after = resident_bytes();
+  ASSERT_GE(before, after);
+  EXPECT_GE(before - after, kBytes * 9 / 10) << "before " << before << " B, after " << after;
+}
+
 /// dot_bank against the textbook per-lag sum acc += x[j+m] * h[m], over
 /// random lag counts 0..100 (32-lag blocks plus a tail) and 1..63 taps.
 template <typename T>
@@ -1004,6 +1079,40 @@ TEST(Correlator, DotBankMatchesSequentialSumBitForBit) {
     const auto taps = static_cast<std::size_t>(rng.uniform_int(1, 63));
     expect_dot_bank_matches_sequential<double>(rng, lags, taps);
     expect_dot_bank_matches_sequential<float>(rng, lags, taps);
+  }
+}
+
+/// Every lag of one dot_bank call against the same lag computed alone
+/// (num_lags = 1), compared bit for bit.
+template <typename T, typename Bits>
+void expect_every_lag_matches_single(Rng& rng, std::size_t num_lags, std::size_t h_len) {
+  std::vector<T> x(num_lags + h_len - 1);
+  std::vector<T> h(h_len);
+  for (T& v : x) v = static_cast<T>(rng.gaussian());
+  for (T& v : h) v = static_cast<T>(rng.gaussian());
+  std::vector<T> bank(num_lags);
+  dot_bank(x.data(), num_lags, h.data(), h_len, bank.data());
+  for (std::size_t j = 0; j < num_lags; ++j) {
+    T single{};
+    dot_bank(x.data() + j, 1, h.data(), h_len, &single);
+    ASSERT_EQ(std::bit_cast<Bits>(bank[j]), std::bit_cast<Bits>(single))
+        << num_lags << " lags, " << h_len << " taps, lag " << j;
+  }
+}
+
+TEST(DotBank, EveryLagMatchesItsSingleLagCall) {
+  // A lag's value must not depend on where it sits in the bank (a full
+  // 32-lag block or the last partial one): the gen-1 receiver digitizes
+  // windows of any length and promises the bits of a dense pass. This
+  // holds on every build, -march=native with FMA included, where the
+  // sequential-sum comparison above only holds to rounding. Tap counts
+  // past 64 cross the partial block's tap chunks.
+  Rng rng(0x1A65);
+  for (const std::size_t taps : {1u, 4u, 11u, 63u, 64u, 65u, 150u}) {
+    for (std::size_t lags = 1; lags <= 100; ++lags) {
+      expect_every_lag_matches_single<double, std::uint64_t>(rng, lags, taps);
+      expect_every_lag_matches_single<float, std::uint32_t>(rng, lags, taps);
+    }
   }
 }
 

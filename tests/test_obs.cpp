@@ -215,6 +215,7 @@ RunManifest sample_manifest() {
   manifest.counters.trials_executed = 70;
   manifest.counters.trials_committed = 56;
   manifest.counters.wall_s = 12.25;
+  manifest.counters.peak_rss_mb = 56.5;
   manifest.stages[Stage::kRxFrontend] = {56, 210'000'000, 1'500'000, 11'000'000, 860'160};
   manifest.stages[Stage::kFftExec] = {392, 21'000'000, 11'000, 4'300'000, 1'720'320};
   manifest.points.push_back({0, "CM1 | 8 | full", 0.5, 46, 15272, 41, {}});
@@ -274,6 +275,17 @@ TEST(RunManifest, TrialCountersAreOptionalOnRead) {
   const RunManifest reloaded = manifest_from_json(old_doc);
   EXPECT_EQ(reloaded.counters.trials_executed, 0u);
   EXPECT_EQ(reloaded.counters.trials_committed, 0u);
+}
+
+TEST(RunManifest, PeakRssIsOptionalOnRead) {
+  // Manifests written before the engine read peak RSS still load.
+  const io::JsonValue doc = manifest_to_json(sample_manifest());
+  EXPECT_EQ(doc.at("peak_rss_mb").as_double(), 56.5);
+  io::JsonValue old_doc = io::JsonValue::object();
+  for (const auto& [key, value] : doc.members()) {
+    if (key != "peak_rss_mb") old_doc.set(key, value);
+  }
+  EXPECT_EQ(manifest_from_json(old_doc).counters.peak_rss_mb, 0.0);
 }
 
 TEST(RunManifest, ParsingIsStrict) {
@@ -557,6 +569,7 @@ TEST(SweepEngine, TelemetryNeverChangesResultBytes) {
                 traced_result.counters.cache_disk_loads,
             0u);
   EXPECT_GT(traced_result.counters.wall_s, 0.0);
+  EXPECT_GT(traced_result.counters.peak_rss_mb, 0.0);  // the process is resident
 }
 
 TEST(SweepEngine, ProfilingNeverChangesResultBytes) {

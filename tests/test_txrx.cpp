@@ -470,6 +470,54 @@ TEST(Gen1Receiver, JitteredSamplerDigitizesTheWholeCapture) {
   EXPECT_THROW((void)link.receive_capture(cap, options, {&part, 1}, rng), InvalidArgument);
 }
 
+TEST(Gen1Link, LinksSharingAThreadsArenasRunAsIfAlone) {
+  // The gen-1 capture arena and the receiver's sample buffers belong to
+  // the thread, shared by every gen-1 link it runs. Two links with
+  // different options -- AWGN genie-timed windows, and CM1 with a start
+  // delay and a dense acquisition pass over a longer capture -- run
+  // interleaved on one thread must give each trial the outcome it has when
+  // its link runs alone.
+  const Gen1Config config = sim::gen1_fast();
+  TrialOptions awgn = default_options(Generation::kGen1);
+  awgn.ebn0_db = 4.0;
+  TrialOptions cm1 = default_options(Generation::kGen1);
+  cm1.cm = 1;
+  cm1.ebn0_db = 8.0;
+  cm1.payload_bits = 48;
+  cm1.start_delay_max_frames = 40;
+  cm1.genie_timing = false;
+  constexpr std::size_t kTrials = 4;
+  const auto trial_rng = [](uint64_t link_seed, std::size_t t) { return Rng(link_seed).fork(t); };
+  const auto run_alone = [&](const TrialOptions& options, uint64_t link_seed) {
+    Gen1Link link(config, link_seed);
+    std::vector<Gen1TrialResult> trials;
+    for (std::size_t t = 0; t < kTrials; ++t) {
+      Rng rng = trial_rng(link_seed, t);
+      trials.push_back(link.run_packet_full(options, rng));
+    }
+    return trials;
+  };
+  const std::vector<Gen1TrialResult> alone_awgn = run_alone(awgn, 0xA1);
+  const std::vector<Gen1TrialResult> alone_cm1 = run_alone(cm1, 0xC1);
+
+  Gen1Link link_awgn(config, 0xA1);
+  Gen1Link link_cm1(config, 0xC1);
+  const auto expect_as_alone = [](const Gen1TrialResult& got, const Gen1TrialResult& alone,
+                                  const std::string& where) {
+    expect_same_outcome(got.outcome, alone.outcome, where);
+    EXPECT_EQ(got.rx.data_bits, alone.rx.data_bits) << where;
+    EXPECT_EQ(got.rx.acq.timing_offset, alone.rx.acq.timing_offset) << where;
+    EXPECT_EQ(got.true_offset_adc, alone.true_offset_adc) << where;
+  };
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    const std::string where = "trial " + std::to_string(t);
+    Rng rng_cm1 = trial_rng(0xC1, t);
+    expect_as_alone(link_cm1.run_packet_full(cm1, rng_cm1), alone_cm1[t], "cm1 " + where);
+    Rng rng_awgn = trial_rng(0xA1, t);
+    expect_as_alone(link_awgn.run_packet_full(awgn, rng_awgn), alone_awgn[t], "awgn " + where);
+  }
+}
+
 TEST(Gen1Receiver, AcquisitionFindsTiming) {
   const Gen1Config config = sim::gen1_nominal();
   Gen1Link link(config, 0xACE);

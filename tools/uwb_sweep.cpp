@@ -292,7 +292,8 @@ void print_counter_summary(const obs::RunCounters& counters) {
                "channel cache: %llu hits, %llu disk loads, %llu generated "
                "(%llu S-V draws) | fft plans: %llu hits, %llu built | "
                "trials: %llu executed, %llu committed | "
-               "pool: %zu workers, %llu tasks (%llu stolen), idle %.2fs | wall %.2fs\n",
+               "pool: %zu workers, %llu tasks (%llu stolen), idle %.2fs | wall %.2fs | "
+               "peak rss %.1f MB\n",
                static_cast<unsigned long long>(counters.cache_hits),
                static_cast<unsigned long long>(counters.cache_disk_loads),
                static_cast<unsigned long long>(counters.cache_generated),
@@ -304,7 +305,8 @@ void print_counter_summary(const obs::RunCounters& counters) {
                counters.pool.size(),
                static_cast<unsigned long long>(counters.pool_executed()),
                static_cast<unsigned long long>(counters.pool_stolen()),
-               static_cast<double>(counters.pool_idle_us()) / 1e6, counters.wall_s);
+               static_cast<double>(counters.pool_idle_us()) / 1e6, counters.wall_s,
+               counters.peak_rss_mb);
 }
 
 /// Loads (--file) or expands (registry) the scenario, applies axis
