@@ -86,8 +86,8 @@ struct FarmSpec {
 
 enum class ShardStatus { kPending, kDone, kFailed };
 
+/// The status's journal name: "pending", "done" or "failed".
 [[nodiscard]] std::string to_string(ShardStatus status);
-[[nodiscard]] ShardStatus shard_status_from_string(const std::string& name);
 
 /// One shard's journaled state.
 struct ShardState {
@@ -139,8 +139,10 @@ struct RunPaths {
 
 // ------------------------------------------------------------ (de)serial ----
 
-/// Strict round-tripping serialization; from_json throws InvalidArgument
-/// on unknown keys, missing keys, or a version mismatch.
+/// Strict round-tripping serialization through io/fields.h lists
+/// (farm_state.cpp): from_json throws InvalidArgument on an unknown key, a
+/// missing key, or a version mismatch. The one optional key is the spec's
+/// `progress`, which format-1 files written before it existed lack.
 [[nodiscard]] io::JsonValue farm_spec_to_json(const FarmSpec& spec);
 [[nodiscard]] FarmSpec farm_spec_from_json(const io::JsonValue& v);
 [[nodiscard]] io::JsonValue farm_state_to_json(const FarmState& state);

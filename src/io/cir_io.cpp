@@ -1,15 +1,44 @@
 #include "io/cir_io.h"
 
 #include <bit>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 
 #include "common/error.h"
+#include "io/fields.h"
 #include "io/file.h"
 
 namespace uwb::io {
+
+// ------------------------------------------------------------ field lists ----
+
+template <typename V>
+void fields(V& v, Of<channel::SvParams> auto& p) {
+  v("name", p.name);
+  v("cluster_rate_per_s", p.cluster_rate_per_s);
+  v("ray_rate_per_s", p.ray_rate_per_s);
+  v("cluster_decay_s", p.cluster_decay_s);
+  v("ray_decay_s", p.ray_decay_s);
+  v("cluster_fading_db", p.cluster_fading_db);
+  v("ray_fading_db", p.ray_fading_db);
+  v("shadowing_db", p.shadowing_db);
+  v("max_excess_delay_s", p.max_excess_delay_s);
+  v("complex_phases", p.complex_phases);
+}
+
+/// The sidecar's fields after its format and version: the ensemble's key
+/// and parameters (the realizations live in the .cir file).
+template <typename V>
+void fields(V& v, Of<engine::ChannelEnsemble> auto& e) {
+  v("fingerprint", e.key.fingerprint, kHexDigest);
+  v("seed", e.key.seed);
+  v("count", e.key.count);
+  // Informational, derived from the key: the stem is authoritative, so
+  // the reader accepts any name here.
+  std::string realizations_file = ensemble_stem(e.params, e.key) + ".cir";
+  v("realizations_file", realizations_file);
+  v("sv_params", e.params);
+}
 
 namespace {
 
@@ -25,7 +54,7 @@ void put_f64(std::string& out, double v) { put_u64(out, std::bit_cast<uint64_t>(
 
 /// Cursor over the loaded bytes; every read is bounds-checked so a
 /// truncated file throws instead of reading garbage.
-struct Reader {
+struct ByteCursor {
   const std::string& bytes;
   std::size_t pos = 0;
   const std::string& path;
@@ -47,20 +76,8 @@ std::string stem_path(const std::string& dir, const channel::SvParams& params,
   return (std::filesystem::path(dir) / ensemble_stem(params, key)).string();
 }
 
-JsonValue sv_params_to_json(const channel::SvParams& p) {
-  JsonValue out = JsonValue::object();
-  out.set("name", JsonValue::string(p.name));
-  out.set("cluster_rate_per_s", JsonValue::number(p.cluster_rate_per_s));
-  out.set("ray_rate_per_s", JsonValue::number(p.ray_rate_per_s));
-  out.set("cluster_decay_s", JsonValue::number(p.cluster_decay_s));
-  out.set("ray_decay_s", JsonValue::number(p.ray_decay_s));
-  out.set("cluster_fading_db", JsonValue::number(p.cluster_fading_db));
-  out.set("ray_fading_db", JsonValue::number(p.ray_fading_db));
-  out.set("shadowing_db", JsonValue::number(p.shadowing_db));
-  out.set("max_excess_delay_s", JsonValue::number(p.max_excess_delay_s));
-  out.set("complex_phases", JsonValue::boolean(p.complex_phases));
-  return out;
-}
+constexpr Document kSidecar{"cir store: sidecar", Missing::kThrow};
+constexpr const char* kSidecarFormat = "uwb-cir-ensemble";
 
 }  // namespace
 
@@ -116,41 +133,14 @@ engine::ChannelEnsemble load_ensemble(const std::string& dir, const channel::SvP
   // Sidecar first: it names the parameter set the binary was generated
   // from, and a fingerprint mismatch (edited sidecar, stale store after a
   // scheme change) must fail before any realization is trusted.
-  const JsonValue sidecar = parse_json(read_file(stem + ".json", "cir store"));
-  channel::SvParams stored_params;
-  uint64_t stored_fingerprint = 0, stored_seed = 0, stored_count = 0;
-  for (const auto& [k, v] : sidecar.members()) {
-    if (k == "format") {
-      detail::require(v.as_string() == "uwb-cir-ensemble",
-                      "cir store: '" + stem + ".json' is not an ensemble sidecar");
-    } else if (k == "version") {
-      detail::require(v.as_int() == kCirFormatVersion,
-                      "cir store: unsupported format version in '" + stem + ".json'");
-    } else if (k == "fingerprint") {
-      // Strict hex parse: a corrupt sidecar must throw InvalidArgument,
-      // never leak std::invalid_argument/out_of_range past the io layer.
-      const std::string& text = v.as_string();
-      errno = 0;
-      char* end = nullptr;
-      stored_fingerprint = std::strtoull(text.c_str(), &end, 16);
-      detail::require(!text.empty() && end == text.c_str() + text.size() && errno != ERANGE,
-                      "cir store: bad fingerprint '" + text + "' in '" + stem + ".json'");
-    } else if (k == "seed") {
-      stored_seed = v.as_uint64();
-    } else if (k == "count") {
-      stored_count = v.as_uint64();
-    } else if (k == "realizations_file") {
-      (void)v.as_string();  // informational; the stem is authoritative
-    } else if (k == "sv_params") {
-      stored_params = sv_params_from_json(v);
-    } else {
-      throw InvalidArgument("cir store: sidecar: unknown key '" + k + "'");
-    }
+  engine::ChannelEnsemble stored;
+  try {
+    stored = ensemble_sidecar_from_json(parse_json(read_file(stem + ".json", "cir store")));
+  } catch (const Error& e) {
+    throw InvalidArgument("cir store: '" + stem + ".json': " + e.what());
   }
-  detail::require(stored_fingerprint == key.fingerprint && stored_seed == key.seed &&
-                      stored_count == key.count,
-                  "cir store: sidecar key mismatch in '" + stem + ".json'");
-  detail::require(engine::sv_fingerprint(stored_params) == key.fingerprint,
+  detail::require(stored.key == key, "cir store: sidecar key mismatch in '" + stem + ".json'");
+  detail::require(engine::sv_fingerprint(stored.params) == key.fingerprint,
                   "cir store: sidecar sv_params do not match the requested fingerprint ('" +
                       stem + ".json')");
 
@@ -158,10 +148,10 @@ engine::ChannelEnsemble load_ensemble(const std::string& dir, const channel::SvP
   detail::require(bytes.size() >= sizeof kMagic &&
                       bytes.compare(0, sizeof kMagic, kMagic, sizeof kMagic) == 0,
                   "cir store: bad magic/version in '" + stem + ".cir'");
-  Reader r{bytes, sizeof kMagic, stem};
+  ByteCursor r{bytes, sizeof kMagic, stem};
   engine::ChannelEnsemble ensemble;
   ensemble.key = engine::ChannelKey{r.u64(), r.u64(), r.u64()};
-  ensemble.params = stored_params;
+  ensemble.params = stored.params;
   detail::require(ensemble.key == key, "cir store: header key mismatch in '" + stem + ".cir'");
   ensemble.realizations.reserve(key.count);
   for (std::size_t i = 0; i < key.count; ++i) {
@@ -186,37 +176,26 @@ engine::ChannelEnsemble load_ensemble(const std::string& dir, const channel::SvP
 }
 
 JsonValue ensemble_sidecar_json(const engine::ChannelEnsemble& ensemble) {
-  char fingerprint[32];
-  std::snprintf(fingerprint, sizeof fingerprint, "%016llx",
-                static_cast<unsigned long long>(ensemble.key.fingerprint));
-  JsonValue out = JsonValue::object();
-  out.set("format", JsonValue::string("uwb-cir-ensemble"));
-  out.set("version", JsonValue::number(kCirFormatVersion));
-  out.set("fingerprint", JsonValue::string(fingerprint));
-  out.set("seed", JsonValue::number(ensemble.key.seed));
-  out.set("count", JsonValue::number(static_cast<uint64_t>(ensemble.key.count)));
-  out.set("realizations_file",
-          JsonValue::string(ensemble_stem(ensemble.params, ensemble.key) + ".cir"));
-  out.set("sv_params", sv_params_to_json(ensemble.params));
-  return out;
+  return write_object([&](auto& w) {
+    w("format", std::string(kSidecarFormat));
+    w("version", kCirFormatVersion);
+    fields(w, ensemble);
+  });
 }
 
-channel::SvParams sv_params_from_json(const JsonValue& v) {
-  channel::SvParams p;
-  for (const auto& [key, val] : v.members()) {
-    if (key == "name") p.name = val.as_string();
-    else if (key == "cluster_rate_per_s") p.cluster_rate_per_s = val.as_double();
-    else if (key == "ray_rate_per_s") p.ray_rate_per_s = val.as_double();
-    else if (key == "cluster_decay_s") p.cluster_decay_s = val.as_double();
-    else if (key == "ray_decay_s") p.ray_decay_s = val.as_double();
-    else if (key == "cluster_fading_db") p.cluster_fading_db = val.as_double();
-    else if (key == "ray_fading_db") p.ray_fading_db = val.as_double();
-    else if (key == "shadowing_db") p.shadowing_db = val.as_double();
-    else if (key == "max_excess_delay_s") p.max_excess_delay_s = val.as_double();
-    else if (key == "complex_phases") p.complex_phases = val.as_bool();
-    else throw InvalidArgument("cir store: sv_params: unknown key '" + key + "'");
-  }
-  return p;
+engine::ChannelEnsemble ensemble_sidecar_from_json(const JsonValue& v) {
+  engine::ChannelEnsemble ensemble;
+  read_object(v, kSidecar, nullptr, [&](auto& r) {
+    std::string format;
+    int version = 0;
+    r("format", format);
+    detail::require(format == kSidecarFormat, "cir store: not an ensemble sidecar");
+    r("version", version);
+    detail::require(version == kCirFormatVersion,
+                    "cir store: unsupported sidecar format version " + std::to_string(version));
+    fields(r, ensemble);
+  });
+  return ensemble;
 }
 
 }  // namespace uwb::io

@@ -58,9 +58,11 @@ std::string save_ensemble(const engine::ChannelEnsemble& ensemble, const std::st
                                                     const channel::SvParams& params,
                                                     const engine::ChannelKey& key);
 
-/// Sidecar (de)serialization, exposed for tests and tooling. The reader is
-/// strict: unknown keys throw, as everywhere in src/io.
+/// Sidecar (de)serialization, exposed for tests and tooling: the format
+/// marker and version, then the ensemble's key and SvParams (the writer
+/// ignores the realizations, and the reader returns none). The reader is
+/// strict: an unknown or missing key throws InvalidArgument.
 [[nodiscard]] JsonValue ensemble_sidecar_json(const engine::ChannelEnsemble& ensemble);
-[[nodiscard]] channel::SvParams sv_params_from_json(const JsonValue& v);
+[[nodiscard]] engine::ChannelEnsemble ensemble_sidecar_from_json(const JsonValue& v);
 
 }  // namespace uwb::io

@@ -4,7 +4,9 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "io/fields.h"
 #include "io/json.h"
+#include "io/spec_io.h"
 
 namespace uwb::io {
 
@@ -68,16 +70,8 @@ ResultDoc parse_result_json(const std::string& text) {
   ResultDoc doc;
   doc.scenario = root.at("scenario").as_string();
   doc.seed = root.at("seed").as_uint64();
-  const JsonValue& stop = root.at("stop");
-  doc.stop.min_errors = static_cast<std::size_t>(stop.at("min_errors").as_uint64());
-  doc.stop.max_bits = static_cast<std::size_t>(stop.at("max_bits").as_uint64());
-  doc.stop.max_trials = static_cast<std::size_t>(stop.at("max_trials").as_uint64());
-  if (const JsonValue* metric = stop.find("metric")) {
-    doc.stop.metric = metric->as_string();
-  }
-  if (const JsonValue* width = stop.find("target_rel_ci_width")) {
-    doc.stop.target_rel_ci_width = width->as_double();
-  }
+  constexpr Document kResult{"result", Missing::kThrow};
+  doc.stop = read_struct(root.at("stop"), kResult, "stop", sim::BerStop{});
   for (const JsonValue& p : root.at("points").items()) {
     ResultPoint point;
     point.index = p.at("index").as_uint64();
@@ -95,6 +89,12 @@ ResultDoc parse_result_json(const std::string& text) {
     if (const JsonValue* method = p.find("ci_method")) point.ci_method = method->as_string();
     if (const JsonValue* weighted = p.find("weighted")) point.weighted = weighted->as_bool();
     if (const JsonValue* ess = p.find("ess")) point.ess = ess->number_text();
+    // The writer emits ci_lo with ci_hi and ess with weighted: a document
+    // holding one without the other would be written back malformed.
+    detail::require(point.ci_lo.empty() == point.ci_hi.empty(),
+                    "result: point " + std::to_string(point.index) + ": ci_lo without ci_hi");
+    detail::require(!point.weighted || !point.ess.empty(),
+                    "result: point " + std::to_string(point.index) + ": weighted without ess");
     if (const JsonValue* metrics = p.find("metrics")) {
       for (const auto& [name, stats] : metrics->members()) {
         ResultMetric metric;

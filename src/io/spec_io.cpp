@@ -1,10 +1,5 @@
 #include "io/spec_io.h"
 
-#include <concepts>
-#include <optional>
-#include <type_traits>
-#include <vector>
-
 #include "common/error.h"
 #include "io/file.h"
 
@@ -13,13 +8,6 @@ namespace uwb::io {
 namespace {
 
 // ------------------------------------------------------------- enum names ----
-
-/// One row of an enum's spec vocabulary.
-template <typename E>
-struct Named {
-  E value;
-  const char* name;
-};
 
 constexpr Named<txrx::Generation> kGenerations[] = {{txrx::Generation::kGen1, "gen1"},
                                                     {txrx::Generation::kGen2, "gen2"}};
@@ -47,36 +35,34 @@ constexpr Named<stats::SamplingMode> kSamplingModes[] = {
     {stats::SamplingMode::kNoiseScale, "noise_scale"},
     {stats::SamplingMode::kAutoLadder, "auto_ladder"}};
 
-template <typename E, std::size_t N>
-const char* name_of(const Named<E> (&names)[N], E value) {
-  for (const Named<E>& row : names) {
-    if (row.value == value) return row.name;
-  }
-  return "?";
+constexpr Document kSpec{"spec", Missing::kKeepDefault};
+
+[[noreturn]] void unknown_key(const char* what, const std::string& key) {
+  throw InvalidArgument(std::string("spec: ") + what + ": unknown key '" + key + "'");
 }
 
-template <typename E, std::size_t N>
-E value_of(const Named<E> (&names)[N], const std::string& name, const char* what) {
-  std::string expected;
-  for (const Named<E>& row : names) {
-    if (name == row.name) return row.value;
-    expected += (expected.empty() ? "" : " | ") + std::string(row.name);
-  }
-  throw InvalidArgument(std::string("spec: unknown ") + what + " '" + name + "' (expected " +
-                        expected + ")");
+// ----------------------------------------------------------------- bounds ----
+// Checked once a document's struct is read, so no spec can load past them.
+
+void check(const txrx::TrialOptions& options) {
+  detail::require(options.channel_source.ensemble_count <=
+                      txrx::ChannelSource::kMaxEnsembleCount,
+                  "spec: channel_source: ensemble_count " +
+                      std::to_string(options.channel_source.ensemble_count) +
+                      " exceeds the maximum " +
+                      std::to_string(txrx::ChannelSource::kMaxEnsembleCount));
+  detail::require(options.payload_bits <= txrx::TrialOptions::kMaxPayloadBits,
+                  "spec: options: payload_bits " + std::to_string(options.payload_bits) +
+                      " exceeds the maximum " +
+                      std::to_string(txrx::TrialOptions::kMaxPayloadBits));
+  stats::validate(options.sampling);
 }
+
+}  // namespace
 
 // ------------------------------------------------------------ field lists ----
-//
-// Each config struct names its fields once, in document order. A visitor
-// `v` is called as v(key, member) -- or v(key, member, names) for an enum --
-// and v.field_if(written, key, member) for a key the writer emits only when
-// `written` holds (the reader accepts it whenever it is present).
-
-/// `Of<T> auto& s` binds a T or a const T: the writer walks a const struct,
-/// the reader a mutable one, through the same list.
-template <typename S, typename T>
-concept Of = std::same_as<std::remove_const_t<S>, T>;
+// Each config struct names its fields once, in document order (see
+// io/fields.h).
 
 template <typename V>
 void fields(V& v, Of<txrx::ChannelSource> auto& s) {
@@ -259,164 +245,6 @@ void fields(V& v, Of<txrx::Gen2Config> auto& s) {
   v("use_mlse", s.use_mlse);
 }
 
-template <typename V>
-void fields(V& v, Of<sim::BerStop> auto& s) {
-  v("min_errors", s.min_errors);
-  v("max_bits", s.max_bits);
-  v("max_trials", s.max_trials);
-  v.field_if(!s.metric.empty(), "metric", s.metric);
-  v.field_if(s.target_rel_ci_width > 0.0, "target_rel_ci_width", s.target_rel_ci_width);
-}
-
-// ----------------------------------------------------------------- bounds ----
-// Checked once a struct is read, so no document can load past them.
-
-template <typename S>
-void check(const S&) {}
-
-void check(const txrx::ChannelSource& source) {
-  detail::require(source.ensemble_count <= txrx::ChannelSource::kMaxEnsembleCount,
-                  "spec: channel_source: ensemble_count " +
-                      std::to_string(source.ensemble_count) + " exceeds the maximum " +
-                      std::to_string(txrx::ChannelSource::kMaxEnsembleCount));
-}
-
-void check(const txrx::TrialOptions& options) {
-  detail::require(options.payload_bits <= txrx::TrialOptions::kMaxPayloadBits,
-                  "spec: options: payload_bits " + std::to_string(options.payload_bits) +
-                      " exceeds the maximum " +
-                      std::to_string(txrx::TrialOptions::kMaxPayloadBits));
-}
-
-void check(const stats::SamplingPolicy& policy) { stats::validate(policy); }
-
-void check(const sim::BerStop& stop) { sim::validate_budgets(stop); }
-
-// ----------------------------------------------------------------- writer ----
-
-template <typename S>
-JsonValue write_struct(const S& s);
-
-template <typename T>
-JsonValue write_value(const T& value) {
-  if constexpr (std::is_same_v<T, bool>) return JsonValue::boolean(value);
-  else if constexpr (std::is_same_v<T, int>) return JsonValue::number(value);
-  else if constexpr (std::is_unsigned_v<T>) return JsonValue::number(std::uint64_t{value});
-  else if constexpr (std::is_same_v<T, double>) return JsonValue::number(value);
-  else if constexpr (std::is_same_v<T, std::string>) return JsonValue::string(value);
-  else return write_struct(value);
-}
-
-template <typename T>
-JsonValue write_value(const std::optional<T>& value) {
-  return value.has_value() ? write_value(*value) : JsonValue::null();
-}
-
-template <typename T>
-JsonValue write_value(const std::vector<T>& values) {
-  JsonValue out = JsonValue::array();
-  for (const T& value : values) out.push_back(write_value(value));
-  return out;
-}
-
-/// Builds a struct's object in field-list order.
-struct Writer {
-  JsonValue out = JsonValue::object();
-
-  template <typename T>
-  void operator()(const char* key, const T& value) {
-    out.set(key, write_value(value));
-  }
-  template <typename E, std::size_t N>
-  void operator()(const char* key, E value, const Named<E> (&names)[N]) {
-    out.set(key, JsonValue::string(name_of(names, value)));
-  }
-  template <typename T>
-  void field_if(bool written, const char* key, const T& value) {
-    if (written) (*this)(key, value);
-  }
-};
-
-template <typename S>
-JsonValue write_struct(const S& s) {
-  Writer writer;
-  fields(writer, s);
-  return std::move(writer.out);
-}
-
-// ----------------------------------------------------------------- reader ----
-
-/// Reads \p v's members into \p s, which supplies the value of every key the
-/// document omits; a nested struct starts from its type's defaults.
-/// \p what names the struct in the unknown-key error.
-template <typename S>
-S read_struct(const JsonValue& v, const char* what, S s);
-
-template <typename T>
-void read_value(const JsonValue& v, const char* key, T& out) {
-  if constexpr (std::is_same_v<T, bool>) out = v.as_bool();
-  else if constexpr (std::is_same_v<T, int>) out = v.as_int();
-  else if constexpr (std::is_unsigned_v<T>) out = static_cast<T>(v.as_uint64());
-  else if constexpr (std::is_same_v<T, double>) out = v.as_double();
-  else if constexpr (std::is_same_v<T, std::string>) out = v.as_string();
-  else out = read_struct(v, key, T{});
-}
-
-template <typename T>
-void read_value(const JsonValue& v, const char* key, std::optional<T>& out) {
-  if (v.is_null()) out.reset();
-  else out = read_struct(v, key, T{});
-}
-
-template <typename T>
-void read_value(const JsonValue& v, const char* key, std::vector<T>& out) {
-  out.clear();
-  for (const JsonValue& item : v.items()) read_value(item, key, out.emplace_back());
-}
-
-/// Assigns one document member to the field its key names.
-struct Reader {
-  const std::string& key;
-  const JsonValue& value;
-  bool claimed = false;
-
-  template <typename T>
-  void operator()(const char* name, T& member) {
-    if (claim(name)) read_value(value, name, member);
-  }
-  template <typename E, std::size_t N>
-  void operator()(const char* name, E& member, const Named<E> (&names)[N]) {
-    if (claim(name)) member = value_of(names, value.as_string(), name);
-  }
-  template <typename T>
-  void field_if(bool, const char* name, T& member) {
-    (*this)(name, member);
-  }
-
- private:
-  bool claim(const char* name) {
-    if (claimed || key != name) return false;
-    return claimed = true;
-  }
-};
-
-[[noreturn]] void unknown_key(const char* what, const std::string& key) {
-  throw InvalidArgument(std::string("spec: ") + what + ": unknown key '" + key + "'");
-}
-
-template <typename S>
-S read_struct(const JsonValue& v, const char* what, S s) {
-  for (const auto& [key, value] : v.members()) {
-    Reader reader{key, value};
-    fields(reader, s);
-    if (!reader.claimed) unknown_key(what, key);
-  }
-  check(s);
-  return s;
-}
-
-}  // namespace
-
 // --------------------------------------------------------- config structs ----
 
 JsonValue to_json(const txrx::TrialOptions& options) { return write_struct(options); }
@@ -425,19 +253,23 @@ JsonValue to_json(const txrx::Gen2Config& config) { return write_struct(config);
 JsonValue to_json(const sim::BerStop& stop) { return write_struct(stop); }
 
 txrx::TrialOptions trial_options_from_json(const JsonValue& v, txrx::TrialOptions base) {
-  return read_struct(v, "options", std::move(base));
+  txrx::TrialOptions options = read_struct(v, kSpec, "options", std::move(base));
+  check(options);
+  return options;
 }
 
 txrx::Gen1Config gen1_config_from_json(const JsonValue& v) {
-  return read_struct(v, "gen1 config", txrx::Gen1Config{});
+  return read_struct(v, kSpec, "gen1 config", txrx::Gen1Config{});
 }
 
 txrx::Gen2Config gen2_config_from_json(const JsonValue& v) {
-  return read_struct(v, "gen2 config", txrx::Gen2Config{});
+  return read_struct(v, kSpec, "gen2 config", txrx::Gen2Config{});
 }
 
 sim::BerStop ber_stop_from_json(const JsonValue& v) {
-  return read_struct(v, "stop", sim::BerStop{});
+  sim::BerStop stop = read_struct(v, kSpec, "stop", sim::BerStop{});
+  sim::validate_budgets(stop);
+  return stop;
 }
 
 // --------------------------------------------------------------- LinkSpec ----
@@ -453,7 +285,7 @@ JsonValue to_json(const txrx::LinkSpec& spec) {
 
 txrx::LinkSpec link_spec_from_json(const JsonValue& v) {
   const txrx::Generation gen =
-      value_of(kGenerations, v.at("generation").as_string(), "generation");
+      value_of(kGenerations, v.at("generation").as_string(), "spec", "generation");
   txrx::LinkSpec spec;
   if (gen == txrx::Generation::kGen1) {
     spec.config = txrx::Gen1Config{};

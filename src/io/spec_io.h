@@ -8,19 +8,33 @@
 /// round-trip form), so a spec written to a file and loaded back drives a
 /// byte-identical sweep under the same seed -- the contract behind
 /// `uwb_sweep --dump-scenario` / `uwb_sweep --file`. Each config struct
-/// names its keys once, in one field list that drives both the writer (keys
-/// in list order) and the reader. Readers are strict: an unknown key throws
-/// InvalidArgument (typos fail loudly), a missing key keeps the field's C++
-/// default (hand-written files stay terse).
+/// names its keys once, in one io/fields.h list that drives both the writer
+/// (keys in list order) and the reader. Readers are strict: an unknown key
+/// throws InvalidArgument (typos fail loudly), a missing key keeps the
+/// field's C++ default (hand-written files stay terse).
 
 #include <string>
 
 #include "engine/scenario_registry.h"
+#include "io/fields.h"
 #include "io/json.h"
 #include "sim/ber_simulator.h"
 #include "txrx/link.h"
 
 namespace uwb::io {
+
+/// The stopping rule's fields, shared by every document that records one
+/// (specs, results, run manifests, farm specs). `metric` and the CI-width
+/// target are written only when set, so BER-only documents keep their
+/// historical bytes.
+template <typename V>
+void fields(V& v, Of<sim::BerStop> auto& s) {
+  v("min_errors", s.min_errors);
+  v("max_bits", s.max_bits);
+  v("max_trials", s.max_trials);
+  v.field_if(!s.metric.empty(), "metric", s.metric);
+  v.field_if(s.target_rel_ci_width > 0.0, "target_rel_ci_width", s.target_rel_ci_width);
+}
 
 // --------------------------------------------------------------- to JSON ----
 

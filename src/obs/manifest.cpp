@@ -1,7 +1,9 @@
 #include "obs/manifest.h"
 
 #include "common/error.h"
+#include "io/fields.h"
 #include "io/file.h"
+#include "io/spec_io.h"
 
 namespace uwb::obs {
 
@@ -20,170 +22,110 @@ BuildInfo current_build_info() {
   return info;
 }
 
-io::JsonValue manifest_to_json(const RunManifest& m) {
-  io::JsonValue doc = io::JsonValue::object();
-  doc.set("scenario", io::JsonValue::string(m.scenario));
-  doc.set("seed", io::JsonValue::number(m.seed));
-  doc.set("workers", io::JsonValue::number(static_cast<std::uint64_t>(m.workers)));
+}  // namespace uwb::obs
 
-  io::JsonValue shard = io::JsonValue::object();
-  shard.set("index", io::JsonValue::number(static_cast<std::uint64_t>(m.shard_index)));
-  shard.set("count", io::JsonValue::number(static_cast<std::uint64_t>(m.shard_count)));
-  doc.set("shard", std::move(shard));
+// ------------------------------------------------------------ field lists ----
 
-  io::JsonValue stop = io::JsonValue::object();
-  stop.set("min_errors", io::JsonValue::number(static_cast<std::uint64_t>(m.stop.min_errors)));
-  stop.set("max_bits", io::JsonValue::number(static_cast<std::uint64_t>(m.stop.max_bits)));
-  stop.set("max_trials", io::JsonValue::number(static_cast<std::uint64_t>(m.stop.max_trials)));
-  stop.set("metric", io::JsonValue::string(m.stop.metric));
-  doc.set("stop", std::move(stop));
+namespace uwb::io {
 
-  doc.set("result", io::JsonValue::string(m.result_path));
-  doc.set("trace", io::JsonValue::string(m.trace_path));
-  doc.set("interrupted", io::JsonValue::boolean(m.interrupted));
-  doc.set("wall_s", io::JsonValue::number(m.counters.wall_s));
-  doc.set("peak_rss_mb", io::JsonValue::number(m.counters.peak_rss_mb));
-
-  io::JsonValue build = io::JsonValue::object();
-  build.set("compiler", io::JsonValue::string(m.build.compiler));
-  build.set("build_type", io::JsonValue::string(m.build.build_type));
-  doc.set("build", std::move(build));
-
-  io::JsonValue counters = io::JsonValue::object();
-  {
-    io::JsonValue cache = io::JsonValue::object();
-    cache.set("hits", io::JsonValue::number(m.counters.cache_hits));
-    cache.set("disk_loads", io::JsonValue::number(m.counters.cache_disk_loads));
-    cache.set("generated", io::JsonValue::number(m.counters.cache_generated));
-    cache.set("sv_draws", io::JsonValue::number(m.counters.cache_sv_draws));
-    counters.set("channel_cache", std::move(cache));
-  }
-  {
-    io::JsonValue fft = io::JsonValue::object();
-    fft.set("hits", io::JsonValue::number(m.counters.fft_plan_hits));
-    fft.set("misses", io::JsonValue::number(m.counters.fft_plan_misses));
-    counters.set("fft_plan_cache", std::move(fft));
-  }
-  {
-    io::JsonValue trials = io::JsonValue::object();
-    trials.set("executed", io::JsonValue::number(m.counters.trials_executed));
-    trials.set("committed", io::JsonValue::number(m.counters.trials_committed));
-    counters.set("trials", std::move(trials));
-  }
-  {
-    io::JsonValue pool = io::JsonValue::object();
-    pool.set("workers", io::JsonValue::number(static_cast<std::uint64_t>(m.counters.pool.size())));
-    pool.set("tasks_executed", io::JsonValue::number(m.counters.pool_executed()));
-    pool.set("tasks_stolen", io::JsonValue::number(m.counters.pool_stolen()));
-    pool.set("idle_us_total", io::JsonValue::number(m.counters.pool_idle_us()));
-    io::JsonValue per_worker = io::JsonValue::array();
-    for (const PoolWorkerStats& w : m.counters.pool) {
-      io::JsonValue entry = io::JsonValue::object();
-      entry.set("executed", io::JsonValue::number(w.executed));
-      entry.set("stolen", io::JsonValue::number(w.stolen));
-      entry.set("idle_us", io::JsonValue::number(w.idle_us));
-      per_worker.push_back(std::move(entry));
-    }
-    pool.set("per_worker", std::move(per_worker));
-    counters.set("pool", std::move(pool));
-  }
-  doc.set("counters", std::move(counters));
-
-  if (!m.stages.empty()) doc.set("stages", stage_table_to_json(m.stages));
-
-  io::JsonValue points = io::JsonValue::array();
-  for (const PointTiming& point : m.points) {
-    io::JsonValue entry = io::JsonValue::object();
-    entry.set("index", io::JsonValue::number(point.index));
-    entry.set("label", io::JsonValue::string(point.label));
-    entry.set("elapsed_s", io::JsonValue::number(point.elapsed_s));
-    entry.set("trials", io::JsonValue::number(point.trials));
-    entry.set("bits", io::JsonValue::number(point.bits));
-    entry.set("errors", io::JsonValue::number(point.errors));
-    if (!point.stages.empty()) entry.set("stages", stage_table_to_json(point.stages));
-    points.push_back(std::move(entry));
-  }
-  doc.set("points", std::move(points));
-  return doc;
+template <typename V>
+void fields(V& v, Of<obs::BuildInfo> auto& b) {
+  v("compiler", b.compiler);
+  v("build_type", b.build_type);
 }
 
-RunManifest manifest_from_json(const io::JsonValue& doc) {
-  RunManifest m;
-  m.scenario = doc.at("scenario").as_string();
-  m.seed = doc.at("seed").as_uint64();
-  m.workers = static_cast<std::size_t>(doc.at("workers").as_uint64());
+template <typename V>
+void fields(V& v, Of<obs::PoolWorkerStats> auto& w) {
+  v("executed", w.executed);
+  v("stolen", w.stolen);
+  v("idle_us", w.idle_us);
+}
 
-  const io::JsonValue& shard = doc.at("shard");
-  m.shard_index = static_cast<std::size_t>(shard.at("index").as_uint64());
-  m.shard_count = static_cast<std::size_t>(shard.at("count").as_uint64());
+constexpr Via<obs::StageTable> kStageRows{obs::stage_table_to_json, obs::stage_table_from_json};
 
-  const io::JsonValue& stop = doc.at("stop");
-  m.stop.min_errors = static_cast<std::size_t>(stop.at("min_errors").as_uint64());
-  m.stop.max_bits = static_cast<std::size_t>(stop.at("max_bits").as_uint64());
-  m.stop.max_trials = static_cast<std::size_t>(stop.at("max_trials").as_uint64());
-  m.stop.metric = stop.at("metric").as_string();
+template <typename V>
+void fields(V& v, Of<obs::PointTiming> auto& p) {
+  v("index", p.index);
+  v("label", p.label);
+  v("elapsed_s", p.elapsed_s);
+  v("trials", p.trials);
+  v("bits", p.bits);
+  v("errors", p.errors);
+  v.field_if(!p.stages.empty(), "stages", p.stages, kStageRows);
+}
 
-  m.result_path = doc.at("result").as_string();
-  m.trace_path = doc.at("trace").as_string();
-  // Optional for manifests written before interruption existed.
-  if (const io::JsonValue* interrupted = doc.find("interrupted")) {
-    m.interrupted = interrupted->as_bool();
-  }
-  m.counters.wall_s = doc.at("wall_s").as_double();
-  // Optional for manifests written before the engine read peak RSS.
-  if (const io::JsonValue* rss = doc.find("peak_rss_mb")) {
-    m.counters.peak_rss_mb = rss->as_double();
-  }
+/// The manifest's `counters` object; wall_s and peak_rss_mb sit at the
+/// manifest's top level.
+template <typename V>
+void fields(V& v, Of<obs::RunCounters> auto& c) {
+  v("channel_cache", group([&](auto& g) {
+      g("hits", c.cache_hits);
+      g("disk_loads", c.cache_disk_loads);
+      g("generated", c.cache_generated);
+      g("sv_draws", c.cache_sv_draws);
+    }));
+  v("fft_plan_cache", group([&](auto& g) {
+      g("hits", c.fft_plan_hits);
+      g("misses", c.fft_plan_misses);
+    }));
+  // Absent from manifests written before the engine counted trials.
+  v.optional("trials", group([&](auto& g) {
+      g("executed", c.trials_executed);
+      g("committed", c.trials_committed);
+    }));
+  v("pool", group([&](auto& g) {
+      // Totals derived from per_worker, for readers of the file: written
+      // from it, and on read checked against it once it is read.
+      std::uint64_t workers = c.pool.size();
+      std::uint64_t executed = c.pool_executed();
+      std::uint64_t stolen = c.pool_stolen();
+      std::uint64_t idle_us = c.pool_idle_us();
+      g("workers", workers);
+      g("tasks_executed", executed);
+      g("tasks_stolen", stolen);
+      g("idle_us_total", idle_us);
+      g("per_worker", c.pool);
+      detail::require(workers == c.pool.size() && executed == c.pool_executed() &&
+                          stolen == c.pool_stolen() && idle_us == c.pool_idle_us(),
+                      "run manifest: pool totals disagree with per_worker");
+    }));
+}
 
-  const io::JsonValue& build = doc.at("build");
-  m.build.compiler = build.at("compiler").as_string();
-  m.build.build_type = build.at("build_type").as_string();
+template <typename V>
+void fields(V& v, Of<obs::RunManifest> auto& m) {
+  v("scenario", m.scenario);
+  v("seed", m.seed);
+  v("workers", m.workers);
+  v("shard", group([&](auto& g) {
+      g("index", m.shard_index);
+      g("count", m.shard_count);
+    }));
+  v("stop", m.stop);
+  v("result", m.result_path);
+  v("trace", m.trace_path);
+  // Optional: absent from manifests written before these fields existed.
+  v.optional("interrupted", m.interrupted);
+  v("wall_s", m.counters.wall_s);
+  v.optional("peak_rss_mb", m.counters.peak_rss_mb);
+  v("build", m.build);
+  // A group, not a nested struct: a nested struct would be read from
+  // defaults, dropping the wall_s and peak_rss_mb read above.
+  v("counters", group([&](auto& g) { fields(g, m.counters); }));
+  v.field_if(!m.stages.empty(), "stages", m.stages, kStageRows);
+  v("points", m.points);
+}
 
-  const io::JsonValue& counters = doc.at("counters");
-  const io::JsonValue& cache = counters.at("channel_cache");
-  m.counters.cache_hits = cache.at("hits").as_uint64();
-  m.counters.cache_disk_loads = cache.at("disk_loads").as_uint64();
-  m.counters.cache_generated = cache.at("generated").as_uint64();
-  m.counters.cache_sv_draws = cache.at("sv_draws").as_uint64();
-  const io::JsonValue& fft = counters.at("fft_plan_cache");
-  m.counters.fft_plan_hits = fft.at("hits").as_uint64();
-  m.counters.fft_plan_misses = fft.at("misses").as_uint64();
-  // Optional for manifests written before the engine counted trials.
-  if (const io::JsonValue* trials = counters.find("trials")) {
-    m.counters.trials_executed = trials->at("executed").as_uint64();
-    m.counters.trials_committed = trials->at("committed").as_uint64();
-  }
-  const io::JsonValue& pool = counters.at("pool");
-  for (const io::JsonValue& entry : pool.at("per_worker").items()) {
-    PoolWorkerStats w;
-    w.executed = entry.at("executed").as_uint64();
-    w.stolen = entry.at("stolen").as_uint64();
-    w.idle_us = entry.at("idle_us").as_uint64();
-    m.counters.pool.push_back(w);
-  }
-  detail::require(pool.at("workers").as_uint64() == m.counters.pool.size(),
-                  "run manifest: pool.workers disagrees with per_worker length");
+}  // namespace uwb::io
 
-  // Optional for manifests written before stage profiling existed (and for
-  // unprofiled runs, which omit the key).
-  if (const io::JsonValue* stages = doc.find("stages")) {
-    m.stages = stage_table_from_json(*stages);
-  }
+namespace uwb::obs {
 
-  for (const io::JsonValue& entry : doc.at("points").items()) {
-    PointTiming point;
-    point.index = entry.at("index").as_uint64();
-    point.label = entry.at("label").as_string();
-    point.elapsed_s = entry.at("elapsed_s").as_double();
-    point.trials = entry.at("trials").as_uint64();
-    point.bits = entry.at("bits").as_uint64();
-    point.errors = entry.at("errors").as_uint64();
-    if (const io::JsonValue* stages = entry.find("stages")) {
-      point.stages = stage_table_from_json(*stages);
-    }
-    m.points.push_back(std::move(point));
-  }
-  return m;
+io::JsonValue manifest_to_json(const RunManifest& manifest) {
+  return io::write_struct(manifest);
+}
+
+RunManifest manifest_from_json(const io::JsonValue& value) {
+  constexpr io::Document kManifest{"run manifest", io::Missing::kThrow};
+  return io::read_struct(value, kManifest, nullptr, RunManifest{});
 }
 
 void write_run_manifest(const RunManifest& manifest, const std::string& path) {

@@ -69,11 +69,17 @@ struct RunManifest {
   /// the document and parse back as empty, so old manifests stay readable.
   StageTable stages;
   std::vector<PointTiming> points;
+
+  [[nodiscard]] bool operator==(const RunManifest&) const = default;
 };
 
-/// Serialization through io::json; from_json is strict (missing or
-/// mistyped members throw InvalidArgument), so a manifest round-trips
-/// exactly: to_json(from_json(x)) reproduces x member for member.
+/// Serialization through one io/fields.h list (manifest.cpp). The stop
+/// rule is written as in specs and results: `metric` and
+/// `target_rel_ci_width` only when set. from_json is strict: an unknown,
+/// mistyped or missing key throws InvalidArgument, except the keys older
+/// manifests lack (`interrupted`, `peak_rss_mb`, `counters.trials`,
+/// `stages`), and the pool totals must agree with `per_worker`. So
+/// from_json(to_json(x)) == x.
 [[nodiscard]] io::JsonValue manifest_to_json(const RunManifest& manifest);
 [[nodiscard]] RunManifest manifest_from_json(const io::JsonValue& value);
 

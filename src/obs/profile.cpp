@@ -3,16 +3,28 @@
 #include <atomic>
 
 #include "common/error.h"
+#include "io/fields.h"
 
 namespace uwb::obs {
 
 namespace {
 
-constexpr const char* kStageNames[kStageCount] = {
-    "tx_modulate",    "channel_convolve", "channel_noise", "rx_frontend",
-    "adc_quantize",   "sync_acquire",     "correlate_rake", "demod_decide",
-    "fft_exec",
+constexpr io::Named<Stage> kStageNames[kStageCount] = {
+    {Stage::kTxModulate, "tx_modulate"},       {Stage::kChannelConvolve, "channel_convolve"},
+    {Stage::kChannelNoise, "channel_noise"},   {Stage::kRxFrontend, "rx_frontend"},
+    {Stage::kAdcQuantize, "adc_quantize"},     {Stage::kSyncAcquire, "sync_acquire"},
+    {Stage::kCorrelateRake, "correlate_rake"}, {Stage::kDemodDecide, "demod_decide"},
+    {Stage::kFftExec, "fft_exec"},
 };
+
+constexpr io::Document kStageTable{"stage table", io::Missing::kThrow};
+
+/// One document row: the stage's name, then its statistics.
+template <typename V>
+void row_fields(V& v, Stage& stage, io::Of<StageStats> auto& s) {
+  v("stage", stage, kStageNames);
+  fields(v, s);
+}
 
 std::atomic<std::uint64_t> g_next_profiler_id{1};
 
@@ -27,30 +39,33 @@ thread_local ThreadCache t_cache;
 
 }  // namespace
 
-const char* stage_name(Stage stage) {
-  return kStageNames[static_cast<std::size_t>(stage)];
+}  // namespace uwb::obs
+
+namespace uwb::io {
+
+template <typename V>
+void fields(V& v, Of<obs::StageStats> auto& s) {
+  v("calls", s.calls);
+  v("total_ns", s.total_ns);
+  v("min_ns", s.min_ns);
+  v("max_ns", s.max_ns);
+  v("samples", s.samples);
 }
 
-Stage stage_from_name(const std::string& name) {
-  for (std::size_t i = 0; i < kStageCount; ++i) {
-    if (name == kStageNames[i]) return static_cast<Stage>(i);
-  }
-  throw InvalidArgument("unknown profiler stage name: " + name);
+}  // namespace uwb::io
+
+namespace uwb::obs {
+
+const char* stage_name(Stage stage) {
+  return kStageNames[static_cast<std::size_t>(stage)].name;
 }
 
 io::JsonValue stage_table_to_json(const StageTable& table) {
   io::JsonValue rows = io::JsonValue::array();
   for (std::size_t i = 0; i < kStageCount; ++i) {
-    const StageStats& s = table.stages[i];
-    if (s.calls == 0) continue;
-    io::JsonValue row = io::JsonValue::object();
-    row.set("stage", io::JsonValue::string(kStageNames[i]));
-    row.set("calls", io::JsonValue::number(s.calls));
-    row.set("total_ns", io::JsonValue::number(s.total_ns));
-    row.set("min_ns", io::JsonValue::number(s.min_ns));
-    row.set("max_ns", io::JsonValue::number(s.max_ns));
-    row.set("samples", io::JsonValue::number(s.samples));
-    rows.push_back(std::move(row));
+    if (table.stages[i].calls == 0) continue;
+    Stage stage = static_cast<Stage>(i);
+    rows.push_back(io::write_object([&](auto& w) { row_fields(w, stage, table.stages[i]); }));
   }
   return rows;
 }
@@ -58,13 +73,10 @@ io::JsonValue stage_table_to_json(const StageTable& table) {
 StageTable stage_table_from_json(const io::JsonValue& value) {
   StageTable table;
   for (const io::JsonValue& row : value.items()) {
-    const Stage stage = stage_from_name(row.at("stage").as_string());
-    StageStats& s = table[stage];
-    s.calls = row.at("calls").as_uint64();
-    s.total_ns = row.at("total_ns").as_uint64();
-    s.min_ns = row.at("min_ns").as_uint64();
-    s.max_ns = row.at("max_ns").as_uint64();
-    s.samples = row.at("samples").as_uint64();
+    Stage stage{};
+    StageStats stats;
+    io::read_object(row, kStageTable, "row", [&](auto& r) { row_fields(r, stage, stats); });
+    table[stage] = stats;
   }
   return table;
 }
@@ -81,7 +93,7 @@ void print_stage_table(const StageTable& table, std::FILE* out) {
             ? static_cast<double>(s.samples) / (static_cast<double>(s.total_ns) / 1e9) / 1e6
             : 0.0;
     std::fprintf(out, "%-18s %10llu %12.3f %11.2f %11.2f %11.2f %12.2f\n",
-                 kStageNames[i], static_cast<unsigned long long>(s.calls),
+                 kStageNames[i].name, static_cast<unsigned long long>(s.calls),
                  total_ms, s.mean_ns() / 1e3,
                  static_cast<double>(s.min_ns) / 1e3,
                  static_cast<double>(s.max_ns) / 1e3, rate);

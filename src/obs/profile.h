@@ -69,9 +69,6 @@ inline constexpr std::size_t kStageCount = static_cast<std::size_t>(Stage::kCoun
 /// rows.
 [[nodiscard]] const char* stage_name(Stage stage);
 
-/// Parses a stage_name back. \throws InvalidArgument on unknown names.
-[[nodiscard]] Stage stage_from_name(const std::string& name);
-
 /// One stage's accumulated scope statistics.
 struct StageStats {
   std::uint64_t calls = 0;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cinttypes>
 
+#include "io/json.h"
+
 namespace uwb::obs {
 
 namespace {
@@ -14,29 +16,6 @@ std::string humanize(double v) {
   else if (v >= 1e3) std::snprintf(buf, sizeof buf, "%.1fk", v / 1e3);
   else std::snprintf(buf, sizeof buf, "%.0f", v);
   return buf;
-}
-
-/// Minimal JSON string escaping for point labels in heartbeat lines.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -156,7 +135,7 @@ void ProgressMeter::print_line(bool final_line) {
                  "{\"progress\":\"tick\",\"points_done\":%zu,\"points_total\":%zu,"
                  "\"point\":\"%s\",\"trials\":%" PRIu64 ",\"trials_per_s\":%.1f,"
                  "\"errors\":%" PRIu64 ",\"elapsed_s\":%.3f,\"eta_s\":%s}\n",
-                 done, total, json_escape(label).c_str(), trials, rate, errors, elapsed,
+                 done, total, io::json_escape(label).c_str(), trials, rate, errors, elapsed,
                  eta_json);
     std::fflush(out_);
     return;

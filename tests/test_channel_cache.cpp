@@ -15,9 +15,11 @@
 #include "engine/scenario_registry.h"
 #include "engine/sinks.h"
 #include "engine/sweep_engine.h"
+#include "farm/farm_state.h"
 #include "io/cir_io.h"
 #include "sim/scenario.h"
 #include "txrx/link.h"
+#include "document_checks.h"
 
 namespace uwb::engine {
 namespace {
@@ -161,6 +163,33 @@ TEST(CirStore, RoundTripsBitExactAndRewritesIdentically) {
   (void)io::save_ensemble(ensemble, dir);
   EXPECT_EQ(slurp(stem + ".cir"), cir_bytes);
   EXPECT_EQ(slurp(stem + ".json"), sidecar_bytes);
+}
+
+TEST(CirStore, SidecarBytesArePinned) {
+  // The sidecar depends only on the key and the S-V parameters, so this
+  // pin holds while the realizations' physics moves. Pinned from the
+  // hand-written serializer, before the field lists.
+  const ChannelEnsemble ensemble = make_ensemble(channel::cm1(), 0xBAD, 3);
+  const std::string bytes = io::dump_json_pretty(io::ensemble_sidecar_json(ensemble)) + "\n";
+  EXPECT_EQ(farm::fnv1a_digest(bytes), 0xe1a525d35ffb5646ULL);
+}
+
+TEST(CirStore, EverySidecarFieldRoundTripsAndMissingKeysThrow) {
+  const ChannelEnsemble ensemble = make_ensemble(channel::cm1(), 0xBAD, 3);
+  test::DocumentShape shape;
+  shape.fixed = {"/format", "/version", "/realizations_file"};
+  // realizations_file names the stem the key and parameters give.
+  shape.rederive = [](const io::JsonValue& doc) {
+    const std::string file = doc.at("sv_params").at("name").as_string() + "_" +
+                             doc.at("fingerprint").as_string() + "_s" +
+                             doc.at("seed").number_text() + "_n" +
+                             doc.at("count").number_text() + ".cir";
+    return test::edited(doc, {"realizations_file"}, io::JsonValue::string(file));
+  };
+  test::expect_every_field_round_trips(ensemble, io::ensemble_sidecar_json,
+                                       io::ensemble_sidecar_from_json, shape);
+  test::expect_missing_keys_throw_unless_optional(ensemble, io::ensemble_sidecar_json,
+                                                  io::ensemble_sidecar_from_json, shape);
 }
 
 TEST(CirStore, CacheServesFromDiskWithoutDrawing) {

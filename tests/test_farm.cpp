@@ -27,6 +27,7 @@
 #include "io/json.h"
 #include "io/result_io.h"
 #include "io/spec_io.h"
+#include "document_checks.h"
 
 namespace uwb::farm {
 namespace {
@@ -144,7 +145,7 @@ TEST(ExitClassification, PermanentVsTransient) {
 
 // ------------------------------------------------------- checkpoint JSON ----
 
-TEST(FarmSpecJson, RoundTripsExactly) {
+FarmSpec sample_farm_spec() {
   FarmSpec spec;
   spec.scenario = "gen2_cm_grid";
   spec.seed = 0xDEADBEEFull;
@@ -158,7 +159,53 @@ TEST(FarmSpecJson, RoundTripsExactly) {
   spec.channel_cache_dir = "/tmp/channels";
   spec.retry.max_attempts = 5;
   spec.retry.timeout_s = 2.5;
+  return spec;
+}
+
+FarmState sample_farm_state() {
+  FarmState state;
+  state.plan_digest = 0x0123456789abcdefull;
+  state.shards.resize(2);
+  state.shards[0].index = 0;
+  state.shards[0].status = ShardStatus::kDone;
+  state.shards[0].attempts = 2;
+  state.shards[0].last_outcome = "ok";
+  state.shards[0].wall_s = 1.5;
+  state.shards[0].trials = 42;
+  state.shards[0].points = 3;
+  state.shards[0].digest = 0xfeedfacecafebeefull;
+  state.shards[1].index = 1;
+  state.shards[1].status = ShardStatus::kFailed;
+  state.shards[1].last_outcome = "signal 9";
+  return state;
+}
+
+TEST(FarmSpecJson, RoundTripsExactly) {
+  const FarmSpec spec = sample_farm_spec();
   EXPECT_EQ(farm_spec_from_json(farm_spec_to_json(spec)), spec);
+  // Pinned from the hand-written serializer, before the field lists.
+  EXPECT_EQ(fnv1a_digest(io::dump_json_pretty(farm_spec_to_json(spec))), 0x181937450611303bULL);
+}
+
+TEST(FarmSpecJson, EveryFieldRoundTripsAndMissingKeysThrow) {
+  test::DocumentShape shape;
+  shape.fixed = {"/version"};
+  // progress came after format version 1; metric is written only when set.
+  shape.optional = {"/progress", "/stop/metric"};
+  test::expect_every_field_round_trips(sample_farm_spec(), farm_spec_to_json,
+                                       farm_spec_from_json, shape);
+  test::expect_missing_keys_throw_unless_optional(sample_farm_spec(), farm_spec_to_json,
+                                                  farm_spec_from_json, shape);
+}
+
+TEST(FarmStateJson, EveryFieldRoundTripsAndMissingKeysThrow) {
+  test::DocumentShape shape;
+  shape.alternates = {{"done", "pending"}, {"failed", "done"}};
+  shape.fixed = {"/version", "/shards/*/index"};  // a shard's index is its position
+  test::expect_every_field_round_trips(sample_farm_state(), farm_state_to_json,
+                                       farm_state_from_json, shape);
+  test::expect_missing_keys_throw_unless_optional(sample_farm_state(), farm_state_to_json,
+                                                  farm_state_from_json, shape);
 }
 
 TEST(FarmSpecJson, RejectsVersionMismatchAndUnknownKeys) {
@@ -179,20 +226,10 @@ TEST(FarmSpecJson, RejectsVersionMismatchAndUnknownKeys) {
 }
 
 TEST(FarmStateJson, RoundTripsAndValidates) {
-  FarmState state;
-  state.plan_digest = 0x0123456789abcdefull;
-  state.shards.resize(2);
-  state.shards[0].index = 0;
-  state.shards[0].status = ShardStatus::kDone;
-  state.shards[0].attempts = 2;
-  state.shards[0].last_outcome = "ok";
-  state.shards[0].wall_s = 1.5;
-  state.shards[0].trials = 42;
-  state.shards[0].points = 3;
-  state.shards[1].index = 1;
-  state.shards[1].status = ShardStatus::kFailed;
-  state.shards[1].last_outcome = "signal 9";
+  const FarmState state = sample_farm_state();
   EXPECT_EQ(farm_state_from_json(farm_state_to_json(state)), state);
+  // Pinned from the hand-written serializer, before the field lists.
+  EXPECT_EQ(fnv1a_digest(io::dump_json_pretty(farm_state_to_json(state))), 0xf23c956f6d6da18fULL);
 
   // Out-of-order / missing shard entries fail loudly.
   FarmState shuffled = state;

@@ -22,6 +22,7 @@
 #include "engine/sinks.h"
 #include "engine/sweep_engine.h"
 #include "engine/thread_pool.h"
+#include "farm/farm_state.h"
 #include "io/json.h"
 #include "obs/counters.h"
 #include "obs/manifest.h"
@@ -29,6 +30,7 @@
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "sim/scenario.h"
+#include "document_checks.h"
 
 namespace uwb::obs {
 namespace {
@@ -204,7 +206,7 @@ RunManifest sample_manifest() {
   manifest.stop.metric = "timing_correct";
   manifest.result_path = "bench/results/run.json";
   manifest.trace_path = "bench/results/run.trace.json";
-  manifest.build = current_build_info();
+  manifest.build = {"g++ 12.2.0", "release"};
   manifest.counters.pool = {{100, 3, 1500}, {80, 10, 2500}};
   manifest.counters.cache_hits = 5;
   manifest.counters.cache_disk_loads = 1;
@@ -224,23 +226,68 @@ RunManifest sample_manifest() {
   return manifest;
 }
 
-TEST(RunManifest, RoundTripsThroughJson) {
-  const RunManifest manifest = sample_manifest();
-  const std::string once = io::dump_json_pretty(manifest_to_json(manifest));
-  const RunManifest reloaded = manifest_from_json(io::parse_json(once));
-  const std::string twice = io::dump_json_pretty(manifest_to_json(reloaded));
-  EXPECT_EQ(once, twice);
+/// The manifest's document shape: the pool totals are derived from
+/// per_worker, and stage rows are keyed by their stage name.
+test::DocumentShape manifest_shape() {
+  test::DocumentShape shape;
+  shape.fixed = {"/counters/pool/workers", "/counters/pool/tasks_executed",
+                 "/counters/pool/tasks_stolen", "/counters/pool/idle_us_total",
+                 "/stages/*/stage", "/points/*/stages/*/stage"};
+  shape.rederive = [](const io::JsonValue& doc) {
+    std::uint64_t executed = 0, stolen = 0, idle_us = 0;
+    for (const io::JsonValue& w : doc.at("counters").at("pool").at("per_worker").items()) {
+      executed += w.at("executed").as_uint64();
+      stolen += w.at("stolen").as_uint64();
+      idle_us += w.at("idle_us").as_uint64();
+    }
+    const test::Path pool = {"counters", "pool"};
+    io::JsonValue out = doc;
+    for (const auto& [key, total] : {std::pair{"tasks_executed", executed},
+                                     std::pair{"tasks_stolen", stolen},
+                                     std::pair{"idle_us_total", idle_us}}) {
+      test::Path path = pool;
+      path.push_back(key);
+      out = test::edited(out, path, io::JsonValue::number(total));
+    }
+    return out;
+  };
+  shape.optional = {"/interrupted", "/peak_rss_mb", "/counters/trials", "/stages",
+                    "/points/*/stages", "/stop/metric"};
+  return shape;
+}
 
-  EXPECT_EQ(reloaded.scenario, manifest.scenario);
-  EXPECT_EQ(reloaded.seed, manifest.seed);  // 64-bit exact, not a double
-  EXPECT_EQ(reloaded.workers, manifest.workers);
-  EXPECT_EQ(reloaded.shard_index, manifest.shard_index);
-  EXPECT_EQ(reloaded.shard_count, manifest.shard_count);
-  EXPECT_EQ(reloaded.stop.metric, manifest.stop.metric);
-  EXPECT_EQ(reloaded.build, manifest.build);
-  EXPECT_EQ(reloaded.counters, manifest.counters);
-  EXPECT_EQ(reloaded.stages, manifest.stages);
-  EXPECT_EQ(reloaded.points, manifest.points);  // includes per-point stages
+TEST(RunManifest, EveryFieldRoundTripsAChangedValue) {
+  test::expect_every_field_round_trips(sample_manifest(), manifest_to_json, manifest_from_json,
+                                       manifest_shape());
+}
+
+TEST(RunManifest, MissingKeysThrowUnlessOptional) {
+  test::expect_missing_keys_throw_unless_optional(sample_manifest(), manifest_to_json,
+                                                  manifest_from_json, manifest_shape());
+}
+
+TEST(RunManifest, StopWithACiWidthRoundTripsWhole) {
+  // The manifest records the stop rule as the result document does, CI
+  // width included.
+  RunManifest manifest = sample_manifest();
+  manifest.stop.metric.clear();
+  manifest.stop.target_rel_ci_width = 0.8;
+  const io::JsonValue doc = manifest_to_json(manifest);
+  EXPECT_EQ(doc.at("stop").find("metric"), nullptr);
+  EXPECT_EQ(doc.at("stop").at("target_rel_ci_width").as_double(), 0.8);
+  EXPECT_EQ(manifest_from_json(io::parse_json(io::dump_json_pretty(doc))), manifest);
+
+  // Manifests that wrote an empty metric still load.
+  io::JsonValue old_stop = doc.at("stop");
+  old_stop.set("metric", io::JsonValue::string(""));
+  EXPECT_EQ(manifest_from_json(test::edited(doc, {"stop"}, old_stop)), manifest);
+}
+
+TEST(RunManifest, PoolTotalsMustAgreeWithPerWorker) {
+  const io::JsonValue doc = manifest_to_json(sample_manifest());
+  const io::JsonValue off = test::edited(doc, {"counters", "pool", "tasks_stolen"},
+                                         io::JsonValue::number(std::uint64_t{14}));
+  EXPECT_THROW((void)manifest_from_json(off), InvalidArgument);
 }
 
 TEST(RunManifest, EmptyStageTablesAreOmittedAndParseBackEmpty) {
@@ -291,6 +338,13 @@ TEST(RunManifest, PeakRssIsOptionalOnRead) {
 TEST(RunManifest, ParsingIsStrict) {
   EXPECT_THROW((void)manifest_from_json(io::parse_json("{}")), Error);
   EXPECT_THROW((void)manifest_from_json(io::parse_json("{\"scenario\": 3}")), Error);
+}
+
+TEST(RunManifest, SampleDocumentBytesArePinned) {
+  // Pinned from the hand-written serializer, before the field lists:
+  // the manifest's bytes are part of what a run leaves on disk.
+  EXPECT_EQ(farm::fnv1a_digest(io::dump_json_pretty(manifest_to_json(sample_manifest()))),
+            0xc1d39646ffe39da3ULL);
 }
 
 TEST(RunManifest, SidecarPathConvention) {
@@ -449,11 +503,26 @@ TEST(StageTable, RoundTripsThroughJsonSkippingZeroRows) {
   ASSERT_EQ(rows.items().size(), 2u);  // zero-call stages omitted
   EXPECT_EQ(rows.items()[0].at("stage").as_string(), "channel_convolve");
   EXPECT_EQ(stage_table_from_json(rows), table);
-  EXPECT_THROW((void)stage_from_name("warp_drive"), Error);
-  for (std::size_t i = 0; i < kStageCount; ++i) {
-    EXPECT_EQ(stage_from_name(stage_name(static_cast<Stage>(i))),
-              static_cast<Stage>(i));
-  }
+  EXPECT_EQ(farm::fnv1a_digest(io::dump_json_pretty(rows)), 0x2bdba62fb9be751dULL);  // pinned bytes
+  // Every stage's name reads back; an unknown one throws.
+  StageTable every;
+  for (StageStats& s : every.stages) s = {1, 2, 2, 2, 3};
+  EXPECT_EQ(stage_table_from_json(stage_table_to_json(every)), every);
+  EXPECT_THROW((void)stage_table_from_json(io::parse_json(
+                   R"([{"stage": "warp_drive", "calls": 1, "total_ns": 1, "min_ns": 1,
+                        "max_ns": 1, "samples": 1}])")),
+               Error);
+}
+
+TEST(StageTable, EveryFieldRoundTripsAndMissingKeysThrow) {
+  StageTable table;
+  table[Stage::kSyncAcquire] = {3, 9'000, 2'000, 4'000, 768};
+  table[Stage::kDemodDecide] = {3, 600, 150, 250, 96};
+  test::DocumentShape shape;
+  shape.fixed = {"/*/stage"};  // a row's key: renaming it moves the row
+  test::expect_every_field_round_trips(table, stage_table_to_json, stage_table_from_json, shape);
+  test::expect_missing_keys_throw_unless_optional(table, stage_table_to_json,
+                                                  stage_table_from_json, shape);
 }
 
 // ------------------------------------------------------------ progress meter ----
