@@ -1,12 +1,16 @@
 #include "farm/verify.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 
 #include "common/error.h"
+#include "common/math_utils.h"
 #include "farm/farm_state.h"
+#include "io/fields.h"
 #include "io/file.h"
+#include "stats/binomial_ci.h"
 
 namespace uwb::farm {
 
@@ -221,6 +225,122 @@ void check_accounting(const io::ResultDoc& doc, const io::JsonValue& check,
   }
 }
 
+
+/// The per-point confidence of a check over \p points points at family-wise
+/// two-sided confidence \p family (Bonferroni): each point's interval is
+/// widened so that all of them hold together with probability >= family.
+double bonferroni_confidence(const io::JsonValue& check, std::size_t points) {
+  const io::JsonValue* family_v = check.find("confidence");
+  const double family = family_v == nullptr ? 0.99 : family_v->as_double();
+  detail::require(family > 0.0 && family < 1.0,
+                  "verify: confidence must lie in (0, 1), got " + io::format_double(family));
+  return 1.0 - (1.0 - family) / static_cast<double>(std::max<std::size_t>(points, 1));
+}
+
+/// A point's BER interval at two-sided \p confidence: exact Clopper-Pearson
+/// from its counts or, for an importance-sampled point, its normal interval
+/// rescaled from the recorded 95% half-width.
+stats::Interval ber_interval(const io::ResultPoint& point, double confidence) {
+  if (!point.weighted) return stats::clopper_pearson(point.errors, point.bits, confidence);
+  const double z = stats::normal_quantile(0.5 + 0.5 * confidence) /
+                   stats::normal_quantile(0.975);
+  const double ber = parse_literal(point.ber, "ber");
+  const double half = z * parse_literal(point.ci95, "ci95");
+  return {std::max(0.0, ber - half), std::min(1.0, ber + half)};
+}
+
+std::string describe(const stats::Interval& ci) {
+  std::string out = "[";
+  out += io::format_double(ci.lo);
+  out += ", ";
+  out += io::format_double(ci.hi);
+  out += "]";
+  return out;
+}
+
+std::string point_name(const io::ResultPoint& point) {
+  return "point " + std::to_string(point.index) + " ('" + point.label + "')";
+}
+
+/// A fixture point as a result point: the counts and estimate an interval
+/// is recomputed from.
+io::ResultPoint fixture_point(const io::JsonValue& v) {
+  io::ResultPoint point;
+  point.index = v.at("index").as_uint64();
+  point.label = v.at("label").as_string();
+  point.errors = v.at("errors").as_uint64();
+  point.bits = v.at("bits").as_uint64();
+  point.ber = v.at("ber").number_text();
+  point.ci95 = v.at("ci95").number_text();
+  if (const io::JsonValue* weighted = v.find("weighted")) point.weighted = weighted->as_bool();
+  return point;
+}
+
+void check_reference(const io::ResultDoc& doc, const io::JsonValue& check,
+                     VerifyReport& report) {
+  std::map<std::string, io::ResultPoint> fixture;
+  for (const io::JsonValue& v : check.at("points").items()) {
+    io::ResultPoint point = fixture_point(v);
+    const std::string label = point.label;
+    detail::require(fixture.emplace(label, std::move(point)).second,
+                    "verify: reference fixture repeats the label '" + label + "'");
+  }
+  const io::JsonValue* where = check.find("where");
+  const auto points = select(doc, where);
+  if (points.empty()) {
+    report.failures.push_back("reference (" + describe_where(where) + "): selects no points");
+    return;
+  }
+  const double confidence = bonferroni_confidence(check, points.size());
+  for (const io::ResultPoint* point : points) {
+    const auto it = fixture.find(point->label);
+    if (it == fixture.end()) {
+      report.failures.push_back("reference: " + point_name(*point) +
+                                " has no fixture point with its label");
+      continue;
+    }
+    const stats::Interval got = ber_interval(*point, confidence);
+    const stats::Interval want = ber_interval(it->second, confidence);
+    if (got.hi < want.lo || want.hi < got.lo) {
+      report.failures.push_back("reference: " + point_name(*point) + " BER interval " +
+                                describe(got) + " misses the fixture's " + describe(want) +
+                                " (per-point confidence " + io::format_double(confidence) +
+                                ")");
+    }
+  }
+}
+
+void check_analytic(const io::ResultDoc& doc, const io::JsonValue& check,
+                    VerifyReport& report) {
+  const std::string form = check.at("form").as_string();
+  detail::require(form == "antipodal_awgn",
+                  "verify: analytic form must be antipodal_awgn, got '" + form + "'");
+  const std::string axis = check.at("axis").as_string();
+  const double loss_db = check.at("loss_db").as_double();
+  detail::require(loss_db >= 0.0, "verify: analytic loss_db must be >= 0");
+  const io::JsonValue* where = check.find("where");
+  const auto points = select(doc, where);
+  if (points.empty()) {
+    report.failures.push_back("analytic (" + describe_where(where) + "): selects no points");
+    return;
+  }
+  const double confidence = bonferroni_confidence(check, points.size());
+  for (const io::ResultPoint* point : points) {
+    // Antipodal signalling on AWGN: Q(sqrt(2 Eb/N0)) is the ideal receiver,
+    // and a receiver losing at most loss_db reaches Q(sqrt(2 Eb/N0 / L)).
+    const double ebn0 = from_db(parse_literal(tag_of(*point, axis), "axis " + axis));
+    const stats::Interval band{q_function(std::sqrt(2.0 * ebn0)),
+                               q_function(std::sqrt(2.0 * ebn0 / from_db(loss_db)))};
+    const stats::Interval got = ber_interval(*point, confidence);
+    if (got.hi < band.lo || band.hi < got.lo) {
+      report.failures.push_back("analytic: " + point_name(*point) + " BER interval " +
+                                describe(got) + " misses the antipodal band " +
+                                describe(band) + " for a loss of " +
+                                check.at("loss_db").number_text() + " dB");
+    }
+  }
+}
+
 }  // namespace
 
 VerifyReport verify_result(const io::ResultDoc& doc,
@@ -271,12 +391,48 @@ VerifyReport verify_result(const io::ResultDoc& doc,
       else if (kind == "monotone") check_monotone(doc, check, report);
       else if (kind == "accounting") check_accounting(doc, check, report);
       else if (kind == "ci_contains") check_ci_contains(doc, check, report);
+      else if (kind == "reference") check_reference(doc, check, report);
+      else if (kind == "analytic") check_analytic(doc, check, report);
       else throw InvalidArgument("verify: unknown check kind '" + kind + "'");
     }
   }
   detail::require(report.checks > 0,
                   "verify: expectations declare no checks at all");
   return report;
+}
+
+std::string reference_fixture(const io::ResultDoc& doc, const std::string& spec_text) {
+  io::JsonValue points = io::JsonValue::array();
+  for (const io::ResultPoint& point : doc.points) {
+    io::JsonValue v = io::JsonValue::object();
+    v.set("index", io::JsonValue::number(point.index));
+    v.set("label", io::JsonValue::string(point.label));
+    v.set("errors", io::JsonValue::number(point.errors));
+    v.set("bits", io::JsonValue::number(point.bits));
+    v.set("trials", io::JsonValue::number(point.trials));
+    v.set("ber", io::JsonValue::number_literal(point.ber));
+    v.set("ci95", io::JsonValue::number_literal(point.ci95));
+    if (!point.ci_lo.empty()) {
+      v.set("ci_lo", io::JsonValue::number_literal(point.ci_lo));
+      v.set("ci_hi", io::JsonValue::number_literal(point.ci_hi));
+    }
+    if (point.weighted) v.set("weighted", io::JsonValue::boolean(true));
+    points.push_back(std::move(v));
+  }
+  io::JsonValue reference = io::JsonValue::object();
+  reference.set("check", io::JsonValue::string("reference"));
+  reference.set("confidence", io::JsonValue::number(0.99));
+  reference.set("spec_digest", io::hex_digest_to_json(fnv1a_digest(spec_text)));
+  reference.set("seed", io::JsonValue::number(doc.seed));
+  reference.set("points", std::move(points));
+  io::JsonValue checks = io::JsonValue::array();
+  checks.push_back(std::move(reference));
+  io::JsonValue root = io::JsonValue::object();
+  root.set("version", io::JsonValue::number(kExpectationsVersion));
+  root.set("scenario", io::JsonValue::string(doc.scenario));
+  root.set("points", io::JsonValue::number(static_cast<std::uint64_t>(doc.points.size())));
+  root.set("checks", std::move(checks));
+  return io::dump_json_pretty(root);
 }
 
 VerifyReport verify_result_files(const std::string& result_path,

@@ -26,11 +26,29 @@
 ///                                       // the stop rule, on every point
 ///       {"check": "ci_contains",        // each selected point's two-sided
 ///        "where": {"channel": "AWGN"},  // [ci_lo, ci_hi] must contain
-///        "value": 1e-3}                 // "value" -- or, with "value"
+///        "value": 1e-3},                // "value" -- or, with "value"
 ///                                       // absent, the point's own ber
 ///                                       // (interval brackets estimate)
+///       {"check": "reference",          // each selected point's BER
+///        "confidence": 0.99,            // interval must overlap the one
+///        "points": [{"index": 0,        // recomputed from the fixture
+///          "label": "4", "errors": 812, // point with its label; both at
+///          "bits": 64000, "trials": 500,// the Bonferroni per-point level
+///          "ber": 0.0127, "ci95": 9e-4}]// 1 - (1 - confidence) / m over
+///        "where": {...}},               // the m points checked
+///       {"check": "analytic",           // each selected point's interval
+///        "form": "antipodal_awgn",      // (same Bonferroni level) must
+///        "axis": "ebn0_db",             // overlap [Q(sqrt(2 g)),
+///        "loss_db": 2,                  // Q(sqrt(2 g / L))], g = Eb/N0
+///        "confidence": 0.99}            // from the axis tag, L the loss
 ///     ]
 ///   }
+///
+/// Intervals in `reference` and `analytic` are exact Clopper-Pearson from
+/// a point's errors and bits, or -- for an importance-sampled point
+/// (`"weighted": true`) -- its normal interval rescaled from ci95, the 95%
+/// half-width. `confidence` defaults to 0.99. A reference fixture may also
+/// carry `spec_digest` and `seed`, its provenance, which verify ignores.
 ///
 /// `metric` is "ber", "ci95", "errors", "bits", "trials", or the name of a
 /// recorded metric (its mean). A filter or group that selects no points is
@@ -63,6 +81,14 @@ struct VerifyReport {
 /// pass).
 [[nodiscard]] VerifyReport verify_result(const io::ResultDoc& doc,
                                          const io::JsonValue& expectations);
+
+/// A reference fixture for \p doc: an expectations document whose one
+/// `reference` check holds every point's counts and interval, plus the
+/// FNV-1a digest of \p spec_text (the scenario document the run expanded)
+/// and the run's seed. Checked by verify against a rerun of the same spec
+/// on another seed (`uwb_farm fixture`, test_oracle).
+[[nodiscard]] std::string reference_fixture(const io::ResultDoc& doc,
+                                            const std::string& spec_text);
 
 /// Convenience: loads both files and verifies.
 [[nodiscard]] VerifyReport verify_result_files(const std::string& result_path,

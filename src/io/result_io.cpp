@@ -1,7 +1,9 @@
 #include "io/result_io.h"
 
 #include <algorithm>
+#include <initializer_list>
 #include <sstream>
+#include <string_view>
 
 #include "common/error.h"
 #include "io/fields.h"
@@ -65,8 +67,24 @@ std::string write_result_json(const ResultDoc& doc) {
   return out.str();
 }
 
+namespace {
+
+/// \throws InvalidArgument on a member of \p v that \p known does not
+/// name: a typo'd or foreign key must not load as a document that silently
+/// means something else (and would be written back without it).
+void require_known_keys(const JsonValue& v, std::initializer_list<std::string_view> known,
+                        const std::string& where) {
+  for (const auto& [key, value] : v.members()) {
+    detail::require(std::find(known.begin(), known.end(), key) != known.end(),
+                    "result: " + where + ": unknown key '" + key + "'");
+  }
+}
+
+}  // namespace
+
 ResultDoc parse_result_json(const std::string& text) {
   const JsonValue root = parse_json(text);
+  require_known_keys(root, {"scenario", "seed", "stop", "points"}, "document");
   ResultDoc doc;
   doc.scenario = root.at("scenario").as_string();
   doc.seed = root.at("seed").as_uint64();
@@ -75,6 +93,10 @@ ResultDoc parse_result_json(const std::string& text) {
   for (const JsonValue& p : root.at("points").items()) {
     ResultPoint point;
     point.index = p.at("index").as_uint64();
+    require_known_keys(p,
+                       {"index", "label", "tags", "ber", "ci95", "errors", "bits", "trials",
+                        "ci_lo", "ci_hi", "ci_method", "weighted", "ess", "metrics"},
+                       "point " + std::to_string(point.index));
     point.label = p.at("label").as_string();
     for (const auto& [key, value] : p.at("tags").members()) {
       point.tags.emplace_back(key, value.as_string());
@@ -97,6 +119,8 @@ ResultDoc parse_result_json(const std::string& text) {
                     "result: point " + std::to_string(point.index) + ": weighted without ess");
     if (const JsonValue* metrics = p.find("metrics")) {
       for (const auto& [name, stats] : metrics->members()) {
+        require_known_keys(stats, {"count", "mean", "variance"},
+                           "point " + std::to_string(point.index) + " metric '" + name + "'");
         ResultMetric metric;
         metric.name = name;
         metric.count = stats.at("count").as_uint64();

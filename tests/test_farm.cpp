@@ -24,6 +24,7 @@
 #include "farm/fault.h"
 #include "farm/runner.h"
 #include "farm/verify.h"
+#include "io/file.h"
 #include "io/json.h"
 #include "io/result_io.h"
 #include "io/spec_io.h"
@@ -689,6 +690,14 @@ TEST_F(FarmTest, MergeCliRejectsGapsUnlessAllowPartial) {
   EXPECT_EQ(run_cli(sweep + " --merge " + path("s0.json") + " " + path("s2.json") +
                     " --allow-partial --out " + path("m.json")),
             0);
+  // A shard the result reader rejects -- here a point key it does not
+  // know -- is a document that failed to load: exit 3, like a bad spec.
+  std::string s2 = io::read_file(path("s2.json"), "test");
+  s2.replace(s2.find("\"label\""), 0, "\"bogus\": 1, ");
+  io::write_file(path("s2_bogus.json"), s2, "test");
+  EXPECT_EQ(run_cli(sweep + " --merge " + path("s0.json") + " " + path("s2_bogus.json") +
+                    " --allow-partial --out " + path("m3.json")),
+            kExitSpecLoad);
   // Duplicates stay fatal even under --allow-partial.
   EXPECT_NE(run_cli(sweep + " --merge " + path("s0.json") + " " + path("s0.json") +
                     " --allow-partial --out " + path("m2.json")),

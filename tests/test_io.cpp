@@ -565,6 +565,27 @@ TEST(ResultIo, PreCiDocumentsRoundTripWithoutInventedFields) {
   EXPECT_EQ(write_result_json(parsed), old_doc);
 }
 
+TEST(ResultIo, UnknownKeysAreRejectedAtEveryLevel) {
+  // A key the reader does not know must fail the parse -- at the top
+  // level, in a point, and in a metric's statistics -- rather than load a
+  // document that silently drops it on write-back.
+  const std::string point =
+      "{\"index\": 0, \"label\": \"p0\", \"tags\": {}, \"ber\": 0.01, \"ci95\": 0.001, "
+      "\"errors\": 10, \"bits\": 1000, \"trials\": 4%s, \"metrics\": {\"acquired\": "
+      "{\"count\": 4, \"mean\": 1, \"variance\": 0%s}}}";
+  const auto doc = [&](const char* top, const char* in_point, const char* in_metric) {
+    char body[512];
+    std::snprintf(body, sizeof body, point.c_str(), in_point, in_metric);
+    return std::string("{\"scenario\": \"s\", \"seed\": 3, \"stop\": {\"min_errors\": 1, "
+                       "\"max_bits\": 10, \"max_trials\": 5}") +
+           top + ", \"points\": [" + body + "]}";
+  };
+  EXPECT_NO_THROW((void)parse_result_json(doc("", "", "")));
+  EXPECT_THROW((void)parse_result_json(doc(", \"extra_top\": 2", "", "")), InvalidArgument);
+  EXPECT_THROW((void)parse_result_json(doc("", ", \"bogus\": 1", "")), InvalidArgument);
+  EXPECT_THROW((void)parse_result_json(doc("", "", ", \"skew\": 0")), InvalidArgument);
+}
+
 TEST(ResultIo, MergeRejectsStopMetricMismatch) {
   ResultDoc a, b;
   a.scenario = b.scenario = "s";

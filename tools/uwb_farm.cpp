@@ -5,6 +5,7 @@
 //   uwb_farm merge runs/grid --out grid.json [--allow-partial]
 //   uwb_farm status runs/grid
 //   uwb_farm verify grid.json bench/expectations/grid.json
+//   uwb_farm fixture grid.json grid.spec.json --out tests/fixtures/oracle/grid.json
 //
 // `run` expands the scenario once into <run-dir>/scenario.json, journals
 // per-shard state in <run-dir>/state.json (atomic rewrites), and fans
@@ -16,7 +17,9 @@
 // against the plan. `resume` re-validates every checkpoint and runs only
 // what's missing; the final --merge output is byte-identical to an
 // uninterrupted unsharded run (cmp-tested). `verify` checks a result
-// document against a declared-expectations JSON (docs/farm.md).
+// document against a declared-expectations JSON (docs/farm.md); `fixture`
+// turns a high-budget result into the reference expectations test_oracle
+// checks reruns against (tools/make_oracle_fixtures.sh).
 
 #include <unistd.h>
 
@@ -34,6 +37,7 @@
 #include "farm/exit_codes.h"
 #include "farm/farm.h"
 #include "farm/verify.h"
+#include "io/file.h"
 #include "io/spec_io.h"
 #include "sim/ber_simulator.h"
 
@@ -61,6 +65,11 @@ int usage(std::FILE* out) {
                "      Check a result document against declared expectations\n"
                "      (metric ranges, monotonicity, accounting); nonzero on any\n"
                "      violated claim.\n"
+               "  uwb_farm fixture <result.json> <scenario.json> --out PATH\n"
+               "      Write a reference fixture: the result's per-point counts and\n"
+               "      intervals, its seed, and the digest of the scenario document\n"
+               "      it ran (uwb_sweep --dump-scenario), as expectations that\n"
+               "      `verify` checks a rerun against.\n"
                "\n"
                "run options:\n"
                "  --shards N         shard count (default 2)\n"
@@ -102,7 +111,7 @@ struct Args {
   std::string spec_file;
   std::string run_dir;
   std::vector<std::pair<std::string, std::string>> overrides;
-  std::vector<std::string> positional;  // resume/merge/status/verify operands
+  std::vector<std::string> positional;  // resume/merge/status/verify/fixture operands
   bool fast = false;
   bool allow_partial = false;
   bool quiet = false;
@@ -119,7 +128,7 @@ Args parse_args(int argc, char** argv) {
   args.spec.stop.max_trials = 100000;
   args.spec.shard_count = 2;
 
-  detail::require(argc >= 2, "missing command (run/resume/merge/status/verify)");
+  detail::require(argc >= 2, "missing command (run/resume/merge/status/verify/fixture)");
   args.command = argv[1];
 
   auto next = [&](int& i, const char* flag) -> std::string {
@@ -362,6 +371,20 @@ int run_verify(const Args& args) {
   return farm::kExitOk;
 }
 
+int run_fixture(const Args& args) {
+  detail::require(args.positional.size() == 2, "fixture needs <result.json> <scenario.json>");
+  detail::require(!args.out_path.empty(), "fixture needs --out PATH");
+  const io::ResultDoc doc = io::parse_result_json(io::read_file(args.positional[0], "fixture"));
+  const std::string spec_text = io::read_file(args.positional[1], "fixture");
+  detail::require(io::scenario_from_json_text(spec_text).name == doc.scenario,
+                  "fixture: the scenario document does not name the result's scenario '" +
+                      doc.scenario + "'");
+  io::write_file(args.out_path, farm::reference_fixture(doc, spec_text), "fixture");
+  std::fprintf(stderr, "uwb_farm: %zu reference points -> %s\n", doc.points.size(),
+               args.out_path.c_str());
+  return farm::kExitOk;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -370,7 +393,7 @@ int main(int argc, char** argv) {
     args = parse_args(argc, argv);
     detail::require(args.command == "run" || args.command == "resume" ||
                         args.command == "merge" || args.command == "status" ||
-                        args.command == "verify",
+                        args.command == "verify" || args.command == "fixture",
                     "unknown command '" + args.command + "'");
   } catch (const uwb::Error& e) {
     std::fprintf(stderr, "uwb_farm: %s\n", e.what());
@@ -382,6 +405,7 @@ int main(int argc, char** argv) {
     if (args.command == "resume") return run_resume(args);
     if (args.command == "merge") return run_merge_cmd(args);
     if (args.command == "status") return run_status(args);
+    if (args.command == "fixture") return run_fixture(args);
     return run_verify(args);
   } catch (const uwb::Error& e) {
     std::fprintf(stderr, "uwb_farm: %s\n", e.what());

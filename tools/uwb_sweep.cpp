@@ -144,7 +144,8 @@ int usage(std::FILE* out) {
                "  0  success\n"
                "  1  runtime failure (I/O, internal error)\n"
                "  2  bad arguments / usage\n"
-               "  3  scenario spec failed to load or validate\n"
+               "  3  scenario spec (or, with --merge, a shard document)\n"
+               "     failed to load or validate\n"
                "  4  interrupted (SIGINT/SIGTERM); a valid partial result document\n"
                "     and its manifest (interrupted: true) were still flushed\n");
   return out == stdout ? farm::kExitOk : farm::kExitBadArgs;
@@ -390,7 +391,13 @@ int run_merge(const Args& args) {
   detail::require(!args.out_path.empty(), "--merge needs --out");
   std::vector<io::ResultDoc> shards;
   for (const std::string& path : args.merge_inputs) {
-    shards.push_back(io::parse_result_json(io::read_file(path, "--merge")));
+    const std::string text = io::read_file(path, "--merge");
+    try {
+      shards.push_back(io::parse_result_json(text));
+    } catch (const uwb::Error& e) {
+      std::fprintf(stderr, "uwb_sweep: %s: %s\n", path.c_str(), e.what());
+      return farm::kExitSpecLoad;
+    }
   }
   const io::ResultDoc merged = io::merge_results(shards, args.allow_partial);
   io::write_file(args.out_path, io::write_result_json(merged), "--merge");
