@@ -227,24 +227,45 @@ inline float zig_one_f(std::uint32_t u, Xoshiro256pp& eng, const ZigguratTablesF
 
 }  // namespace
 
-void add_awgn(float* x, std::size_t n, double n0, Rng& rng) {
+void add_awgn(float* x, std::span<const IndexRange> spans, double n0, Rng& rng) {
   detail::require(n0 >= 0.0, "add_awgn: N0 must be non-negative");
-  if (n0 == 0.0 || n == 0) return;
-  const obs::StageTimer timer(obs::Stage::kChannelNoise, n);
+  std::size_t total = 0;
+  for (const IndexRange& span : spans) total += span.end - span.begin;
+  if (n0 == 0.0 || total == 0) return;
+  const obs::StageTimer timer(obs::Stage::kChannelNoise, total);
   const auto sigma = static_cast<float>(std::sqrt(n0 / 2.0));
   const ZigguratTablesF& t = zig_tables_f();
   Xoshiro256pp eng(rng.engine()());
-  std::size_t i = 0;
-  // Two draws per engine word: low half then high half.
-  for (; i + 2 <= n; i += 2) {
-    const std::uint64_t w = eng.next();
-    x[i] += sigma * zig_one_f(static_cast<std::uint32_t>(w), eng, t);
-    x[i + 1] += sigma * zig_one_f(static_cast<std::uint32_t>(w >> 32), eng, t);
+  // Two draws per engine word, low half then high half. A span of odd
+  // length leaves its last word's high half to the next span's first
+  // sample (or unused after the last span).
+  bool high_pending = false;
+  std::uint32_t high = 0;
+  for (const IndexRange& span : spans) {
+    float* p = x + span.begin;
+    const std::size_t len = span.end - span.begin;
+    std::size_t i = 0;
+    if (high_pending && len > 0) {
+      p[i++] += sigma * zig_one_f(high, eng, t);
+      high_pending = false;
+    }
+    for (; i + 2 <= len; i += 2) {
+      const std::uint64_t w = eng.next();
+      p[i] += sigma * zig_one_f(static_cast<std::uint32_t>(w), eng, t);
+      p[i + 1] += sigma * zig_one_f(static_cast<std::uint32_t>(w >> 32), eng, t);
+    }
+    if (i < len) {
+      const std::uint64_t w = eng.next();
+      p[i] += sigma * zig_one_f(static_cast<std::uint32_t>(w), eng, t);
+      high = static_cast<std::uint32_t>(w >> 32);
+      high_pending = true;
+    }
   }
-  if (i < n) {
-    x[i] += sigma *
-            zig_one_f(static_cast<std::uint32_t>(eng.next()), eng, t);
-  }
+}
+
+void add_awgn(float* x, std::size_t n, double n0, Rng& rng) {
+  const IndexRange whole{0, n};
+  add_awgn(x, {&whole, 1}, n0, rng);
 }
 
 void add_awgn(CplxVec& x, double n0, Rng& rng) {

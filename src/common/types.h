@@ -9,6 +9,7 @@
 /// constants below make call sites read like the paper ("5 * GHz").
 
 #include <complex>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -25,6 +26,12 @@ using CplxVec = std::vector<cplx>;
 
 /// Hard bit (0/1) buffer.
 using BitVec = std::vector<uint8_t>;
+
+/// A half-open range [begin, end) of sample indices.
+struct IndexRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
 
 // --- Unit multipliers -------------------------------------------------------
 // Usage: double fc = 5 * GHz;  double prf = 100 * MHz;  double tau = 20 * ns;

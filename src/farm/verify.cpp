@@ -266,7 +266,6 @@ std::string point_name(const io::ResultPoint& point) {
 /// is recomputed from.
 io::ResultPoint fixture_point(const io::JsonValue& v) {
   io::ResultPoint point;
-  point.index = v.at("index").as_uint64();
   point.label = v.at("label").as_string();
   point.errors = v.at("errors").as_uint64();
   point.bits = v.at("bits").as_uint64();

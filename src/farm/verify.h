@@ -30,12 +30,13 @@
 ///                                       // absent, the point's own ber
 ///                                       // (interval brackets estimate)
 ///       {"check": "reference",          // each selected point's BER
-///        "confidence": 0.99,            // interval must overlap the one
-///        "points": [{"index": 0,        // recomputed from the fixture
-///          "label": "4", "errors": 812, // point with its label; both at
-///          "bits": 64000, "trials": 500,// the Bonferroni per-point level
-///          "ber": 0.0127, "ci95": 9e-4}]// 1 - (1 - confidence) / m over
-///        "where": {...}},               // the m points checked
+///        "where": {"channel": "AWGN"},  // interval must overlap the one
+///        "confidence": 0.99,            // recomputed from the fixture
+///        "points": [{"index": 0,        // point with its label, both at
+///          "label": "4",                // the Bonferroni per-point level
+///          "errors": 812,               // 1 - (1 - confidence) / m over
+///          "bits": 64000,               // the m points checked
+///          "ber": 0.0127, "ci95": 9e-4}]},
 ///       {"check": "analytic",           // each selected point's interval
 ///        "form": "antipodal_awgn",      // (same Bonferroni level) must
 ///        "axis": "ebn0_db",             // overlap [Q(sqrt(2 g)),

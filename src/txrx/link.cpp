@@ -552,37 +552,66 @@ Gen2TrialResult Gen2Link::run_packet_full(const TrialOptions& options, Rng& rng,
 
 // ---------------------------------------------------------------- Gen-1 ----
 
+void gen1_land_train(std::span<const double> amplitudes, std::size_t delay,
+                     std::size_t frame, std::span<const float> g,
+                     std::span<const IndexRange> spans, float* rx) {
+  // Pulse s covers [delay + s * frame, + |g|); within each span the pulses
+  // land in ascending s, so every sample sums its pulses in the order a
+  // dense scatter over [0, n) would.
+  for (const IndexRange& span : spans) {
+    std::fill(rx + span.begin, rx + span.end, 0.0f);
+    if (span.end <= delay) continue;
+    const std::size_t s_lo =
+        span.begin < delay + g.size() ? 0 : (span.begin - delay - g.size()) / frame + 1;
+    const std::size_t s_hi = std::min(amplitudes.size(), ceil_div(span.end - delay, frame));
+    for (std::size_t s = s_lo; s < s_hi; ++s) {
+      const std::size_t p = delay + s * frame;
+      const std::size_t lo = std::max(span.begin, p);
+      const std::size_t hi = std::min(span.end, p + g.size());
+      const auto a = static_cast<float>(amplitudes[s]);
+      for (std::size_t i = lo; i < hi; ++i) rx[i] += a * g[i - p];
+    }
+  }
+}
+
 Gen1Link::Gen1Link(const Gen1Config& config, uint64_t seed)
     : Link(seed), config_(config), tx_(config), rx_(config, rng_) {
   caps_ = generation_caps(Generation::kGen1);
   caps_.bit_rate_hz = config_.bit_rate_hz();
 }
 
-const RealVec& Gen1Link::composite_kernel(const channel::Cir& cir) {
-  if (!g_kernel_.empty() && cir.taps() == g_key_taps_) return g_kernel_;
+namespace {
+
+/// The float mirror of \p g the per-packet scatter reads.
+void mirror_to_float(const RealVec& g, dsp::AlignedVec<float>& out) {
+  out.resize(g.size());
+  for (std::size_t i = 0; i < g.size(); ++i) out[i] = static_cast<float>(g[i]);
+}
+
+}  // namespace
+
+const Gen1Link::Kernel& Gen1Link::composite_kernel(const channel::Cir& cir) {
+  if (!channel_kernel_.g.empty() && cir.taps() == g_key_taps_) return channel_kernel_;
   const CplxVec hc = cir.sampled(config_.analog_fs);
   RealVec hr(hc.size());
   for (std::size_t i = 0; i < hc.size(); ++i) hr[i] = hc[i].real();
-  g_kernel_ = dsp::convolve(tx_.prototype().samples(), hr);
+  channel_kernel_.g = dsp::convolve(tx_.prototype().samples(), hr);
   g_key_taps_ = cir.taps();
   // The kernel itself stays double precision (computed once per
   // realization); the per-packet scatter reads the float mirror.
-  g_kernel_f_.resize(g_kernel_.size());
-  for (std::size_t i = 0; i < g_kernel_.size(); ++i) {
-    g_kernel_f_[i] = static_cast<float>(g_kernel_[i]);
-  }
-  return g_kernel_;
+  mirror_to_float(channel_kernel_.g, channel_kernel_.g_f);
+  channel_kernel_.filtered_energy = rx_.filtered_energy(channel_kernel_.g);
+  return channel_kernel_;
 }
 
-const dsp::AlignedVec<float>& Gen1Link::prototype_f() {
+const Gen1Link::Kernel& Gen1Link::prototype_kernel() {
   const RealVec& proto = tx_.prototype().samples();
-  if (proto_f_.size() != proto.size()) {
-    proto_f_.resize(proto.size());
-    for (std::size_t i = 0; i < proto.size(); ++i) {
-      proto_f_[i] = static_cast<float>(proto[i]);
-    }
+  if (proto_kernel_.g != proto) {
+    proto_kernel_.g = proto;
+    mirror_to_float(proto, proto_kernel_.g_f);
+    proto_kernel_.filtered_energy = rx_.filtered_energy(proto);
   }
-  return proto_f_;
+  return proto_kernel_;
 }
 
 namespace {
@@ -595,6 +624,27 @@ namespace {
 dsp::AlignedVec<float>& gen1_capture_arena() {
   thread_local dsp::AlignedVec<float> arena;
   return arena;
+}
+
+}  // namespace
+
+void fill_gen1_thread_buffers(float value) {
+  dsp::AlignedVec<float>& arena = gen1_capture_arena();
+  const std::size_t size = arena.size();
+  arena.resize(arena.capacity());
+  std::fill(arena.begin(), arena.end(), value);
+  arena.resize(size);
+  Gen1Receiver::fill_thread_buffers(value);
+}
+
+namespace {
+
+Gen1RxOptions gen1_rx_options(const Gen1Link::Capture& cap, const TrialOptions& options) {
+  Gen1RxOptions rx_opts;
+  rx_opts.genie_timing = options.genie_timing;
+  rx_opts.genie_offset = cap.true_offset_adc;
+  rx_opts.agc = cap.agc;
+  return rx_opts;
 }
 
 /// The multipath realization a gen-1 trial must use (cm >= 1 only): the
@@ -633,66 +683,92 @@ Gen1Link::Capture Gen1Link::synthesize_capture(const TrialOptions& options,
   // (identity for AWGN-only trials) lands as shift-adds of the composite
   // kernel straight into the arena, where noise synthesis and the receiver
   // also run.
-  const RealVec* g = &tx_.prototype().samples();
-  const dsp::AlignedVec<float>* g_f = &prototype_f();
-  if (options.cm >= 1) {
-    g = &composite_kernel(resolve_gen1_cir(options, context, rng));
-    g_f = &g_kernel_f_;
-  }
+  const Kernel& kernel = options.cm >= 1
+                             ? composite_kernel(resolve_gen1_cir(options, context, rng))
+                             : prototype_kernel();
   const std::size_t frame_samples = config_.frame_samples_analog();
   const std::size_t delay_samples = delay_frames * frame_samples;
-  const std::size_t train_len = frame_samples * train.amplitudes.size() + g_f->size();
-  const std::size_t out_len = delay_samples + train_len;
+  const std::size_t train_len = frame_samples * train.amplitudes.size() + kernel.g_f.size();
   // Tail pad so late fingers stay in range.
   const std::size_t pad = static_cast<std::size_t>(64e-9 * config_.analog_fs);
+  const std::size_t rx_len = delay_samples + train_len + pad;
+  const double n0 = channel::n0_for_ebn0(train.frame.energy_per_bit, options.ebn0_db);
+  cap.frame = std::move(train.frame);
+  double pulse_energy = 0.0;
+  for (const double a : train.amplitudes) pulse_energy += a * a;
+  cap.agc = Gen1AgcModel{pulse_energy, kernel.filtered_energy, n0};
+
+  // Only the samples the receiver reads are synthesized: the spans its
+  // decision windows pull through the FIR, or [0, rx_len) for a receive
+  // that reads the whole capture (an acquisition trial reads it all).
+  Gen1RxOptions rx_opts = gen1_rx_options(cap, options);
+  if (options.kind == TrialKind::kAcquisition) rx_opts.genie_timing = false;
+  cap.spans = rx_.input_spans(rx_len, config_.analog_fs, tx_, cap.frame.frame_bits.size(),
+                              rx_opts);
+
+  std::size_t synthesized = 0;
+  for (const IndexRange& span : cap.spans) synthesized += span.end - span.begin;
   dsp::AlignedVec<float>& arena = gen1_capture_arena();
+  float* rx = nullptr;
   {
-    const obs::StageTimer timer(obs::Stage::kChannelConvolve, out_len);
+    const obs::StageTimer timer(obs::Stage::kChannelConvolve, synthesized);
     // Grown to the longest delay the options allow, so the arena is mapped
     // once rather than again at each new largest delay drawn.
     arena.resize(options.start_delay_max_frames * frame_samples + train_len + pad);
-    arena.assign_zero(out_len + pad);
-    const float* src = g_f->data();
-    const std::size_t g_len = g_f->size();
-    for (std::size_t s = 0; s < train.amplitudes.size(); ++s) {
-      const auto a = static_cast<float>(train.amplitudes[s]);
-      float* dst = arena.data() + delay_samples + s * frame_samples;
-      for (std::size_t i = 0; i < g_len; ++i) dst[i] += a * src[i];
-    }
+    arena.resize(rx_len);
+    rx = arena.data();
+    gen1_land_train(train.amplitudes, delay_samples, frame_samples,
+                    {kernel.g_f.data(), kernel.g_f.size()}, cap.spans, rx);
   }
-  float* rx = arena.data();
-  const std::size_t rx_len = arena.size();
-  const double n0 = channel::n0_for_ebn0(train.frame.energy_per_bit, options.ebn0_db);
 
   if (options.sampling.active()) {
     // Importance sampling: the target data bit's received contribution is
     // its pulses_per_bit spread-scrambled pulses through the channel,
     // sum_k chip_k * g[n - k*frame], landed after the preamble and the
-    // start delay.
+    // start delay, and kept only on the synthesized spans: the tilt and
+    // its likelihood ratio cover exactly the noise that is drawn.
     (void)sampling_scale_or_throw(options, context);
-    cap.target_bit = context.sampling_trial % train.frame.frame_bits.size();
+    cap.target_bit = context.sampling_trial % cap.frame.frame_bits.size();
     const std::vector<double>& spread = tx_.spread_chips();
     const auto ppb = static_cast<std::size_t>(config_.pulses_per_bit);
-    std::vector<double> shape((ppb - 1) * frame_samples + g->size(), 0.0);
+    const RealVec& g = kernel.g;
+    std::vector<double> shape((ppb - 1) * frame_samples + g.size(), 0.0);
     for (std::size_t k = 0; k < ppb; ++k) {
       const double chip = spread[k % spread.size()];
-      for (std::size_t i = 0; i < g->size(); ++i) shape[k * frame_samples + i] += chip * (*g)[i];
+      for (std::size_t i = 0; i < g.size(); ++i) shape[k * frame_samples + i] += chip * g[i];
     }
     const std::size_t bit_offset =
         (delay_frames + tx_.preamble_frames() + cap.target_bit * ppb) * frame_samples;
+    std::vector<std::uint8_t> drawn(shape.size(), 0);
+    for (const IndexRange& span : cap.spans) {
+      const std::size_t lo = std::max(span.begin, bit_offset);
+      const std::size_t hi = std::min(span.end, bit_offset + shape.size());
+      if (lo < hi) std::fill(drawn.begin() + static_cast<std::ptrdiff_t>(lo - bit_offset),
+                             drawn.begin() + static_cast<std::ptrdiff_t>(hi - bit_offset), 1);
+    }
+    for (std::size_t i = 0; i < shape.size(); ++i) {
+      if (drawn[i] == 0) shape[i] = 0.0;
+    }
     const TiltDirection<double> tilt =
         make_tilt_direction<double>(std::move(shape), bit_offset, rx_len);
+    const auto get = [&](std::size_t n) {
+      return drawn[n - bit_offset] != 0 ? static_cast<double>(rx[n]) : 0.0;
+    };
     std::vector<double> clean;
-    if (tilt.usable) clean.assign(rx + tilt.offset, rx + tilt.offset + tilt.unit.size());
-    channel::add_awgn(rx, rx_len, n0, rng);
+    if (tilt.usable) {
+      clean.resize(tilt.unit.size());
+      for (std::size_t i = 0; i < clean.size(); ++i) clean[i] = get(tilt.offset + i);
+    }
+    channel::add_awgn(rx, cap.spans, n0, rng);
     cap.log_weight = apply_noise_tilt(
-        [rx](std::size_t n) { return static_cast<double>(rx[n]); },
-        [rx](std::size_t n, double v) { rx[n] += static_cast<float>(v); }, clean, tilt,
-        0.5 * n0, options.sampling, context.noise_scale, rng);
+        get,
+        [&](std::size_t n, double v) {
+          if (drawn[n - bit_offset] != 0) rx[n] += static_cast<float>(v);
+        },
+        clean, tilt, 0.5 * n0, options.sampling, context.noise_scale, rng);
   } else {
-    channel::add_awgn(rx, rx_len, n0, rng);
+    channel::add_awgn(rx, cap.spans, n0, rng);
   }
-  cap.frame = std::move(train.frame);
   cap.samples = {rx, rx_len};
   return cap;
 }
@@ -701,17 +777,6 @@ sim::TrialOutcome Gen1Link::run_packet(const TrialOptions& options, Rng& rng,
                                        const TrialContext& context) {
   return run_packet_full(options, rng, context).outcome;
 }
-
-namespace {
-
-Gen1RxOptions gen1_rx_options(const Gen1Link::Capture& cap, const TrialOptions& options) {
-  Gen1RxOptions rx_opts;
-  rx_opts.genie_timing = options.genie_timing;
-  rx_opts.genie_offset = cap.true_offset_adc;
-  return rx_opts;
-}
-
-}  // namespace
 
 Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
                                           const TrialContext& context) {
@@ -728,7 +793,7 @@ Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
   Gen1TrialResult trial;
   trial.true_offset_adc = cap.true_offset_adc;
   const Gen1AcqResult& acq = trial.rx.acq =
-      rx_.acquire(cap.samples, config_.analog_fs, tx_, rng);
+      rx_.acquire(cap.samples, config_.analog_fs, tx_, cap.agc, rng);
   // Compare timing modulo one PN period (the residual ambiguity the SFD
   // search resolves at frame level).
   const std::size_t period_samples =

@@ -376,6 +376,16 @@ class Gen2Link final : public Link {
   dsp::IqArena g_;                           ///< composite kernel rails
 };
 
+/// The gen-1 received capture before noise, inside \p spans (ascending,
+/// disjoint) of \p rx only: rx[n] = sum_s a_s * g[n - delay - s * frame],
+/// the pulse train of amplitudes a_s landed one PRF frame of \p frame
+/// samples apart through the pulse kernel \p g. Samples outside the spans
+/// are not touched; inside them each sample is the same float a scatter
+/// over the single span [0, n) gives it.
+void gen1_land_train(std::span<const double> amplitudes, std::size_t delay,
+                     std::size_t frame, std::span<const float> g,
+                     std::span<const IndexRange> spans, float* rx);
+
 /// One gen-1 trial's detailed outcome: the trial record run_packet returns
 /// plus the receiver diagnostics (see Gen2TrialResult). Acquisition trials
 /// fill rx.acq only.
@@ -421,8 +431,15 @@ class Gen1Link final : public Link {
     TxFrame frame;
     std::size_t true_offset_adc = 0;  ///< preamble start at the ADC rate
     /// Views the calling thread's capture arena: valid until the next
-    /// synthesize_capture on the same thread, by any gen-1 link.
+    /// synthesize_capture on the same thread, by any gen-1 link. Only the
+    /// samples inside \p spans are synthesized; the rest hold whatever the
+    /// arena held before.
     std::span<const float> samples;
+    /// The analog spans the receiver reads (Gen1Receiver::input_spans),
+    /// ascending: [0, n) unless the decision reads less. Views the link's
+    /// receiver, valid until its next call.
+    std::span<const IndexRange> spans;
+    Gen1AgcModel agc;                 ///< what the receiver's AGC sets its gain from
     std::size_t target_bit = 0;       ///< importance-sampled trials only
     double log_weight = 0.0;          ///< importance-sampled trials only
   };
@@ -432,8 +449,10 @@ class Gen1Link final : public Link {
   /// channel as y[n] = sum_s a_s * g[n - delay - s*frame] (g = the
   /// composite kernel, the prototype on AWGN) straight into the float
   /// arena, then adds AWGN -- tilted along the target data bit's
-  /// direction when options.sampling is active. Rng draw order: payload
-  /// bits, delay, fresh-realization draws, noise seed, tilt draw.
+  /// direction, restricted to the spans, when options.sampling is active.
+  /// All of it only inside the spans the receiver reads, on one noise
+  /// stream continuing from span to span. Rng draw order: payload bits,
+  /// delay, fresh-realization draws, noise seed, tilt draw.
   Capture synthesize_capture(const TrialOptions& options, const TrialContext& context,
                              Rng& rng);
 
@@ -445,11 +464,22 @@ class Gen1Link final : public Link {
   /// Receives \p cap, digitizing only \p windows, and scores the trial:
   /// run_packet_full is synthesize_capture then this over
   /// decision_windows(). Any window set covering those -- the single
-  /// window [0, SIZE_MAX) is the whole capture -- gives the same bits.
+  /// window [0, SIZE_MAX) is the whole capture -- gives the same bits:
+  /// the outputs the decision reads depend only on the samples inside
+  /// cap.spans, and the rest of a wider pass reads whatever the arena held.
   [[nodiscard]] Gen1TrialResult receive_capture(const Capture& cap, const TrialOptions& options,
                                                 std::span<const AdcWindow> windows, Rng& rng);
 
  private:
+  /// A pulse kernel g as the trial uses it: the double kernel shapes the
+  /// importance-sampling tilt, the float mirror is what the scatter lands,
+  /// and ||h * g||^2 feeds the AGC model.
+  struct Kernel {
+    RealVec g;
+    dsp::AlignedVec<float> g_f;
+    double filtered_energy = 0.0;  ///< Gen1Receiver::filtered_energy(g)
+  };
+
   /// The composite kernel g = pulse prototype convolved with the sampled
   /// CIR, driving the sparse pulse-train channel path: the tx waveform is
   /// a few monocycle samples per PRF frame, so the channel output is
@@ -457,23 +487,25 @@ class Gen1Link final : public Link {
   /// Cached against the exact tap list: in ensemble mode every packet of a
   /// sweep point shares one realization, so g is computed once per point.
   /// g is a pure function of (taps, config) -- caching cannot change
-  /// results for any worker count or trial order. Rebuilds also refresh the
-  /// float mirror g_kernel_f_ that the single-precision scatter reads; the
-  /// double kernel shapes the importance-sampling tilt.
-  const RealVec& composite_kernel(const channel::Cir& cir);
+  /// results for any worker count or trial order.
+  const Kernel& composite_kernel(const channel::Cir& cir);
 
-  /// Float mirror of the prototype pulse (the AWGN-only scatter kernel),
-  /// built on first use.
-  const dsp::AlignedVec<float>& prototype_f();
+  /// The prototype pulse as a kernel (AWGN-only trials), built on first use.
+  const Kernel& prototype_kernel();
 
   Gen1Config config_;
   LinkCaps caps_;
   Gen1Transmitter tx_;
   Gen1Receiver rx_;
-  std::vector<channel::CirTap> g_key_taps_;  ///< taps g_kernel_ was built from
-  RealVec g_kernel_;
-  dsp::AlignedVec<float> g_kernel_f_;  ///< float mirror of g_kernel_
-  dsp::AlignedVec<float> proto_f_;     ///< float mirror of the prototype pulse
+  std::vector<channel::CirTap> g_key_taps_;  ///< taps channel_kernel_ was built from
+  Kernel channel_kernel_;
+  Kernel proto_kernel_;
 };
+
+/// Overwrites the calling thread's gen-1 sample buffers -- the capture
+/// arena and every receive buffer, over their whole capacity -- with
+/// \p value. A trial reads only what it wrote, so poisoning them (NaN)
+/// must change no result.
+void fill_gen1_thread_buffers(float value);
 
 }  // namespace uwb::txrx

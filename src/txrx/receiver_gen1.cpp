@@ -27,7 +27,6 @@ namespace {
 /// need: a genie-timed packet keeps a few dozen samples per data pulse, the
 /// whole capture only a dense pass.
 struct Gen1RxArenas {
-  dsp::AlignedVec<float> block;    ///< one FIR block
   dsp::AlignedVec<float> kept;     ///< FIR outputs the windows sample
   dsp::AlignedVec<float> sampled;  ///< sampled windows, then AGC-scaled
   dsp::AlignedVec<float> levels;   ///< converter output levels
@@ -66,6 +65,9 @@ Gen1Receiver::Gen1Receiver(const Gen1Config& config, Rng& rng)
                   "Gen1Receiver: analog rate must be >= ADC rate");
   const RealVec taps = dsp::design_lowpass(0.45 * config.adc_rate, config.analog_fs, 63);
   anti_alias_rev_f_.assign(taps.rbegin(), taps.rend());  // float, as the FIR runs
+  for (const float h : anti_alias_rev_f_) {
+    anti_alias_energy_ += static_cast<double>(h) * static_cast<double>(h);
+  }
   // Per-lane timing skew happens at the sample-and-hold; the skews are
   // static converter mismatch, so build the table once.
   lane_skews_s_.resize(static_cast<std::size_t>(adc_.num_lanes()));
@@ -100,8 +102,73 @@ std::span<const AdcWindow> Gen1Receiver::decision_windows(std::size_t n, double 
   return ws_decision_;
 }
 
-std::size_t Gen1Receiver::plan_windows(std::span<const AdcWindow> windows, std::size_t n,
-                                       std::size_t n_adc, const LanePlan* plan) {
+double Gen1Receiver::filtered_energy(const RealVec& g) const {
+  // Full convolution y = h * g; the reversed taps read forwards are h.
+  const std::size_t h_len = anti_alias_rev_f_.size();
+  if (g.empty() || h_len == 0) return 0.0;
+  double energy = 0.0;
+  for (std::size_t k = 0; k + 1 < h_len + g.size(); ++k) {
+    const std::size_t m_lo = k + 1 > g.size() ? k + 1 - g.size() : 0;
+    const std::size_t m_hi = std::min(h_len, k + 1);
+    double y = 0.0;
+    for (std::size_t m = m_lo; m < m_hi; ++m) {
+      y += static_cast<double>(anti_alias_rev_f_[h_len - 1 - m]) * g[k - m];
+    }
+    energy += y * y;
+  }
+  return energy;
+}
+
+double Gen1Receiver::expected_rms(const Gen1AgcModel& agc, std::size_t n) const {
+  if (n == 0) return 0.0;
+  const double power = (agc.pulse_energy * agc.filtered_kernel_energy +
+                        0.5 * agc.n0 * anti_alias_energy_ * static_cast<double>(n)) /
+                       static_cast<double>(n);
+  return std::sqrt(power);
+}
+
+void Gen1Receiver::fill_thread_buffers(float value) {
+  Gen1RxArenas& a = rx_arenas();
+  for (dsp::AlignedVec<float>* buf : {&a.kept, &a.sampled, &a.levels, &a.mf, &a.acq}) {
+    const std::size_t size = buf->size();
+    buf->resize(buf->capacity());
+    std::fill(buf->begin(), buf->end(), value);
+    buf->resize(size);
+  }
+}
+
+std::span<const IndexRange> Gen1Receiver::input_spans(std::size_t n, double fs,
+                                                      const Gen1Transmitter& tx,
+                                                      std::size_t num_bits,
+                                                      const Gen1RxOptions& options) {
+  const std::size_t n_adc = sampler_.output_size(n, fs);
+  const std::span<const AdcWindow> windows = decision_windows(n, fs, tx, num_bits, options);
+  ws_spans_.clear();
+  const std::optional<LanePlan> plan = sampler_.lane_plan(fs, lane_skews_s_);
+  if (!plan || (windows.size() == 1 && windows.front().begin == 0 &&
+                windows.front().end >= n_adc)) {
+    ws_spans_.push_back(IndexRange{0, n});
+    return ws_spans_;
+  }
+  // FIR output j reads the inputs [j - lead, j + start] (dsp::convolve_same_range).
+  const std::size_t h_len = anti_alias_rev_f_.size();
+  const std::size_t start = (h_len - 1) / 2;
+  const std::size_t lead = h_len - 1 - start;
+  (void)plan_windows(windows, n, n_adc, &*plan);
+  for (const Window& w : ws_windows_) {
+    const std::size_t begin = w.in_begin > lead ? w.in_begin - lead : 0;
+    const std::size_t end = std::min(n, w.in_end + start);
+    if (!ws_spans_.empty() && begin <= ws_spans_.back().end) {
+      ws_spans_.back().end = std::max(ws_spans_.back().end, end);
+    } else {
+      ws_spans_.push_back(IndexRange{begin, end});
+    }
+  }
+  return ws_spans_;
+}
+
+std::pair<std::size_t, std::size_t> Gen1Receiver::plan_windows(
+    std::span<const AdcWindow> windows, std::size_t n, std::size_t n_adc, const LanePlan* plan) {
   // Windows start on lane 0 and span whole lane patterns, so the converter
   // runs its pattern-blocked path; lanes are absolute index mod num_lanes.
   const auto lanes = static_cast<std::size_t>(adc_.num_lanes());
@@ -139,90 +206,35 @@ std::size_t Gen1Receiver::plan_windows(std::span<const AdcWindow> windows, std::
     adc_total += w.adc_end - w.adc_begin;
     kept_total += w.in_end - w.in_begin;
   }
+  return {adc_total, kept_total};
+}
+
+Gen1MfView Gen1Receiver::digitize_and_filter(std::span<const float> rx, double fs,
+                                             const Gen1Transmitter& tx,
+                                             std::span<const AdcWindow> windows,
+                                             const Gen1AgcModel& agc, Rng& rng) {
+  const std::size_t n = rx.size();
+  const std::size_t n_adc = sampler_.output_size(n, fs);
+  const std::optional<LanePlan> plan = sampler_.lane_plan(fs, lane_skews_s_);
+  const auto [adc_total, kept_total] = plan_windows(windows, n, n_adc, plan ? &*plan : nullptr);
   Gen1RxArenas& a = rx_arenas();
   a.kept.resize(kept_total);
   a.sampled.resize(adc_total);
   a.levels.resize(adc_total);
   a.mf.resize(adc_total);
-  return adc_total;
-}
-
-double Gen1Receiver::filter_and_measure(const float* rx, std::size_t n) {
-  // 2048 outputs: the block and the input it reads stay in L1 between the
-  // FIR, the power sum and the copy-out. A multiple of 4, so every block
-  // but the last starts the power sum's accumulator rotation afresh.
-  constexpr std::size_t kBlock = 2048;
-  Gen1RxArenas& a = rx_arenas();
-  a.block.resize(kBlock);
-  const std::size_t h_len = anti_alias_rev_f_.size();
-  // The power sum is an AGC input that sets the float gain, so it keeps its
-  // exact order: four double accumulators by absolute index mod 4, then
-  // the n % 4 tail into p0.
-  double p0 = 0.0, p1 = 0.0, p2 = 0.0, p3 = 0.0;
-  std::size_t first = 0;  // first window whose FIR span has not ended
-  for (std::size_t j0 = 0; j0 < n; j0 += kBlock) {
-    const std::size_t count = std::min(kBlock, n - j0);
-    const std::size_t j1 = j0 + count;
-    while (first < ws_windows_.size() && ws_windows_[first].in_end <= j0) ++first;
-    // A block wholly inside one window's span (every block of a dense
-    // pass) is filtered straight into that window's kept outputs.
-    float* y = a.block.data();
-    const bool direct = first < ws_windows_.size() && ws_windows_[first].in_begin <= j0 &&
-                        j1 <= ws_windows_[first].in_end;
-    if (direct) {
-      const Window& w = ws_windows_[first];
-      y = a.kept.data() + w.kept_offset + (j0 - w.in_begin);
-    }
-    dsp::convolve_same_range(rx, n, anti_alias_rev_f_.data(), h_len, j0, j1, y);
-
-    std::size_t t = 0;
-    for (; t + 4 <= count; t += 4) {
-      const auto v0 = static_cast<double>(y[t]);
-      const auto v1 = static_cast<double>(y[t + 1]);
-      const auto v2 = static_cast<double>(y[t + 2]);
-      const auto v3 = static_cast<double>(y[t + 3]);
-      p0 += v0 * v0;
-      p1 += v1 * v1;
-      p2 += v2 * v2;
-      p3 += v3 * v3;
-    }
-    for (; t < count; ++t) {
-      const auto v = static_cast<double>(y[t]);
-      p0 += v * v;
-    }
-
-    for (std::size_t k = first; k < ws_windows_.size() && ws_windows_[k].in_begin < j1; ++k) {
-      if (direct && k == first) continue;
-      const Window& w = ws_windows_[k];
-      const std::size_t lo = std::max(j0, w.in_begin);
-      const std::size_t hi = std::min(j1, w.in_end);
-      if (lo < hi) {
-        std::copy(y + (lo - j0), y + (hi - j0),
-                  a.kept.data() + w.kept_offset + (lo - w.in_begin));
-      }
-    }
-  }
-  const double power_acc = (p0 + p1) + (p2 + p3);
-  return n > 0 ? std::sqrt(power_acc / static_cast<double>(n)) : 0.0;
-}
-
-Gen1MfView Gen1Receiver::digitize_and_filter(std::span<const float> rx, double fs,
-                                             const Gen1Transmitter& tx,
-                                             std::span<const AdcWindow> windows, Rng& rng) {
-  const std::size_t n = rx.size();
-  const std::size_t n_adc = sampler_.output_size(n, fs);
-  const std::optional<LanePlan> plan = sampler_.lane_plan(fs, lane_skews_s_);
-  const std::size_t adc_total = plan_windows(windows, n, n_adc, plan ? &*plan : nullptr);
 
   // Anti-alias lowpass at the converter's Nyquist edge: the analog front
-  // end band-limits before the 2 GSps sampler. AGC measurement on the
-  // filtered signal: a converged AGC loads the flash at ~1/4 full scale
-  // rms (see rf::AgcParams). Both read every analog sample; the scale
-  // commutes with linear-interpolation sampling, so it is applied to the
-  // (2x shorter) sampled windows below.
-  Gen1RxArenas& a = rx_arenas();
-  obs::StageTimer fe_timer(obs::Stage::kRxFrontend, n);
-  const double r = filter_and_measure(rx.data(), n);
+  // end band-limits before the 2 GSps sampler, here only at the outputs
+  // the windows sample. The converged AGC loads the flash at ~1/4 full
+  // scale rms (see rf::AgcParams) from the capture's expected filtered
+  // power (Gen1AgcModel); the scale commutes with linear-interpolation
+  // sampling, so it is applied to the (2x shorter) sampled windows.
+  obs::StageTimer fe_timer(obs::Stage::kRxFrontend, a.kept.size());
+  for (const Window& w : ws_windows_) {
+    dsp::convolve_same_range(rx.data(), n, anti_alias_rev_f_.data(), anti_alias_rev_f_.size(),
+                             w.in_begin, w.in_end, a.kept.data() + w.kept_offset);
+  }
+  const double r = expected_rms(agc, n);
   for (const Window& w : ws_windows_) {
     float* out = a.sampled.data() + w.adc_offset;
     if (plan) {
@@ -394,9 +406,10 @@ Gen1AcqResult Gen1Receiver::acquire_on_mf(std::span<const float> mf,
 }
 
 Gen1AcqResult Gen1Receiver::acquire(std::span<const float> rx, double fs,
-                                    const Gen1Transmitter& tx, Rng& rng) {
+                                    const Gen1Transmitter& tx, const Gen1AgcModel& agc,
+                                    Rng& rng) {
   const AdcWindow whole{0, sampler_.output_size(rx.size(), fs)};
-  return acquire_on_mf(digitize_and_filter(rx, fs, tx, {&whole, 1}, rng).dense(), tx);
+  return acquire_on_mf(digitize_and_filter(rx, fs, tx, {&whole, 1}, agc, rng).dense(), tx);
 }
 
 Gen1RxResult Gen1Receiver::receive(std::span<const float> rx, double fs,
@@ -412,7 +425,7 @@ Gen1RxResult Gen1Receiver::receive(std::span<const float> rx, double fs,
                                    const Gen1RxOptions& options,
                                    std::span<const AdcWindow> windows, Rng& rng) {
   Gen1RxResult result;
-  const Gen1MfView mf = digitize_and_filter(rx, fs, tx, windows, rng);
+  const Gen1MfView mf = digitize_and_filter(rx, fs, tx, windows, options.agc, rng);
   const std::size_t F = config_.frame_samples_adc;
 
   std::size_t preamble_start = 0;

@@ -16,6 +16,7 @@
 /// cost of a streaming architecture with that much correlator hardware.
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "adc/flash_adc.h"
@@ -45,17 +46,30 @@ struct Gen1RxResult {
   std::size_t bits_compared = 0;
 };
 
+/// What the converged AGC knows of a capture. The gain is set from the
+/// capture's expected power after the anti-alias FIR h rather than from a
+/// measurement of every filtered sample: over an n-sample capture
+///   r^2 = (pulse_energy * filtered_kernel_energy + (n0 / 2) * sum(h^2) * n) / n,
+/// the train's pulses sum_s a_s^2 each landing as ||h * g||^2 (g the pulse
+/// prototype, or the composite kernel through the channel; the cross terms
+/// of pulses a PRF frame apart are left out), plus the filtered real AWGN
+/// of per-sample variance n0/2. The gain loads the flash at 1/4 full scale rms, 0.25 / r.
+/// A zero model leaves the samples unscaled.
+struct Gen1AgcModel {
+  double pulse_energy = 0.0;            ///< sum_s a_s^2 over the train sent
+  double filtered_kernel_energy = 0.0;  ///< ||h * g||^2, see filtered_energy()
+  double n0 = 0.0;                      ///< noise density of the capture's AWGN
+};
+
 /// Receiver options per run.
 struct Gen1RxOptions {
   bool genie_timing = false;    ///< skip acquisition, use genie_offset
   std::size_t genie_offset = 0; ///< known preamble start at the ADC rate
+  Gen1AgcModel agc;             ///< what sets the AGC gain
 };
 
 /// A half-open range [begin, end) of ADC sample indices.
-struct AdcWindow {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
+using AdcWindow = IndexRange;
 
 /// The matched-filter outputs one digitize pass computed: runs of
 /// consecutive output indices, ascending, with their values packed in
@@ -89,6 +103,20 @@ class Gen1Receiver {
 
   [[nodiscard]] const Gen1Config& config() const noexcept { return config_; }
 
+  /// ||h * g||^2 of the anti-alias FIR h (the float taps the filter runs)
+  /// over a pulse kernel \p g, in double: the energy one pulse of unit
+  /// amplitude lands with after the filter (Gen1AgcModel).
+  [[nodiscard]] double filtered_energy(const RealVec& g) const;
+
+  /// The rms \p agc expects of an \p n-sample capture after the FIR: the
+  /// AGC gain is 0.25 over it.
+  [[nodiscard]] double expected_rms(const Gen1AgcModel& agc, std::size_t n) const;
+
+  /// Fills every sample buffer the calling thread's gen-1 receive passes
+  /// use, over its whole capacity, with \p value. A pass reads only what it
+  /// wrote, so poisoning them (NaN) must change no result.
+  static void fill_thread_buffers(float value);
+
   /// Full receive over the caller's float sample arena at rate \p fs:
   /// sample, convert, matched-filter, acquire, despread -- the whole chain
   /// in single precision, digitizing only decision_windows().
@@ -118,21 +146,36 @@ class Gen1Receiver {
                                                             std::size_t num_bits,
                                                             const Gen1RxOptions& options);
 
+  /// The analog samples a receive of an \p n-sample capture reads: each
+  /// decision window's FIR outputs (LanePlan::input_span) widened by the
+  /// FIR's support, merged and ascending. A capture needs to be synthesized
+  /// only there. A receive that reads the whole capture -- acquisition,
+  /// non-genie timing, a jittered sampler -- gets the single span [0, n).
+  /// The span views the receiver's own buffer, valid until its next call.
+  [[nodiscard]] std::span<const IndexRange> input_spans(std::size_t n, double fs,
+                                                        const Gen1Transmitter& tx,
+                                                        std::size_t num_bits,
+                                                        const Gen1RxOptions& options);
+
   /// Acquisition only (bench E2/E11): processes a capture containing at
-  /// least one PN period past the search uncertainty.
+  /// least one PN period past the search uncertainty, gain set by \p agc.
   [[nodiscard]] Gen1AcqResult acquire(std::span<const float> rx, double fs,
-                                      const Gen1Transmitter& tx, Rng& rng);
+                                      const Gen1Transmitter& tx, const Gen1AgcModel& agc,
+                                      Rng& rng);
 
   /// Analog band-limiting + sampling + interleaved conversion + matched
   /// filtering, entirely in single precision, over the ADC index
-  /// \p windows (ascending by begin). The anti-alias FIR and the AGC power
-  /// run over the whole capture; the sampler, converter and matched filter
-  /// only inside the windows, each output bit-identical to a pass over the
-  /// whole capture. The view is valid until the next call on this receiver
-  /// or, by any gen-1 receiver, on this thread.
+  /// \p windows (ascending by begin), with the AGC gain \p agc models. The
+  /// anti-alias FIR computes only the outputs the windows sample, and the
+  /// sampler, converter and matched filter run only inside the windows:
+  /// each output is bit-identical to a pass over the whole capture, and
+  /// reads only the samples input_spans() names. The view is valid until
+  /// the next call on this receiver or, by any gen-1 receiver, on this
+  /// thread.
   [[nodiscard]] Gen1MfView digitize_and_filter(std::span<const float> rx, double fs,
                                                const Gen1Transmitter& tx,
-                                               std::span<const AdcWindow> windows, Rng& rng);
+                                               std::span<const AdcWindow> windows,
+                                               const Gen1AgcModel& agc, Rng& rng);
 
  private:
   /// One digitized window: ADC samples [adc_begin, adc_end) at adc_offset
@@ -146,17 +189,13 @@ class Gen1Receiver {
   using LanePlan = adc::SampleAndHold::LanePlan;
 
   /// Clamps \p windows to the n_adc-sample stream, widens each to whole
-  /// lane patterns, merges overlaps into ws_windows_ and sizes the thread's
-  /// sample buffers; \p plan (null for a jittered sampler) maps each window
-  /// to the FIR outputs it reads. Returns the number of ADC samples the
-  /// windows hold.
-  std::size_t plan_windows(std::span<const AdcWindow> windows, std::size_t n,
+  /// lane patterns and merges overlaps into ws_windows_; \p plan (null for
+  /// a jittered sampler) maps each window to the FIR outputs it reads.
+  /// Returns the number of ADC samples and of FIR outputs the windows hold.
+  std::pair<std::size_t, std::size_t> plan_windows(std::span<const AdcWindow> windows, std::size_t n,
                            std::size_t n_adc, const LanePlan* plan);
 
-  /// The anti-alias FIR over the whole capture in cache-sized blocks, each
-  /// block feeding the AGC power sum and handing the windows their FIR
-  /// outputs. Returns the rms of the filtered capture.
-  double filter_and_measure(const float* rx, std::size_t n);
+
 
   [[nodiscard]] Gen1AcqResult acquire_on_mf(std::span<const float> mf,
                                             const Gen1Transmitter& tx) const;
@@ -165,12 +204,14 @@ class Gen1Receiver {
   adc::SampleAndHold sampler_;
   adc::TimeInterleavedAdc adc_;
   std::vector<float> anti_alias_rev_f_;  ///< anti-alias taps, reversed, in float
+  double anti_alias_energy_ = 0.0;       ///< sum(h^2) over those taps
   std::vector<float> ws_taps_f_;         ///< the pulse template in float
   RealVec lane_skews_s_;  ///< static per-lane skews, built once at construction
 
   // Bookkeeping for the current pass; the sample buffers every stage of
   // digitize_and_filter writes are per thread (see receiver_gen1.cpp).
   std::vector<AdcWindow> ws_decision_;
+  std::vector<IndexRange> ws_spans_;
   std::vector<Window> ws_windows_;
   std::vector<Gen1MfView::Run> ws_runs_;
 };

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "common/error.h"
 #include "channel/awgn.h"
@@ -177,6 +180,56 @@ TEST(Awgn, RealNoiseIsHalfPerRail) {
   double acc = 0.0;
   for (const float v : x) acc += static_cast<double>(v) * v;
   EXPECT_NEAR(acc / static_cast<double>(x.size()), 0.5, 0.01);
+}
+
+TEST(Awgn, SpansContinueOneNoiseStream) {
+  // The span overload adds to its spans exactly the draws the dense
+  // overload adds to their samples laid end to end: any split of [0, n),
+  // odd and empty pieces included, gives the dense bytes, and samples
+  // outside sparse spans are neither read nor written.
+  constexpr std::size_t n = 1001;
+  std::vector<float> dense(n, 0.25f);
+  Rng dense_rng(17);
+  add_awgn(dense.data(), n, 0.8, dense_rng);
+  const std::vector<std::vector<IndexRange>> splits = {
+      {{0, n}},
+      {{0, 1}, {1, 2}, {2, 501}, {501, 501}, {501, n}},
+      {{0, 7}, {7, 64}, {64, 333}, {333, 334}, {334, 998}, {998, n}}};
+  for (const std::vector<IndexRange>& spans : splits) {
+    std::vector<float> x(n, 0.25f);
+    Rng rng(17);
+    add_awgn(x.data(), spans, 0.8, rng);
+    EXPECT_EQ(x, dense) << spans.size() << " spans";
+    Rng probe = dense_rng;
+    EXPECT_EQ(rng.engine()(), probe.engine()()) << "one engine draw seeds the stream";
+  }
+
+  const std::vector<IndexRange> sparse = {{3, 10}, {40, 41}, {500, 640}, {900, 1000}};
+  std::vector<float> x(n, std::numeric_limits<float>::quiet_NaN());
+  std::size_t total = 0;
+  for (const IndexRange& span : sparse) {
+    std::fill(x.begin() + static_cast<std::ptrdiff_t>(span.begin),
+              x.begin() + static_cast<std::ptrdiff_t>(span.end), 0.25f);
+    total += span.end - span.begin;
+  }
+  std::vector<float> packed(total, 0.25f);
+  Rng rng_sparse(18);
+  Rng rng_packed(18);
+  add_awgn(x.data(), sparse, 0.8, rng_sparse);
+  add_awgn(packed.data(), total, 0.8, rng_packed);
+  std::size_t k = 0;
+  std::size_t untouched = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool inside = std::any_of(sparse.begin(), sparse.end(), [i](const IndexRange& s) {
+      return i >= s.begin && i < s.end;
+    });
+    if (inside) {
+      EXPECT_EQ(x[i], packed[k++]) << "sample " << i;
+    } else {
+      untouched += std::isnan(x[i]) ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(untouched, n - total);
 }
 
 TEST(Awgn, MatchedFilterBerMatchesTheory) {

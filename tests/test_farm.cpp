@@ -24,6 +24,7 @@
 #include "farm/fault.h"
 #include "farm/runner.h"
 #include "farm/verify.h"
+#include "io/fields.h"
 #include "io/file.h"
 #include "io/json.h"
 #include "io/result_io.h"
@@ -342,6 +343,65 @@ TEST(Verify, CiContainsChecksIntervalsAgainstValueOrOwnBer) {
   io::ResultDoc old_doc = sample_doc();
   EXPECT_FALSE(
       verify_result(old_doc, expectations("[{\"check\": \"ci_contains\"}]")).ok());
+}
+
+TEST(Verify, ReferenceFixtureOverlapsItsOwnRunAndCatchesAShift) {
+  // A document verifies against its own fixture; the fixture records the
+  // seed and the spec digest, and matches points by label. A point whose
+  // counts moved far outside the Bonferroni interval fails; one that moved
+  // inside it passes.
+  const io::ResultDoc doc = sample_doc();
+  const io::JsonValue fixture = io::parse_json(reference_fixture(doc, "{\"spec\": 1}"));
+  const io::JsonValue& reference = fixture.at("checks").items().at(0);
+  EXPECT_EQ(reference.at("seed").as_uint64(), 7u);
+  EXPECT_EQ(io::hex_digest_from_json(reference.at("spec_digest")),
+            fnv1a_digest("{\"spec\": 1}"));
+  const VerifyReport same = verify_result(doc, fixture);
+  EXPECT_TRUE(same.ok()) << (same.failures.empty() ? "" : same.failures[0]);
+  EXPECT_EQ(same.checks, 3u);  // scenario + points + reference
+
+  io::ResultDoc near = doc;
+  near.points[1].errors = 14;  // 10 vs 14 in 1000: well inside the intervals
+  EXPECT_TRUE(verify_result(near, fixture).ok());
+  io::ResultDoc far = doc;
+  far.points[1].errors = 60;
+  const VerifyReport shifted = verify_result(far, fixture);
+  ASSERT_EQ(shifted.failures.size(), 1u);
+  EXPECT_NE(shifted.failures[0].find("'p1'"), std::string::npos);
+
+  io::ResultDoc renamed = doc;
+  renamed.points[2].label = "elsewhere";
+  EXPECT_FALSE(verify_result(renamed, fixture).ok());
+}
+
+TEST(Verify, AnalyticChecksTheAntipodalBand) {
+  // Points at 4 and 8 dB against [Q(sqrt(2 g)), Q(sqrt(2 g / L))]: BER
+  // 1.25e-2 / 1.9e-4 are the ideal receiver, so a 1 dB loss band holds
+  // them, a BER far better than ideal fails, and so does one far worse
+  // than the stated loss allows.
+  io::ResultDoc doc = sample_doc();
+  doc.points.resize(2);
+  doc.points[0].tags = {{"ebn0_db", "4"}};
+  doc.points[0].errors = 1250;
+  doc.points[0].bits = 100000;
+  doc.points[1].tags = {{"ebn0_db", "8"}};
+  doc.points[1].errors = 190;
+  doc.points[1].bits = 1000000;
+  const io::JsonValue analytic = io::parse_json(
+      "{\"version\": 1, \"checks\": [{\"check\": \"analytic\", \"form\": "
+      "\"antipodal_awgn\", \"axis\": \"ebn0_db\", \"loss_db\": 1}]}");
+  const VerifyReport ideal = verify_result(doc, analytic);
+  EXPECT_TRUE(ideal.ok()) << (ideal.failures.empty() ? "" : ideal.failures[0]);
+  io::ResultDoc too_good = doc;
+  too_good.points[0].errors = 600;
+  EXPECT_FALSE(verify_result(too_good, analytic).ok());
+  io::ResultDoc too_bad = doc;
+  too_bad.points[1].errors = 2000;  // 2e-3 at 8 dB: ~2.5 dB of loss
+  EXPECT_FALSE(verify_result(too_bad, analytic).ok());
+  EXPECT_THROW((void)verify_result(doc, io::parse_json(
+                   "{\"version\": 1, \"checks\": [{\"check\": \"analytic\", \"form\": "
+                   "\"qpsk\", \"axis\": \"ebn0_db\", \"loss_db\": 1}]}")),
+               InvalidArgument);
 }
 
 TEST(Verify, EmptySelectionAndMalformedExpectationsFailLoudly) {

@@ -8,6 +8,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -16,6 +17,7 @@
 #include "common/rng.h"
 #include "channel/saleh_valenzuela.h"
 #include "dsp/fast_convolve.h"
+#include "dsp/filter_design.h"
 #include "dsp/fir_filter.h"
 #include "dsp/power_spectrum.h"
 #include "sim/scenario.h"
@@ -436,7 +438,8 @@ TEST(Gen1Receiver, DecisionWindowsReceiveLikeTheWholeCapture) {
       const auto read_values = [&](std::span<const AdcWindow> digitized) {
         Rng rng_mf = rng;
         const Gen1MfView mf = rx.digitize_and_filter(cap.samples, config.analog_fs,
-                                                     link.transmitter(), digitized, rng_mf);
+                                                     link.transmitter(), digitized, cap.agc,
+                                                     rng_mf);
         std::vector<uint32_t> bits;
         for (const AdcWindow& w : windows) {
           const float* v = mf.find(w.begin);
@@ -516,6 +519,157 @@ TEST(Gen1Link, LinksSharingAThreadsArenasRunAsIfAlone) {
     Rng rng_awgn = trial_rng(0xA1, t);
     expect_as_alone(link_awgn.run_packet_full(awgn, rng_awgn), alone_awgn[t], "awgn " + where);
   }
+}
+
+TEST(Gen1Link, LandedTrainOverSpansMatchesTheDenseScatter) {
+  // gen1_land_train over spans that split [0, n) -- or over sparse spans,
+  // NaN elsewhere -- must give each span sample the float a scatter of
+  // every pulse into a zeroed [0, n) gives it, and touch nothing else.
+  Rng rng(0x1A7D);
+  std::vector<double> amplitudes(40);
+  for (double& a : amplitudes) a = rng.uniform(-1.0, 1.0);
+  amplitudes[7] = 0.0;
+  std::vector<float> g(300);  // longer than a frame: pulses overlap
+  for (float& v : g) v = static_cast<float>(rng.gaussian(0.0, 1.0));
+  constexpr std::size_t kDelay = 517;
+  constexpr std::size_t kFrame = 211;
+  const std::size_t n = kDelay + kFrame * amplitudes.size() + g.size() + 64;
+  std::vector<float> dense(n, 0.0f);
+  for (std::size_t s = 0; s < amplitudes.size(); ++s) {
+    const auto a = static_cast<float>(amplitudes[s]);
+    for (std::size_t i = 0; i < g.size(); ++i) dense[kDelay + s * kFrame + i] += a * g[i];
+  }
+  const std::vector<std::vector<IndexRange>> span_sets = {
+      {{0, n}},
+      {{0, 600}, {600, 601}, {601, 4000}, {4000, n}},
+      {{10, 500}, {517, 530}, {1000, 1400}, {5000, 5003}, {n - 10, n}}};
+  for (const std::vector<IndexRange>& spans : span_sets) {
+    std::vector<float> rx(n, std::numeric_limits<float>::quiet_NaN());
+    gen1_land_train(amplitudes, kDelay, kFrame, g, spans, rx.data());
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      while (k < spans.size() && spans[k].end <= i) ++k;
+      if (k < spans.size() && i >= spans[k].begin) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(rx[i]), std::bit_cast<uint32_t>(dense[i]))
+            << spans.size() << " spans, sample " << i;
+      } else {
+        ASSERT_TRUE(std::isnan(rx[i])) << "sample " << i << " outside the spans was written";
+      }
+    }
+  }
+}
+
+TEST(Gen1Link, PoisonedThreadBuffersChangeNoGenieTrial) {
+  // A genie-timed trial synthesizes, filters and digitizes only the spans
+  // its decision reads. Run on a thread whose capture arena and receive
+  // buffers were first grown by a dense trial and then filled with NaN, it
+  // must give the trial record, the decoded bits and the matched-filter
+  // value at every read index it gives on a fresh thread: AWGN, CM1, an
+  // importance-sampled trial, and a start-delayed one.
+  const Gen1Config config = sim::gen1_fast();
+  struct Case {
+    const char* name;
+    int cm;
+    bool sampled;
+    std::size_t delay_max_frames;
+  };
+  const Case cases[] = {{"awgn", 0, false, 0},
+                        {"cm1", 1, false, 12},
+                        {"awgn-is", 0, true, 0},
+                        {"awgn-delayed", 0, false, 40}};
+  struct Observed {
+    Gen1TrialResult trial;
+    std::vector<uint32_t> mf_bits;
+  };
+  const auto observe = [&](const Case& c, bool poison) {
+    Observed seen;
+    std::thread worker([&] {
+      if (poison) {
+        Gen1Link warm(config, 0x0BAD);
+        TrialOptions dense = default_options(Generation::kGen1);
+        dense.genie_timing = false;
+        dense.payload_bits = 64;
+        dense.start_delay_max_frames = 64;
+        Rng warm_rng(5);
+        (void)warm.run_packet_full(dense, warm_rng);
+        fill_gen1_thread_buffers(std::numeric_limits<float>::quiet_NaN());
+      }
+      Gen1Link link(config, 0x4EA1);
+      TrialOptions options = default_options(Generation::kGen1);
+      options.payload_bits = 24;
+      options.ebn0_db = 3.0;
+      options.cm = c.cm;
+      options.start_delay_max_frames = c.delay_max_frames;
+      TrialContext context;
+      if (c.sampled) {
+        options.sampling.mode = stats::SamplingMode::kNoiseScale;
+        options.sampling.scale = 3.0;
+        context.noise_scale = 3.0;
+        context.sampling_resolved = true;
+        context.sampling_trial = 5;
+      }
+      Rng rng(0x7E57);
+      const Gen1Link::Capture cap = link.synthesize_capture(options, context, rng);
+      const std::span<const AdcWindow> decision = link.decision_windows(cap, options);
+      const std::vector<AdcWindow> windows(decision.begin(), decision.end());
+      Rng rng_mf = rng;
+      const Gen1MfView mf = link.receiver().digitize_and_filter(
+          cap.samples, config.analog_fs, link.transmitter(), windows, cap.agc, rng_mf);
+      for (const AdcWindow& w : windows) {
+        const float* v = mf.find(w.begin);
+        seen.mf_bits.push_back(v != nullptr ? std::bit_cast<uint32_t>(*v) : 0u);
+      }
+      seen.trial = link.receive_capture(cap, options, windows, rng);
+    });
+    worker.join();
+    return seen;
+  };
+  for (const Case& c : cases) {
+    const Observed fresh = observe(c, false);
+    const Observed poisoned = observe(c, true);
+    expect_same_outcome(poisoned.trial.outcome, fresh.trial.outcome, c.name);
+    EXPECT_EQ(poisoned.trial.rx.data_bits, fresh.trial.rx.data_bits) << c.name;
+    EXPECT_EQ(poisoned.mf_bits, fresh.mf_bits) << c.name;
+    EXPECT_FALSE(fresh.mf_bits.empty()) << c.name;
+  }
+}
+
+TEST(Gen1Receiver, ExpectedPowerGainMatchesTheMeasuredDensePower) {
+  // The AGC sets its gain from the capture's expected filtered power
+  // (Gen1AgcModel). On dense captures it must agree with the gain a
+  // measurement of every filtered sample gives -- the model it replaced --
+  // within 0.05 dB: AWGN and CM1, at 4 and 10 dB, over a few seeds.
+  const Gen1Config config = sim::gen1_fast();
+  const RealVec taps = dsp::design_lowpass(0.45 * config.adc_rate, config.analog_fs, 63);
+  const std::vector<float> taps_rev(taps.rbegin(), taps.rend());
+  double worst_db = 0.0;
+  for (const int cm : {0, 1}) {
+    for (const double ebn0_db : {4.0, 10.0}) {
+      for (const uint64_t seed : {1u, 2u, 3u}) {
+        Gen1Link link(config, seed);
+        TrialOptions options = default_options(Generation::kGen1);
+        options.genie_timing = false;  // a dense capture: spans [0, n)
+        options.cm = cm;
+        options.ebn0_db = ebn0_db;
+        Rng rng(seed * 7919);
+        const Gen1Link::Capture cap = link.synthesize_capture(options, TrialContext{}, rng);
+        ASSERT_EQ(cap.spans.size(), 1u);
+        const std::size_t n = cap.samples.size();
+        std::vector<float> y(n);
+        dsp::convolve_same_range(cap.samples.data(), n, taps_rev.data(), taps_rev.size(), 0, n,
+                                 y.data());
+        double power = 0.0;
+        for (const float v : y) power += static_cast<double>(v) * v;
+        const double measured = std::sqrt(power / static_cast<double>(n));
+        const double expected = link.receiver().expected_rms(cap.agc, n);
+        const double gap_db = 20.0 * std::log10(measured / expected);
+        EXPECT_LT(std::abs(gap_db), 0.05)
+            << "cm " << cm << ", " << ebn0_db << " dB, seed " << seed;
+        worst_db = std::max(worst_db, std::abs(gap_db));
+      }
+    }
+  }
+  RecordProperty("worst_gain_gap_db", std::to_string(worst_db));
 }
 
 TEST(Gen1Receiver, AcquisitionFindsTiming) {
