@@ -263,11 +263,6 @@ void add_awgn(float* x, std::span<const IndexRange> spans, double n0, Rng& rng) 
   }
 }
 
-void add_awgn(float* x, std::size_t n, double n0, Rng& rng) {
-  const IndexRange whole{0, n};
-  add_awgn(x, {&whole, 1}, n0, rng);
-}
-
 void add_awgn(CplxVec& x, double n0, Rng& rng) {
   detail::require(n0 >= 0.0, "add_awgn: N0 must be non-negative");
   if (n0 == 0.0) return;

@@ -32,13 +32,10 @@ void add_awgn(double* re, double* im, std::size_t n, double n0, Rng& rng);
 /// xoshiro256++ stream seeded by one draw from \p rng's engine, so each
 /// trial's noise stays a pure function of its forked seed (the determinism
 /// contract). The stream continues from span to span: the spans receive
-/// exactly the draws the dense overload would add to their samples laid
-/// end to end, so splitting a span anywhere changes no sample. Samples
-/// outside the spans are neither read nor written.
+/// exactly the draws one span over their samples laid end to end would,
+/// so splitting a span anywhere changes no sample. Samples outside the
+/// spans are neither read nor written.
 void add_awgn(float* x, std::span<const IndexRange> spans, double n0, Rng& rng);
-
-/// The single span [0, n).
-void add_awgn(float* x, std::size_t n, double n0, Rng& rng);
 
 /// Waveform overload.
 void add_awgn(CplxWaveform& x, double n0, Rng& rng);

@@ -225,16 +225,16 @@ void check_accounting(const io::ResultDoc& doc, const io::JsonValue& check,
   }
 }
 
+/// The family-wise two-sided confidence of a `reference` or `analytic`
+/// check: all of its points' intervals hold together with at least this
+/// probability.
+constexpr double kOracleConfidence = 0.99;
 
-/// The per-point confidence of a check over \p points points at family-wise
-/// two-sided confidence \p family (Bonferroni): each point's interval is
-/// widened so that all of them hold together with probability >= family.
-double bonferroni_confidence(const io::JsonValue& check, std::size_t points) {
-  const io::JsonValue* family_v = check.find("confidence");
-  const double family = family_v == nullptr ? 0.99 : family_v->as_double();
-  detail::require(family > 0.0 && family < 1.0,
-                  "verify: confidence must lie in (0, 1), got " + io::format_double(family));
-  return 1.0 - (1.0 - family) / static_cast<double>(std::max<std::size_t>(points, 1));
+/// The per-point confidence of a check over \p points points at the family
+/// confidence kOracleConfidence (Bonferroni): each point's interval is
+/// widened so that all of them hold together.
+double bonferroni_confidence(std::size_t points) {
+  return 1.0 - (1.0 - kOracleConfidence) / static_cast<double>(std::max<std::size_t>(points, 1));
 }
 
 /// A point's BER interval at two-sided \p confidence: exact Clopper-Pearson
@@ -290,7 +290,7 @@ void check_reference(const io::ResultDoc& doc, const io::JsonValue& check,
     report.failures.push_back("reference (" + describe_where(where) + "): selects no points");
     return;
   }
-  const double confidence = bonferroni_confidence(check, points.size());
+  const double confidence = bonferroni_confidence(points.size());
   for (const io::ResultPoint* point : points) {
     const auto it = fixture.find(point->label);
     if (it == fixture.end()) {
@@ -311,9 +311,6 @@ void check_reference(const io::ResultDoc& doc, const io::JsonValue& check,
 
 void check_analytic(const io::ResultDoc& doc, const io::JsonValue& check,
                     VerifyReport& report) {
-  const std::string form = check.at("form").as_string();
-  detail::require(form == "antipodal_awgn",
-                  "verify: analytic form must be antipodal_awgn, got '" + form + "'");
   const std::string axis = check.at("axis").as_string();
   const double loss_db = check.at("loss_db").as_double();
   detail::require(loss_db >= 0.0, "verify: analytic loss_db must be >= 0");
@@ -323,7 +320,7 @@ void check_analytic(const io::ResultDoc& doc, const io::JsonValue& check,
     report.failures.push_back("analytic (" + describe_where(where) + "): selects no points");
     return;
   }
-  const double confidence = bonferroni_confidence(check, points.size());
+  const double confidence = bonferroni_confidence(points.size());
   for (const io::ResultPoint* point : points) {
     // Antipodal signalling on AWGN: Q(sqrt(2 Eb/N0)) is the ideal receiver,
     // and a receiver losing at most loss_db reaches Q(sqrt(2 Eb/N0 / L)).
@@ -404,23 +401,16 @@ std::string reference_fixture(const io::ResultDoc& doc, const std::string& spec_
   io::JsonValue points = io::JsonValue::array();
   for (const io::ResultPoint& point : doc.points) {
     io::JsonValue v = io::JsonValue::object();
-    v.set("index", io::JsonValue::number(point.index));
     v.set("label", io::JsonValue::string(point.label));
     v.set("errors", io::JsonValue::number(point.errors));
     v.set("bits", io::JsonValue::number(point.bits));
-    v.set("trials", io::JsonValue::number(point.trials));
     v.set("ber", io::JsonValue::number_literal(point.ber));
     v.set("ci95", io::JsonValue::number_literal(point.ci95));
-    if (!point.ci_lo.empty()) {
-      v.set("ci_lo", io::JsonValue::number_literal(point.ci_lo));
-      v.set("ci_hi", io::JsonValue::number_literal(point.ci_hi));
-    }
     if (point.weighted) v.set("weighted", io::JsonValue::boolean(true));
     points.push_back(std::move(v));
   }
   io::JsonValue reference = io::JsonValue::object();
   reference.set("check", io::JsonValue::string("reference"));
-  reference.set("confidence", io::JsonValue::number(0.99));
   reference.set("spec_digest", io::hex_digest_to_json(fnv1a_digest(spec_text)));
   reference.set("seed", io::JsonValue::number(doc.seed));
   reference.set("points", std::move(points));

@@ -31,25 +31,26 @@
 ///                                       // (interval brackets estimate)
 ///       {"check": "reference",          // each selected point's BER
 ///        "where": {"channel": "AWGN"},  // interval must overlap the one
-///        "confidence": 0.99,            // recomputed from the fixture
-///        "points": [{"index": 0,        // point with its label, both at
-///          "label": "4",                // the Bonferroni per-point level
-///          "errors": 812,               // 1 - (1 - confidence) / m over
-///          "bits": 64000,               // the m points checked
-///          "ber": 0.0127, "ci95": 9e-4}]},
+///        "points": [{"label": "4",      // recomputed from the fixture
+///          "errors": 812,               // point with its label, both at
+///          "bits": 64000,               // the Bonferroni per-point level
+///          "ber": 0.0127,               // 1 - 0.01 / m over the m points
+///          "ci95": 9e-4}]},             // checked
 ///       {"check": "analytic",           // each selected point's interval
-///        "form": "antipodal_awgn",      // (same Bonferroni level) must
-///        "axis": "ebn0_db",             // overlap [Q(sqrt(2 g)),
-///        "loss_db": 2,                  // Q(sqrt(2 g / L))], g = Eb/N0
-///        "confidence": 0.99}            // from the axis tag, L the loss
+///        "axis": "ebn0_db",             // (same Bonferroni level) must
+///        "loss_db": 2}                  // overlap [Q(sqrt(2 g)),
+///                                       // Q(sqrt(2 g / L))], g = Eb/N0
+///                                       // from the axis tag, L the loss
 ///     ]
 ///   }
 ///
 /// Intervals in `reference` and `analytic` are exact Clopper-Pearson from
 /// a point's errors and bits, or -- for an importance-sampled point
 /// (`"weighted": true`) -- its normal interval rescaled from ci95, the 95%
-/// half-width. `confidence` defaults to 0.99. A reference fixture may also
-/// carry `spec_digest` and `seed`, its provenance, which verify ignores.
+/// half-width; the family confidence of either check is 0.99. `analytic`
+/// holds the antipodal (BPSK) AWGN curve, the one closed form so far. A
+/// reference fixture also carries `spec_digest` and `seed`, its provenance,
+/// which verify ignores.
 ///
 /// `metric` is "ber", "ci95", "errors", "bits", "trials", or the name of a
 /// recorded metric (its mean). A filter or group that selects no points is
@@ -84,9 +85,10 @@ struct VerifyReport {
                                          const io::JsonValue& expectations);
 
 /// A reference fixture for \p doc: an expectations document whose one
-/// `reference` check holds every point's counts and interval, plus the
-/// FNV-1a digest of \p spec_text (the scenario document the run expanded)
-/// and the run's seed. Checked by verify against a rerun of the same spec
+/// `reference` check holds every point's label, counts, ber and ci95
+/// (and `weighted` for an importance-sampled point), plus the FNV-1a
+/// digest of \p spec_text (the scenario document the run expanded) and the
+/// run's seed. Checked by verify against a rerun of the same spec
 /// on another seed (`uwb_farm fixture`, test_oracle).
 [[nodiscard]] std::string reference_fixture(const io::ResultDoc& doc,
                                             const std::string& spec_text);

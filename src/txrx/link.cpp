@@ -628,7 +628,7 @@ dsp::AlignedVec<float>& gen1_capture_arena() {
 
 }  // namespace
 
-void fill_gen1_thread_buffers(float value) {
+void test_hooks::fill_gen1_thread_buffers(float value) {
   dsp::AlignedVec<float>& arena = gen1_capture_arena();
   const std::size_t size = arena.size();
   arena.resize(arena.capacity());
@@ -638,14 +638,6 @@ void fill_gen1_thread_buffers(float value) {
 }
 
 namespace {
-
-Gen1RxOptions gen1_rx_options(const Gen1Link::Capture& cap, const TrialOptions& options) {
-  Gen1RxOptions rx_opts;
-  rx_opts.genie_timing = options.genie_timing;
-  rx_opts.genie_offset = cap.true_offset_adc;
-  rx_opts.agc = cap.agc;
-  return rx_opts;
-}
 
 /// The multipath realization a gen-1 trial must use (cm >= 1 only): the
 /// context's resolved ensemble realization, or a fresh per-trial draw.
@@ -696,15 +688,17 @@ Gen1Link::Capture Gen1Link::synthesize_capture(const TrialOptions& options,
   cap.frame = std::move(train.frame);
   double pulse_energy = 0.0;
   for (const double a : train.amplitudes) pulse_energy += a * a;
-  cap.agc = Gen1AgcModel{pulse_energy, kernel.filtered_energy, n0};
+  // An acquisition trial searches for the timing, so it reads it all.
+  cap.rx.genie_timing = options.genie_timing && options.kind != TrialKind::kAcquisition;
+  cap.rx.genie_offset = cap.true_offset_adc;
+  cap.rx.agc = Gen1AgcModel{pulse_energy, kernel.filtered_energy, n0};
 
   // Only the samples the receiver reads are synthesized: the spans its
   // decision windows pull through the FIR, or [0, rx_len) for a receive
-  // that reads the whole capture (an acquisition trial reads it all).
-  Gen1RxOptions rx_opts = gen1_rx_options(cap, options);
-  if (options.kind == TrialKind::kAcquisition) rx_opts.genie_timing = false;
-  cap.spans = rx_.input_spans(rx_len, config_.analog_fs, tx_, cap.frame.frame_bits.size(),
-                              rx_opts);
+  // that reads the whole capture.
+  cap.windows = rx_.decision_windows(rx_len, config_.analog_fs, tx_,
+                                     cap.frame.frame_bits.size(), cap.rx);
+  cap.spans = rx_.input_spans(rx_len, config_.analog_fs, cap.windows);
 
   std::size_t synthesized = 0;
   for (const IndexRange& span : cap.spans) synthesized += span.end - span.begin;
@@ -783,7 +777,7 @@ Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
   require_supported(caps_, options);
   const Capture cap = synthesize_capture(options, context, rng);
   if (options.kind != TrialKind::kAcquisition) {
-    return receive_capture(cap, options, decision_windows(cap, options), rng);
+    return receive_capture(cap, options, cap.windows, rng);
   }
 
   // Acquisition trial: one attempt, a timing failure is its one "error".
@@ -793,7 +787,7 @@ Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
   Gen1TrialResult trial;
   trial.true_offset_adc = cap.true_offset_adc;
   const Gen1AcqResult& acq = trial.rx.acq =
-      rx_.acquire(cap.samples, config_.analog_fs, tx_, cap.agc, rng);
+      rx_.acquire(cap.samples, config_.analog_fs, tx_, cap.rx, rng);
   // Compare timing modulo one PN period (the residual ambiguity the SFD
   // search resolves at frame level).
   const std::size_t period_samples =
@@ -816,20 +810,13 @@ Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
   return trial;
 }
 
-std::span<const AdcWindow> Gen1Link::decision_windows(const Capture& cap,
-                                                      const TrialOptions& options) {
-  return rx_.decision_windows(cap.samples.size(), config_.analog_fs, tx_,
-                              cap.frame.frame_bits.size(), gen1_rx_options(cap, options));
-}
-
 Gen1TrialResult Gen1Link::receive_capture(const Capture& cap, const TrialOptions& options,
                                           std::span<const AdcWindow> windows, Rng& rng) {
   Gen1TrialResult trial;
   trial.true_offset_adc = cap.true_offset_adc;
-  trial.rx = rx_.receive(cap.samples, config_.analog_fs, tx_, cap.frame,
-                         gen1_rx_options(cap, options), windows, rng);
+  trial.rx = rx_.receive(cap.samples, config_.analog_fs, tx_, cap.frame, cap.rx, windows, rng);
 
-  const bool locked = options.genie_timing || trial.rx.acq.acquired;
+  const bool locked = cap.rx.genie_timing || trial.rx.acq.acquired;
   sim::TrialOutcome& out = trial.outcome;
   out.bits = trial.rx.bits_compared;
   out.errors = trial.rx.bit_errors;

@@ -435,11 +435,14 @@ class Gen1Link final : public Link {
     /// samples inside \p spans are synthesized; the rest hold whatever the
     /// arena held before.
     std::span<const float> samples;
-    /// The analog spans the receiver reads (Gen1Receiver::input_spans),
-    /// ascending: [0, n) unless the decision reads less. Views the link's
-    /// receiver, valid until its next call.
+    /// The ADC windows the receiver's decision reads
+    /// (Gen1Receiver::decision_windows) and the analog spans digitizing them
+    /// reads (Gen1Receiver::input_spans), ascending: [0, n) unless the
+    /// decision reads less. Both view the link's receiver, valid until its
+    /// next call.
+    std::span<const AdcWindow> windows;
     std::span<const IndexRange> spans;
-    Gen1AgcModel agc;                 ///< what the receiver's AGC sets its gain from
+    Gen1RxOptions rx;                 ///< genie timing and the AGC model
     std::size_t target_bit = 0;       ///< importance-sampled trials only
     double log_weight = 0.0;          ///< importance-sampled trials only
   };
@@ -456,17 +459,12 @@ class Gen1Link final : public Link {
   Capture synthesize_capture(const TrialOptions& options, const TrialContext& context,
                              Rng& rng);
 
-  /// The ADC windows the receiver's decision reads in \p cap (see
-  /// Gen1Receiver::decision_windows; valid until the next call).
-  [[nodiscard]] std::span<const AdcWindow> decision_windows(const Capture& cap,
-                                                            const TrialOptions& options);
-
   /// Receives \p cap, digitizing only \p windows, and scores the trial:
-  /// run_packet_full is synthesize_capture then this over
-  /// decision_windows(). Any window set covering those -- the single
-  /// window [0, SIZE_MAX) is the whole capture -- gives the same bits:
-  /// the outputs the decision reads depend only on the samples inside
-  /// cap.spans, and the rest of a wider pass reads whatever the arena held.
+  /// run_packet_full is synthesize_capture then this over cap.windows.
+  /// Any window set covering those -- the single window [0, SIZE_MAX) is
+  /// the whole capture -- gives the same bits: the outputs the decision
+  /// reads depend only on the samples inside cap.spans, and the rest of a
+  /// wider pass reads whatever the arena held.
   [[nodiscard]] Gen1TrialResult receive_capture(const Capture& cap, const TrialOptions& options,
                                                 std::span<const AdcWindow> windows, Rng& rng);
 
@@ -501,11 +499,5 @@ class Gen1Link final : public Link {
   Kernel channel_kernel_;
   Kernel proto_kernel_;
 };
-
-/// Overwrites the calling thread's gen-1 sample buffers -- the capture
-/// arena and every receive buffer, over their whole capacity -- with
-/// \p value. A trial reads only what it wrote, so poisoning them (NaN)
-/// must change no result.
-void fill_gen1_thread_buffers(float value);
 
 }  // namespace uwb::txrx

@@ -138,11 +138,8 @@ void Gen1Receiver::fill_thread_buffers(float value) {
 }
 
 std::span<const IndexRange> Gen1Receiver::input_spans(std::size_t n, double fs,
-                                                      const Gen1Transmitter& tx,
-                                                      std::size_t num_bits,
-                                                      const Gen1RxOptions& options) {
+                                                      std::span<const AdcWindow> windows) {
   const std::size_t n_adc = sampler_.output_size(n, fs);
-  const std::span<const AdcWindow> windows = decision_windows(n, fs, tx, num_bits, options);
   ws_spans_.clear();
   const std::optional<LanePlan> plan = sampler_.lane_plan(fs, lane_skews_s_);
   if (!plan || (windows.size() == 1 && windows.front().begin == 0 &&
@@ -175,7 +172,8 @@ std::pair<std::size_t, std::size_t> Gen1Receiver::plan_windows(
   ws_windows_.clear();
   std::size_t prev_begin = 0;
   for (const AdcWindow& w : windows) {
-    detail::require(w.begin >= prev_begin, "Gen1Receiver: windows must ascend");
+    // Not detail::require: its message string would be built per window.
+    if (w.begin < prev_begin) throw InvalidArgument("Gen1Receiver: windows must ascend");
     prev_begin = w.begin;
     const std::size_t begin = std::min(w.begin, n_adc) / lanes * lanes;
     const std::size_t end = std::min(ceil_div(std::min(w.end, n_adc), lanes) * lanes, n_adc);
@@ -212,7 +210,7 @@ std::pair<std::size_t, std::size_t> Gen1Receiver::plan_windows(
 Gen1MfView Gen1Receiver::digitize_and_filter(std::span<const float> rx, double fs,
                                              const Gen1Transmitter& tx,
                                              std::span<const AdcWindow> windows,
-                                             const Gen1AgcModel& agc, Rng& rng) {
+                                             const Gen1RxOptions& options, Rng& rng) {
   const std::size_t n = rx.size();
   const std::size_t n_adc = sampler_.output_size(n, fs);
   const std::optional<LanePlan> plan = sampler_.lane_plan(fs, lane_skews_s_);
@@ -234,7 +232,7 @@ Gen1MfView Gen1Receiver::digitize_and_filter(std::span<const float> rx, double f
     dsp::convolve_same_range(rx.data(), n, anti_alias_rev_f_.data(), anti_alias_rev_f_.size(),
                              w.in_begin, w.in_end, a.kept.data() + w.kept_offset);
   }
-  const double r = expected_rms(agc, n);
+  const double r = expected_rms(options.agc, n);
   for (const Window& w : ws_windows_) {
     float* out = a.sampled.data() + w.adc_offset;
     if (plan) {
@@ -406,10 +404,10 @@ Gen1AcqResult Gen1Receiver::acquire_on_mf(std::span<const float> mf,
 }
 
 Gen1AcqResult Gen1Receiver::acquire(std::span<const float> rx, double fs,
-                                    const Gen1Transmitter& tx, const Gen1AgcModel& agc,
+                                    const Gen1Transmitter& tx, const Gen1RxOptions& options,
                                     Rng& rng) {
   const AdcWindow whole{0, sampler_.output_size(rx.size(), fs)};
-  return acquire_on_mf(digitize_and_filter(rx, fs, tx, {&whole, 1}, agc, rng).dense(), tx);
+  return acquire_on_mf(digitize_and_filter(rx, fs, tx, {&whole, 1}, options, rng).dense(), tx);
 }
 
 Gen1RxResult Gen1Receiver::receive(std::span<const float> rx, double fs,
@@ -425,7 +423,7 @@ Gen1RxResult Gen1Receiver::receive(std::span<const float> rx, double fs,
                                    const Gen1RxOptions& options,
                                    std::span<const AdcWindow> windows, Rng& rng) {
   Gen1RxResult result;
-  const Gen1MfView mf = digitize_and_filter(rx, fs, tx, windows, options.agc, rng);
+  const Gen1MfView mf = digitize_and_filter(rx, fs, tx, windows, options, rng);
   const std::size_t F = config_.frame_samples_adc;
 
   std::size_t preamble_start = 0;

@@ -94,6 +94,17 @@ struct Gen1MfView {
   [[nodiscard]] std::span<const float> dense() const noexcept;
 };
 
+namespace test_hooks {
+
+/// Overwrites the calling thread's gen-1 sample buffers -- the capture
+/// arena and every receive buffer, over their whole capacity -- with
+/// \p value. A trial reads only what it wrote, so poisoning them (NaN)
+/// must change no result. Tests only; defined with the capture arena in
+/// link.cpp.
+void fill_gen1_thread_buffers(float value);
+
+}  // namespace test_hooks
+
 /// The gen-1 receiver.
 class Gen1Receiver {
  public:
@@ -111,11 +122,6 @@ class Gen1Receiver {
   /// The rms \p agc expects of an \p n-sample capture after the FIR: the
   /// AGC gain is 0.25 over it.
   [[nodiscard]] double expected_rms(const Gen1AgcModel& agc, std::size_t n) const;
-
-  /// Fills every sample buffer the calling thread's gen-1 receive passes
-  /// use, over its whole capacity, with \p value. A pass reads only what it
-  /// wrote, so poisoning them (NaN) must change no result.
-  static void fill_thread_buffers(float value);
 
   /// Full receive over the caller's float sample arena at rate \p fs:
   /// sample, convert, matched-filter, acquire, despread -- the whole chain
@@ -146,38 +152,44 @@ class Gen1Receiver {
                                                             std::size_t num_bits,
                                                             const Gen1RxOptions& options);
 
-  /// The analog samples a receive of an \p n-sample capture reads: each
-  /// decision window's FIR outputs (LanePlan::input_span) widened by the
-  /// FIR's support, merged and ascending. A capture needs to be synthesized
-  /// only there. A receive that reads the whole capture -- acquisition,
-  /// non-genie timing, a jittered sampler -- gets the single span [0, n).
-  /// The span views the receiver's own buffer, valid until its next call.
+  /// The analog samples of an \p n-sample capture that digitizing the ADC
+  /// \p windows (decision_windows()) reads: each window's FIR outputs
+  /// (LanePlan::input_span) widened by the FIR's support, merged and
+  /// ascending. A capture needs to be synthesized only there. Windows that
+  /// cover the whole capture -- acquisition, non-genie timing -- and a
+  /// jittered sampler get the single span [0, n). The span views the
+  /// receiver's own buffer, valid until its next call.
   [[nodiscard]] std::span<const IndexRange> input_spans(std::size_t n, double fs,
-                                                        const Gen1Transmitter& tx,
-                                                        std::size_t num_bits,
-                                                        const Gen1RxOptions& options);
+                                                        std::span<const AdcWindow> windows);
 
   /// Acquisition only (bench E2/E11): processes a capture containing at
-  /// least one PN period past the search uncertainty, gain set by \p agc.
+  /// least one PN period past the search uncertainty, gain set by
+  /// options.agc (the timing fields are not read).
   [[nodiscard]] Gen1AcqResult acquire(std::span<const float> rx, double fs,
-                                      const Gen1Transmitter& tx, const Gen1AgcModel& agc,
-                                      Rng& rng);
+                                      const Gen1Transmitter& tx,
+                                      const Gen1RxOptions& options, Rng& rng);
 
   /// Analog band-limiting + sampling + interleaved conversion + matched
   /// filtering, entirely in single precision, over the ADC index
-  /// \p windows (ascending by begin), with the AGC gain \p agc models. The
-  /// anti-alias FIR computes only the outputs the windows sample, and the
-  /// sampler, converter and matched filter run only inside the windows:
-  /// each output is bit-identical to a pass over the whole capture, and
-  /// reads only the samples input_spans() names. The view is valid until
-  /// the next call on this receiver or, by any gen-1 receiver, on this
-  /// thread.
+  /// \p windows (ascending by begin), with the AGC gain options.agc models.
+  /// The anti-alias FIR computes only the outputs the windows sample, and
+  /// the sampler, converter and matched filter run only inside the
+  /// windows: each output is bit-identical to a pass over the whole
+  /// capture, and reads only the samples input_spans() names. The view is
+  /// valid until the next call on this receiver or, by any gen-1 receiver,
+  /// on this thread.
   [[nodiscard]] Gen1MfView digitize_and_filter(std::span<const float> rx, double fs,
                                                const Gen1Transmitter& tx,
                                                std::span<const AdcWindow> windows,
-                                               const Gen1AgcModel& agc, Rng& rng);
+                                               const Gen1RxOptions& options, Rng& rng);
 
  private:
+  friend void test_hooks::fill_gen1_thread_buffers(float value);
+
+  /// Fills every sample buffer the calling thread's gen-1 receive passes
+  /// use, over its whole capacity, with \p value.
+  static void fill_thread_buffers(float value);
+
   /// One digitized window: ADC samples [adc_begin, adc_end) at adc_offset
   /// of the sampled/level arenas, read from the FIR outputs
   /// [in_begin, in_end) kept at kept_offset.
@@ -192,10 +204,9 @@ class Gen1Receiver {
   /// lane patterns and merges overlaps into ws_windows_; \p plan (null for
   /// a jittered sampler) maps each window to the FIR outputs it reads.
   /// Returns the number of ADC samples and of FIR outputs the windows hold.
-  std::pair<std::size_t, std::size_t> plan_windows(std::span<const AdcWindow> windows, std::size_t n,
-                           std::size_t n_adc, const LanePlan* plan);
-
-
+  std::pair<std::size_t, std::size_t> plan_windows(std::span<const AdcWindow> windows,
+                                                   std::size_t n, std::size_t n_adc,
+                                                   const LanePlan* plan);
 
   [[nodiscard]] Gen1AcqResult acquire_on_mf(std::span<const float> mf,
                                             const Gen1Transmitter& tx) const;

@@ -176,21 +176,23 @@ TEST(Awgn, VarianceCalibration) {
 TEST(Awgn, RealNoiseIsHalfPerRail) {
   Rng rng(15);
   std::vector<float> x(200000, 0.0f);
-  add_awgn(x.data(), x.size(), 1.0, rng);
+  const IndexRange whole{0, x.size()};
+  add_awgn(x.data(), {&whole, 1}, 1.0, rng);
   double acc = 0.0;
   for (const float v : x) acc += static_cast<double>(v) * v;
   EXPECT_NEAR(acc / static_cast<double>(x.size()), 0.5, 0.01);
 }
 
 TEST(Awgn, SpansContinueOneNoiseStream) {
-  // The span overload adds to its spans exactly the draws the dense
-  // overload adds to their samples laid end to end: any split of [0, n),
-  // odd and empty pieces included, gives the dense bytes, and samples
-  // outside sparse spans are neither read nor written.
+  // Spans receive exactly the draws the single span [0, n) adds to their
+  // samples laid end to end: any split of [0, n), odd and empty pieces
+  // included, gives the dense bytes, and samples outside sparse spans are
+  // neither read nor written.
   constexpr std::size_t n = 1001;
   std::vector<float> dense(n, 0.25f);
   Rng dense_rng(17);
-  add_awgn(dense.data(), n, 0.8, dense_rng);
+  const IndexRange whole{0, n};
+  add_awgn(dense.data(), {&whole, 1}, 0.8, dense_rng);
   const std::vector<std::vector<IndexRange>> splits = {
       {{0, n}},
       {{0, 1}, {1, 2}, {2, 501}, {501, 501}, {501, n}},
@@ -216,7 +218,8 @@ TEST(Awgn, SpansContinueOneNoiseStream) {
   Rng rng_sparse(18);
   Rng rng_packed(18);
   add_awgn(x.data(), sparse, 0.8, rng_sparse);
-  add_awgn(packed.data(), total, 0.8, rng_packed);
+  const IndexRange packed_whole{0, total};
+  add_awgn(packed.data(), {&packed_whole, 1}, 0.8, rng_packed);
   std::size_t k = 0;
   std::size_t untouched = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -242,7 +245,8 @@ TEST(Awgn, MatchedFilterBerMatchesTheory) {
   for (std::size_t i = 0; i < n; ++i) {
     const float tx = rng.bit() ? -1.0f : 1.0f;
     float s = tx;
-    add_awgn(&s, 1, n0, rng);
+    const IndexRange one{0, 1};
+    add_awgn(&s, {&one, 1}, n0, rng);
     if ((s < 0.0f) != (tx < 0.0f)) ++errors;
   }
   const double measured = static_cast<double>(errors) / static_cast<double>(n);

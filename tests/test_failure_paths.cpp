@@ -68,7 +68,7 @@ TEST(FailurePaths, Gen1TooShortCaptureReportsNoLock) {
 
   // A capture shorter than one stage-2 window cannot be searched.
   const std::vector<float> stub(50000, 0.0f);
-  const auto acq = receiver.acquire(stub, config.analog_fs, tx, txrx::Gen1AgcModel{}, rng);
+  const auto acq = receiver.acquire(stub, config.analog_fs, tx, txrx::Gen1RxOptions{}, rng);
   EXPECT_FALSE(acq.acquired);
 }
 

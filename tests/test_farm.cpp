@@ -388,8 +388,8 @@ TEST(Verify, AnalyticChecksTheAntipodalBand) {
   doc.points[1].errors = 190;
   doc.points[1].bits = 1000000;
   const io::JsonValue analytic = io::parse_json(
-      "{\"version\": 1, \"checks\": [{\"check\": \"analytic\", \"form\": "
-      "\"antipodal_awgn\", \"axis\": \"ebn0_db\", \"loss_db\": 1}]}");
+      "{\"version\": 1, \"checks\": [{\"check\": \"analytic\", \"axis\": "
+      "\"ebn0_db\", \"loss_db\": 1}]}");
   const VerifyReport ideal = verify_result(doc, analytic);
   EXPECT_TRUE(ideal.ok()) << (ideal.failures.empty() ? "" : ideal.failures[0]);
   io::ResultDoc too_good = doc;
@@ -399,8 +399,8 @@ TEST(Verify, AnalyticChecksTheAntipodalBand) {
   too_bad.points[1].errors = 2000;  // 2e-3 at 8 dB: ~2.5 dB of loss
   EXPECT_FALSE(verify_result(too_bad, analytic).ok());
   EXPECT_THROW((void)verify_result(doc, io::parse_json(
-                   "{\"version\": 1, \"checks\": [{\"check\": \"analytic\", \"form\": "
-                   "\"qpsk\", \"axis\": \"ebn0_db\", \"loss_db\": 1}]}")),
+                   "{\"version\": 1, \"checks\": [{\"check\": \"analytic\", \"axis\": "
+                   "\"ebn0_db\", \"loss_db\": -1}]}")),
                InvalidArgument);
 }
 

@@ -417,8 +417,7 @@ TEST(Gen1Receiver, DecisionWindowsReceiveLikeTheWholeCapture) {
       context.sampling_trial = trial;
       Rng rng = root.fork(trial);
       const Gen1Link::Capture cap = link.synthesize_capture(options, context, rng);
-      const std::span<const AdcWindow> decision = link.decision_windows(cap, options);
-      const std::vector<AdcWindow> windows(decision.begin(), decision.end());
+      const std::vector<AdcWindow> windows(cap.windows.begin(), cap.windows.end());
       ASSERT_GT(windows.size(), 1u) << where;  // genie timing: per-pulse windows
       std::vector<AdcWindow> shifted = windows;
       for (std::size_t i = 0; i < shifted.size(); ++i) shifted[i].begin -= 1 + i % 3;
@@ -438,7 +437,7 @@ TEST(Gen1Receiver, DecisionWindowsReceiveLikeTheWholeCapture) {
       const auto read_values = [&](std::span<const AdcWindow> digitized) {
         Rng rng_mf = rng;
         const Gen1MfView mf = rx.digitize_and_filter(cap.samples, config.analog_fs,
-                                                     link.transmitter(), digitized, cap.agc,
+                                                     link.transmitter(), digitized, cap.rx,
                                                      rng_mf);
         std::vector<uint32_t> bits;
         for (const AdcWindow& w : windows) {
@@ -465,7 +464,7 @@ TEST(Gen1Receiver, JitteredSamplerDigitizesTheWholeCapture) {
   options.payload_bits = 8;
   Rng rng(3);
   const Gen1Link::Capture cap = link.synthesize_capture(options, TrialContext{}, rng);
-  const std::span<const AdcWindow> windows = link.decision_windows(cap, options);
+  const std::span<const AdcWindow> windows = cap.windows;
   ASSERT_EQ(windows.size(), 1u);
   EXPECT_EQ(windows.front().begin, 0u);
   EXPECT_EQ(windows.front().end, cap.samples.size() / 2);  // 4 GS/s analog, 2 GS/s ADC
@@ -592,7 +591,7 @@ TEST(Gen1Link, PoisonedThreadBuffersChangeNoGenieTrial) {
         dense.start_delay_max_frames = 64;
         Rng warm_rng(5);
         (void)warm.run_packet_full(dense, warm_rng);
-        fill_gen1_thread_buffers(std::numeric_limits<float>::quiet_NaN());
+        test_hooks::fill_gen1_thread_buffers(std::numeric_limits<float>::quiet_NaN());
       }
       Gen1Link link(config, 0x4EA1);
       TrialOptions options = default_options(Generation::kGen1);
@@ -610,11 +609,10 @@ TEST(Gen1Link, PoisonedThreadBuffersChangeNoGenieTrial) {
       }
       Rng rng(0x7E57);
       const Gen1Link::Capture cap = link.synthesize_capture(options, context, rng);
-      const std::span<const AdcWindow> decision = link.decision_windows(cap, options);
-      const std::vector<AdcWindow> windows(decision.begin(), decision.end());
+      const std::vector<AdcWindow> windows(cap.windows.begin(), cap.windows.end());
       Rng rng_mf = rng;
       const Gen1MfView mf = link.receiver().digitize_and_filter(
-          cap.samples, config.analog_fs, link.transmitter(), windows, cap.agc, rng_mf);
+          cap.samples, config.analog_fs, link.transmitter(), windows, cap.rx, rng_mf);
       for (const AdcWindow& w : windows) {
         const float* v = mf.find(w.begin);
         seen.mf_bits.push_back(v != nullptr ? std::bit_cast<uint32_t>(*v) : 0u);
@@ -661,7 +659,7 @@ TEST(Gen1Receiver, ExpectedPowerGainMatchesTheMeasuredDensePower) {
         double power = 0.0;
         for (const float v : y) power += static_cast<double>(v) * v;
         const double measured = std::sqrt(power / static_cast<double>(n));
-        const double expected = link.receiver().expected_rms(cap.agc, n);
+        const double expected = link.receiver().expected_rms(cap.rx.agc, n);
         const double gap_db = 20.0 * std::log10(measured / expected);
         EXPECT_LT(std::abs(gap_db), 0.05)
             << "cm " << cm << ", " << ebn0_db << " dB, seed " << seed;
