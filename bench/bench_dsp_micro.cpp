@@ -18,6 +18,9 @@
 #include "fec/convolutional.h"
 #include "fec/viterbi_decoder.h"
 #include "phy/scrambler.h"
+#include "channel/awgn.h"
+#include "sim/scenario.h"
+#include "txrx/receiver_gen1.h"
 
 namespace {
 
@@ -78,6 +81,36 @@ void BM_FirFilter64Tap(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 4096);
 }
 BENCHMARK(BM_FirFilter64Tap);
+
+// The gen-1 converter path's noise for one genie-timed waterfall trial:
+// 2048 decision blocks of 12 converter samples, one frame (648 samples)
+// apart -- the white draws, then each block's Cholesky factor applied.
+// The factors are built once, in the warm-up iteration.
+void BM_Gen1WindowNoise(benchmark::State& state) {
+  const txrx::Gen1Config config = sim::gen1_fast();
+  Rng mismatch(5);
+  txrx::Gen1Receiver rx(config, mismatch);
+  constexpr std::size_t kBlocks = 2048;
+  constexpr std::size_t kLen = 12;
+  std::vector<txrx::AdcWindow> blocks;
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    const std::size_t begin = (b + 2) * config.frame_samples_adc;
+    blocks.push_back({begin, begin + kLen});
+  }
+  const std::size_t n = (kBlocks + 4) * config.frame_samples_analog();
+  std::vector<float> white(kBlocks * kLen);
+  std::vector<float> values(kBlocks * kLen);
+  Rng rng(6);
+  for (auto _ : state) {
+    std::fill(white.begin(), white.end(), 0.0f);
+    channel::add_awgn(white.data(), white.size(), 0.5, rng);
+    rx.color_noise(blocks, n, config.analog_fs, white.data(), values.data());
+    benchmark::DoNotOptimize(values.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(values.size()));
+}
+BENCHMARK(BM_Gen1WindowNoise);
 
 void BM_NormalizedCorrelation127(benchmark::State& state) {
   Rng rng(3);

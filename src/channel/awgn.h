@@ -10,8 +10,6 @@
 /// N0/2 on its decision rail and BER_BPSK = Q(sqrt(2 Eb/N0)), matching the
 /// textbook curves the benches compare against.
 
-#include <span>
-
 #include "common/rng.h"
 #include "common/types.h"
 #include "common/waveform.h"
@@ -26,16 +24,13 @@ void add_awgn(CplxVec& x, double n0, Rng& rng);
 /// the CplxVec overload on the interleaved samples.
 void add_awgn(double* re, double* im, std::size_t n, double n0, Rng& rng);
 
-/// Adds real AWGN with per-sample variance n0/2 in place to the samples of
-/// \p x inside \p spans (ascending, disjoint), in single precision -- the
-/// gen-1 float sample arena's noise path. Runs a float ziggurat on one
+/// Adds real AWGN with per-sample variance n0/2 in place to \p n float
+/// samples -- the gen-1 single-precision noise path (the dense capture, and
+/// the converter path's white draws). Runs a float ziggurat on one
 /// xoshiro256++ stream seeded by one draw from \p rng's engine, so each
 /// trial's noise stays a pure function of its forked seed (the determinism
-/// contract). The stream continues from span to span: the spans receive
-/// exactly the draws one span over their samples laid end to end would,
-/// so splitting a span anywhere changes no sample. Samples outside the
-/// spans are neither read nor written.
-void add_awgn(float* x, std::span<const IndexRange> spans, double n0, Rng& rng);
+/// contract). Draws nothing from \p rng when n0 or n is zero.
+void add_awgn(float* x, std::size_t n, double n0, Rng& rng);
 
 /// Waveform overload.
 void add_awgn(CplxWaveform& x, double n0, Rng& rng);

@@ -27,12 +27,6 @@ using CplxVec = std::vector<cplx>;
 /// Hard bit (0/1) buffer.
 using BitVec = std::vector<uint8_t>;
 
-/// A half-open range [begin, end) of sample indices.
-struct IndexRange {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
 // --- Unit multipliers -------------------------------------------------------
 // Usage: double fc = 5 * GHz;  double prf = 100 * MHz;  double tau = 20 * ns;
 

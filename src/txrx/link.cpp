@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "channel/awgn.h"
 #include "channel/interferer.h"
@@ -552,28 +553,6 @@ Gen2TrialResult Gen2Link::run_packet_full(const TrialOptions& options, Rng& rng,
 
 // ---------------------------------------------------------------- Gen-1 ----
 
-void gen1_land_train(std::span<const double> amplitudes, std::size_t delay,
-                     std::size_t frame, std::span<const float> g,
-                     std::span<const IndexRange> spans, float* rx) {
-  // Pulse s covers [delay + s * frame, + |g|); within each span the pulses
-  // land in ascending s, so every sample sums its pulses in the order a
-  // dense scatter over [0, n) would.
-  for (const IndexRange& span : spans) {
-    std::fill(rx + span.begin, rx + span.end, 0.0f);
-    if (span.end <= delay) continue;
-    const std::size_t s_lo =
-        span.begin < delay + g.size() ? 0 : (span.begin - delay - g.size()) / frame + 1;
-    const std::size_t s_hi = std::min(amplitudes.size(), ceil_div(span.end - delay, frame));
-    for (std::size_t s = s_lo; s < s_hi; ++s) {
-      const std::size_t p = delay + s * frame;
-      const std::size_t lo = std::max(span.begin, p);
-      const std::size_t hi = std::min(span.end, p + g.size());
-      const auto a = static_cast<float>(amplitudes[s]);
-      for (std::size_t i = lo; i < hi; ++i) rx[i] += a * g[i - p];
-    }
-  }
-}
-
 Gen1Link::Gen1Link(const Gen1Config& config, uint64_t seed)
     : Link(seed), config_(config), tx_(config), rx_(config, rng_) {
   caps_ = generation_caps(Generation::kGen1);
@@ -590,7 +569,7 @@ void mirror_to_float(const RealVec& g, dsp::AlignedVec<float>& out) {
 
 }  // namespace
 
-const Gen1Link::Kernel& Gen1Link::composite_kernel(const channel::Cir& cir) {
+Gen1Link::Kernel& Gen1Link::composite_kernel(const channel::Cir& cir) {
   if (!channel_kernel_.g.empty() && cir.taps() == g_key_taps_) return channel_kernel_;
   const CplxVec hc = cir.sampled(config_.analog_fs);
   RealVec hr(hc.size());
@@ -601,39 +580,155 @@ const Gen1Link::Kernel& Gen1Link::composite_kernel(const channel::Cir& cir) {
   // realization); the per-packet scatter reads the float mirror.
   mirror_to_float(channel_kernel_.g, channel_kernel_.g_f);
   channel_kernel_.filtered_energy = rx_.filtered_energy(channel_kernel_.g);
+  channel_kernel_.images.clear();
   return channel_kernel_;
 }
 
-const Gen1Link::Kernel& Gen1Link::prototype_kernel() {
+Gen1Link::Kernel& Gen1Link::prototype_kernel() {
   const RealVec& proto = tx_.prototype().samples();
   if (proto_kernel_.g != proto) {
     proto_kernel_.g = proto;
     mirror_to_float(proto, proto_kernel_.g_f);
     proto_kernel_.filtered_energy = rx_.filtered_energy(proto);
+    proto_kernel_.images.clear();
   }
   return proto_kernel_;
+}
+
+const std::vector<std::optional<Gen1ConverterImage>>& Gen1Link::converter_images(
+    Kernel& kernel, std::size_t delay, std::size_t frame, std::size_t pulses) {
+  const std::optional<Gen1Receiver::LanePlan> plan = rx_.lane_plan(config_.analog_fs);
+  detail::require(plan.has_value(), "Gen1Link: converter images need a lane plan");
+  const std::size_t period = plan->stride * plan->num_lanes;
+  kernel.images.resize(period);
+  // Pulse phases repeat with a period dividing `period` pulses.
+  for (std::size_t s = 0; s < std::min(pulses, period); ++s) {
+    const std::size_t phase = (delay + s * frame) % period;
+    if (!kernel.images[phase]) {
+      kernel.images[phase] = rx_.converter_image(kernel.g_f, phase, config_.analog_fs);
+    }
+  }
+  return kernel.images;
 }
 
 namespace {
 
 /// A gen-1 trial's received capture (channel, noise; the receiver reads it
-/// in place). Per thread, not per link, as on gen-2: each trial rewrites
-/// all of it that the receiver reads, so links sharing it on one thread
-/// cannot couple results, and a worker maps it once per run instead of
-/// once per link.
+/// in place), on the dense path. Per thread, not per link, as on gen-2:
+/// each trial rewrites all of it, so links sharing it on one thread cannot
+/// couple results, and a worker maps it once per run instead of once per
+/// link.
 dsp::AlignedVec<float>& gen1_capture_arena() {
   thread_local dsp::AlignedVec<float> arena;
   return arena;
 }
 
+/// The converter path's samples: the decision blocks' converter samples,
+/// and the white draws their noise is colored from. Per thread, as above.
+struct Gen1ConverterArenas {
+  dsp::AlignedVec<float> values;
+  dsp::AlignedVec<float> white;
+};
+
+Gen1ConverterArenas& gen1_converter_arenas() {
+  thread_local Gen1ConverterArenas arenas;
+  return arenas;
+}
+
+void fill_whole(dsp::AlignedVec<float>& buf, float value) {
+  const std::size_t size = buf.size();
+  buf.resize(buf.capacity());
+  std::fill(buf.begin(), buf.end(), value);
+  buf.resize(size);
+}
+
+/// The dense capture before noise: rx[i] = sum_s a_s * g[i - delay - s *
+/// frame] over [0, n), pulses summed in ascending s.
+void land_train(std::span<const double> amplitudes, std::size_t delay, std::size_t frame,
+                std::span<const float> g, float* rx, std::size_t n) {
+  std::fill(rx, rx + n, 0.0f);
+  for (std::size_t s = 0; s < amplitudes.size(); ++s) {
+    const std::size_t p = delay + s * frame;
+    if (p >= n) break;
+    const std::size_t hi = std::min(n, p + g.size());
+    const auto a = static_cast<float>(amplitudes[s]);
+    for (std::size_t i = p; i < hi; ++i) rx[i] += a * g[i - p];
+  }
+}
+
+/// Where converter images reach, in analog samples from the start p of the
+/// pulse they image: every image sample's ADC index k has
+/// lo <= k * stride - p < hi.
+struct ImageReach {
+  std::ptrdiff_t lo = 0;
+  std::ptrdiff_t hi = 0;
+};
+
+ImageReach image_reach(const std::vector<std::optional<Gen1ConverterImage>>& images,
+                       std::size_t stride) {
+  const auto st = static_cast<std::ptrdiff_t>(stride);
+  ImageReach reach{std::numeric_limits<std::ptrdiff_t>::max(),
+                   std::numeric_limits<std::ptrdiff_t>::min()};
+  for (std::size_t phase = 0; phase < images.size(); ++phase) {
+    if (!images[phase] || images[phase]->values.empty()) continue;
+    const std::ptrdiff_t first = images[phase]->first * st - static_cast<std::ptrdiff_t>(phase);
+    reach.lo = std::min(reach.lo, first);
+    reach.hi = std::max(reach.hi,
+                        first + static_cast<std::ptrdiff_t>(images[phase]->values.size()) * st);
+  }
+  return reach.lo < reach.hi ? reach : ImageReach{};
+}
+
+/// The converter-path capture before noise: sample k of \p blocks (packed
+/// in \p out) receives a_s times the image of pulse s's lane phase at
+/// k - (p_s - phase) / stride - first, p_s = delay + s * frame, summed in
+/// ascending s. \p images holds every phase the pulses land at.
+void land_converter(std::span<const double> amplitudes, std::size_t delay, std::size_t frame,
+                    std::size_t stride,
+                    const std::vector<std::optional<Gen1ConverterImage>>& images,
+                    std::span<const AdcWindow> blocks, float* out) {
+  const ImageReach reach = image_reach(images, stride);
+  const auto d = static_cast<std::ptrdiff_t>(delay);
+  const auto f = static_cast<std::ptrdiff_t>(frame);
+  const auto st = static_cast<std::ptrdiff_t>(stride);
+  const std::size_t period = images.size();
+  std::size_t offset = 0;
+  for (const AdcWindow& block : blocks) {
+    const std::size_t len = block.end - block.begin;
+    float* o = out + offset;
+    offset += len;
+    std::fill(o, o + len, 0.0f);
+    if (reach.lo == reach.hi) continue;
+    // Pulse s can touch the block only if p_s + reach.hi > begin * stride
+    // and p_s + reach.lo < end * stride.
+    const std::ptrdiff_t t = static_cast<std::ptrdiff_t>(block.begin) * st - reach.hi - d;
+    const std::ptrdiff_t u = static_cast<std::ptrdiff_t>(block.end) * st - reach.lo - d;
+    const std::size_t s_lo = t < 0 ? 0 : static_cast<std::size_t>(t / f + 1);
+    const std::size_t s_hi =
+        u <= 0 ? 0 : std::min(amplitudes.size(), static_cast<std::size_t>((u + f - 1) / f));
+    for (std::size_t s = s_lo; s < s_hi; ++s) {
+      const std::size_t p = delay + s * frame;
+      const Gen1ConverterImage& image = *images[p % period];
+      const auto k_first =
+          static_cast<std::ptrdiff_t>((p - p % period) / stride) + image.first;
+      const auto img_len = static_cast<std::ptrdiff_t>(image.values.size());
+      const std::ptrdiff_t lo = std::max(static_cast<std::ptrdiff_t>(block.begin), k_first);
+      const std::ptrdiff_t hi = std::min(static_cast<std::ptrdiff_t>(block.end), k_first + img_len);
+      const auto a = static_cast<float>(amplitudes[s]);
+      for (std::ptrdiff_t k = lo; k < hi; ++k) {
+        o[k - static_cast<std::ptrdiff_t>(block.begin)] += a * image.values[k - k_first];
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void test_hooks::fill_gen1_thread_buffers(float value) {
-  dsp::AlignedVec<float>& arena = gen1_capture_arena();
-  const std::size_t size = arena.size();
-  arena.resize(arena.capacity());
-  std::fill(arena.begin(), arena.end(), value);
-  arena.resize(size);
+  fill_whole(gen1_capture_arena(), value);
+  Gen1ConverterArenas& converter = gen1_converter_arenas();
+  fill_whole(converter.values, value);
+  fill_whole(converter.white, value);
   Gen1Receiver::fill_thread_buffers(value);
 }
 
@@ -673,18 +768,19 @@ Gen1Link::Capture Gen1Link::synthesize_capture(const TrialOptions& options,
 
   // The dense ~98%-zeros waveform is never synthesized: the channel
   // (identity for AWGN-only trials) lands as shift-adds of the composite
-  // kernel straight into the arena, where noise synthesis and the receiver
-  // also run.
-  const Kernel& kernel = options.cm >= 1
-                             ? composite_kernel(resolve_gen1_cir(options, context, rng))
-                             : prototype_kernel();
+  // kernel -- or of its converter images -- straight into the arena the
+  // noise synthesis and the receiver also run in.
+  Kernel& kernel = options.cm >= 1 ? composite_kernel(resolve_gen1_cir(options, context, rng))
+                                   : prototype_kernel();
+  const double fs = config_.analog_fs;
   const std::size_t frame_samples = config_.frame_samples_analog();
   const std::size_t delay_samples = delay_frames * frame_samples;
   const std::size_t train_len = frame_samples * train.amplitudes.size() + kernel.g_f.size();
   // Tail pad so late fingers stay in range.
-  const std::size_t pad = static_cast<std::size_t>(64e-9 * config_.analog_fs);
+  const std::size_t pad = static_cast<std::size_t>(64e-9 * fs);
   const std::size_t rx_len = delay_samples + train_len + pad;
   const double n0 = channel::n0_for_ebn0(train.frame.energy_per_bit, options.ebn0_db);
+  cap.length = rx_len;
   cap.frame = std::move(train.frame);
   double pulse_energy = 0.0;
   for (const double a : train.amplitudes) pulse_energy += a * a;
@@ -693,75 +789,119 @@ Gen1Link::Capture Gen1Link::synthesize_capture(const TrialOptions& options,
   cap.rx.genie_offset = cap.true_offset_adc;
   cap.rx.agc = Gen1AgcModel{pulse_energy, kernel.filtered_energy, n0};
 
-  // Only the samples the receiver reads are synthesized: the spans its
-  // decision windows pull through the FIR, or [0, rx_len) for a receive
-  // that reads the whole capture.
-  cap.windows = rx_.decision_windows(rx_len, config_.analog_fs, tx_,
-                                     cap.frame.frame_bits.size(), cap.rx);
-  cap.spans = rx_.input_spans(rx_len, config_.analog_fs, cap.windows);
+  // Importance sampling: the target data bit's received contribution is its
+  // pulses_per_bit spread-scrambled pulses through the channel,
+  // sum_k chip_k * g[n - k*frame], landed after the preamble and the start
+  // delay.
+  const bool tilt_active = options.sampling.active();
+  const auto ppb = static_cast<std::size_t>(config_.pulses_per_bit);
+  std::vector<double> bit_chips;
+  std::size_t bit_offset = 0;
+  if (tilt_active) {
+    (void)sampling_scale_or_throw(options, context);
+    cap.target_bit = context.sampling_trial % cap.frame.frame_bits.size();
+    const std::vector<double>& spread = tx_.spread_chips();
+    for (std::size_t k = 0; k < ppb; ++k) bit_chips.push_back(spread[k % spread.size()]);
+    bit_offset = (delay_frames + tx_.preamble_frames() + cap.target_bit * ppb) * frame_samples;
+  }
 
-  std::size_t synthesized = 0;
-  for (const IndexRange& span : cap.spans) synthesized += span.end - span.begin;
+  const std::span<const AdcWindow> blocks =
+      rx_.decision_blocks(rx_len, fs, tx_, cap.frame.frame_bits.size(), cap.rx);
+  if (!blocks.empty()) {
+    // Converter path: only the decision blocks' converter samples exist.
+    const std::size_t stride = rx_.lane_plan(fs)->stride;
+    std::size_t total = 0;
+    for (const AdcWindow& block : blocks) total += block.end - block.begin;
+    Gen1ConverterArenas& arenas = gen1_converter_arenas();
+    arenas.values.resize(total);
+    arenas.white.resize(total);
+    float* values = arenas.values.data();
+    float* white = arenas.white.data();
+    const auto& images =
+        converter_images(kernel, delay_samples, frame_samples, train.amplitudes.size());
+    {
+      const obs::StageTimer timer(obs::Stage::kChannelConvolve, total);
+      land_converter(train.amplitudes, delay_samples, frame_samples, stride, images, blocks,
+                     values);
+    }
+    std::fill(white, white + total, 0.0f);
+    channel::add_awgn(white, total, n0, rng);
+    if (tilt_active) {
+      // The tilt rides on the white draws n, along L^-1 times the target
+      // bit's converter image in each block it touches: the converter
+      // samples L * n then move along the bit's image, and the white-noise
+      // likelihood ratio still holds.
+      const ImageReach reach = image_reach(images, stride);
+      const auto st = static_cast<std::ptrdiff_t>(stride);
+      const auto bit_lo = static_cast<std::ptrdiff_t>(bit_offset) + reach.lo;
+      const auto bit_hi =
+          static_cast<std::ptrdiff_t>(bit_offset + (ppb - 1) * frame_samples) + reach.hi;
+      const auto touched_lo = std::partition_point(
+          blocks.begin(), blocks.end(),
+          [&](const AdcWindow& b) { return static_cast<std::ptrdiff_t>(b.end) * st <= bit_lo; });
+      const auto touched_hi = std::partition_point(
+          touched_lo, blocks.end(),
+          [&](const AdcWindow& b) { return static_cast<std::ptrdiff_t>(b.begin) * st < bit_hi; });
+      std::size_t first = 0;
+      for (auto it = blocks.begin(); it != touched_lo; ++it) first += it->end - it->begin;
+      const std::span<const AdcWindow> touched(touched_lo, touched_hi);
+      std::size_t touched_len = 0;
+      for (const AdcWindow& block : touched) touched_len += block.end - block.begin;
+      std::vector<float> bit_image(touched_len);
+      land_converter(bit_chips, bit_offset, frame_samples, stride, images, touched,
+                     bit_image.data());
+      std::vector<double> shape(bit_image.begin(), bit_image.end());
+      rx_.whiten(touched, rx_len, fs, shape.data());
+      const TiltDirection<double> tilt =
+          make_tilt_direction<double>(std::move(shape), first, total);
+      const std::vector<double> clean(tilt.unit.size(), 0.0);
+      cap.log_weight = apply_noise_tilt(
+          [&](std::size_t i) { return static_cast<double>(white[i]); },
+          [&](std::size_t i, double v) { white[i] += static_cast<float>(v); }, clean, tilt,
+          0.5 * n0, options.sampling, context.noise_scale, rng);
+    }
+    if (n0 > 0.0) {
+      const obs::StageTimer timer(obs::Stage::kChannelNoise, total);
+      rx_.color_noise(blocks, rx_len, fs, white, values);
+    }
+    cap.converter = Gen1ConverterCapture{rx_len, blocks, {values, total}};
+    return cap;
+  }
+
+  // Dense path: the whole analog capture.
   dsp::AlignedVec<float>& arena = gen1_capture_arena();
-  float* rx = nullptr;
   {
-    const obs::StageTimer timer(obs::Stage::kChannelConvolve, synthesized);
+    const obs::StageTimer timer(obs::Stage::kChannelConvolve, rx_len);
     // Grown to the longest delay the options allow, so the arena is mapped
     // once rather than again at each new largest delay drawn.
     arena.resize(options.start_delay_max_frames * frame_samples + train_len + pad);
     arena.resize(rx_len);
-    rx = arena.data();
-    gen1_land_train(train.amplitudes, delay_samples, frame_samples,
-                    {kernel.g_f.data(), kernel.g_f.size()}, cap.spans, rx);
+    land_train(train.amplitudes, delay_samples, frame_samples,
+               {kernel.g_f.data(), kernel.g_f.size()}, arena.data(), rx_len);
   }
-
-  if (options.sampling.active()) {
-    // Importance sampling: the target data bit's received contribution is
-    // its pulses_per_bit spread-scrambled pulses through the channel,
-    // sum_k chip_k * g[n - k*frame], landed after the preamble and the
-    // start delay, and kept only on the synthesized spans: the tilt and
-    // its likelihood ratio cover exactly the noise that is drawn.
-    (void)sampling_scale_or_throw(options, context);
-    cap.target_bit = context.sampling_trial % cap.frame.frame_bits.size();
-    const std::vector<double>& spread = tx_.spread_chips();
-    const auto ppb = static_cast<std::size_t>(config_.pulses_per_bit);
+  float* rx = arena.data();
+  if (tilt_active) {
     const RealVec& g = kernel.g;
     std::vector<double> shape((ppb - 1) * frame_samples + g.size(), 0.0);
     for (std::size_t k = 0; k < ppb; ++k) {
-      const double chip = spread[k % spread.size()];
-      for (std::size_t i = 0; i < g.size(); ++i) shape[k * frame_samples + i] += chip * g[i];
-    }
-    const std::size_t bit_offset =
-        (delay_frames + tx_.preamble_frames() + cap.target_bit * ppb) * frame_samples;
-    std::vector<std::uint8_t> drawn(shape.size(), 0);
-    for (const IndexRange& span : cap.spans) {
-      const std::size_t lo = std::max(span.begin, bit_offset);
-      const std::size_t hi = std::min(span.end, bit_offset + shape.size());
-      if (lo < hi) std::fill(drawn.begin() + static_cast<std::ptrdiff_t>(lo - bit_offset),
-                             drawn.begin() + static_cast<std::ptrdiff_t>(hi - bit_offset), 1);
-    }
-    for (std::size_t i = 0; i < shape.size(); ++i) {
-      if (drawn[i] == 0) shape[i] = 0.0;
+      for (std::size_t i = 0; i < g.size(); ++i) {
+        shape[k * frame_samples + i] += bit_chips[k] * g[i];
+      }
     }
     const TiltDirection<double> tilt =
         make_tilt_direction<double>(std::move(shape), bit_offset, rx_len);
-    const auto get = [&](std::size_t n) {
-      return drawn[n - bit_offset] != 0 ? static_cast<double>(rx[n]) : 0.0;
-    };
     std::vector<double> clean;
     if (tilt.usable) {
       clean.resize(tilt.unit.size());
-      for (std::size_t i = 0; i < clean.size(); ++i) clean[i] = get(tilt.offset + i);
+      for (std::size_t i = 0; i < clean.size(); ++i) clean[i] = rx[tilt.offset + i];
     }
-    channel::add_awgn(rx, cap.spans, n0, rng);
+    channel::add_awgn(rx, rx_len, n0, rng);
     cap.log_weight = apply_noise_tilt(
-        get,
-        [&](std::size_t n, double v) {
-          if (drawn[n - bit_offset] != 0) rx[n] += static_cast<float>(v);
-        },
-        clean, tilt, 0.5 * n0, options.sampling, context.noise_scale, rng);
+        [&](std::size_t i) { return static_cast<double>(rx[i]); },
+        [&](std::size_t i, double v) { rx[i] += static_cast<float>(v); }, clean, tilt, 0.5 * n0,
+        options.sampling, context.noise_scale, rng);
   } else {
-    channel::add_awgn(rx, cap.spans, n0, rng);
+    channel::add_awgn(rx, rx_len, n0, rng);
   }
   cap.samples = {rx, rx_len};
   return cap;
@@ -777,7 +917,7 @@ Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
   require_supported(caps_, options);
   const Capture cap = synthesize_capture(options, context, rng);
   if (options.kind != TrialKind::kAcquisition) {
-    return receive_capture(cap, options, cap.windows, rng);
+    return receive_capture(cap, options, rng);
   }
 
   // Acquisition trial: one attempt, a timing failure is its one "error".
@@ -811,10 +951,12 @@ Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
 }
 
 Gen1TrialResult Gen1Link::receive_capture(const Capture& cap, const TrialOptions& options,
-                                          std::span<const AdcWindow> windows, Rng& rng) {
+                                          Rng& rng) {
   Gen1TrialResult trial;
   trial.true_offset_adc = cap.true_offset_adc;
-  trial.rx = rx_.receive(cap.samples, config_.analog_fs, tx_, cap.frame, cap.rx, windows, rng);
+  trial.rx = cap.converter.blocks.empty()
+                 ? rx_.receive(cap.samples, config_.analog_fs, tx_, cap.frame, cap.rx, rng)
+                 : rx_.receive(cap.converter, tx_, cap.frame, cap.rx);
 
   const bool locked = cap.rx.genie_timing || trial.rx.acq.acquired;
   sim::TrialOutcome& out = trial.outcome;

@@ -376,16 +376,6 @@ class Gen2Link final : public Link {
   dsp::IqArena g_;                           ///< composite kernel rails
 };
 
-/// The gen-1 received capture before noise, inside \p spans (ascending,
-/// disjoint) of \p rx only: rx[n] = sum_s a_s * g[n - delay - s * frame],
-/// the pulse train of amplitudes a_s landed one PRF frame of \p frame
-/// samples apart through the pulse kernel \p g. Samples outside the spans
-/// are not touched; inside them each sample is the same float a scatter
-/// over the single span [0, n) gives it.
-void gen1_land_train(std::span<const double> amplitudes, std::size_t delay,
-                     std::size_t frame, std::span<const float> g,
-                     std::span<const IndexRange> spans, float* rx);
-
 /// One gen-1 trial's detailed outcome: the trial record run_packet returns
 /// plus the receiver diagnostics (see Gen2TrialResult). Acquisition trials
 /// fill rx.acq only.
@@ -426,22 +416,27 @@ class Gen1Link final : public Link {
     return run_packet_full(options, rng_, TrialContext{});
   }
 
-  /// One trial's received capture in the single-precision sample arena.
+  /// One trial's received capture, from one of two sample sources.
+  ///
+  /// - Dense (acquisition, non-genie timing, a sampler without a lane
+  ///   plan): \p samples holds the analog capture [0, length), viewing the
+  ///   calling thread's capture arena; \p converter.blocks is empty.
+  /// - Converter (genie timing with a lane plan): no analog sample exists.
+  ///   \p converter holds the samples of the ADC blocks the decision reads
+  ///   (Gen1Receiver::decision_blocks) before the AGC gain: each pulse
+  ///   landed as its amplitude times the kernel's converter image, plus
+  ///   noise drawn per block from its exact covariance. Its values view the
+  ///   thread's converter arena; \p samples is empty.
+  ///
+  /// Either view is valid until the next synthesize_capture on the same
+  /// thread, by any gen-1 link, and the blocks until the link's receiver's
+  /// next call.
   struct Capture {
     TxFrame frame;
     std::size_t true_offset_adc = 0;  ///< preamble start at the ADC rate
-    /// Views the calling thread's capture arena: valid until the next
-    /// synthesize_capture on the same thread, by any gen-1 link. Only the
-    /// samples inside \p spans are synthesized; the rest hold whatever the
-    /// arena held before.
+    std::size_t length = 0;           ///< analog samples the capture spans
     std::span<const float> samples;
-    /// The ADC windows the receiver's decision reads
-    /// (Gen1Receiver::decision_windows) and the analog spans digitizing them
-    /// reads (Gen1Receiver::input_spans), ascending: [0, n) unless the
-    /// decision reads less. Both view the link's receiver, valid until its
-    /// next call.
-    std::span<const AdcWindow> windows;
-    std::span<const IndexRange> spans;
+    Gen1ConverterCapture converter;
     Gen1RxOptions rx;                 ///< genie timing and the AGC model
     std::size_t target_bit = 0;       ///< importance-sampled trials only
     double log_weight = 0.0;          ///< importance-sampled trials only
@@ -450,33 +445,37 @@ class Gen1Link final : public Link {
   /// The trial setup packet and acquisition trials share: draws the
   /// payload and start delay, lands the sparse pulse train through the
   /// channel as y[n] = sum_s a_s * g[n - delay - s*frame] (g = the
-  /// composite kernel, the prototype on AWGN) straight into the float
-  /// arena, then adds AWGN -- tilted along the target data bit's
-  /// direction, restricted to the spans, when options.sampling is active.
-  /// All of it only inside the spans the receiver reads, on one noise
-  /// stream continuing from span to span. Rng draw order: payload bits,
-  /// delay, fresh-realization draws, noise seed, tilt draw.
+  /// composite kernel, the prototype on AWGN) -- at the converter, or
+  /// densely into the float arena -- then adds AWGN, tilted along the
+  /// target data bit's direction when options.sampling is active. Rng draw
+  /// order: payload bits, delay, fresh-realization draws, noise seed, tilt
+  /// draw.
   Capture synthesize_capture(const TrialOptions& options, const TrialContext& context,
                              Rng& rng);
 
-  /// Receives \p cap, digitizing only \p windows, and scores the trial:
-  /// run_packet_full is synthesize_capture then this over cap.windows.
-  /// Any window set covering those -- the single window [0, SIZE_MAX) is
-  /// the whole capture -- gives the same bits: the outputs the decision
-  /// reads depend only on the samples inside cap.spans, and the rest of a
-  /// wider pass reads whatever the arena held.
+  /// Receives \p cap from whichever source it holds and scores the trial:
+  /// run_packet_full is synthesize_capture then this.
   [[nodiscard]] Gen1TrialResult receive_capture(const Capture& cap, const TrialOptions& options,
-                                                std::span<const AdcWindow> windows, Rng& rng);
+                                                Rng& rng);
 
  private:
   /// A pulse kernel g as the trial uses it: the double kernel shapes the
-  /// importance-sampling tilt, the float mirror is what the scatter lands,
-  /// and ||h * g||^2 feeds the AGC model.
+  /// dense importance-sampling tilt, the float mirror is what the dense
+  /// scatter lands and what the converter images push through the front
+  /// end, and ||h * g||^2 feeds the AGC model.
   struct Kernel {
     RealVec g;
     dsp::AlignedVec<float> g_f;
     double filtered_energy = 0.0;  ///< Gen1Receiver::filtered_energy(g)
+    /// Converter images of g_f by lane phase, each built on first use.
+    std::vector<std::optional<Gen1ConverterImage>> images;
   };
+
+  /// \p kernel's converter images for every lane phase a train of
+  /// \p pulses starting at analog sample \p delay, one \p frame apart,
+  /// lands at.
+  const std::vector<std::optional<Gen1ConverterImage>>& converter_images(
+      Kernel& kernel, std::size_t delay, std::size_t frame, std::size_t pulses);
 
   /// The composite kernel g = pulse prototype convolved with the sampled
   /// CIR, driving the sparse pulse-train channel path: the tx waveform is
@@ -486,10 +485,10 @@ class Gen1Link final : public Link {
   /// sweep point shares one realization, so g is computed once per point.
   /// g is a pure function of (taps, config) -- caching cannot change
   /// results for any worker count or trial order.
-  const Kernel& composite_kernel(const channel::Cir& cir);
+  Kernel& composite_kernel(const channel::Cir& cir);
 
   /// The prototype pulse as a kernel (AWGN-only trials), built on first use.
-  const Kernel& prototype_kernel();
+  Kernel& prototype_kernel();
 
   Gen1Config config_;
   LinkCaps caps_;

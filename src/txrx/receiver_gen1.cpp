@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <tuple>
+#include <cstring>
 
 #include "common/error.h"
 #include "common/math_utils.h"
@@ -23,12 +23,12 @@ namespace {
 /// instead of once per link. Single precision: the modeled front end is a
 /// 4-bit converter behind an AGC, so float's 24-bit mantissa is ~20 bits
 /// beyond the physics while doubling SIMD width through the filter,
-/// sampler, converter and matched filter. Each holds only what the windows
-/// need: a genie-timed packet keeps a few dozen samples per data pulse, the
-/// whole capture only a dense pass.
+/// sampler, converter and matched filter. Each holds only what its pass
+/// needs: a converter-path packet a few dozen samples per data pulse, a
+/// dense pass the whole capture.
 struct Gen1RxArenas {
-  dsp::AlignedVec<float> kept;     ///< FIR outputs the windows sample
-  dsp::AlignedVec<float> sampled;  ///< sampled windows, then AGC-scaled
+  dsp::AlignedVec<float> kept;     ///< FIR outputs (dense pass)
+  dsp::AlignedVec<float> sampled;  ///< converter samples, AGC-scaled
   dsp::AlignedVec<float> levels;   ///< converter output levels
   dsp::AlignedVec<float> mf;       ///< matched-filter outputs (Gen1MfView)
   dsp::AlignedVec<float> acq;      ///< stage-1 phase accumulators
@@ -37,6 +37,25 @@ struct Gen1RxArenas {
 Gen1RxArenas& rx_arenas() {
   thread_local Gen1RxArenas arenas;
   return arenas;
+}
+
+/// Cholesky factor of the symmetric positive semi-definite m x m matrix
+/// \p a (row-major), into \p l (row-major, zero above the diagonal). A pivot
+/// that is not positive leaves its column of L zero.
+void cholesky(const std::vector<double>& a, std::size_t m, std::vector<double>& l) {
+  l.assign(m * m, 0.0);
+  for (std::size_t j = 0; j < m; ++j) {
+    double d = a[j * m + j];
+    for (std::size_t k = 0; k < j; ++k) d -= l[j * m + k] * l[j * m + k];
+    if (!(d > 0.0)) continue;
+    const double ljj = std::sqrt(d);
+    l[j * m + j] = ljj;
+    for (std::size_t i = j + 1; i < m; ++i) {
+      double v = a[i * m + j];
+      for (std::size_t k = 0; k < j; ++k) v -= l[i * m + k] * l[j * m + k];
+      l[i * m + j] = v / ljj;
+    }
+  }
 }
 
 }  // namespace
@@ -53,6 +72,57 @@ const float* Gen1MfView::find(std::size_t idx) const noexcept {
 std::span<const float> Gen1MfView::dense() const noexcept {
   if (runs.size() != 1 || runs.front().begin != 0) return {};
   return values.subspan(runs.front().offset, runs.front().end);
+}
+
+const float* Gen1MfView::Cursor::at(std::size_t idx) noexcept {
+  const std::span<const Run> runs = view_->runs;
+  if (idx < last_) run_ = 0;  // a read below the last one starts over
+  last_ = idx;
+  while (run_ < runs.size() && runs[run_].end <= idx) ++run_;
+  if (run_ == runs.size() || idx < runs[run_].begin) return nullptr;
+  const Run& run = runs[run_];
+  return view_->values.data() + run.offset + (idx - run.begin);
+}
+
+void Gen1NoiseFactor::color(const float* white, float* out) const noexcept {
+  if (m <= kColumnStride) {
+    // Four rows at a time in one vector register (GCC/Clang vector
+    // extension: the plain-array form of this loop accumulates through
+    // memory and runs ~4x slower). Columns are kColumnStride floats apart,
+    // zero above the diagonal and below the block, so rows [c, c + 4) sum
+    // columns [0, c + 4) only; each out[i] sums L(i, j) * white[j] in
+    // ascending j.
+    using Vec4 = float __attribute__((vector_size(16)));
+    for (std::size_t c = 0; c < m; c += 4) {
+      Vec4 acc = {0.0f, 0.0f, 0.0f, 0.0f};
+      const std::size_t cols = std::min(m, c + 4);
+      for (std::size_t j = 0; j < cols; ++j) {
+        Vec4 col;
+        std::memcpy(&col, columns.data() + j * kColumnStride + c, sizeof col);
+        acc += col * white[j];
+      }
+      for (std::size_t i = c; i < std::min(m, c + 4); ++i) out[i] += acc[i - c];
+    }
+    return;
+  }
+  for (std::size_t j = 0; j < m; ++j) {
+    const float w = white[j];
+    const float* col = columns.data() + j * m;
+    for (std::size_t i = j; i < m; ++i) out[i] += col[i] * w;
+  }
+}
+
+void Gen1NoiseFactor::whiten(double* v) const noexcept {
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* row = lower.data() + i * m;
+    if (row[i] == 0.0) {
+      v[i] = 0.0;
+      continue;
+    }
+    double acc = v[i];
+    for (std::size_t k = 0; k < i; ++k) acc -= row[k] * v[k];
+    v[i] = acc / row[i];
+  }
 }
 
 Gen1Receiver::Gen1Receiver(const Gen1Config& config, Rng& rng)
@@ -76,30 +146,204 @@ Gen1Receiver::Gen1Receiver(const Gen1Config& config, Rng& rng)
   }
 }
 
-std::span<const AdcWindow> Gen1Receiver::decision_windows(std::size_t n, double fs,
-                                                          const Gen1Transmitter& tx,
-                                                          std::size_t num_bits,
-                                                          const Gen1RxOptions& options) {
+std::optional<Gen1Receiver::LanePlan> Gen1Receiver::lane_plan(double fs) const {
+  return sampler_.lane_plan(fs, lane_skews_s_);
+}
+
+std::pair<std::size_t, std::size_t> Gen1Receiver::block_inputs(const LanePlan& plan,
+                                                               AdcWindow block,
+                                                               std::size_t n) const noexcept {
+  // FIR output j reads the inputs [j - lead, j + start] (dsp::convolve_same_range).
+  const std::size_t h_len = anti_alias_rev_f_.size();
+  const std::size_t start = (h_len - 1) / 2;
+  const std::size_t lead = h_len - 1 - start;
+  const auto [first, last] = plan.input_span(block.begin, block.end, n);
+  return {first > lead ? first - lead : 0, std::min(n, last + start)};
+}
+
+std::span<const AdcWindow> Gen1Receiver::decision_blocks(std::size_t n, double fs,
+                                                         const Gen1Transmitter& tx,
+                                                         std::size_t num_bits,
+                                                         const Gen1RxOptions& options) {
+  ws_blocks_.clear();
   const std::size_t n_adc = sampler_.output_size(n, fs);
   const std::size_t taps = tx.pulse_taps_adc().size();
-  ws_decision_.clear();
-  if (!options.genie_timing || !sampler_.lane_plan(fs, lane_skews_s_) || taps == 0 ||
-      n_adc < taps) {
-    ws_decision_.push_back(AdcWindow{0, n_adc});
-    return ws_decision_;
-  }
-  // The despread loop of receive() reads exactly these outputs.
+  const std::optional<LanePlan> plan = lane_plan(fs);
+  if (!options.genie_timing || !plan || taps == 0 || n_adc < taps) return {};
+  // The despread loop of receive() reads exactly these outputs; output j
+  // reads converter samples [j, j + taps). Blocks start on lane 0 and span
+  // whole lane patterns, so the converter runs its pattern-blocked path.
+  const auto lanes = static_cast<std::size_t>(adc_.num_lanes());
   const std::size_t F = config_.frame_samples_adc;
   const auto ppb = static_cast<std::size_t>(config_.pulses_per_bit);
   const std::size_t data_start = options.genie_offset / F + tx.preamble_frames();
   const std::size_t pulse_phase = options.genie_offset % F;
   const std::size_t mf_size = n_adc - taps + 1;
+  std::size_t inputs_end = 0;  // one past the last analog input the current block reads
   for (std::size_t p = 0; p < num_bits * ppb; ++p) {
     const std::size_t idx = pulse_phase + (data_start + p) * F;
     if (idx >= mf_size) break;
-    ws_decision_.push_back(AdcWindow{idx, idx + taps});
+    const AdcWindow block{idx / lanes * lanes,
+                          std::min(ceil_div(idx + taps, lanes) * lanes, n_adc)};
+    const auto [in_first, in_last] = block_inputs(*plan, block, n);
+    if (!ws_blocks_.empty() && in_first < inputs_end) {
+      ws_blocks_.back().end = std::max(ws_blocks_.back().end, block.end);
+      if (ws_blocks_.back().end - ws_blocks_.back().begin > kMaxBlockSamples) {
+        ws_blocks_.clear();
+        return {};
+      }
+    } else {
+      ws_blocks_.push_back(block);
+    }
+    inputs_end = std::max(inputs_end, in_last);
   }
-  return ws_decision_;
+  // A block at the capture's edge reads past it: the dense path models the
+  // FIR's and the sampler's edges.
+  for (const AdcWindow& block : ws_blocks_) {
+    if (!interior(*plan, block, n)) {
+      ws_blocks_.clear();
+      break;
+    }
+  }
+  return ws_blocks_;
+}
+
+Gen1ConverterImage Gen1Receiver::converter_image(std::span<const float> g, std::size_t phase,
+                                                 double fs) const {
+  const std::optional<LanePlan> plan = lane_plan(fs);
+  detail::require(plan.has_value(), "Gen1Receiver: converter images need a lane plan");
+  Gen1ConverterImage image;
+  if (g.empty()) return image;
+  const std::size_t h_len = anti_alias_rev_f_.size();
+  const auto start = static_cast<std::ptrdiff_t>((h_len - 1) / 2);
+  const auto lead = static_cast<std::ptrdiff_t>(h_len) - 1 - start;
+  const auto stride = static_cast<std::ptrdiff_t>(plan->stride);
+  const auto period = static_cast<std::ptrdiff_t>(plan->stride * plan->num_lanes);
+  const auto ph = static_cast<std::ptrdiff_t>(phase);
+  const auto g_len = static_cast<std::ptrdiff_t>(g.size());
+  // Relative to k0 = (p - phase) / stride, output k reads FIR outputs
+  // k * stride + off[l] and the next; the pulse's FIR outputs are
+  // [p - start, p + |g| - 1 + lead].
+  const auto floor_div = [](std::ptrdiff_t a, std::ptrdiff_t b) {
+    return a >= 0 ? a / b : -((-a + b - 1) / b);
+  };
+  const std::ptrdiff_t k_lo = -floor_div(-(ph - start - 1 - plan->max_off), stride);
+  const std::ptrdiff_t k_hi = floor_div(ph + g_len - 1 + lead - plan->min_off, stride) + 1;
+  if (k_hi <= k_lo) return image;
+  // A local capture whose origin sits a whole number of lane patterns
+  // ahead of the pulse, far enough that every instant it reads is inside.
+  const std::ptrdiff_t reach = start + 2 + stride - plan->min_off + plan->max_off;
+  const std::ptrdiff_t u0 = (reach / period + 1) * period;
+  const std::ptrdiff_t len = u0 + ph + g_len + lead + plan->max_off - plan->min_off + 2;
+  std::vector<float> x(static_cast<std::size_t>(len), 0.0f);
+  std::copy(g.begin(), g.end(), x.begin() + u0 + ph);
+  const std::ptrdiff_t k_base = u0 / stride;
+  const auto [first, last] = plan->input_span(static_cast<std::size_t>(k_base + k_lo),
+                                              static_cast<std::size_t>(k_base + k_hi),
+                                              static_cast<std::size_t>(len));
+  std::vector<float> y(last - first);
+  dsp::convolve_same_range(x.data(), x.size(), anti_alias_rev_f_.data(), h_len, first, last,
+                           y.data());
+  image.first = k_lo;
+  image.values.resize(static_cast<std::size_t>(k_hi - k_lo));
+  plan->sample_to(y.data(), x.size(), static_cast<std::size_t>(k_base + k_lo),
+                  static_cast<std::size_t>(k_base + k_hi), image.values.data());
+  return image;
+}
+
+const Gen1NoiseFactor& Gen1Receiver::noise_factor(AdcWindow block, std::size_t n, double fs) {
+  const std::optional<LanePlan> plan = lane_plan(fs);
+  detail::require(plan.has_value(), "Gen1Receiver: noise factors need a lane plan");
+  return factor_for(*plan, block, n);
+}
+
+void Gen1Receiver::color_noise(std::span<const AdcWindow> blocks, std::size_t n, double fs,
+                               const float* white, float* values) {
+  const std::optional<LanePlan> plan = lane_plan(fs);
+  detail::require(plan.has_value(), "Gen1Receiver: noise factors need a lane plan");
+  const Gen1NoiseFactor* last = nullptr;
+  std::size_t offset = 0;
+  for (const AdcWindow& block : blocks) {
+    const std::size_t m = block.end - block.begin;
+    if (last == nullptr || last->m != m) last = &factor_for(*plan, block, n);
+    last->color(white + offset, values + offset);
+    offset += m;
+  }
+}
+
+void Gen1Receiver::whiten(std::span<const AdcWindow> blocks, std::size_t n, double fs,
+                          double* v) {
+  const std::optional<LanePlan> plan = lane_plan(fs);
+  detail::require(plan.has_value(), "Gen1Receiver: noise factors need a lane plan");
+  std::size_t offset = 0;
+  for (const AdcWindow& block : blocks) {
+    factor_for(*plan, block, n).whiten(v + offset);
+    offset += block.end - block.begin;
+  }
+}
+
+bool Gen1Receiver::interior(const LanePlan& plan, AdcWindow block, std::size_t n) const noexcept {
+  // Output k reads FIR outputs k * stride + off[l] and the next, and FIR
+  // output j the inputs [j - lead, j + start].
+  const std::size_t h_len = anti_alias_rev_f_.size();
+  const auto start = static_cast<std::ptrdiff_t>((h_len - 1) / 2);
+  const auto lead = static_cast<std::ptrdiff_t>(h_len) - 1 - start;
+  const auto st = static_cast<std::ptrdiff_t>(plan.stride);
+  return block.begin < block.end &&
+         static_cast<std::ptrdiff_t>(block.begin) * st + plan.min_off >= lead &&
+         static_cast<std::ptrdiff_t>(block.end - 1) * st + plan.max_off + 2 + start <=
+             static_cast<std::ptrdiff_t>(n);
+}
+
+const Gen1NoiseFactor& Gen1Receiver::factor_for(const LanePlan& plan, AdcWindow block,
+                                                std::size_t n) {
+  // Not detail::require: its message string would be built per block.
+  if (block.begin % plan.num_lanes != 0 || !interior(plan, block, n)) {
+    throw InvalidArgument(
+        "Gen1Receiver: a noise block starts on lane 0 and reads inside the capture");
+  }
+  // Interior, so the factor depends on the block's length alone.
+  const std::size_t m = block.end - block.begin;
+  if (const auto it = factors_.find(m); it != factors_.end()) return it->second;
+
+  // A, column by column: a unit impulse at each input through the FIR and
+  // the lane interpolation, exactly as a dense pass would carry it.
+  const std::size_t h_len = anti_alias_rev_f_.size();
+  const auto [c_lo, c_hi] = block_inputs(plan, block, n);
+  const auto [first, last] = plan.input_span(block.begin, block.end, n);
+  const std::size_t cols = c_hi - c_lo;
+  std::vector<float> x(cols, 0.0f);
+  std::vector<float> y(last - first);
+  std::vector<float> col(m);
+  std::vector<double> a(m * cols);
+  for (std::size_t c = 0; c < cols; ++c) {
+    x[c] = 1.0f;
+    dsp::convolve_same_range(x.data(), cols, anti_alias_rev_f_.data(), h_len, first - c_lo,
+                             last - c_lo, y.data());
+    plan.sample_to(y.data(), n, block.begin, block.end, col.data());
+    for (std::size_t i = 0; i < m; ++i) a[i * cols + c] = col[i];
+    x[c] = 0.0f;
+  }
+  std::vector<double> aat(m * m, 0.0);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      double acc = 0.0;
+      for (std::size_t c = 0; c < cols; ++c) acc += a[i * cols + c] * a[j * cols + c];
+      aat[i * m + j] = acc;
+      aat[j * m + i] = acc;
+    }
+  }
+  Gen1NoiseFactor& factor = factors_[m];
+  factor.m = m;
+  cholesky(aat, m, factor.lower);
+  const std::size_t ld = m <= Gen1NoiseFactor::kColumnStride ? Gen1NoiseFactor::kColumnStride : m;
+  factor.columns.assign(m * ld, 0.0f);
+  for (std::size_t j = 0; j < m; ++j) {
+    for (std::size_t i = j; i < m; ++i) {
+      factor.columns[j * ld + i] = static_cast<float>(factor.lower[i * m + j]);
+    }
+  }
+  return factor;
 }
 
 double Gen1Receiver::filtered_energy(const RealVec& g) const {
@@ -137,140 +381,121 @@ void Gen1Receiver::fill_thread_buffers(float value) {
   }
 }
 
-std::span<const IndexRange> Gen1Receiver::input_spans(std::size_t n, double fs,
-                                                      std::span<const AdcWindow> windows) {
-  const std::size_t n_adc = sampler_.output_size(n, fs);
-  ws_spans_.clear();
-  const std::optional<LanePlan> plan = sampler_.lane_plan(fs, lane_skews_s_);
-  if (!plan || (windows.size() == 1 && windows.front().begin == 0 &&
-                windows.front().end >= n_adc)) {
-    ws_spans_.push_back(IndexRange{0, n});
-    return ws_spans_;
-  }
-  // FIR output j reads the inputs [j - lead, j + start] (dsp::convolve_same_range).
-  const std::size_t h_len = anti_alias_rev_f_.size();
-  const std::size_t start = (h_len - 1) / 2;
-  const std::size_t lead = h_len - 1 - start;
-  (void)plan_windows(windows, n, n_adc, &*plan);
-  for (const Window& w : ws_windows_) {
-    const std::size_t begin = w.in_begin > lead ? w.in_begin - lead : 0;
-    const std::size_t end = std::min(n, w.in_end + start);
-    if (!ws_spans_.empty() && begin <= ws_spans_.back().end) {
-      ws_spans_.back().end = std::max(ws_spans_.back().end, end);
-    } else {
-      ws_spans_.push_back(IndexRange{begin, end});
-    }
-  }
-  return ws_spans_;
-}
-
-std::pair<std::size_t, std::size_t> Gen1Receiver::plan_windows(
-    std::span<const AdcWindow> windows, std::size_t n, std::size_t n_adc, const LanePlan* plan) {
-  // Windows start on lane 0 and span whole lane patterns, so the converter
-  // runs its pattern-blocked path; lanes are absolute index mod num_lanes.
-  const auto lanes = static_cast<std::size_t>(adc_.num_lanes());
-  ws_windows_.clear();
-  std::size_t prev_begin = 0;
-  for (const AdcWindow& w : windows) {
-    // Not detail::require: its message string would be built per window.
-    if (w.begin < prev_begin) throw InvalidArgument("Gen1Receiver: windows must ascend");
-    prev_begin = w.begin;
-    const std::size_t begin = std::min(w.begin, n_adc) / lanes * lanes;
-    const std::size_t end = std::min(ceil_div(std::min(w.end, n_adc), lanes) * lanes, n_adc);
-    if (begin >= end) continue;
-    if (!ws_windows_.empty() && begin <= ws_windows_.back().adc_end) {
-      ws_windows_.back().adc_end = std::max(ws_windows_.back().adc_end, end);
-      continue;
-    }
-    Window win;
-    win.adc_begin = begin;
-    win.adc_end = end;
-    ws_windows_.push_back(win);
-  }
-  // Without a lane plan the sampler draws its Rng in stream order, so it
-  // can only sample the whole stream.
-  detail::require(plan != nullptr || ws_windows_.empty() ||
-                      (ws_windows_.size() == 1 && ws_windows_.front().adc_begin == 0 &&
-                       ws_windows_.front().adc_end == n_adc),
-                  "Gen1Receiver: a jittered sampler digitizes only the whole capture");
-  std::size_t adc_total = 0;
-  std::size_t kept_total = 0;
-  for (Window& w : ws_windows_) {
-    std::tie(w.in_begin, w.in_end) = plan != nullptr
-                                         ? plan->input_span(w.adc_begin, w.adc_end, n)
-                                         : std::pair<std::size_t, std::size_t>{0, n};
-    w.adc_offset = adc_total;
-    w.kept_offset = kept_total;
-    adc_total += w.adc_end - w.adc_begin;
-    kept_total += w.in_end - w.in_begin;
-  }
-  return {adc_total, kept_total};
-}
-
 Gen1MfView Gen1Receiver::digitize_and_filter(std::span<const float> rx, double fs,
                                              const Gen1Transmitter& tx,
-                                             std::span<const AdcWindow> windows,
                                              const Gen1RxOptions& options, Rng& rng) {
   const std::size_t n = rx.size();
   const std::size_t n_adc = sampler_.output_size(n, fs);
-  const std::optional<LanePlan> plan = sampler_.lane_plan(fs, lane_skews_s_);
-  const auto [adc_total, kept_total] = plan_windows(windows, n, n_adc, plan ? &*plan : nullptr);
   Gen1RxArenas& a = rx_arenas();
-  a.kept.resize(kept_total);
-  a.sampled.resize(adc_total);
-  a.levels.resize(adc_total);
-  a.mf.resize(adc_total);
+  a.kept.resize(n);
+  a.sampled.resize(n_adc);
 
   // Anti-alias lowpass at the converter's Nyquist edge: the analog front
-  // end band-limits before the 2 GSps sampler, here only at the outputs
-  // the windows sample. The converged AGC loads the flash at ~1/4 full
-  // scale rms (see rf::AgcParams) from the capture's expected filtered
-  // power (Gen1AgcModel); the scale commutes with linear-interpolation
-  // sampling, so it is applied to the (2x shorter) sampled windows.
-  obs::StageTimer fe_timer(obs::Stage::kRxFrontend, a.kept.size());
-  for (const Window& w : ws_windows_) {
-    dsp::convolve_same_range(rx.data(), n, anti_alias_rev_f_.data(), anti_alias_rev_f_.size(),
-                             w.in_begin, w.in_end, a.kept.data() + w.kept_offset);
-  }
+  // end band-limits before the 2 GSps sampler. The converged AGC loads the
+  // flash at ~1/4 full scale rms (see rf::AgcParams) from the capture's
+  // expected filtered power (Gen1AgcModel); the scale commutes with
+  // linear-interpolation sampling, so it is applied to the (2x shorter)
+  // sampled stream.
+  obs::StageTimer fe_timer(obs::Stage::kRxFrontend, n);
+  dsp::convolve_same_range(rx.data(), n, anti_alias_rev_f_.data(), anti_alias_rev_f_.size(), 0,
+                           n, a.kept.data());
+  sampler_.sample_interleaved_to(a.kept.data(), n, fs, lane_skews_s_, rng, a.sampled.data());
   const double r = expected_rms(options.agc, n);
-  for (const Window& w : ws_windows_) {
-    float* out = a.sampled.data() + w.adc_offset;
-    if (plan) {
-      plan->sample_to(a.kept.data() + w.kept_offset, n, w.adc_begin, w.adc_end, out);
-    } else {
-      sampler_.sample_interleaved_to(a.kept.data(), n, fs, lane_skews_s_, rng, out);
-    }
-  }
   if (r > 0.0) {
     const auto gain = static_cast<float>(0.25 / r);
-    for (std::size_t i = 0; i < adc_total; ++i) a.sampled[i] *= gain;
+    for (std::size_t i = 0; i < n_adc; ++i) a.sampled[i] *= gain;
   }
   fe_timer.finish();
+  const AdcWindow whole{0, n_adc};
+  return convert_and_filter({&whole, 1}, tx);
+}
 
-  obs::StageTimer adc_timer(obs::Stage::kAdcQuantize, adc_total);
-  for (const Window& w : ws_windows_) {
-    adc_.seek(w.adc_begin);
-    adc_.convert_block(a.sampled.data() + w.adc_offset, w.adc_end - w.adc_begin,
-                       a.levels.data() + w.adc_offset);
+Gen1MfView Gen1Receiver::digitize_and_filter(const Gen1ConverterCapture& capture,
+                                             const Gen1Transmitter& tx,
+                                             const Gen1RxOptions& options) {
+  const auto lanes = static_cast<std::size_t>(adc_.num_lanes());
+  std::size_t total = 0;
+  std::size_t prev_end = 0;
+  for (const AdcWindow& block : capture.blocks) {
+    // Not detail::require: its message string would be built per block.
+    if (block.begin < prev_end || block.end <= block.begin || block.begin % lanes != 0) {
+      throw InvalidArgument("Gen1Receiver: converter blocks must ascend, be disjoint and "
+                            "start on lane 0");
+    }
+    prev_end = block.end;
+    total += block.end - block.begin;
   }
-  adc_timer.finish();
+  detail::require(total == capture.values.size(),
+                  "Gen1Receiver: converter values must fill the blocks");
+  Gen1RxArenas& a = rx_arenas();
+  a.sampled.resize(total);
+  {
+    const obs::StageTimer fe_timer(obs::Stage::kRxFrontend, total);
+    const double r = expected_rms(options.agc, capture.analog_len);
+    const float gain = r > 0.0 ? static_cast<float>(0.25 / r) : 1.0f;
+    for (std::size_t i = 0; i < total; ++i) a.sampled[i] = capture.values[i] * gain;
+  }
+  return convert_and_filter(capture.blocks, tx);
+}
+
+Gen1MfView Gen1Receiver::convert_and_filter(std::span<const AdcWindow> blocks,
+                                            const Gen1Transmitter& tx) {
+  Gen1RxArenas& a = rx_arenas();
+  const std::size_t total = a.sampled.size();
+  a.levels.resize(total);
+  a.mf.resize(total);
+  {
+    // Consecutive blocks whose lane phase runs on from the last one's
+    // convert in one call: the lane counter carries over.
+    const obs::StageTimer adc_timer(obs::Stage::kAdcQuantize, total);
+    const auto lanes = static_cast<std::size_t>(adc_.num_lanes());
+    std::size_t run_begin = 0;  // packed offset where the current call starts
+    std::size_t offset = 0;
+    std::size_t next_lane = 0;
+    for (const AdcWindow& w : blocks) {
+      if (offset == run_begin || w.begin % lanes != next_lane) {
+        adc_.convert_block(a.sampled.data() + run_begin, offset - run_begin,
+                           a.levels.data() + run_begin);
+        adc_.seek(w.begin);
+        run_begin = offset;
+      }
+      offset += w.end - w.begin;
+      next_lane = w.end % lanes;
+    }
+    adc_.convert_block(a.sampled.data() + run_begin, offset - run_begin,
+                       a.levels.data() + run_begin);
+  }
 
   // Matched filter with the monocycle: output j reads levels [j, j + taps).
-  const obs::StageTimer mf_timer(obs::Stage::kCorrelateRake, adc_total);
+  const obs::StageTimer mf_timer(obs::Stage::kCorrelateRake, total);
   ws_runs_.clear();
   const RealVec& taps = tx.pulse_taps_adc();
-  if (taps.empty() || n_adc < taps.size()) return {};
   const std::size_t h_len = taps.size();
+  if (h_len == 0) return {};
   ws_taps_f_.assign(taps.begin(), taps.end());
+  std::size_t offset = 0;
   std::size_t mf_total = 0;
-  for (const Window& w : ws_windows_) {
-    const std::size_t len = w.adc_end - w.adc_begin;
-    if (len < h_len) continue;
-    const std::size_t lags = len - h_len + 1;
-    dsp::dot_bank(a.levels.data() + w.adc_offset, lags, ws_taps_f_.data(), h_len,
-                  a.mf.data() + mf_total);
-    ws_runs_.push_back(Gen1MfView::Run{w.adc_begin, w.adc_begin + lags, mf_total});
-    mf_total += lags;
+  for (const AdcWindow& w : blocks) {
+    const std::size_t len = w.end - w.begin;
+    if (len >= h_len) {
+      const std::size_t lags = len - h_len + 1;
+      const float* x = a.levels.data() + offset;
+      float* out = a.mf.data() + mf_total;
+      if (lags < 8) {
+        // A converter block's few lags: dot_bank's blocked kernel would pad
+        // them to a full block. Same per-lag sum, ascending taps.
+        for (std::size_t l = 0; l < lags; ++l) {
+          float acc = 0.0f;
+          for (std::size_t m = 0; m < h_len; ++m) acc += x[l + m] * ws_taps_f_[m];
+          out[l] = acc;
+        }
+      } else {
+        dsp::dot_bank(x, lags, ws_taps_f_.data(), h_len, out);
+      }
+      ws_runs_.push_back(Gen1MfView::Run{w.begin, w.begin + lags, mf_total});
+      mf_total += lags;
+    }
+    offset += len;
   }
   return Gen1MfView{ws_runs_, {a.mf.data(), mf_total}};
 }
@@ -406,41 +631,48 @@ Gen1AcqResult Gen1Receiver::acquire_on_mf(std::span<const float> mf,
 Gen1AcqResult Gen1Receiver::acquire(std::span<const float> rx, double fs,
                                     const Gen1Transmitter& tx, const Gen1RxOptions& options,
                                     Rng& rng) {
-  const AdcWindow whole{0, sampler_.output_size(rx.size(), fs)};
-  return acquire_on_mf(digitize_and_filter(rx, fs, tx, {&whole, 1}, options, rng).dense(), tx);
+  return acquire_on_mf(digitize_and_filter(rx, fs, tx, options, rng).dense(), tx);
 }
 
 Gen1RxResult Gen1Receiver::receive(std::span<const float> rx, double fs,
                                    const Gen1Transmitter& tx, const TxFrame& tx_reference,
                                    const Gen1RxOptions& options, Rng& rng) {
-  const std::span<const AdcWindow> windows =
-      decision_windows(rx.size(), fs, tx, tx_reference.frame_bits.size(), options);
-  return receive(rx, fs, tx, tx_reference, options, windows, rng);
-}
-
-Gen1RxResult Gen1Receiver::receive(std::span<const float> rx, double fs,
-                                   const Gen1Transmitter& tx, const TxFrame& tx_reference,
-                                   const Gen1RxOptions& options,
-                                   std::span<const AdcWindow> windows, Rng& rng) {
   Gen1RxResult result;
-  const Gen1MfView mf = digitize_and_filter(rx, fs, tx, windows, options, rng);
-  const std::size_t F = config_.frame_samples_adc;
-
-  std::size_t preamble_start = 0;
+  const Gen1MfView mf = digitize_and_filter(rx, fs, tx, options, rng);
   if (options.genie_timing) {
-    preamble_start = options.genie_offset;
     result.acq.acquired = true;
-    result.acq.timing_offset = preamble_start;
+    result.acq.timing_offset = options.genie_offset;
   } else {
     result.acq = acquire_on_mf(mf.dense(), tx);
     if (!result.acq.acquired) return result;
-    // The acquisition pins timing modulo one PN period; the packet's
-    // preamble starts an integer number of periods earlier, which does not
-    // matter for data timing because the data section begins a known number
-    // of frames after *any* period boundary only if we also know which
-    // period we latched. The SFD search below resolves that ambiguity.
-    preamble_start = result.acq.timing_offset % (tx.preamble_chips().size() * F);
   }
+  decide(mf, tx, tx_reference, options, result);
+  return result;
+}
+
+Gen1RxResult Gen1Receiver::receive(const Gen1ConverterCapture& capture,
+                                   const Gen1Transmitter& tx, const TxFrame& tx_reference,
+                                   const Gen1RxOptions& options) {
+  detail::require(options.genie_timing, "Gen1Receiver: a converter capture needs genie timing");
+  Gen1RxResult result;
+  result.acq.acquired = true;
+  result.acq.timing_offset = options.genie_offset;
+  decide(digitize_and_filter(capture, tx, options), tx, tx_reference, options, result);
+  return result;
+}
+
+void Gen1Receiver::decide(const Gen1MfView& mf, const Gen1Transmitter& tx,
+                          const TxFrame& tx_reference, const Gen1RxOptions& options,
+                          Gen1RxResult& result) const {
+  const std::size_t F = config_.frame_samples_adc;
+  // The acquisition pins timing modulo one PN period; the packet's
+  // preamble starts an integer number of periods earlier, which does not
+  // matter for data timing because the data section begins a known number
+  // of frames after *any* period boundary only if we also know which
+  // period we latched. The SFD search below resolves that ambiguity.
+  const std::size_t preamble_start =
+      options.genie_timing ? result.acq.timing_offset
+                           : result.acq.timing_offset % (tx.preamble_chips().size() * F);
 
   // Data section: locate via the known frame count (genie/period-resolved)
   // then despread each bit.
@@ -465,12 +697,13 @@ Gen1RxResult Gen1Receiver::receive(std::span<const float> rx, double fs,
     for (int shift = 0; shift <= config_.preamble_repetitions; ++shift) {
       const std::size_t cand =
           data_start_frame_nominal + static_cast<std::size_t>(shift) * period;
+      Gen1MfView::Cursor cursor(mf);
       double corr = 0.0;
       for (std::size_t b = 0; b < sfd.size(); ++b) {
         double soft = 0.0;
         for (std::size_t k = 0; k < ppb; ++k) {
           const std::size_t idx = pulse_phase + (cand + b * ppb + k) * F;
-          if (const float* v = mf.find(idx)) soft += spread[k % spread.size()] * *v;
+          if (const float* v = cursor.at(idx)) soft += spread[k % spread.size()] * *v;
         }
         corr += (sfd[b] ? -1.0 : 1.0) * soft;
       }
@@ -484,18 +717,18 @@ Gen1RxResult Gen1Receiver::receive(std::span<const float> rx, double fs,
   // Despread and slice the data bits.
   result.data_bits.resize(num_bits);
   std::size_t errors = 0;
+  Gen1MfView::Cursor cursor(mf);
   for (std::size_t b = 0; b < num_bits; ++b) {
     double soft = 0.0;
     for (std::size_t k = 0; k < ppb; ++k) {
       const std::size_t idx = pulse_phase + (best_start + b * ppb + k) * F;
-      if (const float* v = mf.find(idx)) soft += spread[k % spread.size()] * *v;
+      if (const float* v = cursor.at(idx)) soft += spread[k % spread.size()] * *v;
     }
     result.data_bits[b] = soft < 0.0 ? 1 : 0;
     if ((result.data_bits[b] != 0) != (tx_reference.frame_bits[b] != 0)) ++errors;
   }
   result.bit_errors = errors;
   result.bits_compared = num_bits;
-  return result;
 }
 
 }  // namespace uwb::txrx

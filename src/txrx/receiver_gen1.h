@@ -15,6 +15,8 @@
 /// Modeled sync time = dwells1 * K1 * Tf + dwells2 * 127 * Tf, the real-time
 /// cost of a streaming architecture with that much correlator hardware.
 
+#include <map>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -69,7 +71,10 @@ struct Gen1RxOptions {
 };
 
 /// A half-open range [begin, end) of ADC sample indices.
-using AdcWindow = IndexRange;
+struct AdcWindow {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
 
 /// The matched-filter outputs one digitize pass computed: runs of
 /// consecutive output indices, ascending, with their values packed in
@@ -92,15 +97,75 @@ struct Gen1MfView {
   /// Outputs [0, n) when the pass covered the whole capture (one run from
   /// index 0), else empty.
   [[nodiscard]] std::span<const float> dense() const noexcept;
+
+  /// find() for a caller whose reads ascend (the despread and SFD loops):
+  /// each read moves forward from the run the last one landed in, so a
+  /// pass over every run costs one step per run instead of a binary search
+  /// per read. A read below the previous one starts over, so any order
+  /// gives find()'s answers.
+  class Cursor {
+   public:
+    explicit Cursor(const Gen1MfView& view) noexcept : view_(&view) {}
+    [[nodiscard]] const float* at(std::size_t idx) noexcept;
+
+   private:
+    const Gen1MfView* view_;
+    std::size_t run_ = 0;
+    std::size_t last_ = 0;
+  };
+};
+
+/// A pulse kernel as the converter sees it. Landed at analog sample p and
+/// pushed through the anti-alias FIR and the converter's per-lane
+/// interpolation, kernel g reaches ADC index (p - phase) / stride + first + i
+/// as values[i], phase = p mod (stride * lanes) being the pulse's lane
+/// phase; every other converter sample is zero. Linear, so a pulse train
+/// lands as the sum of its amplitudes times these images.
+struct Gen1ConverterImage {
+  std::ptrdiff_t first = 0;
+  std::vector<float> values;
+};
+
+/// The converter-rate noise of one ADC block. A maps the analog samples the
+/// block's m converter samples read (anti-alias FIR, then per-lane
+/// interpolation) to those samples; `lower` is the Cholesky factor L of
+/// A * A^T, so L * n with n white of variance n0/2 has the exact covariance
+/// the block's samples get from white analog noise of that variance.
+struct Gen1NoiseFactor {
+  /// Column stride of `columns` for blocks of up to this many samples.
+  static constexpr std::size_t kColumnStride = 16;
+
+  std::size_t m = 0;
+  std::vector<double> lower;   ///< L, row-major m x m, zero above the diagonal
+  /// L column-major in float, what color() reads: columns kColumnStride
+  /// floats apart (m apart for a longer block), zero-padded.
+  std::vector<float> columns;
+
+  /// out[0, m) += L * white[0, m).
+  void color(const float* white, float* out) const noexcept;
+
+  /// v[0, m) := L^-1 v by forward substitution (a zero pivot gives 0).
+  void whiten(double* v) const noexcept;
+};
+
+/// A capture as the converter sees it (the converter path): the samples of
+/// ADC \p blocks of an analog capture of \p analog_len samples, before the
+/// AGC gain. Blocks ascend, are disjoint and start on lane 0
+/// (Gen1Receiver::decision_blocks); their samples sit packed in \p values
+/// in block order.
+struct Gen1ConverterCapture {
+  std::size_t analog_len = 0;
+  std::span<const AdcWindow> blocks;
+  std::span<const float> values;
 };
 
 namespace test_hooks {
 
 /// Overwrites the calling thread's gen-1 sample buffers -- the capture
-/// arena and every receive buffer, over their whole capacity -- with
-/// \p value. A trial reads only what it wrote, so poisoning them (NaN)
-/// must change no result. Tests only; defined with the capture arena in
-/// link.cpp.
+/// arena, the converter-rate arenas and every receive buffer, over their
+/// whole capacity -- with \p value. A trial reads only what it wrote, so
+/// poisoning them (NaN) must change no result. Tests only; defined with
+/// the capture arenas in link.cpp.
 void fill_gen1_thread_buffers(float value);
 
 }  // namespace test_hooks
@@ -108,11 +173,22 @@ void fill_gen1_thread_buffers(float value);
 /// The gen-1 receiver.
 class Gen1Receiver {
  public:
+  using LanePlan = adc::SampleAndHold::LanePlan;
+
+  /// Longest ADC block the converter path draws noise for jointly: a
+  /// decision whose windows merge into a longer block reads the capture
+  /// densely (a Cholesky factor costs m^3 / 3 to build).
+  static constexpr std::size_t kMaxBlockSamples = 256;
+
   /// \p rng draws the converter's static mismatch once (comparator offsets,
   /// lane gain/offset/skew).
   Gen1Receiver(const Gen1Config& config, Rng& rng);
 
   [[nodiscard]] const Gen1Config& config() const noexcept { return config_; }
+
+  /// The converter's lane plan at analog rate \p fs (its lane skews
+  /// included), or nullopt for a jittered sampler.
+  [[nodiscard]] std::optional<LanePlan> lane_plan(double fs) const;
 
   /// ||h * g||^2 of the anti-alias FIR h (the float taps the filter runs)
   /// over a pulse kernel \p g, in double: the energy one pulse of unit
@@ -123,44 +199,60 @@ class Gen1Receiver {
   /// AGC gain is 0.25 over it.
   [[nodiscard]] double expected_rms(const Gen1AgcModel& agc, std::size_t n) const;
 
-  /// Full receive over the caller's float sample arena at rate \p fs:
-  /// sample, convert, matched-filter, acquire, despread -- the whole chain
-  /// in single precision, digitizing only decision_windows().
+  /// The ADC blocks a receive of an \p n-sample capture reads, when its
+  /// decision reads less than the whole capture: with genie timing, one
+  /// matched-filter output per data pulse, each widened by the pulse
+  /// template to whole lane patterns. Blocks whose analog inputs overlap
+  /// merge (gap included), so distinct blocks see independent noise.
+  /// Empty -- read the whole capture densely -- for acquisition, non-genie
+  /// timing, a sampler without a lane plan (aperture jitter), a block
+  /// longer than kMaxBlockSamples, or one that reads past either end of
+  /// the capture. The span views the receiver's own
+  /// buffer, valid until its next call.
+  [[nodiscard]] std::span<const AdcWindow> decision_blocks(std::size_t n, double fs,
+                                                           const Gen1Transmitter& tx,
+                                                           std::size_t num_bits,
+                                                           const Gen1RxOptions& options);
+
+  /// The converter image of pulse kernel \p g at lane phase \p phase
+  /// (see Gen1ConverterImage), computed through the receiver's own float
+  /// FIR and lane interpolation. Needs a lane plan.
+  [[nodiscard]] Gen1ConverterImage converter_image(std::span<const float> g, std::size_t phase,
+                                                   double fs) const;
+
+  /// The noise factor of ADC \p block of an \p n-sample capture, the block
+  /// starting on lane 0 and reading only inside the capture. A is measured by pushing unit
+  /// impulses through the receiver's own FIR and lane interpolation. Built
+  /// lazily, once per block length, and kept for the receiver's life: an
+  /// interior block's A depends on its length alone.
+  /// \throws InvalidArgument for any other block.
+  [[nodiscard]] const Gen1NoiseFactor& noise_factor(AdcWindow block, std::size_t n, double fs);
+
+  /// Colors the converter path's noise: block by block, \p values (the
+  /// blocks' samples, packed) += L * \p white (as packed), L each block's
+  /// noise_factor().
+  void color_noise(std::span<const AdcWindow> blocks, std::size_t n, double fs,
+                   const float* white, float* values);
+
+  /// Block by block, \p v (packed as the blocks) := L^-1 v, L each block's
+  /// noise_factor(): a direction of the converter samples mapped onto the
+  /// white draws color_noise() colors.
+  void whiten(std::span<const AdcWindow> blocks, std::size_t n, double fs, double* v);
+
+  /// Full receive of a dense analog capture \p rx at rate \p fs: sample,
+  /// convert, matched-filter, acquire, despread -- the whole chain in
+  /// single precision.
   [[nodiscard]] Gen1RxResult receive(std::span<const float> rx, double fs,
                                      const Gen1Transmitter& tx,
                                      const TxFrame& tx_reference,
                                      const Gen1RxOptions& options, Rng& rng);
 
-  /// The same receive digitizing \p windows. Any window set that covers
-  /// decision_windows() gives the same bits; the single window [0, n) is
-  /// the whole capture.
-  [[nodiscard]] Gen1RxResult receive(std::span<const float> rx, double fs,
+  /// The same receive from the converter's samples (genie timing; the
+  /// blocks cover decision_blocks()).
+  [[nodiscard]] Gen1RxResult receive(const Gen1ConverterCapture& capture,
                                      const Gen1Transmitter& tx,
                                      const TxFrame& tx_reference,
-                                     const Gen1RxOptions& options,
-                                     std::span<const AdcWindow> windows, Rng& rng);
-
-  /// The ADC windows a receive of an \p n-sample capture reads. With genie
-  /// timing the decision reads one matched-filter output per data pulse,
-  /// so each window is that output's index widened by the pulse template;
-  /// acquisition, non-genie timing, and a sampler whose instants are not a
-  /// pure function of the index (aperture jitter) read the whole capture,
-  /// the single window [0, n_adc). The span views the receiver's own
-  /// buffer, valid until its next call.
-  [[nodiscard]] std::span<const AdcWindow> decision_windows(std::size_t n, double fs,
-                                                            const Gen1Transmitter& tx,
-                                                            std::size_t num_bits,
-                                                            const Gen1RxOptions& options);
-
-  /// The analog samples of an \p n-sample capture that digitizing the ADC
-  /// \p windows (decision_windows()) reads: each window's FIR outputs
-  /// (LanePlan::input_span) widened by the FIR's support, merged and
-  /// ascending. A capture needs to be synthesized only there. Windows that
-  /// cover the whole capture -- acquisition, non-genie timing -- and a
-  /// jittered sampler get the single span [0, n). The span views the
-  /// receiver's own buffer, valid until its next call.
-  [[nodiscard]] std::span<const IndexRange> input_spans(std::size_t n, double fs,
-                                                        std::span<const AdcWindow> windows);
+                                     const Gen1RxOptions& options);
 
   /// Acquisition only (bench E2/E11): processes a capture containing at
   /// least one PN period past the search uncertainty, gain set by
@@ -169,19 +261,22 @@ class Gen1Receiver {
                                       const Gen1Transmitter& tx,
                                       const Gen1RxOptions& options, Rng& rng);
 
-  /// Analog band-limiting + sampling + interleaved conversion + matched
-  /// filtering, entirely in single precision, over the ADC index
-  /// \p windows (ascending by begin), with the AGC gain options.agc models.
-  /// The anti-alias FIR computes only the outputs the windows sample, and
-  /// the sampler, converter and matched filter run only inside the
-  /// windows: each output is bit-identical to a pass over the whole
-  /// capture, and reads only the samples input_spans() names. The view is
-  /// valid until the next call on this receiver or, by any gen-1 receiver,
-  /// on this thread.
+  /// The dense sample source: analog band-limiting of the whole capture
+  /// \p rx, sampling, AGC gain (from options.agc), interleaved conversion
+  /// and matched filtering, all in single precision. The view holds every
+  /// output, one run from index 0, valid until the next call on this
+  /// receiver or, by any gen-1 receiver, on this thread.
   [[nodiscard]] Gen1MfView digitize_and_filter(std::span<const float> rx, double fs,
                                                const Gen1Transmitter& tx,
-                                               std::span<const AdcWindow> windows,
                                                const Gen1RxOptions& options, Rng& rng);
+
+  /// The converter sample source: the AGC gain, conversion and matched
+  /// filter over \p capture's blocks, whose samples stand in for the FIR
+  /// and sampler; one run per block long enough for the template. Same
+  /// view lifetime.
+  [[nodiscard]] Gen1MfView digitize_and_filter(const Gen1ConverterCapture& capture,
+                                               const Gen1Transmitter& tx,
+                                               const Gen1RxOptions& options);
 
  private:
   friend void test_hooks::fill_gen1_thread_buffers(float value);
@@ -190,23 +285,30 @@ class Gen1Receiver {
   /// use, over its whole capacity, with \p value.
   static void fill_thread_buffers(float value);
 
-  /// One digitized window: ADC samples [adc_begin, adc_end) at adc_offset
-  /// of the sampled/level arenas, read from the FIR outputs
-  /// [in_begin, in_end) kept at kept_offset.
-  struct Window {
-    std::size_t adc_begin = 0, adc_end = 0, adc_offset = 0;
-    std::size_t in_begin = 0, in_end = 0, kept_offset = 0;
-  };
+  /// Conversion and matched filtering of \p blocks, whose gain-scaled
+  /// samples sit packed in the thread's sampled arena.
+  Gen1MfView convert_and_filter(std::span<const AdcWindow> blocks, const Gen1Transmitter& tx);
 
-  using LanePlan = adc::SampleAndHold::LanePlan;
+  /// Whether ADC \p block is non-empty and every analog input it reads,
+  /// through the FIR and the lane interpolation, lies inside an
+  /// \p n-sample capture.
+  [[nodiscard]] bool interior(const LanePlan& plan, AdcWindow block,
+                              std::size_t n) const noexcept;
 
-  /// Clamps \p windows to the n_adc-sample stream, widens each to whole
-  /// lane patterns and merges overlaps into ws_windows_; \p plan (null for
-  /// a jittered sampler) maps each window to the FIR outputs it reads.
-  /// Returns the number of ADC samples and of FIR outputs the windows hold.
-  std::pair<std::size_t, std::size_t> plan_windows(std::span<const AdcWindow> windows,
-                                                   std::size_t n, std::size_t n_adc,
-                                                   const LanePlan* plan);
+  /// noise_factor() under the lane plan \p plan.
+  const Gen1NoiseFactor& factor_for(const LanePlan& plan, AdcWindow block, std::size_t n);
+
+  /// The analog samples [first, last) of an \p n-sample capture that ADC
+  /// \p block reads through the FIR, clamped to the capture.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> block_inputs(const LanePlan& plan,
+                                                                 AdcWindow block,
+                                                                 std::size_t n) const noexcept;
+
+  /// The despreader: the data bits of \p result from the matched-filter
+  /// outputs \p mf, at the timing result.acq holds (the genie's, or the
+  /// acquisition's up to one PN period, which the SFD search resolves).
+  void decide(const Gen1MfView& mf, const Gen1Transmitter& tx, const TxFrame& tx_reference,
+              const Gen1RxOptions& options, Gen1RxResult& result) const;
 
   [[nodiscard]] Gen1AcqResult acquire_on_mf(std::span<const float> mf,
                                             const Gen1Transmitter& tx) const;
@@ -219,11 +321,12 @@ class Gen1Receiver {
   std::vector<float> ws_taps_f_;         ///< the pulse template in float
   RealVec lane_skews_s_;  ///< static per-lane skews, built once at construction
 
+  /// Noise factors by block length (see noise_factor).
+  std::map<std::size_t, Gen1NoiseFactor> factors_;
+
   // Bookkeeping for the current pass; the sample buffers every stage of
   // digitize_and_filter writes are per thread (see receiver_gen1.cpp).
-  std::vector<AdcWindow> ws_decision_;
-  std::vector<IndexRange> ws_spans_;
-  std::vector<Window> ws_windows_;
+  std::vector<AdcWindow> ws_blocks_;
   std::vector<Gen1MfView::Run> ws_runs_;
 };
 

@@ -176,63 +176,28 @@ TEST(Awgn, VarianceCalibration) {
 TEST(Awgn, RealNoiseIsHalfPerRail) {
   Rng rng(15);
   std::vector<float> x(200000, 0.0f);
-  const IndexRange whole{0, x.size()};
-  add_awgn(x.data(), {&whole, 1}, 1.0, rng);
+  add_awgn(x.data(), x.size(), 1.0, rng);
   double acc = 0.0;
   for (const float v : x) acc += static_cast<double>(v) * v;
   EXPECT_NEAR(acc / static_cast<double>(x.size()), 0.5, 0.01);
 }
 
-TEST(Awgn, SpansContinueOneNoiseStream) {
-  // Spans receive exactly the draws the single span [0, n) adds to their
-  // samples laid end to end: any split of [0, n), odd and empty pieces
-  // included, gives the dense bytes, and samples outside sparse spans are
-  // neither read nor written.
+TEST(Awgn, FloatNoiseIsOneStreamSeededByOneEngineDraw) {
+  // The float path seeds its stream from one engine draw and reads it in
+  // sample order: n samples get the first n draws a longer call adds, odd n
+  // included.
   constexpr std::size_t n = 1001;
-  std::vector<float> dense(n, 0.25f);
-  Rng dense_rng(17);
-  const IndexRange whole{0, n};
-  add_awgn(dense.data(), {&whole, 1}, 0.8, dense_rng);
-  const std::vector<std::vector<IndexRange>> splits = {
-      {{0, n}},
-      {{0, 1}, {1, 2}, {2, 501}, {501, 501}, {501, n}},
-      {{0, 7}, {7, 64}, {64, 333}, {333, 334}, {334, 998}, {998, n}}};
-  for (const std::vector<IndexRange>& spans : splits) {
-    std::vector<float> x(n, 0.25f);
+  std::vector<float> longer(n + 6, 0.25f);
+  Rng longer_rng(17);
+  add_awgn(longer.data(), longer.size(), 0.8, longer_rng);
+  for (const std::size_t len : {std::size_t{1}, std::size_t{2}, std::size_t{501}, n}) {
+    std::vector<float> x(len, 0.25f);
     Rng rng(17);
-    add_awgn(x.data(), spans, 0.8, rng);
-    EXPECT_EQ(x, dense) << spans.size() << " spans";
-    Rng probe = dense_rng;
+    add_awgn(x.data(), len, 0.8, rng);
+    EXPECT_TRUE(std::equal(x.begin(), x.end(), longer.begin())) << len << " samples";
+    Rng probe = longer_rng;
     EXPECT_EQ(rng.engine()(), probe.engine()()) << "one engine draw seeds the stream";
   }
-
-  const std::vector<IndexRange> sparse = {{3, 10}, {40, 41}, {500, 640}, {900, 1000}};
-  std::vector<float> x(n, std::numeric_limits<float>::quiet_NaN());
-  std::size_t total = 0;
-  for (const IndexRange& span : sparse) {
-    std::fill(x.begin() + static_cast<std::ptrdiff_t>(span.begin),
-              x.begin() + static_cast<std::ptrdiff_t>(span.end), 0.25f);
-    total += span.end - span.begin;
-  }
-  std::vector<float> packed(total, 0.25f);
-  Rng rng_sparse(18);
-  Rng rng_packed(18);
-  add_awgn(x.data(), sparse, 0.8, rng_sparse);
-  const IndexRange packed_whole{0, total};
-  add_awgn(packed.data(), {&packed_whole, 1}, 0.8, rng_packed);
-  std::size_t k = 0;
-  std::size_t untouched = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool inside = std::any_of(sparse.begin(), sparse.end(), [i](const IndexRange& s) {
-      return i >= s.begin && i < s.end;
-    });
-    if (inside) {
-      EXPECT_EQ(x[i], packed[k++]) << "sample " << i;
-    } else {
-      untouched += std::isnan(x[i]) ? 1 : 0;
-    }
-  }
-  EXPECT_EQ(untouched, n - total);
 }
 
 TEST(Awgn, MatchedFilterBerMatchesTheory) {
@@ -245,8 +210,7 @@ TEST(Awgn, MatchedFilterBerMatchesTheory) {
   for (std::size_t i = 0; i < n; ++i) {
     const float tx = rng.bit() ? -1.0f : 1.0f;
     float s = tx;
-    const IndexRange one{0, 1};
-    add_awgn(&s, {&one, 1}, n0, rng);
+    add_awgn(&s, 1, n0, rng);
     if ((s < 0.0f) != (tx < 0.0f)) ++errors;
   }
   const double measured = static_cast<double>(errors) / static_cast<double>(n);

@@ -29,7 +29,7 @@ const std::map<std::string, std::uint64_t>& pinned_digests() {
   static const std::map<std::string, std::uint64_t> digests = {
       {"gen1_acquisition", 0xaccdc93331fdad58ULL},
       {"gen1_sync", 0xac70559d82b1baf3ULL},
-      {"gen1_waterfall", 0xff58a5fff826ae96ULL},
+      {"gen1_waterfall", 0xb741cd69f099beecULL},
       {"gen2_adc_resolution", 0x40faaba8624dfa30ULL},
       {"gen2_backend_ladder", 0xbed3ba9865c46b5ULL},
       {"gen2_chanest_precision", 0x13a3e1287a9f2286ULL},

@@ -377,86 +377,295 @@ void expect_same_outcome(const sim::TrialOutcome& a, const sim::TrialOutcome& b,
   }
 }
 
-TEST(Gen1Receiver, DecisionWindowsReceiveLikeTheWholeCapture) {
-  // A genie-timed receive digitizes only the ADC windows its despreader
-  // reads. Through the same entry point, those windows, the same windows
-  // widened to start off the 4-lane converter pattern, and the single
-  // window [0, n) must give the same trial record and the same matched-
-  // filter value at every read index: AWGN, CM1 through the composite
-  // kernel, an importance-sampled trial, and several start delays. Low
-  // Eb/N0, so bit errors (and their exact positions) are in play.
-  const Gen1Config config = sim::gen1_fast();
+/// The gen-1 anti-alias FIR's taps, reversed and in float: what the
+/// receiver's FIR runs.
+std::vector<float> gen1_anti_alias_taps(const Gen1Config& config) {
+  const RealVec taps = dsp::design_lowpass(0.45 * config.adc_rate, config.analog_fs, 63);
+  return {taps.rbegin(), taps.rend()};
+}
+
+/// A of ADC \p block of an \p n-sample capture, measured the slow way:
+/// a unit impulse at each analog input near the block pushed through the
+/// receiver's FIR (dsp::convolve_same_range) and lane interpolation
+/// (LanePlan::sample_to). Row-major, m x cols; inputs the block does not
+/// read give zero columns.
+struct ConverterMap {
+  std::size_t m = 0;
+  std::size_t cols = 0;
+  std::vector<double> a;
+};
+
+ConverterMap measure_converter_map(const Gen1Receiver& rx, double fs, AdcWindow block,
+                                   std::size_t n) {
+  const std::optional<Gen1Receiver::LanePlan> plan = rx.lane_plan(fs);
+  EXPECT_TRUE(plan.has_value());
+  const std::vector<float> taps = gen1_anti_alias_taps(rx.config());
+  const std::size_t c_lo = block.begin * plan->stride > 100 ? block.begin * plan->stride - 100 : 0;
+  const std::size_t c_hi = std::min(n, block.end * plan->stride + 100);
+  const auto [first, last] = plan->input_span(block.begin, block.end, n);
+  ConverterMap map;
+  map.m = block.end - block.begin;
+  map.cols = c_hi - c_lo;
+  map.a.assign(map.m * map.cols, 0.0);
+  std::vector<float> x(n, 0.0f);
+  std::vector<float> y(last - first);
+  std::vector<float> col(map.m);
+  for (std::size_t c = c_lo; c < c_hi; ++c) {
+    x[c] = 1.0f;
+    dsp::convolve_same_range(x.data(), n, taps.data(), taps.size(), first, last, y.data());
+    plan->sample_to(y.data(), n, block.begin, block.end, col.data());
+    for (std::size_t i = 0; i < map.m; ++i) map.a[i * map.cols + (c - c_lo)] = col[i];
+    x[c] = 0.0f;
+  }
+  return map;
+}
+
+/// A * A^T of \p map, row-major m x m.
+std::vector<double> gram(const ConverterMap& map) {
+  std::vector<double> g(map.m * map.m, 0.0);
+  for (std::size_t i = 0; i < map.m; ++i) {
+    for (std::size_t j = 0; j < map.m; ++j) {
+      for (std::size_t c = 0; c < map.cols; ++c) {
+        g[i * map.m + j] += map.a[i * map.cols + c] * map.a[j * map.cols + c];
+      }
+    }
+  }
+  return g;
+}
+
+/// gen1_fast with the lane skews large enough that each lane interpolates
+/// at a visibly different fraction.
+Gen1Config skewed_gen1() {
+  Gen1Config config = sim::gen1_fast();
+  config.interleave.timing_skew_sigma_s = 40e-12;
+  return config;
+}
+
+TEST(Gen1Receiver, NoiseFactorReproducesTheConverterCovariance) {
+  // L * L^T must equal A * A^T to 1e-9 relative, A measured by unit
+  // impulses through the receiver's FIR and lane interpolation: a
+  // 12-sample block at two places (one factor per length serves both) and
+  // a longer, merged block. A block reading past the capture has none.
+  const Gen1Config config = skewed_gen1();
+  Rng mismatch(0x5CE);
+  Gen1Receiver rx(config, mismatch);
+  const double fs = config.analog_fs;
+  const std::optional<Gen1Receiver::LanePlan> plan = rx.lane_plan(fs);
+  ASSERT_TRUE(plan.has_value());
+  bool lanes_differ = false;
+  for (std::size_t l = 1; l < plan->num_lanes; ++l) {
+    lanes_differ = lanes_differ || plan->w1[l] != plan->w1[0] || plan->off[l] != plan->off[0];
+  }
+  EXPECT_TRUE(lanes_differ) << "the lanes should be skewed";
+  constexpr std::size_t n = 3000;
+  const std::size_t n_adc = n / plan->stride;
+  EXPECT_THROW((void)rx.noise_factor({0, 12}, n, fs), InvalidArgument);
+  EXPECT_THROW((void)rx.noise_factor({n_adc - 12, n_adc}, n, fs), InvalidArgument);
+  const AdcWindow blocks[] = {{400, 412}, {1200, 1212}, {600, 636}};
+  for (const AdcWindow& block : blocks) {
+    const std::string where = "block [" + std::to_string(block.begin) + ", " +
+                              std::to_string(block.end) + ")";
+    const std::vector<double> want = gram(measure_converter_map(rx, fs, block, n));
+    const Gen1NoiseFactor& factor = rx.noise_factor(block, n, fs);
+    const std::size_t m = block.end - block.begin;
+    ASSERT_EQ(factor.m, m) << where;
+    double scale = 0.0;
+    for (const double v : want) scale = std::max(scale, std::abs(v));
+    ASSERT_GT(scale, 0.0) << where;
+    double worst = 0.0;
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < m; ++j) {
+        double llt = 0.0;
+        for (std::size_t k = 0; k < m; ++k) {
+          llt += factor.lower[i * m + k] * factor.lower[j * m + k];
+        }
+        worst = std::max(worst, std::abs(llt - want[i * m + j]) / scale);
+      }
+      for (std::size_t j = i + 1; j < m; ++j) {
+        EXPECT_EQ(factor.lower[i * m + j], 0.0) << where << " L is lower-triangular";
+      }
+    }
+    EXPECT_LT(worst, 1e-9) << where;
+  }
+}
+
+/// A converter-path capture copied out of the thread's arenas.
+struct ConverterSamples {
+  std::vector<AdcWindow> blocks;
+  std::vector<float> values;
+  std::size_t length = 0;
+  double n0 = 0.0;
+};
+
+ConverterSamples synthesize_converter(Gen1Link& link, const TrialOptions& options, Rng rng) {
+  const Gen1Link::Capture cap = link.synthesize_capture(options, TrialContext{}, rng);
+  ConverterSamples out;
+  out.blocks.assign(cap.converter.blocks.begin(), cap.converter.blocks.end());
+  out.values.assign(cap.converter.values.begin(), cap.converter.values.end());
+  out.length = cap.length;
+  out.n0 = cap.rx.agc.n0;
+  EXPECT_TRUE(cap.samples.empty()) << "a converter-path trial has no analog samples";
+  return out;
+}
+
+TEST(Gen1Link, ConverterWindowsMatchTheDenseCaptureSampled) {
+  // Noise off, a genie-timed trial's converter samples -- pulse images
+  // landed block by block -- must equal the dense path's analog capture of
+  // the same trial pushed through the receiver's FIR and lane
+  // interpolation, to 1e-5 of the trial's largest sample: AWGN, CM1,
+  // start-delayed trials, and a frame shorter than the CM1 kernel (pulses
+  // overlap, and odd frames put the pulses on several lane phases).
+  Gen1Config short_frames = sim::gen1_fast();
+  short_frames.frame_samples_adc = 101;
   struct Case {
     const char* name;
+    Gen1Config config;
     int cm;
-    bool sampled;
     std::size_t delay_max_frames;
   };
-  const Case cases[] = {{"awgn", 0, false, 0},
-                        {"awgn-delayed", 0, false, 40},
-                        {"cm1", 1, false, 12},
-                        {"awgn-is", 0, true, 25}};
-  const AdcWindow whole{0, std::numeric_limits<std::size_t>::max()};
+  const Case cases[] = {{"awgn", sim::gen1_fast(), 0, 0},
+                        {"awgn-delayed", skewed_gen1(), 0, 40},
+                        {"cm1", sim::gen1_fast(), 1, 12},
+                        {"cm1-short-frames", short_frames, 1, 7}};
   for (const Case& c : cases) {
-    Gen1Link link(config, 0x51DE);
     TrialOptions options = default_options(Generation::kGen1);
     options.payload_bits = 24;
-    options.ebn0_db = 3.0;
+    options.ebn0_db = std::numeric_limits<double>::infinity();  // N0 = 0
     options.cm = c.cm;
     options.start_delay_max_frames = c.delay_max_frames;
-    TrialContext context;
-    if (c.sampled) {
-      options.sampling.mode = stats::SamplingMode::kNoiseScale;
-      options.sampling.scale = 3.0;
-      context.noise_scale = 3.0;
-      context.sampling_resolved = true;
-    }
     const Rng root(0xD1CE);
     for (uint64_t trial = 0; trial < 3; ++trial) {
       const std::string where = std::string(c.name) + " trial " + std::to_string(trial);
-      context.sampling_trial = trial;
+      Gen1Link link(c.config, 0x51DE);
+      const ConverterSamples conv = synthesize_converter(link, options, root.fork(trial));
+      ASSERT_GT(conv.blocks.size(), 1u) << where;
+      EXPECT_EQ(conv.n0, 0.0) << where;
+      TrialOptions dense_options = options;
+      dense_options.genie_timing = false;
       Rng rng = root.fork(trial);
-      const Gen1Link::Capture cap = link.synthesize_capture(options, context, rng);
-      const std::vector<AdcWindow> windows(cap.windows.begin(), cap.windows.end());
-      ASSERT_GT(windows.size(), 1u) << where;  // genie timing: per-pulse windows
-      std::vector<AdcWindow> shifted = windows;
-      for (std::size_t i = 0; i < shifted.size(); ++i) shifted[i].begin -= 1 + i % 3;
+      const Gen1Link::Capture dense = link.synthesize_capture(dense_options, TrialContext{}, rng);
+      ASSERT_EQ(dense.samples.size(), conv.length) << where;
+      ASSERT_TRUE(dense.converter.blocks.empty()) << where;
 
-      Rng rng_windowed = rng;
-      Rng rng_shifted = rng;
-      Rng rng_whole = rng;
-      const Gen1TrialResult windowed = link.receive_capture(cap, options, windows, rng_windowed);
-      const Gen1TrialResult off_lane = link.receive_capture(cap, options, shifted, rng_shifted);
-      const Gen1TrialResult dense = link.receive_capture(cap, options, {&whole, 1}, rng_whole);
-      expect_same_outcome(windowed.outcome, dense.outcome, where);
-      expect_same_outcome(off_lane.outcome, dense.outcome, where + " shifted");
-      EXPECT_EQ(windowed.rx.data_bits, dense.rx.data_bits) << where;
+      const std::optional<Gen1Receiver::LanePlan> plan =
+          link.receiver().lane_plan(c.config.analog_fs);
+      const std::vector<float> taps = gen1_anti_alias_taps(c.config);
+      const std::size_t n = dense.samples.size();
+      std::vector<float> sampled;
+      for (const AdcWindow& block : conv.blocks) {
+        const auto [first, last] = plan->input_span(block.begin, block.end, n);
+        std::vector<float> y(last - first);
+        dsp::convolve_same_range(dense.samples.data(), n, taps.data(), taps.size(), first, last,
+                                 y.data());
+        std::vector<float> out(block.end - block.begin);
+        plan->sample_to(y.data(), n, block.begin, block.end, out.data());
+        sampled.insert(sampled.end(), out.begin(), out.end());
+      }
+      ASSERT_EQ(sampled.size(), conv.values.size()) << where;
+      double scale = 0.0;
+      for (const float v : sampled) scale = std::max(scale, std::abs(static_cast<double>(v)));
+      ASSERT_GT(scale, 0.0) << where;
+      double worst = 0.0;
+      for (std::size_t i = 0; i < sampled.size(); ++i) {
+        worst = std::max(worst, std::abs(static_cast<double>(conv.values[i]) - sampled[i]));
+      }
+      EXPECT_LT(worst, 1e-5 * scale) << where;
+    }
+  }
+}
 
-      // Each decision window begins at the matched-filter index it serves.
-      Gen1Receiver& rx = link.receiver();
-      const auto read_values = [&](std::span<const AdcWindow> digitized) {
-        Rng rng_mf = rng;
-        const Gen1MfView mf = rx.digitize_and_filter(cap.samples, config.analog_fs,
-                                                     link.transmitter(), digitized, cap.rx,
-                                                     rng_mf);
-        std::vector<uint32_t> bits;
-        for (const AdcWindow& w : windows) {
-          const float* v = mf.find(w.begin);
-          EXPECT_NE(v, nullptr) << where << " index " << w.begin;
-          bits.push_back(v != nullptr ? std::bit_cast<uint32_t>(*v) : 0u);
+TEST(Gen1Link, ConverterNoiseCovarianceLiesInsideItsInterval) {
+  // The converter path's noise -- a trial's samples minus the same trial's
+  // noiseless samples -- over ~25k independent 12-sample blocks must have
+  // the covariance (N0/2) * A * A^T, A measured by unit impulses: each
+  // entry inside its 5-sigma interval (Bonferroni over the 78 distinct
+  // entries at a family level near 1e-4), skewed lanes, fixed seeds.
+  const Gen1Config config = skewed_gen1();
+  TrialOptions noisy = default_options(Generation::kGen1);
+  noisy.payload_bits = 48;
+  noisy.ebn0_db = 0.0;
+  TrialOptions clean = noisy;
+  clean.ebn0_db = std::numeric_limits<double>::infinity();
+  Gen1Link link(config, 0xC0F);
+  const Rng root(0xC0DE);
+  std::size_t m = 0;
+  std::vector<double> sum_xx;
+  std::size_t draws = 0;
+  ConverterSamples first;
+  for (uint64_t trial = 0; trial < 12; ++trial) {
+    const ConverterSamples with = synthesize_converter(link, noisy, root.fork(trial));
+    const ConverterSamples without = synthesize_converter(link, clean, root.fork(trial));
+    ASSERT_EQ(with.values.size(), without.values.size());
+    if (trial == 0) {
+      first = with;
+      m = with.blocks.front().end - with.blocks.front().begin;
+      sum_xx.assign(m * m, 0.0);
+    }
+    std::size_t offset = 0;
+    for (const AdcWindow& block : with.blocks) {
+      ASSERT_EQ(block.end - block.begin, m);
+      const float* a = with.values.data() + offset;
+      const float* b = without.values.data() + offset;
+      for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < m; ++j) {
+          sum_xx[i * m + j] +=
+              (static_cast<double>(a[i]) - b[i]) * (static_cast<double>(a[j]) - b[j]);
         }
-        return bits;
-      };
-      const std::vector<uint32_t> dense_mf = read_values({&whole, 1});
-      EXPECT_EQ(read_values(windows), dense_mf) << where;
-      EXPECT_EQ(read_values(shifted), dense_mf) << where << " shifted";
+      }
+      ++draws;
+      offset += m;
+    }
+  }
+  ASSERT_GE(draws, 20000u);
+  const std::vector<double> aat = gram(measure_converter_map(
+      link.receiver(), config.analog_fs, first.blocks[first.blocks.size() / 2], first.length));
+  const double sigma2 = 0.5 * first.n0;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      const double want = sigma2 * aat[i * m + j];
+      const double got = sum_xx[i * m + j] / static_cast<double>(draws);
+      const double var_i = sigma2 * aat[i * m + i];
+      const double var_j = sigma2 * aat[j * m + j];
+      const double se = std::sqrt((var_i * var_j + want * want) / static_cast<double>(draws));
+      EXPECT_LT(std::abs(got - want), 5.0 * se) << "entry (" << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST(Gen1MfView, CursorReadsEqualFind) {
+  // Over random run sets -- gaps between runs, runs of one output -- a
+  // cursor's reads must return find()'s pointer for ascending reads
+  // (repeats, gaps, indices before the first run and past the last), and
+  // still do so when a read steps back.
+  Rng rng(0xC5);
+  for (int set = 0; set < 50; ++set) {
+    std::vector<Gen1MfView::Run> runs;
+    std::size_t next = rng.uniform_int(0, 5);
+    std::size_t offset = 0;
+    const int num_runs = rng.uniform_int(0, 12);
+    for (int r = 0; r < num_runs; ++r) {
+      const std::size_t len = static_cast<std::size_t>(rng.uniform_int(1, 6));
+      runs.push_back({next, next + len, offset});
+      offset += len;
+      next += len + static_cast<std::size_t>(rng.uniform_int(0, 4));
+    }
+    std::vector<float> values(offset);
+    for (std::size_t i = 0; i < values.size(); ++i) values[i] = static_cast<float>(i);
+    const Gen1MfView view{runs, values};
+    Gen1MfView::Cursor cursor(view);
+    std::size_t idx = 0;
+    for (int read = 0; read < 80; ++read) {
+      idx += static_cast<std::size_t>(rng.uniform_int(0, 3));
+      if (rng.uniform_int(0, 9) == 0) idx -= std::min<std::size_t>(idx, rng.uniform_int(1, 8));
+      EXPECT_EQ(cursor.at(idx), view.find(idx)) << "set " << set << " index " << idx;
     }
   }
 }
 
 TEST(Gen1Receiver, JitteredSamplerDigitizesTheWholeCapture) {
   // Aperture jitter draws the Rng once per ADC sample in stream order, so
-  // even a genie-timed receive must digitize the single window [0, n).
+  // even a genie-timed trial takes the dense path: the whole analog
+  // capture, no converter blocks.
   Gen1Config config = sim::gen1_fast();
   config.aperture_jitter_rms_s = 2e-12;
   Gen1Link link(config, 0x717);
@@ -464,21 +673,21 @@ TEST(Gen1Receiver, JitteredSamplerDigitizesTheWholeCapture) {
   options.payload_bits = 8;
   Rng rng(3);
   const Gen1Link::Capture cap = link.synthesize_capture(options, TrialContext{}, rng);
-  const std::span<const AdcWindow> windows = cap.windows;
-  ASSERT_EQ(windows.size(), 1u);
-  EXPECT_EQ(windows.front().begin, 0u);
-  EXPECT_EQ(windows.front().end, cap.samples.size() / 2);  // 4 GS/s analog, 2 GS/s ADC
-  const AdcWindow part{windows.front().end / 2, windows.front().end};
-  EXPECT_THROW((void)link.receive_capture(cap, options, {&part, 1}, rng), InvalidArgument);
+  EXPECT_TRUE(cap.converter.blocks.empty());
+  EXPECT_EQ(cap.samples.size(), cap.length);
+  EXPECT_GT(cap.length, 0u);
+  const Gen1TrialResult trial = link.receive_capture(cap, options, rng);
+  EXPECT_EQ(trial.outcome.bits, trial.rx.bits_compared);
 }
 
 TEST(Gen1Link, LinksSharingAThreadsArenasRunAsIfAlone) {
-  // The gen-1 capture arena and the receiver's sample buffers belong to
-  // the thread, shared by every gen-1 link it runs. Two links with
-  // different options -- AWGN genie-timed windows, and CM1 with a start
-  // delay and a dense acquisition pass over a longer capture -- run
-  // interleaved on one thread must give each trial the outcome it has when
-  // its link runs alone.
+  // The gen-1 capture arenas and the receiver's sample buffers belong to
+  // the thread, shared by every gen-1 link it runs. Three links with
+  // different options -- AWGN genie-timed converter blocks; CM1 with a
+  // start delay and a dense acquisition pass over a longer capture; and an
+  // importance-sampled, start-delayed CM1 genie link -- run interleaved on
+  // one thread must give each trial the outcome it has when its link runs
+  // alone.
   const Gen1Config config = sim::gen1_fast();
   TrialOptions awgn = default_options(Generation::kGen1);
   awgn.ebn0_db = 4.0;
@@ -488,22 +697,39 @@ TEST(Gen1Link, LinksSharingAThreadsArenasRunAsIfAlone) {
   cm1.payload_bits = 48;
   cm1.start_delay_max_frames = 40;
   cm1.genie_timing = false;
+  TrialOptions cm1_is = default_options(Generation::kGen1);
+  cm1_is.cm = 1;
+  cm1_is.ebn0_db = 6.0;
+  cm1_is.start_delay_max_frames = 20;
+  cm1_is.sampling.mode = stats::SamplingMode::kNoiseScale;
+  cm1_is.sampling.scale = 3.0;
   constexpr std::size_t kTrials = 4;
   const auto trial_rng = [](uint64_t link_seed, std::size_t t) { return Rng(link_seed).fork(t); };
+  const auto context_for = [](const TrialOptions& options, std::size_t t) {
+    TrialContext context;
+    if (options.sampling.active()) {
+      context.noise_scale = 3.0;
+      context.sampling_trial = t;
+      context.sampling_resolved = true;
+    }
+    return context;
+  };
   const auto run_alone = [&](const TrialOptions& options, uint64_t link_seed) {
     Gen1Link link(config, link_seed);
     std::vector<Gen1TrialResult> trials;
     for (std::size_t t = 0; t < kTrials; ++t) {
       Rng rng = trial_rng(link_seed, t);
-      trials.push_back(link.run_packet_full(options, rng));
+      trials.push_back(link.run_packet_full(options, rng, context_for(options, t)));
     }
     return trials;
   };
   const std::vector<Gen1TrialResult> alone_awgn = run_alone(awgn, 0xA1);
   const std::vector<Gen1TrialResult> alone_cm1 = run_alone(cm1, 0xC1);
+  const std::vector<Gen1TrialResult> alone_is = run_alone(cm1_is, 0x15);
 
   Gen1Link link_awgn(config, 0xA1);
   Gen1Link link_cm1(config, 0xC1);
+  Gen1Link link_is(config, 0x15);
   const auto expect_as_alone = [](const Gen1TrialResult& got, const Gen1TrialResult& alone,
                                   const std::string& where) {
     expect_same_outcome(got.outcome, alone.outcome, where);
@@ -515,56 +741,22 @@ TEST(Gen1Link, LinksSharingAThreadsArenasRunAsIfAlone) {
     const std::string where = "trial " + std::to_string(t);
     Rng rng_cm1 = trial_rng(0xC1, t);
     expect_as_alone(link_cm1.run_packet_full(cm1, rng_cm1), alone_cm1[t], "cm1 " + where);
+    Rng rng_is = trial_rng(0x15, t);
+    expect_as_alone(link_is.run_packet_full(cm1_is, rng_is, context_for(cm1_is, t)),
+                    alone_is[t], "cm1-is " + where);
     Rng rng_awgn = trial_rng(0xA1, t);
     expect_as_alone(link_awgn.run_packet_full(awgn, rng_awgn), alone_awgn[t], "awgn " + where);
   }
 }
 
-TEST(Gen1Link, LandedTrainOverSpansMatchesTheDenseScatter) {
-  // gen1_land_train over spans that split [0, n) -- or over sparse spans,
-  // NaN elsewhere -- must give each span sample the float a scatter of
-  // every pulse into a zeroed [0, n) gives it, and touch nothing else.
-  Rng rng(0x1A7D);
-  std::vector<double> amplitudes(40);
-  for (double& a : amplitudes) a = rng.uniform(-1.0, 1.0);
-  amplitudes[7] = 0.0;
-  std::vector<float> g(300);  // longer than a frame: pulses overlap
-  for (float& v : g) v = static_cast<float>(rng.gaussian(0.0, 1.0));
-  constexpr std::size_t kDelay = 517;
-  constexpr std::size_t kFrame = 211;
-  const std::size_t n = kDelay + kFrame * amplitudes.size() + g.size() + 64;
-  std::vector<float> dense(n, 0.0f);
-  for (std::size_t s = 0; s < amplitudes.size(); ++s) {
-    const auto a = static_cast<float>(amplitudes[s]);
-    for (std::size_t i = 0; i < g.size(); ++i) dense[kDelay + s * kFrame + i] += a * g[i];
-  }
-  const std::vector<std::vector<IndexRange>> span_sets = {
-      {{0, n}},
-      {{0, 600}, {600, 601}, {601, 4000}, {4000, n}},
-      {{10, 500}, {517, 530}, {1000, 1400}, {5000, 5003}, {n - 10, n}}};
-  for (const std::vector<IndexRange>& spans : span_sets) {
-    std::vector<float> rx(n, std::numeric_limits<float>::quiet_NaN());
-    gen1_land_train(amplitudes, kDelay, kFrame, g, spans, rx.data());
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      while (k < spans.size() && spans[k].end <= i) ++k;
-      if (k < spans.size() && i >= spans[k].begin) {
-        ASSERT_EQ(std::bit_cast<uint32_t>(rx[i]), std::bit_cast<uint32_t>(dense[i]))
-            << spans.size() << " spans, sample " << i;
-      } else {
-        ASSERT_TRUE(std::isnan(rx[i])) << "sample " << i << " outside the spans was written";
-      }
-    }
-  }
-}
-
 TEST(Gen1Link, PoisonedThreadBuffersChangeNoGenieTrial) {
-  // A genie-timed trial synthesizes, filters and digitizes only the spans
-  // its decision reads. Run on a thread whose capture arena and receive
-  // buffers were first grown by a dense trial and then filled with NaN, it
-  // must give the trial record, the decoded bits and the matched-filter
-  // value at every read index it gives on a fresh thread: AWGN, CM1, an
-  // importance-sampled trial, and a start-delayed one.
+  // A genie-timed trial synthesizes only the converter samples of the
+  // blocks its decision reads. Run on a thread whose capture arenas and
+  // receive buffers were first grown by dense and converter-path trials
+  // and then filled with NaN, it must give the converter samples, the
+  // matched-filter outputs, the trial record and the decoded bits it gives
+  // on a fresh thread: AWGN, CM1, an importance-sampled trial, and a
+  // start-delayed one.
   const Gen1Config config = sim::gen1_fast();
   struct Case {
     const char* name;
@@ -578,6 +770,7 @@ TEST(Gen1Link, PoisonedThreadBuffersChangeNoGenieTrial) {
                         {"awgn-delayed", 0, false, 40}};
   struct Observed {
     Gen1TrialResult trial;
+    std::vector<uint32_t> converter_bits;
     std::vector<uint32_t> mf_bits;
   };
   const auto observe = [&](const Case& c, bool poison) {
@@ -591,6 +784,10 @@ TEST(Gen1Link, PoisonedThreadBuffersChangeNoGenieTrial) {
         dense.start_delay_max_frames = 64;
         Rng warm_rng(5);
         (void)warm.run_packet_full(dense, warm_rng);
+        TrialOptions wide = default_options(Generation::kGen1);
+        wide.payload_bits = 96;
+        wide.cm = 2;
+        (void)warm.run_packet_full(wide, warm_rng);
         test_hooks::fill_gen1_thread_buffers(std::numeric_limits<float>::quiet_NaN());
       }
       Gen1Link link(config, 0x4EA1);
@@ -609,15 +806,14 @@ TEST(Gen1Link, PoisonedThreadBuffersChangeNoGenieTrial) {
       }
       Rng rng(0x7E57);
       const Gen1Link::Capture cap = link.synthesize_capture(options, context, rng);
-      const std::vector<AdcWindow> windows(cap.windows.begin(), cap.windows.end());
-      Rng rng_mf = rng;
-      const Gen1MfView mf = link.receiver().digitize_and_filter(
-          cap.samples, config.analog_fs, link.transmitter(), windows, cap.rx, rng_mf);
-      for (const AdcWindow& w : windows) {
-        const float* v = mf.find(w.begin);
-        seen.mf_bits.push_back(v != nullptr ? std::bit_cast<uint32_t>(*v) : 0u);
+      ASSERT_FALSE(cap.converter.blocks.empty());
+      for (const float v : cap.converter.values) {
+        seen.converter_bits.push_back(std::bit_cast<uint32_t>(v));
       }
-      seen.trial = link.receive_capture(cap, options, windows, rng);
+      const Gen1MfView mf =
+          link.receiver().digitize_and_filter(cap.converter, link.transmitter(), cap.rx);
+      for (const float v : mf.values) seen.mf_bits.push_back(std::bit_cast<uint32_t>(v));
+      seen.trial = link.receive_capture(cap, options, rng);
     });
     worker.join();
     return seen;
@@ -627,6 +823,7 @@ TEST(Gen1Link, PoisonedThreadBuffersChangeNoGenieTrial) {
     const Observed poisoned = observe(c, true);
     expect_same_outcome(poisoned.trial.outcome, fresh.trial.outcome, c.name);
     EXPECT_EQ(poisoned.trial.rx.data_bits, fresh.trial.rx.data_bits) << c.name;
+    EXPECT_EQ(poisoned.converter_bits, fresh.converter_bits) << c.name;
     EXPECT_EQ(poisoned.mf_bits, fresh.mf_bits) << c.name;
     EXPECT_FALSE(fresh.mf_bits.empty()) << c.name;
   }
@@ -646,12 +843,12 @@ TEST(Gen1Receiver, ExpectedPowerGainMatchesTheMeasuredDensePower) {
       for (const uint64_t seed : {1u, 2u, 3u}) {
         Gen1Link link(config, seed);
         TrialOptions options = default_options(Generation::kGen1);
-        options.genie_timing = false;  // a dense capture: spans [0, n)
+        options.genie_timing = false;  // a dense capture
         options.cm = cm;
         options.ebn0_db = ebn0_db;
         Rng rng(seed * 7919);
         const Gen1Link::Capture cap = link.synthesize_capture(options, TrialContext{}, rng);
-        ASSERT_EQ(cap.spans.size(), 1u);
+        ASSERT_TRUE(cap.converter.blocks.empty());
         const std::size_t n = cap.samples.size();
         std::vector<float> y(n);
         dsp::convolve_same_range(cap.samples.data(), n, taps_rev.data(), taps_rev.size(), 0, n,
