@@ -207,8 +207,8 @@ class Gen1Receiver {
   /// Empty -- read the whole capture densely -- for acquisition, non-genie
   /// timing, a sampler without a lane plan (aperture jitter), a block
   /// longer than kMaxBlockSamples, or one that reads past either end of
-  /// the capture. The span views the receiver's own
-  /// buffer, valid until its next call.
+  /// the capture. The span views the receiver's own buffer, valid until
+  /// its next call.
   [[nodiscard]] std::span<const AdcWindow> decision_blocks(std::size_t n, double fs,
                                                            const Gen1Transmitter& tx,
                                                            std::size_t num_bits,
@@ -221,10 +221,10 @@ class Gen1Receiver {
                                                    double fs) const;
 
   /// The noise factor of ADC \p block of an \p n-sample capture, the block
-  /// starting on lane 0 and reading only inside the capture. A is measured by pushing unit
-  /// impulses through the receiver's own FIR and lane interpolation. Built
-  /// lazily, once per block length, and kept for the receiver's life: an
-  /// interior block's A depends on its length alone.
+  /// starting on lane 0 and reading only inside the capture. A is measured
+  /// by pushing unit impulses through the receiver's own FIR and lane
+  /// interpolation. Built lazily, once per block length, and kept for the
+  /// receiver's life: such a block's A depends on its length alone.
   /// \throws InvalidArgument for any other block.
   [[nodiscard]] const Gen1NoiseFactor& noise_factor(AdcWindow block, std::size_t n, double fs);
 

@@ -444,11 +444,15 @@ Gen1Config skewed_gen1() {
 TEST(Gen1Receiver, NoiseFactorReproducesTheConverterCovariance) {
   // L * L^T must equal A * A^T to 1e-9 relative, A measured by unit
   // impulses through the receiver's FIR and lane interpolation: a
-  // 12-sample block at two places (one factor per length serves both) and
-  // a longer, merged block. A block reading past the capture has none.
-  const Gen1Config config = skewed_gen1();
+  // 12-sample block at two places (one factor per length serves both), a
+  // longer block, and the block decision_blocks() merges a bit's 16
+  // windows into when frames are 8 samples apart and their FIR inputs
+  // overlap. A block reading past the capture has none.
+  Gen1Config config = skewed_gen1();
+  config.frame_samples_adc = 8;
   Rng mismatch(0x5CE);
   Gen1Receiver rx(config, mismatch);
+  const Gen1Transmitter tx(config);
   const double fs = config.analog_fs;
   const std::optional<Gen1Receiver::LanePlan> plan = rx.lane_plan(fs);
   ASSERT_TRUE(plan.has_value());
@@ -461,7 +465,17 @@ TEST(Gen1Receiver, NoiseFactorReproducesTheConverterCovariance) {
   const std::size_t n_adc = n / plan->stride;
   EXPECT_THROW((void)rx.noise_factor({0, 12}, n, fs), InvalidArgument);
   EXPECT_THROW((void)rx.noise_factor({n_adc - 12, n_adc}, n, fs), InvalidArgument);
-  const AdcWindow blocks[] = {{400, 412}, {1200, 1212}, {600, 636}};
+  Gen1RxOptions genie;
+  genie.genie_timing = true;
+  const std::vector<AdcWindow> merged(rx.decision_blocks(n, fs, tx, 1, genie).begin(),
+                                      rx.decision_blocks(n, fs, tx, 1, genie).end());
+  ASSERT_EQ(merged.size(), 1u);
+  const std::size_t data_start = tx.preamble_frames() * config.frame_samples_adc;
+  EXPECT_EQ(merged.front().begin, data_start);
+  EXPECT_EQ(merged.front().end, data_start + 15 * config.frame_samples_adc + 12);
+  EXPECT_TRUE(rx.decision_blocks(n, fs, tx, 2, genie).empty())
+      << "a merged block past kMaxBlockSamples reads the capture densely";
+  const AdcWindow blocks[] = {{400, 412}, {1200, 1212}, {600, 636}, merged.front()};
   for (const AdcWindow& block : blocks) {
     const std::string where = "block [" + std::to_string(block.begin) + ", " +
                               std::to_string(block.end) + ")";
