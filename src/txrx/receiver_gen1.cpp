@@ -85,30 +85,22 @@ const float* Gen1MfView::Cursor::at(std::size_t idx) noexcept {
 }
 
 void Gen1NoiseFactor::color(const float* white, float* out) const noexcept {
-  if (m <= kColumnStride) {
-    // Four rows at a time in one vector register (GCC/Clang vector
-    // extension: the plain-array form of this loop accumulates through
-    // memory and runs ~4x slower). Columns are kColumnStride floats apart,
-    // zero above the diagonal and below the block, so rows [c, c + 4) sum
-    // columns [0, c + 4) only; each out[i] sums L(i, j) * white[j] in
-    // ascending j.
-    using Vec4 = float __attribute__((vector_size(16)));
-    for (std::size_t c = 0; c < m; c += 4) {
-      Vec4 acc = {0.0f, 0.0f, 0.0f, 0.0f};
-      const std::size_t cols = std::min(m, c + 4);
-      for (std::size_t j = 0; j < cols; ++j) {
-        Vec4 col;
-        std::memcpy(&col, columns.data() + j * kColumnStride + c, sizeof col);
-        acc += col * white[j];
-      }
-      for (std::size_t i = c; i < std::min(m, c + 4); ++i) out[i] += acc[i - c];
+  // Four rows at a time in one vector register (GCC/Clang vector
+  // extension: the plain-array form of this loop accumulates through
+  // memory and runs ~4x slower). Columns are zero above the diagonal and
+  // padded to whole vectors, so rows [c, c + 4) sum columns [0, c + 4)
+  // only; each out[i] sums L(i, j) * white[j] in ascending j.
+  using Vec4 = float __attribute__((vector_size(16)));
+  const std::size_t ld = column_stride();
+  for (std::size_t c = 0; c < m; c += 4) {
+    Vec4 acc = {0.0f, 0.0f, 0.0f, 0.0f};
+    const std::size_t rows_end = std::min(m, c + 4);
+    for (std::size_t j = 0; j < rows_end; ++j) {
+      Vec4 col;
+      std::memcpy(&col, columns.data() + j * ld + c, sizeof col);
+      acc += col * white[j];
     }
-    return;
-  }
-  for (std::size_t j = 0; j < m; ++j) {
-    const float w = white[j];
-    const float* col = columns.data() + j * m;
-    for (std::size_t i = j; i < m; ++i) out[i] += col[i] * w;
+    for (std::size_t i = c; i < rows_end; ++i) out[i] += acc[i - c];
   }
 }
 
@@ -336,7 +328,7 @@ const Gen1NoiseFactor& Gen1Receiver::factor_for(const LanePlan& plan, AdcWindow 
   Gen1NoiseFactor& factor = factors_[m];
   factor.m = m;
   cholesky(aat, m, factor.lower);
-  const std::size_t ld = m <= Gen1NoiseFactor::kColumnStride ? Gen1NoiseFactor::kColumnStride : m;
+  const std::size_t ld = factor.column_stride();
   factor.columns.assign(m * ld, 0.0f);
   for (std::size_t j = 0; j < m; ++j) {
     for (std::size_t i = j; i < m; ++i) {

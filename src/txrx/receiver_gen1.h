@@ -132,14 +132,14 @@ struct Gen1ConverterImage {
 /// A * A^T, so L * n with n white of variance n0/2 has the exact covariance
 /// the block's samples get from white analog noise of that variance.
 struct Gen1NoiseFactor {
-  /// Column stride of `columns` for blocks of up to this many samples.
-  static constexpr std::size_t kColumnStride = 16;
-
   std::size_t m = 0;
   std::vector<double> lower;   ///< L, row-major m x m, zero above the diagonal
-  /// L column-major in float, what color() reads: columns kColumnStride
-  /// floats apart (m apart for a longer block), zero-padded.
+  /// L column-major in float, what color() reads: columns column_stride()
+  /// floats apart, zero-padded.
   std::vector<float> columns;
+
+  /// m rounded up to whole 4-float vectors.
+  [[nodiscard]] std::size_t column_stride() const noexcept { return (m + 3) / 4 * 4; }
 
   /// out[0, m) += L * white[0, m).
   void color(const float* white, float* out) const noexcept;
