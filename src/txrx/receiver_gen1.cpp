@@ -437,25 +437,13 @@ Gen1MfView Gen1Receiver::convert_and_filter(std::span<const AdcWindow> blocks,
   a.levels.resize(total);
   a.mf.resize(total);
   {
-    // Consecutive blocks whose lane phase runs on from the last one's
-    // convert in one call: the lane counter carries over.
     const obs::StageTimer adc_timer(obs::Stage::kAdcQuantize, total);
-    const auto lanes = static_cast<std::size_t>(adc_.num_lanes());
-    std::size_t run_begin = 0;  // packed offset where the current call starts
     std::size_t offset = 0;
-    std::size_t next_lane = 0;
     for (const AdcWindow& w : blocks) {
-      if (offset == run_begin || w.begin % lanes != next_lane) {
-        adc_.convert_block(a.sampled.data() + run_begin, offset - run_begin,
-                           a.levels.data() + run_begin);
-        adc_.seek(w.begin);
-        run_begin = offset;
-      }
+      adc_.seek(w.begin);
+      adc_.convert_block(a.sampled.data() + offset, w.end - w.begin, a.levels.data() + offset);
       offset += w.end - w.begin;
-      next_lane = w.end % lanes;
     }
-    adc_.convert_block(a.sampled.data() + run_begin, offset - run_begin,
-                       a.levels.data() + run_begin);
   }
 
   // Matched filter with the monocycle: output j reads levels [j, j + taps).
