@@ -6,8 +6,19 @@
 /// (LIFO keeps hot data local), idle workers steal from the front of other
 /// workers' deques (FIFO takes the oldest, largest-grained work). External
 /// submissions are distributed round-robin. The pool is intentionally
-/// simple -- mutex-per-deque, one condition variable -- because sweep tasks
-/// are milliseconds-to-seconds of signal processing, not nanosecond lambdas.
+/// simple -- one mutex over every deque and a queued-task count, one
+/// condition variable -- because sweep tasks are milliseconds-to-seconds of
+/// signal processing, not nanosecond lambdas. Workers sleep on "a task is
+/// queued or the pool is stopping", so a submit can never slip past a
+/// worker that is about to sleep.
+///
+/// Placement: the pool reads the CPUs the creating thread may run on
+/// (sched_getaffinity: the process's mask, as taskset or a cpuset sets
+/// it). With at least as many workers as those n CPUs, worker i binds
+/// itself to the (i mod n)-th of them; with fewer, placement stays with
+/// the kernel. Where the kernel does not balance load (a cpuset with
+/// sched_load_balance 0), threads otherwise stay on the CPU that created
+/// them. Off Linux, placement is always the kernel's.
 ///
 /// Observability: every worker counts tasks executed, tasks stolen, and
 /// idle time (always on -- a few relaxed atomic writes per task, read back
@@ -50,7 +61,7 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return queues_.size(); }
 
   /// Enqueues a task. Safe from any thread, including pool workers (a
   /// worker submits to its own deque; thieves redistribute the load).
@@ -66,11 +77,6 @@ class ThreadPool {
   [[nodiscard]] std::vector<obs::PoolWorkerStats> worker_stats() const;
 
  private:
-  struct Deque {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-  };
-
   /// Relaxed atomics: slots are written by their owning worker and read by
   /// worker_stats() from the coordinating thread.
   struct WorkerCounters {
@@ -80,17 +86,20 @@ class ThreadPool {
   };
 
   void worker_loop(std::size_t id);
-  bool try_pop(std::size_t id, std::function<void()>& task, bool& stolen);
+  /// Takes worker \p id's next task; needs mutex_ held and queued_ > 0.
+  std::function<void()> pop(std::size_t id, bool& stolen);
 
-  std::vector<std::unique_ptr<Deque>> workers_;
+  std::vector<std::deque<std::function<void()>>> queues_;  ///< one per worker (mutex_)
   std::vector<std::unique_ptr<WorkerCounters>> counters_;
+  std::vector<int> cpus_;  ///< CPUs the workers bind to, in order; empty: the kernel's
   std::vector<std::thread> threads_;
   obs::TraceRecorder* recorder_ = nullptr;
 
-  std::mutex signal_mutex_;
+  std::mutex mutex_;
   std::condition_variable work_available_;
   std::condition_variable idle_;
-  std::size_t unfinished_ = 0;  ///< queued + running tasks (under signal_mutex_)
+  std::size_t queued_ = 0;      ///< tasks in the deques (under mutex_)
+  std::size_t unfinished_ = 0;  ///< queued + running tasks (under mutex_)
   bool stopping_ = false;
   std::size_t next_submit_ = 0;
 };

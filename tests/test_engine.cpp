@@ -8,9 +8,14 @@
 #include <atomic>
 #include <cmath>
 #include <fstream>
+#include <latch>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "common/error.h"
 #include "engine/parallel_ber.h"
@@ -59,6 +64,93 @@ TEST(ThreadPool, SingleThreadPoolStillCompletes) {
   pool.wait_idle();
   EXPECT_EQ(count.load(), 50);
 }
+
+TEST(ThreadPool, RepeatedRoundsAndNestedSubmitsAccountForEveryTask) {
+  // Rounds of external submits whose tasks submit more, each drained by
+  // wait_idle: a lost wakeup would hang a round, a lost task would break
+  // the counts. The last pool is destroyed with every worker asleep.
+  constexpr std::uint64_t kRounds = 200;
+  constexpr std::uint64_t kOuter = 9;
+  constexpr std::uint64_t kInner = 3;
+  for (const std::size_t workers : {1u, 3u, 8u}) {
+    SCOPED_TRACE(workers);
+    ThreadPool pool(workers);
+    std::atomic<std::uint64_t> ran{0};
+    for (std::uint64_t round = 1; round <= kRounds; ++round) {
+      for (std::uint64_t i = 0; i < kOuter; ++i) {
+        pool.submit([&] {
+          ran.fetch_add(1, std::memory_order_relaxed);
+          for (std::uint64_t k = 0; k < kInner; ++k) {
+            pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+          }
+        });
+      }
+      pool.wait_idle();
+      ASSERT_EQ(ran.load(), round * kOuter * (1 + kInner));
+    }
+    std::uint64_t executed = 0;
+    std::uint64_t stolen = 0;
+    for (const obs::PoolWorkerStats& s : pool.worker_stats()) {
+      executed += s.executed;
+      stolen += s.stolen;
+    }
+    EXPECT_EQ(executed, kRounds * kOuter * (1 + kInner));
+    EXPECT_LE(stolen, executed);
+    if (workers == 1) {
+      EXPECT_EQ(stolen, 0u);
+    }
+  }
+}
+
+#if defined(__linux__)
+/// The calling thread's CPU mask.
+cpu_set_t thread_mask() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  EXPECT_EQ(sched_getaffinity(0, sizeof set, &set), 0);
+  return set;
+}
+
+/// Runs one task per worker, all held on a latch so each runs on its own
+/// worker, and returns the CPU mask each task's thread had.
+std::vector<cpu_set_t> worker_masks(std::size_t workers) {
+  ThreadPool pool(workers);
+  std::vector<cpu_set_t> masks(workers);
+  std::latch all_running(static_cast<std::ptrdiff_t>(workers));
+  for (std::size_t i = 0; i < workers; ++i) {
+    pool.submit([&masks, &all_running, i] {
+      masks[i] = thread_mask();
+      all_running.arrive_and_wait();
+    });
+  }
+  pool.wait_idle();
+  return masks;
+}
+
+TEST(ThreadPool, AsManyWorkersAsCpusEachOwnOneCpu) {
+  const cpu_set_t process = thread_mask();
+  const auto n = static_cast<std::size_t>(CPU_COUNT(&process));
+  cpu_set_t covered;
+  CPU_ZERO(&covered);
+  for (const cpu_set_t& mask : worker_masks(n)) {
+    ASSERT_EQ(CPU_COUNT(&mask), 1);
+    cpu_set_t overlap;
+    CPU_AND(&overlap, &covered, &mask);
+    EXPECT_EQ(CPU_COUNT(&overlap), 0) << "two workers share a CPU";
+    CPU_OR(&covered, &covered, &mask);
+  }
+  EXPECT_TRUE(CPU_EQUAL(&covered, &process));
+}
+
+TEST(ThreadPool, FewerWorkersThanCpusKeepTheProcessMask) {
+  const cpu_set_t process = thread_mask();
+  const auto n = static_cast<std::size_t>(CPU_COUNT(&process));
+  if (n < 2) GTEST_SKIP() << "needs at least two allowed CPUs";
+  for (const cpu_set_t& mask : worker_masks(n - 1)) {
+    EXPECT_TRUE(CPU_EQUAL(&mask, &process));
+  }
+}
+#endif
 
 // ------------------------------------------------- deterministic parallel ----
 
