@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "common/error.h"
@@ -65,9 +66,10 @@ TimeInterleavedAdc::TimeInterleavedAdc(int num_lanes, const FlashParams& lane_pa
     gains_f_.push_back(static_cast<float>(gains_[k]));
     offsets_f_.push_back(static_cast<float>(offsets_[k]));
   }
-  thr_rows_ = lanes_.front().thresholds().size();
-  thr_t_.resize(thr_rows_ * lanes_.size());
-  for (std::size_t t = 0; t < thr_rows_; ++t) {
+  const std::size_t ladder = lanes_.front().thresholds().size();
+  thr_rows_ = (ladder + 3) / 4 * 4;
+  thr_t_.assign(thr_rows_ * lanes_.size(), std::numeric_limits<float>::infinity());
+  for (std::size_t t = 0; t < ladder; ++t) {
     for (std::size_t k = 0; k < lanes_.size(); ++k) {
       thr_t_[t * lanes_.size() + k] = static_cast<float>(lanes_[k].thresholds()[t]);
     }
@@ -119,34 +121,7 @@ void TimeInterleavedAdc::convert_block(const float* x, std::size_t n,
   const std::size_t num_lanes = lanes_.size();
   std::size_t lane = lane_;
   std::size_t i = 0;
-  // Pattern-blocked path for the gen-1 4-lane converter starting on lane 0
-  // (the reset() state): four consecutive samples hit lanes 0..3, so each
-  // transposed ladder row compares 4-wide against the block with no
-  // per-sample horizontal reduction. Bit-identical to the scalar loop --
-  // same compares against the same float ladders, in a different order that
-  // never changes any per-sample count.
-  if (num_lanes == 4 && lane == 0) {
-    const float g0 = gains_f_[0], g1 = gains_f_[1], g2 = gains_f_[2], g3 = gains_f_[3];
-    const float o0 = offsets_f_[0], o1 = offsets_f_[1], o2 = offsets_f_[2],
-                o3 = offsets_f_[3];
-    const std::size_t rows = thr_rows_;
-    for (; i + 4 <= n; i += 4) {
-      const float v[4] = {g0 * x[i] + o0, g1 * x[i + 1] + o1, g2 * x[i + 2] + o2,
-                          g3 * x[i + 3] + o3};
-      std::int32_t code[4] = {};
-      const float* row = thr_t_.data();
-      for (std::size_t t = 0; t < rows; ++t, row += 4) {
-        for (int l = 0; l < 4; ++l) {
-          code[l] += static_cast<std::int32_t>(row[l] <= v[l]);
-        }
-      }
-      for (int l = 0; l < 4; ++l) {
-        levels[i + l] = level_base_f_ + static_cast<float>(code[l]) * lsb_f_;
-      }
-    }
-    // lane stays 0 after each whole block of 4.
-  }
-  for (; i < n; ++i) {
+  const auto convert_one = [&] {
     const float v = gains_f_[lane] * x[i] + offsets_f_[lane];
     const float* thr = thr_f_[lane].data();
     const std::size_t num_thr = thr_f_[lane].size();  // padded, multiple of 8
@@ -156,7 +131,46 @@ void TimeInterleavedAdc::convert_block(const float* x, std::size_t n,
     }
     levels[i] = level_base_f_ + static_cast<float>(code) * lsb_f_;
     lane = (lane + 1) % num_lanes;
+  };
+  // Pattern-blocked path for the gen-1 4-lane converter: from the first
+  // lane-0 sample on, four consecutive samples hit lanes 0..3, so each
+  // transposed ladder row compares 4-wide against the block in one vector
+  // register (GCC/Clang vector extension: the plain-array form of this
+  // loop accumulates through memory and runs several times slower). The
+  // compares, counts and level arithmetic are the scalar path's, lane by
+  // lane, so the levels are bit-identical.
+  if (num_lanes == 4) {
+    for (; i < n && lane != 0; ++i) convert_one();
+    using Vec4f = float __attribute__((vector_size(16)));
+    using Vec4i = std::int32_t __attribute__((vector_size(16)));
+    Vec4f gain;
+    Vec4f offset;
+    std::memcpy(&gain, gains_f_.data(), sizeof gain);
+    std::memcpy(&offset, offsets_f_.data(), sizeof offset);
+    const float* rows_end = thr_t_.data() + thr_rows_ * 4;
+    for (; i + 4 <= n; i += 4) {
+      Vec4f in;
+      std::memcpy(&in, x + i, sizeof in);
+      const Vec4f v = gain * in + offset;
+      // Four rows per step into two counts (a true lane compares to -1):
+      // the two add chains overlap, and integer counts sum exactly.
+      Vec4i even = {0, 0, 0, 0};
+      Vec4i odd = {0, 0, 0, 0};
+      for (const float* row = thr_t_.data(); row != rows_end; row += 16) {
+        Vec4f thr[4];
+        std::memcpy(thr, row, sizeof thr);
+        even -= thr[0] <= v;
+        odd -= thr[1] <= v;
+        even -= thr[2] <= v;
+        odd -= thr[3] <= v;
+      }
+      const Vec4f level =
+          level_base_f_ + __builtin_convertvector(even + odd, Vec4f) * lsb_f_;
+      std::memcpy(levels + i, &level, sizeof level);
+    }
+    // lane stays 0 after each whole block of 4.
   }
+  for (; i < n; ++i) convert_one();
   if (n > 0) {
     last_lane_used_ = static_cast<int>((lane + num_lanes - 1) % num_lanes);
   }

@@ -109,9 +109,10 @@ class TimeInterleavedAdc final : public Adc {
   // Transposed ladder for the pattern-blocked 4-lane path: row t holds
   // threshold t of every lane, so a block of num_lanes consecutive samples
   // compares against contiguous unit-stride rows (vectorizes across the
-  // block instead of needing a horizontal reduction per sample).
+  // block instead of needing a horizontal reduction per sample). Padded
+  // with +inf rows to a multiple of 4, so the row loop takes 4 per step.
   std::vector<float> thr_t_;
-  std::size_t thr_rows_ = 0;  ///< unpadded ladder length (2^bits - 1)
+  std::size_t thr_rows_ = 0;  ///< ladder length (2^bits - 1) rounded up to a multiple of 4
 };
 
 }  // namespace uwb::adc

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "adc/flash_adc.h"
 #include "adc/quantizer.h"
@@ -207,6 +209,67 @@ TEST_P(QuantizerBitsProperty, TransferMonotone) {
     const int code = flash.convert(x);
     ASSERT_GE(code, prev);
     prev = code;
+  }
+}
+
+TEST_P(QuantizerBitsProperty, InterleavedFloatBlocksCountLikeUpperBound) {
+  // The single-precision block conversion against a scalar upper_bound
+  // count over each lane's float-rounded ladder, at every lane phase and
+  // at lengths that are and are not whole lane patterns. The lanes are
+  // rebuilt by replaying the constructor's draws (checked against the
+  // converter's own gains and offsets). Without mismatch, half the inputs
+  // sit exactly on a threshold of the lane they hit.
+  const int bits = GetParam();
+  adc::FlashParams params;
+  params.bits = bits;
+  params.comparator_offset_sigma = 0.3;
+  for (const int num_lanes : {4, 3}) {
+    for (const adc::InterleaveMismatch mm :
+         {adc::InterleaveMismatch{0.02, 0.01, 0.0}, adc::InterleaveMismatch{}}) {
+      SCOPED_TRACE(::testing::Message() << "lanes=" << num_lanes << " gain_sigma="
+                                        << mm.gain_sigma);
+      const auto seed = static_cast<std::uint64_t>(100 * bits + num_lanes);
+      Rng build(seed);
+      Rng replay(seed);
+      adc::TimeInterleavedAdc adc(num_lanes, params, mm, build);
+      std::vector<adc::FlashAdc> lanes;
+      std::vector<std::vector<float>> ladders;
+      for (int k = 0; k < num_lanes; ++k) {
+        lanes.emplace_back(params, replay);
+        ASSERT_EQ(1.0 + replay.gaussian(0.0, mm.gain_sigma), adc.lane_gain(k));
+        ASSERT_EQ(replay.gaussian(0.0, mm.offset_sigma * params.full_scale), adc.lane_offset(k));
+        (void)replay.gaussian(0.0, mm.timing_skew_sigma_s);
+        const RealVec& thr = lanes.back().thresholds();
+        ladders.emplace_back(thr.begin(), thr.end());
+      }
+      Rng inputs(seed + 1);
+      for (std::size_t phase = 0; phase < static_cast<std::size_t>(num_lanes); ++phase) {
+        for (const std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 13u, 64u, 203u}) {
+          std::vector<float> x(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t lane = (phase + i) % static_cast<std::size_t>(num_lanes);
+            x[i] = mm.gain_sigma == 0.0 && i % 2 == 0
+                       ? ladders[lane][static_cast<std::size_t>(inputs.uniform_int(
+                             0, static_cast<int>(ladders[lane].size()) - 1))]
+                       : static_cast<float>(inputs.uniform(-1.2, 1.2));
+          }
+          std::vector<float> levels(n);
+          adc.seek(phase);
+          adc.convert_block(x.data(), n, levels.data());
+          for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t lane = (phase + i) % static_cast<std::size_t>(num_lanes);
+            const auto k = static_cast<int>(lane);
+            const float v = static_cast<float>(adc.lane_gain(k)) * x[i] +
+                            static_cast<float>(adc.lane_offset(k));
+            const auto code = static_cast<int>(
+                std::upper_bound(ladders[lane].begin(), ladders[lane].end(), v) -
+                ladders[lane].begin());
+            ASSERT_EQ(levels[i], static_cast<float>(lanes[lane].level_of(code)))
+                << "phase " << phase << ", n " << n << ", sample " << i;
+          }
+        }
+      }
+    }
   }
 }
 
