@@ -51,7 +51,7 @@ namespace uwb::obs {
 /// stage -- read it as "of the above, this much was FFT butterflies".
 enum class Stage : std::uint8_t {
   kTxModulate = 0,   ///< pulse shaping + modulation (txrx transmit)
-  kChannelConvolve,  ///< CIR convolution of the transmitted waveform
+  kChannelConvolve,  ///< channel realization and CIR convolution
   kChannelNoise,     ///< AWGN synthesis + addition over the analog waveform
   kRxFrontend,       ///< analog chain: mixer/LNA model, FIRs, sampling
   kAdcQuantize,      ///< flash / SAR conversion of the sampled waveform

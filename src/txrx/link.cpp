@@ -395,19 +395,20 @@ Gen2TrialResult Gen2Link::run_packet_full(const TrialOptions& options, Rng& rng,
   // Channel: the context's resolved ensemble realization when one was
   // provided, a fresh per-trial draw otherwise, the identity on AWGN. The
   // received waveform is synthesized from the slots straight into the
-  // split I/Q arena, with a tail pad so late fingers stay in range.
-  if (options.cm >= 1) {
-    if (const channel::Cir* fixed = ensemble_channel_or_throw(options, context)) {
-      trial.true_channel = *fixed;
-    } else {
-      const channel::SalehValenzuela sv(channel::cm_by_index(options.cm));
-      trial.true_channel = sv.realize(rng);
-    }
-  } else {
-    trial.true_channel = channel::identity_cir();
-  }
+  // split I/Q arena, with a tail pad so late fingers stay in range. The
+  // channel stage times both the draw and the convolution.
   {
     const obs::StageTimer ch_timer(obs::Stage::kChannelConvolve, train.length);
+    if (options.cm >= 1) {
+      if (const channel::Cir* fixed = ensemble_channel_or_throw(options, context)) {
+        trial.true_channel = *fixed;
+      } else {
+        const channel::SalehValenzuela sv(channel::cm_by_index(options.cm));
+        trial.true_channel = sv.realize(rng);
+      }
+    } else {
+      trial.true_channel = channel::identity_cir();
+    }
     if (g_.size() == 0 || trial.true_channel.taps() != g_key_taps_) {
       gen2_composite_kernel(tx_.prototype().samples(), trial.true_channel, config_.analog_fs,
                             g_);

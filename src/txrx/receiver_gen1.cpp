@@ -157,9 +157,13 @@ std::span<const AdcWindow> Gen1Receiver::decision_blocks(std::size_t n, double f
                                                          const Gen1Transmitter& tx,
                                                          std::size_t num_bits,
                                                          const Gen1RxOptions& options) {
-  ws_blocks_.clear();
-  const std::size_t n_adc = sampler_.output_size(n, fs);
   const std::size_t taps = tx.pulse_taps_adc().size();
+  const BlockPlanKey key{n, fs, taps, tx.preamble_frames(), num_bits, options.genie_timing,
+                         options.genie_offset};
+  if (blocks_key_ == key) return blocks_;
+  blocks_key_ = key;
+  blocks_.clear();
+  const std::size_t n_adc = sampler_.output_size(n, fs);
   const std::optional<LanePlan> plan = lane_plan(fs);
   if (!options.genie_timing || !plan || taps == 0 || n_adc < taps) return {};
   // The despread loop of receive() reads exactly these outputs; output j
@@ -178,26 +182,26 @@ std::span<const AdcWindow> Gen1Receiver::decision_blocks(std::size_t n, double f
     const AdcWindow block{idx / lanes * lanes,
                           std::min(ceil_div(idx + taps, lanes) * lanes, n_adc)};
     const auto [in_first, in_last] = block_inputs(*plan, block, n);
-    if (!ws_blocks_.empty() && in_first < inputs_end) {
-      ws_blocks_.back().end = std::max(ws_blocks_.back().end, block.end);
-      if (ws_blocks_.back().end - ws_blocks_.back().begin > kMaxBlockSamples) {
-        ws_blocks_.clear();
+    if (!blocks_.empty() && in_first < inputs_end) {
+      blocks_.back().end = std::max(blocks_.back().end, block.end);
+      if (blocks_.back().end - blocks_.back().begin > kMaxBlockSamples) {
+        blocks_.clear();
         return {};
       }
     } else {
-      ws_blocks_.push_back(block);
+      blocks_.push_back(block);
     }
     inputs_end = std::max(inputs_end, in_last);
   }
   // A block at the capture's edge reads past it: the dense path models the
   // FIR's and the sampler's edges.
-  for (const AdcWindow& block : ws_blocks_) {
+  for (const AdcWindow& block : blocks_) {
     if (!interior(*plan, block, n)) {
-      ws_blocks_.clear();
+      blocks_.clear();
       break;
     }
   }
-  return ws_blocks_;
+  return blocks_;
 }
 
 Gen1ConverterImage Gen1Receiver::converter_image(std::span<const float> g, std::size_t phase,

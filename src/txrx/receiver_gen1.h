@@ -207,8 +207,9 @@ class Gen1Receiver {
   /// Empty -- read the whole capture densely -- for acquisition, non-genie
   /// timing, a sampler without a lane plan (aperture jitter), a block
   /// longer than kMaxBlockSamples, or one that reads past either end of
-  /// the capture. The span views the receiver's own buffer, valid until
-  /// its next call.
+  /// the capture. The plan is kept: a call with the same inputs returns it
+  /// without planning again. The span views the receiver's own buffer,
+  /// valid until a call with other inputs.
   [[nodiscard]] std::span<const AdcWindow> decision_blocks(std::size_t n, double fs,
                                                            const Gen1Transmitter& tx,
                                                            std::size_t num_bits,
@@ -324,9 +325,23 @@ class Gen1Receiver {
   /// Noise factors by block length (see noise_factor).
   std::map<std::size_t, Gen1NoiseFactor> factors_;
 
+  /// Every input decision_blocks() reads: blocks_ is its plan for
+  /// blocks_key_.
+  struct BlockPlanKey {
+    std::size_t n = 0;
+    double fs = 0.0;
+    std::size_t taps = 0;             ///< tx.pulse_taps_adc().size()
+    std::size_t preamble_frames = 0;  ///< tx.preamble_frames()
+    std::size_t num_bits = 0;
+    bool genie_timing = false;
+    std::size_t genie_offset = 0;
+    [[nodiscard]] bool operator==(const BlockPlanKey&) const = default;
+  };
+  std::optional<BlockPlanKey> blocks_key_;
+  std::vector<AdcWindow> blocks_;
+
   // Bookkeeping for the current pass; the sample buffers every stage of
   // digitize_and_filter writes are per thread (see receiver_gen1.cpp).
-  std::vector<AdcWindow> ws_blocks_;
   std::vector<Gen1MfView::Run> ws_runs_;
 };
 

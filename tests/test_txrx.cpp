@@ -9,6 +9,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -500,6 +501,61 @@ TEST(Gen1Receiver, NoiseFactorReproducesTheConverterCovariance) {
       }
     }
     EXPECT_LT(worst, 1e-9) << where;
+  }
+}
+
+std::vector<std::pair<std::size_t, std::size_t>> as_pairs(std::span<const AdcWindow> blocks) {
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  for (const AdcWindow& block : blocks) pairs.emplace_back(block.begin, block.end);
+  return pairs;
+}
+
+TEST(Gen1Receiver, DecisionBlocksKeepTheirPlanPerInputs) {
+  // decision_blocks() keeps its plan for one set of inputs: every call must
+  // equal a fresh receiver's plan for the same inputs, whether it repeats
+  // the last inputs (the kept plan) or changes the capture length, the
+  // genie offset, the bit count or the timing (a new plan, which here
+  // differs from the one before it).
+  const Gen1Config config = sim::gen1_fast();
+  Rng mismatch(0xB10C);
+  Gen1Receiver rx(config, mismatch);
+  const Gen1Transmitter tx(config);
+  const double fs = config.analog_fs;
+  const std::size_t stride = rx.lane_plan(fs)->stride;
+  const auto ppb = static_cast<std::size_t>(config.pulses_per_bit);
+  constexpr std::size_t kBits = 4;
+  const std::size_t frame = config.frame_samples_adc * stride;
+  const std::size_t n = (tx.preamble_frames() + (kBits + 1) * ppb) * frame;
+  const std::size_t n_cut = (tx.preamble_frames() + kBits * ppb - 1) * frame;
+  struct Call {
+    std::size_t n;
+    std::size_t offset;
+    std::size_t bits;
+    bool genie;
+    bool changes;  ///< the plan differs from the previous call's
+  };
+  const Call calls[] = {{n, 0, kBits, true, true},         {n, 0, kBits, true, false},
+                        {n_cut, 0, kBits, true, true},     {n, 0, kBits, true, true},
+                        {n, 5, kBits, true, true},         {n, 5, kBits - 1, true, true},
+                        {n, 5, kBits - 1, false, true},    {n, 0, kBits, true, true},
+                        {n, 0, kBits, true, false}};
+  std::vector<std::pair<std::size_t, std::size_t>> previous;
+  for (std::size_t i = 0; i < std::size(calls); ++i) {
+    SCOPED_TRACE(i);
+    const Call& call = calls[i];
+    Gen1RxOptions options;
+    options.genie_timing = call.genie;
+    options.genie_offset = call.offset;
+    Rng fresh_mismatch(0xB10C);
+    Gen1Receiver fresh(config, fresh_mismatch);
+    const auto want = as_pairs(fresh.decision_blocks(call.n, fs, tx, call.bits, options));
+    const auto got = as_pairs(rx.decision_blocks(call.n, fs, tx, call.bits, options));
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(want != previous, call.changes);
+    if (i == 0) {
+      ASSERT_FALSE(want.empty()) << "the first call must plan converter blocks";
+    }
+    previous = want;
   }
 }
 
