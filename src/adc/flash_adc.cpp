@@ -135,10 +135,9 @@ void TimeInterleavedAdc::convert_block(const float* x, std::size_t n,
   // Pattern-blocked path for the gen-1 4-lane converter: from the first
   // lane-0 sample on, four consecutive samples hit lanes 0..3, so each
   // transposed ladder row compares 4-wide against the block in one vector
-  // register (GCC/Clang vector extension: the plain-array form of this
-  // loop accumulates through memory and runs several times slower). The
-  // compares, counts and level arithmetic are the scalar path's, lane by
-  // lane, so the levels are bit-identical.
+  // register (GCC/Clang vector extension). The compares, counts and level
+  // arithmetic are the scalar path's, lane by lane, so the levels are
+  // bit-identical.
   if (num_lanes == 4) {
     for (; i < n && lane != 0; ++i) convert_one();
     using Vec4f = float __attribute__((vector_size(16)));
