@@ -282,6 +282,32 @@ void BM_CorrelateCplxFft(benchmark::State& state) {
 }
 BENCHMARK(BM_CorrelateCplxFft)->Arg(16)->Arg(32)->Arg(64)->Arg(512)->Arg(4096);
 
+// One rail of the gen-2 capture synthesis: 506 pulse slots 40 samples apart
+// through a k_len-sample composite kernel (97 = the AWGN prototype, 1297 = a
+// long CM4 realization), plus the 256-sample tail pad.
+void BM_ShiftedSum(benchmark::State& state) {
+  Rng rng(23);
+  const auto k_len = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kSlots = 506;
+  constexpr std::size_t kFrame = 40;
+  RealVec w(kSlots), k(k_len);
+  std::vector<std::size_t> offsets(kSlots);
+  for (std::size_t m = 0; m < kSlots; ++m) {
+    w[m] = rng.sign();
+    offsets[m] = m * kFrame;
+  }
+  for (auto& v : k) v = rng.gaussian();
+  const std::size_t len = kSlots * kFrame + k_len + 256;
+  RealVec y(len);
+  for (auto _ : state) {
+    dsp::shifted_sum(w.data(), offsets.data(), kSlots, k.data(), k_len, 0, len, y.data());
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(len));
+}
+BENCHMARK(BM_ShiftedSum)->Arg(97)->Arg(1297);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -81,16 +81,33 @@ void SarAdc::digitize_to(const double* x, std::size_t n, double* levels) {
   const std::size_t codes = levels_.size();
   const double* tree = tree_.data();
   const double sigma = params_.comparator_noise;
-  for (std::size_t k = 0; k < n; ++k) {
-    std::size_t node = 1;
-    if (sigma > 0.0) {
+  if (sigma > 0.0) {
+    // Noise draws must follow convert()'s order: one sample at a time.
+    for (std::size_t k = 0; k < n; ++k) {
+      std::size_t node = 1;
       while (node < codes) {
         const double decision_input = x[k] + noise_rng_.gaussian(0.0, sigma);
         node = 2 * node + (decision_input >= tree[node] ? 1 : 0);
       }
-    } else {
-      while (node < codes) node = 2 * node + (x[k] >= tree[node] ? 1 : 0);
+      levels[k] = levels_[node - codes];
     }
+    return;
+  }
+  // Noiseless: four samples walk their trees together, so the four
+  // dependent chains of table loads overlap instead of running back to back.
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    std::size_t node[4] = {1, 1, 1, 1};
+    while (node[0] < codes) {
+      for (std::size_t j = 0; j < 4; ++j) {
+        node[j] = 2 * node[j] + (x[k + j] >= tree[node[j]] ? 1 : 0);
+      }
+    }
+    for (std::size_t j = 0; j < 4; ++j) levels[k + j] = levels_[node[j] - codes];
+  }
+  for (; k < n; ++k) {
+    std::size_t node = 1;
+    while (node < codes) node = 2 * node + (x[k] >= tree[node] ? 1 : 0);
     levels[k] = levels_[node - codes];
   }
 }

@@ -85,10 +85,10 @@ Cir SalehValenzuela::realize(Rng& rng, bool apply_shadowing) const {
   while (cluster_time < p.max_excess_delay_s) {
     // First ray of the cluster arrives with the cluster.
     double ray_time = 0.0;
+    const double cluster_power = std::exp(-cluster_time / p.cluster_decay_s);
     while (cluster_time + ray_time < p.max_excess_delay_s) {
       // Mean power of this ray (relative, normalized later).
-      const double mean_power_lin =
-          std::exp(-cluster_time / p.cluster_decay_s) * std::exp(-ray_time / p.ray_decay_s);
+      const double mean_power_lin = cluster_power * std::exp(-ray_time / p.ray_decay_s);
       // Lognormal amplitude around the mean power.
       const double n_db = rng.gaussian(0.0, sigma_db);
       const double power = mean_power_lin * std::pow(10.0, (n_db + mean_correction_db) / 10.0);

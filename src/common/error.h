@@ -43,5 +43,11 @@ inline void require(bool cond, const std::string& msg) {
   if (!cond) throw InvalidArgument(msg);
 }
 
+/// The literal-message form: a passing check builds no std::string (hot
+/// paths check per pulse or per block).
+inline void require(bool cond, const char* msg) {
+  if (!cond) throw InvalidArgument(msg);
+}
+
 }  // namespace detail
 }  // namespace uwb

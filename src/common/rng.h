@@ -28,7 +28,8 @@ namespace uwb {
 /// on y & 1. That branch is a coin flip the predictor loses half the time;
 /// without it the twist is a straight-line, vectorizable loop and a word
 /// costs ~2 ns instead of ~7 ns (bench_dsp_micro BM_RngEngineWords,
-/// docs/performance.md).
+/// docs/performance.md). The twist also tempers the whole block at once,
+/// so a draw is one load.
 class Mt19937_64 {
  public:
   using result_type = std::uint64_t;
@@ -47,15 +48,11 @@ class Mt19937_64 {
 
   result_type operator()() noexcept {
     if (p_ >= kStateSize) twist();
-    result_type z = x_[p_++];
-    z ^= (z >> 29) & 0x5555555555555555ULL;
-    z ^= (z << 17) & 0x71d67fffeda60000ULL;
-    z ^= (z << 37) & 0xfff7eee000000000ULL;
-    z ^= z >> 43;
-    return z;
+    return out_[p_++];
   }
 
-  /// Equal iff both engines will produce the same stream from here on.
+  /// Equal iff both engines will produce the same stream from here on
+  /// (out_ is a function of x_ whenever p_ can read it).
   friend bool operator==(const Mt19937_64& a, const Mt19937_64& b) noexcept {
     return a.p_ == b.p_ && std::equal(a.x_, a.x_ + kStateSize, b.x_);
   }
@@ -71,7 +68,16 @@ class Mt19937_64 {
     return far ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrixA);
   }
 
-  /// Regenerates all kStateSize words in place, in libstdc++'s order.
+  static constexpr result_type temper(result_type z) noexcept {
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  /// Regenerates all kStateSize words in place, in libstdc++'s order, and
+  /// tempers them all into out_: one straight-line, vectorizable loop
+  /// instead of a temper per draw.
   void twist() noexcept {
     constexpr std::size_t n = kStateSize;
     constexpr std::size_t m = kShift;
@@ -79,10 +85,12 @@ class Mt19937_64 {
     for (; k < n - m; ++k) x_[k] = mix(x_[k], x_[k + 1], x_[k + m]);
     for (; k < n - 1; ++k) x_[k] = mix(x_[k], x_[k + 1], x_[k + m - n]);
     x_[n - 1] = mix(x_[n - 1], x_[0], x_[m - 1]);
+    for (k = 0; k < n; ++k) out_[k] = temper(x_[k]);
     p_ = 0;
   }
 
   result_type x_[kStateSize];
+  result_type out_[kStateSize];  ///< tempered x_, filled by twist()
   std::size_t p_ = kStateSize;
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "dsp/fast_convolve.h"
 
@@ -121,6 +123,87 @@ UWB_DOT_BANK_CLONES void dot_bank(const double* x, std::size_t num_lags, const d
 UWB_DOT_BANK_CLONES void dot_bank(const float* x, std::size_t num_lags, const float* h,
                                   std::size_t h_len, float* out) noexcept {
   dot_bank_impl<float, 32>(x, num_lags, h, h_len, out);
+}
+
+namespace detail {
+
+/// Outputs per shifted_sum block: eight 4-double accumulator vectors.
+/// Measured on the gen-2 capture's sizes (506 terms 40 samples apart),
+/// 16-wide blocks ran ~25% slower on a 1297-sample kernel and no faster
+/// on the 97-sample AWGN one (docs/performance.md).
+constexpr std::size_t kShiftBlock = 32;
+
+/// shifted_sum over a kernel stored at kpad + kShiftBlock - 1 with
+/// kShiftBlock - 1 zeros on each side, so every block reads a full
+/// kShiftBlock-wide window of every term that reaches it through one
+/// fixed body. The accumulators are GCC vector-extension values: left to
+/// itself the vectorizer picks the term loop, gathering across terms,
+/// where the block is the vector dimension. Lane arithmetic is still one
+/// multiply then one add per term and output. \p first may be negative
+/// (the kernel's leading zeros were trimmed off).
+UWB_DOT_BANK_CLONES void shifted_sum_padded(const double* w, const std::size_t* offsets,
+                                            std::size_t terms, const double* kpad,
+                                            std::size_t k_len, std::ptrdiff_t first,
+                                            std::size_t count, double* out) noexcept {
+  using Vec = double __attribute__((vector_size(4 * sizeof(double))));
+  constexpr std::size_t kB = kShiftBlock;
+  constexpr std::size_t kVecs = kB / 4;
+  const auto len = static_cast<std::ptrdiff_t>(k_len);
+  const auto at = [&](std::size_t m) { return static_cast<std::ptrdiff_t>(offsets[m]); };
+  // Terms [lo, hi) reach block [n0, n0 + kB): o_m + k_len > n0 and o_m < n0 + kB.
+  std::size_t lo = static_cast<std::size_t>(
+      std::partition_point(offsets, offsets + terms,
+                           [&](std::size_t o) {
+                             return static_cast<std::ptrdiff_t>(o) + len <= first;
+                           }) -
+      offsets);
+  std::size_t hi = lo;
+  for (std::size_t j = 0; j < count; j += kB) {
+    const std::ptrdiff_t n0 = first + static_cast<std::ptrdiff_t>(j);
+    while (lo < terms && at(lo) + len <= n0) ++lo;
+    while (hi < terms && at(hi) < n0 + static_cast<std::ptrdiff_t>(kB)) ++hi;
+    Vec acc[kVecs] = {};
+    for (std::size_t m = lo; m < hi; ++m) {
+      const double wm = w[m];
+      const double* src = kpad + (n0 - at(m) + static_cast<std::ptrdiff_t>(kB - 1));
+      for (std::size_t v = 0; v < kVecs; ++v) {
+        Vec x;
+        std::memcpy(&x, src + 4 * v, sizeof x);
+        acc[v] += wm * x;
+      }
+    }
+    if (count - j >= kB) {
+      std::memcpy(out + j, acc, sizeof acc);
+    } else {
+      double tail[kB];
+      std::memcpy(tail, acc, sizeof acc);
+      std::copy(tail, tail + (count - j), out + j);
+    }
+  }
+}
+
+}  // namespace detail
+
+void shifted_sum(const double* w, const std::size_t* offsets, std::size_t terms, const double* k,
+                 std::size_t k_len, std::size_t first, std::size_t count, double* out) {
+  constexpr std::size_t kB = detail::kShiftBlock;
+  // A +/-0 kernel sample at either end adds +/-0 to every output it
+  // reaches: trim them, and an all-zero kernel leaves every output +0.
+  std::size_t lead = 0;
+  while (lead < k_len && k[lead] == 0.0) ++lead;
+  while (k_len > lead && k[k_len - 1] == 0.0) --k_len;
+  if (lead == k_len) {
+    std::fill(out, out + count, 0.0);
+    return;
+  }
+  const std::size_t len = k_len - lead;
+  thread_local std::vector<double> kpad;
+  kpad.assign(len + 2 * (kB - 1), 0.0);
+  std::copy(k + lead, k + k_len, kpad.begin() + static_cast<std::ptrdiff_t>(kB - 1));
+  detail::shifted_sum_padded(w, offsets, terms, kpad.data(), len,
+                             static_cast<std::ptrdiff_t>(first) -
+                                 static_cast<std::ptrdiff_t>(lead),
+                             count, out);
 }
 
 RealVec normalized_correlation(const CplxVec& x, const CplxVec& tmpl) {

@@ -34,6 +34,22 @@ void dot_bank(const double* x, std::size_t num_lags, const double* h, std::size_
 void dot_bank(const float* x, std::size_t num_lags, const float* h, std::size_t h_len,
               float* out) noexcept;
 
+/// Shifted sum of one kernel: out[j] = sum_m w[m] * k[first + j - offsets[m]]
+/// for j in [0, count), over the terms m in [0, terms) whose kernel index
+/// lands in [0, k_len). \p offsets must be non-decreasing.
+///
+/// Output-major: each block of outputs accumulates in registers, from +0.0,
+/// over the terms that reach it in ascending m, and is stored once. That is
+/// the same products summed in the same order as the scatter
+/// `out = 0; for m: out[offsets[m] + i - first] += w[m] * k[i]`, and a term
+/// outside an output's reach adds w * 0 = +/-0 onto an accumulator that is
+/// never -0, so the bits equal the scatter's on any build. Kernel samples
+/// that are +/-0 at either end of \p k add nothing and are skipped. The
+/// channel's per-slot kernel, the gen-2 capture and the gen-2 dense train
+/// are all built by it.
+void shifted_sum(const double* w, const std::size_t* offsets, std::size_t terms, const double* k,
+                 std::size_t k_len, std::size_t first, std::size_t count, double* out);
+
 /// Normalized correlation magnitude in [0, 1]:
 /// |corr| / (||window|| * ||template||), robust to received power.
 RealVec normalized_correlation(const CplxVec& x, const CplxVec& tmpl);

@@ -1,6 +1,7 @@
 #include "dsp/fast_convolve.h"
 
 #include <algorithm>
+#include <cstring>
 #include <type_traits>
 
 #include "common/math_utils.h"
@@ -41,7 +42,7 @@ std::size_t pick_fft_size(std::size_t h_len, std::size_t out_len) {
 }
 
 /// Core overlap-save loop: full linear convolution of \p x with the
-/// \p h_len-tap kernel the caller staged into ws.kernel_fft[0..h_len).
+/// \p h_len-tap kernel the caller staged into ws.kernel_taps[0..h_len).
 /// Valid block outputs are handed to \p store(full_index, value).
 template <typename TX, typename StoreFn>
 void ols_run(const std::vector<TX>& x, std::size_t h_len, StoreFn&& store,
@@ -52,11 +53,16 @@ void ols_run(const std::vector<TX>& x, std::size_t h_len, StoreFn&& store,
   const std::size_t hop = n - h_len + 1;  // valid outputs per block
   const FftPlan& plan = fft_plan(n);
 
-  // Kernel spectrum (zero stale bytes past the staged taps).
-  ws.kernel_fft.resize(n, cplx{});
-  std::fill(ws.kernel_fft.begin() + static_cast<std::ptrdiff_t>(h_len),
-            ws.kernel_fft.end(), cplx{});
-  plan.forward(ws.kernel_fft.data());
+  // Kernel spectrum, unless it already holds these exact taps at this size.
+  const cplx* taps = ws.kernel_taps.data();
+  if (ws.kernel_n != n || ws.kernel_key.size() != h_len ||
+      std::memcmp(ws.kernel_key.data(), taps, h_len * sizeof(cplx)) != 0) {
+    ws.kernel_key.assign(taps, taps + h_len);
+    ws.kernel_fft.assign(n, cplx{});
+    std::copy(taps, taps + h_len, ws.kernel_fft.begin());
+    plan.forward(ws.kernel_fft.data());
+    ws.kernel_n = n;
+  }
 
   ws.block.resize(n);
   for (std::size_t s = 0; s < out_len; s += hop) {
@@ -131,8 +137,8 @@ void ols_convolve_impl(const std::vector<TX>& x, const std::vector<TH>& h,
     return;
   }
   out.resize(x.size() + h.size() - 1);
-  ws.kernel_fft.resize(std::max(ws.kernel_fft.size(), h.size()));
-  for (std::size_t i = 0; i < h.size(); ++i) ws.kernel_fft[i] = to_cplx(h[i]);
+  ws.kernel_taps.resize(std::max(ws.kernel_taps.size(), h.size()));
+  for (std::size_t i = 0; i < h.size(); ++i) ws.kernel_taps[i] = to_cplx(h[i]);
   ols_run(x, h.size(), [&](std::size_t idx, const cplx& v) {
     if constexpr (std::is_same_v<TY, double>) {
       out[idx] = v.real();
@@ -154,8 +160,8 @@ void ols_correlate_impl(const std::vector<T>& x, const std::vector<T>& tmpl,
   }
   const std::size_t num_lags = x.size() - m + 1;
   out.resize(num_lags);
-  ws.kernel_fft.resize(std::max(ws.kernel_fft.size(), m));
-  for (std::size_t i = 0; i < m; ++i) ws.kernel_fft[i] = std::conj(to_cplx(tmpl[m - 1 - i]));
+  ws.kernel_taps.resize(std::max(ws.kernel_taps.size(), m));
+  for (std::size_t i = 0; i < m; ++i) ws.kernel_taps[i] = std::conj(to_cplx(tmpl[m - 1 - i]));
   ols_run(x, m, [&](std::size_t idx, const cplx& v) {
     if (idx < m - 1) return;  // partial-overlap prefix of the full convolution
     const std::size_t lag = idx - (m - 1);

@@ -28,8 +28,15 @@ namespace uwb::dsp {
 /// seen and are then reused allocation-free; a sweep worker thread keeps one
 /// workspace for its whole trial stream (see thread_fft_workspace()).
 struct FftWorkspace {
-  CplxVec kernel_fft;  ///< H = FFT(kernel), one block size
-  CplxVec block;       ///< per-block staging / transform buffer
+  CplxVec kernel_taps;  ///< a complex job's kernel taps, staged by the caller
+  // kernel_fft holds the spectrum of kernel_key at block size kernel_n: a
+  // job whose staged taps are bit-equal to kernel_key at the same block
+  // size reuses it (a sync search and the channel estimate correlate one
+  // preamble template trial after trial). +0.0 and -0.0 taps differ.
+  CplxVec kernel_key;         ///< taps kernel_fft was computed from
+  std::size_t kernel_n = 0;   ///< block size of kernel_fft (0: none yet)
+  CplxVec kernel_fft;         ///< H = FFT(kernel_key), kernel_n bins
+  CplxVec block;              ///< per-block staging / transform buffer
   // Real x real jobs run on the half-size real transform (dsp::RfftPlan)
   // instead: real staging buffer plus half-spectrum kernel/work buffers.
   RealVec rblock;       ///< real per-block staging / kernel staging buffer

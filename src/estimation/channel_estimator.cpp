@@ -44,10 +44,9 @@ ChannelEstimate ChannelEstimator::estimate(const CplxWaveform& x, const CplxVec&
   // before the coarse offset so an early first path is not missed.
   const std::size_t back_off = std::min<std::size_t>(coarse_offset, 8);
   const std::size_t start = coarse_offset - back_off;
-  const std::size_t num_lags =
-      std::min(config_.max_delay_samples + back_off,
-               x.size() >= tmpl.size() ? x.size() - tmpl.size() + 1 - start : 0);
-  detail::require(num_lags > 0, "ChannelEstimator: no room for estimation window");
+  const std::size_t lags_in_x = x.size() - tmpl.size() + 1;
+  detail::require(start < lags_in_x, "ChannelEstimator: no room for estimation window");
+  const std::size_t num_lags = std::min(config_.max_delay_samples + back_off, lags_in_x - start);
 
   double tmpl_energy = 0.0;
   for (const auto& v : tmpl) tmpl_energy += std::norm(v);

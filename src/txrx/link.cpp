@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "channel/awgn.h"
 #include "channel/interferer.h"
 #include "common/error.h"
+#include "dsp/correlator.h"
 #include "dsp/fir_filter.h"
 #include "fec/viterbi_decoder.h"
 #include "obs/profile.h"
@@ -322,34 +324,33 @@ sim::TrialOutcome Gen2Link::run_packet(const TrialOptions& options, Rng& rng,
 void gen2_composite_kernel(const RealVec& prototype, const channel::Cir& cir, double fs,
                            dsp::IqArena& g) {
   const CplxVec h = cir.sampled(fs);
-  g.assign_zero(h.empty() ? 0 : prototype.size() + h.size() - 1);
-  // Prototype-major, the accumulation order of the direct complex
-  // convolution (a real prototype sample times a complex tap is one real
-  // product per rail).
-  for (std::size_t i = 0; i < prototype.size() && !h.empty(); ++i) {
-    const double p = prototype[i];
-    double* gi = g.i.data() + i;
-    double* gq = g.q.data() + i;
-    for (std::size_t k = 0; k < h.size(); ++k) {
-      gi[k] += p * h[k].real();
-      gq[k] += p * h[k].imag();
-    }
-  }
+  const std::size_t len = h.empty() ? 0 : prototype.size() + h.size() - 1;
+  g.resize(len);
+  if (len == 0) return;
+  // g = sum_i prototype[i] * h[n - i], prototype-major: the accumulation
+  // order of the direct complex convolution (a real prototype sample times
+  // a complex tap is one real product per rail).
+  dsp::IqArena rails;
+  rails.load(h.data(), h.size());
+  std::vector<std::size_t> shifts(prototype.size());
+  std::iota(shifts.begin(), shifts.end(), std::size_t{0});
+  dsp::shifted_sum(prototype.data(), shifts.data(), shifts.size(), rails.i.data(), h.size(), 0,
+                   len, g.i.data());
+  dsp::shifted_sum(prototype.data(), shifts.data(), shifts.size(), rails.q.data(), h.size(), 0,
+                   len, g.q.data());
 }
 
 void gen2_synthesize_capture(const Gen2Train& train, std::size_t delay, std::size_t proto_len,
                              const dsp::IqArena& g, std::size_t pad, dsp::IqArena& rx) {
-  const std::size_t g_len = g.size();
-  rx.assign_zero(delay + train.length - proto_len + g_len + pad);
-  for (std::size_t m = 0; m < train.amplitudes.size(); ++m) {
-    const double a = train.amplitudes[m];
-    double* yi = rx.i.data() + delay + train.offsets[m];
-    double* yq = rx.q.data() + delay + train.offsets[m];
-    for (std::size_t k = 0; k < g_len; ++k) {
-      yi[k] += a * g.i[k];
-      yq[k] += a * g.q[k];
-    }
-  }
+  const std::size_t len = train.length - proto_len + g.size() + pad;
+  rx.resize(delay + len);
+  std::fill(rx.i.data(), rx.i.data() + delay, 0.0);
+  std::fill(rx.q.data(), rx.q.data() + delay, 0.0);
+  const std::size_t slots = train.amplitudes.size();
+  dsp::shifted_sum(train.amplitudes.data(), train.offsets.data(), slots, g.i.data(), g.size(), 0,
+                   len, rx.i.data() + delay);
+  dsp::shifted_sum(train.amplitudes.data(), train.offsets.data(), slots, g.q.data(), g.size(), 0,
+                   len, rx.q.data() + delay);
 }
 
 namespace {
@@ -399,20 +400,28 @@ Gen2TrialResult Gen2Link::run_packet_full(const TrialOptions& options, Rng& rng,
   // channel stage times both the draw and the convolution.
   {
     const obs::StageTimer ch_timer(obs::Stage::kChannelConvolve, train.length);
+    bool fresh = false;
     if (options.cm >= 1) {
       if (const channel::Cir* fixed = ensemble_channel_or_throw(options, context)) {
         trial.true_channel = *fixed;
       } else {
         const channel::SalehValenzuela sv(channel::cm_by_index(options.cm));
         trial.true_channel = sv.realize(rng);
+        fresh = true;
       }
     } else {
       trial.true_channel = channel::identity_cir();
     }
-    if (g_.size() == 0 || trial.true_channel.taps() != g_key_taps_) {
+    const bool hit = !fresh && g_key_taps_ && trial.true_channel.taps() == *g_key_taps_;
+    if (!hit) {
       gen2_composite_kernel(tx_.prototype().samples(), trial.true_channel, config_.analog_fs,
                             g_);
-      g_key_taps_ = trial.true_channel.taps();
+      // A fresh draw is never seen again, so it leaves no key.
+      if (fresh) {
+        g_key_taps_.reset();
+      } else {
+        g_key_taps_ = trial.true_channel.taps();
+      }
     }
     gen2_synthesize_capture(train, delay, tx_.prototype().size(), g_,
                             static_cast<std::size_t>(64e-9 * config_.analog_fs), capture);

@@ -313,18 +313,21 @@ void validate_spec(const LinkSpec& spec);
                                           std::size_t index, const channel::Cir* cir, Rng& rng);
 
 /// The gen-2 composite kernel on split I/Q rails: g = \p prototype
-/// convolved with cir.sampled(\p fs), by direct convolution (whatever the
-/// sizes) in dsp::convolve_direct's complex accumulation order. It is both the channel's per-slot response and the
-/// importance-sampling tilt shape.
+/// convolved with cir.sampled(\p fs), one dsp::shifted_sum per rail (the
+/// prototype samples as weights at shifts 0, 1, ...), so every sample sums
+/// in dsp::convolve_direct's complex accumulation order whatever the sizes.
+/// It is both the channel's per-slot response and the importance-sampling
+/// tilt shape.
 void gen2_composite_kernel(const RealVec& prototype, const channel::Cir& cir, double fs,
                            dsp::IqArena& g);
 
 /// The gen-2 received capture before interference and noise, written to
 /// \p rx: the train delayed by \p delay samples through the channel whose
 /// composite kernel is \p g (prototype of \p proto_len samples),
-/// y[n] = sum_m a_m * g[n - delay - offset_m], then \p pad zeros. This is
-/// the delayed dense train convolved with the CIR, regrouped by slot: same
-/// length, equal to rounding -- and bit-identical for the identity channel.
+/// y[n] = sum_m a_m * g[n - delay - offset_m] (dsp::shifted_sum per rail),
+/// then \p pad zeros. This is the delayed dense train convolved with the
+/// CIR, regrouped by slot: same length, equal to rounding -- and
+/// bit-identical for the identity channel.
 void gen2_synthesize_capture(const Gen2Train& train, std::size_t delay, std::size_t proto_len,
                              const dsp::IqArena& g, std::size_t pad, dsp::IqArena& rx);
 
@@ -371,9 +374,10 @@ class Gen2Link final : public Link {
   // its exact tap list: ensemble-mode packets of a sweep point share one
   // realization (AWGN packets the identity), so g_ is built once per
   // point. It is a pure function of (taps, config), so caching cannot
-  // change results for any worker count or trial order.
-  std::vector<channel::CirTap> g_key_taps_;  ///< taps g_ was built from
-  dsp::IqArena g_;                           ///< composite kernel rails
+  // change results for any worker count or trial order. A fresh per-trial
+  // draw leaves no key: no later trial can hit it.
+  std::optional<std::vector<channel::CirTap>> g_key_taps_;  ///< taps g_ was built from
+  dsp::IqArena g_;                                          ///< composite kernel rails
 };
 
 /// One gen-1 trial's detailed outcome: the trial record run_packet returns

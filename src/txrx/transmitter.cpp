@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "dsp/correlator.h"
 #include "dsp/resampler.h"
 #include "phy/scrambler.h"
 #include "pulse/pulse_train.h"
@@ -155,6 +156,8 @@ Gen2Train Gen2Transmitter::transmit_train(const BitVec& payload) const {
     detail::require(base >= 0 && static_cast<std::size_t>(base) + pulse_.size() <= train.length,
                     "Gen2Transmitter: symbol time offset pushes its pulse off the train");
     train.offsets[m] = static_cast<std::size_t>(base);
+    detail::require(m == 0 || train.offsets[m] >= train.offsets[m - 1],
+                    "Gen2Transmitter: symbol time offsets reorder the pulses");
   }
 
   // The dense train's energy, summed block by block in sample order.
@@ -184,17 +187,8 @@ Gen2Train Gen2Transmitter::transmit_train(const BitVec& payload) const {
 
 void Gen2Transmitter::synthesize(const Gen2Train& train, std::size_t first, std::size_t count,
                                  double* out) const {
-  std::fill(out, out + count, 0.0);
-  const std::size_t end = first + count;
-  const std::size_t p_len = pulse_.size();
-  for (std::size_t m = 0; m < train.amplitudes.size(); ++m) {
-    const std::size_t base = train.offsets[m];
-    if (base >= end || base + p_len <= first) continue;
-    const double a = train.amplitudes[m];
-    const std::size_t lo = std::max(base, first);
-    const std::size_t hi = std::min(base + p_len, end);
-    for (std::size_t n = lo; n < hi; ++n) out[n - first] += a * pulse_[n - base];
-  }
+  dsp::shifted_sum(train.amplitudes.data(), train.offsets.data(), train.amplitudes.size(),
+                   pulse_.samples().data(), pulse_.size(), first, count, out);
 }
 
 std::pair<CplxWaveform, TxFrame> Gen2Transmitter::transmit(const BitVec& payload) const {

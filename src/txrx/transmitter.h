@@ -119,7 +119,8 @@ class Gen2Transmitter {
   [[nodiscard]] Gen2Train transmit_train(const BitVec& payload) const;
 
   /// Writes samples [first, first + count) of \p train's dense waveform to
-  /// \p out: each sample sums its slots' pulses in slot order.
+  /// \p out: each sample sums its slots' pulses in slot order
+  /// (dsp::shifted_sum; the offsets are non-decreasing by construction).
   void synthesize(const Gen2Train& train, std::size_t first, std::size_t count,
                   double* out) const;
 

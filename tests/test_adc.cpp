@@ -292,6 +292,44 @@ TEST(SarAdc, BlockDigitizeMatchesConvertAtEveryThreshold) {
   }
 }
 
+TEST(SarAdc, BlockDigitizeMatchesConvertAtEveryLengthAndLane) {
+  // The noiseless path walks four samples' trees together and the rest
+  // one by one: every length 0..9 must match convert(), and a threshold
+  // input (a trial level, one ulp either side) must decide the same in
+  // every lane and in the scalar tail, at offsets that are not multiples
+  // of four.
+  SarParams params;
+  params.bits = 5;
+  params.cap_mismatch_sigma = 0.03;
+  Rng rng(44);
+  SarAdc sar(params, rng);
+  const RealVec trial = sar_trial_levels(sar);
+  RealVec edges;
+  for (const double t : trial) {
+    edges.push_back(std::nextafter(t, -INFINITY));
+    edges.push_back(t);
+    edges.push_back(std::nextafter(t, INFINITY));
+  }
+  Rng data(45);
+  for (std::size_t n = 0; n <= 9; ++n) {
+    for (std::size_t pos = 0; pos < std::max<std::size_t>(n, 1); ++pos) {
+      for (std::size_t e = 0; e < edges.size(); e += 7) {
+        RealVec x(n);
+        for (double& v : x) v = data.uniform(-1.1, 1.1);
+        if (n > 0) x[pos] = edges[e];
+        // One slot past the end catches a write beyond n.
+        RealVec got(n + 1, -7.0);
+        sar.digitize_to(x.data(), n, got.data());
+        for (std::size_t k = 0; k < n; ++k) {
+          ASSERT_EQ(got[k], sar.level_of(sar.convert(x[k])))
+              << "n=" << n << " k=" << k << " x=" << x[k];
+        }
+        ASSERT_EQ(got[n], -7.0) << "n=" << n;
+      }
+    }
+  }
+}
+
 TEST(SarAdc, BlockDigitizeDrawsComparatorNoiseLikeConvert) {
   // With comparator noise the block path must consume the noise stream
   // exactly as per-sample convert() does: same levels, same stream after.

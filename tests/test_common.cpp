@@ -8,6 +8,7 @@
 #include <random>
 #include <vector>
 
+#include "common/error.h"
 #include "common/math_utils.h"
 #include "common/rng.h"
 #include "common/waveform.h"
@@ -209,6 +210,27 @@ TEST(Rng, EngineMatchesStdMt19937_64) {
     // A copied Rng carries the engine and the normal's cached draw along.
     Rng copy = rng;
     for (int i = 0; i < 3; ++i) ASSERT_EQ(copy.gaussian(), rng.gaussian());
+  }
+}
+
+// ---------------------------------------------------------------- error ----
+
+TEST(Error, RequireThrowsItsMessageOnlyOnFailure) {
+  // Both forms: a literal (no std::string built on a passing check) and a
+  // built message.
+  EXPECT_NO_THROW(detail::require(true, "never shown"));
+  EXPECT_NO_THROW(detail::require(true, std::string("never shown")));
+  try {
+    detail::require(false, "literal message");
+    FAIL() << "require(false, literal) returned";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "literal message");
+  }
+  try {
+    detail::require(false, std::string("built ") + "message");
+    FAIL() << "require(false, string) returned";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "built message");
   }
 }
 

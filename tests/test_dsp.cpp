@@ -598,6 +598,53 @@ TEST(FastConvolve, EdgeCasesMatchDirectSemantics) {
   EXPECT_TRUE(correlate_direct(RealVec(4), RealVec(9)).empty());
 }
 
+TEST(FastConvolve, KernelSpectrumIsReusedOnlyForBitEqualTaps) {
+  // A repeat job with the same taps at the same block size reuses the
+  // workspace's kernel spectrum and returns the same bytes as a fresh
+  // workspace; taps that differ only in the sign of a zero are another
+  // kernel, and the spectrum is recomputed from them.
+  Rng rng(46);
+  CplxVec x(3000);
+  for (auto& v : x) v = rng.cgaussian();
+  CplxVec h(200);
+  for (auto& v : h) v = rng.cgaussian();
+  h[7] = {0.0, 0.5};
+  CplxVec h_neg = h;
+  h_neg[7] = {-0.0, 0.5};
+
+  const auto fresh = [&](const CplxVec& taps) {
+    FftWorkspace own;
+    CplxVec out;
+    ols_convolve(x, taps, out, own);
+    return std::pair{out, own.kernel_fft};
+  };
+  FftWorkspace ws;
+  CplxVec first;
+  CplxVec again;
+  ols_convolve(x, h, first, ws);
+  ols_convolve(x, h, again, ws);
+  EXPECT_TRUE(same_bytes(first, fresh(h).first));
+  EXPECT_TRUE(same_bytes(again, first));
+
+  CplxVec neg;
+  ols_convolve(x, h_neg, neg, ws);
+  EXPECT_TRUE(std::signbit(ws.kernel_key[7].real()));
+  const auto [neg_want, neg_spectrum] = fresh(h_neg);
+  EXPECT_TRUE(same_bytes(neg, neg_want));
+  EXPECT_TRUE(same_bytes(ws.kernel_fft, neg_spectrum));
+
+  // A correlation against the same template reuses it too.
+  CplxVec corr_first;
+  CplxVec corr_again;
+  ols_correlate(x, h, corr_first, ws);
+  ols_correlate(x, h, corr_again, ws);
+  EXPECT_TRUE(same_bytes(corr_again, corr_first));
+  FftWorkspace own;
+  CplxVec corr_want;
+  ols_correlate(x, h, corr_want, own);
+  EXPECT_TRUE(same_bytes(corr_first, corr_want));
+}
+
 TEST(FastConvolve, DispatchDependsOnlyOnSizes) {
   // Below either the kernel or the product floor stays direct.
   EXPECT_FALSE(use_fft_convolve(1u << 20, 8, ConvKind::kCplxCplx));
@@ -1113,6 +1160,60 @@ TEST(DotBank, EveryLagMatchesItsSingleLagCall) {
       expect_every_lag_matches_single<double, std::uint64_t>(rng, lags, taps);
       expect_every_lag_matches_single<float, std::uint32_t>(rng, lags, taps);
     }
+  }
+}
+
+TEST(ShiftedSum, MatchesTheScatterSumBitForBit) {
+  // shifted_sum against out = 0; for m: out[o_m + i - first] += w_m * k[i]
+  // over random term counts, equal and spread offsets, windows that start
+  // inside and past the terms, and kernels with +/-0 ends (trimmed) or all
+  // zero. Exact wherever multiply-adds are not fused; an FMA-capable
+  // -march=native build may fuse the two forms differently.
+#ifdef __FMA__
+  constexpr double kTol = 1e-13;
+#else
+  constexpr double kTol = 0.0;
+#endif
+  Rng rng(0x5417);
+  for (int round = 0; round < 300; ++round) {
+    const auto terms = static_cast<std::size_t>(rng.uniform_int(0, 40));
+    const auto k_len = static_cast<std::size_t>(rng.uniform_int(1, 90));
+    const auto first = static_cast<std::size_t>(rng.uniform_int(0, 60));
+    const auto count = static_cast<std::size_t>(rng.uniform_int(0, 150));
+    RealVec w = random_real(rng, terms);
+    RealVec k = random_real(rng, k_len);
+    const int zeros = rng.uniform_int(0, 3);  // 0: none, 1: -0 lead, 2: +0 tail, 3: all
+    if (zeros == 1) {
+      for (std::size_t i = 0; i < std::min<std::size_t>(k_len, 5); ++i) k[i] = -0.0;
+    } else if (zeros == 2) {
+      for (std::size_t i = k_len / 2; i < k_len; ++i) k[i] = 0.0;
+    } else if (zeros == 3) {
+      for (double& v : k) v = round % 2 == 0 ? 0.0 : -0.0;
+    }
+    std::vector<std::size_t> offsets(terms);
+    std::size_t o = static_cast<std::size_t>(rng.uniform_int(0, 20));
+    for (std::size_t m = 0; m < terms; ++m) {
+      o += static_cast<std::size_t>(rng.uniform_int(0, 9));  // repeats allowed
+      offsets[m] = o;
+    }
+    RealVec want(count, 0.0);
+    for (std::size_t m = 0; m < terms; ++m) {
+      for (std::size_t i = 0; i < k_len; ++i) {
+        const std::size_t n = offsets[m] + i;
+        if (n >= first && n < first + count) want[n - first] += w[m] * k[i];
+      }
+    }
+    RealVec got(count + 1, -7.0);  // one guard slot past the end
+    shifted_sum(w.data(), offsets.data(), terms, k.data(), k_len, first, count, got.data());
+    for (std::size_t j = 0; j < count; ++j) {
+      if constexpr (kTol == 0.0) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[j]), std::bit_cast<std::uint64_t>(want[j]))
+            << "round " << round << ", output " << j << ": " << got[j] << " vs " << want[j];
+      } else {
+        ASSERT_NEAR(got[j], want[j], kTol * (1.0 + std::abs(want[j])));
+      }
+    }
+    ASSERT_EQ(got[count], -7.0) << "round " << round << " wrote past count";
   }
 }
 

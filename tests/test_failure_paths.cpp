@@ -116,6 +116,18 @@ TEST(FailurePaths, EstimatorRejectsDegenerateInputs) {
                Error);
 }
 
+TEST(FailurePaths, EstimatorRejectsCoarseOffsetPastTheLastLag) {
+  // 300 samples against a 100-sample template leave lags 0..200: a coarse
+  // offset whose window starts past them must throw, not read past x.
+  estimation::ChannelEstimatorConfig config;
+  const estimation::ChannelEstimator est(config);
+  const CplxWaveform x(CplxVec(300, cplx{1.0, 0.0}), 1e9);
+  const CplxVec tmpl(100, cplx{1.0, 0.0});
+  EXPECT_THROW((void)est.estimate(x, tmpl, 250), InvalidArgument);
+  EXPECT_THROW((void)est.estimate(x, tmpl, 209), InvalidArgument);  // window starts at lag 201
+  EXPECT_EQ(est.estimate(x, tmpl, 208).profile_start, 200u);       // the last lag alone
+}
+
 TEST(FailurePaths, SymbolTapsOnEmptyEstimateAreZero) {
   estimation::ChannelEstimatorConfig config;
   const estimation::ChannelEstimator est(config);

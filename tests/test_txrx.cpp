@@ -318,6 +318,125 @@ TEST(Gen2Link, CompositeKernelCaptureMatchesDenseChannelConvolution) {
   }
 }
 
+/// The scatter loops dsp::shifted_sum replaced, kept here as the reference
+/// its bits must equal: every output starts at +0.0 and gathers the same
+/// products in ascending slot (or prototype-sample) order.
+void scatter_composite_kernel(const RealVec& prototype, const channel::Cir& cir, double fs,
+                              RealVec& gi, RealVec& gq) {
+  const CplxVec h = cir.sampled(fs);
+  gi.assign(h.empty() ? 0 : prototype.size() + h.size() - 1, 0.0);
+  gq.assign(gi.size(), 0.0);
+  for (std::size_t i = 0; i < prototype.size() && !h.empty(); ++i) {
+    for (std::size_t k = 0; k < h.size(); ++k) {
+      gi[i + k] += prototype[i] * h[k].real();
+      gq[i + k] += prototype[i] * h[k].imag();
+    }
+  }
+}
+
+void scatter_capture(const Gen2Train& train, std::size_t delay, std::size_t proto_len,
+                     const RealVec& g, std::size_t pad, RealVec& y) {
+  y.assign(delay + train.length - proto_len + g.size() + pad, 0.0);
+  for (std::size_t m = 0; m < train.amplitudes.size(); ++m) {
+    double* ym = y.data() + delay + train.offsets[m];
+    for (std::size_t k = 0; k < g.size(); ++k) ym[k] += train.amplitudes[m] * g[k];
+  }
+}
+
+void scatter_train(const Gen2Train& train, const RealVec& pulse, std::size_t first,
+                   std::size_t count, RealVec& out) {
+  out.assign(count, 0.0);
+  const std::size_t end = first + count;
+  for (std::size_t m = 0; m < train.amplitudes.size(); ++m) {
+    const std::size_t base = train.offsets[m];
+    if (base >= end || base + pulse.size() <= first) continue;
+    const std::size_t lo = std::max(base, first);
+    const std::size_t hi = std::min(base + pulse.size(), end);
+    for (std::size_t n = lo; n < hi; ++n) out[n - first] += train.amplitudes[m] * pulse[n - base];
+  }
+}
+
+/// Bitwise equality of \p n doubles, relaxed to rounding (relative to
+/// \p scale) only where an FMA-capable -march=native build may fuse the
+/// kernel and the reference differently.
+void expect_same_bits(const double* got, const double* want, std::size_t n,
+                      [[maybe_unused]] double scale, const std::string& what) {
+  for (std::size_t k = 0; k < n; ++k) {
+#ifdef __FMA__
+    ASSERT_NEAR(got[k], want[k], 1e-12 * scale) << what << ", sample " << k;
+#else
+    ASSERT_EQ(std::bit_cast<uint64_t>(got[k]), std::bit_cast<uint64_t>(want[k]))
+        << what << ", sample " << k << ": " << got[k] << " vs " << want[k];
+#endif
+  }
+}
+
+double peak_of(const RealVec& x) {
+  double peak = 0.0;
+  for (const double v : x) peak = std::max(peak, std::abs(v));
+  return peak;
+}
+
+TEST(Gen2Link, ShiftedSumMatchesTheScatterLoopsBitForBit) {
+  // The composite kernel, the capture and the dense train are each one
+  // dsp::shifted_sum per rail: every modulation, CM0-4, delay 0 and 17,
+  // with a tail pad, and train windows that are not block multiples.
+  const std::size_t pad = 256;
+  for (const phy::Modulation mod : {phy::Modulation::kBpsk, phy::Modulation::kOok,
+                                    phy::Modulation::kPpm, phy::Modulation::kPam4}) {
+    Gen2Config config = sim::gen2_fast();
+    config.modulation = mod;
+    const Gen2Transmitter tx(config);
+    Rng rng(0x5EED + static_cast<uint64_t>(mod));
+    const Gen2Train train = tx.transmit_train(rng.bits(120));
+    const RealVec& pulse = tx.prototype().samples();
+    const std::string name = phy::to_string(mod);
+
+    RealVec want;
+    RealVec got;
+    for (const auto& [first, count] : std::vector<std::pair<std::size_t, std::size_t>>{
+             {0, train.length}, {0, 1}, {5, 37}, {33, 1000}, {train.length - 45, 45}}) {
+      scatter_train(train, pulse, first, count, want);
+      got.assign(count, -7.0);
+      tx.synthesize(train, first, count, got.data());
+      expect_same_bits(got.data(), want.data(), count, peak_of(want),
+                       name + " train [" + std::to_string(first) + ", +" +
+                           std::to_string(count) + ")");
+    }
+
+    for (int cm = 0; cm <= 4; ++cm) {
+      const channel::Cir cir =
+          cm == 0 ? channel::identity_cir()
+                  : channel::SalehValenzuela(channel::cm_by_index(cm)).realize(rng);
+      const std::string what = name + " CM" + std::to_string(cm);
+      RealVec want_i;
+      RealVec want_q;
+      scatter_composite_kernel(pulse, cir, config.analog_fs, want_i, want_q);
+      dsp::IqArena g;
+      gen2_composite_kernel(pulse, cir, config.analog_fs, g);
+      ASSERT_EQ(g.size(), want_i.size()) << what;
+      expect_same_bits(g.i.data(), want_i.data(), g.size(), peak_of(want_i), what + " g.i");
+      expect_same_bits(g.q.data(), want_q.data(), g.size(), peak_of(want_q), what + " g.q");
+
+      for (const std::size_t delay : {std::size_t{0}, std::size_t{17}}) {
+        RealVec y_i;
+        RealVec y_q;
+        scatter_capture(train, delay, pulse.size(), want_i, pad, y_i);
+        scatter_capture(train, delay, pulse.size(), want_q, pad, y_q);
+        dsp::IqArena rx;
+        rx.resize(y_i.size() + 100);
+        std::fill(rx.i.begin(), rx.i.end(), -7.0);  // stale contents must not leak
+        std::fill(rx.q.begin(), rx.q.end(), -7.0);
+        gen2_synthesize_capture(train, delay, pulse.size(), g, pad, rx);
+        ASSERT_EQ(rx.size(), y_i.size()) << what;
+        const std::string at = what + " delay " + std::to_string(delay);
+        expect_same_bits(rx.i.data(), y_i.data(), rx.size(), peak_of(y_i), at + " rx.i");
+        expect_same_bits(rx.q.data(), y_q.data(), rx.size(), peak_of(y_q), at + " rx.q");
+      }
+    }
+  }
+}
+
 TEST(Gen2Link, CodedTrialLeavesTheReceiverConfigAlone) {
   // Coded trials bypass the MLSE per packet through Gen2RxOptions, so the
   // link's receiver config is never touched: an uncoded trial after a
