@@ -97,10 +97,10 @@ template <typename T, std::size_t kBlock>
 
 }  // namespace
 
-// Portable x86-64 builds give both banks a runtime-dispatched AVX2 clone
-// next to the default. The clone enables AVX2 only, not FMA: every lag
-// keeps its separately rounded multiply then add in ascending-tap order, so
-// either clone returns the same bits on any x86-64 host. Builds that already
+// Portable x86-64 builds give both banks and shifted_sum a runtime-dispatched
+// AVX2 clone next to the default. The clone enables AVX2 only, not FMA:
+// every output keeps its separately rounded multiply then add in ascending
+// order, so either clone returns the same bits on any x86-64 host. Builds that already
 // target AVX2 (UWB_NATIVE_ARCH on such a host) need no clone, and TSan
 // builds cannot have one: the clone's ifunc resolver runs at load time,
 // before the TSan runtime it is instrumented against has started.
