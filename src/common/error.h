@@ -43,10 +43,16 @@ inline void require(bool cond, const std::string& msg) {
   if (!cond) throw InvalidArgument(msg);
 }
 
+/// Throws InvalidArgument with \p msg; out of line, so a literal check
+/// inlines as one compare and a call that never returns.
+[[noreturn, gnu::cold, gnu::noinline]] inline void throw_invalid_argument(const char* msg) {
+  throw InvalidArgument(msg);
+}
+
 /// The literal-message form: a passing check builds no std::string (hot
 /// paths check per pulse or per block).
 inline void require(bool cond, const char* msg) {
-  if (!cond) throw InvalidArgument(msg);
+  if (!cond) throw_invalid_argument(msg);
 }
 
 }  // namespace detail

@@ -269,7 +269,7 @@ RealVec sar_trial_levels(const SarAdc& sar) {
 TEST(SarAdc, BlockDigitizeMatchesConvertAtEveryThreshold) {
   // The decision-tree + level-table block path must reproduce
   // level_of(convert(x)) exactly, including at each trial level and one
-  // ulp either side of it, under capacitor mismatch.
+  // ulp either side of it, under capacitor mismatch, for any block length.
   for (const int bits : {1, 3, 5, 8}) {
     SarParams params;
     params.bits = bits;
@@ -289,42 +289,17 @@ TEST(SarAdc, BlockDigitizeMatchesConvertAtEveryThreshold) {
       ASSERT_EQ(got[k], sar.level_of(sar.convert(x[k])))
           << bits << " bits, x=" << x[k];
     }
-  }
-}
-
-TEST(SarAdc, BlockDigitizeMatchesConvertAtEveryLengthAndLane) {
-  // The noiseless path walks four samples' trees together and the rest
-  // one by one: every length 0..9 must match convert(), and a threshold
-  // input (a trial level, one ulp either side) must decide the same in
-  // every lane and in the scalar tail, at offsets that are not multiples
-  // of four.
-  SarParams params;
-  params.bits = 5;
-  params.cap_mismatch_sigma = 0.03;
-  Rng rng(44);
-  SarAdc sar(params, rng);
-  const RealVec trial = sar_trial_levels(sar);
-  RealVec edges;
-  for (const double t : trial) {
-    edges.push_back(std::nextafter(t, -INFINITY));
-    edges.push_back(t);
-    edges.push_back(std::nextafter(t, INFINITY));
-  }
-  Rng data(45);
-  for (std::size_t n = 0; n <= 9; ++n) {
-    for (std::size_t pos = 0; pos < std::max<std::size_t>(n, 1); ++pos) {
-      for (std::size_t e = 0; e < edges.size(); e += 7) {
-        RealVec x(n);
-        for (double& v : x) v = data.uniform(-1.1, 1.1);
-        if (n > 0) x[pos] = edges[e];
-        // One slot past the end catches a write beyond n.
-        RealVec got(n + 1, -7.0);
-        sar.digitize_to(x.data(), n, got.data());
+    // Short blocks, lengths 0-9 (none, some or all samples in the
+    // four-wide walk) at offsets 0-11, put the threshold inputs at the
+    // head of x in every lane and in the one-by-one tail.
+    for (std::size_t n = 0; n <= 9; ++n) {
+      for (std::size_t start = 0; start < 12; ++start) {
+        RealVec part(n + 1, -7.0);  // one guard slot past the end
+        sar.digitize_to(x.data() + start, n, part.data());
         for (std::size_t k = 0; k < n; ++k) {
-          ASSERT_EQ(got[k], sar.level_of(sar.convert(x[k])))
-              << "n=" << n << " k=" << k << " x=" << x[k];
+          ASSERT_EQ(part[k], got[start + k]) << bits << " bits, n=" << n << ", x=" << x[start + k];
         }
-        ASSERT_EQ(got[n], -7.0) << "n=" << n;
+        ASSERT_EQ(part[n], -7.0) << bits << " bits, n=" << n << " wrote past the end";
       }
     }
   }
