@@ -97,13 +97,14 @@ template <typename T, std::size_t kBlock>
 
 }  // namespace
 
-// Portable x86-64 builds give both banks and shifted_sum a runtime-dispatched
-// AVX2 clone next to the default. The clone enables AVX2 only, not FMA:
-// every output keeps its separately rounded multiply then add in ascending
-// order, so either clone returns the same bits on any x86-64 host. Builds that already
-// target AVX2 (UWB_NATIVE_ARCH on such a host) need no clone, and TSan
-// builds cannot have one: the clone's ifunc resolver runs at load time,
-// before the TSan runtime it is instrumented against has started.
+// Portable x86-64 builds give both banks and shifted_sum a
+// runtime-dispatched AVX2 clone next to the default. The clone enables AVX2
+// only, not FMA: every output keeps its separately rounded multiply then add
+// in ascending order, so either clone returns the same bits on any x86-64
+// host. Builds that already target AVX2 (UWB_NATIVE_ARCH on such a host)
+// need no clone, and TSan builds cannot have one: the clone's ifunc resolver
+// runs at load time, before the TSan runtime it is instrumented against has
+// started.
 #if defined(__x86_64__) && !defined(__AVX2__) && !defined(__SANITIZE_THREAD__)
 #define UWB_DOT_BANK_CLONES [[gnu::target_clones("avx2", "default")]]
 #else
