@@ -34,13 +34,6 @@ inline sim::BerStop stop_rule(std::size_t min_errors = 40, std::size_t max_bits 
   return fast_mode() ? sim::scale_stop(stop, 4, 8) : sim::scale_stop(stop, 1, 1);
 }
 
-/// Measures one BER point of any link (gen-1 or gen-2) on the link's own
-/// RNG -- the sequential helper for benches not yet on the sweep engine.
-inline sim::BerPoint link_ber(txrx::Link& link, const txrx::TrialOptions& options,
-                              const sim::BerStop& stop) {
-  return sim::measure_ber([&] { return link.run_packet(options); }, stop);
-}
-
 /// Mean of a recorded metric on a sweep point, or \p fallback when the
 /// metric has no observations (e.g. sync time with zero detections).
 inline double metric_mean(const sim::MetricSet& metrics, const std::string& name,

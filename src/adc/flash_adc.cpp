@@ -26,7 +26,7 @@ FlashAdc::FlashAdc(const FlashParams& params, Rng& rng) : params_(params) {
   std::sort(thresholds_.begin(), thresholds_.end());
 }
 
-int FlashAdc::convert(double x) noexcept {
+int FlashAdc::convert(double x) const noexcept {
   // Thermometer: count comparators tripped (thresholds ascending).
   const auto it = std::upper_bound(thresholds_.begin(), thresholds_.end(), x);
   return static_cast<int>(std::distance(thresholds_.begin(), it));
@@ -74,46 +74,6 @@ TimeInterleavedAdc::TimeInterleavedAdc(int num_lanes, const FlashParams& lane_pa
       thr_t_[t * lanes_.size() + k] = static_cast<float>(lanes_[k].thresholds()[t]);
     }
   }
-}
-
-int TimeInterleavedAdc::bits() const noexcept { return lanes_.front().bits(); }
-
-double TimeInterleavedAdc::full_scale() const noexcept { return lanes_.front().full_scale(); }
-
-int TimeInterleavedAdc::convert(double x) noexcept {
-  const std::size_t lane = lane_;
-  lane_ = (lane_ + 1) % lanes_.size();
-  last_lane_used_ = static_cast<int>(lane);
-  // Lane gain/offset error applied to the analog input before conversion.
-  const double perturbed = gains_[lane] * x + offsets_[lane];
-  return lanes_[lane].convert(perturbed);
-}
-
-double TimeInterleavedAdc::level_of(int code) const noexcept {
-  return lanes_[static_cast<std::size_t>(last_lane_used_)].level_of(code);
-}
-
-void TimeInterleavedAdc::convert_block(const double* x, std::size_t n,
-                                       double* levels) noexcept {
-  const std::size_t num_lanes = lanes_.size();
-  std::size_t lane = lane_;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double v = gains_[lane] * x[i] + offsets_[lane];
-    const RealVec& thr = lanes_[lane].thresholds();
-    // Thermometer decode: upper_bound's count of thresholds <= v, computed
-    // branch-free over the whole (sorted) ladder.
-    int code = 0;
-    const std::size_t num_thr = thr.size();
-    for (std::size_t t = 0; t < num_thr; ++t) {
-      code += static_cast<int>(thr[t] <= v);
-    }
-    levels[i] = lanes_[lane].level_of(code);
-    lane = (lane + 1) % num_lanes;
-  }
-  if (n > 0) {
-    last_lane_used_ = static_cast<int>((lane + num_lanes - 1) % num_lanes);
-  }
-  lane_ = lane;
 }
 
 void TimeInterleavedAdc::convert_block(const float* x, std::size_t n,
@@ -170,9 +130,6 @@ void TimeInterleavedAdc::convert_block(const float* x, std::size_t n,
     // lane stays 0 after each whole block of 4.
   }
   for (; i < n; ++i) convert_one();
-  if (n > 0) {
-    last_lane_used_ = static_cast<int>((lane + num_lanes - 1) % num_lanes);
-  }
   lane_ = lane;
 }
 

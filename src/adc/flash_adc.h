@@ -4,10 +4,10 @@
 ///        4-way time-interleaved wrapper of the gen-1 chip's "2 GSPS FLASH
 ///        Interleaved Analog to Digital Converter" (paper Fig. 1).
 
-#include <memory>
+#include <vector>
 
-#include "adc/quantizer.h"
 #include "common/rng.h"
+#include "common/types.h"
 
 namespace uwb::adc {
 
@@ -20,14 +20,18 @@ struct FlashParams {
 
 /// 2^bits - 1 comparators against a resistor ladder; each threshold carries
 /// a static random offset (drawn once at construction, as in silicon).
-class FlashAdc final : public Adc {
+class FlashAdc {
  public:
   FlashAdc(const FlashParams& params, Rng& rng);
 
-  [[nodiscard]] int bits() const noexcept override { return params_.bits; }
-  [[nodiscard]] double full_scale() const noexcept override { return params_.full_scale; }
-  [[nodiscard]] int convert(double x) noexcept override;
-  [[nodiscard]] double level_of(int code) const noexcept override;
+  [[nodiscard]] int bits() const noexcept { return params_.bits; }
+  [[nodiscard]] double full_scale() const noexcept { return params_.full_scale; }
+
+  /// Scalar conversion (thermometer count over the ladder) and
+  /// reconstruction: the reference a TimeInterleavedAdc lane's block
+  /// conversion is held against.
+  [[nodiscard]] int convert(double x) const noexcept;
+  [[nodiscard]] double level_of(int code) const noexcept;
 
   /// The (offset-perturbed) threshold array, ascending.
   [[nodiscard]] const RealVec& thresholds() const noexcept { return thresholds_; }
@@ -48,37 +52,26 @@ struct InterleaveMismatch {
 /// M-way time-interleaved ADC: lane k converts samples k, k+M, k+2M, ...
 /// Lane gain/offset mismatch is applied per conversion; timing skew is
 /// handled upstream by SampleAndHold (which knows the analog waveform).
-class TimeInterleavedAdc final : public Adc {
+class TimeInterleavedAdc {
  public:
   /// Builds \p num_lanes flash sub-ADCs with independent comparator offsets
   /// and lane mismatch drawn from \p mismatch.
   TimeInterleavedAdc(int num_lanes, const FlashParams& lane_params,
                      const InterleaveMismatch& mismatch, Rng& rng);
 
-  [[nodiscard]] int bits() const noexcept override;
-  [[nodiscard]] double full_scale() const noexcept override;
-
-  /// Converts one sample through the current lane, then advances the lane
-  /// counter (call reset() at a packet boundary for reproducibility).
-  [[nodiscard]] int convert(double x) noexcept override;
-  [[nodiscard]] double level_of(int code) const noexcept override;
-
-  /// Converts \p n samples and writes each one's reconstruction level:
-  /// bit-identical to calling level_of(convert(x[i])) in a loop (same lane
-  /// rotation, gain/offset perturbation and thermometer count), but the
-  /// comparator bank runs branch-free -- code = sum of (threshold <= v)
-  /// over the sorted ladder -- instead of a per-sample binary search.
-  void convert_block(const double* x, std::size_t n, double* levels) noexcept;
-
-  /// Single-precision block conversion (the gen-1 float sample arena).
-  /// Same lane rotation and thermometer count against float-rounded ladders
-  /// built once at construction; with a shared full scale the reconstruction
-  /// levels +/-(c + 0.5) * lsb are exact in float for converter resolutions
-  /// up to the dyadic limit, so only threshold-crossing samples can differ
-  /// from the double path.
+  /// Single-precision block conversion (the gen-1 float sample arena):
+  /// converts \p n samples and writes each one's reconstruction level. Each
+  /// sample goes through the current lane, which then advances (call
+  /// reset() at a packet boundary for reproducibility): the lane's
+  /// gain/offset error perturbs the input, then a branch-free thermometer
+  /// count runs against the lane's float-rounded ladder, built once at
+  /// construction. With a shared full scale the reconstruction levels
+  /// +/-(c + 0.5) * lsb are exact in float for converter resolutions up to
+  /// the dyadic limit, so only samples within float rounding of a threshold
+  /// can read another code than the lane's FlashAdc::convert().
   void convert_block(const float* x, std::size_t n, float* levels) noexcept;
 
-  void reset() noexcept override { lane_ = 0; }
+  void reset() noexcept { lane_ = 0; }
 
   /// Points the lane counter at absolute sample \p index of a stream that
   /// began on lane 0 (reset() is seek(0)), so a window of the stream
@@ -96,7 +89,6 @@ class TimeInterleavedAdc final : public Adc {
   RealVec offsets_;
   RealVec skews_s_;
   std::size_t lane_ = 0;
-  int last_lane_used_ = 0;
 
   // Float mirrors for the single-precision block path, built once at
   // construction: per-lane ladders padded to a multiple of 8 with +inf (the

@@ -13,37 +13,6 @@ SampleAndHold::SampleAndHold(const SamplingParams& params) : params_(params) {
                   "SampleAndHold: jitter must be non-negative");
 }
 
-template <typename T>
-std::vector<T> SampleAndHold::sample_impl(const std::vector<T>& x, double fs_in,
-                                          const RealVec* lane_skews, Rng& rng) const {
-  const double ratio = fs_in / params_.adc_rate_hz;
-  detail::require(ratio >= 1.0 - 1e-9, "SampleAndHold: input rate below ADC rate");
-  const auto n_out = static_cast<std::size_t>(
-      std::floor(static_cast<double>(x.size()) / ratio));
-  std::vector<T> out(n_out, T{});
-  for (std::size_t k = 0; k < n_out; ++k) {
-    double t_s = static_cast<double>(k) / params_.adc_rate_hz + params_.phase_offset_s;
-    if (params_.aperture_jitter_rms_s > 0.0) {
-      t_s += rng.gaussian(0.0, params_.aperture_jitter_rms_s);
-    }
-    if (lane_skews != nullptr && !lane_skews->empty()) {
-      t_s += (*lane_skews)[k % lane_skews->size()];
-    }
-    const double pos = t_s * fs_in;
-    if (pos < 0.0) continue;
-    const auto i0 = static_cast<std::size_t>(pos);
-    if (i0 + 1 >= x.size()) break;
-    const double frac = pos - static_cast<double>(i0);
-    out[k] = x[i0] * (1.0 - frac) + x[i0 + 1] * frac;
-  }
-  return out;
-}
-
-RealWaveform SampleAndHold::sample(const RealWaveform& analog, Rng& rng) const {
-  return RealWaveform(sample_impl(analog.samples(), analog.sample_rate(), nullptr, rng),
-                      params_.adc_rate_hz);
-}
-
 std::size_t SampleAndHold::sample_iq_to(const double* x_i, const double* x_q,
                                         std::size_t x_len, double fs_in, Rng& rng,
                                         double* out_i, double* out_q) const {
@@ -68,63 +37,9 @@ std::size_t SampleAndHold::sample_iq_to(const double* x_i, const double* x_q,
   return n_out;
 }
 
-RealWaveform SampleAndHold::sample_interleaved(const RealWaveform& analog,
-                                               const RealVec& lane_skews_s, Rng& rng) const {
-  return RealWaveform(sample_impl(analog.samples(), analog.sample_rate(), &lane_skews_s, rng),
-                      params_.adc_rate_hz);
-}
-
 std::size_t SampleAndHold::output_size(std::size_t x_len, double fs_in) const noexcept {
   const double ratio = fs_in / params_.adc_rate_hz;
   return static_cast<std::size_t>(std::floor(static_cast<double>(x_len) / ratio));
-}
-
-std::size_t SampleAndHold::sample_interleaved_to(const double* x, std::size_t x_len,
-                                                 double fs_in, const RealVec& lane_skews_s,
-                                                 Rng& rng, double* out) const {
-  const double ratio = fs_in / params_.adc_rate_hz;
-  detail::require(ratio >= 1.0 - 1e-9, "SampleAndHold: input rate below ADC rate");
-  const auto n_out = static_cast<std::size_t>(
-      std::floor(static_cast<double>(x_len) / ratio));
-  std::fill(out, out + n_out, 0.0);
-  const std::size_t num_lanes = lane_skews_s.size();
-  const bool jitter_free = params_.aperture_jitter_rms_s <= 0.0;
-
-  if (jitter_free && num_lanes > 0) {
-    // Hot path of the gen-1 front end: sampling instants are deterministic,
-    // so the loop carries only a lane counter -- no RNG, no modulo, no
-    // per-sample branch beyond the range clamp.
-    std::size_t lane = 0;
-    for (std::size_t k = 0; k < n_out; ++k) {
-      const double t_s = static_cast<double>(k) / params_.adc_rate_hz +
-                         params_.phase_offset_s + lane_skews_s[lane];
-      lane = (lane + 1 == num_lanes) ? 0 : lane + 1;
-      const double pos = t_s * fs_in;
-      if (pos < 0.0) continue;
-      const auto i0 = static_cast<std::size_t>(pos);
-      if (i0 + 1 >= x_len) break;
-      const double frac = pos - static_cast<double>(i0);
-      out[k] = x[i0] * (1.0 - frac) + x[i0 + 1] * frac;
-    }
-    return n_out;
-  }
-
-  for (std::size_t k = 0; k < n_out; ++k) {
-    double t_s = static_cast<double>(k) / params_.adc_rate_hz + params_.phase_offset_s;
-    if (!jitter_free) {
-      t_s += rng.gaussian(0.0, params_.aperture_jitter_rms_s);
-    }
-    if (num_lanes > 0) {
-      t_s += lane_skews_s[k % num_lanes];
-    }
-    const double pos = t_s * fs_in;
-    if (pos < 0.0) continue;
-    const auto i0 = static_cast<std::size_t>(pos);
-    if (i0 + 1 >= x_len) break;
-    const double frac = pos - static_cast<double>(i0);
-    out[k] = x[i0] * (1.0 - frac) + x[i0 + 1] * frac;
-  }
-  return n_out;
 }
 
 std::optional<SampleAndHold::LanePlan> SampleAndHold::lane_plan(
@@ -250,9 +165,5 @@ std::size_t SampleAndHold::sample_interleaved_to(const float* x, std::size_t x_l
   }
   return n_out;
 }
-
-template std::vector<double> SampleAndHold::sample_impl<double>(const std::vector<double>&,
-                                                                double, const RealVec*,
-                                                                Rng&) const;
 
 }  // namespace uwb::adc

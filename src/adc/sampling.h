@@ -9,7 +9,6 @@
 
 #include "common/rng.h"
 #include "common/types.h"
-#include "common/waveform.h"
 
 namespace uwb::adc {
 
@@ -30,8 +29,6 @@ class SampleAndHold {
 
   [[nodiscard]] const SamplingParams& params() const noexcept { return params_; }
 
-  [[nodiscard]] RealWaveform sample(const RealWaveform& analog, Rng& rng) const;
-
   /// Complex sampling on split I/Q rails of \p x_len samples at \p fs_in:
   /// both rails share each sampling instant (one jitter draw per output
   /// sample) and interpolate with the same weights. Writes
@@ -40,28 +37,17 @@ class SampleAndHold {
   std::size_t sample_iq_to(const double* x_i, const double* x_q, std::size_t x_len,
                            double fs_in, Rng& rng, double* out_i, double* out_q) const;
 
-  /// Per-lane skewed sampling (time-interleaved converters): lane k of
-  /// \p num_lanes has an extra static skew \p lane_skews_s[k].
-  [[nodiscard]] RealWaveform sample_interleaved(const RealWaveform& analog,
-                                                const RealVec& lane_skews_s, Rng& rng) const;
-
   /// Number of output samples produced from \p x_len input samples at rate
   /// \p fs_in -- pre-size the buffer handed to sample_interleaved_to().
   [[nodiscard]] std::size_t output_size(std::size_t x_len, double fs_in) const noexcept;
 
-  /// Interleaved sampling into a caller-owned buffer of output_size()
-  /// doubles. Bit-identical to sample_interleaved(); with zero aperture
-  /// jitter the inner loop runs a branch-free per-lane path that never
-  /// touches the RNG. Returns the number of samples written.
-  std::size_t sample_interleaved_to(const double* x, std::size_t x_len, double fs_in,
-                                    const RealVec& lane_skews_s, Rng& rng,
-                                    double* out) const;
-
-  /// Single-precision variant (the gen-1 float sample arena). Sampling
-  /// instants are still computed in double; the jitter-free lane path
-  /// replaces the per-sample division by a reciprocal multiply (the float
-  /// path carries no bit-identity contract) and the interpolation itself
-  /// runs in float.
+  /// Per-lane skewed sampling of the gen-1 float sample arena into a
+  /// caller-owned buffer of output_size() floats: lane k of the
+  /// time-interleaved converter has an extra static skew \p lane_skews_s[k].
+  /// Sampling instants are computed in double; the jitter-free lane path
+  /// replaces the per-sample division by a reciprocal multiply and the
+  /// interpolation itself runs in float. Returns the number of samples
+  /// written.
   std::size_t sample_interleaved_to(const float* x, std::size_t x_len, double fs_in,
                                     const RealVec& lane_skews_s, Rng& rng,
                                     float* out) const;
@@ -86,7 +72,7 @@ class SampleAndHold {
     [[nodiscard]] std::pair<std::size_t, std::size_t> input_span(
         std::size_t k_begin, std::size_t k_end, std::size_t x_len) const noexcept;
 
-    /// Outputs [k_begin, k_end) of the float sample_interleaved_to() over
+    /// Outputs [k_begin, k_end) of sample_interleaved_to() over
     /// an \p x_len-sample input, into out[0, k_end - k_begin) and
     /// bit-identical to the whole-stream call. Reads the input only through
     /// \p x_first, which holds input samples from
@@ -103,10 +89,6 @@ class SampleAndHold {
                                                   const RealVec& lane_skews_s) const;
 
  private:
-  template <typename T>
-  [[nodiscard]] std::vector<T> sample_impl(const std::vector<T>& x, double fs_in,
-                                           const RealVec* lane_skews, Rng& rng) const;
-
   SamplingParams params_;
 };
 

@@ -4,8 +4,8 @@
 ///        mismatch -- the paper's gen-2 converters ("two 5-bit successive
 ///        approximation register ADCs", Fig. 3).
 
-#include "adc/quantizer.h"
 #include "common/rng.h"
+#include "common/types.h"
 
 namespace uwb::adc {
 
@@ -19,20 +19,20 @@ struct SarParams {
 
 /// Binary-search conversion against a binary-weighted capacitor DAC whose
 /// weights carry static random mismatch (drawn once, like a real part).
-class SarAdc final : public Adc {
+class SarAdc {
  public:
   SarAdc(const SarParams& params, Rng& rng);
 
-  [[nodiscard]] int bits() const noexcept override { return params_.bits; }
-  [[nodiscard]] double full_scale() const noexcept override { return params_.full_scale; }
+  [[nodiscard]] int bits() const noexcept { return params_.bits; }
+  [[nodiscard]] double full_scale() const noexcept { return params_.full_scale; }
 
   /// Runs the \p bits-step successive approximation (with comparator noise
   /// drawn per decision when configured).
-  [[nodiscard]] int convert(double x) noexcept override;
+  [[nodiscard]] int convert(double x) noexcept;
 
   /// Reconstruction using the *actual* (mismatched) weights -- a SAR's code
   /// maps back through the same DAC, so INL follows the mismatch.
-  [[nodiscard]] double level_of(int code) const noexcept override;
+  [[nodiscard]] double level_of(int code) const noexcept;
 
   /// The mismatched bit weights, MSB first [V].
   [[nodiscard]] const RealVec& weights() const noexcept { return weights_; }

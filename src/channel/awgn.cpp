@@ -261,8 +261,6 @@ void add_awgn(double* re, double* im, std::size_t n, double n0, Rng& rng) {
   add_complex_noise<1>(re, im, n, n0, rng);
 }
 
-void add_awgn(CplxWaveform& x, double n0, Rng& rng) { add_awgn(x.samples(), n0, rng); }
-
 double n0_for_ebn0(double eb, double ebn0_db) {
   detail::require(eb > 0.0, "n0_for_ebn0: Eb must be positive");
   return eb / from_db(ebn0_db);

@@ -12,7 +12,6 @@
 
 #include "common/rng.h"
 #include "common/types.h"
-#include "common/waveform.h"
 
 namespace uwb::channel {
 
@@ -31,9 +30,6 @@ void add_awgn(double* re, double* im, std::size_t n, double n0, Rng& rng);
 /// trial's noise stays a pure function of its forked seed (the determinism
 /// contract). Draws nothing from \p rng when n0 or n is zero.
 void add_awgn(float* x, std::size_t n, double n0, Rng& rng);
-
-/// Waveform overload.
-void add_awgn(CplxWaveform& x, double n0, Rng& rng);
 
 /// N0 that realizes \p ebn0_db for a signal with discrete energy-per-bit
 /// \p eb (sum |x|^2 per bit).

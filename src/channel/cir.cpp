@@ -5,7 +5,6 @@
 
 #include "common/error.h"
 #include "common/math_utils.h"
-#include "dsp/fir_filter.h"
 
 namespace uwb::channel {
 
@@ -56,17 +55,6 @@ Cir& Cir::normalize_energy() {
   return *this;
 }
 
-Cir Cir::truncated(double threshold_db) const {
-  double peak = 0.0;
-  for (const auto& t : taps_) peak = std::max(peak, std::norm(t.gain));
-  const double thresh = peak * from_db(threshold_db);
-  std::vector<CirTap> kept;
-  for (const auto& t : taps_) {
-    if (std::norm(t.gain) >= thresh) kept.push_back(t);
-  }
-  return Cir(std::move(kept));
-}
-
 Cir Cir::strongest(std::size_t count) const {
   std::vector<CirTap> sorted = taps_;
   std::sort(sorted.begin(), sorted.end(),
@@ -91,23 +79,6 @@ CplxVec Cir::sampled(double fs) const {
     h[std::min(idx, len - 1)] += t.gain;
   }
   return h;
-}
-
-CplxWaveform Cir::apply(const CplxWaveform& x) const {
-  // CM3/CM4 responses reach hundreds of sample-spaced taps at analog_fs;
-  // dsp::convolve routes those through overlap-save FFT convolution (the
-  // single hottest operation of a multipath link trial).
-  const CplxVec h = sampled(x.sample_rate());
-  if (h.empty()) return CplxWaveform(CplxVec{}, x.sample_rate());
-  return CplxWaveform(dsp::convolve(x.samples(), h), x.sample_rate());
-}
-
-RealWaveform Cir::apply_real(const RealWaveform& x) const {
-  const CplxVec h = sampled(x.sample_rate());
-  if (h.empty()) return RealWaveform(RealVec{}, x.sample_rate());
-  RealVec hr(h.size());
-  for (std::size_t i = 0; i < h.size(); ++i) hr[i] = h[i].real();
-  return RealWaveform(dsp::convolve(x.samples(), hr), x.sample_rate());
 }
 
 Cir identity_cir() { return Cir({CirTap{0.0, cplx{1.0, 0.0}}}); }

@@ -8,7 +8,6 @@
 #include <cstddef>
 
 #include "common/types.h"
-#include "common/waveform.h"
 
 namespace uwb::channel {
 
@@ -46,9 +45,6 @@ class Cir {
   /// for BER experiments; path loss handled separately).
   Cir& normalize_energy();
 
-  /// Drops taps below \p threshold_db relative to the strongest tap.
-  [[nodiscard]] Cir truncated(double threshold_db) const;
-
   /// Keeps only the \p count strongest taps (selective-RAKE style view).
   [[nodiscard]] Cir strongest(std::size_t count) const;
 
@@ -58,14 +54,6 @@ class Cir {
   /// Discretizes to a sample-spaced FIR at \p fs: taps accumulate into the
   /// nearest sample bin. Length covers max_delay() (at least one tap).
   [[nodiscard]] CplxVec sampled(double fs) const;
-
-  /// Applies the channel to a complex baseband waveform (linear convolution;
-  /// output longer by the channel length).
-  [[nodiscard]] CplxWaveform apply(const CplxWaveform& x) const;
-
-  /// Applies to a real passband waveform using only the real part of each
-  /// gain (for passband demos; baseband sims use the complex path).
-  [[nodiscard]] RealWaveform apply_real(const RealWaveform& x) const;
 
  private:
   std::vector<CirTap> taps_;

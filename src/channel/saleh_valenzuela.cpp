@@ -124,11 +124,4 @@ Cir SalehValenzuela::realize(Rng& rng, bool apply_shadowing) const {
   return cir;
 }
 
-double SalehValenzuela::average_rms_delay_spread(Rng& rng, int count) const {
-  detail::require(count > 0, "average_rms_delay_spread: count must be positive");
-  double acc = 0.0;
-  for (int i = 0; i < count; ++i) acc += realize(rng).rms_delay_spread();
-  return acc / count;
-}
-
 }  // namespace uwb::channel

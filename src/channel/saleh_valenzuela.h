@@ -59,9 +59,6 @@ class SalehValenzuela {
   /// with shadowing the total energy is lognormal around 1.
   [[nodiscard]] Cir realize(Rng& rng, bool apply_shadowing = false) const;
 
-  /// Average rms delay spread over \p count realizations (model check).
-  [[nodiscard]] double average_rms_delay_spread(Rng& rng, int count = 100) const;
-
  private:
   SvParams params_;
 };

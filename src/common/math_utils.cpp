@@ -20,41 +20,15 @@ double q_function_inv(double p) {
   return 0.5 * (lo + hi);
 }
 
-double mean_power(const RealVec& x) {
-  if (x.empty()) return 0.0;
-  double acc = 0.0;
-  for (double v : x) acc += v * v;
-  return acc / static_cast<double>(x.size());
-}
-
-double mean_power(const CplxVec& x) {
-  if (x.empty()) return 0.0;
-  double acc = 0.0;
-  for (const cplx& v : x) acc += std::norm(v);
-  return acc / static_cast<double>(x.size());
-}
-
 double energy(const RealVec& x) {
   double acc = 0.0;
   for (double v : x) acc += v * v;
   return acc;
 }
 
-double energy(const CplxVec& x) {
-  double acc = 0.0;
-  for (const cplx& v : x) acc += std::norm(v);
-  return acc;
-}
-
 double peak_abs(const RealVec& x) {
   double peak = 0.0;
   for (double v : x) peak = std::max(peak, std::abs(v));
-  return peak;
-}
-
-double peak_abs(const CplxVec& x) {
-  double peak = 0.0;
-  for (const cplx& v : x) peak = std::max(peak, std::abs(v));
   return peak;
 }
 

@@ -73,26 +73,11 @@ inline double pam4_awgn_ber(double ebn0_linear) {
 
 // --- Vector measures ----------------------------------------------------------
 
-/// Mean power (mean |x|^2) of a real signal.
-double mean_power(const RealVec& x);
-
-/// Mean power (mean |x|^2) of a complex signal.
-double mean_power(const CplxVec& x);
-
 /// Total energy (sum |x|^2) of a real signal.
 double energy(const RealVec& x);
 
-/// Total energy (sum |x|^2) of a complex signal.
-double energy(const CplxVec& x);
-
 /// Peak absolute value of a real signal.
 double peak_abs(const RealVec& x);
-
-/// Peak magnitude of a complex signal.
-double peak_abs(const CplxVec& x);
-
-/// Root-mean-square of a real signal.
-inline double rms(const RealVec& x) { return std::sqrt(mean_power(x)); }
 
 // --- Misc ----------------------------------------------------------------------
 

@@ -64,7 +64,12 @@ class Waveform {
   [[nodiscard]] auto end() const noexcept { return samples_.end(); }
 
   /// Mean power of the buffer (mean |x|^2).
-  [[nodiscard]] double power() const { return mean_power(samples_); }
+  [[nodiscard]] double power() const {
+    if (samples_.empty()) return 0.0;
+    double acc = 0.0;
+    for (const T& v : samples_) acc += std::norm(v);
+    return acc / static_cast<double>(samples_.size());
+  }
 
   /// Total energy of the buffer (sum |x|^2).
   [[nodiscard]] double total_energy() const { return uwb::energy(samples_); }
@@ -115,14 +120,5 @@ class Waveform {
 
 using RealWaveform = Waveform<double>;
 using CplxWaveform = Waveform<cplx>;
-
-/// Extracts the real part of a complex waveform (e.g. after upconversion).
-RealWaveform real_part(const CplxWaveform& w);
-
-/// Builds a complex waveform from separate I and Q rails of equal length.
-CplxWaveform from_iq(const RealWaveform& i_rail, const RealWaveform& q_rail);
-
-/// Splits a complex waveform into its I and Q rails.
-std::pair<RealWaveform, RealWaveform> to_iq(const CplxWaveform& w);
 
 }  // namespace uwb

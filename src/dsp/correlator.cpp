@@ -19,27 +19,10 @@ CplxVec correlate_direct(const CplxVec& x, const CplxVec& tmpl) {
   return out;
 }
 
-RealVec correlate_direct(const RealVec& x, const RealVec& tmpl) {
-  if (tmpl.empty() || x.size() < tmpl.size()) return {};
-  RealVec out(x.size() - tmpl.size() + 1);
-  dot_bank(x.data(), out.size(), tmpl.data(), tmpl.size(), out.data());
-  return out;
-}
-
 CplxVec correlate(const CplxVec& x, const CplxVec& tmpl) {
   if (tmpl.empty() || x.size() < tmpl.size()) return {};
   if (use_fft_convolve(x.size(), tmpl.size(), ConvKind::kCplxCplx)) {
     CplxVec out;
-    ols_correlate(x, tmpl, out, thread_fft_workspace());
-    return out;
-  }
-  return correlate_direct(x, tmpl);
-}
-
-RealVec correlate(const RealVec& x, const RealVec& tmpl) {
-  if (tmpl.empty() || x.size() < tmpl.size()) return {};
-  if (use_fft_convolve(x.size(), tmpl.size(), ConvKind::kRealReal)) {
-    RealVec out;
     ols_correlate(x, tmpl, out, thread_fft_workspace());
     return out;
   }
@@ -232,30 +215,6 @@ RealVec normalized_correlation(const CplxVec& x, const CplxVec& tmpl) {
   return out;
 }
 
-RealVec normalized_correlation(const RealVec& x, const RealVec& tmpl) {
-  if (tmpl.empty() || x.size() < tmpl.size()) return {};
-  double tmpl_energy = 0.0;
-  for (double v : tmpl) tmpl_energy += v * v;
-  const double tmpl_norm = std::sqrt(tmpl_energy);
-
-  const std::size_t n = tmpl.size();
-  const std::size_t num_lags = x.size() - n + 1;
-  RealVec out(num_lags);
-
-  double win_energy = 0.0;
-  for (std::size_t i = 0; i < n; ++i) win_energy += x[i] * x[i];
-  for (std::size_t k = 0; k < num_lags; ++k) {
-    const double c = dot(x.data() + k, tmpl.data(), n);
-    const double denom = std::sqrt(std::max(win_energy, 1e-300)) * tmpl_norm;
-    out[k] = c / denom;
-    if (k + 1 < num_lags) {
-      win_energy += x[k + n] * x[k + n] - x[k] * x[k];
-      win_energy = std::max(win_energy, 0.0);
-    }
-  }
-  return out;
-}
-
 std::size_t argmax_abs(const CplxVec& x) {
   std::size_t best = 0;
   double best_mag = -1.0;
@@ -269,28 +228,9 @@ std::size_t argmax_abs(const CplxVec& x) {
   return best;
 }
 
-std::size_t argmax_abs(const RealVec& x) {
-  std::size_t best = 0;
-  double best_mag = -1.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double m = std::abs(x[i]);
-    if (m > best_mag) {
-      best_mag = m;
-      best = i;
-    }
-  }
-  return best;
-}
-
 cplx dot_conj(const cplx* x, const cplx* tmpl, std::size_t n) noexcept {
   cplx acc{};
   for (std::size_t i = 0; i < n; ++i) acc += x[i] * std::conj(tmpl[i]);
-  return acc;
-}
-
-double dot(const double* x, const double* tmpl, std::size_t n) noexcept {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += x[i] * tmpl[i];
   return acc;
 }
 

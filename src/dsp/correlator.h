@@ -16,16 +16,13 @@ namespace uwb::dsp {
 /// (see dsp/fast_convolve.h); short templates stay on correlate_direct.
 CplxVec correlate(const CplxVec& x, const CplxVec& tmpl);
 
-/// Real-valued version.
-RealVec correlate(const RealVec& x, const RealVec& tmpl);
-
 /// Bank of sliding dot products: out[j] = sum_m x[j+m] * h[m] for
 /// j in [0, num_lags). Blocked over lags with per-lag ascending-tap
 /// accumulation, and every lag -- the last partial block's too -- runs
 /// through the one fixed 32-lag block body, which auto-vectorizes: a lag's
 /// bits equal a single-lag call's whatever its position in the bank, on
-/// any build (and dot()'s on a portable one). The hot kernel under
-/// correlate() and the direct path of convolve_same_to().
+/// any build. The hot kernel under the receivers' matched filters and the
+/// direct "same"-mode convolutions.
 void dot_bank(const double* x, std::size_t num_lags, const double* h, std::size_t h_len,
               double* out) noexcept;
 
@@ -54,20 +51,11 @@ void shifted_sum(const double* w, const std::size_t* offsets, std::size_t terms,
 /// |corr| / (||window|| * ||template||), robust to received power.
 RealVec normalized_correlation(const CplxVec& x, const CplxVec& tmpl);
 
-/// Real-valued normalized correlation (signed, in [-1, 1]).
-RealVec normalized_correlation(const RealVec& x, const RealVec& tmpl);
-
 /// Index of the maximum-magnitude element; 0 for empty input.
 std::size_t argmax_abs(const CplxVec& x);
 
-/// Index of the maximum-magnitude element; 0 for empty input.
-std::size_t argmax_abs(const RealVec& x);
-
 /// Single-point correlation (dot product with conjugated template).
 cplx dot_conj(const cplx* x, const cplx* tmpl, std::size_t n) noexcept;
-
-/// Single-point real correlation.
-double dot(const double* x, const double* tmpl, std::size_t n) noexcept;
 
 /// Streaming integrate-and-dump: accumulates blocks of \p length samples and
 /// emits one output per block (despreading pulses-per-bit style signals).

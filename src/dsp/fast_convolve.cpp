@@ -209,28 +209,6 @@ void ols_convolve(const CplxVec& x, const RealVec& h, CplxVec& out, FftWorkspace
   ols_convolve_impl(x, h, out, ws);
 }
 
-void ols_convolve(const CplxVec& x, const CplxVec& h, CplxVec& out, FftWorkspace& ws) {
-  ols_convolve_impl(x, h, out, ws);
-}
-
-void ols_correlate(const RealVec& x, const RealVec& tmpl, RealVec& out, FftWorkspace& ws) {
-  const std::size_t m = tmpl.size();
-  if (m == 0 || x.size() < m) {
-    out.clear();
-    return;
-  }
-  const std::size_t num_lags = x.size() - m + 1;
-  out.resize(num_lags);
-  ws.rblock.resize(std::max(ws.rblock.size(), m));
-  for (std::size_t i = 0; i < m; ++i) ws.rblock[i] = tmpl[m - 1 - i];
-  ols_run_real(x, m, [&](std::size_t idx, double v) {
-    if (idx < m - 1) return;  // partial-overlap prefix of the full convolution
-    const std::size_t lag = idx - (m - 1);
-    if (lag >= num_lags) return;
-    out[lag] = v;
-  }, ws);
-}
-
 void ols_correlate(const CplxVec& x, const CplxVec& tmpl, CplxVec& out, FftWorkspace& ws) {
   ols_correlate_impl(x, tmpl, out, ws);
 }

@@ -4,13 +4,13 @@
 ///        correlate entry points, the size-only dispatch rule that picks it,
 ///        and reusable per-thread scratch workspaces.
 ///
-/// Dispatch contract: dsp::convolve, dsp::convolve_same and dsp::correlate
-/// route through use_fft_convolve(), a pure function of the sizes and the
-/// sample types. Below the crossover the direct O(N*M) kernels run (they
-/// win on short kernels, and convolve_direct / correlate_direct expose them
-/// by name); above it the work goes through overlap-save block convolution
-/// on cached FftPlans. The crossover constants were measured with
-/// bench_dsp_micro (see docs/performance.md).
+/// Dispatch contract: dsp::convolve, the complex dsp::convolve_same and
+/// dsp::correlate route through use_fft_convolve(), a pure function of the
+/// sizes and the sample types. Below the crossover the direct O(N*M)
+/// kernels run (they win on short kernels, and convolve_direct /
+/// correlate_direct expose them by name); above it the work goes through
+/// overlap-save block convolution on cached FftPlans. The crossover
+/// constants were measured with bench_dsp_micro (see docs/performance.md).
 ///
 /// Determinism: the output is a pure function of the inputs -- the kernel
 /// choice and the block decomposition depend only on sizes, and the scratch
@@ -79,19 +79,16 @@ inline constexpr std::size_t kFftMinProduct = 1u << 15;
 [[nodiscard]] RealVec convolve_direct(const RealVec& x, const RealVec& h);
 [[nodiscard]] CplxVec convolve_direct(const CplxVec& x, const RealVec& h);
 [[nodiscard]] CplxVec convolve_direct(const CplxVec& x, const CplxVec& h);
-[[nodiscard]] RealVec correlate_direct(const RealVec& x, const RealVec& tmpl);
 [[nodiscard]] CplxVec correlate_direct(const CplxVec& x, const CplxVec& tmpl);
 
 /// Overlap-save full linear convolution, result length x+h-1, written into
 /// \p out (resized; reuses capacity). No allocation once \p ws is warm.
 void ols_convolve(const RealVec& x, const RealVec& h, RealVec& out, FftWorkspace& ws);
 void ols_convolve(const CplxVec& x, const RealVec& h, CplxVec& out, FftWorkspace& ws);
-void ols_convolve(const CplxVec& x, const CplxVec& h, CplxVec& out, FftWorkspace& ws);
 
 /// Overlap-save sliding correlation (same definition as dsp::correlate:
 /// out[k] = sum_i x[k+i] * conj(tmpl[i]), valid lags only), written into
 /// \p out. Implemented as convolution with the conjugate-reversed template.
-void ols_correlate(const RealVec& x, const RealVec& tmpl, RealVec& out, FftWorkspace& ws);
 void ols_correlate(const CplxVec& x, const CplxVec& tmpl, CplxVec& out, FftWorkspace& ws);
 
 }  // namespace uwb::dsp

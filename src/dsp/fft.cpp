@@ -99,16 +99,6 @@ void FftPlan::inverse(cplx* x) const noexcept {
   for (std::size_t i = 0; i < n_; ++i) x[i] *= inv_n;
 }
 
-void FftPlan::forward(CplxVec& x) const {
-  detail::require(x.size() == n_, "FftPlan::forward: buffer/plan size mismatch");
-  forward(x.data());
-}
-
-void FftPlan::inverse(CplxVec& x) const {
-  detail::require(x.size() == n_, "FftPlan::inverse: buffer/plan size mismatch");
-  inverse(x.data());
-}
-
 namespace {
 // Plan-cache state. The map is never destroyed (returned references must
 // stay valid for the process lifetime); hit/miss counters live under the
@@ -230,101 +220,6 @@ const RfftPlan& rfft_plan(std::size_t n) {
 void fft_inplace(CplxVec& x) {
   detail::require(is_pow2(x.size()), "fft: length must be a power of two");
   fft_plan(x.size()).forward(x.data());
-}
-
-void ifft_inplace(CplxVec& x) {
-  detail::require(is_pow2(x.size()), "fft: length must be a power of two");
-  fft_plan(x.size()).inverse(x.data());
-}
-
-CplxVec fft(const CplxVec& x, std::size_t n) {
-  const std::size_t len = (n == 0) ? next_pow2(x.size()) : n;
-  detail::require(is_pow2(len), "fft: requested length must be a power of two");
-  CplxVec buf(len, cplx{});
-  const std::size_t copy = std::min(len, x.size());
-  for (std::size_t i = 0; i < copy; ++i) buf[i] = x[i];
-  fft_inplace(buf);
-  return buf;
-}
-
-CplxVec fft(const RealVec& x, std::size_t n) {
-  const std::size_t len = (n == 0) ? next_pow2(x.size()) : n;
-  detail::require(is_pow2(len), "fft: requested length must be a power of two");
-  CplxVec buf(len, cplx{});
-  const std::size_t copy = std::min(len, x.size());
-  for (std::size_t i = 0; i < copy; ++i) buf[i] = cplx(x[i], 0.0);
-  fft_inplace(buf);
-  return buf;
-}
-
-CplxVec ifft(const CplxVec& x) {
-  CplxVec buf = x;
-  ifft_inplace(buf);
-  return buf;
-}
-
-CplxVec rfft(const RealVec& x, std::size_t n) {
-  if (x.empty() && n == 0) return {};
-  std::size_t len = (n == 0) ? next_pow2(x.size()) : n;
-  if (len < 2) len = 2;
-  detail::require(is_pow2(len), "rfft: requested length must be a power of two");
-  const RfftPlan& plan = rfft_plan(len);
-  RealVec padded(len, 0.0);
-  const std::size_t copy = std::min(len, x.size());
-  for (std::size_t i = 0; i < copy; ++i) padded[i] = x[i];
-  CplxVec spec(plan.bins());
-  plan.forward(padded.data(), spec.data());
-  return spec;
-}
-
-RealVec irfft(const CplxVec& spec, std::size_t out_len) {
-  if (spec.empty()) return {};
-  detail::require(spec.size() >= 2 && is_pow2(spec.size() - 1),
-                  "irfft: spectrum must have 2^k + 1 bins");
-  const std::size_t len = 2 * (spec.size() - 1);
-  const RfftPlan& plan = rfft_plan(len);
-  CplxVec scratch = spec;  // inverse() consumes its input
-  RealVec out(len);
-  plan.inverse(scratch.data(), out.data());
-  if (out_len != 0 && out_len < out.size()) out.resize(out_len);
-  return out;
-}
-
-RealVec power_bins(const CplxVec& spectrum) {
-  RealVec out(spectrum.size());
-  for (std::size_t i = 0; i < spectrum.size(); ++i) out[i] = std::norm(spectrum[i]);
-  return out;
-}
-
-double bin_frequency(std::size_t k, std::size_t n, double fs) {
-  detail::require(n > 0, "bin_frequency: n must be positive");
-  const double f = static_cast<double>(k) * fs / static_cast<double>(n);
-  return (k < n / 2) ? f : f - fs;
-}
-
-RealVec fft_convolve(const RealVec& a, const RealVec& b) {
-  if (a.empty() || b.empty()) return {};
-  const std::size_t out_len = a.size() + b.size() - 1;
-  const std::size_t n = next_pow2(out_len);
-  CplxVec fa = fft(a, n);
-  const CplxVec fb = fft(b, n);
-  for (std::size_t i = 0; i < n; ++i) fa[i] *= fb[i];
-  ifft_inplace(fa);
-  RealVec out(out_len);
-  for (std::size_t i = 0; i < out_len; ++i) out[i] = fa[i].real();
-  return out;
-}
-
-CplxVec fft_convolve(const CplxVec& a, const CplxVec& b) {
-  if (a.empty() || b.empty()) return {};
-  const std::size_t out_len = a.size() + b.size() - 1;
-  const std::size_t n = next_pow2(out_len);
-  CplxVec fa = fft(a, n);
-  const CplxVec fb = fft(b, n);
-  for (std::size_t i = 0; i < n; ++i) fa[i] *= fb[i];
-  ifft_inplace(fa);
-  fa.resize(out_len);
-  return fa;
 }
 
 }  // namespace uwb::dsp

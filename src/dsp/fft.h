@@ -12,8 +12,7 @@
 ///     hot path (overlap-save convolution, per-packet spectral monitoring)
 ///     pays the twiddle/bit-reversal setup exactly once per size.
 ///
-/// The legacy free functions (fft_inplace, fft, ifft, fft_convolve) remain
-/// and route through the cache.
+/// fft_inplace() runs a vector through its size's cached plan.
 
 #include <cstddef>
 #include <cstdint>
@@ -39,10 +38,6 @@ class FftPlan {
 
   /// In-place inverse DFT of \p x[0..size()), including the 1/N scale.
   void inverse(cplx* x) const noexcept;
-
-  /// Vector conveniences; \p x.size() must equal size().
-  void forward(CplxVec& x) const;
-  void inverse(CplxVec& x) const;
 
  private:
   void run(cplx* x, bool inverse) const noexcept;
@@ -114,45 +109,5 @@ struct FftPlanCacheStats {
 
 /// In-place forward FFT. \p x must have power-of-two length.
 void fft_inplace(CplxVec& x);
-
-/// In-place inverse FFT (includes the 1/N normalization).
-void ifft_inplace(CplxVec& x);
-
-/// Out-of-place forward FFT of a complex buffer; zero-pads to the next
-/// power of two when \p n == 0, otherwise pads/truncates to \p n
-/// (which must be a power of two).
-CplxVec fft(const CplxVec& x, std::size_t n = 0);
-
-/// Out-of-place forward FFT of a real buffer (returned full-length complex).
-CplxVec fft(const RealVec& x, std::size_t n = 0);
-
-/// Out-of-place inverse FFT.
-CplxVec ifft(const CplxVec& x);
-
-/// Out-of-place forward real FFT returning the half spectrum X[0..n/2]
-/// (n/2 + 1 bins, conjugate symmetry implied). Zero-pads to the next
-/// power of two >= 2 when \p n == 0, otherwise pads/truncates to \p n
-/// (which must be a power of two >= 2). Empty input with n == 0 returns
-/// an empty vector.
-CplxVec rfft(const RealVec& x, std::size_t n = 0);
-
-/// Inverse of rfft: takes a half spectrum of m + 1 bins (m a power of
-/// two) and returns the length-2m real signal, truncated to \p out_len
-/// when nonzero. An empty spectrum returns an empty vector.
-RealVec irfft(const CplxVec& spec, std::size_t out_len = 0);
-
-/// Magnitude-squared of each FFT bin, |X[k]|^2.
-RealVec power_bins(const CplxVec& spectrum);
-
-/// Frequency (Hz) of FFT bin \p k for length \p n at sample rate \p fs,
-/// mapped to the range [-fs/2, fs/2).
-double bin_frequency(std::size_t k, std::size_t n, double fs);
-
-/// Linear convolution of two real sequences via overlap-free full FFT.
-/// Result has length a.size() + b.size() - 1.
-RealVec fft_convolve(const RealVec& a, const RealVec& b);
-
-/// Linear convolution of a complex sequence with a complex kernel via FFT.
-CplxVec fft_convolve(const CplxVec& a, const CplxVec& b);
 
 }  // namespace uwb::dsp

@@ -26,56 +26,6 @@ RealVec design_lowpass(double cutoff_hz, double fs, std::size_t num_taps, Window
   return taps;
 }
 
-RealVec design_highpass(double cutoff_hz, double fs, std::size_t num_taps, WindowType window) {
-  detail::require(num_taps % 2 == 1, "design_highpass: num_taps must be odd");
-  RealVec taps = design_lowpass(cutoff_hz, fs, num_taps, window);
-  // Spectral inversion: delta at center minus lowpass.
-  for (auto& v : taps) v = -v;
-  taps[(num_taps - 1) / 2] += 1.0;
-  return taps;
-}
-
-RealVec design_bandpass(double low_hz, double high_hz, double fs, std::size_t num_taps,
-                        WindowType window) {
-  detail::require(low_hz > 0.0 && high_hz > low_hz && high_hz < fs / 2.0,
-                  "design_bandpass: need 0 < low < high < fs/2");
-  // Difference of two lowpass prototypes, then normalize gain at band center.
-  const RealVec lp_high = design_lowpass(high_hz, fs, num_taps, window);
-  const RealVec lp_low = design_lowpass(low_hz, fs, num_taps, window);
-  RealVec taps(num_taps);
-  for (std::size_t i = 0; i < num_taps; ++i) taps[i] = lp_high[i] - lp_low[i];
-  const double f0 = 0.5 * (low_hz + high_hz);
-  const double g = std::abs(fir_response_at(taps, f0, fs));
-  detail::require(g > 1e-12, "design_bandpass: degenerate design");
-  for (auto& v : taps) v /= g;
-  return taps;
-}
-
-RealVec design_raised_cosine(double symbol_rate_hz, double beta, int span_symbols,
-                             int samples_per_symbol) {
-  detail::require(beta >= 0.0 && beta <= 1.0, "raised_cosine: beta must be in [0,1]");
-  detail::require(span_symbols >= 1 && samples_per_symbol >= 1,
-                  "raised_cosine: span and oversampling must be >= 1");
-  const double T = 1.0 / symbol_rate_hz;
-  const double dt = T / samples_per_symbol;
-  const int half = span_symbols * samples_per_symbol;
-  RealVec taps(static_cast<std::size_t>(2 * half + 1));
-  for (int i = -half; i <= half; ++i) {
-    const double t = i * dt;
-    const double x = t / T;
-    double denom = 1.0 - 4.0 * beta * beta * x * x;
-    double value;
-    if (std::abs(denom) < 1e-9) {
-      // L'Hopital at t = +/- T/(2 beta).
-      value = (pi / 4.0) * sinc(1.0 / (2.0 * beta));
-    } else {
-      value = sinc(x) * std::cos(pi * beta * x) / denom;
-    }
-    taps[static_cast<std::size_t>(i + half)] = value;
-  }
-  return taps;  // peak is already 1 at t = 0
-}
-
 RealVec design_root_raised_cosine(double symbol_rate_hz, double beta, int span_symbols,
                                   int samples_per_symbol) {
   detail::require(beta > 0.0 && beta <= 1.0, "rrc: beta must be in (0,1]");

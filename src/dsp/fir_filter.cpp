@@ -59,33 +59,14 @@ CplxVec convolve(const CplxVec& x, const RealVec& h) {
   return convolve_direct(x, h);
 }
 
-CplxVec convolve(const CplxVec& x, const CplxVec& h) {
-  if (use_fft_convolve(x.size(), h.size(), ConvKind::kCplxCplx)) {
-    CplxVec out;
-    ols_convolve(x, h, out, thread_fft_workspace());
-    return out;
-  }
-  return convolve_direct(x, h);
-}
-
-RealVec convolve_same(const RealVec& x, const RealVec& h) {
-  if (x.empty() || h.empty()) return {};
-  if (use_fft_convolve(x.size(), h.size(), ConvKind::kRealReal)) {
-    return take_same(convolve(x, h), x.size(), h.size());
-  }
-  RealVec y(x.size());
-  convolve_same_to(x.data(), x.size(), h, y.data());
-  return y;
-}
-
 namespace {
 
 /// Outputs [j_begin, j_end) of the direct "same"-mode kernel over reversed
 /// taps \p r, into y[0, j_end - j_begin). Gather form: the scatter full
 /// convolution adds x[i]*h[k] in ascending-i order, which for a fixed
 /// output is descending-k -- i.e. ascending over the reversed kernel.
-/// Accumulating that way keeps every double output bit-identical to
-/// convolve_same() while the interior runs contiguous-stride through
+/// Accumulating that way keeps every output bit-identical to the scatter
+/// form while the interior runs contiguous-stride through
 /// dot_bank's vectorized lag blocks. Each output is its own dot product, so
 /// it comes out the same whatever range it is computed in.
 template <typename T>
@@ -121,38 +102,7 @@ void convolve_same_range_impl(const T* x, std::size_t x_len, const T* r, std::si
   for (std::size_t j = mid_hi; j < j_end; ++j) edge_out(j);
 }
 
-/// The whole "same"-mode output through the range kernel, with the taps
-/// reversed once.
-void convolve_same_direct(const double* x, std::size_t x_len, const RealVec& h, double* y) {
-  const std::size_t h_len = h.size();
-  constexpr std::size_t kMaxStackTaps = 256;
-  double stack_taps[kMaxStackTaps] = {};
-  std::vector<double> heap_taps;
-  double* r = stack_taps;
-  if (h_len > kMaxStackTaps) {
-    heap_taps.resize(h_len);
-    r = heap_taps.data();
-  }
-  for (std::size_t m = 0; m < h_len; ++m) r[m] = h[h_len - 1 - m];
-  convolve_same_range_impl(x, x_len, r, h_len, 0, x_len, y);
-}
-
 }  // namespace
-
-void convolve_same_to(const double* x, std::size_t x_len, const RealVec& h, double* y) {
-  const std::size_t h_len = h.size();
-  if (x_len == 0 || h_len == 0) return;
-  if (use_fft_convolve(x_len, h_len, ConvKind::kRealReal)) {
-    const std::size_t start = (h_len - 1) / 2;
-    const RealVec xin(x, x + x_len);
-    RealVec full;
-    ols_convolve(xin, h, full, thread_fft_workspace());
-    std::copy(full.begin() + static_cast<std::ptrdiff_t>(start),
-              full.begin() + static_cast<std::ptrdiff_t>(start + x_len), y);
-    return;
-  }
-  convolve_same_direct(x, x_len, h, y);
-}
 
 void convolve_same_range(const float* x, std::size_t x_len, const float* r,
                          std::size_t h_len, std::size_t j_begin, std::size_t j_end, float* y) {
@@ -199,10 +149,6 @@ void convolve_same_inplace(double* x, std::size_t x_len, const RealVec& h) {
 CplxVec convolve_same(const CplxVec& x, const RealVec& h) {
   if (x.empty() || h.empty()) return {};
   return take_same(convolve(x, h), x.size(), h.size());
-}
-
-RealWaveform filter_same(const RealWaveform& x, const RealVec& taps) {
-  return RealWaveform(convolve_same(x.samples(), taps), x.sample_rate());
 }
 
 }  // namespace uwb::dsp

@@ -7,7 +7,6 @@
 
 #include "common/error.h"
 #include "common/types.h"
-#include "common/waveform.h"
 
 namespace uwb::dsp {
 
@@ -70,25 +69,10 @@ RealVec convolve(const RealVec& x, const RealVec& h);
 /// Full linear convolution for complex signal with real kernel.
 CplxVec convolve(const CplxVec& x, const RealVec& h);
 
-/// Full linear convolution for complex signal with complex kernel.
-CplxVec convolve(const CplxVec& x, const CplxVec& h);
-
-/// "Same"-mode convolution: output length equals input length, kernel group
-/// delay compensated (for symmetric kernels centred at (|h|-1)/2).
-RealVec convolve_same(const RealVec& x, const RealVec& h);
-
-/// "Same"-mode real convolution into a caller-owned buffer \p y of length
-/// \p x_len (no allocation beyond a small reversed-tap scratch). Hot-path
-/// form for per-packet workspaces: bit-identical to convolve_same(x, h) --
-/// the direct path runs a blocked gather kernel whose per-output tap order
-/// matches the scatter form exactly, and FFT-worthy kernels fall through to
-/// the same overlap-save engine.
-void convolve_same_to(const double* x, std::size_t x_len, const RealVec& h, double* y);
-
 /// Single-precision "same"-mode convolution (the gen-1 float sample arena),
 /// outputs [j_begin, j_end) only, into y[0, j_end - j_begin). The kernel
 /// comes reversed and in float (r[m] = float(h[h_len - 1 - m])). Same
-/// blocked gather kernel as convolve_same_to(), always direct -- the float
+/// blocked gather kernel as convolve_same_inplace(), always direct -- the float
 /// pipeline's anti-alias filter sits far below the FFT crossover. Each
 /// output is its own dot product, so it is the same whatever range it is
 /// computed in: a long filter can run block by block into a cache-sized
@@ -96,19 +80,19 @@ void convolve_same_to(const double* x, std::size_t x_len, const RealVec& h, doub
 void convolve_same_range(const float* x, std::size_t x_len, const float* r,
                          std::size_t h_len, std::size_t j_begin, std::size_t j_end, float* y);
 
-/// "Same"-mode convolution for complex input with real kernel.
+/// "Same"-mode convolution for complex input with real kernel: output length
+/// equals input length, kernel group delay compensated (for symmetric
+/// kernels centred at (|h|-1)/2).
 CplxVec convolve_same(const CplxVec& x, const RealVec& h);
 
-/// "Same"-mode real convolution in place over \p x_len samples: the blocked
-/// direct gather kernel (whatever the sizes) streaming
-/// through a small staging window, so no output buffer is needed. Every
-/// output is bit-identical to convolve_same_to()'s direct path -- and, run
-/// on the I and Q rails of a complex signal, to convolve_same(CplxVec, h)
-/// wherever that is direct (a complex sample times a real tap is two
-/// independent real products; every kernel below kFftMinKernelCplxReal).
+/// "Same"-mode real convolution in place over \p x_len samples: a blocked
+/// direct gather kernel (whatever the sizes) whose per-output tap order
+/// matches the scatter form exactly, streaming through a small staging
+/// window, so no output buffer is needed. Run on the I and Q rails of a
+/// complex signal, every output is bit-identical to
+/// convolve_same(CplxVec, h) wherever that is direct (a complex sample
+/// times a real tap is two independent real products; every kernel below
+/// kFftMinKernelCplxReal).
 void convolve_same_inplace(double* x, std::size_t x_len, const RealVec& h);
-
-/// Filters a waveform with a FIR in "same" mode, preserving the sample rate.
-RealWaveform filter_same(const RealWaveform& x, const RealVec& taps);
 
 }  // namespace uwb::dsp

@@ -89,6 +89,17 @@ Psd welch_psd(const RealWaveform& x, std::size_t segment_len, WindowType window)
   return psd;
 }
 
+namespace {
+
+/// Frequency of FFT bin \p k for length \p n at sample rate \p fs, mapped
+/// to [-fs/2, fs/2).
+double bin_frequency(std::size_t k, std::size_t n, double fs) {
+  const double f = static_cast<double>(k) * fs / static_cast<double>(n);
+  return (k < n / 2) ? f : f - fs;
+}
+
+}  // namespace
+
 Psd welch_psd(const CplxWaveform& x, std::size_t segment_len, WindowType window) {
   RealVec bins = welch_bins(x.samples(), segment_len, window, x.sample_rate());
   // Two-sided, re-ordered to ascending frequency [-fs/2, fs/2).

@@ -72,15 +72,4 @@ RealVec make_window(WindowType type, std::size_t n, double kaiser_beta) {
   throw InvalidArgument("make_window: unknown window type");
 }
 
-double noise_bandwidth_bins(const RealVec& window) {
-  detail::require(!window.empty(), "noise_bandwidth_bins: empty window");
-  double sum = 0.0, sum_sq = 0.0;
-  for (double v : window) {
-    sum += v;
-    sum_sq += v * v;
-  }
-  const double n = static_cast<double>(window.size());
-  return n * sum_sq / (sum * sum);
-}
-
 }  // namespace uwb::dsp

@@ -36,8 +36,4 @@ RealVec kaiser(std::size_t n, double beta);
 /// Zeroth-order modified Bessel function of the first kind (Kaiser kernel).
 double bessel_i0(double x);
 
-/// Equivalent noise bandwidth of a window, in bins (1.0 for rectangular,
-/// 1.5 for Hann). Needed to calibrate PSD estimates.
-double noise_bandwidth_bins(const RealVec& window);
-
 }  // namespace uwb::dsp

@@ -77,11 +77,6 @@ void ChannelCache::set_directory(std::string dir) {
   dir_ = std::move(dir);
 }
 
-std::string ChannelCache::directory() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return dir_;
-}
-
 std::shared_ptr<const ChannelEnsemble> ChannelCache::get(const channel::SvParams& params,
                                                          uint64_t seed, std::size_t count) {
   detail::require(count >= 1, "ChannelCache::get: count must be >= 1");
@@ -111,12 +106,6 @@ std::shared_ptr<const ChannelEnsemble> ChannelCache::get(const channel::SvParams
 ChannelCache::Stats ChannelCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-void ChannelCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  store_.clear();
-  stats_ = Stats{};
 }
 
 }  // namespace uwb::engine

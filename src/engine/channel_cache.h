@@ -98,7 +98,6 @@ class ChannelCache {
   /// Sets (or clears, with "") the binary-store directory consulted before
   /// generating.
   void set_directory(std::string dir);
-  [[nodiscard]] std::string directory() const;
 
   /// The ensemble for (params, seed, count), shared. Generation and disk
   /// loads happen at most once per key per cache instance.
@@ -113,9 +112,6 @@ class ChannelCache {
     std::size_t sv_draws = 0;    ///< total realize() calls this cache paid for
   };
   [[nodiscard]] Stats stats() const;
-
-  /// Drops every entry and zeroes the stats (tests and benches).
-  void clear();
 
  private:
   mutable std::mutex mutex_;

@@ -499,11 +499,6 @@ void ScenarioRegistry::add(const std::string& name, Factory factory) {
   factories_[name] = std::move(factory);
 }
 
-bool ScenarioRegistry::contains(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return factories_.count(name) != 0;
-}
-
 ScenarioSpec ScenarioRegistry::make(const std::string& name) const {
   Factory factory;
   {

@@ -185,8 +185,6 @@ class ScenarioRegistry {
   /// Registers (or replaces) a named scenario.
   void add(const std::string& name, Factory factory);
 
-  [[nodiscard]] bool contains(const std::string& name) const;
-
   /// Expands the named scenario to its flat trial plan.
   /// \throws InvalidArgument when the name is unknown.
   [[nodiscard]] ScenarioSpec make(const std::string& name) const;

@@ -7,38 +7,6 @@
 
 namespace uwb::equalizer {
 
-std::vector<cplx> composite_symbol_channel(const channel::Cir& est,
-                                           const RealVec& pulse_autocorr,
-                                           std::size_t autocorr_peak, double fs,
-                                           std::size_t sps, int memory) {
-  detail::require(!pulse_autocorr.empty(), "composite_symbol_channel: empty autocorrelation");
-  detail::require(autocorr_peak < pulse_autocorr.size(),
-                  "composite_symbol_channel: peak index out of range");
-  detail::require(memory >= 0, "composite_symbol_channel: memory must be >= 0");
-  detail::require(sps >= 1, "composite_symbol_channel: sps must be >= 1");
-
-  const double peak_value = pulse_autocorr[autocorr_peak];
-  detail::require(std::abs(peak_value) > 1e-300,
-                  "composite_symbol_channel: degenerate autocorrelation");
-
-  std::vector<cplx> g(static_cast<std::size_t>(memory) + 1, cplx{});
-  for (int l = 0; l <= memory; ++l) {
-    cplx acc{};
-    for (const auto& tap : est.taps()) {
-      // Sample R_pp at (l*T - d_k); R_pp index = peak + offset in samples.
-      const double offset_samples =
-          static_cast<double>(l) * static_cast<double>(sps) - tap.delay_s * fs;
-      const auto idx = static_cast<std::ptrdiff_t>(std::llround(
-                           static_cast<double>(autocorr_peak) + offset_samples));
-      if (idx >= 0 && idx < static_cast<std::ptrdiff_t>(pulse_autocorr.size())) {
-        acc += tap.gain * (pulse_autocorr[static_cast<std::size_t>(idx)] / peak_value);
-      }
-    }
-    g[static_cast<std::size_t>(l)] = acc;
-  }
-  return g;
-}
-
 MlseDemodulator::MlseDemodulator(const MlseConfig& config, std::vector<cplx> g)
     : config_(config), g_(std::move(g)) {
   detail::require(config.memory >= 1 && config.memory <= 12,
@@ -114,15 +82,6 @@ BitVec MlseDemodulator::demodulate(const CplxVec& observations) const {
     state = sv.prev_state;
   }
   return bits;
-}
-
-BitVec MlseDemodulator::demodulate(const CplxWaveform& y, const SymbolTiming& timing) const {
-  CplxVec obs(timing.num_symbols, cplx{});
-  for (std::size_t m = 0; m < timing.num_symbols; ++m) {
-    const std::size_t idx = timing.t0 + m * timing.sps;
-    if (idx < y.size()) obs[m] = y[idx];
-  }
-  return demodulate(obs);
 }
 
 }  // namespace uwb::equalizer

@@ -8,15 +8,13 @@
 /// The demodulator runs a Viterbi algorithm whose states are the last
 /// (memory) BPSK symbols; branch metrics are Euclidean distances between
 /// the observed soft sample and the expected superposition through the
-/// symbol-spaced composite channel g[0..memory]. g is derived from the
-/// (quantized) channel estimate and the pulse autocorrelation, so estimate
-/// precision (E6) directly shapes MLSE fidelity.
+/// symbol-spaced composite channel g[0..memory]. The gen-2 receiver learns
+/// g data-aided on the known preamble, from the RAKE combiner's output
+/// (whose fingers the quantized channel estimate sets).
 
 #include <cstddef>
 
-#include "channel/cir.h"
 #include "common/types.h"
-#include "common/waveform.h"
 #include "equalizer/demodulator.h"
 
 namespace uwb::equalizer {
@@ -25,15 +23,6 @@ namespace uwb::equalizer {
 struct MlseConfig {
   int memory = 3;  ///< trellis memory in symbols (states = 2^memory)
 };
-
-/// Symbol-spaced composite channel g[l] seen by the symbol-rate sampler:
-/// g[l] = sum_k h_k R_pp(l T - d_k), from the estimated taps \p est and the
-/// pulse autocorrelation \p pulse_autocorr (peak at index \p autocorr_peak,
-/// sampled at \p fs). Returns memory+1 taps (l = 0..memory).
-std::vector<cplx> composite_symbol_channel(const channel::Cir& est,
-                                           const RealVec& pulse_autocorr,
-                                           std::size_t autocorr_peak, double fs,
-                                           std::size_t sps, int memory);
 
 /// BPSK MLSE (Viterbi demodulator).
 class MlseDemodulator {
@@ -49,9 +38,6 @@ class MlseDemodulator {
   /// the matched-filtered waveform at the punctual timing). Returns hard
   /// bits (0 -> +1, 1 -> -1 convention matching the BPSK mapper).
   [[nodiscard]] BitVec demodulate(const CplxVec& observations) const;
-
-  /// Convenience: extracts symbol-rate observations from a waveform first.
-  [[nodiscard]] BitVec demodulate(const CplxWaveform& y, const SymbolTiming& timing) const;
 
  private:
   MlseConfig config_;

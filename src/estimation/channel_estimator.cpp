@@ -110,20 +110,4 @@ ChannelEstimate ChannelEstimator::estimate(const CplxWaveform& x, const CplxVec&
   return est;
 }
 
-std::vector<cplx> ChannelEstimator::symbol_taps(const ChannelEstimate& est, std::size_t sps,
-                                                int memory) const {
-  detail::require(sps >= 1, "symbol_taps: sps must be >= 1");
-  detail::require(memory >= 0, "symbol_taps: memory must be >= 0");
-  std::vector<cplx> g(static_cast<std::size_t>(memory) + 1, cplx{});
-  if (est.raw_taps.empty() || est.peak_magnitude <= 0.0) return g;
-  for (int l = 0; l <= memory; ++l) {
-    const std::size_t idx = est.peak_index + static_cast<std::size_t>(l) * sps;
-    if (idx < est.raw_taps.size()) {
-      const cplx normalized = est.raw_taps[idx] / est.peak_magnitude;
-      g[static_cast<std::size_t>(l)] = quantize_tap(normalized, 1.0) * est.peak_magnitude;
-    }
-  }
-  return g;
-}
-
 }  // namespace uwb::estimation

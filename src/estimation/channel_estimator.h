@@ -60,13 +60,6 @@ class ChannelEstimator {
   /// for the precision-sweep bench (E6).
   [[nodiscard]] cplx quantize_tap(cplx tap, double full_scale) const;
 
-  /// Symbol-spaced composite taps for the Viterbi (MLSE) demodulator:
-  /// g[l] = quantized raw profile at (peak + l * sps), l = 0..memory.
-  /// Referencing the *peak* keeps the punctual observation at the channel's
-  /// energy maximum; later taps model the postcursor ISI the MLSE resolves.
-  [[nodiscard]] std::vector<cplx> symbol_taps(const ChannelEstimate& est, std::size_t sps,
-                                              int memory) const;
-
  private:
   ChannelEstimatorConfig config_;
 };

@@ -20,30 +20,4 @@ double snr_data_aided(const std::vector<double>& soft_known_sign) {
   return (mean * mean) / var;
 }
 
-double snr_m2m4(const std::vector<double>& soft) {
-  detail::require(soft.size() >= 4, "snr_m2m4: need at least 4 samples");
-  double m2 = 0.0, m4 = 0.0;
-  for (double v : soft) {
-    const double p = v * v;
-    m2 += p;
-    m4 += p * p;
-  }
-  m2 /= static_cast<double>(soft.size());
-  m4 /= static_cast<double>(soft.size());
-  // For BPSK in real noise: S = sqrt(1.5 m2^2 - 0.5 m4) (real-signal kurtosis
-  // constants), N = m2 - S.
-  const double s2 = std::max(1.5 * m2 * m2 - 0.5 * m4, 0.0);
-  const double s = std::sqrt(s2);
-  const double n = m2 - s;
-  if (n <= 0.0) return 1e12;
-  return s / n;
-}
-
-double noise_floor(const CplxVec& quiet_capture) {
-  detail::require(!quiet_capture.empty(), "noise_floor: empty capture");
-  double acc = 0.0;
-  for (const auto& v : quiet_capture) acc += std::norm(v);
-  return acc / static_cast<double>(quiet_capture.size());
-}
-
 }  // namespace uwb::estimation

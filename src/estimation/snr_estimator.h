@@ -1,6 +1,6 @@
 #pragma once
 /// \file snr_estimator.h
-/// \brief Data-aided and blind SNR estimation from correlator outputs. The
+/// \brief Data-aided SNR estimation from correlator outputs. The
 ///        paper's receiver "allows us to trade off power dissipation with
 ///        ... quality of service" -- the trade-off controller needs an SNR
 ///        estimate to pick a configuration.
@@ -12,12 +12,5 @@ namespace uwb::estimation {
 /// Data-aided estimate from known-symbol decision variables: signal power
 /// = mean^2 of |soft|, noise = variance around it. Returns linear SNR.
 double snr_data_aided(const std::vector<double>& soft_known_sign);
-
-/// Blind M2M4 moments estimator for a constant-modulus constellation
-/// (BPSK soft outputs). Returns linear SNR (clamped to >= 0).
-double snr_m2m4(const std::vector<double>& soft);
-
-/// Noise-floor estimate from a signal-free capture: mean |x|^2.
-double noise_floor(const CplxVec& quiet_capture);
 
 }  // namespace uwb::estimation

@@ -13,20 +13,6 @@ ConvCode k7_rate_half() {
   return code;
 }
 
-ConvCode k3_rate_half() {
-  ConvCode code;
-  code.constraint_length = 3;
-  code.generators = {0b111, 0b101};
-  return code;
-}
-
-ConvCode k3_rate_third() {
-  ConvCode code;
-  code.constraint_length = 3;
-  code.generators = {0b111, 0b111, 0b101};
-  return code;
-}
-
 ConvEncoder::ConvEncoder(const ConvCode& code) : code_(code) {
   detail::require(code.constraint_length >= 2 && code.constraint_length <= 16,
                   "ConvEncoder: constraint length must be in [2,16]");

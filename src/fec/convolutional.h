@@ -15,7 +15,9 @@ namespace uwb::fec {
 /// the newest input, bit 0 the oldest.
 struct ConvCode {
   int constraint_length = 3;
-  std::vector<uint32_t> generators = {0b111, 0b101};  ///< rate 1/2 K=3 (7,5)
+  /// Default: the compact rate-1/2 K=3 code (7, 5 octal), cheap enough for
+  /// a 2005-era UWB back end at full rate.
+  std::vector<uint32_t> generators = {0b111, 0b101};
 
   [[nodiscard]] int rate_denominator() const noexcept {
     return static_cast<int>(generators.size());
@@ -26,13 +28,6 @@ struct ConvCode {
 
 /// The industry-standard rate-1/2 K=7 code (171, 133 octal).
 ConvCode k7_rate_half();
-
-/// Compact rate-1/2 K=3 code (7, 5 octal) -- cheap enough for a 2005-era
-/// UWB back end at full rate.
-ConvCode k3_rate_half();
-
-/// Rate-1/3 K=3 code for the lowest-SNR configuration.
-ConvCode k3_rate_third();
 
 /// Encoder. encode() appends a zero tail so the decoder can terminate.
 class ConvEncoder {

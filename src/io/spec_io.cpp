@@ -250,7 +250,6 @@ void fields(V& v, Of<txrx::Gen2Config> auto& s) {
 JsonValue to_json(const txrx::TrialOptions& options) { return write_struct(options); }
 JsonValue to_json(const txrx::Gen1Config& config) { return write_struct(config); }
 JsonValue to_json(const txrx::Gen2Config& config) { return write_struct(config); }
-JsonValue to_json(const sim::BerStop& stop) { return write_struct(stop); }
 
 txrx::TrialOptions trial_options_from_json(const JsonValue& v, txrx::TrialOptions base) {
   txrx::TrialOptions options = read_struct(v, kSpec, "options", std::move(base));
@@ -264,12 +263,6 @@ txrx::Gen1Config gen1_config_from_json(const JsonValue& v) {
 
 txrx::Gen2Config gen2_config_from_json(const JsonValue& v) {
   return read_struct(v, kSpec, "gen2 config", txrx::Gen2Config{});
-}
-
-sim::BerStop ber_stop_from_json(const JsonValue& v) {
-  sim::BerStop stop = read_struct(v, kSpec, "stop", sim::BerStop{});
-  sim::validate_budgets(stop);
-  return stop;
 }
 
 // --------------------------------------------------------------- LinkSpec ----

@@ -42,7 +42,6 @@ void fields(V& v, Of<sim::BerStop> auto& s) {
 [[nodiscard]] JsonValue to_json(const txrx::Gen1Config& config);
 [[nodiscard]] JsonValue to_json(const txrx::Gen2Config& config);
 [[nodiscard]] JsonValue to_json(const txrx::LinkSpec& spec);
-[[nodiscard]] JsonValue to_json(const sim::BerStop& stop);
 [[nodiscard]] JsonValue to_json(const engine::PointSpec& point);
 [[nodiscard]] JsonValue to_json(const engine::ScenarioSpec& scenario);
 
@@ -56,7 +55,6 @@ void fields(V& v, Of<sim::BerStop> auto& s) {
 [[nodiscard]] txrx::Gen1Config gen1_config_from_json(const JsonValue& v);
 [[nodiscard]] txrx::Gen2Config gen2_config_from_json(const JsonValue& v);
 [[nodiscard]] txrx::LinkSpec link_spec_from_json(const JsonValue& v);
-[[nodiscard]] sim::BerStop ber_stop_from_json(const JsonValue& v);
 [[nodiscard]] engine::PointSpec point_spec_from_json(const JsonValue& v);
 [[nodiscard]] engine::ScenarioSpec scenario_from_json(const JsonValue& v);
 

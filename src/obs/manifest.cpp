@@ -133,10 +133,6 @@ void write_run_manifest(const RunManifest& manifest, const std::string& path) {
                  "write_run_manifest");
 }
 
-RunManifest load_run_manifest(const std::string& path) {
-  return manifest_from_json(io::parse_json(io::read_file(path, "load_run_manifest")));
-}
-
 std::string manifest_path_for(const std::string& result_path) {
   return result_path + ".run.json";
 }

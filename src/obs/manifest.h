@@ -87,10 +87,6 @@ struct RunManifest {
 /// created).
 void write_run_manifest(const RunManifest& manifest, const std::string& path);
 
-/// Reads and parses a manifest file. \throws InvalidArgument when the file
-/// is unreadable or malformed.
-[[nodiscard]] RunManifest load_run_manifest(const std::string& path);
-
 /// The conventional sidecar path for a result file: "<result>.run.json".
 [[nodiscard]] std::string manifest_path_for(const std::string& result_path);
 

@@ -101,15 +101,7 @@ Span::Span(TraceRecorder* recorder, const char* category, std::string name)
   event_.ts_us = recorder_->now_us();
 }
 
-void Span::arg(std::string key, std::string value) {
-  if (recorder_ != nullptr) event_.args.push_back(trace_arg(std::move(key), std::move(value)));
-}
-
 void Span::arg(std::string key, std::uint64_t value) {
-  if (recorder_ != nullptr) event_.args.push_back(trace_arg(std::move(key), value));
-}
-
-void Span::arg(std::string key, double value) {
   if (recorder_ != nullptr) event_.args.push_back(trace_arg(std::move(key), value));
 }
 

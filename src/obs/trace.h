@@ -127,10 +127,8 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  /// Attaches an argument (any time before finish()).
-  void arg(std::string key, std::string value);
+  /// Attaches a count argument (any time before finish()).
   void arg(std::string key, std::uint64_t value);
-  void arg(std::string key, double value);
 
   /// Stamps the duration and records the event. Idempotent.
   void finish();

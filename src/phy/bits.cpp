@@ -15,22 +15,6 @@ std::size_t hamming_distance(const BitVec& a, const BitVec& b) {
   return d;
 }
 
-std::vector<uint8_t> pack_bits(const BitVec& bits) {
-  std::vector<uint8_t> bytes((bits.size() + 7) / 8, 0);
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i]) bytes[i / 8] |= static_cast<uint8_t>(0x80u >> (i % 8));
-  }
-  return bytes;
-}
-
-BitVec unpack_bits(const std::vector<uint8_t>& bytes) {
-  BitVec bits(bytes.size() * 8);
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    bits[i] = (bytes[i / 8] >> (7 - i % 8)) & 1u;
-  }
-  return bits;
-}
-
 BitVec uint_to_bits(uint64_t value, int width) {
   detail::require(width >= 0 && width <= 64, "uint_to_bits: width must be in [0,64]");
   BitVec bits(static_cast<std::size_t>(width));
@@ -49,20 +33,6 @@ uint64_t bits_to_uint(const BitVec& bits, std::size_t first, std::size_t count) 
     v = (v << 1) | (bits[first + i] & 1u);
   }
   return v;
-}
-
-std::string to_string(const BitVec& bits) {
-  std::string s;
-  s.reserve(bits.size());
-  for (auto b : bits) s.push_back(b ? '1' : '0');
-  return s;
-}
-
-BitVec xor_bits(const BitVec& a, const BitVec& b) {
-  detail::require(a.size() == b.size(), "xor_bits: size mismatch");
-  BitVec out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = (a[i] ^ b[i]) & 1u;
-  return out;
 }
 
 }  // namespace uwb::phy

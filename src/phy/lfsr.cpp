@@ -1,4 +1,4 @@
-#include "phy/scrambler.h"
+#include "phy/lfsr.h"
 
 #include "common/error.h"
 
@@ -66,36 +66,6 @@ std::vector<double> to_chips(const BitVec& bits) {
   std::vector<double> chips(bits.size());
   for (std::size_t i = 0; i < bits.size(); ++i) chips[i] = bits[i] ? -1.0 : 1.0;
   return chips;
-}
-
-Scrambler::Scrambler(uint8_t seed) : state_(seed & 0x7F) {
-  detail::require((seed & 0x7F) != 0, "Scrambler: seed must be non-zero in low 7 bits");
-}
-
-void Scrambler::reset(uint8_t seed) noexcept { state_ = seed & 0x7F; }
-
-BitVec Scrambler::scramble(const BitVec& in) {
-  // Self-synchronizing x^7 + x^4 + 1: feedback from scrambled stream.
-  BitVec out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    const uint8_t fb = static_cast<uint8_t>(((state_ >> 3) ^ (state_ >> 6)) & 1u);
-    const uint8_t s = (in[i] ^ fb) & 1u;
-    out[i] = s;
-    state_ = static_cast<uint8_t>(((state_ << 1) | s) & 0x7F);
-  }
-  return out;
-}
-
-BitVec Scrambler::descramble(const BitVec& in) {
-  // Inverse: feedback comes from the received (scrambled) stream, so the
-  // descrambler resynchronizes after any 7 correct bits.
-  BitVec out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    const uint8_t fb = static_cast<uint8_t>(((state_ >> 3) ^ (state_ >> 6)) & 1u);
-    out[i] = (in[i] ^ fb) & 1u;
-    state_ = static_cast<uint8_t>(((state_ << 1) | (in[i] & 1u)) & 0x7F);
-  }
-  return out;
 }
 
 }  // namespace uwb::phy

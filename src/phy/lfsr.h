@@ -1,7 +1,7 @@
 #pragma once
-/// \file scrambler.h
+/// \file lfsr.h
 /// \brief LFSR machinery: maximal-length (m-) sequences for preambles and
-///        spreading, and a self-synchronizing payload scrambler.
+///        spreading.
 ///
 /// The paper's back end acquires on a PN preamble; gen-1 spreads each bit
 /// over many pulses whose polarities follow a PN sequence. Both need
@@ -57,20 +57,5 @@ BitVec msequence(int degree, uint32_t seed = 1);
 
 /// Maps bits to antipodal chips: 0 -> +1, 1 -> -1.
 std::vector<double> to_chips(const BitVec& bits);
-
-/// Multiplicative (self-synchronizing) scrambler x^7 + x^4 + 1 as used by
-/// many PHY standards; descramble() inverts it without state agreement.
-class Scrambler {
- public:
-  explicit Scrambler(uint8_t seed = 0x7F);
-
-  BitVec scramble(const BitVec& in);
-  BitVec descramble(const BitVec& in);
-
-  void reset(uint8_t seed = 0x7F) noexcept;
-
- private:
-  uint8_t state_;
-};
 
 }  // namespace uwb::phy

@@ -3,7 +3,7 @@
 #include "common/error.h"
 #include "phy/bits.h"
 #include "phy/crc.h"
-#include "phy/scrambler.h"
+#include "phy/lfsr.h"
 
 namespace uwb::phy {
 

@@ -32,13 +32,6 @@ const BandChannel& BandPlan::channel(int index) const {
   return channels_[static_cast<std::size_t>(index)];
 }
 
-int BandPlan::channel_of_frequency(double freq_hz) const noexcept {
-  for (const auto& ch : channels_) {
-    if (freq_hz >= ch.low_hz && freq_hz <= ch.high_hz) return ch.index;
-  }
-  return -1;
-}
-
 int BandPlan::nearest_channel(double freq_hz) const noexcept {
   int best = 0;
   double best_d = std::numeric_limits<double>::max();
@@ -50,13 +43,6 @@ int BandPlan::nearest_channel(double freq_hz) const noexcept {
     }
   }
   return best;
-}
-
-bool BandPlan::within_fcc_band() const noexcept {
-  for (const auto& ch : channels_) {
-    if (ch.low_hz < fcc_band_low_hz - 1.0 || ch.high_hz > fcc_band_high_hz + 1.0) return false;
-  }
-  return true;
 }
 
 }  // namespace uwb::pulse

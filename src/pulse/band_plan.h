@@ -38,14 +38,8 @@ class BandPlan {
   /// Carrier frequency of channel \p index.
   [[nodiscard]] double center_frequency(int index) const { return channel(index).center_hz; }
 
-  /// The channel whose band contains \p freq_hz, or -1 if none.
-  [[nodiscard]] int channel_of_frequency(double freq_hz) const noexcept;
-
   /// The channel whose carrier is nearest \p freq_hz.
   [[nodiscard]] int nearest_channel(double freq_hz) const noexcept;
-
-  /// True when every channel lies fully inside the FCC 3.1-10.6 GHz band.
-  [[nodiscard]] bool within_fcc_band() const noexcept;
 
   /// Channel width (uniform) in Hz.
   [[nodiscard]] double channel_bandwidth() const noexcept { return bandwidth_; }

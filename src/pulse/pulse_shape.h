@@ -6,7 +6,7 @@
 ///
 /// All generators return a baseband RealWaveform sampled at \p fs, peak
 /// amplitude 1 unless noted. Upconversion to a band-plan channel is done by
-/// uwb::rf::Upconverter or the complex-baseband equivalents in pulse_train.h.
+/// uwb::rf::Upconverter.
 
 #include <cstddef>
 

@@ -4,10 +4,8 @@
 
 #include "common/error.h"
 #include "common/math_utils.h"
-#include "dsp/aligned.h"
 #include "dsp/filter_design.h"
 #include "dsp/fir_filter.h"
-#include "dsp/resampler.h"
 
 namespace uwb::rf {
 
@@ -28,53 +26,15 @@ void from_complex(const CplxVec& x, double* x_i, double* x_q) {
 
 }  // namespace
 
-double cascade_noise_figure_db(const std::vector<CascadeStage>& stages) {
-  detail::require(!stages.empty(), "cascade_noise_figure_db: empty chain");
-  double f_total = 0.0;
-  double gain_product = 1.0;
-  for (std::size_t i = 0; i < stages.size(); ++i) {
-    const double f = from_db(stages[i].noise_figure_db);
-    if (i == 0) {
-      f_total = f;
-    } else {
-      f_total += (f - 1.0) / gain_product;
-    }
-    gain_product *= from_db(stages[i].gain_db);
-  }
-  return to_db(f_total);
-}
-
 FrontEnd::FrontEnd(const FrontEndParams& params, const pulse::BandPlan& plan)
-    : params_(params), plan_(plan), lna_(params.lna), synth_(plan, params.synth),
+    : params_(params), lna_(params.lna), synth_(plan, params.synth),
       agc_(params.agc) {
   anti_alias_taps_ = dsp::design_lowpass(params.baseband_cutoff_hz, params.analog_fs,
                                          params.anti_alias_taps);
 }
 
-void FrontEnd::set_notch(double f0_offset_hz, double fs) {
-  notch_.emplace(f0_offset_hz, fs);
-}
-
-double FrontEnd::system_noise_figure_db() const {
-  // LNA -> mixer (assumed 10 dB NF, 0 dB conversion gain) -> baseband VGA
-  // (15 dB NF). Representative 2005-era direct-conversion numbers.
-  return cascade_noise_figure_db({
-      {"lna", params_.lna.gain_db, params_.lna.noise_figure_db},
-      {"mixer", 0.0, 10.0},
-      {"vga", 20.0, 15.0},
-  });
-}
-
-CplxWaveform FrontEnd::process_baseband(const CplxWaveform& x, double input_noise_variance,
-                                        Rng& rng) {
-  detail::require(x.sample_rate() == params_.analog_fs,
-                  "FrontEnd::process_baseband: configure analog_fs to match the input");
-  dsp::IqArena rails;
-  rails.load(x.samples().data(), x.size());
-  process_baseband(rails.i.data(), rails.q.data(), x.size(), input_noise_variance, rng);
-  CplxWaveform y(0, x.sample_rate());
-  rails.store(y.samples());
-  return y;
+void FrontEnd::set_notch(double f0_offset_hz) {
+  notch_.emplace(f0_offset_hz, params_.analog_fs);
 }
 
 void FrontEnd::process_baseband(double* x_i, double* x_q, std::size_t n,
@@ -98,37 +58,10 @@ void FrontEnd::process_baseband(double* x_i, double* x_q, std::size_t n,
   // Optional interferer notch.
   if (notch_.has_value()) {
     notch_->reset();
-    const CplxWaveform y = notch_->process(CplxWaveform(to_complex(x_i, x_q, n), fs));
-    from_complex(y.samples(), x_i, x_q);
+    notch_->process(x_i, x_q, n);
   }
   // AGC loads the ADC.
   if (params_.enable_agc) agc_.one_shot(x_i, x_q, n);
-}
-
-CplxWaveform FrontEnd::process_passband(const RealWaveform& rf, double input_noise_variance,
-                                        int decim, Rng& rng) {
-  detail::require(decim >= 1, "process_passband: decimation must be >= 1");
-  RealWaveform amplified = rf;
-  lna_.process(amplified, input_noise_variance, rng);
-
-  Downconverter down(synth_.frequency(), params_.baseband_cutoff_hz, rf.sample_rate(),
-                     params_.iq);
-  CplxWaveform bb = down.process(amplified);
-  synth_.apply_phase_noise(bb.samples(), bb.sample_rate(), rng);
-
-  if (decim > 1) {
-    bb = CplxWaveform(dsp::downsample_raw(bb.samples(), decim), bb.sample_rate() / decim);
-  }
-  if (notch_.has_value()) {
-    notch_->reset();
-    // Re-tune the notch object to the decimated rate domain if needed: the
-    // notch was configured by set_notch with an explicit fs, trust it.
-    bb = notch_->process(bb);
-  }
-  if (params_.enable_agc) {
-    bb = agc_.one_shot(bb);
-  }
-  return bb;
 }
 
 }  // namespace uwb::rf

@@ -4,7 +4,6 @@
 
 #include "common/error.h"
 #include "common/math_utils.h"
-#include "dsp/aligned.h"
 
 namespace uwb::rf {
 
@@ -64,23 +63,6 @@ inline double clip_gain(double re, double im, double sat, double inv_sat2) noexc
 
 double soft_clip_gain(double re, double im, double sat) noexcept {
   return clip_gain(re, im, sat, 1.0 / (sat * sat));
-}
-
-void Lna::process(RealWaveform& x, double input_noise_variance, Rng& rng) const {
-  const double added_var = excess_noise_factor_ * input_noise_variance;
-  const double sigma = std::sqrt(std::max(added_var, 0.0));
-  const double sat = saturation_amplitude(rms(x.samples()));
-  for (auto& v : x.samples()) {
-    if (sigma > 0.0) v += rng.gaussian(0.0, sigma);
-    v = (sat > 0.0 ? soft_clip(v, sat) : v) * gain_amp_;
-  }
-}
-
-void Lna::process(CplxWaveform& x, double input_noise_variance, Rng& rng) const {
-  dsp::IqArena rails;
-  rails.load(x.samples().data(), x.size());
-  process_iq(rails.i.data(), rails.q.data(), x.size(), input_noise_variance, rng);
-  rails.store(x.samples());
 }
 
 void Lna::process_iq(double* x_i, double* x_q, std::size_t n, double input_noise_variance,

@@ -14,7 +14,6 @@
 
 #include "common/rng.h"
 #include "common/types.h"
-#include "common/waveform.h"
 
 namespace uwb::rf {
 
@@ -45,14 +44,9 @@ class Lna {
 
   [[nodiscard]] double gain_linear() const noexcept { return gain_amp_; }
 
-  /// Amplifies a real passband waveform in place.
-  void process(RealWaveform& x, double input_noise_variance, Rng& rng) const;
-
-  /// Amplifies a complex baseband waveform in place (envelope compression).
-  void process(CplxWaveform& x, double input_noise_variance, Rng& rng) const;
-
-  /// Split-I/Q form of the complex overload: amplifies the \p n-sample
-  /// rails in place. The limiter gain is soft_clip_gain().
+  /// Amplifies a complex baseband signal held as \p n-sample split-I/Q
+  /// rails in place (envelope compression). The limiter gain is
+  /// soft_clip_gain().
   void process_iq(double* x_i, double* x_q, std::size_t n, double input_noise_variance,
                   Rng& rng) const;
 

@@ -4,44 +4,8 @@
 
 #include "common/error.h"
 #include "common/math_utils.h"
-#include "dsp/filter_design.h"
 
 namespace uwb::rf {
-
-Downconverter::Downconverter(double lo_freq_hz, double baseband_cutoff_hz, double fs,
-                             const IqImpairments& impairments, std::size_t lpf_taps)
-    : lo_freq_(lo_freq_hz), fs_(fs), imp_(impairments) {
-  detail::require(lo_freq_hz > 0.0 && lo_freq_hz < fs / 2.0,
-                  "Downconverter: LO must be in (0, fs/2)");
-  detail::require(baseband_cutoff_hz > 0.0 && baseband_cutoff_hz < fs / 2.0,
-                  "Downconverter: cutoff must be in (0, fs/2)");
-  lpf_ = dsp::design_lowpass(baseband_cutoff_hz, fs, lpf_taps);
-  const double half_imb = db_to_amp(imp_.gain_imbalance_db / 2.0);
-  gain_i_ = half_imb;
-  gain_q_ = 1.0 / half_imb;
-}
-
-CplxWaveform Downconverter::process(const RealWaveform& rf) const {
-  detail::require(rf.sample_rate() == fs_, "Downconverter: sample-rate mismatch");
-  const std::size_t n = rf.size();
-  const double w = two_pi * lo_freq_ / fs_;
-  const double lo_leak_amp = db_to_amp(imp_.lo_leakage_db);
-
-  // Mix: I = 2 x cos(wt) * gi, Q = -2 x sin(wt + phase_error) * gq.
-  CplxVec mixed(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = w * static_cast<double>(i);
-    const double x = rf[i] + lo_leak_amp * std::cos(t);  // LO feedthrough into the RF port
-    const double i_rail = 2.0 * x * std::cos(t) * gain_i_ + imp_.dc_offset_i;
-    const double q_rail =
-        -2.0 * x * std::sin(t + imp_.phase_imbalance_rad) * gain_q_ + imp_.dc_offset_q;
-    mixed[i] = {i_rail, q_rail};
-  }
-  // Post-mix lowpass removes the 2 fc image. The long LPF over an RF-rate
-  // capture is the mixer's dominant cost; dsp::convolve_same dispatches it
-  // to overlap-save FFT convolution (see dsp/fast_convolve.h).
-  return CplxWaveform(dsp::convolve_same(mixed, lpf_), fs_);
-}
 
 Upconverter::Upconverter(double lo_freq_hz, double fs, const IqImpairments& impairments)
     : lo_freq_(lo_freq_hz), fs_(fs), imp_(impairments) {
@@ -84,17 +48,6 @@ CplxWaveform apply_iq_impairments(const CplxWaveform& x, const IqImpairments& im
     out[i] = a * x[i] + b * std::conj(x[i]) + dc;
   }
   return CplxWaveform(std::move(out), x.sample_rate());
-}
-
-double image_rejection_ratio_db(const IqImpairments& imp) {
-  const double half_imb = db_to_amp(imp.gain_imbalance_db / 2.0);
-  const double gi = half_imb, gq = 1.0 / half_imb;
-  const cplx e_minus = std::polar(1.0, -imp.phase_imbalance_rad);
-  const cplx e_plus = std::polar(1.0, imp.phase_imbalance_rad);
-  const double a = std::abs(0.5 * (gi + gq * e_minus));
-  const double b = std::abs(0.5 * (gi - gq * e_plus));
-  if (b < 1e-300) return 300.0;
-  return 20.0 * std::log10(a / b);
 }
 
 }  // namespace uwb::rf

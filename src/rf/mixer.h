@@ -3,13 +3,13 @@
 /// \brief Quadrature conversion between real passband and complex baseband:
 ///        the "direct conversion architecture" of the paper's title.
 ///
-/// Downconversion: y_bb = LPF( 2 x_rf e^{-j 2 pi fc t} ), with the classic
-/// direct-conversion impairments -- I/Q gain and phase imbalance, per-rail
-/// DC offsets, LO leakage. Upconversion is the adjoint for the transmitter.
+/// The receive side's classic direct-conversion impairments -- I/Q gain and
+/// phase imbalance, per-rail DC offsets -- apply at complex baseband
+/// (apply_iq_impairments); the upconverter synthesizes real passband for
+/// the pulse figures, with the same impairments and LO leakage.
 
 #include "common/types.h"
 #include "common/waveform.h"
-#include "dsp/fir_filter.h"
 
 namespace uwb::rf {
 
@@ -25,27 +25,6 @@ struct IqImpairments {
     return gain_imbalance_db == 0.0 && phase_imbalance_rad == 0.0 && dc_offset_i == 0.0 &&
            dc_offset_q == 0.0 && lo_leakage_db <= -99.0;
   }
-};
-
-/// Quadrature downconverter (RF real passband -> complex baseband).
-class Downconverter {
- public:
-  /// \p lo_freq_hz is the LO (channel center); \p baseband_cutoff_hz the
-  /// post-mix lowpass edge; \p fs the passband sample rate.
-  Downconverter(double lo_freq_hz, double baseband_cutoff_hz, double fs,
-                const IqImpairments& impairments = {}, std::size_t lpf_taps = 127);
-
-  [[nodiscard]] double lo_frequency() const noexcept { return lo_freq_; }
-
-  /// Converts; output remains at the passband sample rate (decimate after).
-  [[nodiscard]] CplxWaveform process(const RealWaveform& rf) const;
-
- private:
-  double lo_freq_;
-  double fs_;
-  IqImpairments imp_;
-  RealVec lpf_;
-  double gain_i_, gain_q_;
 };
 
 /// Quadrature upconverter (complex baseband -> RF real passband).
@@ -71,8 +50,5 @@ class Upconverter {
 /// synthesizing 21+ GS/s passband). Models the same gain/phase imbalance
 /// and DC offsets as the passband path.
 CplxWaveform apply_iq_impairments(const CplxWaveform& x, const IqImpairments& imp);
-
-/// Image-rejection ratio implied by a gain/phase imbalance pair [dB].
-double image_rejection_ratio_db(const IqImpairments& imp);
 
 }  // namespace uwb::rf

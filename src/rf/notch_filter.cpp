@@ -7,19 +7,6 @@
 
 namespace uwb::rf {
 
-RealNotch::RealNotch(double f0_hz, double q, double fs)
-    : f0_(f0_hz), q_(q), fs_(fs), biquad_(dsp::design_notch(f0_hz, q, fs)) {}
-
-void RealNotch::tune(double f0_hz) {
-  f0_ = f0_hz;
-  biquad_.set_coeffs(dsp::design_notch(f0_hz, q_, fs_));
-}
-
-RealWaveform RealNotch::process(const RealWaveform& x) {
-  detail::require(x.sample_rate() == fs_, "RealNotch: sample-rate mismatch");
-  return RealWaveform(biquad_.process(x.samples()), fs_);
-}
-
 ComplexNotch::ComplexNotch(double f0_hz, double fs, double pole_radius)
     : f0_(f0_hz), fs_(fs), r_(pole_radius) {
   detail::require(fs > 0.0, "ComplexNotch: fs must be positive");
@@ -29,27 +16,16 @@ ComplexNotch::ComplexNotch(double f0_hz, double fs, double pole_radius)
   zero_rot_ = std::polar(1.0, two_pi * f0_ / fs_);
 }
 
-void ComplexNotch::tune(double f0_hz) {
-  detail::require(std::abs(f0_hz) < fs_ / 2.0, "ComplexNotch::tune: |f0| must be < fs/2");
-  f0_ = f0_hz;
-  zero_rot_ = std::polar(1.0, two_pi * f0_ / fs_);
-}
-
-double ComplexNotch::bandwidth_3db_hz() const noexcept {
-  return fs_ * (1.0 - r_) / pi;
-}
-
-CplxWaveform ComplexNotch::process(const CplxWaveform& x) {
-  detail::require(x.sample_rate() == fs_, "ComplexNotch: sample-rate mismatch");
-  CplxVec out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
+void ComplexNotch::process(double* x_i, double* x_q, std::size_t n) noexcept {
+  for (std::size_t k = 0; k < n; ++k) {
     // y[n] = x[n] - e^{jw0} x[n-1] + r e^{jw0} y[n-1]
-    const cplx y = x[i] - zero_rot_ * prev_in_ + r_ * zero_rot_ * state_;
-    prev_in_ = x[i];
+    const cplx x(x_i[k], x_q[k]);
+    const cplx y = x - zero_rot_ * prev_in_ + r_ * zero_rot_ * state_;
+    prev_in_ = x;
     state_ = y;
-    out[i] = y;
+    x_i[k] = y.real();
+    x_q[k] = y.imag();
   }
-  return CplxWaveform(std::move(out), fs_);
 }
 
 cplx ComplexNotch::response_at(double f_hz) const {

@@ -5,38 +5,14 @@
 ///        "that may be used in the front end notch filter" (paper Section 3)
 ///        -- this is that filter.
 ///
-/// Two variants:
-///  * RealNotch: biquad pair notching +/- f0 in a real passband signal.
-///  * ComplexNotch: first-order complex coefficient notch killing a single
-///    signed baseband frequency, the natural form after direct conversion.
+/// A first-order complex coefficient notch kills a single signed baseband
+/// frequency, the natural form after direct conversion.
+
+#include <cstddef>
 
 #include "common/types.h"
-#include "common/waveform.h"
-#include "dsp/biquad.h"
 
 namespace uwb::rf {
-
-/// Real-signal notch (wraps an RBJ biquad).
-class RealNotch {
- public:
-  RealNotch(double f0_hz, double q, double fs);
-
-  [[nodiscard]] double center_frequency() const noexcept { return f0_; }
-
-  /// Re-tunes the notch (state preserved; a real front end would glitch,
-  /// which the settle-time parameter of the caller accounts for).
-  void tune(double f0_hz);
-
-  [[nodiscard]] RealWaveform process(const RealWaveform& x);
-
-  void reset() noexcept { biquad_.reset(); }
-
- private:
-  double f0_;
-  double q_;
-  double fs_;
-  dsp::Biquad<double> biquad_;
-};
 
 /// Complex baseband notch: H(z) = (1 - e^{jw0} z^-1) / (1 - r e^{jw0} z^-1).
 /// Unity gain far from w0, zero exactly at w0; \p pole_radius r in (0,1)
@@ -48,14 +24,12 @@ class ComplexNotch {
   [[nodiscard]] double center_frequency() const noexcept { return f0_; }
   [[nodiscard]] double pole_radius() const noexcept { return r_; }
 
-  void tune(double f0_hz);
+  /// Filters \p n samples at fs in place on split I/Q rails, continuing
+  /// from the state the previous call left (reset() starts afresh).
+  void process(double* x_i, double* x_q, std::size_t n) noexcept;
 
-  /// Notch depth is infinite at f0; 3 dB width ~ fs (1-r)/pi.
-  [[nodiscard]] double bandwidth_3db_hz() const noexcept;
-
-  [[nodiscard]] CplxWaveform process(const CplxWaveform& x);
-
-  /// Response at a frequency (verification).
+  /// The analytic response H(e^{j 2 pi f / fs}): the reference the
+  /// recurrence's steady state is checked against.
   [[nodiscard]] cplx response_at(double f_hz) const;
 
   void reset() noexcept { state_ = cplx{}; prev_in_ = cplx{}; }

@@ -14,7 +14,6 @@ Synthesizer::Synthesizer(const pulse::BandPlan& plan, const SynthesizerParams& p
   detail::require(params.loop_bandwidth_hz > 0.0, "Synthesizer: loop bandwidth must be > 0");
 }
 
-double Synthesizer::frequency() const noexcept { return plan_.channels()[channel_].center_hz; }
 
 double Synthesizer::tune(int channel) {
   detail::require(channel >= 0 && channel < static_cast<int>(plan_.num_channels()),

@@ -27,8 +27,6 @@ class Synthesizer {
   /// Currently selected channel index.
   [[nodiscard]] int channel() const noexcept { return channel_; }
 
-  /// Current LO frequency [Hz].
-  [[nodiscard]] double frequency() const noexcept;
 
   /// Switches to \p channel; returns the settle time the hop costs.
   double tune(int channel);

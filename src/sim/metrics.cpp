@@ -18,25 +18,6 @@ double BerCounter::ci95_halfwidth() const noexcept {
   return half;
 }
 
-void RunningStats::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const noexcept {
-  return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
 double MetricStats::variance() const noexcept {
   if (count < 2) return 0.0;
   const double n = static_cast<double>(count);
@@ -54,28 +35,11 @@ MetricStats& MetricSet::entry(const std::string& name) {
 
 void MetricSet::add(const std::string& name, double value) { entry(name).add(value); }
 
-void MetricSet::merge(const MetricSet& other) {
-  for (const auto& [name, stats] : other.entries_) {
-    entry(name).merge(stats);
-  }
-}
-
 const MetricStats* MetricSet::find(const std::string& name) const noexcept {
   for (const auto& [key, stats] : entries_) {
     if (key == name) return &stats;
   }
   return nullptr;
-}
-
-double percentile(RealVec values, double p) {
-  detail::require(!values.empty(), "percentile: empty sample");
-  detail::require(p >= 0.0 && p <= 100.0, "percentile: p must be in [0,100]");
-  std::sort(values.begin(), values.end());
-  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= values.size()) return values.back();
-  return values[lo] * (1.0 - frac) + values[lo + 1] * frac;
 }
 
 }  // namespace uwb::sim

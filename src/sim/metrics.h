@@ -1,8 +1,8 @@
 #pragma once
 /// \file metrics.h
-/// \brief Measurement bookkeeping: BER counters with confidence intervals,
-///        running statistics, percentiles, and the named-metric reductions
-///        (count / sum / sum-of-squares) the sweep engine accumulates.
+/// \brief Measurement bookkeeping: BER counters with confidence intervals
+///        and the named-metric reductions (count / sum / sum-of-squares) the
+///        sweep engine accumulates.
 
 #include <cstddef>
 #include <string>
@@ -41,29 +41,6 @@ class BerCounter {
   std::size_t errors_ = 0;
   std::size_t bits_ = 0;
 };
-
-/// Streaming mean/variance/extremes (Welford).
-class RunningStats {
- public:
-  void add(double x) noexcept;
-
-  [[nodiscard]] std::size_t count() const noexcept { return n_; }
-  [[nodiscard]] double mean() const noexcept { return mean_; }
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double min() const noexcept { return min_; }
-  [[nodiscard]] double max() const noexcept { return max_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// p-th percentile (0..100) of a sample vector (copies + sorts).
-double percentile(RealVec values, double p);
 
 /// Reduction state of one named scalar metric: count / sum / sum-of-squares.
 /// This is the representation the sweep engine commits trial metrics into --
@@ -109,9 +86,6 @@ class MetricSet {
  public:
   /// Adds one observation of \p name (creates the entry on first sight).
   void add(const std::string& name, double value);
-
-  /// Merges another set (entries absent here are appended in order).
-  void merge(const MetricSet& other);
 
   [[nodiscard]] const std::vector<std::pair<std::string, MetricStats>>& entries()
       const noexcept {

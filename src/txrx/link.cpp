@@ -195,28 +195,6 @@ channel::SvParams ensemble_sv_params(int cm, Generation gen) {
 
 // ------------------------------------------------------------- LinkSpec ----
 
-LinkSpec LinkSpec::for_gen1(Gen1Config config) {
-  return for_gen1(std::move(config), default_options(Generation::kGen1));
-}
-
-LinkSpec LinkSpec::for_gen1(Gen1Config config, TrialOptions options) {
-  LinkSpec spec;
-  spec.config = std::move(config);
-  spec.options = std::move(options);
-  return spec;
-}
-
-LinkSpec LinkSpec::for_gen2(Gen2Config config) {
-  return for_gen2(std::move(config), default_options(Generation::kGen2));
-}
-
-LinkSpec LinkSpec::for_gen2(Gen2Config config, TrialOptions options) {
-  LinkSpec spec;
-  spec.config = std::move(config);
-  spec.options = std::move(options);
-  return spec;
-}
-
 LinkCaps generation_caps(Generation gen) {
   LinkCaps caps;
   caps.generation = gen;

@@ -276,14 +276,6 @@ struct LinkSpec {
   [[nodiscard]] const Gen2Config& gen2() const { return std::get<Gen2Config>(config); }
   [[nodiscard]] Gen1Config& gen1() { return std::get<Gen1Config>(config); }
   [[nodiscard]] Gen2Config& gen2() { return std::get<Gen2Config>(config); }
-
-  /// Spec for a gen-1 link with the gen-1 option defaults.
-  [[nodiscard]] static LinkSpec for_gen1(Gen1Config config);
-  [[nodiscard]] static LinkSpec for_gen1(Gen1Config config, TrialOptions options);
-
-  /// Spec for a gen-2 link with the gen-2 option defaults.
-  [[nodiscard]] static LinkSpec for_gen2(Gen2Config config);
-  [[nodiscard]] static LinkSpec for_gen2(Gen2Config config, TrialOptions options);
 };
 
 /// Generation-level capability flags without constructing any hardware

@@ -247,12 +247,6 @@ Gen1ConverterImage Gen1Receiver::converter_image(std::span<const float> g, std::
   return image;
 }
 
-const Gen1NoiseFactor& Gen1Receiver::noise_factor(AdcWindow block, std::size_t n, double fs) {
-  const std::optional<LanePlan> plan = lane_plan(fs);
-  detail::require(plan.has_value(), "Gen1Receiver: noise factors need a lane plan");
-  return factor_for(*plan, block, n);
-}
-
 void Gen1Receiver::color_noise(std::span<const AdcWindow> blocks, std::size_t n, double fs,
                                const float* white, float* values) {
   const std::optional<LanePlan> plan = lane_plan(fs);

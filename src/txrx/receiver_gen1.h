@@ -221,22 +221,19 @@ class Gen1Receiver {
   [[nodiscard]] Gen1ConverterImage converter_image(std::span<const float> g, std::size_t phase,
                                                    double fs) const;
 
-  /// The noise factor of ADC \p block of an \p n-sample capture, the block
-  /// starting on lane 0 and reading only inside the capture. A is measured
-  /// by pushing unit impulses through the receiver's own FIR and lane
-  /// interpolation. Built lazily, once per block length, and kept for the
-  /// receiver's life: such a block's A depends on its length alone.
-  /// \throws InvalidArgument for any other block.
-  [[nodiscard]] const Gen1NoiseFactor& noise_factor(AdcWindow block, std::size_t n, double fs);
-
   /// Colors the converter path's noise: block by block, \p values (the
   /// blocks' samples, packed) += L * \p white (as packed), L each block's
-  /// noise_factor().
+  /// noise factor. A block starts on lane 0 and reads only inside the
+  /// \p n-sample capture (\throws InvalidArgument otherwise); its A is
+  /// measured by pushing unit impulses through the receiver's own FIR and
+  /// lane interpolation. Factors are built lazily, once per block length,
+  /// and kept for the receiver's life: such a block's A depends on its
+  /// length alone.
   void color_noise(std::span<const AdcWindow> blocks, std::size_t n, double fs,
                    const float* white, float* values);
 
   /// Block by block, \p v (packed as the blocks) := L^-1 v, L each block's
-  /// noise_factor(): a direction of the converter samples mapped onto the
+  /// noise factor: a direction of the converter samples mapped onto the
   /// white draws color_noise() colors.
   void whiten(std::span<const AdcWindow> blocks, std::size_t n, double fs, double* v);
 
@@ -296,7 +293,7 @@ class Gen1Receiver {
   [[nodiscard]] bool interior(const LanePlan& plan, AdcWindow block,
                               std::size_t n) const noexcept;
 
-  /// noise_factor() under the lane plan \p plan.
+  /// noise factor (color_noise()) under the lane plan \p plan.
   const Gen1NoiseFactor& factor_for(const LanePlan& plan, AdcWindow block, std::size_t n);
 
   /// The analog samples [first, last) of an \p n-sample capture that ADC
@@ -322,7 +319,7 @@ class Gen1Receiver {
   std::vector<float> ws_taps_f_;         ///< the pulse template in float
   RealVec lane_skews_s_;  ///< static per-lane skews, built once at construction
 
-  /// Noise factors by block length (see noise_factor).
+  /// Noise factors by block length (see color_noise).
   std::map<std::size_t, Gen1NoiseFactor> factors_;
 
   /// Every input decision_blocks() reads: blocks_ is its plan for

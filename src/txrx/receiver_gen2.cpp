@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "adc/quantizer.h"
 #include "common/error.h"
 #include "common/math_utils.h"
 #include "dsp/aligned.h"
@@ -89,17 +88,6 @@ void Gen2Receiver::run_analog_digital(std::span<double> rx_i, std::span<double> 
   set_rate(a.adc_out, config_.adc_rate);
 }
 
-Gen2RxResult Gen2Receiver::receive(const CplxWaveform& rx, const Gen2Transmitter& tx,
-                                   const TxFrame& tx_reference, const Gen2RxOptions& options,
-                                   Rng& rng, const BitVec* expected_payload) {
-  detail::require(rx.sample_rate() == front_end_.params().analog_fs,
-                  "FrontEnd::process_baseband: configure analog_fs to match the input");
-  dsp::IqArena split;
-  split.load(rx.samples().data(), rx.size());
-  return receive({split.i.data(), rx.size()}, {split.q.data(), rx.size()}, tx, tx_reference,
-                 options, rng, expected_payload);
-}
-
 Gen2RxResult Gen2Receiver::receive(std::span<double> rx_i, std::span<double> rx_q,
                                    const Gen2Transmitter& tx, const TxFrame& tx_reference,
                                    const Gen2RxOptions& options, Rng& rng,
@@ -129,7 +117,7 @@ Gen2RxResult Gen2Receiver::receive(std::span<double> rx_i, std::span<double> rx_
     if (result.interferer.detected && options.auto_notch) {
       // The monitor's estimate drives the front-end notch; the packet is
       // reprocessed through the (analog) chain with the notch engaged.
-      front_end_.set_notch(result.interferer.frequency_hz, config_.analog_fs);
+      front_end_.set_notch(result.interferer.frequency_hz);
       run_analog_digital({arenas.replay.i.data(), rx_i.size()},
                          {arenas.replay.q.data(), rx_q.size()}, options.noise_variance,
                          analog_rng_replay);

@@ -66,17 +66,11 @@ class Gen2Receiver {
   /// packets. Converter hardware (SAR mismatch) stays as constructed.
   [[nodiscard]] Gen2Config& mutable_config() noexcept { return config_; }
 
-  /// Processes a received complex-baseband capture. \p tx_reference carries
-  /// the frame layout (known preamble etc.); \p expected_payload enables
-  /// error counting when provided.
-  [[nodiscard]] Gen2RxResult receive(const CplxWaveform& rx, const Gen2Transmitter& tx,
-                                     const TxFrame& tx_reference,
-                                     const Gen2RxOptions& options, Rng& rng,
-                                     const BitVec* expected_payload = nullptr);
-
-  /// The same receiver on a capture held as split I/Q rails at analog_fs
-  /// (equal lengths). The analog chain conditions the rails in place, so
-  /// they hold no meaningful samples afterwards.
+  /// Processes a received complex-baseband capture held as split I/Q rails
+  /// at analog_fs (equal lengths). The analog chain conditions the rails in
+  /// place, so they hold no meaningful samples afterwards. \p tx_reference
+  /// carries the frame layout (known preamble etc.); \p expected_payload
+  /// enables error counting when provided.
   [[nodiscard]] Gen2RxResult receive(std::span<double> rx_i, std::span<double> rx_q,
                                      const Gen2Transmitter& tx, const TxFrame& tx_reference,
                                      const Gen2RxOptions& options, Rng& rng,

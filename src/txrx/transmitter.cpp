@@ -5,10 +5,8 @@
 
 #include "common/error.h"
 #include "dsp/correlator.h"
-#include "dsp/resampler.h"
-#include "phy/scrambler.h"
+#include "phy/lfsr.h"
 #include "pulse/pulse_train.h"
-#include "rf/mixer.h"
 
 namespace uwb::txrx {
 
@@ -69,21 +67,6 @@ Gen1Train Gen1Transmitter::transmit_train(const BitVec& payload) const {
   frame.payload_symbols = pkt.payload.size();
   frame.body_bits = pkt.payload.size();
   return train;
-}
-
-std::pair<RealWaveform, TxFrame> Gen1Transmitter::transmit(const BitVec& payload) const {
-  Gen1Train train = transmit_train(payload);
-
-  std::vector<pulse::PulseSlot> slots;
-  slots.reserve(train.amplitudes.size());
-  for (double a : train.amplitudes) slots.push_back(pulse::PulseSlot{a, 0.0});
-
-  pulse::PulseTrainSpec spec;
-  spec.prf_hz = config_.prf_hz();
-  spec.pulses_per_bit = config_.pulses_per_bit;
-  spec.sample_rate_hz = config_.analog_fs;
-  RealWaveform wave = pulse::build_train(pulse_, slots, spec);
-  return {std::move(wave), std::move(train.frame)};
 }
 
 // ---------------------------------------------------------------- Gen-2 ----
@@ -189,33 +172,6 @@ void Gen2Transmitter::synthesize(const Gen2Train& train, std::size_t first, std:
                                  double* out) const {
   dsp::shifted_sum(train.amplitudes.data(), train.offsets.data(), train.amplitudes.size(),
                    pulse_.samples().data(), pulse_.size(), first, count, out);
-}
-
-std::pair<CplxWaveform, TxFrame> Gen2Transmitter::transmit(const BitVec& payload) const {
-  Gen2Train train = transmit_train(payload);
-  RealVec dense(train.length);
-  synthesize(train, 0, train.length, dense.data());
-  CplxVec samples(dense.size());
-  for (std::size_t i = 0; i < dense.size(); ++i) samples[i] = cplx(dense[i], 0.0);
-  return {CplxWaveform(std::move(samples), config_.analog_fs), std::move(train.frame)};
-}
-
-RealWaveform Gen2Transmitter::transmit_passband(const CplxWaveform& baseband,
-                                                double rf_fs) const {
-  const pulse::BandPlan plan;
-  const double fc = plan.center_frequency(config_.channel_index);
-  detail::require(rf_fs > 2.0 * (fc + config_.pulse.bandwidth_hz),
-                  "transmit_passband: rf_fs too low for the selected channel");
-  // Interpolate baseband to the RF rate, then quadrature-upconvert.
-  const auto factor = static_cast<int>(std::llround(rf_fs / baseband.sample_rate()));
-  detail::require(std::abs(rf_fs - factor * baseband.sample_rate()) < 1.0,
-                  "transmit_passband: rf_fs must be an integer multiple of analog_fs");
-  CplxWaveform up = baseband;
-  if (factor > 1) {
-    up = dsp::upsample(baseband, factor, 95);
-  }
-  const rf::Upconverter upc(fc, rf_fs, config_.front_end.iq);
-  return upc.process(up);
 }
 
 }  // namespace uwb::txrx

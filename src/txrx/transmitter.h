@@ -1,8 +1,8 @@
 #pragma once
 /// \file transmitter.h
-/// \brief Transmitters of both generations: packet bits to radiated
-///        waveform (real baseband for gen-1, complex baseband -- optionally
-///        upconverted to real passband -- for gen-2).
+/// \brief Transmitters of both generations: packet bits to the radiated
+///        pulse train (real baseband for gen-1, complex baseband for gen-2),
+///        held as slot amplitudes on the PRF grid.
 
 #include <memory>
 
@@ -37,7 +37,7 @@ struct TxFrame {
 /// dozen monocycle samples per ~1300-sample frame -- so the fast channel
 /// path consumes this directly (y = sum_k a_k * g[n - k*frame] with
 /// g = prototype convolved with the CIR) without ever synthesizing the
-/// dense waveform. build from Gen1Transmitter::transmit_train.
+/// dense waveform. Built by Gen1Transmitter::transmit_train.
 struct Gen1Train {
   std::vector<double> amplitudes;  ///< slot weights, one per PRF frame
   TxFrame frame;
@@ -64,15 +64,11 @@ class Gen1Transmitter {
 
   [[nodiscard]] const Gen1Config& config() const noexcept { return config_; }
 
-  /// Frames \p payload and synthesizes the baseband waveform at analog_fs.
-  /// For gen-1, TxFrame::frame_bits holds the *data-section* bits only
-  /// (SFD + header + payload + CRC); TxFrame::preamble_bits counts the
-  /// pulse-level preamble chips.
-  [[nodiscard]] std::pair<RealWaveform, TxFrame> transmit(const BitVec& payload) const;
-
-  /// Frames \p payload into the sparse slot-amplitude form; transmit() is
-  /// exactly build_train over these slots, so the two views describe the
-  /// same on-air signal.
+  /// Frames \p payload into the sparse slot-amplitude form: slot k carries
+  /// the prototype at analog sample k * frame_samples_analog(). For gen-1,
+  /// TxFrame::frame_bits holds the *data-section* bits only (SFD + header +
+  /// payload + CRC); TxFrame::preamble_bits counts the pulse-level preamble
+  /// chips.
   [[nodiscard]] Gen1Train transmit_train(const BitVec& payload) const;
 
   /// The spreading chip sequence (+/-1) applied across the pulses of a bit.
@@ -109,10 +105,6 @@ class Gen2Transmitter {
 
   [[nodiscard]] const Gen2Config& config() const noexcept { return config_; }
 
-  /// Frames \p payload and synthesizes complex baseband at analog_fs (the
-  /// dense train of transmit_train, promoted to complex).
-  [[nodiscard]] std::pair<CplxWaveform, TxFrame> transmit(const BitVec& payload) const;
-
   /// Frames \p payload into slot form. frame.energy_per_bit is measured on
   /// the dense train (synthesized block by block, never stored whole), so
   /// both views carry the same Eb to the last bit.
@@ -123,11 +115,6 @@ class Gen2Transmitter {
   /// (dsp::shifted_sum; the offsets are non-decreasing by construction).
   void synthesize(const Gen2Train& train, std::size_t first, std::size_t count,
                   double* out) const;
-
-  /// Real passband synthesis at \p rf_fs (>= 2x the channel's top edge)
-  /// through the quadrature upconverter -- used by passband demos/benches.
-  [[nodiscard]] RealWaveform transmit_passband(const CplxWaveform& baseband,
-                                               double rf_fs) const;
 
   /// RRC prototype at analog_fs.
   [[nodiscard]] const RealWaveform& prototype() const noexcept { return pulse_; }

@@ -132,7 +132,7 @@ TEST(CodedLink, DecodesCleanlyAtModerateSnr) {
   txrx::TrialOptions options;
   options.payload_bits = 200;
   options.ebn0_db = 6.0;
-  options.fec = fec::k3_rate_half();
+  options.fec = fec::ConvCode{};
   std::size_t bits = 0, errors = 0;
   for (int p = 0; p < 5; ++p) {
     const auto trial = link.run_packet(options);
@@ -148,7 +148,7 @@ TEST(CodedLink, RequiresBpsk) {
   config.modulation = phy::Modulation::kPpm;
   txrx::Gen2Link link(config, 0xC2DE);
   txrx::TrialOptions options;
-  options.fec = fec::k3_rate_half();
+  options.fec = fec::ConvCode{};
   EXPECT_THROW((void)link.run_packet(options), InvalidArgument);
 }
 

@@ -1,8 +1,9 @@
-// Tests for the data-converter models: uniform quantizer, flash,
+// Tests for the data-converter models: flash,
 // time-interleaved flash (gen-1), SAR (gen-2), sample-and-hold.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <utility>
@@ -10,7 +11,6 @@
 
 #include "common/error.h"
 #include "adc/flash_adc.h"
-#include "adc/quantizer.h"
 #include "adc/sampling.h"
 #include "adc/sar_adc.h"
 #include "common/math_utils.h"
@@ -19,50 +19,13 @@
 namespace uwb::adc {
 namespace {
 
-// -------------------------------------------------------------- uniform ----
-
-TEST(UniformQuantizer, CodesAndLevels) {
-  UniformQuantizer q(2, 1.0);  // 4 codes over [-1, 1], LSB 0.5
-  EXPECT_DOUBLE_EQ(q.lsb(), 0.5);
-  EXPECT_EQ(q.convert(-2.0), 0);  // clipped low
-  EXPECT_EQ(q.convert(-0.9), 0);
-  EXPECT_EQ(q.convert(-0.3), 1);
-  EXPECT_EQ(q.convert(0.3), 2);
-  EXPECT_EQ(q.convert(0.9), 3);
-  EXPECT_EQ(q.convert(2.0), 3);   // clipped high
-  EXPECT_DOUBLE_EQ(q.level_of(0), -0.75);
-  EXPECT_DOUBLE_EQ(q.level_of(3), 0.75);
-}
-
-TEST(UniformQuantizer, OneBitIsSignDetector) {
-  UniformQuantizer q(1, 1.0);
-  EXPECT_EQ(q.convert(-0.01), 0);
-  EXPECT_EQ(q.convert(0.01), 1);
-  EXPECT_DOUBLE_EQ(q.level_of(0), -0.5);
-  EXPECT_DOUBLE_EQ(q.level_of(1), 0.5);
-}
-
-TEST(UniformQuantizer, SqnrTracksSixDbPerBit) {
-  // Quantize a full-scale sine and check the 6.02 b + 1.76 dB law.
-  Rng rng(1);
-  for (int bits : {4, 6, 8}) {
-    UniformQuantizer q(bits, 1.0);
-    double sig = 0.0, err = 0.0;
-    const std::size_t n = 100000;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double x = std::sin(two_pi * static_cast<double>(i) * 0.013771);
-      const double y = q.level_of(q.convert(x));
-      sig += x * x;
-      err += (y - x) * (y - x);
-    }
-    const double sqnr_db = to_db(sig / err);
-    EXPECT_NEAR(sqnr_db, ideal_sqnr_db(bits), 1.0) << "bits=" << bits;
-  }
-}
-
-TEST(UniformQuantizer, RejectsBadConfig) {
-  EXPECT_THROW(UniformQuantizer(0, 1.0), InvalidArgument);
-  EXPECT_THROW(UniformQuantizer(4, -1.0), InvalidArgument);
+/// The ideal mid-rise quantizer over [-1, 1]: the code a converter without
+/// mismatch or noise must produce.
+int ideal_code(double x, int bits) {
+  const int num_codes = 1 << bits;
+  const double lsb = 2.0 / num_codes;
+  return static_cast<int>(
+      std::clamp(std::floor((x + 1.0) / lsb), 0.0, static_cast<double>(num_codes - 1)));
 }
 
 // ---------------------------------------------------------------- flash ----
@@ -73,10 +36,36 @@ TEST(FlashAdc, IdealMatchesUniform) {
   params.bits = 4;
   params.comparator_offset_sigma = 0.0;
   FlashAdc flash(params, rng);
-  UniformQuantizer ref(4, 1.0);
   for (double x = -1.2; x <= 1.2; x += 0.01) {
-    EXPECT_EQ(flash.convert(x), ref.convert(x)) << "x=" << x;
+    EXPECT_EQ(flash.convert(x), ideal_code(x, 4)) << "x=" << x;
   }
+}
+
+TEST(FlashAdc, CodesAndLevels) {
+  // 4 codes over [-1, 1], LSB 0.5; clipped at both ends.
+  Rng rng(1);
+  FlashParams params;
+  params.bits = 2;
+  FlashAdc q(params, rng);
+  EXPECT_EQ(q.convert(-2.0), 0);
+  EXPECT_EQ(q.convert(-0.9), 0);
+  EXPECT_EQ(q.convert(-0.3), 1);
+  EXPECT_EQ(q.convert(0.3), 2);
+  EXPECT_EQ(q.convert(0.9), 3);
+  EXPECT_EQ(q.convert(2.0), 3);
+  EXPECT_DOUBLE_EQ(q.level_of(0), -0.75);
+  EXPECT_DOUBLE_EQ(q.level_of(3), 0.75);
+  params.bits = 1;  // one bit is a sign detector
+  FlashAdc sign(params, rng);
+  EXPECT_EQ(sign.convert(-0.01), 0);
+  EXPECT_EQ(sign.convert(0.01), 1);
+  EXPECT_DOUBLE_EQ(sign.level_of(0), -0.5);
+  EXPECT_DOUBLE_EQ(sign.level_of(1), 0.5);
+  params.bits = 0;
+  EXPECT_THROW(FlashAdc(params, rng), InvalidArgument);
+  params.bits = 4;
+  params.full_scale = -1.0;
+  EXPECT_THROW(FlashAdc(params, rng), InvalidArgument);
 }
 
 TEST(FlashAdc, OffsetsPerturbThresholds) {
@@ -123,10 +112,11 @@ TEST(TimeInterleaved, RoundRobinLanes) {
   mm.offset_sigma = 0.2;  // large, to tell lanes apart
   TimeInterleavedAdc adc(4, lane, mm, rng);
   EXPECT_EQ(adc.num_lanes(), 4);
-  // Constant input: codes repeat with period 4 (per-lane offsets differ).
-  std::vector<int> codes;
-  for (int i = 0; i < 16; ++i) codes.push_back(adc.convert(0.0));
-  for (int i = 0; i < 12; ++i) EXPECT_EQ(codes[i], codes[i + 4]);
+  // Constant input: levels repeat with period 4 (per-lane offsets differ).
+  const std::vector<float> x(16, 0.0f);
+  std::vector<float> levels(x.size());
+  adc.convert_block(x.data(), x.size(), levels.data());
+  for (int i = 0; i < 12; ++i) EXPECT_EQ(levels[i], levels[i + 4]);
 }
 
 TEST(TimeInterleaved, MismatchCreatesSpurs) {
@@ -140,11 +130,17 @@ TEST(TimeInterleaved, MismatchCreatesSpurs) {
   TimeInterleavedAdc good(4, lane, matched, rng);
   TimeInterleavedAdc bad(4, lane, mismatched, rng);
 
+  std::vector<float> x(20000);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = static_cast<float>(0.8 * std::sin(two_pi * 0.137 * static_cast<double>(i)));
+  }
+  std::vector<float> y_good(x.size()), y_bad(x.size());
+  good.convert_block(x.data(), x.size(), y_good.data());
+  bad.convert_block(x.data(), x.size(), y_bad.data());
   double err_good = 0.0, err_bad = 0.0;
-  for (int i = 0; i < 20000; ++i) {
-    const double x = 0.8 * std::sin(two_pi * 0.137 * i);
-    err_good += std::pow(good.level_of(good.convert(x)) - x, 2);
-    err_bad += std::pow(bad.level_of(bad.convert(x)) - x, 2);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    err_good += std::pow(y_good[i] - x[i], 2);
+    err_bad += std::pow(y_bad[i] - x[i], 2);
   }
   EXPECT_GT(err_bad, 3.0 * err_good);
 }
@@ -156,10 +152,14 @@ TEST(TimeInterleaved, ResetRestartsLaneZero) {
   InterleaveMismatch mm;
   mm.offset_sigma = 0.2;
   TimeInterleavedAdc adc(4, lane, mm, rng);
-  const int first = adc.convert(0.3);
-  (void)adc.convert(0.3);
+  const float x[2] = {0.3f, 0.3f};
+  float first[2];
+  adc.convert_block(x, 2, first);
+  float again = 0.0f;
+  adc.convert_block(x, 1, &again);  // lane 2
   adc.reset();
-  EXPECT_EQ(adc.convert(0.3), first);
+  adc.convert_block(x, 1, &again);
+  EXPECT_EQ(again, first[0]);
 }
 
 TEST(TimeInterleaved, SeekConvertsAWindowAsInsideTheStream) {
@@ -196,9 +196,8 @@ TEST(SarAdc, IdealMatchesUniform) {
   params.cap_mismatch_sigma = 0.0;
   params.comparator_noise = 0.0;
   SarAdc sar(params, rng);
-  UniformQuantizer ref(5, 1.0);
   for (double x = -1.1; x <= 1.1; x += 0.007) {
-    EXPECT_EQ(sar.convert(x), ref.convert(x)) << "x=" << x;
+    EXPECT_EQ(sar.convert(x), ideal_code(x, 5)) << "x=" << x;
   }
 }
 
@@ -329,6 +328,15 @@ TEST(SarAdc, BlockDigitizeDrawsComparatorNoiseLikeConvert) {
 
 // --------------------------------------------------------------- sampling ----
 
+/// One rail through the gen-2 sampler (sample_iq_to with a zero Q rail).
+RealVec sample_rail(const SampleAndHold& sh, const RealVec& x, double fs_in, Rng& rng) {
+  const RealVec zeros(x.size(), 0.0);
+  RealVec out_i(sh.output_size(x.size(), fs_in));
+  RealVec out_q(out_i.size());
+  sh.sample_iq_to(x.data(), zeros.data(), x.size(), fs_in, rng, out_i.data(), out_q.data());
+  return out_i;
+}
+
 TEST(SampleAndHold, IntegerDecimation) {
   SamplingParams params;
   params.adc_rate_hz = 1e9;
@@ -336,9 +344,8 @@ TEST(SampleAndHold, IntegerDecimation) {
   Rng rng(12);
   RealVec x(100);
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = static_cast<double>(i);
-  const RealWaveform y = sh.sample(RealWaveform(x, 4e9), rng);
-  EXPECT_DOUBLE_EQ(y.sample_rate(), 1e9);
-  ASSERT_GE(y.size(), 24u);
+  const RealVec y = sample_rail(sh, x, 4e9, rng);
+  ASSERT_EQ(y.size(), 25u);
   EXPECT_DOUBLE_EQ(y[0], 0.0);
   EXPECT_DOUBLE_EQ(y[1], 4.0);
   EXPECT_DOUBLE_EQ(y[2], 8.0);
@@ -352,7 +359,7 @@ TEST(SampleAndHold, PhaseOffsetInterpolates) {
   Rng rng(13);
   RealVec x(100);
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = static_cast<double>(i);
-  const RealWaveform y = sh.sample(RealWaveform(x, 4e9), rng);
+  const RealVec y = sample_rail(sh, x, 4e9, rng);
   EXPECT_NEAR(y[1], 4.5, 1e-9);
 }
 
@@ -366,8 +373,8 @@ TEST(SampleAndHold, JitterAddsNoiseOnFastSignal) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     x[i] = std::sin(two_pi * 400e6 * static_cast<double>(i) / 4e9);
   }
-  const RealWaveform y0 = SampleAndHold(clean).sample(RealWaveform(x, 4e9), rng_a);
-  const RealWaveform y1 = SampleAndHold(jittery).sample(RealWaveform(x, 4e9), rng_b);
+  const RealVec y0 = sample_rail(SampleAndHold(clean), x, 4e9, rng_a);
+  const RealVec y1 = sample_rail(SampleAndHold(jittery), x, 4e9, rng_b);
   double err = 0.0;
   const std::size_t n = std::min(y0.size(), y1.size());
   for (std::size_t i = 0; i < n; ++i) err += std::pow(y0[i] - y1[i], 2);
@@ -414,7 +421,7 @@ TEST(SampleAndHold, RejectsUpsampling) {
   params.adc_rate_hz = 4e9;
   SampleAndHold sh(params);
   Rng rng(15);
-  EXPECT_THROW((void)sh.sample(RealWaveform(RealVec(10, 0.0), 1e9), rng), Error);
+  EXPECT_THROW((void)sample_rail(sh, RealVec(10, 0.0), 1e9, rng), Error);
 }
 
 }  // namespace

@@ -62,12 +62,7 @@ TEST(MathUtils, Sinc) {
 TEST(MathUtils, PowerAndEnergy) {
   RealVec x = {3.0, -4.0};
   EXPECT_DOUBLE_EQ(energy(x), 25.0);
-  EXPECT_DOUBLE_EQ(mean_power(x), 12.5);
   EXPECT_DOUBLE_EQ(peak_abs(x), 4.0);
-
-  CplxVec z = {{3.0, 4.0}};
-  EXPECT_DOUBLE_EQ(energy(z), 25.0);
-  EXPECT_DOUBLE_EQ(peak_abs(z), 5.0);
 }
 
 TEST(MathUtils, NextPow2) {
@@ -282,23 +277,6 @@ TEST(Waveform, SliceAndDelay) {
   ASSERT_EQ(w.size(), 7u);
   EXPECT_DOUBLE_EQ(w[0], 0.0);
   EXPECT_DOUBLE_EQ(w[2], 1.0);
-}
-
-TEST(Waveform, IqRoundTrip) {
-  CplxWaveform w({{1.0, -2.0}, {3.0, 4.0}}, 10.0);
-  auto [i_rail, q_rail] = to_iq(w);
-  const CplxWaveform back = from_iq(i_rail, q_rail);
-  ASSERT_EQ(back.size(), w.size());
-  for (std::size_t k = 0; k < w.size(); ++k) {
-    EXPECT_DOUBLE_EQ(back[k].real(), w[k].real());
-    EXPECT_DOUBLE_EQ(back[k].imag(), w[k].imag());
-  }
-}
-
-TEST(Waveform, FromIqRejectsMismatch) {
-  const RealWaveform i_rail(4, 1.0);
-  const RealWaveform q_short(3, 1.0);
-  EXPECT_THROW(from_iq(i_rail, q_short), InvalidArgument);
 }
 
 }  // namespace

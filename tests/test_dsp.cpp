@@ -1,5 +1,5 @@
-// Tests for the DSP substrate: FFT, windows, filter design, FIR/IIR,
-// correlators, resampling, PSD.
+// Tests for the DSP substrate: FFT, windows, filter design, FIR,
+// correlators, PSD.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -21,14 +21,12 @@
 #include "common/math_utils.h"
 #include "common/rng.h"
 #include "dsp/aligned.h"
-#include "dsp/biquad.h"
 #include "dsp/correlator.h"
 #include "dsp/fast_convolve.h"
 #include "dsp/fft.h"
 #include "dsp/filter_design.h"
 #include "dsp/fir_filter.h"
 #include "dsp/power_spectrum.h"
-#include "dsp/resampler.h"
 #include "dsp/window.h"
 
 namespace uwb::dsp {
@@ -63,16 +61,6 @@ TEST(Fft, SingleToneLandsInOneBin) {
   }
 }
 
-TEST(Fft, RoundTrip) {
-  Rng rng(3);
-  CplxVec x(128);
-  for (auto& v : x) v = rng.cgaussian();
-  const CplxVec y = ifft(fft(x));
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(std::abs(y[i] - x[i]), 0.0, 1e-10);
-  }
-}
-
 TEST(Fft, ParsevalHolds) {
   Rng rng(4);
   CplxVec x(256);
@@ -89,26 +77,6 @@ TEST(Fft, ParsevalHolds) {
 TEST(Fft, RejectsNonPowerOfTwo) {
   CplxVec x(100);
   EXPECT_THROW(fft_inplace(x), InvalidArgument);
-}
-
-TEST(Fft, ConvolutionMatchesDirect) {
-  Rng rng(5);
-  RealVec a(37), b(12);
-  for (auto& v : a) v = rng.gaussian();
-  for (auto& v : b) v = rng.gaussian();
-  const RealVec direct = convolve(a, b);
-  const RealVec viafft = fft_convolve(a, b);
-  ASSERT_EQ(direct.size(), viafft.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_NEAR(direct[i], viafft[i], 1e-9);
-  }
-}
-
-TEST(Fft, BinFrequencyMapsNegative) {
-  EXPECT_DOUBLE_EQ(bin_frequency(0, 8, 800.0), 0.0);
-  EXPECT_DOUBLE_EQ(bin_frequency(1, 8, 800.0), 100.0);
-  EXPECT_DOUBLE_EQ(bin_frequency(7, 8, 800.0), -100.0);
-  EXPECT_DOUBLE_EQ(bin_frequency(4, 8, 800.0), -400.0);
 }
 
 // ------------------------------------------------------------- fft plan ----
@@ -141,7 +109,7 @@ TEST(FftPlan, MatchesLegacyFreeFunctions) {
   CplxVec x(64);
   for (auto& v : x) v = rng.cgaussian();
   CplxVec via_plan = x;
-  fft_plan(64).forward(via_plan);
+  fft_plan(64).forward(via_plan.data());
   CplxVec via_free = x;
   fft_inplace(via_free);
   for (std::size_t i = 0; i < x.size(); ++i) {
@@ -152,8 +120,6 @@ TEST(FftPlan, MatchesLegacyFreeFunctions) {
 TEST(FftPlan, RejectsBadSizes) {
   EXPECT_THROW(FftPlan(96), InvalidArgument);
   EXPECT_THROW(fft_plan(100), InvalidArgument);
-  CplxVec wrong(32);
-  EXPECT_THROW(fft_plan(64).forward(wrong), InvalidArgument);
 }
 
 RealVec random_real(Rng& rng, std::size_t n) {
@@ -346,8 +312,6 @@ TEST(FftPlan, ButterflyMatchesStdComplexReferenceBitForBit) {
     const std::string what = "x_len=" + std::to_string(x_len) + " h_len=" + std::to_string(h_len);
 
     CplxVec got;
-    ols_convolve(xc, hc, got, ws);
-    expect_same_bits(got, reference_ols_full(xc, hc), scale, "cplx convolve " + what);
     ols_convolve(xc, hr, got, ws);
     expect_same_bits(got, reference_ols_full(xc, as_cplx(hr)), scale, "cplx-real convolve " + what);
     ols_correlate(xc, hc, got, ws);
@@ -362,27 +326,41 @@ TEST(FftPlan, ButterflyMatchesStdComplexReferenceBitForBit) {
     ols_convolve(xr, hr, got_r, ws);
     expect_same_bits(as_cplx(got_r), as_cplx(reference_ols_full_real(xr, hr)), scale,
                      "real convolve " + what);
-    ols_correlate(xr, hr, got_r, ws);
-    const RealVec hr_flipped(hr.rbegin(), hr.rend());
-    const RealVec full_r = reference_ols_full_real(xr, hr_flipped);
-    expect_same_bits(as_cplx(got_r),
-                     as_cplx(RealVec(full_r.begin() + static_cast<std::ptrdiff_t>(h_len - 1),
-                                     full_r.begin() + static_cast<std::ptrdiff_t>(x_len))),
-                     scale, "real correlate " + what);
   }
 }
 
 // ----------------------------------------------------------- real-input fft ----
 
+/// The half spectrum of \p x zero-padded to \p n through the real plan.
+CplxVec half_spectrum(const RealVec& x, std::size_t n) {
+  const RfftPlan& plan = rfft_plan(n);
+  RealVec padded(n, 0.0);
+  std::copy(x.begin(), x.end(), padded.begin());
+  CplxVec spec(plan.bins());
+  plan.forward(padded.data(), spec.data());
+  return spec;
+}
+
+/// Parseval's sum of a real signal's spectrum from its half spectrum:
+/// interior bins count twice.
+double half_spectrum_energy(const CplxVec& half) {
+  double energy = std::norm(half.front()) + std::norm(half.back());
+  for (std::size_t k = 1; k + 1 < half.size(); ++k) energy += 2.0 * std::norm(half[k]);
+  return energy;
+}
+
 TEST(Rfft, MatchesComplexFftHalfSpectrum) {
-  // Power-of-two, odd, prime-factor and tiny sizes: the helpers zero-pad to
-  // the next power of two exactly like the complex fft() free function, so
-  // the half spectrum must match the complex transform bin for bin.
+  // Power-of-two, odd, prime-factor and tiny sizes zero-padded to the next
+  // power of two: the half spectrum must match the complex transform of the
+  // same padded input bin for bin.
   Rng rng(50);
   for (std::size_t n : {2ul, 4ul, 8ul, 17ul, 96ul, 97ul, 255ul, 1024ul, 4096ul}) {
     const RealVec x = random_real(rng, n);
-    const CplxVec full = fft(x);
-    const CplxVec half = rfft(x);
+    const std::size_t len = next_pow2(n);
+    CplxVec full(len, cplx{});
+    std::copy(x.begin(), x.end(), full.begin());
+    fft_plan(len).forward(full.data());
+    const CplxVec half = half_spectrum(x, len);
     ASSERT_EQ(half.size(), full.size() / 2 + 1) << "n=" << n;
     for (std::size_t k = 0; k < half.size(); ++k) {
       ASSERT_NEAR(std::abs(half[k] - full[k]), 0.0, 1e-9) << "n=" << n << " k=" << k;
@@ -390,17 +368,13 @@ TEST(Rfft, MatchesComplexFftHalfSpectrum) {
   }
 }
 
-TEST(Rfft, EmptyInputGivesEmptySpectrum) {
-  EXPECT_TRUE(rfft(RealVec{}).empty());
-  EXPECT_TRUE(irfft(CplxVec{}).empty());
-}
-
 TEST(Rfft, RoundTripIsExactToRounding) {
   Rng rng(51);
-  for (std::size_t n : {2ul, 8ul, 64ul, 1000ul, 2048ul}) {
+  for (std::size_t n : {2ul, 8ul, 64ul, 1024ul, 2048ul}) {
     const RealVec x = random_real(rng, n);
-    const RealVec back = irfft(rfft(x), n);
-    ASSERT_EQ(back.size(), n);
+    CplxVec spec = half_spectrum(x, n);
+    RealVec back(n);
+    rfft_plan(n).inverse(spec.data(), back.data());
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_NEAR(back[i], x[i], 1e-12) << "n=" << n << " i=" << i;
     }
@@ -411,39 +385,35 @@ TEST(Rfft, ParsevalHoldsOnHalfSpectrum) {
   Rng rng(52);
   const std::size_t n = 512;
   const RealVec x = random_real(rng, n);
-  const CplxVec half = rfft(x);
-  // Energy of the implied full spectrum: interior bins count twice.
-  double freq_energy = std::norm(half.front()) + std::norm(half.back());
-  for (std::size_t k = 1; k + 1 < half.size(); ++k) freq_energy += 2.0 * std::norm(half[k]);
   double time_energy = 0.0;
   for (double v : x) time_energy += v * v;
-  EXPECT_NEAR(freq_energy / static_cast<double>(n), time_energy, 1e-9 * time_energy);
+  EXPECT_NEAR(half_spectrum_energy(half_spectrum(x, n)) / static_cast<double>(n), time_energy,
+              1e-9 * time_energy);
 }
 
 TEST(Rfft, EnergyConservedThroughChannelConvolution) {
   // End-to-end energy bookkeeping on the path the receiver actually uses:
-  // convolve a real waveform with a channel-like impulse response, then
-  // check that the output's time-domain energy matches the Parseval sum
-  // over its rfft half spectrum. Guards the real-input convolution path
-  // against scaling bugs in either direction of the transform.
+  // convolve a real waveform with a channel-like impulse response (long
+  // enough for the overlap-save real path), then check that the output's
+  // time-domain energy matches the Parseval sum over its half spectrum.
+  // Guards the real-input convolution path against scaling bugs in either
+  // direction of the transform.
   Rng rng(53);
   const RealVec x = random_real(rng, 700);
-  RealVec h(61);
+  RealVec h(101);
   for (std::size_t i = 0; i < h.size(); ++i) {
     // Exponentially decaying multipath-style taps.
     h[i] = rng.gaussian() * std::exp(-0.08 * static_cast<double>(i));
   }
-  const RealVec y = fft_convolve(x, h);
+  ASSERT_TRUE(use_fft_convolve(x.size(), h.size(), ConvKind::kRealReal));
+  const RealVec y = convolve(x, h);
   ASSERT_EQ(y.size(), x.size() + h.size() - 1);
 
   double time_energy = 0.0;
   for (double v : y) time_energy += v * v;
-
-  const CplxVec half = rfft(y);
   const std::size_t n_fft = next_pow2(y.size());
-  double freq_energy = std::norm(half.front()) + std::norm(half.back());
-  for (std::size_t k = 1; k + 1 < half.size(); ++k) freq_energy += 2.0 * std::norm(half[k]);
-  EXPECT_NEAR(freq_energy / static_cast<double>(n_fft), time_energy, 1e-9 * time_energy);
+  EXPECT_NEAR(half_spectrum_energy(half_spectrum(y, n_fft)) / static_cast<double>(n_fft),
+              time_energy, 1e-9 * time_energy);
 }
 
 TEST(Rfft, PlanCacheSharesPlans) {
@@ -521,22 +491,6 @@ TEST(FastConvolve, CplxRealConvolutionMatchesDirect) {
   }
 }
 
-TEST(FastConvolve, CplxConvolutionMatchesDirect) {
-  Rng rng(42);
-  for (const auto& [nx, nh] : kConvSizes) {
-    const CplxVec x = random_cplx(rng, nx);
-    const CplxVec h = random_cplx(rng, nh);
-    const CplxVec direct = convolve_direct(x, h);
-    CplxVec viafft;
-    FftWorkspace ws;
-    ols_convolve(x, h, viafft, ws);
-    ASSERT_EQ(direct.size(), viafft.size());
-    for (std::size_t i = 0; i < direct.size(); ++i) {
-      ASSERT_NEAR(std::abs(direct[i] - viafft[i]), 0.0, 1e-9) << nx << "x" << nh;
-    }
-  }
-}
-
 TEST(FastConvolve, ConvolveSameFftMatchesDirect) {
   // Above-threshold sizes, so convolve_same actually takes the FFT path.
   Rng rng(43);
@@ -568,16 +522,6 @@ TEST(FastConvolve, CorrelationMatchesDirect) {
     for (std::size_t i = 0; i < direct.size(); ++i) {
       ASSERT_NEAR(std::abs(direct[i] - viafft[i]), 0.0, 1e-9) << nx << "x" << nm;
     }
-
-    const RealVec xr = random_real(rng, nx);
-    const RealVec tr = random_real(rng, nm);
-    const RealVec direct_r = correlate_direct(xr, tr);
-    RealVec viafft_r;
-    ols_correlate(xr, tr, viafft_r, ws);
-    ASSERT_EQ(direct_r.size(), viafft_r.size());
-    for (std::size_t i = 0; i < direct_r.size(); ++i) {
-      ASSERT_NEAR(direct_r[i], viafft_r[i], 1e-9) << nx << "x" << nm;
-    }
   }
 }
 
@@ -595,54 +539,44 @@ TEST(FastConvolve, EdgeCasesMatchDirectSemantics) {
   ols_correlate(CplxVec(4, cplx{1.0, 0.0}), CplxVec(9, cplx{1.0, 0.0}), out_corr, ws);
   EXPECT_TRUE(out_corr.empty());
   EXPECT_TRUE(correlate(CplxVec(4, cplx{}), CplxVec(9, cplx{})).empty());
-  EXPECT_TRUE(correlate_direct(RealVec(4), RealVec(9)).empty());
+  EXPECT_TRUE(correlate_direct(CplxVec(4), CplxVec(9)).empty());
 }
 
 TEST(FastConvolve, KernelSpectrumIsReusedOnlyForBitEqualTaps) {
-  // A repeat job with the same taps at the same block size reuses the
-  // workspace's kernel spectrum and returns the same bytes as a fresh
-  // workspace; taps that differ only in the sign of a zero are another
-  // kernel, and the spectrum is recomputed from them.
+  // A repeat correlation against the same template at the same block size
+  // reuses the workspace's kernel spectrum and returns the same bytes as a
+  // fresh workspace; templates that differ only in the sign of a zero are
+  // another kernel, and the spectrum is recomputed from them. The kernel is
+  // the conjugate-reversed template, so template sample 192 is tap 7.
   Rng rng(46);
   CplxVec x(3000);
   for (auto& v : x) v = rng.cgaussian();
   CplxVec h(200);
   for (auto& v : h) v = rng.cgaussian();
-  h[7] = {0.0, 0.5};
+  h[192] = {0.0, 0.5};
   CplxVec h_neg = h;
-  h_neg[7] = {-0.0, 0.5};
+  h_neg[192] = {-0.0, 0.5};
 
-  const auto fresh = [&](const CplxVec& taps) {
+  const auto fresh = [&](const CplxVec& tmpl) {
     FftWorkspace own;
     CplxVec out;
-    ols_convolve(x, taps, out, own);
+    ols_correlate(x, tmpl, out, own);
     return std::pair{out, own.kernel_fft};
   };
   FftWorkspace ws;
   CplxVec first;
   CplxVec again;
-  ols_convolve(x, h, first, ws);
-  ols_convolve(x, h, again, ws);
+  ols_correlate(x, h, first, ws);
+  ols_correlate(x, h, again, ws);
   EXPECT_TRUE(same_bytes(first, fresh(h).first));
   EXPECT_TRUE(same_bytes(again, first));
 
   CplxVec neg;
-  ols_convolve(x, h_neg, neg, ws);
+  ols_correlate(x, h_neg, neg, ws);
   EXPECT_TRUE(std::signbit(ws.kernel_key[7].real()));
   const auto [neg_want, neg_spectrum] = fresh(h_neg);
   EXPECT_TRUE(same_bytes(neg, neg_want));
   EXPECT_TRUE(same_bytes(ws.kernel_fft, neg_spectrum));
-
-  // A correlation against the same template reuses it too.
-  CplxVec corr_first;
-  CplxVec corr_again;
-  ols_correlate(x, h, corr_first, ws);
-  ols_correlate(x, h, corr_again, ws);
-  EXPECT_TRUE(same_bytes(corr_again, corr_first));
-  FftWorkspace own;
-  CplxVec corr_want;
-  ols_correlate(x, h, corr_want, own);
-  EXPECT_TRUE(same_bytes(corr_first, corr_want));
 }
 
 TEST(FastConvolve, DispatchDependsOnlyOnSizes) {
@@ -660,19 +594,11 @@ TEST(FastConvolve, DispatchDependsOnlyOnSizes) {
 }
 
 TEST(FastConvolve, DispatchIsBitExactAndStateless) {
-  // convolve, correlate and convolve_same_to return exactly the kernel
-  // use_fft_convolve names for their sizes -- the overlap-save result above
-  // the crossover, the direct one below it -- and the same bytes again on
-  // a second call. The sizes straddle each kind's tap threshold and the
-  // kFftMinProduct floor. The "same"-mode direct path is a gather kernel:
-  // exact against the scatter convolve_direct wherever multiply-adds are
-  // not fused; an FMA-capable -march=native build may fuse the two forms
-  // differently, so there they agree to rounding.
-#ifdef __FMA__
-  constexpr double kSameDirectTol = 1e-14;
-#else
-  constexpr double kSameDirectTol = 0.0;
-#endif
+  // convolve and correlate return exactly the kernel use_fft_convolve
+  // names for their sizes -- the overlap-save result above the crossover,
+  // the direct one below it -- and the same bytes again on a second call.
+  // The sizes straddle each kind's tap threshold and the kFftMinProduct
+  // floor.
   const std::pair<ConvKind, std::size_t> kinds[] = {
       {ConvKind::kRealReal, kFftMinKernelRealReal},
       {ConvKind::kCplxReal, kFftMinKernelCplxReal},
@@ -700,28 +626,8 @@ TEST(FastConvolve, DispatchIsBitExactAndStateless) {
         const RealVec x = random_real(rng, nx);
         const RealVec h = random_real(rng, nh);
         RealVec conv = convolve_direct(x, h);
-        RealVec corr = correlate_direct(x, h);
-        if (fft) {
-          ols_convolve(x, h, conv, ws);
-          ols_correlate(x, h, corr, ws);
-        }
+        if (fft) ols_convolve(x, h, conv, ws);
         expect_exact(convolve(x, h), convolve(x, h), conv, "convolve " + at);
-        expect_exact(correlate(x, h), correlate(x, h), corr, "correlate " + at);
-
-        const RealVec want = same_window(conv, nx, nh);
-        RealVec first(nx);
-        RealVec second(nx);
-        convolve_same_to(x.data(), nx, h, first.data());
-        convolve_same_to(x.data(), nx, h, second.data());
-        EXPECT_TRUE(same_bytes(second, first)) << "convolve_same_to " << at << ", second call";
-        if (fft || kSameDirectTol == 0.0) {
-          EXPECT_TRUE(same_bytes(first, want)) << "convolve_same_to " << at;
-        } else {
-          for (std::size_t i = 0; i < nx; ++i) {
-            ASSERT_NEAR(first[i], want[i], kSameDirectTol * (1.0 + std::abs(want[i])))
-                << "convolve_same_to " << at << " @" << i;
-          }
-        }
       } else if (kind == ConvKind::kCplxReal) {
         const CplxVec x = random_cplx(rng, nx);
         const RealVec h = random_real(rng, nh);
@@ -731,13 +637,8 @@ TEST(FastConvolve, DispatchIsBitExactAndStateless) {
       } else {
         const CplxVec x = random_cplx(rng, nx);
         const CplxVec h = random_cplx(rng, nh);
-        CplxVec conv = convolve_direct(x, h);
         CplxVec corr = correlate_direct(x, h);
-        if (fft) {
-          ols_convolve(x, h, conv, ws);
-          ols_correlate(x, h, corr, ws);
-        }
-        expect_exact(convolve(x, h), convolve(x, h), conv, "convolve " + at);
+        if (fft) ols_correlate(x, h, corr, ws);
         expect_exact(correlate(x, h), correlate(x, h), corr, "correlate " + at);
       }
     }
@@ -763,11 +664,6 @@ INSTANTIATE_TEST_SUITE_P(AllWindows, WindowTypedTest,
                                            WindowType::kHamming, WindowType::kBlackman,
                                            WindowType::kKaiser));
 
-TEST(Window, NoiseBandwidths) {
-  EXPECT_NEAR(noise_bandwidth_bins(RealVec(64, 1.0)), 1.0, 1e-12);
-  EXPECT_NEAR(noise_bandwidth_bins(hann(4096)), 1.5, 0.01);
-}
-
 TEST(Window, BesselI0) {
   EXPECT_NEAR(bessel_i0(0.0), 1.0, 1e-15);
   EXPECT_NEAR(bessel_i0(1.0), 1.2660658, 1e-6);
@@ -782,32 +678,6 @@ TEST(FilterDesign, LowpassGains) {
   EXPECT_NEAR(fir_gain_db_at(taps, 0.0, fs), 0.0, 0.01);       // DC
   EXPECT_NEAR(fir_gain_db_at(taps, 10e6, fs), -6.0, 1.0);      // edge
   EXPECT_LT(fir_gain_db_at(taps, 25e6, fs), -40.0);            // stopband
-}
-
-TEST(FilterDesign, HighpassGains) {
-  const double fs = 100e6;
-  const RealVec taps = design_highpass(10e6, fs, 101);
-  EXPECT_LT(fir_gain_db_at(taps, 1e6, fs), -40.0);
-  EXPECT_NEAR(fir_gain_db_at(taps, 40e6, fs), 0.0, 0.5);
-}
-
-TEST(FilterDesign, BandpassGains) {
-  const double fs = 1e9;
-  const RealVec taps = design_bandpass(100e6, 300e6, fs, 201);
-  EXPECT_NEAR(fir_gain_db_at(taps, 200e6, fs), 0.0, 0.2);
-  EXPECT_LT(fir_gain_db_at(taps, 20e6, fs), -40.0);
-  EXPECT_LT(fir_gain_db_at(taps, 450e6, fs), -40.0);
-}
-
-TEST(FilterDesign, RaisedCosineNyquistProperty) {
-  // RC pulse must be zero at nonzero multiples of the symbol period.
-  const int sps = 8;
-  const RealVec taps = design_raised_cosine(1e6, 0.35, 6, sps);
-  const std::size_t center = (taps.size() - 1) / 2;
-  EXPECT_NEAR(taps[center], 1.0, 1e-12);
-  for (int k = 1; k <= 5; ++k) {
-    EXPECT_NEAR(taps[center + static_cast<std::size_t>(k * sps)], 0.0, 1e-9) << "k=" << k;
-  }
 }
 
 TEST(FilterDesign, RrcMatchedPairIsNyquist) {
@@ -826,8 +696,7 @@ TEST(FilterDesign, RrcMatchedPairIsNyquist) {
 TEST(FilterDesign, RejectsBadArguments) {
   EXPECT_THROW(design_lowpass(60e6, 100e6, 31), InvalidArgument);
   EXPECT_THROW(design_lowpass(10e6, 100e6, 1), InvalidArgument);
-  EXPECT_THROW(design_highpass(10e6, 100e6, 30), InvalidArgument);  // even taps
-  EXPECT_THROW(design_raised_cosine(1e6, 1.5, 4, 8), InvalidArgument);
+  EXPECT_THROW(design_root_raised_cosine(1e6, 1.5, 4, 8), InvalidArgument);
 }
 
 // ------------------------------------------------------------------ fir ----
@@ -866,8 +735,8 @@ TEST(FirFilter, ConvolveSameCompensatesGroupDelay) {
   RealVec x(11, 0.0);
   x[5] = 1.0;
   const RealVec kernel = {0.25, 0.5, 0.25};
-  const RealVec y = convolve_same(x, kernel);
-  ASSERT_EQ(y.size(), x.size());
+  RealVec y = x;
+  convolve_same_inplace(y.data(), y.size(), kernel);
   EXPECT_NEAR(y[5], 0.5, 1e-12);
   EXPECT_NEAR(y[4], 0.25, 1e-12);
   EXPECT_NEAR(y[6], 0.25, 1e-12);
@@ -953,51 +822,6 @@ TEST(FirFilter, RangeBlocksMatchSequentialSameModeSum) {
   }
 }
 
-// --------------------------------------------------------------- biquad ----
-
-TEST(Biquad, NotchKillsCenterKeepsFar) {
-  const double fs = 1e9;
-  const BiquadCoeffs c = design_notch(100e6, 10.0, fs);
-  EXPECT_LT(amp_to_db(std::abs(biquad_response_at(c, 100e6, fs)) + 1e-30), -60.0);
-  EXPECT_NEAR(amp_to_db(std::abs(biquad_response_at(c, 300e6, fs))), 0.0, 0.5);
-  EXPECT_NEAR(amp_to_db(std::abs(biquad_response_at(c, 10e6, fs))), 0.0, 0.5);
-}
-
-TEST(Biquad, LowpassShape) {
-  const double fs = 1e9;
-  const BiquadCoeffs c = design_biquad_lowpass(50e6, 0.7071, fs);
-  EXPECT_NEAR(amp_to_db(std::abs(biquad_response_at(c, 1e6, fs))), 0.0, 0.1);
-  EXPECT_NEAR(amp_to_db(std::abs(biquad_response_at(c, 50e6, fs))), -3.0, 0.3);
-  EXPECT_LT(amp_to_db(std::abs(biquad_response_at(c, 400e6, fs))), -30.0);
-}
-
-TEST(Biquad, StreamingNotchSuppressesTone) {
-  const double fs = 1e9;
-  Biquad<double> notch(design_notch(80e6, 5.0, fs));
-  const auto tone = [fs](int i) { return std::cos(two_pi * 80e6 * i / fs); };
-  double in_power = 0.0, out_power = 0.0;
-  // Skip the transient, then measure.
-  for (int i = 0; i < 2000; ++i) (void)notch.step(tone(i));
-  for (int i = 2000; i < 10000; ++i) {
-    const double x = tone(i);
-    const double y = notch.step(x);
-    in_power += x * x;
-    out_power += y * y;
-  }
-  EXPECT_LT(out_power / in_power, 1e-3);
-}
-
-TEST(Biquad, CascadeDeepensNotch) {
-  const double fs = 1e9;
-  const BiquadCoeffs c = design_notch(100e6, 5.0, fs);
-  const cplx h1 = biquad_response_at(c, 95e6, fs);
-  BiquadCascade<double> two({c, c});
-  // Response of the cascade at f = product of sections.
-  const double h2_db = 2.0 * amp_to_db(std::abs(h1));
-  EXPECT_NEAR(h2_db, amp_to_db(std::abs(h1 * h1)), 1e-9);
-  EXPECT_EQ(two.num_sections(), 2u);
-}
-
 // ----------------------------------------------------------- correlator ----
 
 TEST(Correlator, FindsEmbeddedTemplate) {
@@ -1009,7 +833,8 @@ TEST(Correlator, FindsEmbeddedTemplate) {
   for (std::size_t i = 0; i < tmpl.size(); ++i) x[where + i] = tmpl[i];
 
   const RealVec nc = normalized_correlation(x, tmpl);
-  EXPECT_EQ(argmax_abs(nc), where);
+  EXPECT_EQ(static_cast<std::size_t>(std::max_element(nc.begin(), nc.end()) - nc.begin()),
+            where);
   EXPECT_NEAR(nc[where], 1.0, 1e-9);
 }
 
@@ -1227,13 +1052,6 @@ TEST(Correlator, NormalizedIsScaleInvariant) {
   EXPECT_NEAR(nc[10], 1.0, 1e-9);
 }
 
-TEST(Correlator, RealCorrelationSign) {
-  RealVec tmpl = {1.0, -1.0, 1.0};
-  RealVec x = {-1.0, 1.0, -1.0, 0.0};
-  const RealVec c = correlate(x, tmpl);
-  EXPECT_NEAR(c[0], -3.0, 1e-12);  // anti-aligned
-}
-
 TEST(Correlator, IntegrateAndDump) {
   IntegrateAndDump<double> iad(4);
   double out = 0.0;
@@ -1245,46 +1063,6 @@ TEST(Correlator, IntegrateAndDump) {
     }
   }
   EXPECT_EQ(dumps, 2);
-}
-
-// ------------------------------------------------------------ resampler ----
-
-TEST(Resampler, UpsamplePreservesShape) {
-  // A slow sine upsampled 4x must still be the same sine.
-  const double fs = 1e6;
-  const std::size_t n = 256;
-  RealVec x(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = std::sin(two_pi * 20e3 * i / fs);
-  const RealWaveform up = upsample(RealWaveform(x, fs), 4);
-  EXPECT_DOUBLE_EQ(up.sample_rate(), 4e6);
-  ASSERT_EQ(up.size(), 4 * n);
-  // Compare mid-buffer samples (edges carry filter transients).
-  double max_err = 0.0;
-  for (std::size_t i = 200; i < 800; ++i) {
-    const double expected = std::sin(two_pi * 20e3 * i / (4.0 * fs));
-    max_err = std::max(max_err, std::abs(up[i] - expected));
-  }
-  EXPECT_LT(max_err, 0.02);
-}
-
-TEST(Resampler, DecimateRemovesHighBand) {
-  // Tone above the decimated Nyquist must vanish.
-  const double fs = 8e6;
-  const std::size_t n = 4096;
-  RealVec x(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = std::sin(two_pi * 3e6 * i / fs);
-  const RealWaveform down = decimate(RealWaveform(x, fs), 4);
-  EXPECT_DOUBLE_EQ(down.sample_rate(), 2e6);
-  EXPECT_LT(down.power(), 0.01);  // 3 MHz tone is beyond 1 MHz Nyquist
-}
-
-TEST(Resampler, DownsampleRawPhase) {
-  const std::vector<int> x = {0, 1, 2, 3, 4, 5, 6, 7};
-  const auto y = downsample_raw(x, 3, 1);
-  ASSERT_EQ(y.size(), 3u);
-  EXPECT_EQ(y[0], 1);
-  EXPECT_EQ(y[1], 4);
-  EXPECT_EQ(y[2], 7);
 }
 
 // ------------------------------------------------------------------ psd ----

@@ -34,6 +34,13 @@ CplxWaveform make_isi_waveform(const std::vector<double>& a, const std::vector<c
   return CplxWaveform(std::move(y), 1e9);
 }
 
+/// The symbol-rate observations y[m * sps] the MLSE reads.
+CplxVec symbol_samples(const CplxWaveform& y, std::size_t sps, std::size_t count) {
+  CplxVec obs(count);
+  for (std::size_t m = 0; m < count; ++m) obs[m] = y[m * sps];
+  return obs;
+}
+
 std::vector<double> random_symbols(std::size_t n, Rng& rng, BitVec* bits_out = nullptr) {
   std::vector<double> a(n);
   BitVec bits(n);
@@ -202,7 +209,7 @@ TEST(Mlse, NoIsiReducesToSlicer) {
   const std::vector<cplx> g = {cplx{1.0, 0.0}, cplx{}, cplx{}, cplx{}};
   const CplxWaveform y = make_isi_waveform(a, g, 8, 0.01, rng);
   const MlseDemodulator mlse(MlseConfig{3}, g);
-  const BitVec decoded = mlse.demodulate(y, SymbolTiming{0, 8, 100});
+  const BitVec decoded = mlse.demodulate(symbol_samples(y, 8, 100));
   EXPECT_EQ(decoded, bits);
 }
 
@@ -215,7 +222,7 @@ TEST(Mlse, ResolvesSevereIsi) {
   const CplxWaveform y = make_isi_waveform(a, g, 4, 0.02, rng);
 
   const MlseDemodulator mlse(MlseConfig{1}, g);
-  const BitVec decoded = mlse.demodulate(y, SymbolTiming{0, 4, 400});
+  const BitVec decoded = mlse.demodulate(symbol_samples(y, 4, 400));
   std::size_t mlse_errors = 0;
   for (std::size_t m = 0; m < bits.size(); ++m) {
     if (decoded[m] != bits[m]) ++mlse_errors;
@@ -249,7 +256,7 @@ TEST(Mlse, ComplexChannelTaps) {
   const std::vector<cplx> g = {cplx{0.8, 0.3}, cplx{-0.2, 0.45}, cplx{0.1, -0.1}};
   const CplxWaveform y = make_isi_waveform(a, g, 5, 0.01, rng);
   const MlseDemodulator mlse(MlseConfig{2}, g);
-  const BitVec decoded = mlse.demodulate(y, SymbolTiming{0, 5, 300});
+  const BitVec decoded = mlse.demodulate(symbol_samples(y, 5, 300));
   EXPECT_LE(bit_distance(decoded, bits), 1u);
 }
 
@@ -258,23 +265,6 @@ TEST(Mlse, MemoryMustCoverChannel) {
   // construction itself must reject mismatched g length.
   EXPECT_THROW(MlseDemodulator(MlseConfig{2}, {cplx{1.0, 0.0}}), InvalidArgument);
   EXPECT_THROW(MlseDemodulator(MlseConfig{0}, {cplx{1.0, 0.0}}), InvalidArgument);
-}
-
-TEST(Mlse, CompositeChannelFromEstimate) {
-  // Triangular pulse autocorrelation, single-tap channel at delay 0:
-  // g[0] = 1 (peak), g[1] = value one symbol away (zero for short pulse).
-  RealVec rpp = {0.25, 0.5, 1.0, 0.5, 0.25};
-  const channel::Cir est(std::vector<channel::CirTap>{{0.0, {1.0, 0.0}}});
-  const auto g = composite_symbol_channel(est, rpp, 2, 1e9, 4, 2);
-  ASSERT_EQ(g.size(), 3u);
-  EXPECT_NEAR(std::abs(g[0]), 1.0, 1e-12);
-  EXPECT_NEAR(std::abs(g[1]), 0.0, 1e-12);
-
-  // Two-tap channel: the second tap 2 samples out contributes to g via the
-  // autocorrelation skirt.
-  const channel::Cir est2({{0.0, {1.0, 0.0}}, {2e-9, {0.5, 0.0}}});
-  const auto g2 = composite_symbol_channel(est2, rpp, 2, 1e9, 4, 2);
-  EXPECT_NEAR(g2[0].real(), 1.0 + 0.5 * 0.25, 1e-12);  // skirt of tap 2 at lag 0...
 }
 
 }  // namespace

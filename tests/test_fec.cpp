@@ -12,7 +12,7 @@ namespace uwb::fec {
 namespace {
 
 TEST(ConvEncoder, RateAndLength) {
-  const ConvEncoder enc(k3_rate_half());
+  const ConvEncoder enc(ConvCode{});
   const BitVec coded = enc.encode(BitVec{1, 0, 1, 1});
   // (4 info + 2 tail) * 2 outputs.
   EXPECT_EQ(coded.size(), 12u);
@@ -20,7 +20,7 @@ TEST(ConvEncoder, RateAndLength) {
 
 TEST(ConvEncoder, KnownK3Sequence) {
   // (7,5) K=3 code, input 1011 from state 0. Register = [newest | s1 s0].
-  const ConvEncoder enc(k3_rate_half());
+  const ConvEncoder enc(ConvCode{});
   // Hand-computed branches: g0 = 111, g1 = 101.
   //  in=1, s=00: reg=100 -> g0: 1, g1: 1
   EXPECT_EQ(enc.branch_output(0b00, 1), 0b11u);
@@ -43,9 +43,9 @@ class CodeRoundTrip : public ::testing::TestWithParam<int> {
  protected:
   ConvCode code() const {
     switch (GetParam()) {
-      case 0: return k3_rate_half();
+      case 0: return ConvCode{};
       case 1: return k7_rate_half();
-      default: return k3_rate_third();
+      default: return ConvCode{3, {0b111, 0b111, 0b101}};
     }
   }
 };
@@ -79,7 +79,7 @@ INSTANTIATE_TEST_SUITE_P(Codes, CodeRoundTrip, ::testing::Values(0, 1, 2));
 TEST(Viterbi, SoftBeatsHardOverAwgn) {
   // Classic ~2 dB soft-decision gain: at a noise level where hard decoding
   // stumbles, soft decoding should do strictly better (statistically).
-  const ConvCode cc = k3_rate_half();
+  const ConvCode cc = ConvCode{};
   const ConvEncoder enc(cc);
   const ViterbiDecoder dec(cc);
   Rng rng(3);
@@ -117,7 +117,7 @@ TEST(Viterbi, SoftDecodeNoiseless) {
 }
 
 TEST(Viterbi, RejectsMisalignedInput) {
-  const ViterbiDecoder dec(k3_rate_half());
+  const ViterbiDecoder dec(ConvCode{});
   EXPECT_THROW((void)dec.decode_hard(BitVec(13, 0)), Error);   // odd length
   EXPECT_THROW((void)dec.decode_hard(BitVec(4, 0)), Error);    // shorter than tail
 }
@@ -139,7 +139,7 @@ TEST(Viterbi, CorrectionImprovesWithConstraintLength) {
     }
     return errors;
   };
-  const std::size_t e_k3 = run(k3_rate_half());
+  const std::size_t e_k3 = run(ConvCode{});
   const std::size_t e_k7 = run(k7_rate_half());
   EXPECT_LT(e_k7, e_k3);
 }

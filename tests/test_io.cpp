@@ -165,11 +165,11 @@ TEST(SpecIo, LinkSpecRoundTripIsTextStable) {
   txrx::Gen2Config gen2 = sim::gen2_fast();
   gen2.rake.num_fingers = 16;
   gen2.modulation = phy::Modulation::kPam4;
-  const txrx::LinkSpec spec2 = txrx::LinkSpec::for_gen2(gen2);
+  const txrx::LinkSpec spec2{gen2, txrx::default_options(txrx::Generation::kGen2)};
   const std::string text2 = dump_json(to_json(spec2));
   EXPECT_EQ(dump_json(to_json(link_spec_from_json(parse_json(text2)))), text2);
 
-  const txrx::LinkSpec spec1 = txrx::LinkSpec::for_gen1(sim::gen1_fast());
+  const txrx::LinkSpec spec1{sim::gen1_fast(), txrx::default_options(txrx::Generation::kGen1)};
   const std::string text1 = dump_json(to_json(spec1));
   EXPECT_EQ(dump_json(to_json(link_spec_from_json(parse_json(text1)))), text1);
   EXPECT_EQ(link_spec_from_json(parse_json(text1)).generation(),
@@ -210,33 +210,32 @@ TEST(SpecIo, TerseGen1OptionsKeepGenerationDefaults) {
   EXPECT_EQ(bare.options.payload_bits, 32u);
 }
 
-TEST(SpecIo, BerStopRoundTrip) {
+TEST(ResultIo, StopRuleRoundTripsWhole) {
+  // The stop rule a result document records reads back whole: budgets up
+  // to 2^53 (the largest count a JSON number holds exactly everywhere),
+  // the metric and the CI width, each set or not.
   sim::BerStop stop;
   stop.min_errors = 7;
   stop.max_bits = 1234;
-  stop.max_trials = 99;
-  const sim::BerStop back = ber_stop_from_json(parse_json(dump_json(to_json(stop))));
-  EXPECT_EQ(back.min_errors, 7u);
-  EXPECT_EQ(back.max_bits, 1234u);
-  EXPECT_EQ(back.max_trials, 99u);
-  EXPECT_EQ(back.metric, "");
-
-  // The generalized rule's metric round-trips (and is only serialized when
-  // set, so legacy documents parse as bit-error rules).
-  stop.metric = "timing_correct";
-  EXPECT_EQ(ber_stop_from_json(parse_json(dump_json(to_json(stop)))).metric,
-            "timing_correct");
-
-  // Budgets are bounded at 2^53, the largest count a JSON number holds
-  // exactly everywhere.
   stop.max_trials = sim::BerStop::kMaxBudget;
-  EXPECT_EQ(ber_stop_from_json(parse_json(dump_json(to_json(stop)))).max_trials,
-            sim::BerStop::kMaxBudget);
-  for (const char* key : {"min_errors", "max_bits", "max_trials"}) {
-    EXPECT_THROW((void)ber_stop_from_json(parse_json(std::string(R"({")") + key +
-                                                     R"(": 9007199254740993})")),
-                 InvalidArgument)
-        << key;
+  stop.metric = "timing_correct";
+  stop.target_rel_ci_width = 0.25;
+  ResultDoc doc;
+  doc.scenario = "s";
+  doc.seed = 1;
+  doc.stop = stop;
+  EXPECT_EQ(parse_result_json(write_result_json(doc)).stop, stop);
+  doc.stop.metric.clear();
+  doc.stop.target_rel_ci_width = 0.0;
+  EXPECT_EQ(parse_result_json(write_result_json(doc)).stop, doc.stop);
+
+  // Past 2^53 a budget is rejected by the check spec readers and CLI
+  // flags share.
+  for (std::size_t sim::BerStop::*budget :
+       {&sim::BerStop::min_errors, &sim::BerStop::max_bits, &sim::BerStop::max_trials}) {
+    sim::BerStop over = stop;
+    over.*budget = sim::BerStop::kMaxBudget + 1;
+    EXPECT_THROW(sim::validate_budgets(over), InvalidArgument);
   }
 }
 
@@ -247,7 +246,7 @@ TEST(SpecIo, PayloadBitsAreBounded) {
             txrx::TrialOptions::kMaxPayloadBits);
   EXPECT_THROW((void)trial_options_from_json(parse_json(R"({"payload_bits": 4097})")),
                InvalidArgument);
-  txrx::LinkSpec spec = txrx::LinkSpec::for_gen1(sim::gen1_fast());
+  txrx::LinkSpec spec{sim::gen1_fast(), txrx::default_options(txrx::Generation::kGen1)};
   spec.options.payload_bits = txrx::TrialOptions::kMaxPayloadBits;
   EXPECT_NO_THROW(txrx::validate_spec(spec));
   spec.options.payload_bits = std::numeric_limits<std::size_t>::max();
@@ -282,19 +281,6 @@ TEST(SpecIo, SamplingPolicyRoundTripAndStrictKeys) {
   EXPECT_THROW((void)trial_options_from_json(
                    parse_json(R"({"sampling": {"mode": "noise_scale", "scal": 4}})")),
                InvalidArgument);
-}
-
-TEST(SpecIo, CiWidthStopRuleRoundTrip) {
-  sim::BerStop stop;
-  stop.min_errors = 5;
-  stop.max_bits = 100;
-  stop.max_trials = 10;
-  stop.target_rel_ci_width = 0.25;
-  EXPECT_EQ(ber_stop_from_json(parse_json(dump_json(to_json(stop)))), stop);
-  // Legacy documents without the field parse as plain error-budget rules.
-  EXPECT_EQ(ber_stop_from_json(parse_json(R"({"min_errors": 5})"))
-                .target_rel_ci_width,
-            0.0);
 }
 
 TEST(SpecIo, TrialKindAndRecordMetricsRoundTrip) {

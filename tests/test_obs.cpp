@@ -85,7 +85,7 @@ TEST(TraceRecorder, CollectsSpansFromManyThreads) {
 
 TEST(TraceRecorder, NullRecorderSpansAreInertAndFinishIsIdempotent) {
   Span inert(nullptr, "test", "never recorded");
-  inert.arg("k", std::string("v"));
+  inert.arg("k", std::uint64_t{1});
   inert.finish();
   inert.finish();
 
@@ -130,10 +130,10 @@ TEST(ChromeTrace, ExportIsWellFormedTraceEventJson) {
   {
     Span span(&recorder, "engine", "point A");
     span.arg("index", std::uint64_t{0});
-    span.arg("ratio", 0.5);
-    span.arg("label", std::string("A"));
   }
-  recorder.instant("engine", "stop", {trace_arg("reason", std::string("max_trials"))});
+  recorder.instant("engine", "stop",
+                   {trace_arg("reason", std::string("max_trials")), trace_arg("ratio", 0.5),
+                    trace_arg("label", std::string("A"))});
   recorder.counter("engine", "committed_trials", 10.0);
   std::thread other([&recorder] {
     recorder.name_thread("helper");

@@ -1,4 +1,4 @@
-// Tests for bit utilities, LFSR/scrambler, CRC, modulation and packet
+// Tests for bit utilities, LFSR, CRC, modulation and packet
 // framing.
 
 #include <gtest/gtest.h>
@@ -9,21 +9,12 @@
 #include "phy/crc.h"
 #include "phy/modulation.h"
 #include "phy/packet.h"
-#include "phy/scrambler.h"
+#include "phy/lfsr.h"
 
 namespace uwb::phy {
 namespace {
 
 // ----------------------------------------------------------------- bits ----
-
-TEST(Bits, PackUnpackRoundTrip) {
-  Rng rng(1);
-  const BitVec bits = rng.bits(75);  // not byte aligned
-  const BitVec back = unpack_bits(pack_bits(bits));
-  ASSERT_GE(back.size(), bits.size());
-  for (std::size_t i = 0; i < bits.size(); ++i) EXPECT_EQ(back[i], bits[i]);
-  for (std::size_t i = bits.size(); i < back.size(); ++i) EXPECT_EQ(back[i], 0);
-}
 
 TEST(Bits, UintRoundTrip) {
   const BitVec bits = uint_to_bits(0xDEADBEEF, 32);
@@ -35,11 +26,6 @@ TEST(Bits, HammingDistance) {
   EXPECT_EQ(hamming_distance({1, 0, 1}, {1, 1, 1}), 1u);
   EXPECT_EQ(hamming_distance({1, 0}, {1, 0, 1, 1}), 2u);  // length gap counts
   EXPECT_EQ(hamming_distance({}, {}), 0u);
-}
-
-TEST(Bits, XorAndToString) {
-  EXPECT_EQ(to_string(xor_bits({1, 1, 0}, {1, 0, 0})), "010");
-  EXPECT_THROW(xor_bits({1}, {1, 0}), InvalidArgument);
 }
 
 // ----------------------------------------------------------------- lfsr ----
@@ -88,45 +74,17 @@ TEST(Lfsr, RejectsBadConfigs) {
   EXPECT_THROW(msequence_taps(2), InvalidArgument);
 }
 
-// ------------------------------------------------------------- scrambler ----
-
-TEST(Scrambler, RoundTrip) {
-  Rng rng(2);
-  const BitVec data = rng.bits(500);
-  Scrambler tx_s, rx_s;
-  const BitVec scrambled = tx_s.scramble(data);
-  const BitVec recovered = rx_s.descramble(scrambled);
-  EXPECT_EQ(recovered, data);
-}
-
-TEST(Scrambler, SelfSynchronizes) {
-  // Descrambler with a WRONG seed recovers after 7 correct bits.
-  Rng rng(3);
-  const BitVec data = rng.bits(100);
-  Scrambler tx_s(0x7F), rx_s(0x15);
-  const BitVec scrambled = tx_s.scramble(data);
-  const BitVec recovered = rx_s.descramble(scrambled);
-  for (std::size_t i = 7; i < data.size(); ++i) {
-    EXPECT_EQ(recovered[i], data[i]) << "at " << i;
-  }
-}
-
-TEST(Scrambler, WhitensConstantInput) {
-  const BitVec zeros(256, 0);
-  Scrambler s;
-  const BitVec out = s.scramble(zeros);
-  std::size_t ones = 0;
-  for (auto b : out) ones += b;
-  EXPECT_GT(ones, 90u);
-  EXPECT_LT(ones, 166u);
-}
-
 // ------------------------------------------------------------------ crc ----
 
 TEST(Crc, Crc16KnownVector) {
   // CRC-16/CCITT-FALSE of ASCII "123456789" is 0x29B1.
+  // The bit stream presents each byte MSB-first.
   const std::vector<uint8_t> msg = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(crc16_ccitt(unpack_bits(msg)), 0x29B1);
+  BitVec msb_first;
+  for (uint8_t byte : msg) {
+    for (int b = 7; b >= 0; --b) msb_first.push_back((byte >> b) & 1u);
+  }
+  EXPECT_EQ(crc16_ccitt(msb_first), 0x29B1);
 }
 
 TEST(Crc, Crc32KnownVector) {

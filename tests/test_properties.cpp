@@ -9,12 +9,12 @@
 #include <vector>
 
 #include "adc/flash_adc.h"
-#include "adc/quantizer.h"
 #include "channel/awgn.h"
 #include "channel/saleh_valenzuela.h"
 #include "common/error.h"
 #include "common/math_utils.h"
 #include "common/rng.h"
+#include "dsp/fast_convolve.h"
 #include "dsp/fft.h"
 #include "dsp/filter_design.h"
 #include "dsp/fir_filter.h"
@@ -22,7 +22,7 @@
 #include "fec/viterbi_decoder.h"
 #include "phy/crc.h"
 #include "phy/modulation.h"
-#include "phy/scrambler.h"
+#include "phy/lfsr.h"
 #include "rf/notch_filter.h"
 
 namespace uwb {
@@ -47,46 +47,51 @@ TEST_P(FftSizeProperty, ParsevalAndRoundTrip) {
   EXPECT_NEAR(freq_energy / static_cast<double>(n), time_energy, 1e-8 * time_energy)
       << "Parseval violated at n=" << n;
 
-  dsp::ifft_inplace(spec);
+  dsp::fft_plan(n).inverse(spec.data());
   double err = 0.0;
   for (std::size_t i = 0; i < n; ++i) err = std::max(err, std::abs(spec[i] - x[i]));
   EXPECT_LT(err, 1e-9) << "round trip at n=" << n;
 }
 
 TEST_P(FftSizeProperty, ParsevalHoldsAcrossTheWholeFftPath) {
-  // Parseval through every public entry of the FFT path, not just the
-  // in-place core: the real-input overload with zero-padding to an
-  // explicit larger size, the plan-cache execute path, and fast
-  // convolution against a unit impulse (which must preserve the signal,
-  // hence its energy, exactly up to roundoff).
+  // Parseval through every entry of the FFT path, not just the in-place
+  // core: the complex plan on a zero-padded real input, the real plan on
+  // the same input, and overlap-save convolution against a unit impulse
+  // (which must preserve the signal, hence its energy, exactly up to
+  // roundoff).
   const std::size_t n = GetParam();
   Rng rng(n + 2);
 
-  // Real-input overload, odd-length input zero-padded to 2n: padding
-  // adds no energy, so sum |X[k]|^2 / 2n still equals the time energy.
+  // Odd-length real input zero-padded to 2n: padding adds no energy, so
+  // sum |X[k]|^2 / 2n still equals the time energy.
   RealVec xr(n - 1);
   for (auto& v : xr) v = rng.gaussian();
   double real_energy = 0.0;
   for (const double v : xr) real_energy += v * v;
-  const CplxVec spec = dsp::fft(xr, 2 * n);
-  ASSERT_EQ(spec.size(), 2 * n);
+  CplxVec spec(2 * n);
+  for (std::size_t i = 0; i < xr.size(); ++i) spec[i] = xr[i];
+  dsp::fft_plan(2 * n).forward(spec.data());
   double padded_energy = 0.0;
   for (const auto& v : spec) padded_energy += std::norm(v);
   EXPECT_NEAR(padded_energy / static_cast<double>(2 * n), real_energy,
               1e-8 * real_energy)
-      << "real-input overload at n=" << n;
+      << "zero-padded real input at n=" << n;
 
-  // Plan-cache path: forward(ptr) must agree with the free function.
-  CplxVec via_plan(2 * n);
-  for (std::size_t i = 0; i < xr.size(); ++i) via_plan[i] = xr[i];
-  dsp::fft_plan(2 * n).forward(via_plan.data());
-  for (std::size_t i = 0; i < via_plan.size(); ++i) {
-    EXPECT_LT(std::abs(via_plan[i] - spec[i]), 1e-9);
+  // Real plan: its half spectrum must agree with the complex transform.
+  RealVec padded(2 * n, 0.0);
+  std::copy(xr.begin(), xr.end(), padded.begin());
+  const dsp::RfftPlan& rplan = dsp::rfft_plan(2 * n);
+  CplxVec half(rplan.bins());
+  rplan.forward(padded.data(), half.data());
+  for (std::size_t k = 0; k < half.size(); ++k) {
+    EXPECT_LT(std::abs(half[k] - spec[k]), 1e-9);
   }
 
-  // Fast convolution with a unit impulse is the identity (plus exact
-  // zeros), so the convolution path conserves energy too.
-  const RealVec conv = dsp::fft_convolve(xr, RealVec{1.0});
+  // Overlap-save convolution with a unit impulse is the identity (plus
+  // exact zeros), so the convolution path conserves energy too.
+  RealVec conv;
+  dsp::FftWorkspace ws;
+  dsp::ols_convolve(xr, RealVec{1.0}, conv, ws);
   ASSERT_EQ(conv.size(), xr.size());
   double conv_energy = 0.0;
   for (const double v : conv) conv_energy += v * v;
@@ -102,7 +107,8 @@ TEST_P(FftSizeProperty, LinearityOfTransform) {
     b[i] = rng.cgaussian();
     sum[i] = a[i] + 2.0 * b[i];
   }
-  const CplxVec fa = dsp::fft(a), fb = dsp::fft(b), fsum = dsp::fft(sum);
+  CplxVec fa = a, fb = b, fsum = sum;
+  for (CplxVec* x : {&fa, &fb, &fsum}) dsp::fft_plan(n).forward(x->data());
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_LT(std::abs(fsum[i] - (fa[i] + 2.0 * fb[i])), 1e-8);
   }
@@ -185,8 +191,14 @@ INSTANTIATE_TEST_SUITE_P(Degrees, MSequenceProperty,
 class QuantizerBitsProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(QuantizerBitsProperty, SqnrFollowsSixDbPerBit) {
+  // A flash converter without comparator offsets is the ideal uniform
+  // quantizer: a full-scale sine reads the 6.02 b + 1.76 dB law.
   const int bits = GetParam();
-  adc::UniformQuantizer q(bits, 1.0);
+  Rng rng(static_cast<uint64_t>(bits));
+  adc::FlashParams params;
+  params.bits = bits;
+  params.comparator_offset_sigma = 0.0;
+  adc::FlashAdc q(params, rng);
   double sig = 0.0, err = 0.0;
   for (int i = 0; i < 50000; ++i) {
     const double x = std::sin(two_pi * 0.013771 * i);
@@ -194,7 +206,7 @@ TEST_P(QuantizerBitsProperty, SqnrFollowsSixDbPerBit) {
     sig += x * x;
     err += (y - x) * (y - x);
   }
-  EXPECT_NEAR(to_db(sig / err), adc::ideal_sqnr_db(bits), 1.2) << "bits=" << bits;
+  EXPECT_NEAR(to_db(sig / err), 6.02 * bits + 1.76, 1.2) << "bits=" << bits;
 }
 
 TEST_P(QuantizerBitsProperty, TransferMonotone) {
@@ -266,6 +278,17 @@ TEST_P(QuantizerBitsProperty, InterleavedFloatBlocksCountLikeUpperBound) {
                 ladders[lane].begin());
             ASSERT_EQ(levels[i], static_cast<float>(lanes[lane].level_of(code)))
                 << "phase " << phase << ", n " << n << ", sample " << i;
+            // Away from float rounding of any threshold, the lane's scalar
+            // double converter reads the same code.
+            const double vd = adc.lane_gain(k) * x[i] + adc.lane_offset(k);
+            const RealVec& thr = lanes[lane].thresholds();
+            const bool clear = std::all_of(thr.begin(), thr.end(), [vd](double t) {
+              return std::abs(t - vd) > 1e-5;
+            });
+            if (clear) {
+              ASSERT_EQ(code, lanes[lane].convert(vd))
+                  << "phase " << phase << ", n " << n << ", sample " << i;
+            }
           }
         }
       }
@@ -304,7 +327,7 @@ class ConvCodeProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(ConvCodeProperty, AnySingleCodedBitErrorIsCorrected) {
   // A rate-1/2 code with free distance >= 5 corrects any single error.
-  const fec::ConvCode code = GetParam() == 0 ? fec::k3_rate_half() : fec::k7_rate_half();
+  const fec::ConvCode code = GetParam() == 0 ? fec::ConvCode{} : fec::k7_rate_half();
   const fec::ConvEncoder enc(code);
   const fec::ViterbiDecoder dec(code);
   Rng rng(7);

@@ -1,5 +1,5 @@
-// Tests for the RF behavioral models: LNA, mixers, synthesizer, notch,
-// AGC, cascaded front end.
+// Tests for the RF behavioral models: LNA, mixer impairments, synthesizer,
+// notch, AGC, composed front end.
 
 #include <gtest/gtest.h>
 
@@ -31,6 +31,29 @@ CplxVec tone(double freq_hz, double fs, std::size_t n) {
   return out;
 }
 
+/// A complex signal as the split I/Q rails the receive chain runs on.
+struct Rails {
+  explicit Rails(const CplxVec& x) : i(x.size()), q(x.size()) {
+    for (std::size_t k = 0; k < x.size(); ++k) {
+      i[k] = x[k].real();
+      q[k] = x[k].imag();
+    }
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return i.size(); }
+  [[nodiscard]] cplx operator[](std::size_t k) const { return {i[k], q[k]}; }
+  [[nodiscard]] double power() const {
+    double acc = 0.0;
+    for (std::size_t k = 0; k < size(); ++k) acc += i[k] * i[k] + q[k] * q[k];
+    return acc / static_cast<double>(size());
+  }
+  [[nodiscard]] CplxWaveform waveform(double fs) const {
+    CplxVec x(size());
+    for (std::size_t k = 0; k < size(); ++k) x[k] = (*this)[k];
+    return CplxWaveform(std::move(x), fs);
+  }
+  RealVec i, q;
+};
+
 // ------------------------------------------------------------------ lna ----
 
 TEST(Lna, SmallSignalGain) {
@@ -39,9 +62,9 @@ TEST(Lna, SmallSignalGain) {
   params.noise_figure_db = 0.0;  // noiseless for this check
   const Lna lna(params);
   Rng rng(1);
-  RealWaveform x(RealVec(1000, 1e-4), 1e9);  // far below compression
-  lna.process(x, 0.0, rng);
-  EXPECT_NEAR(amp_to_db(x[500] / 1e-4), 15.0, 0.05);
+  Rails x(CplxVec(1000, cplx{1e-4, 0.0}));  // far below compression
+  lna.process_iq(x.i.data(), x.q.data(), x.size(), 0.0, rng);
+  EXPECT_NEAR(amp_to_db(x.i[500] / 1e-4), 15.0, 0.05);
 }
 
 TEST(Lna, CompressesSignalPeaksAboveHeadroom) {
@@ -54,14 +77,14 @@ TEST(Lna, CompressesSignalPeaksAboveHeadroom) {
   // Mostly unit samples plus outliers far above the headroom: the outliers
   // must be soft-limited near the saturation level while the unit samples
   // stay essentially linear.
-  RealVec samples(1000, 1.0);
+  CplxVec samples(1000, cplx{1.0, 0.0});
   for (std::size_t i = 0; i < 10; ++i) samples[i * 100] = 1000.0;
-  RealWaveform x(samples, 1e9);
-  const double rms = std::sqrt(mean_power(samples));
+  Rails x(samples);
+  const double rms = std::sqrt(x.power());
   const double sat = lna.saturation_amplitude(rms);
-  lna.process(x, 0.0, rng);
-  EXPECT_LT(x[0], sat * lna.gain_linear() * 1.01);          // outlier clamped
-  EXPECT_NEAR(x[1], 1.0 * lna.gain_linear(), 0.05 * lna.gain_linear());  // linear
+  lna.process_iq(x.i.data(), x.q.data(), x.size(), 0.0, rng);
+  EXPECT_LT(x.i[0], sat * lna.gain_linear() * 1.01);          // outlier clamped
+  EXPECT_NEAR(x.i[1], 1.0 * lna.gain_linear(), 0.05 * lna.gain_linear());  // linear
 }
 
 TEST(Lna, ExcessNoiseMatchesNoiseFigure) {
@@ -70,11 +93,11 @@ TEST(Lna, ExcessNoiseMatchesNoiseFigure) {
   params.noise_figure_db = 3.0102;  // F = 2 -> adds as much noise as present
   const Lna lna(params);
   Rng rng(3);
-  CplxWaveform x(CplxVec(200000, cplx{}), 1e9);
+  Rails x(CplxVec(200000, cplx{}));
   // Reference noise small enough to stay in the linear region of the
   // compression model: expect (F-1) * N_in added to silence.
   const double n_in = 1e-6;
-  lna.process(x, n_in, rng);
+  lna.process_iq(x.i.data(), x.q.data(), x.size(), n_in, rng);
   EXPECT_NEAR(x.power(), n_in, 0.05 * n_in);
 }
 
@@ -130,8 +153,8 @@ TEST(Lna, ComplexLimiterAppliesSoftClipGainPerSample) {
   double acc = 0.0;
   for (const cplx& v : samples) acc += std::norm(v);
   const double sat = lna.saturation_amplitude(std::sqrt(acc / samples.size()));
-  CplxWaveform x(samples, 1e9);
-  lna.process(x, 0.0, rng);
+  Rails x(samples);
+  lna.process_iq(x.i.data(), x.q.data(), x.size(), 0.0, rng);
   std::size_t large = 0;
   for (std::size_t k = 0; k < samples.size(); ++k) {
     const double re = samples[k].real();
@@ -146,37 +169,6 @@ TEST(Lna, ComplexLimiterAppliesSoftClipGainPerSample) {
 }
 
 // ---------------------------------------------------------------- mixer ----
-
-TEST(Mixer, UpDownRoundTrip) {
-  // Upconvert a smooth complex baseband, downconvert, compare (transient
-  // edges excluded).
-  const double fs = 20e9;
-  const double fc = 4e9;
-  const std::size_t n = 4096;
-  CplxVec bb(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    bb[i] = std::polar(1.0, two_pi * 50e6 * static_cast<double>(i) / fs);
-  }
-  const Upconverter up(fc, fs);
-  const Downconverter down(fc, 500e6, fs);
-  const CplxWaveform back = down.process(up.process(CplxWaveform(bb, fs)));
-  double max_err = 0.0;
-  for (std::size_t i = 200; i < n - 200; ++i) {
-    max_err = std::max(max_err, std::abs(back[i] - bb[i]));
-  }
-  EXPECT_LT(max_err, 0.05);
-}
-
-TEST(Mixer, ImageRejectionDependsOnImbalance) {
-  IqImpairments ideal;
-  EXPECT_GT(image_rejection_ratio_db(ideal), 100.0);
-  IqImpairments imbalanced;
-  imbalanced.gain_imbalance_db = 0.5;
-  imbalanced.phase_imbalance_rad = 0.05;
-  const double irr = image_rejection_ratio_db(imbalanced);
-  EXPECT_GT(irr, 20.0);
-  EXPECT_LT(irr, 40.0);
-}
 
 TEST(Mixer, BasebandImpairmentsCreateImage) {
   // A positive-frequency tone through an imbalanced chain leaks power at
@@ -193,8 +185,13 @@ TEST(Mixer, BasebandImpairmentsCreateImage) {
   const dsp::Psd psd = dsp::welch_psd(y, 1024);
   const double signal = psd.density_w_per_hz[psd.bin_of(100e6)];
   const double image = psd.density_w_per_hz[psd.bin_of(-100e6)];
-  const double measured_irr = to_db(signal / image);
-  EXPECT_NEAR(measured_irr, image_rejection_ratio_db(imp), 2.0);
+  // y = a x + b conj(x): the image sits |b|^2 / |a|^2 below the tone, with
+  // a = (gi + gq e^{-j phi}) / 2, b = (gi - gq e^{+j phi}) / 2.
+  const double gi = db_to_amp(imp.gain_imbalance_db / 2.0);
+  const double gq = 1.0 / gi;
+  const double a = std::abs(0.5 * (gi + gq * std::polar(1.0, -imp.phase_imbalance_rad)));
+  const double b = std::abs(0.5 * (gi - gq * std::polar(1.0, imp.phase_imbalance_rad)));
+  EXPECT_NEAR(to_db(signal / image), 20.0 * std::log10(a / b), 2.0);
 }
 
 TEST(Mixer, DcOffsetShowsAtZero) {
@@ -217,7 +214,6 @@ TEST(Synthesizer, TuneAndSettle) {
   EXPECT_DOUBLE_EQ(synth.tune(5), 2e-6);
   EXPECT_EQ(synth.channel(), 5);
   EXPECT_DOUBLE_EQ(synth.tune(5), 0.0);  // already there
-  EXPECT_NEAR(synth.frequency(), plan.center_frequency(5), 1.0);
   EXPECT_THROW(synth.tune(14), InvalidArgument);
 }
 
@@ -253,40 +249,72 @@ TEST(ComplexNotch, KillsTargetToneOnly) {
   const CplxVec want = tone(-200e6, fs, 20000);
   CplxVec mixed(20000);
   for (std::size_t i = 0; i < mixed.size(); ++i) mixed[i] = jam[i] + want[i];
-  const CplxWaveform out = notch.process(CplxWaveform(mixed, fs));
-  const dsp::Psd psd = dsp::welch_psd(out, 1024);
+  Rails out(mixed);
+  notch.process(out.i.data(), out.q.data(), out.size());
+  const dsp::Psd psd = dsp::welch_psd(out.waveform(fs), 1024);
   const double jam_level = psd.density_w_per_hz[psd.bin_of(120e6)];
   const double want_level = psd.density_w_per_hz[psd.bin_of(-200e6)];
   EXPECT_GT(to_db(want_level / std::max(jam_level, 1e-300)), 25.0);
 }
 
-TEST(ComplexNotch, ResponseAnalytic) {
-  ComplexNotch notch(50e6, 1e9, 0.95);
+TEST(ComplexNotch, SteadyStateFollowsTheAnalyticResponse) {
+  // Past the pole's transient (r^n), a tone leaves the recurrence scaled by
+  // H at its frequency: zero at f0, ~unity far away.
+  const double fs = 1e9;
+  ComplexNotch notch(50e6, fs, 0.95);
   EXPECT_LT(std::abs(notch.response_at(50e6)), 1e-9);
   EXPECT_NEAR(std::abs(notch.response_at(-400e6)), 1.0, 0.1);
-  EXPECT_GT(notch.bandwidth_3db_hz(), 1e6);
-}
-
-TEST(ComplexNotch, TuneMoves) {
-  ComplexNotch notch(50e6, 1e9);
-  notch.tune(-80e6);
-  EXPECT_LT(std::abs(notch.response_at(-80e6)), 1e-9);
-  EXPECT_THROW(notch.tune(600e6), InvalidArgument);
-}
-
-TEST(RealNotch, SuppressesBothSidebands) {
-  const double fs = 2e9;
-  RealNotch notch(300e6, 10.0, fs);
-  RealVec x(20000);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = std::cos(two_pi * 300e6 * static_cast<double>(i) / fs);
+  for (const double f : {50e6, 55e6, -80e6, 300e6, -400e6}) {
+    notch.reset();
+    const CplxVec x = tone(f, fs, 2000);
+    Rails y(x);
+    notch.process(y.i.data(), y.q.data(), y.size());
+    const cplx h = notch.response_at(f);
+    for (std::size_t k = 1000; k < x.size(); ++k) {
+      ASSERT_NEAR(std::abs(y[k] - h * x[k]), 0.0, 1e-9) << f << " Hz, sample " << k;
+    }
   }
-  const RealWaveform out = notch.process(RealWaveform(x, fs));
-  // Post-transient power strongly reduced.
-  double tail_power = 0.0;
-  for (std::size_t i = 10000; i < out.size(); ++i) tail_power += out[i] * out[i];
-  tail_power /= 10000.0;
-  EXPECT_LT(tail_power, 0.01);
+}
+
+TEST(ComplexNotch, RailProcessMatchesTheComplexRecurrenceBitForBit) {
+  // The in-place rail filter runs std::complex's own products in the same
+  // order as the recurrence below, so it is bit-identical (to 1e-12 only
+  // where FMA contraction may fuse the two differently); split calls
+  // continue from the state the previous one left.
+  const double fs = 4e9;
+  const double r = 0.98;
+  const double f0 = -137e6;
+  Rng rng(23);
+  CplxVec x(1001);
+  for (cplx& v : x) v = rng.cgaussian();
+  const cplx rot = std::polar(1.0, two_pi * f0 / fs);
+  CplxVec want(x.size());
+  cplx state{}, prev_in{};
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    const cplx y = x[k] - rot * prev_in + r * rot * state;
+    prev_in = x[k];
+    state = y;
+    want[k] = y;
+  }
+  ComplexNotch notch(f0, fs, r);
+  Rails got(x);
+  notch.process(got.i.data(), got.q.data(), 333);
+  notch.process(got.i.data() + 333, got.q.data() + 333, got.size() - 333);
+  for (std::size_t k = 0; k < x.size(); ++k) {
+#ifdef __FMA__
+    ASSERT_NEAR(got.i[k], want[k].real(), 1e-12) << "sample " << k;
+    ASSERT_NEAR(got.q[k], want[k].imag(), 1e-12) << "sample " << k;
+#else
+    ASSERT_EQ(got.i[k], want[k].real()) << "sample " << k;
+    ASSERT_EQ(got.q[k], want[k].imag()) << "sample " << k;
+#endif
+  }
+}
+
+TEST(ComplexNotch, RejectsBadConfig) {
+  EXPECT_THROW(ComplexNotch(600e6, 1e9), InvalidArgument);
+  EXPECT_THROW(ComplexNotch(50e6, 0.0), InvalidArgument);
+  EXPECT_THROW(ComplexNotch(50e6, 1e9, 1.0), InvalidArgument);
 }
 
 // ------------------------------------------------------------------ agc ----
@@ -298,7 +326,8 @@ TEST(Agc, OneShotHitsTarget) {
   Rng rng(6);
   CplxVec x(10000);
   for (auto& v : x) v = rng.cgaussian(4.0);  // rms 2
-  const CplxWaveform y = agc.one_shot(CplxWaveform(x, 1e9));
+  Rails y(x);
+  agc.one_shot(y.i.data(), y.q.data(), y.size());
   EXPECT_NEAR(std::sqrt(y.power()), 0.25, 0.01);
   EXPECT_NEAR(agc.gain_db(), amp_to_db(0.25 / 2.0), 0.2);
 }
@@ -308,44 +337,13 @@ TEST(Agc, RespectsGainLimits) {
   params.target_rms = 0.25;
   params.max_gain_db = 10.0;
   Agc agc(params);
-  CplxVec x(100, cplx{1e-6, 0.0});  // needs ~108 dB of gain
-  const CplxWaveform y = agc.one_shot(CplxWaveform(x, 1e9));
+  Rails y(CplxVec(100, cplx{1e-6, 0.0}));  // needs ~108 dB of gain
+  agc.one_shot(y.i.data(), y.q.data(), y.size());
   EXPECT_NEAR(agc.gain_db(), 10.0, 1e-9);
   EXPECT_LT(std::sqrt(y.power()), 0.25);
 }
 
-TEST(Agc, TrackingConverges) {
-  AgcParams params;
-  params.target_rms = 0.25;
-  params.window = 128;
-  params.step_db = 1.0;
-  Agc agc(params);
-  Rng rng(7);
-  CplxVec x(60000);
-  for (auto& v : x) v = rng.cgaussian(1.0);
-  const CplxWaveform y = agc.track(CplxWaveform(x, 1e9));
-  // Final quarter of the buffer should sit near the target.
-  double acc = 0.0;
-  for (std::size_t i = 45000; i < 60000; ++i) acc += std::norm(y[i]);
-  EXPECT_NEAR(std::sqrt(acc / 15000.0), 0.25, 0.05);
-}
-
 // ------------------------------------------------------------- front end ----
-
-TEST(FrontEnd, FriisCascade) {
-  // Textbook: 15 dB gain / 3 dB NF LNA followed by a 10 dB NF mixer:
-  // F = 2 + (10 - 1)/31.6 = 2.28 -> 3.59 dB.
-  const double nf = cascade_noise_figure_db({{"lna", 15.0, 3.0}, {"mixer", 0.0, 10.0}});
-  EXPECT_NEAR(nf, 3.59, 0.05);
-}
-
-TEST(FrontEnd, FirstStageDominates) {
-  const double good_first =
-      cascade_noise_figure_db({{"lna", 20.0, 2.0}, {"vga", 10.0, 15.0}});
-  const double bad_first =
-      cascade_noise_figure_db({{"vga", 10.0, 15.0}, {"lna", 20.0, 2.0}});
-  EXPECT_LT(good_first, bad_first - 8.0);
-}
 
 TEST(FrontEnd, BasebandPathPreservesSignalShape) {
   const pulse::BandPlan plan;
@@ -357,7 +355,8 @@ TEST(FrontEnd, BasebandPathPreservesSignalShape) {
   // A clean tone should come through (scaled by AGC) without distortion.
   CplxVec x = tone(30e6, 1e9, 4096);
   for (auto& v : x) v *= 1e-3;
-  const CplxWaveform y = fe.process_baseband(CplxWaveform(x, 1e9), 0.0, rng);
+  Rails y(x);
+  fe.process_baseband(y.i.data(), y.q.data(), y.size(), 0.0, rng);
   EXPECT_NEAR(std::sqrt(y.power()), params.agc.target_rms, 0.02);
 }
 
@@ -367,11 +366,11 @@ TEST(FrontEnd, NotchIntegration) {
   params.enable_agc = false;
   params.analog_fs = 1e9;
   FrontEnd fe(params, plan);
-  fe.set_notch(100e6, 1e9);
+  fe.set_notch(100e6);
   EXPECT_TRUE(fe.notch_enabled());
   Rng rng(9);
-  CplxVec x = tone(100e6, 1e9, 20000);
-  const CplxWaveform y = fe.process_baseband(CplxWaveform(x, 1e9), 0.0, rng);
+  Rails y(tone(100e6, 1e9, 20000));
+  fe.process_baseband(y.i.data(), y.q.data(), y.size(), 0.0, rng);
   // Steady-state jam power crushed.
   double tail = 0.0;
   for (std::size_t i = 10000; i < y.size(); ++i) tail += std::norm(y[i]);
@@ -385,8 +384,6 @@ TEST(FrontEnd, TuneDelegatesToSynthesizer) {
   FrontEnd fe(FrontEndParams{}, plan);
   EXPECT_GT(fe.tune(3), 0.0);
   EXPECT_EQ(fe.channel(), 3);
-  EXPECT_GT(fe.system_noise_figure_db(), 3.0);
-  EXPECT_LT(fe.system_noise_figure_db(), 12.0);
 }
 
 }  // namespace

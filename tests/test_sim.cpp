@@ -37,33 +37,6 @@ TEST(BerCounter, ConfidenceShrinksWithBits) {
   EXPECT_GT(small.ci95_halfwidth(), 0.0);
 }
 
-TEST(RunningStats, MomentsAndExtremes) {
-  RunningStats stats;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) stats.add(v);
-  EXPECT_EQ(stats.count(), 8u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
-  EXPECT_NEAR(stats.stddev(), 2.138, 0.001);  // sample stddev
-  EXPECT_DOUBLE_EQ(stats.min(), 2.0);
-  EXPECT_DOUBLE_EQ(stats.max(), 9.0);
-}
-
-TEST(RunningStats, SingleSample) {
-  RunningStats stats;
-  stats.add(3.5);
-  EXPECT_DOUBLE_EQ(stats.mean(), 3.5);
-  EXPECT_DOUBLE_EQ(stats.variance(), 0.0);
-}
-
-TEST(Percentile, InterpolatesSorted) {
-  RealVec v = {5.0, 1.0, 3.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 50.0), 3.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 100.0), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 25.0), 2.0);
-  EXPECT_THROW((void)percentile({}, 50.0), Error);
-  EXPECT_THROW((void)percentile({1.0}, 120.0), Error);
-}
-
 // ------------------------------------------------------------ monte carlo ----
 
 TEST(MeasureBer, StopsOnErrorBudget) {

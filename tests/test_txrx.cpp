@@ -21,6 +21,9 @@
 #include "dsp/filter_design.h"
 #include "dsp/fir_filter.h"
 #include "dsp/power_spectrum.h"
+#include "pulse/band_plan.h"
+#include "pulse/pulse_shape.h"
+#include "rf/mixer.h"
 #include "sim/scenario.h"
 #include "stats/sampling.h"
 #include "txrx/link.h"
@@ -60,12 +63,16 @@ TEST(Gen1Transmitter, FrameLayout) {
   const Gen1Config config = sim::gen1_fast();
   const Gen1Transmitter tx(config);
   Rng rng(1);
-  auto [wave, frame] = tx.transmit(rng.bits(32));
+  const Gen1Train train = tx.transmit_train(rng.bits(32));
+  const TxFrame& frame = train.frame;
   EXPECT_EQ(frame.preamble_bits, 127u);  // 1 repetition in the fast config
-  EXPECT_GT(wave.size(), 127u * config.frame_samples_analog());
   EXPECT_GT(frame.energy_per_bit, 0.0);
   // Data bits: SFD(16) + header(32) + payload+CRC(64).
   EXPECT_EQ(frame.frame_bits.size(), 16u + 32u + 64u);
+  // One slot per preamble chip and per spread pulse of each data bit.
+  EXPECT_EQ(train.amplitudes.size(),
+            frame.preamble_bits +
+                frame.frame_bits.size() * static_cast<std::size_t>(config.pulses_per_bit));
 }
 
 TEST(Gen1Transmitter, PreambleChipsAreAntipodal) {
@@ -77,47 +84,23 @@ TEST(Gen1Transmitter, PreambleChipsAreAntipodal) {
   EXPECT_EQ(tx.preamble_frames(), 254u);  // 2 repetitions
 }
 
-TEST(Gen1Transmitter, SparseTrainDescribesTheDenseWaveform) {
-  // transmit_train and transmit must be two views of the same signal:
-  // summing shifted prototype copies over the slot amplitudes rebuilds the
-  // dense waveform exactly.
-  const Gen1Config config = sim::gen1_fast();
-  const Gen1Transmitter tx(config);
-  Rng rng(7);
-  const BitVec payload = rng.bits(32);
-  auto [wave, frame] = tx.transmit(payload);
-  const Gen1Train train = tx.transmit_train(payload);
-
-  ASSERT_EQ(train.frame.frame_bits, frame.frame_bits);
-  EXPECT_EQ(train.frame.energy_per_bit, frame.energy_per_bit);
-  ASSERT_EQ(train.amplitudes.size(),
-            frame.preamble_bits + frame.frame_bits.size() *
-                                      static_cast<std::size_t>(config.pulses_per_bit));
-
-  const RealVec& proto = tx.prototype().samples();
-  const std::size_t frame_samples = config.frame_samples_analog();
-  RealVec dense(frame_samples * train.amplitudes.size() + proto.size(), 0.0);
-  for (std::size_t s = 0; s < train.amplitudes.size(); ++s) {
-    for (std::size_t i = 0; i < proto.size(); ++i) {
-      dense[s * frame_samples + i] += train.amplitudes[s] * proto[i];
-    }
-  }
-  ASSERT_EQ(dense.size(), wave.size());
-  for (std::size_t i = 0; i < dense.size(); ++i) {
-    ASSERT_EQ(dense[i], wave[i]) << "sample " << i;
-  }
-}
-
 TEST(Gen1Link, SparseChannelPathMatchesDenseConvolution) {
   // The fast multipath path applies the channel as shift-adds of the
   // composite kernel g = prototype (x) CIR; convolution distributes over
-  // the slot sum, so it must equal the dense cir.apply_real to rounding.
+  // the slot sum, so it must equal the dense train through the channel's
+  // real taps to rounding.
   const Gen1Config config = sim::gen1_fast();
   const Gen1Transmitter tx(config);
   Rng rng(11);
-  const BitVec payload = rng.bits(32);
-  auto [wave, frame] = tx.transmit(payload);
-  const Gen1Train train = tx.transmit_train(payload);
+  const Gen1Train train = tx.transmit_train(rng.bits(32));
+  const RealVec& proto = tx.prototype().samples();
+  const std::size_t frame_samples = config.frame_samples_analog();
+  RealVec wave(frame_samples * train.amplitudes.size() + proto.size(), 0.0);
+  for (std::size_t s = 0; s < train.amplitudes.size(); ++s) {
+    for (std::size_t i = 0; i < proto.size(); ++i) {
+      wave[s * frame_samples + i] += train.amplitudes[s] * proto[i];
+    }
+  }
 
   channel::SvParams params = channel::cm_by_index(3);
   params.complex_phases = false;
@@ -127,10 +110,9 @@ TEST(Gen1Link, SparseChannelPathMatchesDenseConvolution) {
   const CplxVec hc = cir.sampled(config.analog_fs);
   RealVec hr(hc.size());
   for (std::size_t i = 0; i < hc.size(); ++i) hr[i] = hc[i].real();
-  const RealVec dense = dsp::convolve_direct(wave.samples(), hr);
-  const RealVec g = dsp::convolve_direct(tx.prototype().samples(), hr);
+  const RealVec dense = dsp::convolve_direct(wave, hr);
+  const RealVec g = dsp::convolve_direct(proto, hr);
 
-  const std::size_t frame_samples = config.frame_samples_analog();
   RealVec sparse(frame_samples * train.amplitudes.size() + g.size(), 0.0);
   for (std::size_t s = 0; s < train.amplitudes.size(); ++s) {
     for (std::size_t i = 0; i < g.size(); ++i) {
@@ -149,12 +131,15 @@ TEST(Gen2Transmitter, FrameLayoutBpsk) {
   const Gen2Config config = sim::gen2_fast();
   const Gen2Transmitter tx(config);
   Rng rng(2);
-  auto [wave, frame] = tx.transmit(rng.bits(100));
+  const Gen2Train train = tx.transmit_train(rng.bits(100));
+  const TxFrame& frame = train.frame;
   // Overhead: preamble (63*2) + SFD 16 + header 32.
   EXPECT_EQ(frame.overhead_symbols, 126u + 16u + 32u);
   EXPECT_EQ(frame.payload_symbols, 132u);  // payload + CRC-32, BPSK
   EXPECT_EQ(frame.body_bits, 132u);
-  EXPECT_EQ(wave.sample_rate(), config.analog_fs);
+  EXPECT_EQ(train.amplitudes.size(), frame.overhead_symbols + frame.payload_symbols);
+  EXPECT_EQ(train.length, train.amplitudes.size() * frame.samples_per_bit +
+                              tx.prototype().size());
   EXPECT_GT(frame.energy_per_bit, 0.0);
 }
 
@@ -162,24 +147,36 @@ TEST(Gen2Transmitter, OccupiedBandwidthIs500MHz) {
   const Gen2Config config = sim::gen2_fast();
   const Gen2Transmitter tx(config);
   Rng rng(3);
-  auto [wave, frame] = tx.transmit(rng.bits(400));
-  const dsp::Psd psd = dsp::welch_psd(wave, 1024);
+  const Gen2Train train = tx.transmit_train(rng.bits(400));
+  RealVec dense(train.length);
+  tx.synthesize(train, 0, dense.size(), dense.data());
+  CplxVec wave(dense.size());
+  for (std::size_t k = 0; k < dense.size(); ++k) wave[k] = cplx(dense[k], 0.0);
+  const dsp::Psd psd = dsp::welch_psd(CplxWaveform(wave, config.analog_fs), 1024);
   const double bw = dsp::bandwidth_at_level(psd, -10.0);
   EXPECT_NEAR(bw, 500e6, 150e6);
 }
 
-TEST(Gen2Transmitter, PassbandSynthesisAtChannel) {
-  Gen2Config config = sim::gen2_fast();
-  config.channel_index = 4;  // ~5 GHz (Fig. 4)
-  const Gen2Transmitter tx(config);
+TEST(Upconverter, PassbandSynthesisAtChannel) {
+  // A gen-2 BPSK pulse train synthesized at 20 GS/s and upconverted to
+  // band-plan channel 4 (~5 GHz, Fig. 4) peaks at that channel's center.
+  const Gen2Config config = sim::gen2_fast();
+  const double rf_fs = 20e9;
+  pulse::PulseSpec spec = config.pulse;
+  spec.sample_rate_hz = rf_fs;
+  const RealWaveform proto = pulse::make_pulse(spec);
+  const auto frame = static_cast<std::size_t>(rf_fs / config.prf_hz);
   Rng rng(4);
-  auto [bb, frame] = tx.transmit(rng.bits(16));
-  // Truncate for speed.
-  const CplxWaveform head = bb.slice(0, std::min<std::size_t>(bb.size(), 16384));
-  const RealWaveform rf = tx.transmit_passband(head, 20e9);
-  EXPECT_DOUBLE_EQ(rf.sample_rate(), 20e9);
-  const dsp::Psd psd = dsp::welch_psd(rf, 4096);
+  CplxVec bb(frame * 80 + proto.size(), cplx{});
+  for (std::size_t m = 0; m < 80; ++m) {
+    const double a = rng.sign();
+    for (std::size_t i = 0; i < proto.size(); ++i) bb[m * frame + i] += a * proto[i];
+  }
   const pulse::BandPlan plan;
+  const rf::Upconverter up(plan.center_frequency(4), rf_fs, config.front_end.iq);
+  const RealWaveform rf = up.process(CplxWaveform(bb, rf_fs));
+  EXPECT_DOUBLE_EQ(rf.sample_rate(), rf_fs);
+  const dsp::Psd psd = dsp::welch_psd(rf, 4096);
   EXPECT_NEAR(psd.freq_hz[psd.peak_bin()], plan.center_frequency(4), 500e6);
 }
 
@@ -271,8 +268,8 @@ TEST(Gen2Receiver, MultipathPacketDecodes) {
 TEST(Gen2Link, CompositeKernelCaptureMatchesDenseChannelConvolution) {
   // The channel leg synthesizes y[n] = sum_m a_m * g[n - delay - offset_m]
   // with the composite kernel g = prototype (x) CIR. For every modulation
-  // and CM profile it must equal the delayed dense train through
-  // Cir::apply to 1e-12 of the peak -- bit for bit through the identity
+  // and CM profile it must equal the delayed dense train convolved with
+  // Cir::sampled to 1e-12 of the peak -- bit for bit through the identity
   // (AWGN) channel -- followed by the zero tail pad.
   const std::size_t delay = 17;
   const std::size_t pad = 256;
@@ -282,16 +279,16 @@ TEST(Gen2Link, CompositeKernelCaptureMatchesDenseChannelConvolution) {
     config.modulation = mod;
     const Gen2Transmitter tx(config);
     Rng rng(0xC0DE + static_cast<uint64_t>(mod));
-    const BitVec payload = rng.bits(120);
-    auto [wave, frame] = tx.transmit(payload);
-    wave.delay_samples(delay);
-    const Gen2Train train = tx.transmit_train(payload);
-    EXPECT_EQ(train.frame.energy_per_bit, frame.energy_per_bit);
+    const Gen2Train train = tx.transmit_train(rng.bits(120));
+    RealVec dense(train.length);
+    tx.synthesize(train, 0, dense.size(), dense.data());
+    CplxVec wave(delay + dense.size(), cplx{});
+    for (std::size_t k = 0; k < dense.size(); ++k) wave[delay + k] = cplx(dense[k], 0.0);
     for (int cm = 0; cm <= 4; ++cm) {
       const channel::Cir cir =
           cm == 0 ? channel::identity_cir()
                   : channel::SalehValenzuela(channel::cm_by_index(cm)).realize(rng);
-      const CplxWaveform want = cir.apply(wave);
+      const CplxVec want = dsp::convolve_direct(wave, cir.sampled(config.analog_fs));
       dsp::IqArena g;
       dsp::IqArena rx;
       gen2_composite_kernel(tx.prototype().samples(), cir, config.analog_fs, g);
@@ -562,7 +559,9 @@ Gen1Config skewed_gen1() {
 }
 
 TEST(Gen1Receiver, NoiseFactorReproducesTheConverterCovariance) {
-  // L * L^T must equal A * A^T to 1e-9 relative, A measured by unit
+  // whiten() applies L^-1 block by block, so whitening the columns of
+  // G = A * A^T gives U = L^-1 G = L^T: U must be upper-triangular and
+  // U^T * U must equal G to 1e-9 relative, A measured by unit
   // impulses through the receiver's FIR and lane interpolation: a
   // 12-sample block at two places (one factor per length serves both), a
   // longer block, and the block decision_blocks() merges a bit's 16
@@ -583,8 +582,11 @@ TEST(Gen1Receiver, NoiseFactorReproducesTheConverterCovariance) {
   EXPECT_TRUE(lanes_differ) << "the lanes should be skewed";
   constexpr std::size_t n = 3000;
   const std::size_t n_adc = n / plan->stride;
-  EXPECT_THROW((void)rx.noise_factor({0, 12}, n, fs), InvalidArgument);
-  EXPECT_THROW((void)rx.noise_factor({n_adc - 12, n_adc}, n, fs), InvalidArgument);
+  std::vector<double> probe(12, 1.0);
+  const AdcWindow head[] = {{0, 12}};
+  const AdcWindow tail[] = {{n_adc - 12, n_adc}};
+  EXPECT_THROW(rx.whiten(head, n, fs, probe.data()), InvalidArgument);
+  EXPECT_THROW(rx.whiten(tail, n, fs, probe.data()), InvalidArgument);
   Gen1RxOptions genie;
   genie.genie_timing = true;
   const std::vector<AdcWindow> merged(rx.decision_blocks(n, fs, tx, 1, genie).begin(),
@@ -600,23 +602,21 @@ TEST(Gen1Receiver, NoiseFactorReproducesTheConverterCovariance) {
     const std::string where = "block [" + std::to_string(block.begin) + ", " +
                               std::to_string(block.end) + ")";
     const std::vector<double> want = gram(measure_converter_map(rx, fs, block, n));
-    const Gen1NoiseFactor& factor = rx.noise_factor(block, n, fs);
     const std::size_t m = block.end - block.begin;
-    ASSERT_EQ(factor.m, m) << where;
     double scale = 0.0;
     for (const double v : want) scale = std::max(scale, std::abs(v));
     ASSERT_GT(scale, 0.0) << where;
+    // u[j * m + i] = U(i, j): column j of G, whitened.
+    std::vector<double> u(want);
+    const AdcWindow one[] = {block};
+    for (std::size_t j = 0; j < m; ++j) rx.whiten(one, n, fs, u.data() + j * m);
     double worst = 0.0;
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t j = 0; j < m; ++j) {
-        double llt = 0.0;
-        for (std::size_t k = 0; k < m; ++k) {
-          llt += factor.lower[i * m + k] * factor.lower[j * m + k];
-        }
-        worst = std::max(worst, std::abs(llt - want[i * m + j]) / scale);
-      }
-      for (std::size_t j = i + 1; j < m; ++j) {
-        EXPECT_EQ(factor.lower[i * m + j], 0.0) << where << " L is lower-triangular";
+        double utu = 0.0;
+        for (std::size_t k = 0; k < m; ++k) utu += u[i * m + k] * u[j * m + k];
+        worst = std::max(worst, std::abs(utu - want[i * m + j]) / scale);
+        if (i > j) worst = std::max(worst, std::abs(u[j * m + i]) / std::sqrt(scale));
       }
     }
     EXPECT_LT(worst, 1e-9) << where;
@@ -1076,8 +1076,8 @@ TEST(Gen1Receiver, AcquisitionFindsTiming) {
 // ------------------------------------------------------------ unified Link ----
 
 TEST(UnifiedLink, MakeLinkDispatchesOnTheSpecGeneration) {
-  const LinkSpec spec1 = LinkSpec::for_gen1(sim::gen1_fast());
-  const LinkSpec spec2 = LinkSpec::for_gen2(sim::gen2_fast());
+  const LinkSpec spec1{sim::gen1_fast(), default_options(Generation::kGen1)};
+  const LinkSpec spec2{sim::gen2_fast(), default_options(Generation::kGen2)};
   const auto link1 = make_link(spec1, 1);
   const auto link2 = make_link(spec2, 1);
   EXPECT_EQ(link1->generation(), Generation::kGen1);
@@ -1087,8 +1087,8 @@ TEST(UnifiedLink, MakeLinkDispatchesOnTheSpecGeneration) {
 }
 
 TEST(UnifiedLink, CapsReflectTheHardware) {
-  const auto gen1 = make_link(LinkSpec::for_gen1(sim::gen1_fast()), 2);
-  const auto gen2 = make_link(LinkSpec::for_gen2(sim::gen2_fast()), 2);
+  const auto gen1 = make_link(LinkSpec{sim::gen1_fast(), default_options(Generation::kGen1)}, 2);
+  const auto gen2 = make_link(LinkSpec{sim::gen2_fast(), default_options(Generation::kGen2)}, 2);
   EXPECT_FALSE(gen1->caps().complex_baseband);
   EXPECT_TRUE(gen1->caps().supports_acquisition_trials);
   EXPECT_FALSE(gen1->caps().supports_fec);
@@ -1121,7 +1121,7 @@ TEST(UnifiedLink, SamePacketThroughBaseAndConcreteInterfaces) {
   Rng rng_a(123);
   const Gen2TrialResult full = detailed.run_packet_full(options, rng_a);
 
-  const auto link = make_link(LinkSpec::for_gen2(config, options), 77);
+  const auto link = make_link(LinkSpec{config, options}, 77);
   Rng rng_b(123);
   const sim::TrialOutcome slim = link->run_packet(options, rng_b);
 
@@ -1138,12 +1138,12 @@ TEST(UnifiedLink, SamePacketThroughBaseAndConcreteInterfaces) {
 TEST(UnifiedLink, Gen1RejectsGen2OnlyOptionsLoudly) {
   TrialOptions interferer = default_options(Generation::kGen1);
   interferer.interferer = true;
-  EXPECT_THROW((void)make_link(LinkSpec::for_gen1(sim::gen1_fast(), interferer), 1),
+  EXPECT_THROW((void)make_link(LinkSpec{sim::gen1_fast(), interferer}, 1),
                InvalidArgument);
 
   TrialOptions coded = default_options(Generation::kGen1);
-  coded.fec = fec::k3_rate_half();
-  EXPECT_THROW((void)make_link(LinkSpec::for_gen1(sim::gen1_fast(), coded), 1),
+  coded.fec = fec::ConvCode{};
+  EXPECT_THROW((void)make_link(LinkSpec{sim::gen1_fast(), coded}, 1),
                InvalidArgument);
 
   // The run path is guarded too, not only the factory.
@@ -1169,7 +1169,7 @@ TEST(UnifiedLink, AcquisitionTrialsRunThroughRunPacket) {
   const Gen1TrialResult reference = detailed.run_packet_full(options, rng_a);
   const Gen1AcqResult& acq = reference.rx.acq;
 
-  const auto link = make_link(LinkSpec::for_gen1(config, options), 0xACE);
+  const auto link = make_link(LinkSpec{config, options}, 0xACE);
   Rng rng_b(42);
   const sim::TrialOutcome trial = link->run_packet(options, rng_b);
 
@@ -1198,7 +1198,7 @@ TEST(UnifiedLink, AcquisitionTrialsRunThroughRunPacket) {
 TEST(UnifiedLink, Gen2RejectsAcquisitionTrialsLoudly) {
   TrialOptions options;  // gen-2 defaults
   options.kind = TrialKind::kAcquisition;
-  EXPECT_THROW((void)make_link(LinkSpec::for_gen2(sim::gen2_fast(), options), 1),
+  EXPECT_THROW((void)make_link(LinkSpec{sim::gen2_fast(), options}, 1),
                InvalidArgument);
   Gen2Link link(sim::gen2_fast(), 1);
   Rng rng(5);
@@ -1211,8 +1211,8 @@ TEST(UnifiedLink, MetricVocabularyMatchesCapsAndKind) {
   // Caps advertise the full vocabulary; trial_metric_names narrows it to
   // what one trial kind actually emits, and the emitted sets match what
   // run_packet produces (the acquired flag at minimum).
-  const auto gen1 = make_link(LinkSpec::for_gen1(sim::gen1_fast()), 3);
-  const auto gen2 = make_link(LinkSpec::for_gen2(sim::gen2_fast()), 3);
+  const auto gen1 = make_link(LinkSpec{sim::gen1_fast(), default_options(Generation::kGen1)}, 3);
+  const auto gen2 = make_link(LinkSpec{sim::gen2_fast(), default_options(Generation::kGen2)}, 3);
   EXPECT_EQ(gen1->caps().metric_names,
             (std::vector<std::string>{metric_names::kAcquired,
                                       metric_names::kIsLlr,
@@ -1237,7 +1237,7 @@ TEST(UnifiedLink, MetricVocabularyMatchesCapsAndKind) {
             gen2->caps().metric_names);
 
   // validate_spec rejects names outside the kind's vocabulary.
-  LinkSpec spec = LinkSpec::for_gen1(sim::gen1_fast());
+  LinkSpec spec{sim::gen1_fast(), default_options(Generation::kGen1)};
   spec.options.record_metrics = {metric_names::kSyncTime};  // packet kind: not emitted
   EXPECT_THROW(validate_spec(spec), InvalidArgument);
   spec.options.record_metrics = {metric_names::kAcquired};
