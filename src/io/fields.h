@@ -9,16 +9,19 @@
 /// const struct and the reader a mutable one. A list calls
 ///
 ///   v(key, member)                    a required key;
-///   v(key, member, conversion)        ... stored through a Named table or
-///                                     a Via pair (kHexDigest);
+///   v(key, member, conversion)        ... stored through a conversion: a
+///                                     Named table, a Via pair (kHexDigest,
+///                                     kNumberText, kTagObject, kTagPairs)
+///                                     or KeyedBy (vector as keyed object);
 ///   v.field_if(written, key, member)  written only when `written` holds;
 ///   v.optional(key, member)           always written;
 ///   v(key, group([&](auto& g) {..}))  an object with no struct of its own.
 ///
 /// field_if and optional keys may be absent on read. The reader visits a
 /// list once per object, in list order, so a list may check a derived
-/// value right after the keys it depends on. Each document's read function
-/// picks its Missing policy, and applies its own bounds once read.
+/// value right after the keys it depends on, and a Via read may start from
+/// what an earlier key set. Each document's read function picks its
+/// Missing policy, and applies its own bounds once read.
 
 #include <concepts>
 #include <cstdint>
@@ -63,11 +66,15 @@ E value_of(const Named<E> (&names)[N], const std::string& name, const char* docu
                         "' (expected " + expected + ")");
 }
 
-/// A value stored through a function pair instead of a field list.
+/// A value stored through a function pair instead of a field list. read
+/// fills the member in place, so it may start from what an earlier key of
+/// the list set. A `required` key must be present even in a document whose
+/// missing keys keep their defaults.
 template <typename T>
 struct Via {
   JsonValue (*write)(const T&);
-  T (*read)(const JsonValue&);
+  void (*read)(const JsonValue&, T&);
+  bool required = false;
 };
 
 inline JsonValue hex_digest_to_json(const std::uint64_t& digest) {
@@ -87,7 +94,59 @@ inline std::uint64_t hex_digest_from_json(const JsonValue& v) {
 }
 
 /// A 64-bit digest stored as exactly 16 lowercase hex digits.
-inline constexpr Via<std::uint64_t> kHexDigest{hex_digest_to_json, hex_digest_from_json};
+inline constexpr Via<std::uint64_t> kHexDigest{
+    hex_digest_to_json,
+    [](const JsonValue& v, std::uint64_t& out) { out = hex_digest_from_json(v); }};
+
+/// A number kept as its literal JSON text, so read -> write reproduces it
+/// byte for byte (a result's ber, ci95 and metric moments).
+inline constexpr Via<std::string> kNumberText{
+    [](const std::string& text) { return JsonValue::number_literal(text); },
+    [](const JsonValue& v, std::string& out) { out = v.number_text(); }};
+
+/// Ordered key/value string pairs: a point's axis tags.
+using Tags = std::vector<std::pair<std::string, std::string>>;
+
+/// Tags as an object, {"key": "value", ...}.
+inline constexpr Via<Tags> kTagObject{
+    [](const Tags& tags) {
+      JsonValue out = JsonValue::object();
+      for (const auto& [key, value] : tags) out.set(key, JsonValue::string(value));
+      return out;
+    },
+    [](const JsonValue& v, Tags& out) {
+      out.clear();
+      for (const auto& [key, value] : v.members()) out.emplace_back(key, value.as_string());
+    }};
+
+/// Tags as an array of [key, value] pairs.
+inline constexpr Via<Tags> kTagPairs{
+    [](const Tags& tags) {
+      JsonValue out = JsonValue::array();
+      for (const auto& [key, value] : tags) {
+        JsonValue pair = JsonValue::array();
+        pair.push_back(JsonValue::string(key));
+        pair.push_back(JsonValue::string(value));
+        out.push_back(std::move(pair));
+      }
+      return out;
+    },
+    [](const JsonValue& v, Tags& out) {
+      out.clear();
+      for (const JsonValue& pair : v.items()) {
+        detail::require(pair.items().size() == 2, "a tag must be a [key, value] pair");
+        out.emplace_back(pair.items()[0].as_string(), pair.items()[1].as_string());
+      }
+    }};
+
+/// A vector stored as an object keyed by each element's \p Key member,
+/// the rest of an element through its field list (a point's metrics by
+/// name).
+template <auto Key>
+struct KeyedBy {};
+
+template <auto Key>
+inline constexpr KeyedBy<Key> kKeyedBy{};
 
 /// An object with no struct of its own: both visitors run \p list, a
 /// generic lambda, as they run a fields() list.
@@ -135,6 +194,7 @@ JsonValue write_value(const T& value) {
   else if constexpr (std::is_unsigned_v<T>) return JsonValue::number(std::uint64_t{value});
   else if constexpr (std::is_same_v<T, double>) return JsonValue::number(value);
   else if constexpr (std::is_same_v<T, std::string>) return JsonValue::string(value);
+  else if constexpr (std::is_same_v<T, JsonValue>) return value;
   else return write_struct(value);
 }
 
@@ -163,6 +223,13 @@ JsonValue write_value(E value, const Named<E> (&names)[N]) {
 template <typename T>
 JsonValue write_value(const T& value, const Via<T>& via) {
   return via.write(value);
+}
+
+template <typename T, auto Key>
+JsonValue write_value(const std::vector<T>& values, KeyedBy<Key>) {
+  JsonValue out = JsonValue::object();
+  for (const T& value : values) out.set(value.*Key, write_struct(value));
+  return out;
 }
 
 /// Builds an object in list order.
@@ -226,6 +293,8 @@ void read_value(const JsonValue& v, const Document& doc, const char* key, T& out
     out = v.as_double();
   } else if constexpr (std::is_same_v<T, std::string>) {
     out = v.as_string();
+  } else if constexpr (std::is_same_v<T, JsonValue>) {
+    out = v;
   } else {
     out = read_struct(v, doc, key, T{});
   }
@@ -234,8 +303,13 @@ void read_value(const JsonValue& v, const Document& doc, const char* key, T& out
 template <typename T>
 void read_value(const JsonValue& v, const Document& doc, const char* key,
                 std::optional<T>& out) {
-  if (v.is_null()) out.reset();
-  else out = read_struct(v, doc, key, T{});
+  if (v.is_null()) {
+    out.reset();
+  } else {
+    T value{};
+    read_value(v, doc, key, value);
+    out = std::move(value);
+  }
 }
 
 template <typename T>
@@ -258,7 +332,30 @@ void read_value(const JsonValue& v, const Document& doc, const char* key, E& out
 
 template <typename T>
 void read_value(const JsonValue& v, const Document&, const char*, T& out, const Via<T>& via) {
-  out = via.read(v);
+  via.read(v, out);
+}
+
+template <typename T, auto Key>
+void read_value(const JsonValue& v, const Document& doc, const char* key, std::vector<T>& out,
+                KeyedBy<Key>) {
+  out.clear();
+  for (const auto& [name, item] : v.members()) {
+    T& value = out.emplace_back();
+    read_value(item, doc, key, value);
+    value.*Key = name;
+  }
+}
+
+/// Whether a conversion makes its key required whatever the document's
+/// Missing policy.
+template <typename C>
+bool required_key(const C&) {
+  return false;
+}
+
+template <typename T>
+bool required_key(const Via<T>& via) {
+  return via.required;
 }
 
 /// Reads one object's members into the fields its list names.
@@ -296,7 +393,8 @@ class Reader {
     if (const JsonValue* value = object_.find(key)) {
       read_value(*value, doc_, key, member, conversion...);
     } else {
-      detail::require(optional || doc_.missing == Missing::kKeepDefault,
+      const bool required = (required_key(conversion) || ...);
+      detail::require(optional || (doc_.missing == Missing::kKeepDefault && !required),
                       context() + ": missing key '" + key + "'");
     }
   }

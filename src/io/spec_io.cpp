@@ -37,10 +37,6 @@ constexpr Named<stats::SamplingMode> kSamplingModes[] = {
 
 constexpr Document kSpec{"spec", Missing::kKeepDefault};
 
-[[noreturn]] void unknown_key(const char* what, const std::string& key) {
-  throw InvalidArgument(std::string("spec: ") + what + ": unknown key '" + key + "'");
-}
-
 // ----------------------------------------------------------------- bounds ----
 // Checked once a document's struct is read, so no spec can load past them.
 
@@ -265,42 +261,73 @@ txrx::Gen2Config gen2_config_from_json(const JsonValue& v) {
   return read_struct(v, kSpec, "gen2 config", txrx::Gen2Config{});
 }
 
-// --------------------------------------------------------------- LinkSpec ----
+// ------------------------------------------------- LinkSpec, points, plans ----
+// A link's generation picks its config alternative and option defaults:
+// the generation key, read first, resets both, and the config and options
+// keys read on top of what it set.
 
-JsonValue to_json(const txrx::LinkSpec& spec) {
-  JsonValue out = JsonValue::object();
-  out.set("generation", JsonValue::string(name_of(kGenerations, spec.generation())));
-  out.set("config", spec.generation() == txrx::Generation::kGen1 ? to_json(spec.gen1())
-                                                                 : to_json(spec.gen2()));
-  out.set("options", to_json(spec.options));
-  return out;
+constexpr Via<txrx::LinkSpec> kGenerationDefaults{
+    [](const txrx::LinkSpec& spec) {
+      return JsonValue::string(name_of(kGenerations, spec.generation()));
+    },
+    [](const JsonValue& v, txrx::LinkSpec& spec) {
+      const txrx::Generation gen = value_of(kGenerations, v.as_string(), "spec", "generation");
+      if (gen == txrx::Generation::kGen1) spec.config = txrx::Gen1Config{};
+      else spec.config = txrx::Gen2Config{};
+      spec.options = txrx::default_options(gen);
+    },
+    /*required=*/true};
+
+constexpr Via<std::variant<txrx::Gen1Config, txrx::Gen2Config>> kHeldConfig{
+    [](const std::variant<txrx::Gen1Config, txrx::Gen2Config>& config) {
+      return std::visit([](const auto& c) { return to_json(c); }, config);
+    },
+    [](const JsonValue& v, std::variant<txrx::Gen1Config, txrx::Gen2Config>& config) {
+      if (std::holds_alternative<txrx::Gen1Config>(config)) config = gen1_config_from_json(v);
+      else config = gen2_config_from_json(v);
+    }};
+
+constexpr Via<txrx::TrialOptions> kHeldOptions{
+    [](const txrx::TrialOptions& options) { return to_json(options); },
+    [](const JsonValue& v, txrx::TrialOptions& options) {
+      options = trial_options_from_json(v, std::move(options));
+    }};
+
+constexpr Via<txrx::LinkSpec> kLink{
+    [](const txrx::LinkSpec& spec) { return to_json(spec); },
+    [](const JsonValue& v, txrx::LinkSpec& spec) { spec = link_spec_from_json(v); },
+    /*required=*/true};
+
+template <typename V>
+void fields(V& v, Of<txrx::LinkSpec> auto& s) {
+  v("generation", s, kGenerationDefaults);
+  v("config", s.config, kHeldConfig);
+  v("options", s.options, kHeldOptions);
 }
 
+template <typename V>
+void fields(V& v, Of<engine::PointSpec> auto& s) {
+  v("label", s.label);
+  v("tags", s.tags, kTagPairs);
+  v("link", s.link, kLink);
+}
+
+template <typename V>
+void fields(V& v, Of<engine::ScenarioSpec> auto& s) {
+  v("name", s.name);
+  v("description", s.description);
+  v("points", s.points);
+}
+
+JsonValue to_json(const txrx::LinkSpec& spec) { return write_struct(spec); }
+
 txrx::LinkSpec link_spec_from_json(const JsonValue& v) {
-  const txrx::Generation gen =
-      value_of(kGenerations, v.at("generation").as_string(), "spec", "generation");
-  txrx::LinkSpec spec;
-  if (gen == txrx::Generation::kGen1) {
-    spec.config = txrx::Gen1Config{};
-  }
-  spec.options = txrx::default_options(gen);
-  for (const auto& [key, val] : v.members()) {
-    if (key == "generation") {
-      continue;  // handled above
-    } else if (key == "config") {
-      if (gen == txrx::Generation::kGen1) spec.config = gen1_config_from_json(val);
-      else spec.config = gen2_config_from_json(val);
-    } else if (key == "options") {
-      spec.options = trial_options_from_json(val, txrx::default_options(gen));
-    } else {
-      unknown_key("link", key);
-    }
-  }
+  const txrx::LinkSpec spec = read_struct(v, kSpec, "link", txrx::LinkSpec{});
   // Strict like the unknown-key checks: a typo'd metric name must fail at
   // load time, not silently record empty columns. (emits_metric also
   // rejects a trial kind the generation does not support.)
   for (const std::string& name : spec.options.record_metrics) {
-    if (!txrx::emits_metric(gen, spec.options.kind, name)) {
+    if (!txrx::emits_metric(spec.generation(), spec.options.kind, name)) {
       throw InvalidArgument("spec: options: unknown metric '" + name +
                             "' in record_metrics");
     }
@@ -308,86 +335,17 @@ txrx::LinkSpec link_spec_from_json(const JsonValue& v) {
   return spec;
 }
 
-// -------------------------------------------------------------- PointSpec ----
-
-JsonValue to_json(const engine::PointSpec& point) {
-  JsonValue out = JsonValue::object();
-  out.set("label", JsonValue::string(point.label));
-  JsonValue tags = JsonValue::array();
-  for (const auto& [key, value] : point.tags) {
-    JsonValue pair = JsonValue::array();
-    pair.push_back(JsonValue::string(key));
-    pair.push_back(JsonValue::string(value));
-    tags.push_back(std::move(pair));
-  }
-  out.set("tags", std::move(tags));
-  out.set("link", to_json(point.link));
-  return out;
-}
-
-engine::PointSpec point_spec_from_json(const JsonValue& v) {
-  engine::PointSpec point;
-  bool have_link = false;
-  for (const auto& [key, val] : v.members()) {
-    if (key == "label") {
-      point.label = val.as_string();
-    } else if (key == "tags") {
-      for (const auto& pair : val.items()) {
-        detail::require(pair.items().size() == 2, "spec: a tag must be a [key, value] pair");
-        point.tags.emplace_back(pair.items()[0].as_string(), pair.items()[1].as_string());
-      }
-    } else if (key == "link") {
-      point.link = link_spec_from_json(val);
-      have_link = true;
-    } else {
-      unknown_key("point", key);
-    }
-  }
-  detail::require(have_link, "spec: point is missing its 'link'");
-  return point;
-}
-
-// ----------------------------------------------------------- ScenarioSpec ----
-
-JsonValue to_json(const engine::ScenarioSpec& scenario) {
-  JsonValue out = JsonValue::object();
-  out.set("name", JsonValue::string(scenario.name));
-  out.set("description", JsonValue::string(scenario.description));
-  JsonValue points = JsonValue::array();
-  for (const auto& point : scenario.points) {
-    points.push_back(to_json(point));
-  }
-  out.set("points", std::move(points));
-  return out;
-}
-
-engine::ScenarioSpec scenario_from_json(const JsonValue& v) {
-  engine::ScenarioSpec scenario;
-  for (const auto& [key, val] : v.members()) {
-    if (key == "name") {
-      scenario.name = val.as_string();
-    } else if (key == "description") {
-      scenario.description = val.as_string();
-    } else if (key == "points") {
-      for (const auto& point : val.items()) {
-        scenario.points.push_back(point_spec_from_json(point));
-      }
-    } else {
-      unknown_key("scenario", key);
-    }
-  }
-  detail::require(!scenario.name.empty(), "spec: scenario needs a non-empty 'name'");
-  return scenario;
-}
-
 // ------------------------------------------------------------------ files ----
 
 std::string scenario_to_json_text(const engine::ScenarioSpec& scenario) {
-  return dump_json_pretty(to_json(scenario));
+  return dump_json_pretty(write_struct(scenario));
 }
 
 engine::ScenarioSpec scenario_from_json_text(const std::string& text) {
-  return scenario_from_json(parse_json(text));
+  const engine::ScenarioSpec scenario =
+      read_struct(parse_json(text), kSpec, nullptr, engine::ScenarioSpec{});
+  detail::require(!scenario.name.empty(), "spec: scenario needs a non-empty 'name'");
+  return scenario;
 }
 
 void save_scenario_file(const engine::ScenarioSpec& scenario, const std::string& path) {

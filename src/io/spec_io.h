@@ -11,7 +11,8 @@
 /// names its keys once, in one io/fields.h list that drives both the writer
 /// (keys in list order) and the reader. Readers are strict: an unknown key
 /// throws InvalidArgument (typos fail loudly), a missing key keeps the
-/// field's C++ default (hand-written files stay terse).
+/// field's C++ default (hand-written files stay terse), except a point's
+/// `link` and a link's `generation`, which every document must hold.
 
 #include <string>
 
@@ -42,8 +43,6 @@ void fields(V& v, Of<sim::BerStop> auto& s) {
 [[nodiscard]] JsonValue to_json(const txrx::Gen1Config& config);
 [[nodiscard]] JsonValue to_json(const txrx::Gen2Config& config);
 [[nodiscard]] JsonValue to_json(const txrx::LinkSpec& spec);
-[[nodiscard]] JsonValue to_json(const engine::PointSpec& point);
-[[nodiscard]] JsonValue to_json(const engine::ScenarioSpec& scenario);
 
 // ------------------------------------------------------------- from JSON ----
 
@@ -55,8 +54,6 @@ void fields(V& v, Of<sim::BerStop> auto& s) {
 [[nodiscard]] txrx::Gen1Config gen1_config_from_json(const JsonValue& v);
 [[nodiscard]] txrx::Gen2Config gen2_config_from_json(const JsonValue& v);
 [[nodiscard]] txrx::LinkSpec link_spec_from_json(const JsonValue& v);
-[[nodiscard]] engine::PointSpec point_spec_from_json(const JsonValue& v);
-[[nodiscard]] engine::ScenarioSpec scenario_from_json(const JsonValue& v);
 
 // ----------------------------------------------------------------- files ----
 

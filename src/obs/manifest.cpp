@@ -41,7 +41,9 @@ void fields(V& v, Of<obs::PoolWorkerStats> auto& w) {
   v("idle_us", w.idle_us);
 }
 
-constexpr Via<obs::StageTable> kStageRows{obs::stage_table_to_json, obs::stage_table_from_json};
+constexpr Via<obs::StageTable> kStageRows{
+    obs::stage_table_to_json,
+    [](const JsonValue& v, obs::StageTable& out) { out = obs::stage_table_from_json(v); }};
 
 template <typename V>
 void fields(V& v, Of<obs::PointTiming> auto& p) {
