@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
+#include <optional>
 
 #include "common/error.h"
 #include "common/math_utils.h"
@@ -15,6 +16,97 @@
 namespace uwb::farm {
 
 namespace {
+
+/// The top level of an expectations document.
+struct Expectations {
+  int version = kExpectationsVersion;
+  std::optional<std::string> scenario;
+  std::optional<std::uint64_t> points;
+  std::optional<std::uint64_t> min_total_trials;
+  std::vector<io::JsonValue> checks;
+};
+
+/// A `reference` fixture point: the counts and estimate an interval is
+/// recomputed from.
+struct FixturePoint {
+  io::ResultPoint point;
+};
+
+/// A `reference` check: the fixture points, their filter, and the
+/// fixture's provenance (spec_digest, seed), which verify does not read.
+struct ReferenceCheck {
+  std::uint64_t spec_digest = 0;
+  std::uint64_t seed = 0;
+  std::vector<FixturePoint> points;
+  io::Tags where;
+};
+
+}  // namespace
+
+}  // namespace uwb::farm
+
+// ------------------------------------------------------------ field lists ----
+
+namespace uwb::io {
+
+/// A check's optional tag filter: every pair must match a point's tags.
+template <typename V>
+void where_filter(V& v, Of<Tags> auto& where) {
+  v.field_if(!where.empty(), "where", where, kTagObject);
+}
+
+template <typename V>
+void fields(V& v, Of<farm::Expectations> auto& e) {
+  v("version", e.version);
+  detail::require(e.version == farm::kExpectationsVersion,
+                  "verify: expectations version " + std::to_string(e.version) +
+                      " does not match this binary's version " +
+                      std::to_string(farm::kExpectationsVersion));
+  v.field_if(e.scenario.has_value(), "scenario", e.scenario);
+  v.field_if(e.points.has_value(), "points", e.points);
+  v.field_if(e.min_total_trials.has_value(), "min_total_trials", e.min_total_trials);
+  v.optional("checks", e.checks);
+}
+
+template <typename V>
+void fields(V& v, Of<farm::FixturePoint> auto& f) {
+  v("label", f.point.label);
+  v("errors", f.point.errors);
+  v("bits", f.point.bits);
+  v("ber", f.point.ber, kNumberText);
+  v("ci95", f.point.ci95, kNumberText);
+  v.field_if(f.point.weighted, "weighted", f.point.weighted);
+}
+
+template <typename V>
+void fields(V& v, Of<farm::ReferenceCheck> auto& c) {
+  v.optional("spec_digest", c.spec_digest, kHexDigest);
+  v.optional("seed", c.seed);
+  v("points", c.points);
+  where_filter(v, c.where);
+}
+
+}  // namespace uwb::io
+
+namespace uwb::farm {
+
+namespace {
+
+constexpr io::Document kExpectationsDoc{"verify", io::Missing::kThrow};
+
+/// The key every check holds: its kind.
+constexpr const char* kKindKey = "check";
+
+/// Reads check \p json of kind \p kind through \p list. Any key neither
+/// names throws, so a typo'd key cannot widen, loosen or drop a check.
+template <typename List>
+void read_check(const io::JsonValue& json, const char* kind, const List& list) {
+  io::read_object(json, kExpectationsDoc, kind, [&](io::Reader& r) {
+    std::string name;
+    r(kKindKey, name);
+    list(r);
+  });
+}
 
 double parse_literal(const std::string& text, const std::string& what) {
   char* end = nullptr;
@@ -47,41 +139,38 @@ std::string tag_of(const io::ResultPoint& point, const std::string& key) {
 }
 
 /// Points matching a `where` tag filter (all pairs must match).
-std::vector<const io::ResultPoint*> select(const io::ResultDoc& doc,
-                                           const io::JsonValue* where) {
+std::vector<const io::ResultPoint*> select(const io::ResultDoc& doc, const io::Tags& where) {
   std::vector<const io::ResultPoint*> out;
   for (const io::ResultPoint& point : doc.points) {
     bool match = true;
-    if (where != nullptr) {
-      for (const auto& [key, value] : where->members()) {
-        if (tag_of(point, key) != value.as_string()) {
-          match = false;
-          break;
-        }
-      }
-    }
+    for (const auto& [key, value] : where) match = match && tag_of(point, key) == value;
     if (match) out.push_back(&point);
   }
   return out;
 }
 
-std::string describe_where(const io::JsonValue* where) {
-  if (where == nullptr || where->members().empty()) return "all points";
+std::string describe_where(const io::Tags& where) {
+  if (where.empty()) return "all points";
   std::string out;
-  for (const auto& [key, value] : where->members()) {
+  for (const auto& [key, value] : where) {
     if (!out.empty()) out += ", ";
-    out += key + "=" + value.as_string();
+    out += key + "=" + value;
   }
   return out;
 }
 
 void check_range(const io::ResultDoc& doc, const io::JsonValue& check,
                  VerifyReport& report) {
-  const std::string metric = check.at("metric").as_string();
-  const io::JsonValue* where = check.find("where");
-  const io::JsonValue* min = check.find("min");
-  const io::JsonValue* max = check.find("max");
-  detail::require(min != nullptr || max != nullptr,
+  std::string metric;
+  io::Tags where;
+  std::optional<double> min, max;
+  read_check(check, "range", [&](io::Reader& r) {
+    r("metric", metric);
+    io::where_filter(r, where);
+    r.optional("min", min);
+    r.optional("max", max);
+  });
+  detail::require(min.has_value() || max.has_value(),
                   "verify: range check on '" + metric + "' has neither min nor max");
   const auto points = select(doc, where);
   if (points.empty()) {
@@ -91,43 +180,44 @@ void check_range(const io::ResultDoc& doc, const io::JsonValue& check,
   }
   for (const io::ResultPoint* point : points) {
     const double v = point_value(*point, metric);
-    if (min != nullptr && v < min->as_double()) {
+    if (min.has_value() && v < *min) {
       report.failures.push_back("range '" + metric + "': point " +
                                 std::to_string(point->index) + " ('" + point->label +
                                 "') has " + io::format_double(v) + " < min " +
-                                min->number_text());
+                                io::format_double(*min));
     }
-    if (max != nullptr && v > max->as_double()) {
+    if (max.has_value() && v > *max) {
       report.failures.push_back("range '" + metric + "': point " +
                                 std::to_string(point->index) + " ('" + point->label +
                                 "') has " + io::format_double(v) + " > max " +
-                                max->number_text());
+                                io::format_double(*max));
     }
   }
 }
 
 void check_monotone(const io::ResultDoc& doc, const io::JsonValue& check,
                     VerifyReport& report) {
-  const std::string metric = check.at("metric").as_string();
-  const std::string axis = check.at("axis").as_string();
-  const std::string direction = check.at("direction").as_string();
+  std::string metric, axis, direction;
+  double tolerance = 0.0;
+  io::Tags where;
+  std::vector<std::string> group_by;
+  read_check(check, "monotone", [&](io::Reader& r) {
+    r("metric", metric);
+    r("axis", axis);
+    r("direction", direction);
+    r.optional("tolerance", tolerance);
+    io::where_filter(r, where);
+    r.optional("group_by", group_by);
+  });
   detail::require(direction == "nonincreasing" || direction == "nondecreasing",
                   "verify: monotone direction must be nonincreasing or "
                   "nondecreasing, got '" + direction + "'");
-  const io::JsonValue* tolerance_v = check.find("tolerance");
-  const double tolerance = tolerance_v == nullptr ? 0.0 : tolerance_v->as_double();
-  const io::JsonValue* where = check.find("where");
-  const io::JsonValue* group_by = check.find("group_by");
 
   // Group key = the group_by tag values joined; one group when absent.
   std::map<std::string, std::vector<const io::ResultPoint*>> groups;
   for (const io::ResultPoint* point : select(doc, where)) {
     std::string key;
-    if (group_by != nullptr) {
-      for (const io::JsonValue& tag : group_by->items()) {
-        key += tag_of(*point, tag.as_string()) + "|";
-      }
-    }
+    for (const std::string& tag : group_by) key += tag_of(*point, tag) + "|";
     groups[key].push_back(point);
   }
   if (groups.empty()) {
@@ -166,8 +256,12 @@ void check_monotone(const io::ResultDoc& doc, const io::JsonValue& check,
 
 void check_ci_contains(const io::ResultDoc& doc, const io::JsonValue& check,
                        VerifyReport& report) {
-  const io::JsonValue* where = check.find("where");
-  const io::JsonValue* value_v = check.find("value");
+  io::Tags where;
+  std::optional<double> value;
+  read_check(check, "ci_contains", [&](io::Reader& r) {
+    io::where_filter(r, where);
+    r.optional("value", value);
+  });
   const auto points = select(doc, where);
   if (points.empty()) {
     report.failures.push_back("ci_contains (" + describe_where(where) +
@@ -189,23 +283,20 @@ void check_ci_contains(const io::ResultDoc& doc, const io::JsonValue& check,
                                 "]");
       continue;
     }
-    const double v = value_v != nullptr ? value_v->as_double()
-                                        : parse_literal(point->ber, "ber");
+    const double v = value.has_value() ? *value : parse_literal(point->ber, "ber");
     if (v < lo || v > hi) {
-      report.failures.push_back(
-          at + ": [" + io::format_double(lo) + ", " + io::format_double(hi) +
-          "] does not contain " +
-          (value_v != nullptr ? value_v->number_text() : "its own ber ") +
-          (value_v != nullptr ? "" : io::format_double(v)));
+      report.failures.push_back(at + ": [" + io::format_double(lo) + ", " +
+                                io::format_double(hi) + "] does not contain " +
+                                (value.has_value() ? "" : "its own ber ") +
+                                io::format_double(v));
     }
   }
 }
 
 void check_accounting(const io::ResultDoc& doc, const io::JsonValue& check,
                       VerifyReport& report) {
-  const io::JsonValue* min_trials_v = check.find("min_trials");
-  const std::uint64_t min_trials =
-      min_trials_v == nullptr ? 1 : min_trials_v->as_uint64();
+  std::uint64_t min_trials = 1;
+  read_check(check, "accounting", [&](io::Reader& r) { r.optional("min_trials", min_trials); });
   for (const io::ResultPoint& point : doc.points) {
     const std::string at =
         "accounting: point " + std::to_string(point.index) + " ('" + point.label + "')";
@@ -262,29 +353,17 @@ std::string point_name(const io::ResultPoint& point) {
   return "point " + std::to_string(point.index) + " ('" + point.label + "')";
 }
 
-/// A fixture point as a result point: the counts and estimate an interval
-/// is recomputed from.
-io::ResultPoint fixture_point(const io::JsonValue& v) {
-  io::ResultPoint point;
-  point.label = v.at("label").as_string();
-  point.errors = v.at("errors").as_uint64();
-  point.bits = v.at("bits").as_uint64();
-  point.ber = v.at("ber").number_text();
-  point.ci95 = v.at("ci95").number_text();
-  if (const io::JsonValue* weighted = v.find("weighted")) point.weighted = weighted->as_bool();
-  return point;
-}
-
 void check_reference(const io::ResultDoc& doc, const io::JsonValue& check,
                      VerifyReport& report) {
+  ReferenceCheck reference;
+  read_check(check, "reference", [&](io::Reader& r) { fields(r, reference); });
   std::map<std::string, io::ResultPoint> fixture;
-  for (const io::JsonValue& v : check.at("points").items()) {
-    io::ResultPoint point = fixture_point(v);
-    const std::string label = point.label;
-    detail::require(fixture.emplace(label, std::move(point)).second,
+  for (FixturePoint& f : reference.points) {
+    const std::string label = f.point.label;
+    detail::require(fixture.emplace(label, std::move(f.point)).second,
                     "verify: reference fixture repeats the label '" + label + "'");
   }
-  const io::JsonValue* where = check.find("where");
+  const io::Tags& where = reference.where;
   const auto points = select(doc, where);
   if (points.empty()) {
     report.failures.push_back("reference (" + describe_where(where) + "): selects no points");
@@ -311,10 +390,15 @@ void check_reference(const io::ResultDoc& doc, const io::JsonValue& check,
 
 void check_analytic(const io::ResultDoc& doc, const io::JsonValue& check,
                     VerifyReport& report) {
-  const std::string axis = check.at("axis").as_string();
-  const double loss_db = check.at("loss_db").as_double();
+  std::string axis;
+  double loss_db = 0.0;
+  io::Tags where;
+  read_check(check, "analytic", [&](io::Reader& r) {
+    r("axis", axis);
+    r("loss_db", loss_db);
+    io::where_filter(r, where);
+  });
   detail::require(loss_db >= 0.0, "verify: analytic loss_db must be >= 0");
-  const io::JsonValue* where = check.find("where");
   const auto points = select(doc, where);
   if (points.empty()) {
     report.failures.push_back("analytic (" + describe_where(where) + "): selects no points");
@@ -332,7 +416,7 @@ void check_analytic(const io::ResultDoc& doc, const io::JsonValue& check,
       report.failures.push_back("analytic: " + point_name(*point) + " BER interval " +
                                 describe(got) + " misses the antipodal band " +
                                 describe(band) + " for a loss of " +
-                                check.at("loss_db").number_text() + " dB");
+                                io::format_double(loss_db) + " dB");
     }
   }
 }
@@ -341,56 +425,45 @@ void check_analytic(const io::ResultDoc& doc, const io::JsonValue& check,
 
 VerifyReport verify_result(const io::ResultDoc& doc,
                            const io::JsonValue& expectations) {
-  const io::JsonValue* version = expectations.find("version");
-  detail::require(version != nullptr, "verify: expectations missing format version");
-  detail::require(version->as_int() == kExpectationsVersion,
-                  "verify: expectations version " + version->number_text() +
-                      " does not match this binary's version " +
-                      std::to_string(kExpectationsVersion));
+  Expectations e;
+  io::read_object(expectations, kExpectationsDoc, "expectations",
+                  [&](io::Reader& r) { fields(r, e); });
 
   VerifyReport report;
-  const io::JsonValue* checks = nullptr;
-  for (const auto& [key, value] : expectations.members()) {
-    if (key == "version") continue;
-    else if (key == "scenario") {
-      ++report.checks;
-      if (doc.scenario != value.as_string()) {
-        report.failures.push_back("header: scenario is '" + doc.scenario +
-                                  "', expected '" + value.as_string() + "'");
-      }
-    } else if (key == "points") {
-      ++report.checks;
-      if (doc.points.size() != value.as_uint64()) {
-        report.failures.push_back("header: document has " +
-                                  std::to_string(doc.points.size()) +
-                                  " points, expected " + value.number_text());
-      }
-    } else if (key == "min_total_trials") {
-      ++report.checks;
-      std::uint64_t total = 0;
-      for (const io::ResultPoint& point : doc.points) total += point.trials;
-      if (total < value.as_uint64()) {
-        report.failures.push_back("header: " + std::to_string(total) +
-                                  " total trials, expected >= " + value.number_text());
-      }
-    } else if (key == "checks") {
-      checks = &value;
-    } else {
-      throw InvalidArgument("verify: expectations: unknown key '" + key + "'");
+  if (e.scenario.has_value()) {
+    ++report.checks;
+    if (doc.scenario != *e.scenario) {
+      report.failures.push_back("header: scenario is '" + doc.scenario + "', expected '" +
+                                *e.scenario + "'");
     }
   }
-  if (checks != nullptr) {
-    for (const io::JsonValue& check : checks->items()) {
-      const std::string kind = check.at("check").as_string();
-      ++report.checks;
-      if (kind == "range") check_range(doc, check, report);
-      else if (kind == "monotone") check_monotone(doc, check, report);
-      else if (kind == "accounting") check_accounting(doc, check, report);
-      else if (kind == "ci_contains") check_ci_contains(doc, check, report);
-      else if (kind == "reference") check_reference(doc, check, report);
-      else if (kind == "analytic") check_analytic(doc, check, report);
-      else throw InvalidArgument("verify: unknown check kind '" + kind + "'");
+  if (e.points.has_value()) {
+    ++report.checks;
+    if (doc.points.size() != *e.points) {
+      report.failures.push_back("header: document has " + std::to_string(doc.points.size()) +
+                                " points, expected " + std::to_string(*e.points));
     }
+  }
+  if (e.min_total_trials.has_value()) {
+    ++report.checks;
+    std::uint64_t total = 0;
+    for (const io::ResultPoint& point : doc.points) total += point.trials;
+    if (total < *e.min_total_trials) {
+      report.failures.push_back("header: " + std::to_string(total) +
+                                " total trials, expected >= " +
+                                std::to_string(*e.min_total_trials));
+    }
+  }
+  for (const io::JsonValue& check : e.checks) {
+    const std::string kind = check.at(kKindKey).as_string();
+    ++report.checks;
+    if (kind == "range") check_range(doc, check, report);
+    else if (kind == "monotone") check_monotone(doc, check, report);
+    else if (kind == "accounting") check_accounting(doc, check, report);
+    else if (kind == "ci_contains") check_ci_contains(doc, check, report);
+    else if (kind == "reference") check_reference(doc, check, report);
+    else if (kind == "analytic") check_analytic(doc, check, report);
+    else throw InvalidArgument("verify: unknown check kind '" + kind + "'");
   }
   detail::require(report.checks > 0,
                   "verify: expectations declare no checks at all");
@@ -398,30 +471,19 @@ VerifyReport verify_result(const io::ResultDoc& doc,
 }
 
 std::string reference_fixture(const io::ResultDoc& doc, const std::string& spec_text) {
-  io::JsonValue points = io::JsonValue::array();
-  for (const io::ResultPoint& point : doc.points) {
-    io::JsonValue v = io::JsonValue::object();
-    v.set("label", io::JsonValue::string(point.label));
-    v.set("errors", io::JsonValue::number(point.errors));
-    v.set("bits", io::JsonValue::number(point.bits));
-    v.set("ber", io::JsonValue::number_literal(point.ber));
-    v.set("ci95", io::JsonValue::number_literal(point.ci95));
-    if (point.weighted) v.set("weighted", io::JsonValue::boolean(true));
-    points.push_back(std::move(v));
-  }
-  io::JsonValue reference = io::JsonValue::object();
-  reference.set("check", io::JsonValue::string("reference"));
-  reference.set("spec_digest", io::hex_digest_to_json(fnv1a_digest(spec_text)));
-  reference.set("seed", io::JsonValue::number(doc.seed));
-  reference.set("points", std::move(points));
-  io::JsonValue checks = io::JsonValue::array();
-  checks.push_back(std::move(reference));
-  io::JsonValue root = io::JsonValue::object();
-  root.set("version", io::JsonValue::number(kExpectationsVersion));
-  root.set("scenario", io::JsonValue::string(doc.scenario));
-  root.set("points", io::JsonValue::number(static_cast<std::uint64_t>(doc.points.size())));
-  root.set("checks", std::move(checks));
-  return io::dump_json_pretty(root);
+  ReferenceCheck reference;
+  reference.spec_digest = fnv1a_digest(spec_text);
+  reference.seed = doc.seed;
+  for (const io::ResultPoint& point : doc.points) reference.points.push_back({point});
+  Expectations e;
+  e.scenario = doc.scenario;
+  e.points = doc.points.size();
+  e.checks.push_back(io::write_object([&](io::Writer& w) {
+    const std::string kind = "reference";
+    w(kKindKey, kind);
+    fields(w, reference);
+  }));
+  return io::dump_json_pretty(io::write_struct(e));
 }
 
 VerifyReport verify_result_files(const std::string& result_path,

@@ -7,7 +7,8 @@
 /// physics-level claims (BER falls with SNR, BER in a plausible band) and
 /// the bookkeeping claims (all points present, trial counts sane) -- so a
 /// refactor that silently degrades results fails a committed expectations
-/// file in CI instead of shipping. Schema (strict io::json, versioned):
+/// file in CI instead of shipping. Schema (versioned; a key it does not
+/// name, at any level, throws):
 ///
 ///   {
 ///     "version": 1,

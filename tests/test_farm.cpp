@@ -424,6 +424,24 @@ TEST(Verify, EmptySelectionAndMalformedExpectationsFailLoudly) {
   EXPECT_THROW(verify_result(sample_doc(),
                              expectations("[{\"check\": \"vibes\"}]")),
                InvalidArgument);
+
+  // A typo'd key in any check kind throws instead of widening the
+  // selection (where), passing on the point's own BER (value) or dropping
+  // a bound (min_trials, group_by).
+  for (const char* typo : {
+           R"({"check": "range", "metric": "ber", "max": 1, "wher": {"channel": "CM9"}})",
+           R"({"check": "monotone", "metric": "ber", "axis": "ebn0_db",
+               "direction": "nonincreasing", "group_bi": ["channel"]})",
+           R"({"check": "accounting", "min_trial": 1000})",
+           R"({"check": "ci_contains", "valeu": 0.9})",
+           R"({"check": "analytic", "axis": "ebn0_db", "loss_db": 1, "wher": {}})",
+           R"({"check": "reference", "points": [], "seeds": 1})",
+           R"({"check": "reference", "points": [{"label": "p0", "errors": 10,
+               "bits": 1000, "ber": 0.01, "ci95": 0.001, "weigthed": true}]})"}) {
+    SCOPED_TRACE(typo);
+    EXPECT_THROW((void)verify_result(sample_doc(), expectations(std::string("[") + typo + "]")),
+                 InvalidArgument);
+  }
 }
 
 // ----------------------------------------------- checkpoint store (e2e) ----

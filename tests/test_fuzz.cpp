@@ -1,6 +1,7 @@
 // A seeded mutation fuzzer over every persisted-document reader: the JSON
 // parser, spec documents, run manifests, stage tables, farm checkpoints,
-// .cir ensembles with their sidecars, result documents and shard merges.
+// .cir ensembles with their sidecars, result documents and shard merges,
+// and verify expectations with their reference fixtures.
 //
 // Each reader starts from a valid seed document and sees byte flips,
 // truncations, dropped keys and values swapped for another JSON type. The
@@ -24,6 +25,7 @@
 #include "engine/channel_cache.h"
 #include "engine/scenario_registry.h"
 #include "farm/farm_state.h"
+#include "farm/verify.h"
 #include "io/cir_io.h"
 #include "io/file.h"
 #include "io/json.h"
@@ -287,6 +289,40 @@ TEST(Fuzz, ResultDocumentsAndMerges) {
                 },
                 rewrite_result},
          8);
+  }
+}
+
+TEST(Fuzz, VerifyExpectations) {
+  // One small document every check kind has points to judge: the gen-1
+  // fixture's labels, and the tags gen2_cm_grid_ci.json filters and groups
+  // on. Verifying a mutated expectations file ends in a report or throws
+  // uwb::Error.
+  io::ResultDoc doc;
+  doc.scenario = "gen2_cm_grid";
+  doc.seed = 1;
+  for (const char* label : {"4", "6", "8", "10"}) {
+    io::ResultPoint point = result_point(doc.points.size());
+    point.label = label;
+    point.tags = {{"ebn0_db", label}, {"backend", "full"}};
+    doc.points.push_back(point);
+  }
+  for (const char* relative :
+       {"bench/expectations/gen2_cm_grid_ci.json", "tests/fixtures/oracle/gen1_waterfall.json"}) {
+    SCOPED_TRACE(relative);
+    const std::string seed = io::read_file(std::string(UWB_SOURCE_DIR) + "/" + relative, "fuzz");
+    const io::JsonValue expectations = io::parse_json(seed);
+    ASSERT_NO_THROW((void)farm::verify_result(doc, expectations));
+    Mutator mutator(10);
+    for (int i = 0; i < kMutationsPerReader && !HasFailure(); ++i) {
+      const std::string input = mutator.mutate(seed, expectations);
+      try {
+        (void)farm::verify_result(doc, io::parse_json(input));
+      } catch (const Error&) {
+        // rejected: the documented outcome for malformed expectations
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "non-uwb exception: " << e.what() << "\ninput:\n" << input;
+      }
+    }
   }
 }
 
