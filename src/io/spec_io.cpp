@@ -164,8 +164,6 @@ void fields(V& v, Of<rf::AgcParams> auto& s) {
   v("target_rms", s.target_rms);
   v("min_gain_db", s.min_gain_db);
   v("max_gain_db", s.max_gain_db);
-  v("window", s.window);
-  v("step_db", s.step_db);
 }
 
 template <typename V>

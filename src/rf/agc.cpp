@@ -11,7 +11,6 @@ namespace uwb::rf {
 Agc::Agc(const AgcParams& params) : params_(params) {
   detail::require(params.target_rms > 0.0, "Agc: target rms must be positive");
   detail::require(params.max_gain_db > params.min_gain_db, "Agc: max gain must exceed min");
-  detail::require(params.window > 0, "Agc: window must be positive");
 }
 
 void Agc::one_shot(double* i, double* q, std::size_t n) {

@@ -14,10 +14,6 @@ struct AgcParams {
   double target_rms = 0.25;       ///< desired rms relative to ADC full scale 1.0
   double min_gain_db = -40.0;
   double max_gain_db = 60.0;
-  /// Tracking-loop settings: part of the spec's agc block; no gain mode
-  /// reads them (one_shot() measures the whole buffer).
-  std::size_t window = 256;       ///< power-measurement window (samples)
-  double step_db = 1.0;           ///< per-window gain adjustment
 };
 
 /// Gain control: one_shot() measures the whole buffer and sets the exact

@@ -358,18 +358,18 @@ TEST(SpecIo, RegistryScenarioDocumentsAreByteStable) {
       {"gen1_acquisition", 0x1ed9f5e0b4256d13ULL},
       {"gen1_sync", 0xdb61b35648ef49feULL},
       {"gen1_waterfall", 0xc85db2aa5986b9f8ULL},
-      {"gen2_adc_resolution", 0x205eb199e595120dULL},
-      {"gen2_backend_ladder", 0x09f2044c1aa3ac48ULL},
-      {"gen2_chanest_precision", 0x7f8285a3d97c9e84ULL},
-      {"gen2_cm_grid", 0x96db4e88b126414bULL},
-      {"gen2_cm_grid_deep", 0x2a57432e2d820f9eULL},
-      {"gen2_interferer_notch", 0xcccf300b2926df0bULL},
-      {"gen2_mlse_isi", 0xee8da993bb4d3205ULL},
-      {"gen2_mlse_memory", 0x39cef51010bf1958ULL},
-      {"gen2_modulation", 0x3a0ed89d6cf0fe77ULL},
-      {"gen2_pulse_shape", 0x39f74cc05974417aULL},
-      {"gen2_rake_fingers", 0x4a2a637fb6a3d05dULL},
-      {"gen2_spectral_monitor", 0x9ba3b28118b67acbULL},
+      {"gen2_adc_resolution", 0x062e91192acd28fbULL},
+      {"gen2_backend_ladder", 0x6f58970e6b91822bULL},
+      {"gen2_chanest_precision", 0xbcbad2cfeaef03acULL},
+      {"gen2_cm_grid", 0xe6a8841398dbcd05ULL},
+      {"gen2_cm_grid_deep", 0x4124839340c66c4aULL},
+      {"gen2_interferer_notch", 0x908f02d9bcd4a573ULL},
+      {"gen2_mlse_isi", 0xdf785e3823b631cdULL},
+      {"gen2_mlse_memory", 0xa22d7a4075290580ULL},
+      {"gen2_modulation", 0x4af3c557dda6004fULL},
+      {"gen2_pulse_shape", 0x555e9ffbbe3814a6ULL},
+      {"gen2_rake_fingers", 0xe46afe03196b8d70ULL},
+      {"gen2_spectral_monitor", 0x7c5d1b55ee2fdcf7ULL},
   };
   const engine::ScenarioRegistry& registry = engine::ScenarioRegistry::global();
   EXPECT_EQ(registry.names().size(), pinned.size());
