@@ -30,25 +30,25 @@ TrialOptions default_options(Generation gen) {
 
 namespace {
 
-/// Loud capability check shared by make_link and the gen-1 run paths: a
+/// Loud capability check shared by make_link and the run paths: a
 /// scenario asking gen-1 for gen-2-only machinery is a bug, not a no-op.
-void require_supported(const LinkCaps& caps, const TrialOptions& options) {
+void require_supported(Generation gen, const TrialOptions& options) {
+  const LinkCaps caps = generation_caps(gen);
   if (!caps.supports_interferer) {
-    detail::require(!options.interferer, to_string(caps.generation) +
-                                             " link does not support an interferer");
+    detail::require(!options.interferer,
+                    to_string(gen) + " link does not support an interferer");
   }
   if (!caps.supports_auto_notch) {
     detail::require(!options.auto_notch,
-                    to_string(caps.generation) + " link does not support auto_notch");
+                    to_string(gen) + " link does not support auto_notch");
   }
   if (!caps.supports_fec) {
     detail::require(!options.fec.has_value(),
-                    to_string(caps.generation) + " link does not support an outer FEC");
+                    to_string(gen) + " link does not support an outer FEC");
   }
   if (!caps.supports_acquisition_trials) {
     detail::require(options.kind != TrialKind::kAcquisition,
-                    to_string(caps.generation) +
-                        " link does not support acquisition trials");
+                    to_string(gen) + " link does not support acquisition trials");
   }
   if (options.payload_bits > TrialOptions::kMaxPayloadBits) {
     throw InvalidArgument("payload_bits " + std::to_string(options.payload_bits) +
@@ -75,9 +75,9 @@ void require_supported(const LinkCaps& caps, const TrialOptions& options) {
   // A spec can only ask for metrics this trial kind actually emits --
   // recording a never-emitted metric would silently produce empty columns.
   for (const std::string& name : options.record_metrics) {
-    detail::require(emits_metric(caps.generation, options.kind, name),
+    detail::require(emits_metric(gen, options.kind, name),
                     "unknown metric '" + name + "' in record_metrics: a " +
-                        to_string(caps.generation) +
+                        to_string(gen) +
                         (options.kind == TrialKind::kAcquisition ? " acquisition"
                                                                  : " packet") +
                         " trial does not emit it");
@@ -199,28 +199,15 @@ LinkCaps generation_caps(Generation gen) {
   LinkCaps caps;
   caps.generation = gen;
   if (gen == Generation::kGen1) {
-    caps.complex_baseband = false;
     caps.supports_interferer = false;
     caps.supports_auto_notch = false;
     caps.supports_fec = false;
     caps.supports_acquisition_trials = true;
   } else {
-    caps.complex_baseband = true;
     caps.supports_interferer = true;
     caps.supports_auto_notch = true;
     caps.supports_fec = true;
     caps.supports_acquisition_trials = false;
-  }
-  // Derived, not hand-listed: the advertised vocabulary is the union of
-  // what the supported trial kinds emit, so it cannot drift from
-  // trial_metric_names.
-  caps.metric_names = trial_metric_names(gen, TrialKind::kPacket);
-  if (caps.supports_acquisition_trials) {
-    for (std::string& name : trial_metric_names(gen, TrialKind::kAcquisition)) {
-      if (!emits_metric(gen, TrialKind::kPacket, name)) {
-        caps.metric_names.push_back(std::move(name));
-      }
-    }
   }
   return caps;
 }
@@ -247,7 +234,7 @@ bool emits_metric(Generation gen, TrialKind kind, const std::string& name) {
 }
 
 void validate_spec(const LinkSpec& spec) {
-  require_supported(generation_caps(spec.generation()), spec.options);
+  require_supported(spec.generation(), spec.options);
 }
 
 std::unique_ptr<Link> make_link(const LinkSpec& spec, uint64_t seed) {
@@ -288,14 +275,11 @@ sim::TrialOutcome run_trial(Link& link, const TrialOptions& options, std::size_t
 // ---------------------------------------------------------------- Gen-2 ----
 
 Gen2Link::Gen2Link(const Gen2Config& config, uint64_t seed)
-    : Link(seed), config_(config), tx_(config), rx_(config, rng_) {
-  caps_ = generation_caps(Generation::kGen2);
-  caps_.bit_rate_hz = config_.bit_rate_hz();
-}
+    : Link(seed), config_(config), tx_(config), rx_(config, rng_) {}
 
 sim::TrialOutcome Gen2Link::run_packet(const TrialOptions& options, Rng& rng,
                                        const TrialContext& context) {
-  require_supported(caps_, options);  // gen-2 rejects acquisition trials here
+  require_supported(Generation::kGen2, options);  // gen-2 rejects acquisition trials here
   return run_packet_full(options, rng, context).outcome;
 }
 
@@ -542,10 +526,7 @@ Gen2TrialResult Gen2Link::run_packet_full(const TrialOptions& options, Rng& rng,
 // ---------------------------------------------------------------- Gen-1 ----
 
 Gen1Link::Gen1Link(const Gen1Config& config, uint64_t seed)
-    : Link(seed), config_(config), tx_(config), rx_(config, rng_) {
-  caps_ = generation_caps(Generation::kGen1);
-  caps_.bit_rate_hz = config_.bit_rate_hz();
-}
+    : Link(seed), config_(config), tx_(config), rx_(config, rng_) {}
 
 namespace {
 
@@ -902,7 +883,7 @@ sim::TrialOutcome Gen1Link::run_packet(const TrialOptions& options, Rng& rng,
 
 Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
                                           const TrialContext& context) {
-  require_supported(caps_, options);
+  require_supported(Generation::kGen1, options);
   const Capture cap = synthesize_capture(options, context, rng);
   if (options.kind != TrialKind::kAcquisition) {
     return receive_capture(cap, options, rng);

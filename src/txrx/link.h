@@ -5,8 +5,8 @@
 ///
 /// Both of the paper's transceiver generations -- the Section-2 baseband SoC
 /// (Gen1Link) and the Section-3 direct-conversion 100 Mbps chip (Gen2Link)
-/// -- implement one abstract Link interface: run_packet(TrialOptions, Rng)
-/// plus capability queries. Callers that only need "run a packet, count the
+/// -- implement one abstract Link interface: run_packet(TrialOptions, Rng).
+/// Callers that only need "run a packet, count the
 /// errors" (the sweep engine, the CLI, generic benches) work against Link
 /// and a declarative LinkSpec; callers that inspect generation-specific
 /// diagnostics use the concrete classes' run_packet_full.
@@ -98,8 +98,7 @@ struct TrialContext {
 /// only -- the trial's bits/errors then count acquisition *attempts* and
 /// timing failures (bits = 1, errors = timing_correct ? 0 : 1), so the
 /// standard error-count stopping rules and the BER column read as attempt
-/// count and timing-failure rate. Only generations whose LinkCaps set
-/// supports_acquisition_trials accept kAcquisition.
+/// count and timing-failure rate. Only gen-1 accepts kAcquisition.
 enum class TrialKind { kPacket, kAcquisition };
 
 /// Canonical names of the scalar metrics the links emit on sim::TrialOutcome.
@@ -127,7 +126,7 @@ inline constexpr const char* kInterfererFreqErr = "interferer_freq_err_hz";
 /// default_options(Generation::kGen1) returns the gen-1 BER-run defaults
 /// (short payload, genie timing). Options a generation cannot honor
 /// (interferer / auto_notch / fec on gen-1, acquisition trials on gen-2)
-/// make run_packet throw -- see LinkCaps for querying support up front.
+/// make run_packet throw -- validate_spec checks a spec up front.
 struct TrialOptions {
   TrialKind kind = TrialKind::kPacket;  ///< packet (BER) vs acquisition trial
   int cm = 0;                    ///< 0 = AWGN only, 1..4 = 802.15.3a CM1..CM4
@@ -187,21 +186,15 @@ struct TrialOptions {
 /// returns the short-payload genie-timed BER-run defaults.
 [[nodiscard]] TrialOptions default_options(Generation gen);
 
-/// What a link implementation supports; make_link validates a spec's
-/// options against these, and run_packet fails loudly on unsupported
-/// options rather than silently ignoring them.
+/// What a generation supports; make_link validates a spec's options
+/// against these, and run_packet fails loudly on unsupported options
+/// rather than silently ignoring them.
 struct LinkCaps {
   Generation generation = Generation::kGen2;
-  double bit_rate_hz = 0.0;
-  bool complex_baseband = false;   ///< I/Q (gen-2) vs real baseband (gen-1)
   bool supports_interferer = false;
   bool supports_auto_notch = false;
   bool supports_fec = false;
   bool supports_acquisition_trials = false;  ///< accepts TrialKind::kAcquisition
-
-  /// Every metric name this link can emit on a trial outcome, across all trial
-  /// kinds (trial_metric_names narrows this to one kind's emission set).
-  std::vector<std::string> metric_names;
 };
 
 /// Exactly the metric names a (generation, kind) trial emits on its
@@ -230,17 +223,15 @@ class Link {
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  [[nodiscard]] virtual const LinkCaps& caps() const noexcept = 0;
-  [[nodiscard]] Generation generation() const noexcept { return caps().generation; }
-
   /// Runs one packet. All trial randomness (payload, delay, channel
   /// realization, noise) is drawn from \p rng, so a trial's outcome is a
   /// pure function of (spec, construction seed, rng) -- plus, for
   /// ensemble-mode options, the realization in \p context (which the sweep
   /// engine resolves as a pure function of the spec's ChannelSource key and
   /// the trial index).
-  /// \throws InvalidArgument when \p options uses a feature caps() lacks,
-  ///         or asks for an ensemble channel without a resolved realization.
+  /// \throws InvalidArgument when \p options uses a feature the generation
+  ///         lacks, or asks for an ensemble channel without a resolved
+  ///         realization.
   [[nodiscard]] virtual sim::TrialOutcome run_packet(const TrialOptions& options, Rng& rng,
                                                      const TrialContext& context) = 0;
 
@@ -253,9 +244,6 @@ class Link {
   [[nodiscard]] sim::TrialOutcome run_packet(const TrialOptions& options) {
     return run_packet(options, rng_, TrialContext{});
   }
-
-  /// Direct access to the trial RNG (benches print the seed).
-  [[nodiscard]] Rng& rng() noexcept { return rng_; }
 
  protected:
   Rng rng_;
@@ -278,8 +266,7 @@ struct LinkSpec {
   [[nodiscard]] Gen2Config& gen2() { return std::get<Gen2Config>(config); }
 };
 
-/// Generation-level capability flags without constructing any hardware
-/// (bit_rate_hz stays 0; it depends on the concrete config).
+/// Generation-level capability flags without constructing any hardware.
 [[nodiscard]] LinkCaps generation_caps(Generation gen);
 
 /// Checks \p spec's options against its generation's capabilities.
@@ -338,7 +325,6 @@ class Gen2Link final : public Link {
  public:
   Gen2Link(const Gen2Config& config, uint64_t seed);
 
-  [[nodiscard]] const LinkCaps& caps() const noexcept override { return caps_; }
   [[nodiscard]] const Gen2Config& config() const noexcept { return config_; }
   [[nodiscard]] Gen2Transmitter& transmitter() noexcept { return tx_; }
   [[nodiscard]] Gen2Receiver& receiver() noexcept { return rx_; }
@@ -359,7 +345,6 @@ class Gen2Link final : public Link {
 
  private:
   Gen2Config config_;
-  LinkCaps caps_;
   Gen2Transmitter tx_;
   Gen2Receiver rx_;
   // The composite kernel of the last channel realization, cached against
@@ -388,7 +373,6 @@ class Gen1Link final : public Link {
  public:
   Gen1Link(const Gen1Config& config, uint64_t seed);
 
-  [[nodiscard]] const LinkCaps& caps() const noexcept override { return caps_; }
   [[nodiscard]] const Gen1Config& config() const noexcept { return config_; }
   [[nodiscard]] Gen1Transmitter& transmitter() noexcept { return tx_; }
   [[nodiscard]] Gen1Receiver& receiver() noexcept { return rx_; }
@@ -487,7 +471,6 @@ class Gen1Link final : public Link {
   Kernel& prototype_kernel();
 
   Gen1Config config_;
-  LinkCaps caps_;
   Gen1Transmitter tx_;
   Gen1Receiver rx_;
   std::vector<channel::CirTap> g_key_taps_;  ///< taps channel_kernel_ was built from
