@@ -41,27 +41,21 @@ struct ReferenceCheck {
   io::Tags where;
 };
 
-}  // namespace
-
-}  // namespace uwb::farm
-
-// ------------------------------------------------------------ field lists ----
-
-namespace uwb::io {
+// Field lists (io/fields.h), found by argument-dependent lookup.
 
 /// A check's optional tag filter: every pair must match a point's tags.
 template <typename V>
-void where_filter(V& v, Of<Tags> auto& where) {
-  v.field_if(!where.empty(), "where", where, kTagObject);
+void where_filter(V& v, io::Of<io::Tags> auto& where) {
+  v.field_if(!where.empty(), "where", where, io::kTagObject);
 }
 
 template <typename V>
-void fields(V& v, Of<farm::Expectations> auto& e) {
+void fields(V& v, io::Of<Expectations> auto& e) {
   v("version", e.version);
-  detail::require(e.version == farm::kExpectationsVersion,
+  detail::require(e.version == kExpectationsVersion,
                   "verify: expectations version " + std::to_string(e.version) +
                       " does not match this binary's version " +
-                      std::to_string(farm::kExpectationsVersion));
+                      std::to_string(kExpectationsVersion));
   v.field_if(e.scenario.has_value(), "scenario", e.scenario);
   v.field_if(e.points.has_value(), "points", e.points);
   v.field_if(e.min_total_trials.has_value(), "min_total_trials", e.min_total_trials);
@@ -69,28 +63,22 @@ void fields(V& v, Of<farm::Expectations> auto& e) {
 }
 
 template <typename V>
-void fields(V& v, Of<farm::FixturePoint> auto& f) {
+void fields(V& v, io::Of<FixturePoint> auto& f) {
   v("label", f.point.label);
   v("errors", f.point.errors);
   v("bits", f.point.bits);
-  v("ber", f.point.ber, kNumberText);
-  v("ci95", f.point.ci95, kNumberText);
+  v("ber", f.point.ber, io::kNumberText);
+  v("ci95", f.point.ci95, io::kNumberText);
   v.field_if(f.point.weighted, "weighted", f.point.weighted);
 }
 
 template <typename V>
-void fields(V& v, Of<farm::ReferenceCheck> auto& c) {
-  v.optional("spec_digest", c.spec_digest, kHexDigest);
+void fields(V& v, io::Of<ReferenceCheck> auto& c) {
+  v.optional("spec_digest", c.spec_digest, io::kHexDigest);
   v.optional("seed", c.seed);
   v("points", c.points);
   where_filter(v, c.where);
 }
-
-}  // namespace uwb::io
-
-namespace uwb::farm {
-
-namespace {
 
 constexpr io::Document kExpectationsDoc{"verify", io::Missing::kThrow};
 
@@ -166,7 +154,7 @@ void check_range(const io::ResultDoc& doc, const io::JsonValue& check,
   std::optional<double> min, max;
   read_check(check, "range", [&](io::Reader& r) {
     r("metric", metric);
-    io::where_filter(r, where);
+    where_filter(r, where);
     r.optional("min", min);
     r.optional("max", max);
   });
@@ -206,7 +194,7 @@ void check_monotone(const io::ResultDoc& doc, const io::JsonValue& check,
     r("axis", axis);
     r("direction", direction);
     r.optional("tolerance", tolerance);
-    io::where_filter(r, where);
+    where_filter(r, where);
     r.optional("group_by", group_by);
   });
   detail::require(direction == "nonincreasing" || direction == "nondecreasing",
@@ -259,7 +247,7 @@ void check_ci_contains(const io::ResultDoc& doc, const io::JsonValue& check,
   io::Tags where;
   std::optional<double> value;
   read_check(check, "ci_contains", [&](io::Reader& r) {
-    io::where_filter(r, where);
+    where_filter(r, where);
     r.optional("value", value);
   });
   const auto points = select(doc, where);
@@ -396,7 +384,7 @@ void check_analytic(const io::ResultDoc& doc, const io::JsonValue& check,
   read_check(check, "analytic", [&](io::Reader& r) {
     r("axis", axis);
     r("loss_db", loss_db);
-    io::where_filter(r, where);
+    where_filter(r, where);
   });
   detail::require(loss_db >= 0.0, "verify: analytic loss_db must be >= 0");
   const auto points = select(doc, where);
@@ -430,29 +418,23 @@ VerifyReport verify_result(const io::ResultDoc& doc,
                   [&](io::Reader& r) { fields(r, e); });
 
   VerifyReport report;
-  if (e.scenario.has_value()) {
+  const auto header = [&](bool holds, const std::string& failure) {
     ++report.checks;
-    if (doc.scenario != *e.scenario) {
-      report.failures.push_back("header: scenario is '" + doc.scenario + "', expected '" +
-                                *e.scenario + "'");
-    }
+    if (!holds) report.failures.push_back("header: " + failure);
+  };
+  if (e.scenario) {
+    header(doc.scenario == *e.scenario,
+           "scenario is '" + doc.scenario + "', expected '" + *e.scenario + "'");
   }
-  if (e.points.has_value()) {
-    ++report.checks;
-    if (doc.points.size() != *e.points) {
-      report.failures.push_back("header: document has " + std::to_string(doc.points.size()) +
-                                " points, expected " + std::to_string(*e.points));
-    }
+  if (e.points) {
+    header(doc.points.size() == *e.points, "document has " + std::to_string(doc.points.size()) +
+                                               " points, expected " + std::to_string(*e.points));
   }
-  if (e.min_total_trials.has_value()) {
-    ++report.checks;
+  if (e.min_total_trials) {
     std::uint64_t total = 0;
     for (const io::ResultPoint& point : doc.points) total += point.trials;
-    if (total < *e.min_total_trials) {
-      report.failures.push_back("header: " + std::to_string(total) +
-                                " total trials, expected >= " +
-                                std::to_string(*e.min_total_trials));
-    }
+    header(total >= *e.min_total_trials, std::to_string(total) + " total trials, expected >= " +
+                                             std::to_string(*e.min_total_trials));
   }
   for (const io::JsonValue& check : e.checks) {
     const std::string kind = check.at(kKindKey).as_string();

@@ -33,22 +33,13 @@ namespace {
 /// Loud capability check shared by make_link and the run paths: a
 /// scenario asking gen-1 for gen-2-only machinery is a bug, not a no-op.
 void require_supported(Generation gen, const TrialOptions& options) {
-  const LinkCaps caps = generation_caps(gen);
-  if (!caps.supports_interferer) {
-    detail::require(!options.interferer,
-                    to_string(gen) + " link does not support an interferer");
-  }
-  if (!caps.supports_auto_notch) {
-    detail::require(!options.auto_notch,
-                    to_string(gen) + " link does not support auto_notch");
-  }
-  if (!caps.supports_fec) {
-    detail::require(!options.fec.has_value(),
-                    to_string(gen) + " link does not support an outer FEC");
-  }
-  if (!caps.supports_acquisition_trials) {
+  if (gen == Generation::kGen1) {
+    detail::require(!options.interferer, "gen1 link does not support an interferer");
+    detail::require(!options.auto_notch, "gen1 link does not support auto_notch");
+    detail::require(!options.fec.has_value(), "gen1 link does not support an outer FEC");
+  } else {
     detail::require(options.kind != TrialKind::kAcquisition,
-                    to_string(gen) + " link does not support acquisition trials");
+                    "gen2 link does not support acquisition trials");
   }
   if (options.payload_bits > TrialOptions::kMaxPayloadBits) {
     throw InvalidArgument("payload_bits " + std::to_string(options.payload_bits) +
@@ -194,23 +185,6 @@ channel::SvParams ensemble_sv_params(int cm, Generation gen) {
 }
 
 // ------------------------------------------------------------- LinkSpec ----
-
-LinkCaps generation_caps(Generation gen) {
-  LinkCaps caps;
-  caps.generation = gen;
-  if (gen == Generation::kGen1) {
-    caps.supports_interferer = false;
-    caps.supports_auto_notch = false;
-    caps.supports_fec = false;
-    caps.supports_acquisition_trials = true;
-  } else {
-    caps.supports_interferer = true;
-    caps.supports_auto_notch = true;
-    caps.supports_fec = true;
-    caps.supports_acquisition_trials = false;
-  }
-  return caps;
-}
 
 std::vector<std::string> trial_metric_names(Generation gen, TrialKind kind) {
   if (kind == TrialKind::kAcquisition) {

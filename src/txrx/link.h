@@ -186,17 +186,6 @@ struct TrialOptions {
 /// returns the short-payload genie-timed BER-run defaults.
 [[nodiscard]] TrialOptions default_options(Generation gen);
 
-/// What a generation supports; make_link validates a spec's options
-/// against these, and run_packet fails loudly on unsupported options
-/// rather than silently ignoring them.
-struct LinkCaps {
-  Generation generation = Generation::kGen2;
-  bool supports_interferer = false;
-  bool supports_auto_notch = false;
-  bool supports_fec = false;
-  bool supports_acquisition_trials = false;  ///< accepts TrialKind::kAcquisition
-};
-
 /// Exactly the metric names a (generation, kind) trial emits on its
 /// sim::TrialOutcome -- the vocabulary record_metrics and stop-rule metrics must
 /// come from. \throws InvalidArgument when the generation does not support
@@ -265,9 +254,6 @@ struct LinkSpec {
   [[nodiscard]] Gen1Config& gen1() { return std::get<Gen1Config>(config); }
   [[nodiscard]] Gen2Config& gen2() { return std::get<Gen2Config>(config); }
 };
-
-/// Generation-level capability flags without constructing any hardware.
-[[nodiscard]] LinkCaps generation_caps(Generation gen);
 
 /// Checks \p spec's options against its generation's capabilities.
 /// \throws InvalidArgument on an unsupported feature (e.g. FEC or an
