@@ -135,7 +135,12 @@ inline constexpr Via<Tags> kTagPairs{
       out.clear();
       for (const JsonValue& pair : v.items()) {
         detail::require(pair.items().size() == 2, "a tag must be a [key, value] pair");
-        out.emplace_back(pair.items()[0].as_string(), pair.items()[1].as_string());
+        const std::string& key = pair.items()[0].as_string();
+        // Tags are written as object keys too (kTagObject), which must be unique.
+        for (const auto& tag : out) {
+          detail::require(tag.first != key, "duplicate tag '" + key + "'");
+        }
+        out.emplace_back(key, pair.items()[1].as_string());
       }
     }};
 

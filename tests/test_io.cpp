@@ -350,6 +350,21 @@ TEST(SpecIo, ScenarioFileRoundTripPreservesTagsAndLabels) {
   }
 }
 
+TEST(SpecIo, PointsNeedALinkWithAGenerationAndUniqueTags) {
+  // Terse specs keep defaults for missing keys, except these two: a point
+  // without a link, or a link without a generation, has nothing to run.
+  const auto load = [](const std::string& point) {
+    return scenario_from_json_text(R"({"name": "s", "points": [)" + point + "]}");
+  };
+  EXPECT_EQ(load(R"({"link": {"generation": "gen1"}})").points.at(0).link.generation(),
+            txrx::Generation::kGen1);
+  EXPECT_THROW((void)load(R"({"label": "p"})"), InvalidArgument);
+  EXPECT_THROW((void)load(R"({"link": {"config": {}}})"), InvalidArgument);
+  // Tags become object keys in the result document, so they must be unique.
+  EXPECT_THROW((void)load(R"({"tags": [["a", "1"], ["a", "2"]], "link": {"generation": "gen2"}})"),
+               InvalidArgument);
+}
+
 TEST(SpecIo, RegistryScenarioDocumentsAreByteStable) {
   // FNV-1a digests of every registry scenario's spec document. perfbench's
   // spec_digest and the farm's plan_digest hash these bytes, so a
